@@ -190,7 +190,7 @@ func (ev *evaluator) evalRuleBody(cr *compiledRule, deltaOcc int, deltaRows [][]
 				return nil, err
 			}
 			if len(p.equalities) == 0 {
-				return relstore.NewTableJoin(cur, t, p.scanPreds(), p.cols, p.names, shared, exec)
+				return relstore.NewTableJoin(cur, t, p.scanPreds(), p.cols, p.names, shared, nil, exec)
 			}
 		}
 		rel, err := scan(i)
@@ -203,7 +203,7 @@ func (ev *evaluator) evalRuleBody(cr *compiledRule, deltaOcc int, deltaRows [][]
 			// invariant that every equi-join names its shared columns).
 			return relstore.NewCross(cur, rel, exec), nil
 		}
-		return relstore.NewJoin(cur, rel, shared, exec)
+		return relstore.NewJoin(cur, rel, shared, nil, exec)
 	}
 
 	// Join order: start from the delta occurrence (it is the small side

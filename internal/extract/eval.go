@@ -2,6 +2,7 @@ package extract
 
 import (
 	"fmt"
+	"slices"
 
 	"graphgen/internal/datalog"
 	"graphgen/internal/relstore"
@@ -20,10 +21,26 @@ import (
 // row stream, so results do not depend on the worker count or on which
 // indexes happen to exist.
 //
+// Column liveness is part of the pipeline. A variable is live after a
+// stage when it is an output variable or occurs in an atom still to be
+// joined; every scan and join emits only its live columns (the join
+// kernels build the pruned row directly), so a join attribute stops being
+// carried the moment its last join is done. Under distinct, a stage that
+// dropped a column also drops the duplicates the narrowing exposed, in
+// stream order (relstore.NewDistinct): a pruned-away attribute is exactly
+// what made those rows differ, and each one would otherwise multiply
+// through every later join. Keeping first occurrences on what becomes the
+// next join's build side, with join output probe-major, removes from the
+// final stream only rows that repeat an earlier one — so the DISTINCT
+// result is row-for-row the one the unpruned plan produces. Without
+// distinct the caller wants bag multiplicities (incremental.ExtractLive
+// counts supports), so only the pruning applies.
+//
 // Options.NoStream interposes a materialization (relstore.Materialize)
-// after every operator, reproducing the old operator-at-a-time execution
-// exactly; it is the equivalence oracle and the peak-memory baseline for
-// the streaming default.
+// after every operator and keeps every variable to the end with one late
+// distinct, reproducing the old operator-at-a-time execution exactly; it
+// is the equivalence oracle for both the streaming and the pruning, and
+// the peak-memory baseline.
 
 // EvalConjunctive joins the atoms on their shared variables and projects
 // outVars. The atom list must be connected (every atom shares a variable
@@ -34,19 +51,36 @@ func EvalConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, di
 	if len(atoms) == 0 {
 		return nil, fmt.Errorf("extract: empty rule body")
 	}
-	cur, err := scanAtom(db, atoms[0], opts)
+	pending := make([]datalog.Atom, len(atoms)-1)
+	copy(pending, atoms[1:])
+	prune := !opts.NoStream
+	// narrowed closes a stage whose natural output is wide columns:
+	// duplicates are dropped early when the stage kept fewer, the caller
+	// wants a set, and a later join would otherwise multiply them.
+	narrowed := func(cur relstore.RowIter, wide int) relstore.RowIter {
+		if prune && distinct && len(pending) > 0 && len(cur.Cols()) < wide {
+			return relstore.NewDistinct(cur, execOpts(opts))
+		}
+		return cur
+	}
+
+	sc, err := compileAtomScan(db, atoms[0])
 	if err != nil {
 		return nil, err
 	}
-	if cur, err = stage(cur, opts); err != nil {
+	wide := len(sc.names)
+	if prune {
+		sc.restrict(liveVars(outVars, pending))
+	}
+	cur, err := stage(narrowed(scanCompiled(sc, opts), wide), opts)
+	if err != nil {
 		return nil, err
 	}
-	pending := make([]datalog.Atom, len(atoms)-1)
-	copy(pending, atoms[1:])
 	for len(pending) > 0 {
 		// Pick the next atom sharing a variable with the current
 		// relation, so disconnected bodies are detected rather than
-		// silently cross-producted.
+		// silently cross-producted. Shared variables are live, so pruning
+		// never changes which atom is picked.
 		picked := -1
 		var shared []string
 		for i, a := range pending {
@@ -60,20 +94,61 @@ func EvalConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, di
 			cur.Close()
 			return nil, fmt.Errorf("extract: rule body is disconnected (atom %s shares no variable)", pending[0])
 		}
-		cur, err = joinAtom(db, cur, pending[picked], shared, opts)
+		sc, err := compileAtomScan(db, pending[picked])
 		if err != nil {
-			return nil, err
-		}
-		if cur, err = stage(cur, opts); err != nil {
+			cur.Close()
 			return nil, err
 		}
 		pending = append(pending[:picked], pending[picked+1:]...)
+		wide := len(cur.Cols()) + len(sc.names) - len(shared)
+		var keep []string
+		if prune {
+			live := liveVars(outVars, pending)
+			keep = make([]string, 0, wide)
+			for _, c := range cur.Cols() {
+				if live[c] {
+					keep = append(keep, c)
+				}
+			}
+			for _, n := range sc.names {
+				if live[n] && !slices.Contains(shared, n) {
+					keep = append(keep, n)
+				}
+			}
+			// The atom's scan feeds only this join: it projects the
+			// join keys and what stays live.
+			for _, v := range shared {
+				live[v] = true
+			}
+			sc.restrict(live)
+		}
+		if cur, err = joinAtom(cur, sc, shared, keep, opts); err != nil {
+			return nil, err
+		}
+		if cur, err = stage(narrowed(cur, wide), opts); err != nil {
+			return nil, err
+		}
 	}
 	proj, err := relstore.NewProject(cur, outVars, distinct, execOpts(opts))
 	if err != nil {
 		return nil, err
 	}
 	return relstore.Collect(proj)
+}
+
+// liveVars is the live-variable rule: the output variables plus every
+// variable of an atom still to be joined.
+func liveVars(outVars []string, pending []datalog.Atom) map[string]bool {
+	live := make(map[string]bool, len(outVars))
+	for _, v := range outVars {
+		live[v] = true
+	}
+	for _, a := range pending {
+		for _, v := range a.Vars() {
+			live[v] = true
+		}
+	}
+	return live
 }
 
 // execOpts maps extraction options onto the operator execution knobs.
@@ -97,23 +172,18 @@ func stage(cur relstore.RowIter, opts Options) (relstore.RowIter, error) {
 }
 
 // joinAtom extends the pipeline with a streaming join against one more
-// atom. The common no-repeated-variable case goes through NewTableJoin,
-// which defers the planner's IndexedJoin-vs-scan choice (probing the
-// persistent index touches ~|cur| * N/d table rows versus all N for a
-// scan plus a throwaway hash table; the index wins when the accumulated
-// relation is small next to the column's distinct count) until cur has
-// drained and its exact cardinality is known. Both paths produce
-// identical output.
-func joinAtom(db *relstore.DB, cur relstore.RowIter, atom datalog.Atom, shared []string, opts Options) (relstore.RowIter, error) {
-	sc, err := compileAtomScan(db, atom)
-	if err != nil {
-		cur.Close()
-		return nil, err
-	}
+// compiled atom, emitting the keep columns (nil: all). The common
+// no-repeated-variable case goes through NewTableJoin, which defers the
+// index-vs-scan choice (probing the persistent index touches ~|cur| * N/d
+// table rows versus all N for a scan plus a throwaway hash table; the
+// index wins when the accumulated relation is small next to the column's
+// distinct count) until cur has drained and its exact cardinality is
+// known. Both paths produce identical output.
+func joinAtom(cur relstore.RowIter, sc *atomScan, shared, keep []string, opts Options) (relstore.RowIter, error) {
 	if len(sc.equalities) == 0 {
-		return relstore.NewTableJoin(cur, sc.t, sc.preds, sc.cols, sc.names, shared, execOpts(opts))
+		return relstore.NewTableJoin(cur, sc.t, sc.preds, sc.cols, sc.names, shared, keep, execOpts(opts))
 	}
-	return relstore.NewJoin(cur, scanCompiled(sc, opts), shared, execOpts(opts))
+	return relstore.NewJoin(cur, scanCompiled(sc, opts), shared, keep, execOpts(opts))
 }
 
 func sharedVars(cols []string, a datalog.Atom) []string {
@@ -139,6 +209,17 @@ type atomScan struct {
 	cols       []int
 	names      []string
 	equalities [][2]int
+}
+
+// restrict narrows the scan's projection to the variables in live.
+func (sc *atomScan) restrict(live map[string]bool) {
+	cols, names := sc.cols[:0], sc.names[:0]
+	for i, n := range sc.names {
+		if live[n] {
+			cols, names = append(cols, sc.cols[i]), append(names, n)
+		}
+	}
+	sc.cols, sc.names = cols, names
 }
 
 func compileAtomScan(db *relstore.DB, atom datalog.Atom) (*atomScan, error) {
@@ -187,18 +268,6 @@ func scanCompiled(sc *atomScan, opts Options) relstore.RowIter {
 		// reject the plan; fall through to the equivalent select walk.
 	}
 	return relstore.NewSelect(sc.t.Rows, sc.preds, sc.equalities, sc.cols, sc.names, execOpts(opts))
-}
-
-// scanAtom opens the pipeline source for one atom: constant terms as
-// selection predicates, intra-atom repeated variables as equality
-// filters, and the projection of the distinct variable positions under
-// their variable names.
-func scanAtom(db *relstore.DB, atom datalog.Atom, opts Options) (relstore.RowIter, error) {
-	sc, err := compileAtomScan(db, atom)
-	if err != nil {
-		return nil, err
-	}
-	return scanCompiled(sc, opts), nil
 }
 
 // EnsureIndexes walks the rules' positive bodies and creates (idempotently)

@@ -183,7 +183,7 @@ func segmentDelta(atoms []datalog.Atom, tbls []*relstore.Table, inVar, outVar st
 			// Stream the scan straight into the join probe; the join
 			// output is collected because the next step's binds pushdown
 			// inspects the accumulated cardinality.
-			joined, err := relstore.NewJoin(relstore.IterRel(cur), rel, shared, relstore.ExecOpts{Workers: opts.Workers})
+			joined, err := relstore.NewJoin(relstore.IterRel(cur), rel, shared, nil, relstore.ExecOpts{Workers: opts.Workers})
 			if err != nil {
 				return nil, err
 			}

@@ -163,8 +163,8 @@ func TestIndexMaintenanceRandomized(t *testing.T) {
 	}
 }
 
-// TestIndexScanEquivalence asserts IndexScan and ScanAuto return
-// row-for-row what ScanWorkers returns, on randomized tables, for single
+// TestIndexScanEquivalence asserts NewScan under IndexForce and IndexAuto
+// returns row-for-row what IndexOff returns, on randomized tables, for single
 // and multi-predicate scans.
 func TestIndexScanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -182,41 +182,42 @@ func TestIndexScanEquivalence(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			preds = append(preds, Pred{Col: 1, Value: IntVal(int64(rng.Intn(8)))})
 		}
-		want, err := ScanWorkers(tbl, preds, cols, names, 3)
+		want, err := collect(NewScan(tbl, preds, cols, names, ExecOpts{Workers: 3, UseIndex: IndexOff}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := IndexScan(tbl, preds, cols, names)
+		got, err := collect(NewScan(tbl, preds, cols, names, ExecOpts{UseIndex: IndexForce}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		relsEqual(t, got, want, fmt.Sprintf("IndexScan trial %d", trial))
-		auto, err := ScanAuto(tbl, preds, cols, names, 3)
+		relsEqual(t, got, want, fmt.Sprintf("IndexForce trial %d", trial))
+		auto, err := collect(NewScan(tbl, preds, cols, names, ExecOpts{Workers: 3}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		relsEqual(t, auto, want, fmt.Sprintf("ScanAuto trial %d", trial))
+		relsEqual(t, auto, want, fmt.Sprintf("IndexAuto trial %d", trial))
 	}
 }
 
 func TestIndexScanErrors(t *testing.T) {
 	_, _, ap := makeAuthors(t)
-	if _, err := IndexScan(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"A"}); err == nil {
-		t.Fatal("IndexScan without an index should error")
+	if _, err := collect(NewScan(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"A"}, ExecOpts{UseIndex: IndexForce})); err == nil {
+		t.Fatal("IndexForce scan without an index should error")
 	}
 	if _, err := ap.CreateIndex("pid"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IndexScan(ap, []Pred{{Col: 7, Value: IntVal(10)}}, []int{0}, []string{"A"}); err == nil {
-		t.Fatal("IndexScan with out-of-range predicate column should error")
+	if _, err := collect(NewScan(ap, []Pred{{Col: 7, Value: IntVal(10)}}, []int{0}, []string{"A"}, ExecOpts{UseIndex: IndexForce})); err == nil {
+		t.Fatal("IndexForce scan with out-of-range predicate column should error")
 	}
-	if _, err := IndexScan(ap, nil, []int{0}, []string{"A"}); err == nil {
-		t.Fatal("IndexScan without predicates should error")
+	if _, err := collect(NewScan(ap, nil, []int{0}, []string{"A"}, ExecOpts{UseIndex: IndexForce})); err == nil {
+		t.Fatal("IndexForce scan without predicates should error")
 	}
 }
 
-// TestIndexedJoinEquivalence asserts IndexedJoin returns — schema and row
-// order — exactly what the scan-then-MultiJoin pipeline returns, across
+// TestIndexedJoinEquivalence asserts NewTableJoin under IndexForce returns
+// — schema and row order — exactly what the scan-then-NewJoin pipeline
+// returns, across
 // randomized inputs including duplicate join values on both sides and
 // selection predicates on the table side.
 func TestIndexedJoinEquivalence(t *testing.T) {
@@ -239,19 +240,19 @@ func TestIndexedJoinEquivalence(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			preds = []Pred{{Col: 1, Value: IntVal(int64(rng.Intn(6)))}}
 		}
-		scanned, err := ScanWorkers(tbl, preds, cols, names, 1)
+		scanned, err := collect(NewScan(tbl, preds, cols, names, ExecOpts{Workers: 1, UseIndex: IndexOff}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := MultiJoinWorkers(cur, scanned, []string{"K"}, 3)
+		want, err := collect(NewJoin(IterRel(cur), IterRel(scanned), []string{"K"}, nil, ExecOpts{Workers: 3}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := IndexedJoin(cur, "K", tbl, preds, cols, names, 3)
+		got, err := collect(NewTableJoin(IterRel(cur), tbl, preds, cols, names, []string{"K"}, nil, ExecOpts{Workers: 3, UseIndex: IndexForce}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		relsEqual(t, got, want, fmt.Sprintf("IndexedJoin trial %d", trial))
+		relsEqual(t, got, want, fmt.Sprintf("indexed table join trial %d", trial))
 	}
 	// Mutate the table (shifting row order) and re-check: the index must
 	// still reproduce the scan order.
@@ -267,51 +268,51 @@ func TestIndexedJoinEquivalence(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		cur.Rows = append(cur.Rows, []Value{IntVal(int64(i)), IntVal(int64(rng.Intn(35)))})
 	}
-	scanned, err := ScanWorkers(tbl, nil, cols, names, 1)
+	scanned, err := collect(NewScan(tbl, nil, cols, names, ExecOpts{Workers: 1, UseIndex: IndexOff}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := MultiJoinWorkers(cur, scanned, []string{"K"}, 2)
+	want, err := collect(NewJoin(IterRel(cur), IterRel(scanned), []string{"K"}, nil, ExecOpts{Workers: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := IndexedJoin(cur, "K", tbl, nil, cols, names, 2)
+	got, err := collect(NewTableJoin(IterRel(cur), tbl, nil, cols, names, []string{"K"}, nil, ExecOpts{Workers: 2, UseIndex: IndexForce}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	relsEqual(t, got, want, "IndexedJoin after mutations")
+	relsEqual(t, got, want, "indexed table join after mutations")
 }
 
 func TestIndexedJoinErrors(t *testing.T) {
 	_, _, ap := makeAuthors(t)
 	cur := &Rel{Cols: []string{"P"}, Rows: [][]Value{{IntVal(10)}}}
-	if _, err := IndexedJoin(cur, "P", ap, nil, []int{0, 1}, []string{"A", "P"}, 1); err == nil {
-		t.Fatal("IndexedJoin without an index should error")
+	if _, err := collect(NewTableJoin(IterRel(cur), ap, nil, []int{0, 1}, []string{"A", "P"}, []string{"P"}, nil, ExecOpts{Workers: 1, UseIndex: IndexForce})); err == nil {
+		t.Fatal("IndexForce table join without an index should error")
 	}
 	if _, err := ap.CreateIndex("pid"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IndexedJoin(cur, "Q", ap, nil, []int{0, 1}, []string{"A", "P"}, 1); err == nil {
-		t.Fatal("IndexedJoin with join column missing from cur should error")
+	if _, err := collect(NewTableJoin(IterRel(cur), ap, nil, []int{0, 1}, []string{"A", "P"}, []string{"Q"}, nil, ExecOpts{Workers: 1, UseIndex: IndexForce})); err == nil {
+		t.Fatal("table join with join column missing from cur should error")
 	}
-	if _, err := IndexedJoin(cur, "P", ap, nil, []int{0, 1}, []string{"A", "B"}, 1); err == nil {
-		t.Fatal("IndexedJoin with join column missing from projection should error")
+	if _, err := collect(NewTableJoin(IterRel(cur), ap, nil, []int{0, 1}, []string{"A", "B"}, []string{"P"}, nil, ExecOpts{Workers: 1, UseIndex: IndexForce})); err == nil {
+		t.Fatal("table join with join column missing from projection should error")
 	}
 }
 
-// TestScanWorkersPredOutOfRange is the regression test for the
+// TestScanPredOutOfRange is the regression test for the
 // predicate-validation fix: an out-of-range predicate column must be an
 // error like every other malformed-input path, not a panic inside the
 // worker pool.
-func TestScanWorkersPredOutOfRange(t *testing.T) {
+func TestScanPredOutOfRange(t *testing.T) {
 	_, _, ap := makeAuthors(t)
 	for _, col := range []int{-1, 2, 99} {
-		if _, err := ScanWorkers(ap, []Pred{{Col: col, Value: IntVal(1)}}, []int{0}, []string{"A"}, 2); err == nil {
+		if _, err := collect(NewScan(ap, []Pred{{Col: col, Value: IntVal(1)}}, []int{0}, []string{"A"}, ExecOpts{Workers: 2, UseIndex: IndexOff})); err == nil {
 			t.Fatalf("predicate column %d: want error, got none", col)
 		}
 	}
 	// In-range predicates still work.
-	rel, err := ScanWorkers(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"A"}, 2)
+	rel, err := collect(NewScan(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"A"}, ExecOpts{Workers: 2, UseIndex: IndexOff}))
 	if err != nil || len(rel.Rows) != 3 {
 		t.Fatalf("valid scan: rows=%v err=%v", rel, err)
 	}
@@ -338,7 +339,7 @@ func TestHashJoinBuildSideSwap(t *testing.T) {
 		{IntVal(1), IntVal(10), IntVal(101)},
 	}
 	// len(b) > len(a): the pre-fix fast path (build on a).
-	got, err := HashJoin(small, big, "p", "p")
+	got, err := collect(NewHashJoin(IterRel(small), IterRel(big), "p", "p", nil, ExecOpts{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestHashJoinBuildSideSwap(t *testing.T) {
 		{IntVal(10), IntVal(101), IntVal(1)},
 		{IntVal(20), IntVal(200), IntVal(2)},
 	}
-	got2, err := HashJoin(big, small, "p", "p")
+	got2, err := collect(NewHashJoin(IterRel(big), IterRel(small), "p", "p", nil, ExecOpts{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +370,7 @@ func TestHashJoinOrderIndependentOfCardinality(t *testing.T) {
 		a.Rows = append(a.Rows, []Value{IntVal(int64(i)), IntVal(int64(i % 2))})
 		b.Rows = append(b.Rows, []Value{IntVal(int64(i % 2)), IntVal(int64(100 + i))})
 	}
-	before, err := HashJoin(a, b, "p", "p")
+	before, err := collect(NewHashJoin(IterRel(a), IterRel(b), "p", "p", nil, ExecOpts{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,26 +379,26 @@ func TestHashJoinOrderIndependentOfCardinality(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a.Rows = append(a.Rows, []Value{IntVal(int64(1000 + i)), IntVal(9999)})
 	}
-	after, err := HashJoin(a, b, "p", "p")
+	after, err := collect(NewHashJoin(IterRel(a), IterRel(b), "p", "p", nil, ExecOpts{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	relsEqual(t, after, before, "larger a")
 }
 
-// TestMultiJoinEmptyShared is the regression test for the silent
+// TestJoinEmptyShared is the regression test for the silent
 // cross-product degeneration: an empty shared list must be an explicit
-// error, and CrossWorkers is the spelled-out replacement.
-func TestMultiJoinEmptyShared(t *testing.T) {
+// error, and NewCross is the spelled-out replacement.
+func TestJoinEmptyShared(t *testing.T) {
 	a := &Rel{Cols: []string{"x"}, Rows: [][]Value{{IntVal(1)}, {IntVal(2)}}}
 	b := &Rel{Cols: []string{"y"}, Rows: [][]Value{{IntVal(10)}, {IntVal(20)}, {IntVal(30)}}}
-	if _, err := MultiJoin(a, b, nil); err == nil {
-		t.Fatal("MultiJoin with empty shared list should error")
+	if _, err := collect(NewJoin(IterRel(a), IterRel(b), nil, nil, ExecOpts{Workers: 1})); err == nil {
+		t.Fatal("NewJoin with nil shared list should error")
 	}
-	if _, err := MultiJoinWorkers(a, b, []string{}, 4); err == nil {
-		t.Fatal("MultiJoinWorkers with empty shared list should error")
+	if _, err := collect(NewJoin(IterRel(a), IterRel(b), []string{}, nil, ExecOpts{Workers: 4})); err == nil {
+		t.Fatal("NewJoin with empty shared list should error")
 	}
-	cross, err := CrossWorkers(a, b, 2)
+	cross, err := collect(NewCross(IterRel(a), IterRel(b), ExecOpts{Workers: 2}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,11 +407,11 @@ func TestMultiJoinEmptyShared(t *testing.T) {
 		{IntVal(1), IntVal(20)}, {IntVal(2), IntVal(20)},
 		{IntVal(1), IntVal(30)}, {IntVal(2), IntVal(30)},
 	}}
-	relsEqual(t, cross, want, "CrossWorkers")
+	relsEqual(t, cross, want, "NewCross")
 	// The cross product is worker-count independent like every operator.
-	serial, err := CrossWorkers(a, b, 1)
+	serial, err := collect(NewCross(IterRel(a), IterRel(b), ExecOpts{Workers: 1}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relsEqual(t, cross, serial, "CrossWorkers parallel vs serial")
+	relsEqual(t, cross, serial, "NewCross parallel vs serial")
 }

@@ -11,15 +11,13 @@ import (
 )
 
 // This file is the streaming operator layer: composable pull-based
-// iterators over rows, with the same output contracts — schema and
-// row-for-row order — as the materializing operators in query.go (which
-// are now thin Collect wrappers over these constructors). Peak memory of
-// a pipeline is what its operators *hold*, not the sum of every
-// intermediate relation: a scan holds a window, a join holds its build
-// side, distinct holds its seen-set. The equivalence suites
-// (indexed==unindexed, serial≡parallel, semi-naive==naive, live==fresh)
-// therefore carry over unchanged as the correctness oracle for the
-// streaming path.
+// iterators over rows, each with a fixed output contract — schema and
+// row-for-row order. Peak memory of a pipeline is what its operators
+// *hold*, not the sum of every intermediate relation: a scan holds a
+// window, a join holds its build side, distinct holds its seen-set. The
+// equivalence suites (indexed==unindexed, serial≡parallel,
+// semi-naive==naive, live==fresh, streaming==materializing) are the
+// correctness oracle for every operator here.
 //
 // Contracts every iterator obeys:
 //
@@ -67,7 +65,8 @@ type IndexMode uint8
 
 const (
 	// IndexAuto costs the index path against the parallel scan (the
-	// ScanAuto / planner rules) and picks the cheaper one.
+	// rules documented on NewScan and NewTableJoin) and picks the cheaper
+	// one.
 	IndexAuto IndexMode = iota
 	// IndexOff always walks the table.
 	IndexOff
@@ -76,11 +75,9 @@ const (
 	IndexForce
 )
 
-// ExecOpts carries the execution knobs every operator constructor takes,
-// replacing the positional `workers int` and the auto-vs-forced function
-// variants of the old free-function API. The zero value — serial enough
-// (Workers 0 resolves to GOMAXPROCS), auto index choice, no tracking —
-// is a sensible default.
+// ExecOpts carries the execution knobs every operator constructor takes.
+// The zero value — serial enough (Workers 0 resolves to GOMAXPROCS), auto
+// index choice, no tracking — is a sensible default.
 type ExecOpts struct {
 	// Workers partitions parallel stages; <=0 means GOMAXPROCS. Output
 	// order never depends on it.
@@ -341,12 +338,15 @@ func selectFn(preds []Pred, equalities [][2]int, cols []int) func(Row, func(Row)
 
 // NewScan streams a table scan: equality predicates pushed into the row
 // walk, projecting the listed column indexes under the given names. The
-// access path follows opts.UseIndex: IndexAuto applies the ScanAuto cost
-// rule (index wins when its distinct-key count reaches twice the
-// resolved worker count), IndexForce requires an indexed predicate
-// column and walks the most selective bucket (the driving predicate
-// needs no re-check — the bucket key encoding is injective), IndexOff
-// always walks the table. All paths yield identical rows in table order.
+// access path follows opts.UseIndex. IndexAuto costs the two: an equality
+// predicate over a column with d distinct values touches ~N/d rows
+// through the index versus ~N/workers per worker for the scan, so the
+// index wins once d reaches twice the resolved worker count (the factor
+// keeps the choice conservative about per-lookup overhead). IndexForce
+// requires an indexed predicate column and walks the most selective
+// bucket (the driving predicate needs no re-check — the bucket key
+// encoding is injective). IndexOff always walks the table. All paths
+// yield identical rows in table order.
 func NewScan(t *Table, preds []Pred, cols []int, names []string, opts ExecOpts) (RowIter, error) {
 	if err := validateScan(t, preds, cols, names); err != nil {
 		return nil, err
@@ -485,7 +485,15 @@ func (it *buildProbeIter) Next() (Row, bool, error) {
 			}
 			rows = append(rows, row)
 		}
-		it.build.Close()
+		// The drained build input is closed here, once, so what it held
+		// (an early distinct's seen-set) is released before the build
+		// rows are charged; Close skips it from now on.
+		err := it.build.Close()
+		it.build = nil
+		if err != nil {
+			it.failed = err
+			return nil, false, err
+		}
 		it.held = len(rows)
 		it.opts.Tracker.Acquire(it.held)
 		it.inner = newExpandIter(it.cols, it.probe, it.opts.Workers, it.mk(rows))
@@ -507,7 +515,10 @@ func (it *buildProbeIter) Close() error {
 	it.closed = true
 	it.opts.Tracker.Release(it.held)
 	it.held = 0
-	err := it.build.Close()
+	var err error
+	if it.build != nil {
+		err = it.build.Close()
+	}
 	if it.inner != nil {
 		if e := it.inner.Close(); err == nil {
 			err = e
@@ -518,47 +529,125 @@ func (it *buildProbeIter) Close() error {
 	return err
 }
 
+// colMove copies input column src to output position dst.
+type colMove struct{ dst, src int }
+
+// joinShape resolves a join's output schema. The natural schema is left's
+// columns followed by right's minus the drop-flagged (join key) ones.
+// keep, when non-nil, names the output columns instead — any subset of
+// the natural schema, in any order — and the kernels build each joined
+// row directly in that shape (joinRow), so a column nothing downstream
+// reads is never copied and no wide row is allocated to be re-projected.
+// A name resolves to its first natural occurrence.
+func joinShape(left, right []string, drop []bool, keep []string) (cols []string, fromLeft, fromRight []colMove, err error) {
+	if keep == nil {
+		cols = append(cols, left...)
+		for i := range left {
+			fromLeft = append(fromLeft, colMove{i, i})
+		}
+		for j, c := range right {
+			if !drop[j] {
+				fromRight = append(fromRight, colMove{len(cols), j})
+				cols = append(cols, c)
+			}
+		}
+		return cols, fromLeft, fromRight, nil
+	}
+	cols = append(cols, keep...)
+next:
+	for d, c := range keep {
+		if i, ok := colIndex(left, c); ok {
+			fromLeft = append(fromLeft, colMove{d, i})
+			continue
+		}
+		for j, rc := range right {
+			if rc == c && !drop[j] {
+				fromRight = append(fromRight, colMove{d, j})
+				continue next
+			}
+		}
+		return nil, nil, nil, fmt.Errorf("relstore: output column %q not in join of %v with %v", c, left, right)
+	}
+	return cols, fromLeft, fromRight, nil
+}
+
+// keepDetail renders a pruned join's output column list for its span
+// detail; a join left at its natural schema adds nothing.
+func keepDetail(keep []string) string {
+	if keep == nil {
+		return ""
+	}
+	return " -> " + strings.Join(keep, ",")
+}
+
+// joinRow builds one n-column output row from a left and a right row.
+func joinRow(n int, l, r Row, fromLeft, fromRight []colMove) Row {
+	out := make([]Value, n)
+	for _, m := range fromLeft {
+		out[m.dst] = l[m.src]
+	}
+	for _, m := range fromRight {
+		out[m.dst] = r[m.src]
+	}
+	return out
+}
+
 // NewJoin streams the equi-join of a and b on all shared column names (a
 // composite key): a (the build side) drains into a hash table, b (the
-// probe side) streams through it. Output schema and order match
-// MultiJoinWorkers: a's columns then b's minus the shared ones; rows in
-// b-major order with a's row order inside each b row. An empty shared
-// list is an error — explicit cross products use NewCross.
-func NewJoin(a, b RowIter, shared []string, opts ExecOpts) (RowIter, error) {
+// probe side) streams through it. The output schema is keep, or with a
+// nil keep the natural one: a's columns then b's minus the shared ones.
+// Rows come in b-major order with a's row order inside each b row. An
+// empty shared list is an error — explicit cross products use NewCross.
+func NewJoin(a, b RowIter, shared, keep []string, opts ExecOpts) (RowIter, error) {
 	acols, bcols := a.Cols(), b.Cols()
 	if len(shared) == 0 {
 		closeAll(a, b)
-		return nil, fmt.Errorf("relstore: join of %v with %v has no shared columns (use CrossWorkers for an explicit cross product)", acols, bcols)
+		return nil, fmt.Errorf("relstore: join of %v with %v has no shared columns (use NewCross for an explicit cross product)", acols, bcols)
 	}
-	ai := make([]int, len(shared))
-	bi := make([]int, len(shared))
-	bShared := make([]bool, len(bcols))
-	for k, c := range shared {
-		i, ok := colIndex(acols, c)
+	return newHashJoin(a, b, shared, shared, keep, opts, "join", strings.Join(shared, ","))
+}
+
+// NewHashJoin streams the equi-join of a and b on one column each (the
+// names may differ; a's is kept). The output schema is keep, or with a
+// nil keep a's columns then b's minus bCol; rows in b-major order.
+func NewHashJoin(a, b RowIter, aCol, bCol string, keep []string, opts ExecOpts) (RowIter, error) {
+	return newHashJoin(a, b, []string{aCol}, []string{bCol}, keep, opts, "hash_join", aCol+"="+bCol)
+}
+
+// newHashJoin is the build/probe hash join behind NewJoin and
+// NewHashJoin: a's aOn columns pair positionally with b's bOn columns.
+// op and detail label its span.
+func newHashJoin(a, b RowIter, aOn, bOn, keep []string, opts ExecOpts, op, detail string) (RowIter, error) {
+	acols, bcols := a.Cols(), b.Cols()
+	fail := func(err error) (RowIter, error) {
+		closeAll(a, b)
+		return nil, err
+	}
+	ai := make([]int, len(aOn))
+	bi := make([]int, len(bOn))
+	bKey := make([]bool, len(bcols))
+	for k := range aOn {
+		i, ok := colIndex(acols, aOn[k])
 		if !ok {
-			closeAll(a, b)
-			return nil, fmt.Errorf("relstore: join column %q not in left relation %v", c, acols)
+			return fail(fmt.Errorf("relstore: join column %q not in left relation %v", aOn[k], acols))
 		}
-		j, ok := colIndex(bcols, c)
+		j, ok := colIndex(bcols, bOn[k])
 		if !ok {
-			closeAll(a, b)
-			return nil, fmt.Errorf("relstore: join column %q not in right relation %v", c, bcols)
+			return fail(fmt.Errorf("relstore: join column %q not in right relation %v", bOn[k], bcols))
 		}
 		ai[k], bi[k] = i, j
-		bShared[j] = true
+		bKey[j] = true
 	}
-	cols := append([]string(nil), acols...)
-	for j, c := range bcols {
-		if !bShared[j] {
-			cols = append(cols, c)
-		}
+	cols, fromA, fromB, err := joinShape(acols, bcols, bKey, keep)
+	if err != nil {
+		return fail(err)
 	}
-	nOut := len(cols)
 	var sp *obs.Span
 	if opts.Trace != nil {
-		sp = opts.Trace.StartSpan("join", strings.Join(shared, ","))
+		sp = opts.Trace.StartSpan(op, detail+keepDetail(keep))
 		sp.SetStrategy("hash build=left")
 	}
+	nOut := len(cols)
 	return traced(&buildProbeIter{cols: cols, build: a, probe: b, opts: opts,
 		mk: func(rows [][]Value) func(Row, func(Row)) {
 			table := make(map[string][][]Value, len(rows))
@@ -568,71 +657,14 @@ func NewJoin(a, b RowIter, shared []string, opts ExecOpts) (RowIter, error) {
 			}
 			return func(brow Row, emit func(Row)) {
 				for _, arow := range table[joinKey(brow, bi)] {
-					joined := make([]Value, 0, nOut)
-					joined = append(joined, arow...)
-					for j, v := range brow {
-						if !bShared[j] {
-							joined = append(joined, v)
-						}
-					}
-					emit(joined)
-				}
-			}
-		}}, sp), nil
-}
-
-// NewHashJoin streams the equi-join of a and b on one column each (the
-// names may differ; a's is kept). Schema and order match HashJoin: a's
-// columns then b's minus bCol, rows in b-major order.
-func NewHashJoin(a, b RowIter, aCol, bCol string, opts ExecOpts) (RowIter, error) {
-	acols, bcols := a.Cols(), b.Cols()
-	ai, ok := colIndex(acols, aCol)
-	if !ok {
-		closeAll(a, b)
-		return nil, fmt.Errorf("relstore: join column %q not in left relation %v", aCol, acols)
-	}
-	bi, ok := colIndex(bcols, bCol)
-	if !ok {
-		closeAll(a, b)
-		return nil, fmt.Errorf("relstore: join column %q not in right relation %v", bCol, bcols)
-	}
-	cols := append([]string(nil), acols...)
-	for j, c := range bcols {
-		if j != bi {
-			cols = append(cols, c)
-		}
-	}
-	nOut := len(cols)
-	aIdx, bIdx := []int{ai}, []int{bi}
-	var sp *obs.Span
-	if opts.Trace != nil {
-		sp = opts.Trace.StartSpan("hash_join", aCol+"="+bCol)
-		sp.SetStrategy("hash build=left")
-	}
-	return traced(&buildProbeIter{cols: cols, build: a, probe: b, opts: opts,
-		mk: func(rows [][]Value) func(Row, func(Row)) {
-			table := make(map[string][][]Value, len(rows))
-			for _, row := range rows {
-				k := joinKey(row, aIdx)
-				table[k] = append(table[k], row)
-			}
-			return func(brow Row, emit func(Row)) {
-				for _, arow := range table[joinKey(brow, bIdx)] {
-					joined := make([]Value, 0, nOut)
-					joined = append(joined, arow...)
-					for j, v := range brow {
-						if j != bi {
-							joined = append(joined, v)
-						}
-					}
-					emit(joined)
+					emit(joinRow(nOut, arow, brow, fromA, fromB))
 				}
 			}
 		}}, sp), nil
 }
 
 // NewCross streams the cross product: a drains, b streams, one output
-// row per (a row, b row) pair in b-major order (CrossWorkers' order).
+// row per (a row, b row) pair in b-major order.
 func NewCross(a, b RowIter, opts ExecOpts) RowIter {
 	cols := append(append([]string(nil), a.Cols()...), b.Cols()...)
 	nOut := len(cols)
@@ -657,7 +689,7 @@ func NewCross(a, b RowIter, opts ExecOpts) RowIter {
 // NewTableJoin streams the equi-join of cur against the
 // selection+projection of table t on the shared columns, deferring the
 // access-path choice until cur has drained and its exact cardinality is
-// known — the streaming form of the planner's IndexedJoin-vs-scan rule.
+// known — the streaming form of the planner's index-vs-scan rule.
 // preds/cols/names describe the t side exactly as for NewScan; each
 // shared name must appear in names (bound to a table column) and in
 // cur's schema.
@@ -667,10 +699,10 @@ func NewCross(a, b RowIter, opts ExecOpts) RowIter {
 // gathers only the index buckets matching cur's join values, sorts them
 // back into table order by sequence number, and streams those entries;
 // otherwise t is scanned (NewScan with the same opts) and probed against
-// the hash table on cur. Both paths produce identical output: cur's
-// columns then names minus the shared ones, in table-major order with
-// cur's row order inside.
-func NewTableJoin(cur RowIter, t *Table, preds []Pred, cols []int, names []string, shared []string, opts ExecOpts) (RowIter, error) {
+// the hash table on cur. Both paths produce identical output: the keep
+// columns — with a nil keep, cur's columns then names minus the shared
+// ones — in table-major order with cur's row order inside.
+func NewTableJoin(cur RowIter, t *Table, preds []Pred, cols []int, names []string, shared, keep []string, opts ExecOpts) (RowIter, error) {
 	if err := validateScan(t, preds, cols, names); err != nil {
 		closeAll(cur)
 		return nil, err
@@ -700,29 +732,28 @@ func NewTableJoin(cur RowIter, t *Table, preds []Pred, cols []int, names []strin
 	if opts.UseIndex == IndexForce {
 		if len(shared) != 1 {
 			closeAll(cur)
-			return nil, fmt.Errorf("relstore: IndexedJoin: composite join key %v on %s", shared, t.Name)
+			return nil, fmt.Errorf("relstore: table join: IndexForce with composite join key %v on %s", shared, t.Name)
 		}
 		if ix == nil {
 			tcol := cols[ni[0]]
 			closeAll(cur)
-			return nil, fmt.Errorf("relstore: IndexedJoin: no index on %s.%s", t.Name, t.Cols[tcol].Name)
+			return nil, fmt.Errorf("relstore: table join: IndexForce with no index on %s.%s", t.Name, t.Cols[tcol].Name)
 		}
 	}
-	outCols := append([]string(nil), curCols...)
-	for j, n := range names {
-		if !nShared[j] {
-			outCols = append(outCols, n)
-		}
+	outCols, fromCur, fromScan, err := joinShape(curCols, names, nShared, keep)
+	if err != nil {
+		closeAll(cur)
+		return nil, err
 	}
 	var sp *obs.Span
 	if opts.Trace != nil {
 		// The access-path choice is deferred until the build side has
 		// drained; start() records it on this span when it happens.
-		sp = opts.Trace.StartSpan("table_join", t.Name+" on "+strings.Join(shared, ","))
+		sp = opts.Trace.StartSpan("table_join", t.Name+" on "+strings.Join(shared, ",")+keepDetail(keep))
 	}
 	return traced(&tableJoinIter{cols: outCols, cur: cur, t: t, ix: ix,
 		preds: preds, tCols: cols, names: names,
-		ci: ci, ni: ni, nShared: nShared, opts: opts, span: sp}, sp), nil
+		ci: ci, ni: ni, fromCur: fromCur, fromScan: fromScan, opts: opts, span: sp}, sp), nil
 }
 
 // tableJoinIter implements NewTableJoin. The build drain, access-path
@@ -730,17 +761,19 @@ func NewTableJoin(cur RowIter, t *Table, preds []Pred, cols []int, names []strin
 // first Next — before any output row, so recursive bodies still observe
 // the pre-insert table state through the captured storage.
 type tableJoinIter struct {
-	cols    []string
-	cur     RowIter
-	t       *Table
-	ix      *Index // candidate index; nil when multi-column or IndexOff
-	preds   []Pred
-	tCols   []int
-	names   []string
-	ci, ni  []int
-	nShared []bool
-	opts    ExecOpts
-	span    *obs.Span // records the deferred access-path choice; may be nil
+	cols   []string
+	cur    RowIter
+	t      *Table
+	ix     *Index // candidate index; nil when multi-column or IndexOff
+	preds  []Pred
+	tCols  []int
+	names  []string
+	ci, ni []int
+	// fromCur and fromScan place cur's and the scan projection's (names-
+	// indexed) columns in the output row.
+	fromCur, fromScan []colMove
+	opts              ExecOpts
+	span              *obs.Span // records the deferred access-path choice; may be nil
 
 	inner  RowIter
 	held   int
@@ -775,7 +808,12 @@ func (it *tableJoinIter) start() error {
 		}
 		rows = append(rows, row)
 	}
-	it.cur.Close()
+	// Closed here, once, for the reason buildProbeIter gives.
+	err := it.cur.Close()
+	it.cur = nil
+	if err != nil {
+		return err
+	}
 	// Single-column joins key the build map with the bare value encoding
 	// so its keys are exactly the index's bucket keys, letting the index
 	// path gather buckets straight from the build map.
@@ -787,7 +825,8 @@ func (it *tableJoinIter) start() error {
 	}
 	build := make(map[string][][]Value, len(rows))
 	for _, row := range rows {
-		build[key(row, it.ci)] = append(build[key(row, it.ci)], row)
+		k := key(row, it.ci)
+		build[k] = append(build[k], row)
 	}
 	it.held = len(rows)
 	it.opts.Tracker.Acquire(it.held)
@@ -799,7 +838,7 @@ func (it *tableJoinIter) start() error {
 		it.span.SetStrategy("scan")
 	}
 	it.span.Set("build_rows", int64(len(rows)))
-	nOut := len(it.cols)
+	nOut, fromCur := len(it.cols), it.fromCur
 	if useIndex {
 		// Gather the matching table rows and restore table order:
 		// sequence numbers are assigned in insertion order and deletions
@@ -814,26 +853,21 @@ func (it *tableJoinIter) start() error {
 		sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
 		it.opts.Tracker.Acquire(len(entries))
 		it.held += len(entries)
-		tj := it.ni[0]
-		tcol := it.tCols[tj]
-		preds, tCols, nShared := it.preds, it.tCols, it.nShared
+		// The gathered entries are whole table rows, so the scan-side
+		// moves read table columns instead of projection positions.
+		fromTable := make([]colMove, len(it.fromScan))
+		for i, m := range it.fromScan {
+			fromTable[i] = colMove{m.dst, it.tCols[m.src]}
+		}
+		tcol, preds := it.tCols[it.ni[0]], it.preds
 		kernel := func(row Row, emit func(Row)) {
 			for _, p := range preds {
 				if !row[p.Col].Equal(p.Value) {
 					return
 				}
 			}
-			proj := make([]Value, 0, len(tCols)-1)
-			for i, c := range tCols {
-				if !nShared[i] {
-					proj = append(proj, row[c])
-				}
-			}
 			for _, crow := range build[hashKey(row[tcol])] {
-				joined := make([]Value, 0, nOut)
-				joined = append(joined, crow...)
-				joined = append(joined, proj...)
-				emit(joined)
+				emit(joinRow(nOut, crow, row, fromCur, fromTable))
 			}
 		}
 		it.inner = newExpandIter(it.cols, &entrySliceIter{entries: entries}, it.opts.Workers, kernel)
@@ -850,17 +884,10 @@ func (it *tableJoinIter) start() error {
 	if err != nil {
 		return err
 	}
-	ni, nShared := it.ni, it.nShared
+	ni, fromScan := it.ni, it.fromScan
 	kernel := func(brow Row, emit func(Row)) {
 		for _, crow := range build[key(brow, ni)] {
-			joined := make([]Value, 0, nOut)
-			joined = append(joined, crow...)
-			for j, v := range brow {
-				if !nShared[j] {
-					joined = append(joined, v)
-				}
-			}
-			emit(joined)
+			emit(joinRow(nOut, crow, brow, fromCur, fromScan))
 		}
 	}
 	it.inner = newExpandIter(it.cols, scan, it.opts.Workers, kernel)
@@ -881,7 +908,10 @@ func (it *tableJoinIter) Close() error {
 	it.closed = true
 	it.opts.Tracker.Release(it.held)
 	it.held = 0
-	err := it.cur.Close()
+	var err error
+	if it.cur != nil {
+		err = it.cur.Close()
+	}
 	if it.inner != nil {
 		if e := it.inner.Close(); err == nil {
 			err = e
@@ -934,7 +964,7 @@ func NewProject(src RowIter, cols []string, distinct bool, opts ExecOpts) (RowIt
 		}
 	}
 	if distinct {
-		return traced(&distinctIter{cols: outCols, src: src, idx: idx, opts: opts,
+		return traced(&distinctIter{cols: outCols, src: src, idx: idx, opts: opts, span: sp,
 			seen: make(map[string]struct{})}, sp), nil
 	}
 	return traced(newExpandIter(outCols, src, opts.Workers, func(row Row, emit func(Row)) {
@@ -946,13 +976,39 @@ func NewProject(src RowIter, cols []string, distinct bool, opts ExecOpts) (RowIt
 	}), sp), nil
 }
 
-// distinctIter is the streaming SELECT DISTINCT projection.
+// NewDistinct streams src minus every row equal to an earlier one, in
+// stream order: the early duplicate elimination a pipeline places behind
+// a join whose output was pruned to fewer columns than it computed.
+// Survivors pass through as they are, so the stage allocates nothing per
+// row beyond its (tracked) seen-set.
+func NewDistinct(src RowIter, opts ExecOpts) RowIter {
+	cols := src.Cols()
+	idx := make([]int, len(cols))
+	for i := range idx {
+		idx[i] = i
+	}
+	var sp *obs.Span
+	if opts.Trace != nil {
+		sp = opts.Trace.StartSpan("project", strings.Join(cols, ","))
+		sp.SetStrategy("distinct early")
+	}
+	return traced(&distinctIter{cols: cols, src: src, idx: idx, whole: true, opts: opts, span: sp,
+		seen: make(map[string]struct{})}, sp)
+}
+
+// distinctIter is the streaming SELECT DISTINCT projection. whole marks
+// the identity projection (NewDistinct): survivors are handed on as they
+// are instead of being copied.
 type distinctIter struct {
 	cols   []string
 	src    RowIter
 	idx    []int
+	whole  bool
 	seen   map[string]struct{}
+	key    []byte // reused key buffer: dropped rows allocate nothing
 	opts   ExecOpts
+	span   *obs.Span // records rows in at Close; may be nil
+	in     int64
 	held   int
 	closed bool
 }
@@ -965,20 +1021,25 @@ func (it *distinctIter) Next() (Row, bool, error) {
 		if !ok || err != nil {
 			return nil, false, err
 		}
-		proj := make([]Value, len(it.idx))
-		var key strings.Builder
-		for i, j := range it.idx {
-			proj[i] = row[j]
-			row[j].AppendKey(&key)
-			key.WriteByte('|')
+		it.in++
+		key := it.key[:0]
+		for _, j := range it.idx {
+			key = append(row[j].AppendKeyBytes(key), '|')
 		}
-		k := key.String()
-		if _, dup := it.seen[k]; dup {
+		it.key = key
+		if _, dup := it.seen[string(key)]; dup {
 			continue
 		}
-		it.seen[k] = struct{}{}
+		it.seen[string(key)] = struct{}{}
 		it.opts.Tracker.Acquire(1)
 		it.held++
+		if it.whole {
+			return row, true, nil
+		}
+		proj := make([]Value, len(it.idx))
+		for i, j := range it.idx {
+			proj[i] = row[j]
+		}
 		return proj, true, nil
 	}
 }
@@ -988,9 +1049,10 @@ func (it *distinctIter) Close() error {
 		return nil
 	}
 	it.closed = true
+	it.span.Set("rows_in", it.in)
 	it.opts.Tracker.Release(it.held)
 	it.held = 0
-	it.seen = nil
+	it.seen, it.key = nil, nil
 	return it.src.Close()
 }
 

@@ -9,6 +9,15 @@ import (
 
 // --- helpers ---
 
+// collect drains the pipeline a constructor returned: the New* + Collect
+// composition in one expression, collect(NewScan(...)).
+func collect(it RowIter, err error) (*Rel, error) {
+	if err != nil {
+		return nil, err
+	}
+	return Collect(it)
+}
+
 // rowsEqual compares two relations row for row — order included, since
 // every operator contract fixes its output order.
 func rowsEqual(t *testing.T, got, want *Rel, label string) {
@@ -95,7 +104,7 @@ func TestStreamingMaterializingEquivalence(t *testing.T) {
 			if cur, err = stage(cur); err != nil {
 				return nil, err
 			}
-			if cur, err = NewTableJoin(cur, right, nil, []int{0, 1}, []string{"b", "c"}, []string{"b"}, opts); err != nil {
+			if cur, err = NewTableJoin(cur, right, nil, []int{0, 1}, []string{"b", "c"}, []string{"b"}, nil, opts); err != nil {
 				return nil, err
 			}
 			if cur, err = stage(cur); err != nil {
@@ -178,10 +187,10 @@ func TestErrorPropagation(t *testing.T) {
 			return NewProject(src, []string{"k"}, true, ExecOpts{Workers: 1})
 		}},
 		{"join build side", func(src *failIter) (RowIter, error) {
-			return NewJoin(src, IterRel(probe), []string{"k"}, ExecOpts{Workers: 2})
+			return NewJoin(src, IterRel(probe), []string{"k"}, nil, ExecOpts{Workers: 2})
 		}},
 		{"join probe side", func(src *failIter) (RowIter, error) {
-			return NewJoin(IterRel(probe), src, []string{"k"}, ExecOpts{Workers: 2})
+			return NewJoin(IterRel(probe), src, []string{"k"}, nil, ExecOpts{Workers: 2})
 		}},
 		{"cross", func(src *failIter) (RowIter, error) {
 			return NewCross(IterRel(probe), src, ExecOpts{Workers: 2}), nil
@@ -212,7 +221,7 @@ func TestConstructorErrorClosesInputs(t *testing.T) {
 	mk := func() *failIter { return &failIter{cols: []string{"k"}, rows: nil, err: nil} }
 
 	a, b := mk(), mk()
-	if _, err := NewJoin(a, b, []string{"missing"}, ExecOpts{}); err == nil {
+	if _, err := NewJoin(a, b, []string{"missing"}, nil, ExecOpts{}); err == nil {
 		t.Fatal("join with missing column succeeded")
 	}
 	if a.closed != 1 || b.closed != 1 {
@@ -262,7 +271,7 @@ func TestTrackerCountsJoinBuildSide(t *testing.T) {
 	tr := NewTracker()
 	build := &Rel{Cols: []string{"k"}, Rows: [][]Value{{IntVal(1)}, {IntVal(2)}, {IntVal(3)}}}
 	probe := &Rel{Cols: []string{"k"}, Rows: [][]Value{{IntVal(1)}, {IntVal(2)}}}
-	it, err := NewJoin(IterRel(build), IterRel(probe), []string{"k"}, ExecOpts{Workers: 1, Tracker: tr})
+	it, err := NewJoin(IterRel(build), IterRel(probe), []string{"k"}, nil, ExecOpts{Workers: 1, Tracker: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

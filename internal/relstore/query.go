@@ -5,18 +5,12 @@ import (
 	"strings"
 )
 
-// This file holds the materialized relation type (Rel), the scan
-// validation and planner-cost helpers shared with the streaming layer
-// (iter.go), and the original operator free functions. The free functions
-// are now thin Collect wrappers over the iterator constructors — kept as
-// deprecated aliases so existing callers (and the equivalence suites that
-// serve as the streaming path's correctness oracle) migrate mechanically.
-// New code composes NewScan/NewSelect/NewJoin/NewTableJoin/NewCross/
-// NewProject with one ExecOpts instead of picking a positional-workers or
-// auto-vs-forced variant.
+// This file holds the materialized relation type (Rel) and the scan
+// validation and planner-cost helpers of the streaming operators
+// (iter.go).
 
-// Rel is a materialized intermediate relation produced by the operators
-// below. Column names are caller-assigned (usually Datalog variable names).
+// Rel is a materialized relation, as Collect produces from a pipeline.
+// Column names are caller-assigned (usually Datalog variable names).
 type Rel struct {
 	Cols []string
 	Rows [][]Value
@@ -42,14 +36,6 @@ type Pred struct {
 	Value Value
 }
 
-// Scan reads a table, applies equality predicates, and projects the listed
-// column indexes under the given output names.
-//
-// Deprecated: compose NewScan with Collect (ExecOpts{UseIndex: IndexOff}).
-func Scan(t *Table, preds []Pred, cols []int, names []string) (*Rel, error) {
-	return ScanWorkers(t, preds, cols, names, 1)
-}
-
 // validateScan checks a scan's projection and predicate columns against
 // the table schema, so malformed input is an error on every scan path
 // (serial, parallel, and index-backed) instead of a worker-pool panic.
@@ -70,90 +56,12 @@ func validateScan(t *Table, preds []Pred, cols []int, names []string) error {
 	return nil
 }
 
-// ScanWorkers is Scan with the row loop partitioned across workers;
-// per-chunk outputs concatenate in chunk order, so the result is identical
-// to the serial scan for any worker count.
-//
-// Deprecated: compose NewScan with Collect (ExecOpts{UseIndex: IndexOff}).
-func ScanWorkers(t *Table, preds []Pred, cols []int, names []string, workers int) (*Rel, error) {
-	it, err := NewScan(t, preds, cols, names, ExecOpts{Workers: workers, UseIndex: IndexOff})
-	if err != nil {
-		return nil, err
-	}
-	return Collect(it)
-}
-
-// HashJoin equi-joins a and b on the named columns and returns the
-// concatenation of a's columns with b's columns minus the join column
-// (which is kept once, from a). This is the classic build/probe hash join.
-// The output schema and row order are independent of the input
-// cardinalities: rows come out ordered by b's rows (all matches of b's
-// first row, then its second, ...), with matches of one b row in a's row
-// order.
-//
-// Deprecated: compose NewHashJoin with Collect.
-func HashJoin(a, b *Rel, aCol, bCol string) (*Rel, error) {
-	it, err := NewHashJoin(IterRel(a), IterRel(b), aCol, bCol, ExecOpts{Workers: 1})
-	if err != nil {
-		return nil, err
-	}
-	return Collect(it)
-}
-
 // hashKey encodes one value for composite join/distinct keys via the
 // shared unambiguous encoding (Value.AppendKey).
 func hashKey(v Value) string {
 	var sb strings.Builder
 	v.AppendKey(&sb)
 	return sb.String()
-}
-
-// Project returns the relation restricted to the named columns, optionally
-// removing duplicate rows (SELECT DISTINCT).
-func Project(r *Rel, cols []string, distinct bool) (*Rel, error) {
-	it, err := NewProject(IterRel(r), cols, distinct, ExecOpts{Workers: 1})
-	if err != nil {
-		return nil, err
-	}
-	return Collect(it)
-}
-
-// MultiJoin equi-joins a and b on all listed shared column names (a
-// composite key). The output has a's columns followed by b's columns minus
-// the shared ones. An empty shared list is an error: it used to silently
-// degenerate into a full cross product (every row keyed ""), which no
-// planner path legitimately wants — callers that do mean a cross product
-// say so with CrossWorkers.
-//
-// Deprecated: compose NewJoin with Collect.
-func MultiJoin(a, b *Rel, shared []string) (*Rel, error) {
-	return MultiJoinWorkers(a, b, shared, 1)
-}
-
-// MultiJoinWorkers is MultiJoin with a parallel probe phase: the hash table
-// is built serially on a (the build side), b's rows — the outer/probe
-// relation — are partitioned into contiguous chunks probed concurrently,
-// and the per-chunk outputs are concatenated in chunk order. The result is
-// row-for-row identical to the serial join regardless of the worker count.
-//
-// Deprecated: compose NewJoin with Collect.
-func MultiJoinWorkers(a, b *Rel, shared []string, workers int) (*Rel, error) {
-	it, err := NewJoin(IterRel(a), IterRel(b), shared, ExecOpts{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return Collect(it)
-}
-
-// CrossWorkers returns the cross product of a and b: a's columns followed
-// by all of b's, one output row per (a row, b row) pair, ordered by b's
-// rows with a's order inside each (the same order the pre-error empty-
-// shared MultiJoin produced). The probe loop over b partitions across
-// workers with a chunk-ordered merge.
-//
-// Deprecated: compose NewCross with Collect.
-func CrossWorkers(a, b *Rel, workers int) (*Rel, error) {
-	return Collect(NewCross(IterRel(a), IterRel(b), ExecOpts{Workers: workers}))
 }
 
 // concatChunks merges per-chunk row slices in chunk order.
@@ -188,63 +96,6 @@ func bestIndexedPred(t *Table, preds []Pred) (*Index, int) {
 		}
 	}
 	return best, bi
-}
-
-// IndexScan answers an equality-predicate scan from a hash index: it
-// walks the bucket of the most selective indexed predicate instead of the
-// table, applies the remaining predicates, and projects — returning
-// row-for-row exactly what ScanWorkers returns (buckets preserve table
-// order). At least one predicate column must be indexed.
-//
-// Deprecated: compose NewScan with Collect (ExecOpts{UseIndex: IndexForce}).
-func IndexScan(t *Table, preds []Pred, cols []int, names []string) (*Rel, error) {
-	it, err := NewScan(t, preds, cols, names, ExecOpts{UseIndex: IndexForce})
-	if err != nil {
-		return nil, err
-	}
-	return Collect(it)
-}
-
-// ScanAuto is the planner's scan entry point: it costs the index path
-// against the parallel full scan using the catalog's distinct counts. An
-// equality predicate over a column with d distinct values touches ~N/d
-// rows through the index versus ~N/workers per worker for the scan, so
-// the index wins once d exceeds the resolved worker count; a 2x factor
-// keeps the choice conservative about per-lookup overhead. Both paths
-// return identical relations, so the choice is purely a matter of cost.
-//
-// Deprecated: compose NewScan with Collect (ExecOpts{UseIndex: IndexAuto}).
-func ScanAuto(t *Table, preds []Pred, cols []int, names []string, workers int) (*Rel, error) {
-	it, err := NewScan(t, preds, cols, names, ExecOpts{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return Collect(it)
-}
-
-// IndexedJoin equi-joins cur against the selection+projection of table t
-// on cur's joinName column, probing t's persistent hash index on the
-// table column bound to joinName instead of scanning t and building a
-// throwaway hash table. preds/cols/names describe the t side exactly as
-// for Scan; names must contain joinName (bound to the indexed column).
-// The result is row-for-row identical — schema and order — to
-//
-//	rel, _ := Scan(t, preds, cols, names)
-//	MultiJoinWorkers(cur, rel, []string{joinName}, workers)
-//
-// which it achieves by gathering only the index buckets matching cur's
-// join values, sorting them back into table order, and probing in that
-// order.
-//
-// Deprecated: compose NewTableJoin with Collect (ExecOpts{UseIndex:
-// IndexForce}).
-func IndexedJoin(cur *Rel, joinName string, t *Table, preds []Pred, cols []int, names []string, workers int) (*Rel, error) {
-	it, err := NewTableJoin(IterRel(cur), t, preds, cols, names, []string{joinName},
-		ExecOpts{Workers: workers, UseIndex: IndexForce})
-	if err != nil {
-		return nil, err
-	}
-	return Collect(it)
 }
 
 // EstimateJoinOutput estimates the output cardinality of an equi-join of the

@@ -6,12 +6,13 @@
 // planner only needs cardinalities and per-column distinct counts
 // (pg_stats' n_distinct), which the catalog provides exactly, plus the
 // index access paths PostgreSQL would answer equality predicates and
-// equi-joins with, which IndexScan/ScanAuto/IndexedJoin provide.
+// equi-joins with, which NewScan and NewTableJoin choose under
+// ExecOpts.UseIndex.
 //
-// The row-parallel operators (ScanWorkers, MultiJoinWorkers) partition
-// their input across the shared worker pool and concatenate per-chunk
-// outputs in chunk order, so they return row-for-row the same relation as
-// their serial counterparts for any worker count.
+// Operators are pull-based RowIter pipelines (iter.go) drained by
+// Collect. Their parallel stages partition input windows across the
+// shared worker pool and concatenate per-chunk outputs in chunk order, so
+// a pipeline returns row-for-row the same relation for any worker count.
 package relstore
 
 import (
@@ -61,18 +62,34 @@ func (v Value) Equal(o Value) bool {
 // never shift content between key components. Callers append their own
 // separator between components. This is the single key encoding shared
 // by the relational operators (joins, distinct) and the Datalog
-// evaluator's tuple sets — extend it here, in one place, if Value ever
-// grows a new type.
+// evaluator's tuple sets — extend it in keyHead, in one place, if Value
+// ever grows a new type.
 func (v Value) AppendKey(sb *strings.Builder) {
-	if v.T == Int {
-		sb.WriteByte('i')
-		sb.WriteString(strconv.FormatInt(v.I, 10))
-	} else {
-		sb.WriteByte('s')
-		sb.WriteString(strconv.Itoa(len(v.S)))
-		sb.WriteByte(':')
+	var head [24]byte // 's' + up to 20 digits + ':' fits; never escapes
+	sb.Write(v.keyHead(head[:0]))
+	if v.T == String {
 		sb.WriteString(v.S)
 	}
+}
+
+// AppendKeyBytes appends the AppendKey encoding of v to b and returns the
+// extended slice, for callers that encode into a reused buffer and probe
+// a map with string(b) (which does not allocate).
+func (v Value) AppendKeyBytes(b []byte) []byte {
+	b = v.keyHead(b)
+	if v.T == String {
+		b = append(b, v.S...)
+	}
+	return b
+}
+
+// keyHead appends v's key encoding up to, and excluding, a string's
+// content: the one definition both appenders above share.
+func (v Value) keyHead(b []byte) []byte {
+	if v.T == Int {
+		return strconv.AppendInt(append(b, 'i'), v.I, 10)
+	}
+	return append(strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10), ':')
 }
 
 // Compare totally orders two values: -1, 0, or +1. Ints order before

@@ -391,6 +391,61 @@ func TestCreateAnalyzeProgramReconciles(t *testing.T) {
 	}
 }
 
+// TestCreateAnalyzeShowsPrunedStages: a multi-atom segment's ANALYZE tree
+// shows the column pruning — the join span names its output columns, and
+// the early duplicate elimination is a project span with strategy
+// "distinct early" carrying rows in and rows out — and EXPLAIN shows the
+// same plan shape without the measurements.
+func TestCreateAnalyzeShowsPrunedStages(t *testing.T) {
+	_, ts := newTestServer(t, 30, 20)
+	// N is dead after the first scan, A2 after the second join.
+	query := `Nodes(ID, N) :- Author(ID, N).
+Edges(A, B) :- Author(A, N), AuthorPub(A, P), AuthorPub(A2, P), Author(A2, B).`
+	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs?analyze=true", map[string]any{"name": "pruned", "query": query})
+	if code != http.StatusCreated {
+		t.Fatalf("create: %d %v", code, body)
+	}
+	profile, ok := body["profile"].(map[string]any)
+	if !ok {
+		t.Fatalf("analyze=true returned no profile: %v", body)
+	}
+	var early, prunedJoins int
+	walkSpans(profile, func(s map[string]any) {
+		detail, _ := s["detail"].(string)
+		switch {
+		case s["op"] == "project" && s["strategy"] == "distinct early":
+			early++
+			attrs, _ := s["attrs"].(map[string]any)
+			in, ok := attrs["rows_in"].(float64)
+			if !ok || in < s["rows"].(float64) {
+				t.Errorf("early distinct span %v: rows_in missing or below rows out", s)
+			}
+		case (s["op"] == "table_join" || s["op"] == "join") && strings.Contains(detail, " -> "):
+			prunedJoins++
+		}
+	})
+	if early == 0 || prunedJoins == 0 {
+		t.Errorf("profile shows %d early distinct stages and %d pruned joins, want both", early, prunedJoins)
+	}
+
+	code, body = doJSON(t, "POST", ts.URL+"/v1/graphs?explain=true", map[string]any{"name": "pruned2", "query": query})
+	if code != http.StatusCreated {
+		t.Fatalf("create explain: %d %v", code, body)
+	}
+	early = 0
+	walkSpans(body["plan"].(map[string]any), func(s map[string]any) {
+		if s["strategy"] == "distinct early" {
+			early++
+			if _, present := s["attrs"]; present {
+				t.Error("EXPLAIN plan leaks measurements (rows_in)")
+			}
+		}
+	})
+	if early == 0 {
+		t.Error("EXPLAIN plan does not show the early distinct stage")
+	}
+}
+
 // TestAnalyzeEndpointReattachesPlan: the build trace recorded at create
 // time is re-attachable on the analytics endpoint, on both the cold and
 // the cached path, and only when asked for.

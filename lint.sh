@@ -23,6 +23,13 @@ go vet "$@"
 echo "== graphlint"
 go run ./cmd/graphlint -counts "$@"
 
+# The nested bench module is outside ./...; its one-second run is an
+# oracle check, not a measurement.
+echo "== bench module (vet, tests, oracle smoke)"
+go vet -C bench ./...
+go test -C bench ./...
+go run -C bench . -workload extract-expand -seconds 1
+
 if command -v staticcheck >/dev/null 2>&1; then
     echo "== staticcheck ($(staticcheck -version 2>/dev/null || echo unknown))"
     staticcheck "$@"

@@ -28,6 +28,7 @@ import (
 // actually recorded a non-trivial span tree (the equivalence would be
 // vacuous if tracing silently stayed off).
 func TestTracedExtractionEquivalenceTable1(t *testing.T) {
+	var earlyDistinct int
 	for _, d := range experiments.Table1Datasets(experiments.Scale{Quick: true}) {
 		for _, condensed := range []bool{true, false} {
 			opts := extract.DefaultOptions()
@@ -52,6 +53,14 @@ func TestTracedExtractionEquivalenceTable1(t *testing.T) {
 					operators++
 					rows += s.Rows
 				}
+				// The early duplicate-elimination stage behind a pruned
+				// join is a project span accounting rows in and out.
+				if s.Op == "project" && s.Strategy == "distinct early" {
+					earlyDistinct++
+					if in, ok := s.Attrs["rows_in"]; !ok || in < s.Rows {
+						t.Errorf("%s: early distinct span %q: rows_in %d (present %t), rows out %d", d.Name, s.Detail, in, ok, s.Rows)
+					}
+				}
 			})
 			if operators == 0 {
 				t.Errorf("%s: profile has no operator spans", d.Name)
@@ -60,6 +69,9 @@ func TestTracedExtractionEquivalenceTable1(t *testing.T) {
 				t.Errorf("%s: operator spans recorded zero rows", d.Name)
 			}
 		}
+	}
+	if earlyDistinct == 0 {
+		t.Error("no Table 1 plan recorded an early distinct stage: the forced-expand multi-atom bodies should")
 	}
 }
 
