@@ -87,7 +87,7 @@ func (g *Graph) Advise(opts AdviseOptions) Advice {
 		return Advice{
 			Representation: CDUP,
 			ExpansionRatio: ratio,
-			Reason:         "point queries touch little of the graph; C-DUP needs no preprocessing and the on-the-fly hash set stays small",
+			Reason:         "point queries touch little of the graph; C-DUP needs no preprocessing and deduplicates on the fly against a pooled mark set, with no allocation per call",
 		}
 	case WorkloadRepeatedAnalysis:
 		// Prefer DEDUP-2 when the conversion is possible and smaller.
@@ -103,13 +103,13 @@ func (g *Graph) Advise(opts AdviseOptions) Advice {
 		return Advice{
 			Representation: DEDUP1,
 			ExpansionRatio: ratio,
-			Reason:         "repeated analyses amortize the one-time deduplication; DEDUP-1 iterates without hash sets or masks and serializes portably",
+			Reason:         "repeated analyses amortize the one-time deduplication; DEDUP-1 iterates with no visited set and no masks, in either direction, and serializes portably",
 		}
 	default: // WorkloadFullScans
 		return Advice{
 			Representation: BITMAP,
 			ExpansionRatio: ratio,
-			Reason:         "multi-pass whole-graph algorithms favor BITMAP-2: cheap preprocessing, no per-call hash set",
+			Reason:         "multi-pass whole-graph algorithms favor BITMAP-2: cheap preprocessing, out-neighbor scans need no visited set (in-neighbor scans use the same pooled mark set as C-DUP)",
 		}
 	}
 }

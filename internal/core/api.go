@@ -34,9 +34,11 @@ func (it *vertexIterator) Next() (graphapi.NodeID, bool) {
 
 // Neighbors returns an iterator over the logical out-neighbors of vertex v.
 // The iteration is materialized eagerly: the paper's lazy iterators save
-// memory during partial scans, but an eager slice keeps the deduplication
-// hash set short-lived, which its C-DUP garbage-collection analysis
-// (Section 4.3) identifies as the dominant cost.
+// memory during partial scans, but they would have to hold on to the
+// traversal's working set between calls to Next. The paper's Section 4.3
+// names that set — a hash set per call, and its garbage — as C-DUP's
+// dominant cost; here it is a pooled mark set (see neighbors.go) borrowed
+// only while ForNeighbors runs, so the slice of IDs is the one allocation.
 func (g *Graph) Neighbors(v graphapi.NodeID) graphapi.Iterator {
 	r, ok := g.realIdx[v]
 	if !ok {

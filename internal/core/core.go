@@ -23,15 +23,16 @@
 // adjacency readers (VirtSources, VirtTargets, OutDirect, OutVirtuals, ...),
 // the traversals (ForNeighbors, OutDegree, HasEdgeIdx), and the size metrics
 // — performs no lazy initialization and is safe for concurrent use from
-// multiple goroutines. The parallel phases in internal/extract,
-// internal/bsp, and internal/dedup rely on this read-only contract. Mutating
-// methods require external synchronization (the parallel callers stage
-// mutations per worker and apply them serially).
+// multiple goroutines. Traversal working memory comes from a pool outside
+// the Graph (see neighbors.go), never from shared graph state. The parallel
+// phases in internal/extract, internal/bsp, and internal/dedup rely on this
+// read-only contract. Mutating methods require external synchronization (the
+// parallel callers stage mutations per worker and apply them serially).
 package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"graphgen/internal/bitset"
 )
@@ -42,19 +43,23 @@ type Mode uint8
 // The five in-memory representations of Section 4.3.
 const (
 	// CDUP is the raw condensed representation with duplicate paths;
-	// Neighbors deduplicates on the fly with a hash set.
+	// Neighbors deduplicates on the fly against a pooled dense mark set
+	// (see neighbors.go), so a call allocates nothing.
 	CDUP Mode = iota
 	// EXP is the fully expanded graph: direct real-to-real edges only.
 	EXP
 	// DEDUP1 is the condensed representation with duplicate paths removed
-	// by edge surgery; traversal needs no hash set.
+	// by edge surgery; traversal needs no visited set over real nodes. With
+	// C-DUP's set reduced to one array store per neighbor, the scan gap
+	// between the two is narrower here than in the paper's Figure 11.
 	DEDUP1
 	// DEDUP2 is the single-layer symmetric optimization using undirected
 	// edges between virtual nodes (members reach through a virtual node
 	// and its 1-hop virtual neighborhood).
 	DEDUP2
 	// BITMAP is the condensed representation with per-virtual-node bitmaps
-	// masking duplicate traversal paths.
+	// masking duplicate traversal paths. The masks are per origin, so they
+	// work forward only; in-neighbor iteration deduplicates like C-DUP.
 	BITMAP
 )
 
@@ -120,6 +125,12 @@ type Graph struct {
 	vDead    []bool
 	vNumDead int
 
+	// vOutSorted records that every vOut list is in ascending order, which
+	// lets edge-existence probes binary-search it. SortAdjacency sets it;
+	// ConnectVirtToReal clears it on the first out-of-order append
+	// (removals and Compact's monotone remap keep the order).
+	vOutSorted bool
+
 	// DEDUP-2: undirected virtual-virtual edges (stored on both sides).
 	vUndir [][]int32
 
@@ -137,7 +148,7 @@ type Graph struct {
 
 // New returns an empty condensed graph in the given representation mode.
 func New(mode Mode) *Graph {
-	return &Graph{mode: mode, realIdx: make(map[int64]int32)}
+	return &Graph{mode: mode, realIdx: make(map[int64]int32), vOutSorted: true}
 }
 
 // Mode returns the representation mode of the graph.
@@ -251,6 +262,9 @@ func (g *Graph) ConnectRealToVirt(r, v int32) {
 
 // ConnectVirtToReal adds the edge V -> u_t.
 func (g *Graph) ConnectVirtToReal(v, r int32) {
+	if n := len(g.vOut[v]); n > 0 && g.vOut[v][n-1] > r {
+		g.vOutSorted = false
+	}
 	g.vOut[v] = append(g.vOut[v], r)
 	g.inVirt[r] = append(g.inVirt[r], v)
 }
@@ -425,22 +439,19 @@ func (g *Graph) NumBitmaps() int {
 // the paper keeps neighbor lists in sorted order for the same reason.
 func (g *Graph) SortAdjacency() {
 	for r := range g.realID {
-		sortSlice(g.outVirt[r])
-		sortSlice(g.outReal[r])
-		sortSlice(g.inVirt[r])
-		sortSlice(g.inReal[r])
+		slices.Sort(g.outVirt[r])
+		slices.Sort(g.outReal[r])
+		slices.Sort(g.inVirt[r])
+		slices.Sort(g.inReal[r])
 	}
 	for v := range g.vLayer {
-		sortSlice(g.vIn[v])
-		sortSlice(g.vInVirt[v])
-		sortSlice(g.vOut[v])
-		sortSlice(g.vOutVirt[v])
-		sortSlice(g.vUndir[v])
+		slices.Sort(g.vIn[v])
+		slices.Sort(g.vInVirt[v])
+		slices.Sort(g.vOut[v])
+		slices.Sort(g.vOutVirt[v])
+		slices.Sort(g.vUndir[v])
 	}
-}
-
-func sortSlice(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	g.vOutSorted = true
 }
 
 // MaxLayer returns the maximum virtual-node layer (0 when the graph has no
@@ -465,28 +476,29 @@ func (g *Graph) multiLayer() bool { return g.layerHint > 1 }
 // deduplication algorithms from the same C-DUP starting point.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
-		mode:      g.mode,
-		SelfLoops: g.SelfLoops,
-		Symmetric: g.Symmetric,
-		realID:    append([]int64(nil), g.realID...),
-		realIdx:   make(map[int64]int32, len(g.realIdx)),
-		props:     make([]map[string]string, len(g.props)),
-		dead:      append([]bool(nil), g.dead...),
-		numDead:   g.numDead,
-		outVirt:   cloneAdj(g.outVirt),
-		outReal:   cloneAdj(g.outReal),
-		inVirt:    cloneAdj(g.inVirt),
-		inReal:    cloneAdj(g.inReal),
-		vLayer:    append([]int32(nil), g.vLayer...),
-		vIn:       cloneAdj(g.vIn),
-		vInVirt:   cloneAdj(g.vInVirt),
-		vOut:      cloneAdj(g.vOut),
-		vOutVirt:  cloneAdj(g.vOutVirt),
-		vDead:     append([]bool(nil), g.vDead...),
-		vNumDead:  g.vNumDead,
-		vUndir:    cloneAdj(g.vUndir),
-		bitmaps:   make([]map[int32]*bitset.Set, len(g.bitmaps)),
-		layerHint: g.layerHint,
+		mode:       g.mode,
+		SelfLoops:  g.SelfLoops,
+		Symmetric:  g.Symmetric,
+		realID:     append([]int64(nil), g.realID...),
+		realIdx:    make(map[int64]int32, len(g.realIdx)),
+		props:      make([]map[string]string, len(g.props)),
+		dead:       append([]bool(nil), g.dead...),
+		numDead:    g.numDead,
+		outVirt:    cloneAdj(g.outVirt),
+		outReal:    cloneAdj(g.outReal),
+		inVirt:     cloneAdj(g.inVirt),
+		inReal:     cloneAdj(g.inReal),
+		vLayer:     append([]int32(nil), g.vLayer...),
+		vIn:        cloneAdj(g.vIn),
+		vInVirt:    cloneAdj(g.vInVirt),
+		vOut:       cloneAdj(g.vOut),
+		vOutVirt:   cloneAdj(g.vOutVirt),
+		vDead:      append([]bool(nil), g.vDead...),
+		vNumDead:   g.vNumDead,
+		vOutSorted: g.vOutSorted,
+		vUndir:     cloneAdj(g.vUndir),
+		bitmaps:    make([]map[int32]*bitset.Set, len(g.bitmaps)),
+		layerHint:  g.layerHint,
 	}
 	for id, idx := range g.realIdx {
 		ng.realIdx[id] = idx

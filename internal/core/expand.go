@@ -128,22 +128,23 @@ func (g *Graph) Expand(maxEdges int64) (*Graph, error) {
 	ng := New(EXP)
 	ng.SelfLoops = g.SelfLoops
 	ng.Symmetric = g.Symmetric
+	// remap takes a source index to its index in ng; tombstones are skipped
+	// by ForEachReal and never looked up (ForNeighbors emits live nodes).
+	remap := make([]int32, len(g.realID))
 	g.ForEachReal(func(r int32) bool {
 		nr := ng.AddRealNode(g.realID[r])
-		if g.props[r] != nil {
-			for k, v := range g.props[r] {
-				ng.SetProperty(nr, k, v)
-			}
+		remap[r] = nr
+		for k, v := range g.props[r] {
+			ng.SetProperty(nr, k, v)
 		}
 		return true
 	})
 	var count int64
 	var overflow bool
 	g.ForEachReal(func(r int32) bool {
-		nr, _ := ng.RealIndex(g.realID[r])
+		nr := remap[r]
 		g.ForNeighbors(r, func(t int32) bool {
-			nt, _ := ng.RealIndex(g.realID[t])
-			ng.AddDirectEdgeIdx(nr, nt)
+			ng.AddDirectEdgeIdx(nr, remap[t])
 			count++
 			if maxEdges > 0 && count > maxEdges {
 				overflow = true

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the mutating half of the Graph API (Section 3.4):
 // AddVertex, DeleteVertex (lazy), AddEdge, DeleteEdge, and the batch
@@ -73,13 +76,7 @@ func (g *Graph) DeleteEdgeIdx(u, w int32) error {
 	}
 	// Fast path: the edge is direct (it may ALSO exist through a virtual
 	// path in C-DUP, in which case the slow path below is still needed).
-	hadDirect := false
-	for _, t := range g.outReal[u] {
-		if t == w {
-			hadDirect = true
-			break
-		}
-	}
+	hadDirect := slices.Contains(g.outReal[u], w)
 	viaVirtual := g.reachableViaVirtual(u, w)
 	if hadDirect {
 		g.RemoveDirectEdgeIdx(u, w)
@@ -109,45 +106,6 @@ func (g *Graph) DeleteEdgeIdx(u, w int32) error {
 		g.AddDirectEdgeIdx(u, t)
 	}
 	return nil
-}
-
-// reachableViaVirtual reports whether w is reachable from u through at least
-// one virtual path (ignoring direct edges).
-func (g *Graph) reachableViaVirtual(u, w int32) bool {
-	if g.mode == DEDUP2 {
-		for _, v := range g.outVirt[u] {
-			if containsSorted(g.vOut[v], w) {
-				return true
-			}
-			for _, x := range g.vUndir[v] {
-				if containsSorted(g.vOut[x], w) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	var seenVirt map[int32]struct{}
-	if g.multiLayer() {
-		seenVirt = make(map[int32]struct{}, 8)
-	}
-	var stack []int32
-	stack = append(stack, g.outVirt[u]...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seenVirt != nil {
-			if _, dup := seenVirt[v]; dup {
-				continue
-			}
-			seenVirt[v] = struct{}{}
-		}
-		if containsSorted(g.vOut[v], w) {
-			return true
-		}
-		stack = append(stack, g.vOutVirt[v]...)
-	}
-	return false
 }
 
 // deleteEdgeDedup2 removes the undirected logical edge u <-> w in a DEDUP-2

@@ -1,22 +1,65 @@
 package core
 
+import (
+	"slices"
+	"sync"
+
+	"graphgen/internal/markset"
+)
+
 // This file implements getNeighbors for every representation (Section 4.3).
 // The fundamental contract: ForNeighbors(r, fn) invokes fn exactly once for
 // every logical out-neighbor of real node r, however many physical paths the
 // representation stores between them.
 //
 //   - EXP:     scan the direct out list.
-//   - C-DUP:   depth-first traversal through virtual nodes with an on-the-fly
-//     hash set over the real nodes already seen (the paper's "naive
-//     solution to deduplication").
+//   - C-DUP:   depth-first traversal through virtual nodes, deduplicating on
+//     the fly against a dense mark set over the real nodes already
+//     emitted (the paper's "naive solution to deduplication", with
+//     its hash set replaced by an epoch-stamped array).
 //   - DEDUP-1: plain traversal; the deduplication algorithms guarantee at
-//     most one path between any two real nodes, so no hash set is
-//     needed (this is precisely its performance advantage).
+//     most one path between any two real nodes, so no visited set
+//     over real nodes is needed.
 //   - BITMAP:  traversal consults the per-(origin, virtual node) bitmaps to
-//     decide which outgoing edges of a virtual node to follow.
+//     decide which outgoing edges of a virtual node to follow; in
+//     the backward direction it deduplicates like C-DUP.
 //   - DEDUP-2: a real node reaches the targets of each directly adjacent
 //     virtual node V plus the targets of V's undirected 1-hop
 //     virtual neighborhood.
+//
+// Traversal scratch. Every walk that goes through virtual nodes borrows a
+// scratch (mark sets and DFS stack) from a package-level pool for exactly the
+// duration of the call, so a steady-state neighbor call allocates nothing.
+// The contract this gives callers:
+//
+//   - concurrent readers each hold their own scratch; nothing is shared
+//     through the Graph, which stays read-only;
+//   - fn may itself call ForNeighbors, ForInNeighbors or HasEdgeIdx on this
+//     or any other graph: the nested call borrows a second scratch;
+//   - a scratch is sized to the graph on every borrow, so graphs of different
+//     sizes, and graphs that grow between calls, share the pool;
+//   - early stop returns the scratch; a panicking fn also returns it, and the
+//     next borrower starts from a fresh epoch and an empty stack.
+//
+// A scratch costs 4 bytes per real slot plus 4 per virtual slot (the latter
+// only touched on multi-layer graphs) per concurrently active traversal. It
+// belongs to the pool, not to the representation: the garbage collector may
+// drop idle ones, and MemBytes does not count it.
+
+// scratch is the working memory of one traversal through virtual nodes.
+type scratch struct {
+	real  markset.Set // real nodes already emitted
+	virt  markset.Set // virtual nodes already expanded (multi-layer graphs)
+	stack []int32     // DFS stack of virtual nodes
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func (sc *scratch) pop() int32 {
+	v := sc.stack[len(sc.stack)-1]
+	sc.stack = sc.stack[:len(sc.stack)-1]
+	return v
+}
 
 // ForNeighbors calls fn for each logical out-neighbor of real index r,
 // exactly once per neighbor. If fn returns false the iteration stops early.
@@ -26,22 +69,40 @@ func (g *Graph) ForNeighbors(r int32, fn func(t int32) bool) {
 	}
 	switch g.mode {
 	case EXP:
-		for _, t := range g.outReal[r] {
-			if g.dead[t] || (t == r && !g.SelfLoops) {
-				continue
-			}
-			if !fn(t) {
-				return
-			}
-		}
+		g.scanDirect(r, g.outReal[r], fn)
 	case CDUP:
-		g.forNeighborsCDUP(r, fn)
+		// Direct edges participate in the duplicate check too: a direct
+		// edge added by AddEdge may coexist with a virtual path in C-DUP.
+		g.walkMarked(r, g.outReal[r], g.outVirt[r], g.vOut, g.vOutVirt, fn)
 	case DEDUP1:
-		g.forNeighborsDedup1(r, fn)
+		g.walkPlain(r, g.outReal[r], g.outVirt[r], g.vOut, g.vOutVirt, fn)
 	case BITMAP:
 		g.forNeighborsBitmap(r, fn)
 	case DEDUP2:
 		g.forNeighborsDedup2(r, fn)
+	}
+}
+
+// ForInNeighbors calls fn exactly once for every logical in-neighbor of r.
+// EXP and DEDUP-1 walk backward without a visited set (the unique-path
+// guarantee holds in both directions); C-DUP and BITMAP deduplicate against
+// the mark set — bitmaps mask forward duplicate paths only, and since BITMAP
+// never removes a logical edge, backward physical reachability equals the
+// logical in-neighbor set. DEDUP-2 graphs are symmetric, so in-neighbors
+// equal out-neighbors.
+func (g *Graph) ForInNeighbors(r int32, fn func(s int32) bool) {
+	if !g.Alive(r) {
+		return
+	}
+	switch g.mode {
+	case EXP:
+		g.scanDirect(r, g.inReal[r], fn)
+	case DEDUP1:
+		g.walkPlain(r, g.inReal[r], g.inVirt[r], g.vIn, g.vInVirt, fn)
+	case DEDUP2:
+		g.forNeighborsDedup2(r, fn)
+	default: // CDUP, BITMAP
+		g.walkMarked(r, g.inReal[r], g.inVirt[r], g.vIn, g.vInVirt, fn)
 	}
 }
 
@@ -53,94 +114,88 @@ func (g *Graph) emit(r, t int32, fn func(int32) bool) bool {
 	return fn(t)
 }
 
-func (g *Graph) forNeighborsCDUP(r int32, fn func(int32) bool) {
-	seen := make(map[int32]struct{}, 8)
-	// Direct edges participate in the duplicate check too: a direct edge
-	// added by AddEdge may coexist with a virtual path in C-DUP.
-	for _, t := range g.outReal[r] {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
+// scanDirect emits a direct adjacency list; it returns false when fn stopped
+// the iteration.
+func (g *Graph) scanDirect(r int32, direct []int32, fn func(int32) bool) bool {
+	for _, t := range direct {
 		if !g.emit(r, t, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// walkMarked emits r's direct neighbors and everything reachable through the
+// virtual nodes in first, each real node once. It serves both directions:
+// vReal/vVirt are the virtual nodes' real and virtual adjacency on the far
+// side (vOut/vOutVirt forward, vIn/vInVirt backward). Virtual nodes can be
+// reached through multiple paths in multi-layer graphs, so there they are
+// marked too, which bounds the traversal.
+func (g *Graph) walkMarked(r int32, direct, first []int32, vReal, vVirt [][]int32, fn func(int32) bool) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.real.Reset(len(g.realID))
+	for _, t := range direct {
+		if sc.real.Mark(t) && !g.emit(r, t, fn) {
 			return
 		}
 	}
-	// Depth-first traversal through virtual nodes. Virtual nodes can be
-	// reached through multiple paths in multi-layer graphs, so they are
-	// tracked in their own visited set to bound the traversal.
-	var seenVirt map[int32]struct{}
 	multi := g.multiLayer()
 	if multi {
-		seenVirt = make(map[int32]struct{}, 8)
+		sc.virt.Reset(len(g.vLayer))
 	}
-	var stack []int32
-	stack = append(stack, g.outVirt[r]...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if multi {
-			if _, dup := seenVirt[v]; dup {
-				continue
-			}
-			seenVirt[v] = struct{}{}
+	sc.stack = append(sc.stack[:0], first...)
+	for len(sc.stack) > 0 {
+		v := sc.pop()
+		if multi && !sc.virt.Mark(v) {
+			continue
 		}
-		for _, t := range g.vOut[v] {
-			if _, dup := seen[t]; dup {
-				continue
-			}
-			seen[t] = struct{}{}
-			if !g.emit(r, t, fn) {
+		for _, t := range vReal[v] {
+			if sc.real.Mark(t) && !g.emit(r, t, fn) {
 				return
 			}
 		}
-		stack = append(stack, g.vOutVirt[v]...)
+		sc.stack = append(sc.stack, vVirt[v]...)
 	}
 }
 
-func (g *Graph) forNeighborsDedup1(r int32, fn func(int32) bool) {
-	for _, t := range g.outReal[r] {
-		if !g.emit(r, t, fn) {
-			return
-		}
+// walkPlain is walkMarked without the duplicate checks, for DEDUP-1.
+func (g *Graph) walkPlain(r int32, direct, first []int32, vReal, vVirt [][]int32, fn func(int32) bool) {
+	if !g.scanDirect(r, direct, fn) {
+		return
 	}
-	var stack []int32
-	stack = append(stack, g.outVirt[r]...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range g.vOut[v] {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.stack = append(sc.stack[:0], first...)
+	for len(sc.stack) > 0 {
+		v := sc.pop()
+		for _, t := range vReal[v] {
 			if !g.emit(r, t, fn) {
 				return
 			}
 		}
-		stack = append(stack, g.vOutVirt[v]...)
+		sc.stack = append(sc.stack, vVirt[v]...)
 	}
 }
 
 func (g *Graph) forNeighborsBitmap(r int32, fn func(int32) bool) {
-	for _, t := range g.outReal[r] {
-		if !g.emit(r, t, fn) {
-			return
-		}
+	if !g.scanDirect(r, g.outReal[r], fn) {
+		return
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	// In multi-layer graphs the same virtual node may be physically
 	// reachable via several upper-layer paths; the bitmap for (r, V) must
-	// be applied once, so visited virtual nodes are tracked.
-	var seenVirt map[int32]struct{}
-	if g.multiLayer() {
-		seenVirt = make(map[int32]struct{}, 8)
+	// be applied once, so visited virtual nodes are marked.
+	multi := g.multiLayer()
+	if multi {
+		sc.virt.Reset(len(g.vLayer))
 	}
-	var stack []int32
-	stack = append(stack, g.outVirt[r]...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seenVirt != nil {
-			if _, dup := seenVirt[v]; dup {
-				continue
-			}
-			seenVirt[v] = struct{}{}
+	sc.stack = append(sc.stack[:0], g.outVirt[r]...)
+	for len(sc.stack) > 0 {
+		v := sc.pop()
+		if multi && !sc.virt.Mark(v) {
+			continue
 		}
 		bmp, hasBmp := g.Bitmap(v, r)
 		nOut := len(g.vOut[v])
@@ -156,16 +211,14 @@ func (g *Graph) forNeighborsBitmap(r int32, fn func(int32) bool) {
 			if hasBmp && bmp.Len() > nOut && !bmp.Get(nOut+i) {
 				continue
 			}
-			stack = append(stack, w)
+			sc.stack = append(sc.stack, w)
 		}
 	}
 }
 
 func (g *Graph) forNeighborsDedup2(r int32, fn func(int32) bool) {
-	for _, t := range g.outReal[r] {
-		if !g.emit(r, t, fn) {
-			return
-		}
+	if !g.scanDirect(r, g.outReal[r], fn) {
+		return
 	}
 	for _, v := range g.outVirt[r] {
 		for _, t := range g.vOut[v] {
@@ -185,81 +238,6 @@ func (g *Graph) forNeighborsDedup2(r int32, fn func(int32) bool) {
 					return
 				}
 			}
-		}
-	}
-}
-
-// ForInNeighbors calls fn exactly once for every logical in-neighbor of r.
-// EXP and DEDUP-1 walk backward without a hash set (unique-path guarantee
-// holds in both directions); C-DUP and BITMAP use a hash set — bitmaps mask
-// forward duplicate paths only, and since BITMAP never removes a logical
-// edge, backward physical reachability equals the logical in-neighbor set.
-// DEDUP-2 graphs are symmetric, so in-neighbors equal out-neighbors.
-func (g *Graph) ForInNeighbors(r int32, fn func(s int32) bool) {
-	if !g.Alive(r) {
-		return
-	}
-	switch g.mode {
-	case EXP:
-		for _, s := range g.inReal[r] {
-			if g.dead[s] || (s == r && !g.SelfLoops) {
-				continue
-			}
-			if !fn(s) {
-				return
-			}
-		}
-	case DEDUP1:
-		for _, s := range g.inReal[r] {
-			if !g.emit(r, s, fn) {
-				return
-			}
-		}
-		var stack []int32
-		stack = append(stack, g.inVirt[r]...)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, s := range g.vIn[v] {
-				if !g.emit(r, s, fn) {
-					return
-				}
-			}
-			stack = append(stack, g.vInVirt[v]...)
-		}
-	case DEDUP2:
-		g.forNeighborsDedup2(r, fn)
-	default: // CDUP, BITMAP
-		seen := make(map[int32]struct{}, 8)
-		for _, s := range g.inReal[r] {
-			if _, dup := seen[s]; dup {
-				continue
-			}
-			seen[s] = struct{}{}
-			if !g.emit(r, s, fn) {
-				return
-			}
-		}
-		seenVirt := make(map[int32]struct{}, 8)
-		var stack []int32
-		stack = append(stack, g.inVirt[r]...)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if _, dup := seenVirt[v]; dup {
-				continue
-			}
-			seenVirt[v] = struct{}{}
-			for _, s := range g.vIn[v] {
-				if _, dup := seen[s]; dup {
-					continue
-				}
-				seen[s] = struct{}{}
-				if !g.emit(r, s, fn) {
-					return
-				}
-			}
-			stack = append(stack, g.vInVirt[v]...)
 		}
 	}
 }
@@ -293,96 +271,56 @@ func (g *Graph) HasEdgeIdx(u, w int32) bool {
 	if u == w && !g.SelfLoops {
 		return false
 	}
-	for _, t := range g.outReal[u] {
-		if t == w {
-			return true
-		}
-	}
+	return slices.Contains(g.outReal[u], w) || g.reachableViaVirtual(u, w)
+}
+
+// reachableViaVirtual reports whether w is reachable from u through at least
+// one virtual path (ignoring direct edges): a forward DFS through virtual
+// nodes with early exit, or DEDUP-2's 1-hop rule.
+func (g *Graph) reachableViaVirtual(u, w int32) bool {
 	if g.mode == DEDUP2 {
 		for _, v := range g.outVirt[u] {
-			if containsSorted(g.vOut[v], w) {
+			if g.virtHasTarget(v, w) {
 				return true
 			}
 			for _, x := range g.vUndir[v] {
-				if containsSorted(g.vOut[x], w) {
+				if g.virtHasTarget(x, w) {
 					return true
 				}
 			}
 		}
 		return false
 	}
-	// Forward DFS through virtual nodes with early exit. The auxiliary
-	// index the paper mentions is the sorted vOut list per virtual node.
-	var seenVirt map[int32]struct{}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	multi := g.multiLayer()
 	if multi {
-		seenVirt = make(map[int32]struct{}, 8)
+		sc.virt.Reset(len(g.vLayer))
 	}
-	var stack []int32
-	stack = append(stack, g.outVirt[u]...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if multi {
-			if _, dup := seenVirt[v]; dup {
-				continue
-			}
-			seenVirt[v] = struct{}{}
+	sc.stack = append(sc.stack[:0], g.outVirt[u]...)
+	for len(sc.stack) > 0 {
+		v := sc.pop()
+		if multi && !sc.virt.Mark(v) {
+			continue
 		}
-		if containsSorted(g.vOut[v], w) {
+		if g.virtHasTarget(v, w) {
 			return true
 		}
-		stack = append(stack, g.vOutVirt[v]...)
+		sc.stack = append(sc.stack, g.vOutVirt[v]...)
 	}
 	return false
 }
 
-// containsSorted reports whether x occurs in s. It binary-searches when the
-// slice is long; adjacency is kept sorted by SortAdjacency, and mutation
-// paths that break the order fall back to the linear scan correctness-wise
-// (binary search is only used on slices verified sorted at call sites that
-// guarantee it — here we scan short slices and probe long ones carefully).
-func containsSorted(s []int32, x int32) bool {
-	if len(s) <= 16 {
-		for _, e := range s {
-			if e == x {
-				return true
-			}
-		}
-		return false
+// virtHasTarget reports whether w is a real target of virtual node v. The
+// auxiliary index the paper mentions is the sorted target list: while every
+// list is known to be sorted (see vOutSorted) the probe is a binary search,
+// otherwise a scan — a miss never pays for both.
+func (g *Graph) virtHasTarget(v, w int32) bool {
+	if g.vOutSorted {
+		_, found := slices.BinarySearch(g.vOut[v], w)
+		return found
 	}
-	// The slice may have been appended to after SortAdjacency; verify the
-	// probe result with a bounded fallback when the order is broken.
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == x {
-		return true
-	}
-	if isSorted(s) {
-		return false
-	}
-	for _, e := range s {
-		if e == x {
-			return true
-		}
-	}
-	return false
-}
-
-func isSorted(s []int32) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Contains(g.vOut[v], w)
 }
 
 // ForEachReal calls fn for every live real index.

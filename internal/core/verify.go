@@ -6,7 +6,7 @@ import "fmt"
 // constructors to validate that a representation's contract holds.
 
 // VerifyNoDuplicates checks the deduplicated-representation contract: plain
-// physical traversal (ignoring the C-DUP hash set) reaches every logical
+// physical traversal (ignoring the C-DUP mark set) reaches every logical
 // neighbor of every real node exactly once. It must hold for EXP, DEDUP-1,
 // DEDUP-2, and BITMAP graphs, and typically fails for raw C-DUP.
 func (g *Graph) VerifyNoDuplicates() error {
@@ -69,7 +69,7 @@ func (g *Graph) rawTraversalHasDup(r int32, seen map[int32]struct{}) int32 {
 		}
 		return none
 	case BITMAP:
-		// Traversal honoring bitmaps but with no real-node hash set.
+		// Traversal honoring bitmaps but with no real-node mark set.
 		var seenVirt map[int32]struct{}
 		if g.multiLayer() {
 			seenVirt = make(map[int32]struct{}, 8)

@@ -3,6 +3,7 @@ package dedup
 import (
 	"graphgen/internal/bitset"
 	"graphgen/internal/core"
+	"graphgen/internal/markset"
 	"graphgen/internal/parallel"
 )
 
@@ -45,21 +46,18 @@ func Bitmap1(g *core.Graph, opts ...Options) (*core.Graph, Stats, error) {
 	out.ForEachReal(func(u int32) bool { origins = append(origins, u); return true })
 	chunks := parallel.MapChunks(len(origins), workers, 8, func(lo, hi int) []bitmap2Plan {
 		var plans []bitmap2Plan
-		seen := make(map[int32]struct{})
-		seenVirt := make(map[int32]struct{})
+		var sc planScratch
 		for _, u := range origins[lo:hi] {
-			clear(seen)
-			clear(seenVirt)
+			sc.covered.Reset(out.NumRealSlots())
+			sc.seenVirt.Reset(out.NumVirtualSlots())
 			p := bitmap2Plan{origin: u}
-			var stack []int32
-			stack = append(stack, out.OutVirtuals(u)...)
-			for len(stack) > 0 {
-				v := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if _, dup := seenVirt[v]; dup {
+			sc.work = append(sc.work[:0], out.OutVirtuals(u)...)
+			for len(sc.work) > 0 {
+				v := sc.work[len(sc.work)-1]
+				sc.work = sc.work[:len(sc.work)-1]
+				if !sc.seenVirt.Mark(v) {
 					continue
 				}
-				seenVirt[v] = struct{}{}
 				targets := out.VirtTargets(v)
 				if len(targets) > 0 {
 					bmp := bitset.New(len(targets))
@@ -67,15 +65,13 @@ func Bitmap1(g *core.Graph, opts ...Options) (*core.Graph, Stats, error) {
 						if t == u && !out.SelfLoops {
 							continue // self edge: leave masked
 						}
-						if _, dup := seen[t]; dup {
-							continue
+						if sc.covered.Mark(t) {
+							bmp.Set(i)
 						}
-						seen[t] = struct{}{}
-						bmp.Set(i)
 					}
 					p.bitmaps = append(p.bitmaps, plannedBitmap{virt: v, bits: bmp})
 				}
-				stack = append(stack, out.VirtOutVirt(v)...)
+				sc.work = append(sc.work, out.VirtOutVirt(v)...)
 			}
 			if len(p.bitmaps) > 0 {
 				plans = append(plans, p)
@@ -126,8 +122,9 @@ func Bitmap2(g *core.Graph, opts Options) (*core.Graph, Stats, error) {
 
 	plans := parallel.MapChunks(len(origins), opts.Workers, 8, func(lo, hi int) []bitmap2Plan {
 		var ps []bitmap2Plan
+		var sc planScratch
 		for _, u := range origins[lo:hi] {
-			if p := planBitmap2(out, u); p != nil {
+			if p := planBitmap2(out, u, &sc); p != nil {
 				ps = append(ps, *p)
 			}
 		}
@@ -150,36 +147,79 @@ func Bitmap2(g *core.Graph, opts Options) (*core.Graph, Stats, error) {
 	return out, st, nil
 }
 
+// planScratch is the per-origin working memory of the BITMAP planners. One
+// worker chunk owns one and reuses it for every origin it plans, so the
+// dense sets are paid for once per chunk rather than once per origin.
+type planScratch struct {
+	seenVirt  markset.Set // virtual nodes reachable from the origin
+	reachable markset.Set // virtual nodes still reachable after the drops
+	covered   markset.Set // real targets some bitmap already yields
+	// chosen[v] is the bitmap the set cover gave virtual node v, nil
+	// otherwise; only entries of reach are ever set, and planBitmap2 puts
+	// them back to nil before it returns.
+	chosen []*bitset.Set
+	reach  []int32 // reachable virtual nodes in discovery order
+	work   []int32 // BITMAP-1's DFS stack; BITMAP-2's not-yet-chosen nodes
+}
+
+// collect appends the virtual nodes reachable from v to reach, each once, in
+// depth-first discovery order.
+func (sc *planScratch) collect(g *core.Graph, v int32) {
+	if !sc.seenVirt.Mark(v) {
+		return
+	}
+	sc.reach = append(sc.reach, v)
+	for _, w := range g.VirtOutVirt(v) {
+		sc.collect(g, w)
+	}
+}
+
+// markReachable marks v and everything below it as still reachable.
+func (sc *planScratch) markReachable(g *core.Graph, v int32) {
+	if !sc.reachable.Mark(v) {
+		return
+	}
+	for _, w := range g.VirtOutVirt(v) {
+		sc.markReachable(g, w)
+	}
+}
+
+// subtreeHasChosen reports whether v or a virtual node below it was chosen
+// with at least one bit set.
+func (sc *planScratch) subtreeHasChosen(g *core.Graph, v int32) bool {
+	if bmp := sc.chosen[v]; bmp != nil && bmp.Any() {
+		return true
+	}
+	for _, w := range g.VirtOutVirt(v) {
+		if sc.subtreeHasChosen(g, w) {
+			return true
+		}
+	}
+	return false
+}
+
 // planBitmap2 computes the greedy set cover for one origin. It only reads
-// the graph, so it is safe to run concurrently with other origins.
-func planBitmap2(g *core.Graph, u int32) *bitmap2Plan {
+// the graph, so it is safe to run concurrently with other origins, each
+// with its own scratch.
+func planBitmap2(g *core.Graph, u int32, sc *planScratch) *bitmap2Plan {
 	first := g.OutVirtuals(u)
 	if len(first) == 0 {
 		return nil
 	}
-	// Collect the virtual nodes reachable from u (each once) and remember
-	// through which first-layer child they were first discovered so that
-	// useless first-layer subtrees can be pruned afterwards.
-	reach := make([]int32, 0, len(first))
-	seenVirt := make(map[int32]struct{})
-	var dfs func(v int32)
-	dfs = func(v int32) {
-		if _, dup := seenVirt[v]; dup {
-			return
-		}
-		seenVirt[v] = struct{}{}
-		reach = append(reach, v)
-		for _, w := range g.VirtOutVirt(v) {
-			dfs(w)
-		}
+	nVirt := g.NumVirtualSlots()
+	if nVirt > len(sc.chosen) {
+		sc.chosen = append(sc.chosen, make([]*bitset.Set, nVirt-len(sc.chosen))...)
 	}
+	// Collect the virtual nodes reachable from u (each once), in an order
+	// that does not depend on anything but the graph.
+	sc.seenVirt.Reset(nVirt)
+	sc.reach = sc.reach[:0]
 	for _, v := range first {
-		dfs(v)
+		sc.collect(g, v)
 	}
 	// Greedy set cover over the reachable nodes' target lists.
-	covered := make(map[int32]struct{})
-	chosen := make(map[int32]*bitset.Set)
-	remaining := append([]int32(nil), reach...)
+	sc.covered.Reset(g.NumRealSlots())
+	remaining := append(sc.work[:0], sc.reach...)
 	for {
 		bestIdx, bestGain := -1, 0
 		for i, v := range remaining {
@@ -191,7 +231,7 @@ func planBitmap2(g *core.Graph, u int32) *bitmap2Plan {
 				if t == u && !g.SelfLoops {
 					continue
 				}
-				if _, ok := covered[t]; !ok {
+				if !sc.covered.Has(t) {
 					gain++
 				}
 			}
@@ -210,54 +250,40 @@ func planBitmap2(g *core.Graph, u int32) *bitmap2Plan {
 			if t == u && !g.SelfLoops {
 				continue
 			}
-			if _, ok := covered[t]; ok {
-				continue
+			if sc.covered.Mark(t) {
+				bmp.Set(i)
 			}
-			covered[t] = struct{}{}
-			bmp.Set(i)
 		}
-		chosen[v] = bmp
+		sc.chosen[v] = bmp
 	}
-	// Emit the chosen bitmaps in discovery (reach) order, not map order, so a
-	// plan's bitmap sequence is identical run to run.
+	sc.work = remaining
+	// Emit the chosen bitmaps in discovery (reach) order, so a plan's bitmap
+	// sequence is identical run to run.
 	p := &bitmap2Plan{origin: u}
-	for _, v := range reach {
-		if bmp, ok := chosen[v]; ok {
+	for _, v := range sc.reach {
+		if bmp := sc.chosen[v]; bmp != nil {
 			p.bitmaps = append(p.bitmaps, plannedBitmap{virt: v, bits: bmp})
 		}
 	}
 	// Prune first-layer edges whose whole subtree contributed nothing.
-	kept := make(map[int32]struct{})
+	sc.reachable.Reset(nVirt)
 	for _, v := range first {
-		if !subtreeHasChosen(g, v, chosen) {
+		if !sc.subtreeHasChosen(g, v) {
 			p.drop = append(p.drop, v)
 		} else {
-			kept[v] = struct{}{}
+			sc.markReachable(g, v)
 		}
 	}
 	// Unchosen nodes still reachable after the drops get an all-zero mask
 	// so traversal skips their targets but still descends their subtrees.
 	// Nodes made unreachable by the drops need no mask at all — on
 	// single-layer graphs this eliminates every redundant bitmap.
-	reachable := make(map[int32]struct{})
-	var mark func(v int32)
-	mark = func(v int32) {
-		if _, dup := reachable[v]; dup {
-			return
-		}
-		reachable[v] = struct{}{}
-		for _, w := range g.VirtOutVirt(v) {
-			mark(w)
-		}
-	}
-	for v := range kept {
-		mark(v)
-	}
-	for _, v := range reach {
-		if _, ok := chosen[v]; ok {
+	for _, v := range sc.reach {
+		if sc.chosen[v] != nil {
+			sc.chosen[v] = nil
 			continue
 		}
-		if _, ok := reachable[v]; !ok {
+		if !sc.reachable.Has(v) {
 			continue
 		}
 		if n := len(g.VirtTargets(v)); n > 0 {
@@ -265,16 +291,4 @@ func planBitmap2(g *core.Graph, u int32) *bitmap2Plan {
 		}
 	}
 	return p
-}
-
-func subtreeHasChosen(g *core.Graph, v int32, chosen map[int32]*bitset.Set) bool {
-	if bmp, ok := chosen[v]; ok && bmp.Any() {
-		return true
-	}
-	for _, w := range g.VirtOutVirt(v) {
-		if subtreeHasChosen(g, w, chosen) {
-			return true
-		}
-	}
-	return false
 }

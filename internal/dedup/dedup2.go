@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"graphgen/internal/core"
+	"graphgen/internal/markset"
 	"graphgen/internal/parallel"
 )
 
@@ -48,39 +49,43 @@ func Dedup2Greedy(g *core.Graph, opts Options) (*core.Graph, Stats, error) {
 	src.NormalizeDirects()
 	g = src
 
-	b := &dedup2Builder{src: g, out: core.New(core.DEDUP2), idx: make(map[int32][]int32), st: &st, workers: opts.Workers}
+	b := &dedup2Builder{out: core.New(core.DEDUP2), st: &st, workers: opts.Workers}
 	b.out.Symmetric = true
 	b.out.SelfLoops = false
-	// Real nodes copy (dense indices align with the source by insertion
-	// order, but we map defensively through external IDs).
+	// Real nodes copy. The output drops the source's tombstones, so source
+	// indices reach output indices through remap; a tombstone maps to -1
+	// and its memberships and direct edges are left behind.
+	remap := make([]int32, g.NumRealSlots())
+	for i := range remap {
+		remap[i] = -1
+	}
 	g.ForEachReal(func(r int32) bool {
 		nr := b.out.AddRealNode(g.RealID(r))
+		remap[r] = nr
 		for key, val := range g.Properties(r) {
 			b.out.SetProperty(nr, key, val)
 		}
 		return true
 	})
+	b.idx = make([][]int32, b.out.NumRealSlots())
 
 	for _, v := range virtualOrder(g, opts) {
 		members := make([]int32, 0, len(g.VirtTargets(v)))
-		seen := make(map[int32]struct{})
+		b.marks.Reset(len(b.idx))
 		for _, m := range g.VirtTargets(v) {
-			nr, _ := b.out.RealIndex(g.RealID(m))
-			if _, dup := seen[nr]; dup {
-				continue
+			if nr := remap[m]; nr >= 0 && b.marks.Mark(nr) {
+				members = append(members, nr)
 			}
-			seen[nr] = struct{}{}
-			members = append(members, nr)
 		}
 		b.resolve(members)
 	}
 	// Carry over the input's surviving direct edges (symmetric pairs)
 	// unless the constructed virtual structure already covers them.
 	g.ForEachReal(func(u int32) bool {
-		nu, _ := b.out.RealIndex(g.RealID(u))
+		nu := remap[u]
 		for _, w := range g.OutDirect(u) {
-			nw, _ := b.out.RealIndex(g.RealID(w))
-			if nu == nw || b.covered(nu, nw) {
+			nw := remap[w]
+			if nw < 0 || nu == nw || b.covered(nu, nw) {
 				continue
 			}
 			b.out.AddDirectEdgeIdx(nu, nw)
@@ -94,13 +99,23 @@ func Dedup2Greedy(g *core.Graph, opts Options) (*core.Graph, Stats, error) {
 }
 
 type dedup2Builder struct {
-	src *core.Graph
 	out *core.Graph
 	// idx maps a real node to the processed virtual nodes it belongs to.
-	idx map[int32][]int32
+	idx [][]int32
 	st  *Stats
 	// workers bounds the parallelism of the candidate-evaluation checks.
 	workers int
+
+	// Working sets over out's real nodes, reused for the whole build.
+	// marks holds whichever member set the serial code is probing right
+	// now (the input's members, M(V1), the split part, one side of a
+	// disjointness check) and is dead by the next Reset; neigh holds V1's
+	// neighborhood members across the split in resolve.
+	marks, neigh markset.Set
+	// counts[v] is maxOverlap's overlap counter for virtual node v, zero
+	// between calls; touched lists the counters a call has to put back.
+	counts  []int32
+	touched []int32
 }
 
 func (b *dedup2Builder) members(v int32) []int32 { return b.out.VirtTargets(v) }
@@ -179,13 +194,10 @@ func (b *dedup2Builder) split(v int32, part []int32) (w1, w2 int32) {
 	if len(part) == len(all) {
 		return v, -1
 	}
-	inPart := make(map[int32]struct{}, len(part))
-	for _, m := range part {
-		inPart[m] = struct{}{}
-	}
+	b.markAll(part)
 	var restMembers []int32
 	for _, m := range all {
-		if _, ok := inPart[m]; !ok {
+		if !b.marks.Has(m) {
 			restMembers = append(restMembers, m)
 		}
 	}
@@ -204,21 +216,49 @@ func (b *dedup2Builder) split(v int32, part []int32) (w1, w2 int32) {
 }
 
 // maxOverlap returns the processed virtual node sharing the most members
-// with s, or -1.
+// with s (the lowest-numbered one on a tie), or -1.
 func (b *dedup2Builder) maxOverlap(s []int32) (int32, int) {
-	counts := make(map[int32]int)
+	if n := b.out.NumVirtualSlots(); n > len(b.counts) {
+		b.counts = append(b.counts, make([]int32, n-len(b.counts))...)
+	}
+	touched := b.touched[:0]
 	for _, m := range s {
 		for _, v := range b.virtsOf(m) {
-			counts[v]++
+			if b.counts[v] == 0 {
+				touched = append(touched, v)
+			}
+			b.counts[v]++
 		}
 	}
 	best, bestN := int32(-1), 0
-	for v, n := range counts {
-		if n > bestN || (n == bestN && best >= 0 && v < best) {
+	for _, v := range touched {
+		n := int(b.counts[v])
+		b.counts[v] = 0
+		if n > bestN || (n == bestN && v < best) {
 			best, bestN = v, n
 		}
 	}
+	b.touched = touched
 	return best, bestN
+}
+
+// markAll makes marks hold exactly the given members.
+func (b *dedup2Builder) markAll(members []int32) {
+	b.marks.Reset(len(b.idx))
+	for _, m := range members {
+		b.marks.Mark(m)
+	}
+}
+
+// disjoint reports whether member sets a and c share no real node.
+func (b *dedup2Builder) disjoint(a, c []int32) bool {
+	b.markAll(a)
+	for _, m := range c {
+		if b.marks.Has(m) {
+			return false
+		}
+	}
+	return true
 }
 
 // resolve incorporates member set s into the partial graph and returns the
@@ -231,23 +271,20 @@ func (b *dedup2Builder) resolve(s []int32) []int32 {
 	if v1 < 0 || overlap == 0 {
 		return []int32{b.newVirtual(s)}
 	}
-	inV1 := make(map[int32]struct{})
-	for _, m := range b.members(v1) {
-		inV1[m] = struct{}{}
-	}
+	b.markAll(b.members(v1))
 	var w1set, rest []int32
 	for _, m := range s {
-		if _, ok := inV1[m]; ok {
+		if b.marks.Has(m) {
 			w1set = append(w1set, m)
 		} else {
 			rest = append(rest, m)
 		}
 	}
 	// Neighborhood members of v1 BEFORE the split decide the W3/W4 split.
-	neigh := make(map[int32]struct{})
+	b.neigh.Reset(len(b.idx))
 	for _, n := range b.out.VirtUndirected(v1) {
 		for _, m := range b.members(n) {
-			neigh[m] = struct{}{}
+			b.neigh.Mark(m)
 		}
 	}
 	w1, _ := b.split(v1, w1set)
@@ -256,7 +293,7 @@ func (b *dedup2Builder) resolve(s []int32) []int32 {
 	}
 	var w3set, w4set []int32
 	for _, m := range rest {
-		if _, ok := neigh[m]; ok {
+		if b.neigh.Has(m) {
 			w4set = append(w4set, m) // pairs with W1 realized for free
 		} else {
 			w3set = append(w3set, m)
@@ -287,15 +324,12 @@ func (b *dedup2Builder) addEdgeChecked(a, c int32) {
 	if contains(b.out.VirtUndirected(a), c) {
 		return
 	}
-	ok := true
 	// Adjacent virtual nodes must be member-disjoint.
-	if len(intersectMembers(b.members(a), b.members(c))) > 0 {
-		ok = false
-	}
+	ok := b.disjoint(b.members(a), b.members(c))
 	// The neighborhoods of a and c must stay pairwise disjoint.
 	if ok {
 		for _, n := range b.out.VirtUndirected(a) {
-			if len(intersectMembers(b.members(n), b.members(c))) > 0 {
+			if !b.disjoint(b.members(n), b.members(c)) {
 				ok = false
 				break
 			}
@@ -303,7 +337,7 @@ func (b *dedup2Builder) addEdgeChecked(a, c int32) {
 	}
 	if ok {
 		for _, n := range b.out.VirtUndirected(c) {
-			if len(intersectMembers(b.members(n), b.members(a))) > 0 {
+			if !b.disjoint(b.members(n), b.members(a)) {
 				ok = false
 				break
 			}
@@ -347,18 +381,4 @@ func (b *dedup2Builder) addEdgeChecked(a, c int32) {
 			b.st.DirectEdgesAdded += 2
 		}
 	}
-}
-
-func intersectMembers(a, c []int32) []int32 {
-	set := make(map[int32]struct{}, len(a))
-	for _, m := range a {
-		set[m] = struct{}{}
-	}
-	var out []int32
-	for _, m := range c {
-		if _, ok := set[m]; ok {
-			out = append(out, m)
-		}
-	}
-	return out
 }

@@ -23,12 +23,14 @@ go vet "$@"
 echo "== graphlint"
 go run ./cmd/graphlint -counts "$@"
 
-# The nested bench module is outside ./...; its one-second run is an
-# oracle check, not a measurement.
+# The nested bench module is outside ./...; its one-second runs are
+# oracle checks (extraction rows; degrees and PageRank of all five
+# representations), not measurements.
 echo "== bench module (vet, tests, oracle smoke)"
 go vet -C bench ./...
 go test -C bench ./...
 go run -C bench . -workload extract-expand -seconds 1
+go run -C bench . -workload dedup-analytics -seconds 1
 
 if command -v staticcheck >/dev/null 2>&1; then
     echo "== staticcheck ($(staticcheck -version 2>/dev/null || echo unknown))"
