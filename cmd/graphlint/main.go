@@ -6,8 +6,8 @@
 //	notifyorder   relstore mutators route through notify; indexes before subscribers
 //	determinism   deterministic packages shun wall clocks, global rand, map-order appends
 //	lockedreturn  returns must not leak a held mutex
-//	iterclose     row iterators in relstore/extract/datalogeval are closed or handed off
-//	spanend       trace spans in relstore/extract/datalogeval are ended or handed off
+//	iterclose     row iterators in relstore/conj/extract/datalogeval/incremental are closed or handed off
+//	spanend       trace spans in relstore/conj/extract/datalogeval/incremental are ended or handed off
 //	guardedby     fields annotated graphlint:guardedby are accessed under their mutex
 //	nilsafe       internal/obs: exported *Trace/*Span methods begin with a nil guard
 //

@@ -13,9 +13,9 @@
 //     and the worker-pool merge paths) must not read wall clocks, use the
 //     global math/rand source, or feed ordered appends from map iteration
 //   - lockedreturn: a return must not leak a held sync.Mutex/RWMutex
-//   - iterclose:   a row iterator acquired in relstore/extract/datalogeval
+//   - iterclose:   a row iterator acquired in relstore/conj/extract/datalogeval/incremental
 //     must be closed or handed off (consumer call, return, store)
-//   - spanend:     a trace span started in relstore/extract/datalogeval
+//   - spanend:     a trace span started in relstore/conj/extract/datalogeval/incremental
 //     must be ended or handed off (End call, owner handoff, return, store)
 //   - guardedby:   struct fields annotated "graphlint:guardedby mu" are
 //     accessed only while the named sibling mutex is held, checked

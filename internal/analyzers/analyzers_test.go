@@ -110,26 +110,32 @@ func TestDeterminismScoped(t *testing.T) {
 func TestIterClose(t *testing.T) {
 	lintest.Run(t, analyzers.IterCloseAnalyzer, "graphgen/internal/relstore", "testdata/src/iterclose/flagged")
 	lintest.Run(t, analyzers.IterCloseAnalyzer, "graphgen/internal/relstore", "testdata/src/iterclose/clean")
+	// The conjunctive evaluator and its incremental caller build pipelines
+	// too: the same leaks must fire there.
+	lintest.Run(t, analyzers.IterCloseAnalyzer, "graphgen/internal/conj", "testdata/src/iterclose/flagged")
+	lintest.Run(t, analyzers.IterCloseAnalyzer, "graphgen/internal/incremental", "testdata/src/iterclose/flagged")
 }
 
 // TestIterCloseScoped: outside the streaming packages the analyzer stays
 // silent, even on leaky code.
 func TestIterCloseScoped(t *testing.T) {
 	if diags := lintest.Diagnostics(t, analyzers.IterCloseAnalyzer, "graphgen/internal/fixture", "testdata/src/iterclose/flagged"); len(diags) != 0 {
-		t.Fatalf("iterclose fired outside relstore/extract/datalogeval: %v", diags)
+		t.Fatalf("iterclose fired outside the pipeline-building packages: %v", diags)
 	}
 }
 
 func TestSpanEnd(t *testing.T) {
 	lintest.Run(t, analyzers.SpanEndAnalyzer, "graphgen/internal/extract", "testdata/src/spanend/flagged")
 	lintest.Run(t, analyzers.SpanEndAnalyzer, "graphgen/internal/extract", "testdata/src/spanend/clean")
+	lintest.Run(t, analyzers.SpanEndAnalyzer, "graphgen/internal/conj", "testdata/src/spanend/flagged")
+	lintest.Run(t, analyzers.SpanEndAnalyzer, "graphgen/internal/incremental", "testdata/src/spanend/flagged")
 }
 
 // TestSpanEndScoped: outside the traced execution packages the analyzer
 // stays silent, even on leaky code.
 func TestSpanEndScoped(t *testing.T) {
 	if diags := lintest.Diagnostics(t, analyzers.SpanEndAnalyzer, "graphgen/internal/fixture", "testdata/src/spanend/flagged"); len(diags) != 0 {
-		t.Fatalf("spanend fired outside relstore/extract/datalogeval: %v", diags)
+		t.Fatalf("spanend fired outside the traced execution packages: %v", diags)
 	}
 }
 

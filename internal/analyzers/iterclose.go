@@ -10,8 +10,10 @@ import (
 // pipelines; only there does the Close obligation below apply.
 var iterPkgs = map[string]bool{
 	"graphgen/internal/relstore":    true,
+	"graphgen/internal/conj":        true,
 	"graphgen/internal/extract":     true,
 	"graphgen/internal/datalogeval": true,
+	"graphgen/internal/incremental": true,
 }
 
 // IterCloseAnalyzer flags row iterators that are acquired and then
@@ -36,7 +38,7 @@ var iterPkgs = map[string]bool{
 // leaks take a //lint:ignore iterclose <why>.
 var IterCloseAnalyzer = &Analyzer{
 	Name: "iterclose",
-	Doc:  "row iterators must be closed or handed off on every path in relstore/extract/datalogeval",
+	Doc:  "row iterators must be closed or handed off on every path in relstore/conj/extract/datalogeval/incremental",
 	Run:  runIterClose,
 }
 

@@ -11,8 +11,10 @@ import (
 // there does the End obligation below apply.
 var spanPkgs = map[string]bool{
 	"graphgen/internal/relstore":    true,
+	"graphgen/internal/conj":        true,
 	"graphgen/internal/extract":     true,
 	"graphgen/internal/datalogeval": true,
+	"graphgen/internal/incremental": true,
 }
 
 // SpanEndAnalyzer flags execution-trace spans that are started and then
@@ -37,7 +39,7 @@ var spanPkgs = map[string]bool{
 // //lint:ignore spanend <why>.
 var SpanEndAnalyzer = &Analyzer{
 	Name: "spanend",
-	Doc:  "trace spans must be ended or handed off on every path in relstore/extract/datalogeval",
+	Doc:  "trace spans must be ended or handed off on every path in relstore/conj/extract/datalogeval/incremental",
 	Run:  runSpanEnd,
 }
 

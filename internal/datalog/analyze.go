@@ -13,7 +13,10 @@ import (
 //
 // where consecutive atoms share exactly one join variable and no variable
 // joins more than two atoms. Everything else (cyclic bodies, multi-attribute
-// joins, disconnected bodies) is Case 2 and falls back to full expansion.
+// joins, disconnected bodies) is Case 2 and falls back to full expansion:
+// the whole body is one conjunctive query, and components that share no
+// variable — a second chain, a variable-free guard atom — are
+// cross-producted.
 
 // ErrNotChain marks an Edges rule that does not qualify for condensed
 // extraction; the extractor then evaluates it as a full join (Case 2).

@@ -32,9 +32,11 @@ package datalogeval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
+	"graphgen/internal/conj"
 	"graphgen/internal/datalog"
 	"graphgen/internal/extract"
 	"graphgen/internal/obs"
@@ -61,12 +63,9 @@ type Options struct {
 	// never chosen. Results are identical either way; the switch exists
 	// for controlled comparisons and mirrors extract.Options.NoIndex.
 	NoIndex bool
-	// NoStream routes every rule-body evaluation through the legacy
-	// operator-at-a-time materializing execution (a full relation after
-	// every operator) instead of the fused streaming pipeline. Results
-	// are identical row for row; the switch exists as the equivalence
-	// oracle and the peak-memory benchmark baseline, mirroring
-	// extract.Options.NoStream.
+	// NoStream is a test-oracle carrier, not a user option: it is copied
+	// into conj.Plan.Oracle (materialize after every operator, no
+	// pruning) for every rule body, mirroring extract.Options.NoStream.
 	NoStream bool
 	// Trace, when non-nil, collects the evaluation's execution tree:
 	// one container span per stratum, per fixpoint round, and per rule
@@ -303,8 +302,7 @@ func (ev *evaluator) createTempTables(ps *datalog.ProgramSet) error {
 					return 0, false, err
 				}
 				if j >= len(tab.Cols) {
-					return 0, false, fmt.Errorf("datalogeval: line %d col %d: atom %s has %d terms but table %s has %d columns",
-						a.Line, a.Col, a, len(a.Terms), tab.Name, len(tab.Cols))
+					return 0, false, conj.CheckArity(a, tab)
 				}
 				return tab.Cols[j].Type, true, nil
 			}
@@ -359,18 +357,6 @@ func (ev *evaluator) createTempTables(ps *datalog.ProgramSet) error {
 	return nil
 }
 
-// compiledRule is one rule of the stratum under evaluation with the body
-// positions of its recursive (same-stratum) atoms and its negated-atom
-// membership sets precomputed. Negation sets are built once per stratum —
-// stratified negation guarantees the negated tables are complete and
-// unchanging while this stratum iterates — and reused by every semi-naive
-// round.
-type compiledRule struct {
-	rule   datalog.Rule
-	recOcc []int
-	negs   []*negPattern
-}
-
 // evalStratum runs the fixpoint loop for one stratum (a set of mutually
 // recursive predicates, lowercased).
 func (ev *evaluator) evalStratum(ps *datalog.ProgramSet, level []string) error {
@@ -381,40 +367,19 @@ func (ev *evaluator) evalStratum(ps *datalog.ProgramSet, level []string) error {
 		inLevel[p] = struct{}{}
 	}
 	var rules []*compiledRule
-	negCache := make(map[string]*negPattern)
+	negCache := make(map[string]*conj.Negation)
 	for _, r := range ps.IDB {
 		if _, ok := inLevel[strings.ToLower(r.Head.Pred)]; !ok {
 			continue
 		}
-		cr := &compiledRule{rule: r}
+		cr, err := ev.compileRule(r, negCache)
+		if err != nil {
+			return err
+		}
 		for i, a := range r.Body {
 			if _, rec := inLevel[strings.ToLower(a.Pred)]; rec {
 				cr.recOcc = append(cr.recOcc, i)
 			}
-		}
-		for _, neg := range r.Negated {
-			// Memoize per pattern: rules sharing a negated atom (same
-			// predicate and term shape) reuse one membership set — the
-			// sets are immutable for the stratum's lifetime. Only the
-			// predicate name is case-folded; terms keep their case
-			// (variable names and string constants are case-sensitive,
-			// so 'ABC' and 'abc' are different patterns).
-			var kb strings.Builder
-			kb.WriteString(strings.ToLower(neg.Pred))
-			for _, t := range neg.Terms {
-				kb.WriteByte('\x00')
-				kb.WriteString(t.String())
-			}
-			key := kb.String()
-			np, ok := negCache[key]
-			if !ok {
-				var err error
-				if np, err = ev.compileNegation(neg); err != nil {
-					return err
-				}
-				negCache[key] = np
-			}
-			cr.negs = append(cr.negs, np)
 		}
 		rules = append(rules, cr)
 	}
@@ -540,11 +505,9 @@ func (ev *evaluator) insert(head datalog.Atom, body relstore.RowIter) ([][]relst
 	for i, term := range head.Terms {
 		switch term.Kind {
 		case datalog.TermVar:
-			j, ok := bodyColIndex(body.Cols(), term.Var)
-			if !ok {
-				return nil, fmt.Errorf("datalogeval: head variable %q not bound by rule body (rule for %q)", term.Var, head.Pred)
-			}
-			idx[i] = j
+			// The plan's output is exactly the head's variables (conj
+			// rejects one the body does not bind), so this always resolves.
+			idx[i] = slices.Index(body.Cols(), term.Var)
 		case datalog.TermInt:
 			idx[i] = -1
 			consts[i] = relstore.IntVal(term.Int)
@@ -588,17 +551,6 @@ func (ev *evaluator) insert(head datalog.Atom, body relstore.RowIter) ([][]relst
 		fresh = append(fresh, out)
 	}
 	return fresh, nil
-}
-
-// bodyColIndex resolves a variable in a pipeline schema (exact match —
-// Datalog variables are case-sensitive).
-func bodyColIndex(cols []string, name string) (int, bool) {
-	for i, c := range cols {
-		if c == name {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // rowKey encodes a tuple unambiguously via the shared

@@ -59,11 +59,10 @@ type Options struct {
 	// paths; the indexed and unindexed pipelines extract identical graphs,
 	// so this is purely a performance switch (and the benchmark baseline).
 	NoIndex bool
-	// NoStream routes every conjunctive evaluation through the legacy
-	// operator-at-a-time materializing execution (a full Rel after every
-	// operator) instead of the fused streaming pipeline. Both produce
-	// row-for-row identical relations; the switch exists as the
-	// equivalence oracle and the peak-memory benchmark baseline.
+	// NoStream is a test-oracle carrier, not a user option: it is copied
+	// into conj.Plan.Oracle (materialize after every operator, no pruning),
+	// which the streaming and pruning equivalence suites and the
+	// peak-memory benchmark compare against. Nothing else reads it.
 	NoStream bool
 	// Tracker, when non-nil, accounts peak materialized intermediate
 	// rows across the extraction's operator pipelines (reported in

@@ -221,6 +221,73 @@ Edges(X, Y) :- F(X, Y), G(X, Y).
 		[]*relstore.Table{f, gt}, [][]int64{dom, dom}, 70, 5)
 }
 
+// TestLiveEquivalenceTripleSelfJoin covers a segment with three
+// occurrences of one table: a single-tuple change then contributes through
+// every occurrence, and the later (insert) or earlier (delete) ones expand
+// into signed terms over the changed tuple — the case where a wrong sign or
+// a missing term shows up as a support count that is off by one.
+func TestLiveEquivalenceTripleSelfJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	db := relstore.NewDB()
+	person, _ := db.Create("Person",
+		relstore.Column{Name: "id", Type: relstore.Int},
+		relstore.Column{Name: "name", Type: relstore.String})
+	m, _ := db.Create("M", relstore.Column{Name: "a", Type: relstore.Int}, relstore.Column{Name: "b", Type: relstore.Int})
+	for p := 1; p <= 6; p++ {
+		person.Insert(relstore.IntVal(int64(p)), relstore.StrVal(fmt.Sprintf("p%d", p)))
+	}
+	for i := 0; i < 14; i++ {
+		m.Insert(relstore.IntVal(int64(rng.Intn(6)+1)), relstore.IntVal(int64(rng.Intn(6)+1)))
+	}
+	prog, err := datalog.Parse(`
+Nodes(ID, Name) :- Person(ID, Name).
+Edges(X, Y) :- M(X, A), M(A, B), M(B, Y).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := []int64{1, 2, 3, 4, 5, 6}
+	for _, opts := range []extract.Options{
+		{LargeOutputFactor: 2, ForceExpand: true}, // one segment, three occurrences
+		{LargeOutputFactor: 2, ForceCondensed: true},
+	} {
+		randomOps(t, rng, db, prog, opts, []*relstore.Table{m}, [][]int64{dom}, 90, 3)
+	}
+}
+
+// TestLiveEquivalenceConstantAndRepeatedVariable covers the atom shapes the
+// delta plans must compile like extraction does: a constant selection (a
+// changed tuple it rejects contributes nothing) and a variable repeated
+// inside one atom (an equality filter, never an index path).
+func TestLiveEquivalenceConstantAndRepeatedVariable(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	db := relstore.NewDB()
+	person, _ := db.Create("Person",
+		relstore.Column{Name: "id", Type: relstore.Int},
+		relstore.Column{Name: "name", Type: relstore.String})
+	f, _ := db.Create("F", relstore.Column{Name: "x", Type: relstore.Int},
+		relstore.Column{Name: "k", Type: relstore.Int}, relstore.Column{Name: "flag", Type: relstore.Int})
+	g, _ := db.Create("G", relstore.Column{Name: "k1", Type: relstore.Int},
+		relstore.Column{Name: "k2", Type: relstore.Int}, relstore.Column{Name: "y", Type: relstore.Int})
+	for p := 1; p <= 4; p++ {
+		person.Insert(relstore.IntVal(int64(p)), relstore.StrVal(fmt.Sprintf("p%d", p)))
+	}
+	dom := []int64{1, 2, 3, 4}
+	for i := 0; i < 30; i++ {
+		f.Insert(relstore.IntVal(dom[rng.Intn(4)]), relstore.IntVal(dom[rng.Intn(4)]), relstore.IntVal(dom[rng.Intn(2)]))
+		g.Insert(relstore.IntVal(dom[rng.Intn(4)]), relstore.IntVal(dom[rng.Intn(4)]), relstore.IntVal(dom[rng.Intn(4)]))
+	}
+	prog, err := datalog.Parse(`
+Nodes(ID, Name) :- Person(ID, Name).
+Edges(X, Y) :- F(X, K, 1), G(K, K, Y).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := extract.Options{LargeOutputFactor: 2}
+	randomOps(t, rng, db, prog, opts, []*relstore.Table{f, g}, [][]int64{dom, dom}, 120, 5)
+}
+
 // TestLiveDuplicateSupport pins the dedup-contract preservation: a logical
 // edge supported twice (duplicate tuple, or two shared join values)
 // survives the deletion of one support.

@@ -270,11 +270,6 @@ func (lv *Live) onChange(t *relstore.Table, ch relstore.Change) {
 		lv.rebuildNow()
 		return
 	}
-	insert := ch.Op == relstore.OpInsert
-	sign := 1
-	if !insert {
-		sign = -1
-	}
 	var ds []countDelta
 	var failed bool
 	lv.mu.RLock()
@@ -283,13 +278,14 @@ func (lv *Live) onChange(t *relstore.Table, ch relstore.Change) {
 			continue
 		}
 		for si, seg := range rs.plan.Segments {
-			pairs, err := segmentDelta(seg.Atoms, rs.tables[si], seg.InVar, seg.OutVar, t, ch.Row, insert, lv.opts)
+			deltas, err := segmentDelta(seg.Atoms, rs.tables[si], seg.InVar, seg.OutVar, t, ch.Row, ch.Op == relstore.OpInsert, lv.opts)
 			if err != nil {
 				failed = true
 				break
 			}
-			for _, p := range pairs {
-				ds = append(ds, countDelta{rule: ri, seg: si, pair: p, n: sign})
+			for _, d := range deltas {
+				d.rule, d.seg = ri, si
+				ds = append(ds, d)
 			}
 		}
 	}

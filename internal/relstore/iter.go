@@ -130,6 +130,15 @@ func (t *Tracker) Release(n int) {
 	t.cur.Add(-int64(n))
 }
 
+// Resident returns the rows currently held: zero once every pipeline
+// sharing the tracker has closed, which is what the leak tests assert.
+func (t *Tracker) Resident() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.cur.Load()
+}
+
 // Peak returns the high-water mark of resident rows.
 func (t *Tracker) Peak() int64 {
 	if t == nil {
@@ -177,16 +186,6 @@ func Materialize(it RowIter, tr *Tracker) (RowIter, error) {
 
 // IterRel returns an iterator replaying a materialized relation.
 func IterRel(r *Rel) RowIter { return &sliceIter{cols: r.Cols, rows: r.Rows} }
-
-// IterRelTracked replays r while accounting its rows against tr from now
-// until the iterator closes — the building block for callers that
-// materialize a stage themselves (to inspect its cardinality) and still
-// want the NoStream peak accounting Materialize provides.
-func IterRelTracked(r *Rel, tr *Tracker) RowIter {
-	n := len(r.Rows)
-	tr.Acquire(n)
-	return &sliceIter{cols: r.Cols, rows: r.Rows, onClose: func() { tr.Release(n) }}
-}
 
 // IterRows returns an iterator replaying rows under the given schema.
 func IterRows(cols []string, rows [][]Value) RowIter {

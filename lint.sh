@@ -25,12 +25,16 @@ go run ./cmd/graphlint -counts "$@"
 
 # The nested bench module is outside ./...; its one-second runs are
 # oracle checks (extraction rows; degrees and PageRank of all five
-# representations), not measurements.
+# representations; Reach closure == independent BFS, which covers the
+# datalogeval caller of the conjunctive evaluator; served neighbors ==
+# fresh Extract, which covers the incremental caller), not measurements.
 echo "== bench module (vet, tests, oracle smoke)"
 go vet -C bench ./...
 go test -C bench ./...
 go run -C bench . -workload extract-expand -seconds 1
 go run -C bench . -workload dedup-analytics -seconds 1
+go run -C bench . -workload program-recursive -seconds 1
+go run -C bench . -workload serve-mixed -seconds 1
 
 if command -v staticcheck >/dev/null 2>&1; then
     echo "== staticcheck ($(staticcheck -version 2>/dev/null || echo unknown))"

@@ -1,11 +1,11 @@
 package graphgen
 
 // Equivalence of the default fused streaming pipeline against the legacy
-// materializing execution (Options.NoStream, surfaced as
-// WithoutStreaming): both paths must produce structurally identical
-// graphs — the streaming operators promise row-for-row identical output,
-// so the condensed representation, adjacency lists, and bitmaps must all
-// match, for any worker count and planner mode.
+// materializing execution (the Options.NoStream test oracle): both paths
+// must produce structurally identical graphs — the streaming operators
+// promise row-for-row identical output, so the condensed representation,
+// adjacency lists, and bitmaps must all match, for any worker count and
+// planner mode.
 
 import (
 	"testing"
@@ -51,24 +51,5 @@ func TestStreamingExtractionEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestWithoutStreamingOption exercises the public option end to end: a
-// small extraction through Engine.Extract with WithoutStreaming must
-// equal the default.
-func TestWithoutStreamingOption(t *testing.T) {
-	d := experiments.Table1Datasets(experiments.Scale{Quick: true})[0]
-	e := NewEngine(d.DB)
-	def, err := e.Extract(d.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := e.Extract(d.Query, WithoutStreaming())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coreFingerprint(def.c) != coreFingerprint(legacy.c) {
-		t.Error("WithoutStreaming changed the extracted graph")
 	}
 }
