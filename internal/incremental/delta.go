@@ -1,6 +1,8 @@
 package incremental
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 
 	"graphgen/internal/conj"
@@ -23,80 +25,77 @@ import (
 //	Δ(R ⋈ R)   = (ΔR ⋈ R)  ∪ (R' ⋈ ΔR)       (delete: R' = R − {t})
 //
 // Subscribers run after the table has mutated, so "current" is the new
-// state, and the pre-update state is the current table plus one copy of a
-// deleted tuple, or minus one copy of an inserted one. A join is linear in
-// each of its inputs, so a join over such a pre-update occurrence is the
-// join over the current table plus (delete) or minus (insert) the join over
-// the changed tuple alone:
+// state R', and the pre-update state is R' plus one copy of a deleted
+// tuple, or minus one copy of an inserted one. A join is linear in each of
+// its inputs, so a join over a pre-update occurrence is the join over the
+// current table plus (delete) or minus (insert) the join over the changed
+// tuple alone. Expanding every pre-update occurrence that way leaves one
+// term per non-empty set S of R's occurrences — the changed tuple at S, the
+// current table at the others:
 //
-//	R ⋈ ΔR = (R' ⋈ ΔR) − (ΔR ⋈ ΔR)             (insert)
-//	R ⋈ ΔR = (R' ⋈ ΔR) + (ΔR ⋈ ΔR)             (delete)
+//	insert:  Δ = Σ_S (−1)^(|S|+1) · J[ΔR at S, R' elsewhere]
+//	delete:  Δ = −Σ_S J[ΔR at S, R' elsewhere]
 //
-// Every term then reads only current tables, through their persistent
-// indexes, and copies of the changed tuple: no term walks a table to
-// rebuild what it looked like before the change, so a delta costs what it
-// outputs.
+// Every term reads only current tables, through their persistent indexes,
+// and copies of the changed tuple: no term walks a table to rebuild what it
+// looked like before the change, so a delta costs what it outputs.
+
+// maxOccurrences bounds k: the expansion has 2^k − 1 terms — 1, 3, 7 small
+// pipelines for the bodies extraction queries have, but exponential in a
+// body the user writes. Past it segmentDelta fails, which onChange answers
+// with one rebuild instead of hundreds of pipelines inside a subscriber.
+const maxOccurrences = 8
 
 // segmentDelta returns the (inVar, outVar) pairs a single-tuple change to t
 // (insert when insert is true, delete otherwise) contributes to the segment
 // join, each with the sign of its contribution to the pair's support count
-// (the caller fills in rule and segment), summed over every occurrence of t
-// in the segment. tbls resolves each atom to its table.
+// (the caller fills in rule and segment). tbls resolves each atom to its
+// table.
 //
 // Each term is one plan for the conjunctive evaluator (internal/conj) over
-// the same atoms, differing only in row sources. The changed tuple stands
-// in for the occurrence itself, where the join order starts, so every later
-// join probes a persistent index from a small accumulated side. Indexes are
-// updated inside the mutation path before change-log subscribers run, so
+// the same atoms, differing only in row sources. The join order starts at
+// an occurrence holding the changed tuple, so every later join probes a
+// persistent index from a small accumulated side. Indexes are updated
+// inside the mutation path before change-log subscribers run, so
 // table-backed occurrences see exactly the post-change state.
 func segmentDelta(atoms []datalog.Atom, tbls []*relstore.Table, inVar, outVar string,
 	t *relstore.Table, row []relstore.Value, insert bool, opts extract.Options) ([]countDelta, error) {
 	changed := [][]relstore.Value{row}
 	current := make([]conj.Occurrence, len(atoms))
+	var occ []int // the occurrences of t
 	for j := range atoms {
 		current[j] = conj.Occurrence{Atom: atoms[j], Table: tbls[j]}
+		if tbls[j] == t {
+			occ = append(occ, j)
+		}
+	}
+	if len(occ) > maxOccurrences {
+		return nil, fmt.Errorf("incremental: %s occurs %d times in one segment: a delta would take %d terms", t.Name, len(occ), 1<<len(occ)-1)
 	}
 	var out []countDelta
-	for i := range atoms {
-		if tbls[i] != t {
-			continue
+	for subset := 1; subset < 1<<len(occ); subset++ {
+		occs := slices.Clone(current)
+		n, start := -1, 0
+		if insert && bits.OnesCount(uint(subset))%2 == 1 {
+			n = 1
 		}
-		// The occurrences the convention evaluates in the pre-update state.
-		var pre []int
-		for j := range atoms {
-			if tbls[j] == t && j != i && insert == (j < i) {
-				pre = append(pre, j)
+		for k, j := range occ {
+			if subset>>k&1 == 1 {
+				occs[j].Rows, occs[j].Explicit = changed, true
+				start = j
 			}
 		}
-		// One term per subset of pre: the changed tuple at the subset's
-		// occurrences, the current table at the others.
-		for subset := 0; subset < 1<<len(pre); subset++ {
-			occs := slices.Clone(current)
-			occs[i].Rows, occs[i].Explicit = changed, true
-			n := 1
-			if !insert {
-				n = -1
-			}
-			for k, j := range pre {
-				if subset>>k&1 == 1 {
-					occs[j].Rows, occs[j].Explicit = changed, true
-					if insert {
-						n = -n
-					}
-				}
-			}
-			plan := conj.Plan{Atoms: occs, Start: i, Out: []string{inVar, outVar}, Exec: opts.Exec()}
-			it, err := plan.Open()
-			if err != nil {
-				return nil, err
-			}
-			pairs, err := relstore.Collect(it)
-			if err != nil {
-				return nil, err
-			}
-			for _, prow := range pairs.Rows {
-				out = append(out, countDelta{pair: [2]relstore.Value{prow[0], prow[1]}, n: n})
-			}
+		plan := conj.Plan{Atoms: occs, Start: start, Out: []string{inVar, outVar}, Exec: opts.Exec()}
+		it, err := plan.Open()
+		if err != nil {
+			return nil, err
+		}
+		pairs, err := relstore.Collect(it)
+		if err != nil {
+			return nil, err
+		}
+		for _, prow := range pairs.Rows {
+			out = append(out, countDelta{pair: [2]relstore.Value{prow[0], prow[1]}, n: n})
 		}
 	}
 	return out, nil

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"graphgen/internal/obs"
 )
 
 // relsEqual asserts two relations are identical: same columns in the same
@@ -281,6 +283,64 @@ func TestIndexedJoinEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	relsEqual(t, got, want, "indexed table join after mutations")
+}
+
+// TestCompositeKeyJoinProbesIndex pins that a table join on several shared
+// columns still narrows to index buckets: it probes the indexed shared
+// column with the most distinct keys (whatever its position in the key),
+// checks the rest of the key on the bucket rows, and returns the scan
+// path's rows in the scan path's order. A small build side must pick the
+// index on its own (IndexAuto), which is what keeps a live single-tuple
+// delta over a multi-attribute join from scanning the table.
+func TestCompositeKeyJoinProbesIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	cols := []int{2, 1, 0}
+	names := []string{"T", "V", "K"}
+	for _, indexed := range [][]string{{"k"}, {"k", "v"}, {"v"}} {
+		tbl := NewTable("r", Column{"k", Int}, Column{"v", Int}, Column{"tag", String})
+		for i := 0; i < 400; i++ {
+			tbl.Insert(IntVal(int64(rng.Intn(30))), IntVal(int64(rng.Intn(6))), StrVal(fmt.Sprintf("t%d", rng.Intn(3))))
+		}
+		for _, c := range indexed {
+			if _, err := tbl.CreateIndex(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for trial := 0; trial < 20; trial++ {
+			cur := &Rel{Cols: []string{"X", "V", "K"}}
+			for i := 0; i < 1+rng.Intn(3); i++ {
+				cur.Rows = append(cur.Rows, []Value{IntVal(int64(i)), IntVal(int64(rng.Intn(7))), IntVal(int64(rng.Intn(32)))})
+			}
+			shared := [][]string{{"K", "V"}, {"V", "K"}}[trial%2]
+			var preds []Pred
+			if rng.Intn(2) == 0 {
+				preds = []Pred{{Col: 2, Value: StrVal("t1")}}
+			}
+			keep := [][]string{nil, {"X", "T"}}[rng.Intn(2)]
+			want, err := collect(NewTableJoin(IterRel(cur), tbl, preds, cols, names, shared, keep, ExecOpts{Workers: 1, UseIndex: IndexOff}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []IndexMode{IndexAuto, IndexForce} {
+				tr := obs.NewTrace()
+				got, err := collect(NewTableJoin(IterRel(cur), tbl, preds, cols, names, shared, keep, ExecOpts{Workers: 3, UseIndex: mode, Trace: tr}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				relsEqual(t, got, want, fmt.Sprintf("indexes %v shared %v trial %d mode %d", indexed, shared, trial, mode))
+				// v alone has 6 keys, too few for IndexAuto to prefer it.
+				wantStrategy := "index"
+				if mode == IndexAuto && len(indexed) == 1 && indexed[0] == "v" && 2*len(cur.Rows) > 6 {
+					wantStrategy = "scan"
+				}
+				tr.Finish().Walk(func(s *obs.Span) {
+					if s.Op == "table_join" && s.Strategy != wantStrategy {
+						t.Fatalf("indexes %v shared %v trial %d mode %d: strategy %q, want %q", indexed, shared, trial, mode, s.Strategy, wantStrategy)
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestIndexedJoinErrors(t *testing.T) {

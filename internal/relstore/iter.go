@@ -130,15 +130,6 @@ func (t *Tracker) Release(n int) {
 	t.cur.Add(-int64(n))
 }
 
-// Resident returns the rows currently held: zero once every pipeline
-// sharing the tracker has closed, which is what the leak tests assert.
-func (t *Tracker) Resident() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.cur.Load()
-}
-
 // Peak returns the high-water mark of resident rows.
 func (t *Tracker) Peak() int64 {
 	if t == nil {
@@ -693,12 +684,14 @@ func NewCross(a, b RowIter, opts ExecOpts) RowIter {
 // shared name must appear in names (bound to a table column) and in
 // cur's schema.
 //
-// With a single shared column whose table column carries a persistent
-// hash index, and 2·|cur| ≤ distinct keys (or IndexForce), the probe
-// gathers only the index buckets matching cur's join values, sorts them
-// back into table order by sequence number, and streams those entries;
-// otherwise t is scanned (NewScan with the same opts) and probed against
-// the hash table on cur. Both paths produce identical output: the keep
+// When a shared column's table column carries a persistent hash index
+// (with several, the one with the most distinct keys), and 2·|cur| ≤ its
+// distinct keys (or IndexForce), the probe gathers only the index buckets
+// matching cur's values of that column, sorts them back into table order
+// by sequence number, and streams those entries against the hash table on
+// cur, which checks the remaining shared columns; otherwise t is scanned
+// (NewScan with the same opts) and probed against the same hash table.
+// Both paths produce identical output: the keep
 // columns — with a nil keep, cur's columns then names minus the shared
 // ones — in table-major order with cur's row order inside.
 func NewTableJoin(cur RowIter, t *Table, preds []Pred, cols []int, names []string, shared, keep []string, opts ExecOpts) (RowIter, error) {
@@ -725,19 +718,17 @@ func NewTableJoin(cur RowIter, t *Table, preds []Pred, cols []int, names []strin
 		nShared[j] = true
 	}
 	var ix *Index
-	if len(shared) == 1 && opts.UseIndex != IndexOff {
-		ix = t.indexes[cols[ni[0]]]
+	pk := 0 // position in shared of the column ix indexes
+	if opts.UseIndex != IndexOff {
+		for k, j := range ni {
+			if c := t.indexes[cols[j]]; c != nil && (ix == nil || c.NKeys() > ix.NKeys()) {
+				ix, pk = c, k
+			}
+		}
 	}
-	if opts.UseIndex == IndexForce {
-		if len(shared) != 1 {
-			closeAll(cur)
-			return nil, fmt.Errorf("relstore: table join: IndexForce with composite join key %v on %s", shared, t.Name)
-		}
-		if ix == nil {
-			tcol := cols[ni[0]]
-			closeAll(cur)
-			return nil, fmt.Errorf("relstore: table join: IndexForce with no index on %s.%s", t.Name, t.Cols[tcol].Name)
-		}
+	if opts.UseIndex == IndexForce && ix == nil {
+		closeAll(cur)
+		return nil, fmt.Errorf("relstore: table join: IndexForce with no index on %s for join key %v", t.Name, shared)
 	}
 	outCols, fromCur, fromScan, err := joinShape(curCols, names, nShared, keep)
 	if err != nil {
@@ -752,7 +743,7 @@ func NewTableJoin(cur RowIter, t *Table, preds []Pred, cols []int, names []strin
 	}
 	return traced(&tableJoinIter{cols: outCols, cur: cur, t: t, ix: ix,
 		preds: preds, tCols: cols, names: names,
-		ci: ci, ni: ni, fromCur: fromCur, fromScan: fromScan, opts: opts, span: sp}, sp), nil
+		ci: ci, ni: ni, pk: pk, fromCur: fromCur, fromScan: fromScan, opts: opts, span: sp}, sp), nil
 }
 
 // tableJoinIter implements NewTableJoin. The build drain, access-path
@@ -763,11 +754,12 @@ type tableJoinIter struct {
 	cols   []string
 	cur    RowIter
 	t      *Table
-	ix     *Index // candidate index; nil when multi-column or IndexOff
+	ix     *Index // candidate index; nil when no shared column has one or IndexOff
 	preds  []Pred
 	tCols  []int
 	names  []string
-	ci, ni []int
+	ci, ni []int // the shared columns' positions in cur's schema and in names
+	pk     int   // ix indexes the table column of shared column pk
 	// fromCur and fromScan place cur's and the scan projection's (names-
 	// indexed) columns in the output row.
 	fromCur, fromScan []colMove
@@ -843,29 +835,44 @@ func (it *tableJoinIter) start() error {
 		// sequence numbers are assigned in insertion order and deletions
 		// preserve relative order, so sorting by seq reproduces the order
 		// a scan of t would have produced (map iteration order does not
-		// leak through). The bucket key is the single-column join key
-		// (injective), so gathered rows need no key re-check.
+		// leak through). Buckets match on the indexed column only; the
+		// build-map probe below checks the whole join key.
 		var entries []indexEntry
-		for k := range build {
-			entries = append(entries, it.ix.buckets[k]...)
+		if len(it.ci) == 1 {
+			for k := range build {
+				entries = append(entries, it.ix.buckets[k]...)
+			}
+		} else {
+			probed := make(map[string]bool, len(rows))
+			for _, row := range rows {
+				if k := hashKey(row[it.ci[it.pk]]); !probed[k] {
+					probed[k] = true
+					entries = append(entries, it.ix.buckets[k]...)
+				}
+			}
 		}
 		sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
 		it.opts.Tracker.Acquire(len(entries))
 		it.held += len(entries)
 		// The gathered entries are whole table rows, so the scan-side
-		// moves read table columns instead of projection positions.
+		// moves and the join key read table columns instead of projection
+		// positions.
 		fromTable := make([]colMove, len(it.fromScan))
 		for i, m := range it.fromScan {
 			fromTable[i] = colMove{m.dst, it.tCols[m.src]}
 		}
-		tcol, preds := it.tCols[it.ni[0]], it.preds
+		tn := make([]int, len(it.ni))
+		for k, j := range it.ni {
+			tn[k] = it.tCols[j]
+		}
+		preds := it.preds
 		kernel := func(row Row, emit func(Row)) {
 			for _, p := range preds {
 				if !row[p.Col].Equal(p.Value) {
 					return
 				}
 			}
-			for _, crow := range build[hashKey(row[tcol])] {
+			for _, crow := range build[key(row, tn)] {
 				emit(joinRow(nOut, crow, row, fromCur, fromTable))
 			}
 		}
