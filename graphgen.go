@@ -93,37 +93,57 @@ type Iterator = graphapi.Iterator
 
 // Engine binds a relational database to the extraction pipeline.
 type Engine struct {
-	db   *relstore.DB
-	opts extract.Options
+	db  *relstore.DB
+	cfg config
 }
 
-// Option tunes the extraction pipeline.
-type Option func(*extract.Options)
+// config is everything the With* options can set: the extraction layer's
+// options — whose embedded relstore.ExecOpts is the execution context every
+// layer below runs under — plus the one setting that belongs to the program
+// evaluator alone.
+type config struct {
+	extract          extract.Options
+	maxDerivedTuples int64
+}
+
+// with returns c with opts applied; c itself is not modified, so a per-call
+// option never leaks into the engine or the next call.
+func (c config) with(opts []Option) config {
+	for _, fn := range opts {
+		fn(&c)
+	}
+	return c
+}
+
+// Option tunes the extraction pipeline. Options are built by the With*
+// constructors only; pass them to NewEngine (engine-wide) or to a single
+// Extract / ExtractProgram / ExtractLive call.
+type Option func(*config)
 
 // WithForceCondensed postpones every join behind virtual nodes.
-func WithForceCondensed() Option { return func(o *extract.Options) { o.ForceCondensed = true } }
+func WithForceCondensed() Option { return func(c *config) { c.extract.ForceCondensed = true } }
 
 // WithForceExpand hands every join to the database (full expansion).
-func WithForceExpand() Option { return func(o *extract.Options) { o.ForceExpand = true } }
+func WithForceExpand() Option { return func(c *config) { c.extract.ForceExpand = true } }
 
 // WithMaxEdges sets the expansion memory guard (0 disables).
-func WithMaxEdges(n int64) Option { return func(o *extract.Options) { o.MaxEdges = n } }
+func WithMaxEdges(n int64) Option { return func(c *config) { c.extract.MaxEdges = n } }
 
 // WithSelfLoops keeps logical self edges.
-func WithSelfLoops() Option { return func(o *extract.Options) { o.SelfLoops = true } }
+func WithSelfLoops() Option { return func(c *config) { c.extract.SelfLoops = true } }
 
 // WithoutPreprocessing disables the Step-6 small-virtual-node inlining.
-func WithoutPreprocessing() Option { return func(o *extract.Options) { o.SkipPreprocess = true } }
+func WithoutPreprocessing() Option { return func(c *config) { c.extract.SkipPreprocess = true } }
 
 // WithAutoExpand expands the final graph when the expanded edge count is at
 // most factor times the condensed count (the paper suggests 1.2).
 func WithAutoExpand(factor float64) Option {
-	return func(o *extract.Options) { o.AutoExpandFactor = factor }
+	return func(c *config) { c.extract.AutoExpandFactor = factor }
 }
 
 // WithLargeOutputFactor overrides the planner threshold (default 2).
 func WithLargeOutputFactor(f float64) Option {
-	return func(o *extract.Options) { o.LargeOutputFactor = f }
+	return func(c *config) { c.extract.LargeOutputFactor = f }
 }
 
 // WithAutoIndex toggles the secondary-index subsystem (on by default).
@@ -142,7 +162,11 @@ func WithLargeOutputFactor(f float64) Option {
 // lazily recomputed statistics catalog, means concurrent extractions over
 // one DB must be serialized by the caller.
 func WithAutoIndex(on bool) Option {
-	return func(o *extract.Options) { o.NoIndex = !on }
+	mode := relstore.IndexOff
+	if on {
+		mode = relstore.IndexAuto
+	}
+	return func(c *config) { c.extract.UseIndex = mode }
 }
 
 // WithParallelism bounds the extraction pipeline's worker-pool parallelism:
@@ -154,16 +178,12 @@ func WithAutoIndex(on bool) Option {
 // representation conversion is DedupOptions.Workers (Graph.As), and for the
 // BSP analytics engine bsp.Options.Workers.
 func WithParallelism(n int) Option {
-	return func(o *extract.Options) { o.Workers = n }
+	return func(c *config) { c.extract.Workers = n }
 }
 
 // NewEngine creates an extraction engine over db.
 func NewEngine(db *DB, opts ...Option) *Engine {
-	e := &Engine{db: db, opts: extract.DefaultOptions()}
-	for _, o := range opts {
-		o(&e.opts)
-	}
-	return e
+	return &Engine{db: db, cfg: config{extract: extract.DefaultOptions()}.with(opts)}
 }
 
 // DB returns the relational database the engine extracts from, so a
@@ -181,15 +201,12 @@ func (e *Engine) Extract(dsl string, opts ...Option) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := e.opts
-	for _, fn := range opts {
-		fn(&o)
-	}
-	res, err := extract.Extract(e.db, prog, o)
+	cfg := e.cfg.with(opts)
+	res, err := extract.Extract(e.db, prog, cfg.extract)
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{c: res.Graph, stats: res.Stats, profile: o.Trace.Finish()}, nil
+	return &Graph{c: res.Graph, stats: res.Stats, profile: cfg.extract.Trace.Finish()}, nil
 }
 
 // ExtractBatched extracts several programs and groups the resulting graphs

@@ -35,19 +35,19 @@ Edges(ID1, ID2) :- AuthorPubYear(ID1, P, 1500), AuthorPubYear(ID2, P, 1500).
 // BenchmarkIndexedExtraction times the same selective-predicate
 // extraction through the index-backed access paths (the default) and the
 // pure parallel-scan pipeline (-no-index / WithAutoIndex(false)), on one
-// shared database — the NoIndex run bypasses the indexes the indexed run
+// shared database — the IndexOff run bypasses the indexes the indexed run
 // created, which is exactly the graphgend opt-out's behavior.
 func BenchmarkIndexedExtraction(b *testing.B) {
 	db, prog := indexedBenchWorkload()
 	for _, mode := range []struct {
-		name    string
-		noIndex bool
-	}{{"Indexed", false}, {"Scan", true}} {
+		name     string
+		useIndex relstore.IndexMode
+	}{{"Indexed", relstore.IndexAuto}, {"Scan", relstore.IndexOff}} {
 		b.Run(mode.name, func(b *testing.B) {
 			var edges int64
 			for i := 0; i < b.N; i++ {
 				opts := extract.DefaultOptions()
-				opts.NoIndex = mode.noIndex
+				opts.UseIndex = mode.useIndex
 				res, err := extract.Extract(db, prog, opts)
 				if err != nil {
 					b.Fatal(err)
@@ -68,9 +68,9 @@ func TestIndexedExtractionSpeedup(t *testing.T) {
 		t.Skip("timing test skipped in -short mode")
 	}
 	db, prog := indexedBenchWorkload()
-	measure := func(noIndex bool) time.Duration {
+	measure := func(useIndex relstore.IndexMode) time.Duration {
 		opts := extract.DefaultOptions()
-		opts.NoIndex = noIndex
+		opts.UseIndex = useIndex
 		// One warm-up extraction (builds indexes on the indexed arm),
 		// then best of five timed runs, each behind a forced GC so
 		// garbage left by earlier tests in the suite cannot bill its
@@ -94,8 +94,8 @@ func TestIndexedExtractionSpeedup(t *testing.T) {
 		}
 		return best
 	}
-	indexed := measure(false)
-	scan := measure(true)
+	indexed := measure(relstore.IndexAuto)
+	scan := measure(relstore.IndexOff)
 	ratio := float64(scan) / float64(indexed)
 	t.Logf("scan %v vs indexed %v per extraction: %.1fx", scan, indexed, ratio)
 	if ratio < 2 {
@@ -104,7 +104,7 @@ func TestIndexedExtractionSpeedup(t *testing.T) {
 	// The speedup must not come from computing something different.
 	iOpts := extract.DefaultOptions()
 	sOpts := extract.DefaultOptions()
-	sOpts.NoIndex = true
+	sOpts.UseIndex = relstore.IndexOff
 	ri, err := extract.Extract(db, prog, iOpts)
 	if err != nil {
 		t.Fatal(err)

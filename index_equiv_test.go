@@ -35,7 +35,7 @@ func extractFingerprint(t *testing.T, db *relstore.DB, query string, opts extrac
 
 // TestIndexedExtractionEquivalenceTable1 checks indexed == unindexed
 // across the Table 1 workloads in both planner modes. The unindexed run
-// goes second on the same database, proving NoIndex really bypasses the
+// goes second on the same database, proving IndexOff really bypasses the
 // indexes the first run created.
 func TestIndexedExtractionEquivalenceTable1(t *testing.T) {
 	for _, d := range experiments.Table1Datasets(experiments.Scale{Quick: true}) {
@@ -44,7 +44,7 @@ func TestIndexedExtractionEquivalenceTable1(t *testing.T) {
 			opts.ForceCondensed = condensed
 			opts.ForceExpand = !condensed
 			indexed := extractFingerprint(t, d.DB, d.Query, opts)
-			opts.NoIndex = true
+			opts.UseIndex = relstore.IndexOff
 			unindexed := extractFingerprint(t, d.DB, d.Query, opts)
 			if indexed != unindexed {
 				t.Errorf("%s (condensed=%t): indexed extraction differs from scan extraction", d.Name, condensed)
@@ -66,7 +66,7 @@ Edges(ID1, ID2) :- AuthorPubYear(ID1, P, %d), AuthorPubYear(ID2, P, %d).
 `, year, year)
 		opts := extract.DefaultOptions()
 		indexed := extractFingerprint(t, db, query, opts)
-		opts.NoIndex = true
+		opts.UseIndex = relstore.IndexOff
 		unindexed := extractFingerprint(t, db, query, opts)
 		if indexed != unindexed {
 			t.Errorf("year %d: indexed extraction differs from scan extraction", year)
@@ -102,7 +102,7 @@ Edges(A, B) :- Mem(A, G, %d), Mem(B, G, %d).`, rng.Intn(4), rng.Intn(4)),
 				opts := extract.DefaultOptions()
 				opts.Workers = workers
 				indexed := extractFingerprint(t, db, query, opts)
-				opts.NoIndex = true
+				opts.UseIndex = relstore.IndexOff
 				unindexed := extractFingerprint(t, db, query, opts)
 				if indexed != unindexed {
 					t.Errorf("seed %d query %d workers %d: indexed differs from scan", seed, qi, workers)

@@ -4,7 +4,7 @@
 // machine-check GraphGen's hand-enforced invariants:
 //
 //   - keyencode:    composite map/dedup keys built from relstore.Value data
-//     must go through Value.AppendKey (the PR 4 "|"-collision bug class)
+//     must go through relstore.AppendRowKey (the PR 4 "|"-collision bug class)
 //   - lockorder:    internal/server must take dbMu before sessMu and touch
 //     relational tables only inside a dbMu critical section
 //   - notifyorder:  relstore mutators must route through Table.notify, and

@@ -13,8 +13,9 @@ const relstorePath = "graphgen/internal/relstore"
 // manual string concatenation. Such keys are ambiguous the moment a
 // string value contains the chosen separator — the PR 4 tuple-drop bug,
 // where "a|b"+"c" and "a"+"b|c" collided in a dedup set. The single safe
-// encoding is relstore.Value.AppendKey (length-prefixed), shared by the
-// relational operators and the Datalog evaluator's tuple sets.
+// encoding is relstore.AppendRowKey (each value length-prefixed by
+// Value.AppendKeyBytes), shared by the relational operators and the
+// Datalog evaluator's tuple sets.
 //
 // Detection is taint-based within one function: strings derived from
 // Value data (field reads, String() calls, carried through assignments)
@@ -22,7 +23,7 @@ const relstorePath = "graphgen/internal/relstore"
 // a map-literal key, or a delete() key) are reported at the build site.
 var KeyencodeAnalyzer = &Analyzer{
 	Name: "keyencode",
-	Doc:  "composite keys over relstore.Value data must use Value.AppendKey, not Sprintf/Join/concatenation",
+	Doc:  "composite keys over relstore.Value data must use relstore.AppendRowKey, not Sprintf/Join/concatenation",
 	Run:  runKeyencode,
 }
 
@@ -100,7 +101,7 @@ func keyencodeUnit(pass *Pass, body *ast.BlockStmt) {
 	}
 
 	report := func(e ast.Expr, builder string) {
-		pass.Reportf(e.Pos(), "map key built from relstore.Value data with %s is ambiguous when a value contains the separator; encode each component with Value.AppendKey", builder)
+		pass.Reportf(e.Pos(), "map key built from relstore.Value data with %s is ambiguous when a value contains the separator; encode the components with relstore.AppendRowKey", builder)
 	}
 
 	// checkKeyUse flags e when it is a composite Value-derived builder or

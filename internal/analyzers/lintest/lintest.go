@@ -5,7 +5,7 @@
 //
 // Expectations are written on the line the diagnostic lands on:
 //
-//	seen[strings.Join(parts, "|")] = true // want `keyencode: .*AppendKey`
+//	seen[strings.Join(parts, "|")] = true // want `keyencode: .*AppendRowKey`
 //
 // Each backquoted segment after "// want" is a regular expression matched
 // against "<analyzer>: <message>". Every diagnostic must match a want on

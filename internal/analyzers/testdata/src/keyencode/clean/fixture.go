@@ -1,25 +1,22 @@
-// Clean key handling: Value.AppendKey length-prefixed encoding, or keys
-// not derived from Value data at all.
+// Clean key handling: the relstore.AppendRowKey length-prefixed encoding,
+// or keys not derived from Value data at all.
 package fixture
 
 import (
 	"fmt"
-	"strings"
 
 	"graphgen/internal/relstore"
 )
 
-// appendKey is the sanctioned encoding.
-func appendKey(rows [][]relstore.Value) int {
+// appendRowKey is the sanctioned encoding.
+func appendRowKey(rows [][]relstore.Value, cols []int) int {
 	seen := map[string]bool{}
 	n := 0
+	var key []byte
 	for _, row := range rows {
-		var sb strings.Builder
-		for _, v := range row {
-			v.AppendKey(&sb)
-		}
-		if !seen[sb.String()] {
-			seen[sb.String()] = true
+		key = relstore.AppendRowKey(key[:0], row, cols)
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			n++
 		}
 	}

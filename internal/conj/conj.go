@@ -54,7 +54,9 @@ type Occurrence struct {
 	Explicit bool
 }
 
-// Plan describes one conjunctive evaluation.
+// Plan describes one conjunctive evaluation: what to compute (atoms, start,
+// comparisons, negations, output) and the execution context to compute it
+// under. It carries no execution setting of its own.
 type Plan struct {
 	Atoms []Occurrence
 	// Start indexes the occurrence the join order begins with: the small
@@ -72,12 +74,10 @@ type Plan struct {
 	// the comparisons that stage made applicable). Its owner uses it to
 	// bound the rows a body may produce mid-join.
 	Guard func(relstore.RowIter) relstore.RowIter
-	// Oracle materializes the pipeline after every operator and keeps every
-	// variable to the end with one late distinct — the operator-at-a-time
-	// execution the streaming and pruning equivalence suites compare
-	// against, and the peak-memory baseline. Test oracle only.
-	Oracle bool
-	Exec   relstore.ExecOpts
+	// Exec is the caller's execution context, handed to every operator as
+	// it came. Under relstore.MaterializingOracle (tests only) Open
+	// materializes after every operator and prunes nothing.
+	Exec relstore.ExecOpts
 }
 
 // Open compiles the plan into a pipeline yielding the Out columns.
@@ -104,7 +104,7 @@ func (p *Plan) Open() (relstore.RowIter, error) {
 	}
 	b := &builder{p: p, scans: scans, comps: slices.Clone(p.Comps), prune: true,
 		stage: func(it relstore.RowIter) (relstore.RowIter, error) { return it, nil }}
-	if p.Oracle {
+	if p.Exec.Oracle() {
 		b.prune = false
 		b.stage = func(it relstore.RowIter) (relstore.RowIter, error) {
 			return relstore.Materialize(it, p.Exec.Tracker)
@@ -478,19 +478,10 @@ func NewNegation(neg datalog.Atom, t *relstore.Table) (*Negation, error) {
 		if !sc.matches(row) {
 			continue
 		}
-		key = appendKey(key[:0], row, sc.cols)
+		key = relstore.AppendRowKey(key[:0], row, sc.cols)
 		n.set[string(key)] = struct{}{}
 	}
 	return n, nil
-}
-
-// appendKey encodes row's values at idx with the shared injective encoding
-// (Value.AppendKeyBytes), the way relstore's distinct does.
-func appendKey(key []byte, row []relstore.Value, idx []int) []byte {
-	for _, c := range idx {
-		key = append(row[c].AppendKeyBytes(key), '|')
-	}
-	return key
 }
 
 // filter anti-joins the stream: a row survives when no tuple of the negated
@@ -506,7 +497,7 @@ func (n *Negation) filter(cur relstore.RowIter, exec relstore.ExecOpts) relstore
 		// is per call; short keys stay on the stack and the map probe with
 		// string(key) does not allocate.
 		var buf [64]byte
-		_, hit := n.set[string(appendKey(buf[:0], row, idx))]
+		_, hit := n.set[string(relstore.AppendRowKey(buf[:0], row, idx))]
 		return !hit
 	})
 }

@@ -492,7 +492,7 @@ func TestRandomBodiesAgree(t *testing.T) {
 					p.Distinct = distinct
 					p.Exec = relstore.ExecOpts{Workers: workers, UseIndex: mode, Tracker: relstore.NewTracker()}
 					streamed := collect(t, p, label)
-					p.Oracle = true
+					p.Exec = relstore.MaterializingOracle(p.Exec)
 					oracle := collect(t, p, label+" oracle")
 					if !slices.Equal(keysOf(streamed), keysOf(oracle)) {
 						t.Fatalf("%s: streaming and oracle rows differ\nstreaming %v\noracle    %v", label, keysOf(streamed), keysOf(oracle))
@@ -565,8 +565,11 @@ func TestCloseDiscipline(t *testing.T) {
 				for mode := -2; mode < joins; mode++ { // -2 drain, -1 early close, j: fail stage j
 					label := fmt.Sprintf("body %d %s oracle=%t distinct=%t mode=%d", k, b, oracle, distinct, mode)
 					p := planFor(t, db, b)
-					p.Distinct, p.Oracle = distinct, oracle
+					p.Distinct = distinct
 					p.Exec = relstore.ExecOpts{Workers: 2, Tracker: relstore.NewTracker()}
+					if oracle {
+						p.Exec = relstore.MaterializingOracle(p.Exec)
+					}
 					var stages []*probeIter
 					p.Guard = func(it relstore.RowIter) relstore.RowIter {
 						s := &probeIter{RowIter: it, failAfter: -1}

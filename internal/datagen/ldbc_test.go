@@ -24,7 +24,7 @@ func fingerprintDB(t *testing.T, db *relstore.DB) string {
 		sb.WriteByte('\n')
 		for _, row := range tab.Rows {
 			for _, v := range row {
-				v.AppendKey(&sb)
+				sb.Write(v.AppendKeyBytes(nil))
 				sb.WriteByte(',')
 			}
 			sb.WriteByte('\n')

@@ -81,15 +81,7 @@ func (ev *evaluator) compileRule(r datalog.Rule, negCache map[string]*conj.Negat
 // and every derivation must use it. -1 evaluates against the full
 // relations.
 func (ev *evaluator) evalRuleBody(cr *compiledRule, deltaOcc int, deltaRows [][]relstore.Value) (relstore.RowIter, error) {
-	mode := relstore.IndexAuto
-	if ev.opts.NoIndex {
-		mode = relstore.IndexOff
-	}
-	plan := conj.Plan{
-		Atoms: cr.occs, Comps: cr.rule.Comps, Negs: cr.negs, Out: cr.out,
-		Oracle: ev.opts.NoStream,
-		Exec:   relstore.ExecOpts{Workers: ev.opts.Workers, UseIndex: mode, Tracker: ev.tracker, Trace: ev.opts.Trace},
-	}
+	plan := conj.Plan{Atoms: cr.occs, Comps: cr.rule.Comps, Negs: cr.negs, Out: cr.out, Exec: ev.opts.ExecOpts}
 	if max := ev.opts.MaxDerivedTuples; max > 0 {
 		plan.Guard = func(it relstore.RowIter) relstore.RowIter {
 			return &budgetIter{RowIter: it, rule: cr.rule, limit: intermediateBudgetFactor * max}

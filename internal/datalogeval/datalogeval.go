@@ -39,16 +39,22 @@ import (
 	"graphgen/internal/conj"
 	"graphgen/internal/datalog"
 	"graphgen/internal/extract"
-	"graphgen/internal/obs"
 	"graphgen/internal/relstore"
 )
 
-// Options tunes program evaluation.
+// Options tunes program evaluation: the embedded execution context
+// (Workers, UseIndex, Tracker, Trace — see relstore.ExecOpts, which every
+// rule-body plan runs under as it is) plus the two settings only the
+// evaluator decides on. The evaluated relations are identical for every
+// Workers and UseIndex setting; UseIndex == relstore.IndexOff also stops
+// Evaluate from auto-creating indexes on the rules' join and predicate
+// columns (base tables and derived temp tables alike); Evaluate installs a
+// Tracker when none is set (reported in Stats.PeakIntermediateRows) and
+// pushes a container span per stratum, fixpoint round and rule derivation
+// onto Trace — round spans carry the fresh-tuple count, so their row totals
+// sum to Stats.DerivedTuples.
 type Options struct {
-	// Workers bounds the join/filter parallelism of every iteration
-	// (<= 0 means GOMAXPROCS, 1 is the serial path). The evaluated
-	// relations are identical for every setting.
-	Workers int
+	relstore.ExecOpts
 	// MaxDerivedTuples aborts evaluation once the total number of
 	// materialized derived tuples exceeds the budget; 0 disables.
 	MaxDerivedTuples int64
@@ -57,23 +63,6 @@ type Options struct {
 	// fixpoint. It exists as the benchmark baseline; results are
 	// identical.
 	Naive bool
-	// NoIndex disables the secondary-index machinery: no hash indexes are
-	// auto-created on the rules' join and predicate columns (base tables
-	// and derived temp tables alike) and the index-backed access paths are
-	// never chosen. Results are identical either way; the switch exists
-	// for controlled comparisons and mirrors extract.Options.NoIndex.
-	NoIndex bool
-	// NoStream is a test-oracle carrier, not a user option: it is copied
-	// into conj.Plan.Oracle (materialize after every operator, no
-	// pruning) for every rule body, mirroring extract.Options.NoStream.
-	NoStream bool
-	// Trace, when non-nil, collects the evaluation's execution tree:
-	// one container span per stratum, per fixpoint round, and per rule
-	// derivation, with the relational operator spans underneath. Round
-	// spans carry the fresh-tuple count, so their row totals sum to
-	// Stats.DerivedTuples. Nil (the default) disables tracing at zero
-	// cost.
-	Trace *obs.Trace
 }
 
 // Stats describes one program evaluation.
@@ -93,7 +82,7 @@ type Stats struct {
 	// PeakIntermediateRows is the high-water mark of operator-held
 	// intermediate rows across all rule-body pipelines: join build
 	// sides and negation/index gathers on the streaming path, whole
-	// staged relations under Options.NoStream.
+	// staged relations under relstore.MaterializingOracle.
 	PeakIntermediateRows int64
 	Duration             time.Duration
 }
@@ -142,7 +131,10 @@ func Evaluate(base *relstore.DB, ps *datalog.ProgramSet, opts Options) (*Result,
 			return nil, err
 		}
 	}
-	ev := &evaluator{db: ov, opts: opts, sets: make(map[string]map[string]struct{}), tracker: relstore.NewTracker()}
+	if opts.Tracker == nil {
+		opts.Tracker = relstore.NewTracker()
+	}
+	ev := &evaluator{db: ov, opts: opts, sets: make(map[string]map[string]struct{})}
 	if err := ev.checkPredicates(ps); err != nil {
 		return nil, err
 	}
@@ -156,7 +148,7 @@ func Evaluate(base *relstore.DB, ps *datalog.ProgramSet, opts Options) (*Result,
 	// instead of rebuilding a hash table per iteration. (The Nodes/Edges
 	// statements are indexed later by extract.Extract over the same
 	// overlay database.)
-	if !opts.NoIndex {
+	if opts.UseIndex != relstore.IndexOff {
 		extract.EnsureIndexes(ov, ps.IDB)
 	}
 	ev.stats.Strata = len(strata.Levels)
@@ -168,7 +160,7 @@ func Evaluate(base *relstore.DB, ps *datalog.ProgramSet, opts Options) (*Result,
 		}
 	}
 	psp.End()
-	ev.stats.PeakIntermediateRows = ev.tracker.Peak()
+	ev.stats.PeakIntermediateRows = opts.Tracker.Peak()
 	ev.stats.Duration = time.Since(start)
 	return &Result{
 		DB:      ov,
@@ -182,11 +174,8 @@ type evaluator struct {
 	opts Options
 	// sets deduplicates each derived table's tuples (keyed by lowercased
 	// predicate name).
-	sets map[string]map[string]struct{}
-	// tracker accounts peak operator-held intermediate rows across every
-	// rule-body pipeline of the evaluation.
-	tracker *relstore.Tracker
-	stats   Stats
+	sets  map[string]map[string]struct{}
+	stats Stats
 }
 
 // desugarExtraction rewrites Nodes/Edges statements whose bodies use
@@ -519,6 +508,11 @@ func (ev *evaluator) insert(head datalog.Atom, body relstore.RowIter) ([][]relst
 		}
 	}
 	set := ev.sets[pred]
+	all := make([]int, len(head.Terms))
+	for i := range all {
+		all[i] = i
+	}
+	var key []byte // reused: a duplicate tuple allocates no key
 	var fresh [][]relstore.Value
 	for {
 		row, ok, err := body.Next()
@@ -536,11 +530,11 @@ func (ev *evaluator) insert(head datalog.Atom, body relstore.RowIter) ([][]relst
 				out[i] = row[idx[i]]
 			}
 		}
-		key := rowKey(out)
-		if _, dup := set[key]; dup {
+		key = relstore.AppendRowKey(key[:0], out, all)
+		if _, dup := set[string(key)]; dup {
 			continue
 		}
-		set[key] = struct{}{}
+		set[string(key)] = struct{}{}
 		if err := t.Insert(out...); err != nil {
 			return nil, err
 		}
@@ -551,17 +545,4 @@ func (ev *evaluator) insert(head datalog.Atom, body relstore.RowIter) ([][]relst
 		fresh = append(fresh, out)
 	}
 	return fresh, nil
-}
-
-// rowKey encodes a tuple unambiguously via the shared
-// relstore.Value.AppendKey encoding: values containing the "|" separator
-// cannot shift content between columns (e.g. ("a|sb","c") vs
-// ("a","b|sc") get distinct keys).
-func rowKey(row []relstore.Value) string {
-	var sb strings.Builder
-	for _, v := range row {
-		v.AppendKey(&sb)
-		sb.WriteByte('|')
-	}
-	return sb.String()
 }

@@ -106,6 +106,15 @@ func mustEval(t *testing.T, db *relstore.DB, src string, opts Options) *Result {
 	return res
 }
 
+// rowKey renders a tuple in the evaluator's own tuple-set encoding.
+func rowKey(row []relstore.Value) string {
+	all := make([]int, len(row))
+	for i := range all {
+		all[i] = i
+	}
+	return string(relstore.AppendRowKey(nil, row, all))
+}
+
 // tableTuples returns a table's rows as sorted strings for comparison.
 func tableTuples(t *testing.T, db *relstore.DB, name string) []string {
 	t.Helper()
@@ -146,7 +155,7 @@ func TestTransitiveClosureRandomized(t *testing.T) {
 		want := reachPairs(n, edges)
 
 		var first []string
-		for _, opt := range []Options{{}, {Naive: true}, {Workers: 1}, {Workers: 4}} {
+		for _, opt := range []Options{{}, {Naive: true}, {ExecOpts: relstore.ExecOpts{Workers: 1}}, {ExecOpts: relstore.ExecOpts{Workers: 4}}} {
 			res := mustEval(t, edgeDB(t, n, edges), tcProgram, opt)
 			got := tableTuples(t, res.DB, "tc")
 			if len(got) != len(want) {
@@ -434,7 +443,7 @@ func TestSemiNaiveSpeedup(t *testing.T) {
 	run := func(naive bool) (time.Duration, *Result) {
 		db := coauthorChainDB(n)
 		start := time.Now()
-		res, err := Evaluate(db, ps, Options{Naive: naive, Workers: 1})
+		res, err := Evaluate(db, ps, Options{Naive: naive, ExecOpts: relstore.ExecOpts{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -631,7 +640,7 @@ func rowStrings(t *testing.T, db *relstore.DB, name string) []string {
 
 // TestIndexedEvalEquivalence asserts the index-backed access paths change
 // nothing about evaluation: on randomized graphs, the derived tables of
-// the indexed and NoIndex runs are row-for-row identical (order
+// the indexed and IndexOff runs are row-for-row identical (order
 // included), as are the evaluation statistics, for recursive,
 // negation-bearing, and comparison-bearing programs.
 func TestIndexedEvalEquivalence(t *testing.T) {
@@ -656,8 +665,8 @@ Edges(A, C) :- Hop2(A, C).
 		n := 12 + rng.Intn(10)
 		db := edgeDB(t, n, randomEdges(rng, n, 3*n))
 		for pi, src := range programs {
-			indexed := mustEval(t, db, src, Options{Workers: 2})
-			scan := mustEval(t, db, src, Options{Workers: 2, NoIndex: true})
+			indexed := mustEval(t, db, src, Options{ExecOpts: relstore.ExecOpts{Workers: 2}})
+			scan := mustEval(t, db, src, Options{ExecOpts: relstore.ExecOpts{Workers: 2, UseIndex: relstore.IndexOff}})
 			if indexed.Stats.DerivedTuples != scan.Stats.DerivedTuples ||
 				indexed.Stats.Iterations != scan.Stats.Iterations ||
 				indexed.Stats.Strata != scan.Stats.Strata {
@@ -694,36 +703,36 @@ func TestIndexedSemiNaiveAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 15
 	db := edgeDB(t, n, randomEdges(rng, n, 40))
-	fast := mustEval(t, db, tcProgram, Options{Workers: 3})
-	slow := mustEval(t, db, tcProgram, Options{Naive: true, NoIndex: true})
+	fast := mustEval(t, db, tcProgram, Options{ExecOpts: relstore.ExecOpts{Workers: 3}})
+	slow := mustEval(t, db, tcProgram, Options{Naive: true, ExecOpts: relstore.ExecOpts{UseIndex: relstore.IndexOff}})
 	if !equalTuples(tableTuples(t, fast.DB, "TC"), tableTuples(t, slow.DB, "TC")) {
 		t.Fatal("indexed semi-naive TC differs from unindexed naive TC")
 	}
 }
 
 // TestNoStreamEquivalence runs a recursive program through the default
-// streaming pipelines and through the NoStream materializing oracle on
+// streaming pipelines and through relstore.MaterializingOracle on
 // randomized graphs, crossed with the naive/index/worker switches. The
 // derived relations must match tuple for tuple, and both modes must
 // report a positive intermediate-row peak — the streaming one from
-// operator-held state, the NoStream one from whole staged relations.
+// operator-held state, the oracle's from whole staged relations.
 func TestNoStreamEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		n := 15 + rng.Intn(20)
 		db := edgeDB(t, n, randomEdges(rng, n, n+rng.Intn(2*n)))
-		for _, base := range []Options{{}, {Naive: true}, {NoIndex: true}, {Workers: 4}} {
+		for _, base := range []Options{{}, {Naive: true}, {ExecOpts: relstore.ExecOpts{UseIndex: relstore.IndexOff}}, {ExecOpts: relstore.ExecOpts{Workers: 4}}} {
 			streaming := mustEval(t, db, tcProgram, base)
-			legacy := base
-			legacy.NoStream = true
-			materializing := mustEval(t, db, tcProgram, legacy)
+			oracle := base
+			oracle.ExecOpts = relstore.MaterializingOracle(base.ExecOpts)
+			materializing := mustEval(t, db, tcProgram, oracle)
 			if !equalTuples(tableTuples(t, streaming.DB, "TC"), tableTuples(t, materializing.DB, "TC")) {
-				t.Fatalf("seed %d opts %+v: NoStream computed a different TC relation", seed, base)
+				t.Fatalf("seed %d opts %+v: the oracle computed a different TC relation", seed, base)
 			}
 			sp := streaming.Stats.PeakIntermediateRows
 			mp := materializing.Stats.PeakIntermediateRows
 			if sp <= 0 || mp <= 0 {
-				t.Fatalf("seed %d opts %+v: peak tracking dead (streaming=%d, NoStream=%d)", seed, base, sp, mp)
+				t.Fatalf("seed %d opts %+v: peak tracking dead (streaming=%d, oracle=%d)", seed, base, sp, mp)
 			}
 			if sp > mp {
 				t.Errorf("seed %d opts %+v: streaming peak %d exceeds materializing peak %d", seed, base, sp, mp)

@@ -16,8 +16,10 @@
 package dedup
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 
 	"graphgen/internal/core"
 	"graphgen/internal/parallel"
@@ -107,13 +109,13 @@ func requireSymmetricSingleLayer(g *core.Graph, workers int) error {
 			if !g.VirtAlive(v) {
 				continue
 			}
-			if !sameMembers(g.VirtSources(v), g.VirtTargets(v)) {
+			if !slices.Equal(g.VirtSources(v), g.VirtTargets(v)) {
 				return false
 			}
 		}
 		return true
 	})
-	ok := allOf(virtOK)
+	ok := !slices.Contains(virtOK, false)
 	if ok {
 		realOK := parallel.MapChunks(g.NumRealSlots(), workers, 0, func(lo, hi int) bool {
 			for u := int32(lo); u < int32(hi); u++ {
@@ -121,40 +123,19 @@ func requireSymmetricSingleLayer(g *core.Graph, workers int) error {
 					continue
 				}
 				for _, w := range g.OutDirect(u) {
-					if !contains(g.OutDirect(w), u) {
+					if !slices.Contains(g.OutDirect(w), u) {
 						return false
 					}
 				}
 			}
 			return true
 		})
-		ok = allOf(realOK)
+		ok = !slices.Contains(realOK, false)
 	}
 	if !ok {
 		return ErrUnsupported
 	}
 	return nil
-}
-
-func allOf(flags []bool) bool {
-	for _, f := range flags {
-		if !f {
-			return false
-		}
-	}
-	return true
-}
-
-func sameMembers(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // intersectSorted returns the intersection of two ascending-sorted slices.
@@ -176,22 +157,13 @@ func intersectSorted(a, b []int32) []int32 {
 	return out
 }
 
-func contains(s []int32, x int32) bool {
-	for _, e := range s {
-		if e == x {
-			return true
-		}
-	}
-	return false
-}
-
 // coveredPair reports whether the symmetric pair (a, b) is currently covered
 // by the full graph through a direct edge or any virtual node other than
 // exclude. Deduplication removals consult it before compensating so that no
 // logical edge is ever lost. Virtual target lists stay sorted throughout
 // deduplication (removals preserve order), so they are binary-searched.
 func coveredPair(g *core.Graph, a, b, exclude int32) bool {
-	if contains(g.OutDirect(a), b) {
+	if slices.Contains(g.OutDirect(a), b) {
 		return true
 	}
 	for _, v := range g.OutVirtuals(a) {
@@ -209,7 +181,7 @@ func coveredPair(g *core.Graph, a, b, exclude int32) bool {
 // on short slices.
 func containsSorted(s []int32, x int32) bool {
 	if len(s) <= 16 {
-		return contains(s, x)
+		return slices.Contains(s, x)
 	}
 	lo, hi := 0, len(s)
 	for lo < hi {
@@ -266,47 +238,8 @@ func orderBySize(s []int32, opts Options, size func(int32) int) {
 		rng := rand.New(rand.NewSource(opts.Seed))
 		rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
 	case OrderSizeAsc:
-		insertionSortBy(s, func(a, b int32) bool { return size(a) < size(b) || (size(a) == size(b) && a < b) })
+		slices.SortFunc(s, func(a, b int32) int { return cmp.Or(cmp.Compare(size(a), size(b)), cmp.Compare(a, b)) })
 	case OrderSizeDesc:
-		insertionSortBy(s, func(a, b int32) bool { return size(a) > size(b) || (size(a) == size(b) && a < b) })
-	}
-}
-
-func insertionSortBy(s []int32, less func(a, b int32) bool) {
-	// Simple merge sort to keep determinism and O(n log n) without
-	// importing sort with closures repeatedly; slices here are large, so
-	// use the stdlib-equivalent approach.
-	mergeSortBy(s, less)
-}
-
-func mergeSortBy(s []int32, less func(a, b int32) bool) {
-	if len(s) < 2 {
-		return
-	}
-	mid := len(s) / 2
-	left := append([]int32(nil), s[:mid]...)
-	right := append([]int32(nil), s[mid:]...)
-	mergeSortBy(left, less)
-	mergeSortBy(right, less)
-	i, j, k := 0, 0, 0
-	for i < len(left) && j < len(right) {
-		if less(right[j], left[i]) {
-			s[k] = right[j]
-			j++
-		} else {
-			s[k] = left[i]
-			i++
-		}
-		k++
-	}
-	for i < len(left) {
-		s[k] = left[i]
-		i++
-		k++
-	}
-	for j < len(right) {
-		s[k] = right[j]
-		j++
-		k++
+		slices.SortFunc(s, func(a, b int32) int { return cmp.Or(cmp.Compare(size(b), size(a)), cmp.Compare(a, b)) })
 	}
 }

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"math/rand"
+	"slices"
 
 	"graphgen/internal/core"
 	"graphgen/internal/parallel"
@@ -80,7 +81,7 @@ func relevantProcessed(out *core.Graph, v int32, memberIndex map[int32][]int32, 
 	counts := make(map[int32]int)
 	for _, m := range out.VirtTargets(v) {
 		for _, w := range memberIndex[m] {
-			if out.VirtAlive(w) && contains(out.VirtTargets(w), m) {
+			if out.VirtAlive(w) && slices.Contains(out.VirtTargets(w), m) {
 				counts[w]++
 			}
 		}
@@ -91,7 +92,7 @@ func relevantProcessed(out *core.Graph, v int32, memberIndex map[int32][]int32, 
 			rel = append(rel, w)
 		}
 	}
-	mergeSortBy(rel, func(a, b int32) bool { return a < b })
+	slices.Sort(rel)
 	return rel
 }
 
@@ -259,7 +260,7 @@ func Dedup1NaiveRealFirst(g *core.Graph, opts Options) (*core.Graph, Stats, erro
 	for _, rn := range realOrder(out, opts) {
 		var local []int32 // processed set scoped to rn's neighborhood
 		for _, v := range append([]int32(nil), out.OutVirtuals(rn)...) {
-			if !out.VirtAlive(v) || contains(local, v) {
+			if !out.VirtAlive(v) || slices.Contains(local, v) {
 				continue
 			}
 			for _, w := range local {

@@ -1,6 +1,8 @@
 package dedup
 
 import (
+	"slices"
+
 	"graphgen/internal/core"
 	"graphgen/internal/markset"
 	"graphgen/internal/parallel"
@@ -124,7 +126,7 @@ func (b *dedup2Builder) virtsOf(m int32) []int32 {
 	// Filter dead or stale entries lazily.
 	vs := b.idx[m][:0]
 	for _, v := range b.idx[m] {
-		if b.out.VirtAlive(v) && contains(b.members(v), m) {
+		if b.out.VirtAlive(v) && slices.Contains(b.members(v), m) {
 			vs = append(vs, v)
 		}
 	}
@@ -146,15 +148,15 @@ func (b *dedup2Builder) newVirtual(members []int32) int32 {
 // covered reports whether the pair (a, c) is already realized: by a direct
 // edge, by co-membership, or through a 1-hop virtual edge.
 func (b *dedup2Builder) covered(a, c int32) bool {
-	if contains(b.out.OutDirect(a), c) {
+	if slices.Contains(b.out.OutDirect(a), c) {
 		return true
 	}
 	for _, v := range b.virtsOf(a) {
-		if contains(b.members(v), c) {
+		if slices.Contains(b.members(v), c) {
 			return true
 		}
 		for _, n := range b.out.VirtUndirected(v) {
-			if contains(b.members(n), c) {
+			if slices.Contains(b.members(n), c) {
 				return true
 			}
 		}
@@ -167,18 +169,18 @@ func (b *dedup2Builder) covered(a, c int32) bool {
 // index entries are skipped instead of pruned, which cannot change the
 // answer — only the cost of reaching it.
 func (b *dedup2Builder) coveredRO(a, c int32) bool {
-	if contains(b.out.OutDirect(a), c) {
+	if slices.Contains(b.out.OutDirect(a), c) {
 		return true
 	}
 	for _, v := range b.idx[a] {
-		if !b.out.VirtAlive(v) || !contains(b.members(v), a) {
+		if !b.out.VirtAlive(v) || !slices.Contains(b.members(v), a) {
 			continue
 		}
-		if contains(b.members(v), c) {
+		if slices.Contains(b.members(v), c) {
 			return true
 		}
 		for _, n := range b.out.VirtUndirected(v) {
-			if contains(b.members(n), c) {
+			if slices.Contains(b.members(n), c) {
 				return true
 			}
 		}
@@ -321,7 +323,7 @@ func (b *dedup2Builder) addEdgeChecked(a, c int32) {
 	if a == c || !b.out.VirtAlive(a) || !b.out.VirtAlive(c) {
 		return
 	}
-	if contains(b.out.VirtUndirected(a), c) {
+	if slices.Contains(b.out.VirtUndirected(a), c) {
 		return
 	}
 	// Adjacent virtual nodes must be member-disjoint.

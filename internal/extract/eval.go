@@ -14,9 +14,8 @@ import (
 // onto outVars, the single materialization boundary. The planner uses it
 // both for the in-segment joins it "hands to the database" and for Case 2
 // full expansion; incremental.ExtractLive calls it without distinct, since
-// the row multiplicities are its initial support counts. opts supplies the
-// scan/probe parallelism (Workers <= 0 means GOMAXPROCS), the NoIndex
-// switch, the peak-intermediate-rows Tracker and the Trace.
+// the row multiplicities are its initial support counts. The plan runs
+// under opts.ExecOpts as it is.
 func EvalConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, distinct bool, opts Options) (*relstore.Rel, error) {
 	occs := make([]conj.Occurrence, len(atoms))
 	for i, a := range atoms {
@@ -26,21 +25,12 @@ func EvalConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, di
 		}
 		occs[i] = conj.Occurrence{Atom: a, Table: t}
 	}
-	plan := conj.Plan{Atoms: occs, Out: outVars, Distinct: distinct, Oracle: opts.NoStream, Exec: opts.Exec()}
+	plan := conj.Plan{Atoms: occs, Out: outVars, Distinct: distinct, Exec: opts.ExecOpts}
 	it, err := plan.Open()
 	if err != nil {
 		return nil, err
 	}
 	return relstore.Collect(it)
-}
-
-// Exec maps extraction options onto the operator execution knobs.
-func (o Options) Exec() relstore.ExecOpts {
-	mode := relstore.IndexAuto
-	if o.NoIndex {
-		mode = relstore.IndexOff
-	}
-	return relstore.ExecOpts{Workers: o.Workers, UseIndex: mode, Tracker: o.Tracker, Trace: o.Trace}
 }
 
 // EnsureIndexes walks the rules' positive bodies and creates (idempotently)

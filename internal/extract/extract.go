@@ -11,12 +11,21 @@ import (
 
 	"graphgen/internal/core"
 	"graphgen/internal/datalog"
-	"graphgen/internal/obs"
 	"graphgen/internal/relstore"
 )
 
-// Options tunes extraction.
+// Options tunes extraction: the embedded execution context (Workers,
+// UseIndex, Tracker, Trace — see relstore.ExecOpts, which reaches every
+// operator as it is) plus the seven settings the planner and graph builder
+// decide on. Workers also sizes the Step-6 preprocessing pass; UseIndex ==
+// relstore.IndexOff also stops Extract from auto-creating indexes on the
+// query's join and predicate columns, so the indexed and unindexed pipelines
+// (which extract identical graphs) can be compared; Extract installs a
+// Tracker when none is set (reported in Stats.PeakIntermediateRows) and
+// pushes a container span per Nodes rule, Edges rule and chain segment
+// onto Trace.
 type Options struct {
+	relstore.ExecOpts
 	// LargeOutputFactor is the planner threshold: a join on attribute a
 	// with distinct count d is large-output when |R||S|/d >
 	// factor*(|R|+|S|). The paper uses 2 (Section 4.2, Step 2).
@@ -39,42 +48,6 @@ type Options struct {
 	AutoExpandFactor float64
 	// SelfLoops keeps logical self edges in the extracted graph.
 	SelfLoops bool
-	// Workers bounds extraction parallelism: the relational scan and join
-	// probe phases and the Step-6 preprocessing pass all run on the shared
-	// worker pool with deterministic chunk-ordered merges, so the extracted
-	// graph is identical for every setting. <= 0 means GOMAXPROCS; 1 is the
-	// serial path.
-	Workers int
-	// MaxDerivedTuples is carried for the Datalog program evaluator
-	// (internal/datalogeval), which shares this options struct through
-	// the public Engine: it bounds the tuples materialized for derived
-	// predicates before the plain extraction below runs. Extraction
-	// itself ignores it; 0 disables the guard.
-	MaxDerivedTuples int64
-	// NoIndex disables the secondary-index machinery: no hash indexes are
-	// auto-created on the query's join and predicate columns, and the
-	// planner never picks the index-backed access paths (IndexScan,
-	// IndexedJoin) even for pre-existing indexes. The default (false,
-	// indexing on) mirrors the paper's reliance on the RDBMS's access
-	// paths; the indexed and unindexed pipelines extract identical graphs,
-	// so this is purely a performance switch (and the benchmark baseline).
-	NoIndex bool
-	// NoStream is a test-oracle carrier, not a user option: it is copied
-	// into conj.Plan.Oracle (materialize after every operator, no pruning),
-	// which the streaming and pruning equivalence suites and the
-	// peak-memory benchmark compare against. Nothing else reads it.
-	NoStream bool
-	// Tracker, when non-nil, accounts peak materialized intermediate
-	// rows across the extraction's operator pipelines (reported in
-	// Stats.PeakIntermediateRows). Extract installs one automatically
-	// when unset.
-	Tracker *relstore.Tracker
-	// Trace, when non-nil, collects the extraction's execution tree: a
-	// container span per Nodes rule, Edges rule, and chain segment, with
-	// one child span per relational operator underneath. Nil (the
-	// default) disables tracing at zero cost. A Trace belongs to one
-	// extraction — callers must not share it across concurrent runs.
-	Trace *obs.Trace
 }
 
 // DefaultOptions mirror the paper's settings.
@@ -102,8 +75,8 @@ type Stats struct {
 	// intermediate rows across the extraction's relational pipelines:
 	// join build sides, distinct seen-sets, and index-bucket gathers on
 	// the streaming path, or whole staged relations under
-	// Options.NoStream. Final query outputs are excluded on both paths,
-	// so the two modes compare like for like.
+	// relstore.MaterializingOracle. Final query outputs are excluded on
+	// both paths, so the two compare like for like.
 	PeakIntermediateRows int64
 	Duration             time.Duration
 }
@@ -134,7 +107,7 @@ func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, err
 	// Step 0: make sure the access paths the program needs exist. Indexes
 	// live on the tables, so repeated extractions (and live rebuilds) pay
 	// the build cost once.
-	if !opts.NoIndex {
+	if opts.UseIndex != relstore.IndexOff {
 		EnsureIndexes(db, append(append([]datalog.Rule(nil), prog.Nodes...), prog.Edges...))
 	}
 

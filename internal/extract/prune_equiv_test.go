@@ -15,7 +15,7 @@ import (
 
 // This file is the pruned==unpruned oracle for EvalConjunctive: the
 // default path (dead columns pruned after every stage, duplicates
-// dropped early under distinct) against Options.NoStream, which keeps
+// dropped early under distinct) against relstore.MaterializingOracle, which keeps
 // every variable to the end and dedups once. Bodies and tables are
 // generated to hit what pruning could get wrong: duplicate table rows
 // (bag multiplicities), strings containing the key separator and
@@ -120,14 +120,13 @@ func pruneBody(rng *rand.Rand) ([]datalog.Atom, []string) {
 }
 
 func relString(r *relstore.Rel) []string {
+	all := make([]int, len(r.Cols))
+	for i := range all {
+		all[i] = i
+	}
 	rows := make([]string, len(r.Rows))
 	for i, row := range r.Rows {
-		var sb strings.Builder
-		for _, v := range row {
-			v.AppendKey(&sb)
-			sb.WriteByte('|')
-		}
-		rows[i] = sb.String()
+		rows[i] = string(relstore.AppendRowKey(nil, row, all))
 	}
 	return rows
 }
@@ -150,7 +149,7 @@ func TestPrunedEqualsUnprunedRandomized(t *testing.T) {
 		body := fmt.Sprint(atoms, " -> ", outVars)
 		for _, distinct := range []bool{true, false} {
 			oracleOpts := DefaultOptions()
-			oracleOpts.NoStream, oracleOpts.NoIndex, oracleOpts.Workers = true, true, 1
+			oracleOpts.ExecOpts = relstore.MaterializingOracle(relstore.ExecOpts{Workers: 1, UseIndex: relstore.IndexOff})
 			oracle, err := EvalConjunctive(db, atoms, outVars, distinct, oracleOpts)
 			if err != nil {
 				t.Fatalf("seed %d %s: oracle: %v", seed, body, err)
@@ -160,7 +159,10 @@ func TestPrunedEqualsUnprunedRandomized(t *testing.T) {
 				for _, noIndex := range []bool{false, true} {
 					label := fmt.Sprintf("seed %d %s distinct=%t workers=%d noIndex=%t", seed, body, distinct, workers, noIndex)
 					opts := DefaultOptions()
-					opts.Workers, opts.NoIndex = workers, noIndex
+					opts.Workers = workers
+					if noIndex {
+						opts.UseIndex = relstore.IndexOff
+					}
 					opts.Tracker = relstore.NewTracker()
 					opts.Trace = obs.NewTrace()
 					rel, err := EvalConjunctive(db, atoms, outVars, distinct, opts)

@@ -85,7 +85,7 @@ func segmentDelta(atoms []datalog.Atom, tbls []*relstore.Table, inVar, outVar st
 				start = j
 			}
 		}
-		plan := conj.Plan{Atoms: occs, Start: start, Out: []string{inVar, outVar}, Exec: opts.Exec()}
+		plan := conj.Plan{Atoms: occs, Start: start, Out: []string{inVar, outVar}, Exec: opts.ExecOpts}
 		it, err := plan.Open()
 		if err != nil {
 			return nil, err

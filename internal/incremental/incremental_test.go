@@ -595,7 +595,7 @@ func TestLiveMaxEdges(t *testing.T) {
 
 // TestLiveIndexedVsUnindexed maintains two live graphs over the same
 // mutating database — one with the index-backed delta path (the default),
-// one with NoIndex — and asserts after every batch of random updates that
+// one with relstore.IndexOff — and asserts after every batch of random updates that
 // both match each other and a fresh extraction. This pins down that index
 // maintenance under the change log keeps the delta evaluation exact:
 // indexes are updated before subscribers run, so the indexed delta scans
@@ -608,7 +608,7 @@ func TestLiveIndexedVsUnindexed(t *testing.T) {
 		t.Fatal(err)
 	}
 	indexedOpts := extract.Options{LargeOutputFactor: 2}
-	scanOpts := extract.Options{LargeOutputFactor: 2, NoIndex: true}
+	scanOpts := extract.Options{LargeOutputFactor: 2, ExecOpts: relstore.ExecOpts{UseIndex: relstore.IndexOff}}
 	indexed, err := New(db, prog, indexedOpts)
 	if err != nil {
 		t.Fatal(err)

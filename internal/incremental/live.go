@@ -143,7 +143,7 @@ func New(db *relstore.DB, prog *datalog.Program, opts extract.Options) (*Live, e
 	// of change-log subscribers, so the delta evaluation in onChange can
 	// probe them and always see the post-change state. They persist across
 	// rebuilds — a rebuild re-runs extraction over already-indexed tables.
-	if !opts.NoIndex {
+	if opts.UseIndex != relstore.IndexOff {
 		extract.EnsureIndexes(db, append(append([]datalog.Rule(nil), prog.Nodes...), prog.Edges...))
 	}
 	//lint:ignore guardedby lv is not shared until New returns; the constructor builds without mu

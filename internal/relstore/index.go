@@ -28,7 +28,7 @@ type indexEntry struct {
 }
 
 // Index is a hash index over one column of a Table: encoded column value
-// (Value.AppendKey) -> the rows holding it, in table order. Indexes are
+// (Value.AppendKeyBytes) -> the rows holding it, in table order. Indexes are
 // maintained inside the table's mutation path (before change-log
 // subscribers run, so a subscriber that reads through an index always
 // observes the post-change state) and live as long as the table, which is

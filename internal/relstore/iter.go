@@ -75,25 +75,52 @@ const (
 	IndexForce
 )
 
-// ExecOpts carries the execution knobs every operator constructor takes.
-// The zero value — serial enough (Workers 0 resolves to GOMAXPROCS), auto
-// index choice, no tracking — is a sensible default.
+// ExecOpts is the one execution context: the settings that cut across
+// every layer that runs relational work. extract.Options and
+// datalogeval.Options embed it, the Engine fills it once, and it is handed
+// down untouched through conj.Plan.Exec to every operator constructor — a
+// new cross-cutting setting is one field here. The zero value — Workers 0
+// resolves to GOMAXPROCS, auto index choice, no tracking, no tracing — is a
+// sensible default.
 type ExecOpts struct {
-	// Workers partitions parallel stages; <=0 means GOMAXPROCS. Output
-	// order never depends on it.
+	// Workers partitions parallel stages (scans, join probes, filters, and
+	// the layers' own parallel passes); <=0 means GOMAXPROCS, 1 is the
+	// serial path. Output never depends on it.
 	Workers int
-	// UseIndex selects the access path for scans and table joins.
+	// UseIndex selects the access path for scans and table joins. IndexOff
+	// also stops the layers above from auto-creating indexes.
 	UseIndex IndexMode
-	// Tracker, when non-nil, accounts the rows operators hold
-	// materialized (build sides, distinct seen-sets, bucket gathers —
-	// and, in the NoStream oracle mode, whole staged relations).
+	// Tracker, when non-nil, accounts the rows operators hold materialized
+	// (build sides, distinct seen-sets, bucket gathers — and, under the
+	// materializing oracle, whole staged relations). Extraction and program
+	// evaluation each install one when unset.
 	Tracker *Tracker
-	// Trace, when non-nil, collects one span per operator constructed
-	// under these opts: kind, strategy, rows out, batches, wall time.
-	// Nil (the default) is the zero-overhead fast path — constructors
-	// test this one pointer and skip the span machinery entirely.
+	// Trace, when non-nil, collects the execution tree: one span per
+	// operator constructed under these opts (kind, strategy, rows out,
+	// batches, wall time) under the container spans the layers push. Nil
+	// (the default) is the zero-overhead fast path — constructors test this
+	// one pointer and skip the span machinery entirely. A Trace belongs to
+	// one call; it must not be shared across concurrent runs.
 	Trace *obs.Trace
+	// oracle is set only by MaterializingOracle.
+	oracle bool
 }
+
+// MaterializingOracle returns o with the test oracle switched on: every
+// conjunctive plan opened under the result materializes its pipeline after
+// each operator (Materialize, tracked) and keeps every variable to the end
+// with one late distinct — the operator-at-a-time execution the streaming
+// and pruning equivalence suites compare against, and the peak-memory
+// baseline. It is a helper for tests and benchmarks inside this module, not
+// a mode: no option, flag or public API reaches it.
+func MaterializingOracle(o ExecOpts) ExecOpts {
+	o.oracle = true
+	return o
+}
+
+// Oracle reports whether MaterializingOracle switched the test oracle on;
+// conj.Plan.Open is its one reader.
+func (o ExecOpts) Oracle() bool { return o.oracle }
 
 // Tracker accounts materialized intermediate rows across a pipeline (or
 // several: extraction shares one tracker across all segment pipelines of
@@ -162,9 +189,9 @@ func Collect(it RowIter) (*Rel, error) {
 
 // Materialize eagerly drains it, tracks the materialized rows against tr
 // until the returned iterator is closed, and replays the rows. This is
-// the NoStream oracle mode's stage boundary: interposing Materialize
-// after every operator reproduces the old operator-at-a-time execution —
-// and its peak-memory profile — exactly.
+// the materializing oracle's stage boundary (MaterializingOracle):
+// interposing Materialize after every operator reproduces the old
+// operator-at-a-time execution — and its peak-memory profile — exactly.
 func Materialize(it RowIter, tr *Tracker) (RowIter, error) {
 	rel, err := Collect(it)
 	if err != nil {
@@ -428,18 +455,6 @@ func NewFilter(src RowIter, opts ExecOpts, keep func(Row) bool) RowIter {
 	return traced(it, opts.Trace.StartSpan("filter", ""))
 }
 
-// joinKey encodes the composite join key of row at the given column
-// positions via the shared injective encoding, so key equality is value
-// equality and probes need no re-check.
-func joinKey(row []Value, idx []int) string {
-	var sb strings.Builder
-	for _, i := range idx {
-		row[i].AppendKey(&sb)
-		sb.WriteByte('|')
-	}
-	return sb.String()
-}
-
 // buildProbeIter is the shared shape of the streaming binary operators:
 // the build input drains into operator state at the first Next (before
 // any output row exists), then the probe input streams through a kernel
@@ -641,12 +656,17 @@ func newHashJoin(a, b RowIter, aOn, bOn, keep []string, opts ExecOpts, op, detai
 	return traced(&buildProbeIter{cols: cols, build: a, probe: b, opts: opts,
 		mk: func(rows [][]Value) func(Row, func(Row)) {
 			table := make(map[string][][]Value, len(rows))
+			var key []byte
 			for _, row := range rows {
-				k := joinKey(row, ai)
+				key = AppendRowKey(key[:0], row, ai)
+				k := string(key)
 				table[k] = append(table[k], row)
 			}
 			return func(brow Row, emit func(Row)) {
-				for _, arow := range table[joinKey(brow, bi)] {
+				// Kernels run concurrently across a window, so the probe
+				// buffer is per call; short keys stay on the stack.
+				var buf [64]byte
+				for _, arow := range table[string(AppendRowKey(buf[:0], brow, bi))] {
 					emit(joinRow(nOut, arow, brow, fromA, fromB))
 				}
 			}
@@ -805,18 +825,11 @@ func (it *tableJoinIter) start() error {
 	if err != nil {
 		return err
 	}
-	// Single-column joins key the build map with the bare value encoding
-	// so its keys are exactly the index's bucket keys, letting the index
-	// path gather buckets straight from the build map.
-	key := func(row []Value, idx []int) string {
-		if len(idx) == 1 {
-			return hashKey(row[idx[0]])
-		}
-		return joinKey(row, idx)
-	}
 	build := make(map[string][][]Value, len(rows))
+	var kbuf []byte
 	for _, row := range rows {
-		k := key(row, it.ci)
+		kbuf = tableJoinKey(kbuf[:0], row, it.ci)
+		k := string(kbuf)
 		build[k] = append(build[k], row)
 	}
 	it.held = len(rows)
@@ -872,7 +885,8 @@ func (it *tableJoinIter) start() error {
 					return
 				}
 			}
-			for _, crow := range build[key(row, tn)] {
+			var buf [64]byte
+			for _, crow := range build[string(tableJoinKey(buf[:0], row, tn))] {
 				emit(joinRow(nOut, crow, row, fromCur, fromTable))
 			}
 		}
@@ -892,12 +906,24 @@ func (it *tableJoinIter) start() error {
 	}
 	ni, fromScan := it.ni, it.fromScan
 	kernel := func(brow Row, emit func(Row)) {
-		for _, crow := range build[key(brow, ni)] {
+		var buf [64]byte
+		for _, crow := range build[string(tableJoinKey(buf[:0], brow, ni))] {
 			emit(joinRow(nOut, crow, brow, fromCur, fromScan))
 		}
 	}
 	it.inner = newExpandIter(it.cols, scan, it.opts.Workers, kernel)
 	return nil
+}
+
+// tableJoinKey encodes a table join's build/probe key. Single-column joins
+// use the bare value encoding so the build map's keys are exactly the
+// index's bucket keys, letting the index path gather buckets straight from
+// the build map.
+func tableJoinKey(dst []byte, row []Value, idx []int) []byte {
+	if len(idx) == 1 {
+		return row[idx[0]].AppendKeyBytes(dst)
+	}
+	return AppendRowKey(dst, row, idx)
 }
 
 func (it *tableJoinIter) batches() int64 {
@@ -1028,10 +1054,7 @@ func (it *distinctIter) Next() (Row, bool, error) {
 			return nil, false, err
 		}
 		it.in++
-		key := it.key[:0]
-		for _, j := range it.idx {
-			key = append(row[j].AppendKeyBytes(key), '|')
-		}
+		key := AppendRowKey(it.key[:0], row, it.idx)
 		it.key = key
 		if _, dup := it.seen[string(key)]; dup {
 			continue

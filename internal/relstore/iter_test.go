@@ -71,7 +71,7 @@ func randTable(t *testing.T, db *DB, rng *rand.Rand, name string, cols []Column,
 // TestStreamingMaterializingEquivalence builds randomized
 // scan→join→project plans and runs each twice: as one fused streaming
 // pipeline, and with Materialize interposed after every operator (the
-// NoStream oracle, which reproduces the old operator-at-a-time
+// materializing oracle, which reproduces the old operator-at-a-time
 // execution). The collected outputs must match row for row, across
 // worker counts and index modes.
 func TestStreamingMaterializingEquivalence(t *testing.T) {

@@ -10,23 +10,35 @@ import (
 	"graphgen/internal/obs"
 )
 
-// TestAppendKeyBytesMatchesAppendKey pins the two appenders to one
-// encoding, over the values that have broken key encodings before:
+// TestAppendRowKeyEncoding pins the key bytes themselves — index buckets
+// are keyed by them and the single-column table join reuses bucket keys as
+// build-map keys — over the values that have broken key encodings before:
 // separators inside strings, digit-prefixed strings, int64 extremes.
-func TestAppendKeyBytesMatchesAppendKey(t *testing.T) {
-	vals := []Value{
-		IntVal(0), IntVal(-1), IntVal(7), IntVal(1 << 62), IntVal(-1 << 63),
-		StrVal(""), StrVal("a"), StrVal("a|b"), StrVal("|"), StrVal("12"), StrVal("1|s2:x"),
-		StrVal("i7"), StrVal(strings.Repeat("x", 300)),
-	}
-	prefix := []byte("p|")
-	for _, v := range vals {
-		var sb strings.Builder
-		sb.WriteString("p|")
-		v.AppendKey(&sb)
-		if got := string(v.AppendKeyBytes(prefix[:2:2])); got != sb.String() {
-			t.Errorf("%v: AppendKeyBytes %q, AppendKey %q", v, got, sb.String())
+func TestAppendRowKeyEncoding(t *testing.T) {
+	row := []Value{IntVal(7), StrVal("a|b"), IntVal(-1 << 63), StrVal(""), StrVal("1|s2:x"), StrVal("i7")}
+	for _, c := range []struct {
+		cols []int
+		want string
+	}{
+		{nil, "p|"},
+		{[]int{0}, "p|i7|"},
+		{[]int{1, 0}, "p|s3:a|b|i7|"},
+		{[]int{2, 3}, "p|i-9223372036854775808|s0:|"},
+		{[]int{4, 5, 5}, "p|s6:1|s2:x|s2:i7|s2:i7|"},
+	} {
+		prefix := []byte("p|")
+		if got := string(AppendRowKey(prefix[:2:2], row, c.cols)); got != c.want {
+			t.Errorf("cols %v: key %q, want %q", c.cols, got, c.want)
 		}
+	}
+	for i, v := range row {
+		if got, want := hashKey(v)+"|", string(AppendRowKey(nil, row, []int{i})); got != want {
+			t.Errorf("%v: bucket key %q is not the one-column row key %q minus its separator", v, got, want)
+		}
+	}
+	long := StrVal(strings.Repeat("x", 300))
+	if got, want := hashKey(long), "s300:"+long.S; got != want {
+		t.Errorf("long string: bucket key %q", got)
 	}
 }
 

@@ -1,9 +1,6 @@
 package relstore
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // This file holds the materialized relation type (Rel) and the scan
 // validation and planner-cost helpers of the streaming operators
@@ -56,12 +53,11 @@ func validateScan(t *Table, preds []Pred, cols []int, names []string) error {
 	return nil
 }
 
-// hashKey encodes one value for composite join/distinct keys via the
-// shared unambiguous encoding (Value.AppendKey).
+// hashKey is the index bucket key of one value: its bare AppendKeyBytes
+// encoding.
 func hashKey(v Value) string {
-	var sb strings.Builder
-	v.AppendKey(&sb)
-	return sb.String()
+	var buf [32]byte
+	return string(v.AppendKeyBytes(buf[:0]))
 }
 
 // concatChunks merges per-chunk row slices in chunk order.

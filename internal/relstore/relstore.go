@@ -56,40 +56,32 @@ func (v Value) Equal(o Value) bool {
 	return v.S == o.S
 }
 
-// AppendKey writes an unambiguous encoding of v to sb, for composite
-// hash/dedup keys: integers render as digits, strings are
-// length-prefixed, so a value containing a caller's separator byte can
-// never shift content between key components. Callers append their own
-// separator between components. This is the single key encoding shared
-// by the relational operators (joins, distinct) and the Datalog
-// evaluator's tuple sets — extend it in keyHead, in one place, if Value
-// ever grows a new type.
-func (v Value) AppendKey(sb *strings.Builder) {
-	var head [24]byte // 's' + up to 20 digits + ':' fits; never escapes
-	sb.Write(v.keyHead(head[:0]))
-	if v.T == String {
-		sb.WriteString(v.S)
-	}
-}
-
-// AppendKeyBytes appends the AppendKey encoding of v to b and returns the
-// extended slice, for callers that encode into a reused buffer and probe
-// a map with string(b) (which does not allocate).
+// AppendKeyBytes appends an unambiguous encoding of v to b and returns the
+// extended slice, for composite hash/dedup keys: integers render as
+// digits, strings are length-prefixed, so a value containing a caller's
+// separator byte can never shift content between key components. This is
+// the single key encoding shared by the relational operators (index
+// buckets, joins, distinct) and the Datalog evaluator's tuple sets —
+// extend it here, in one place, if Value ever grows a new type. Callers
+// encode into a reused buffer and probe a map with string(b), which does
+// not allocate.
 func (v Value) AppendKeyBytes(b []byte) []byte {
-	b = v.keyHead(b)
-	if v.T == String {
-		b = append(b, v.S...)
-	}
-	return b
-}
-
-// keyHead appends v's key encoding up to, and excluding, a string's
-// content: the one definition both appenders above share.
-func (v Value) keyHead(b []byte) []byte {
 	if v.T == Int {
 		return strconv.AppendInt(append(b, 'i'), v.I, 10)
 	}
-	return append(strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10), ':')
+	b = append(strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10), ':')
+	return append(b, v.S...)
+}
+
+// AppendRowKey appends the composite key of row's values at cols — each
+// value's AppendKeyBytes encoding followed by '|' — to dst and returns the
+// extended slice. Key equality is value equality on those columns, so a
+// map probe needs no re-check.
+func AppendRowKey(dst []byte, row []Value, cols []int) []byte {
+	for _, c := range cols {
+		dst = append(row[c].AppendKeyBytes(dst), '|')
+	}
+	return dst
 }
 
 // Compare totally orders two values: -1, 0, or +1. Ints order before

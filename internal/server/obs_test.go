@@ -174,7 +174,7 @@ func TestRequestIDEnvelopeLogAgreement(t *testing.T) {
 // TestMetricsStatusClasses exercises the per-route status-class split:
 // 2xx and 4xx traffic on one route land in separate classes, errors
 // equals the 4xx count, the latency histogram accounts every request,
-// and deprecated-alias rows stay distinct from their /v1 twins.
+// and requests no route matches share one fixed "unmatched" row.
 func TestMetricsStatusClasses(t *testing.T) {
 	_, ts := newTestServer(t, 30, 20)
 	createSession(t, ts, "co", false)
@@ -187,8 +187,10 @@ func TestMetricsStatusClasses(t *testing.T) {
 	if code, _ := doJSON(t, "GET", ts.URL+"/v1/graphs/ghost/stats", nil); code != http.StatusNotFound {
 		t.Fatal("expected 404")
 	}
-	if code, _ := doJSON(t, "GET", ts.URL+"/healthz", nil); code != http.StatusOK {
-		t.Fatal("legacy healthz failed")
+	for _, path := range []string{"/healthz", "/v2/anything"} {
+		if code, _ := doJSON(t, "GET", ts.URL+path, nil); code != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, code)
+		}
 	}
 
 	_, m := doJSON(t, "GET", ts.URL+"/v1/metrics", nil)
@@ -222,8 +224,8 @@ func TestMetricsStatusClasses(t *testing.T) {
 		t.Errorf("terminator bucket = %v, want le +Inf count 3", last)
 	}
 
-	if alias := stats("GET /healthz (deprecated)"); alias["count"] != float64(1) {
-		t.Errorf("deprecated alias row count = %v, want 1", alias["count"])
+	if un := stats("unmatched"); un["count"] != float64(2) || un["errors"] != float64(2) {
+		t.Errorf("unmatched row count/errors = %v/%v, want 2/2", un["count"], un["errors"])
 	}
 }
 

@@ -4,8 +4,8 @@
 // sessions — static snapshots or live graphs maintained incrementally as
 // the tables change (cmd/graphgend is the binary front end).
 //
-// Endpoints (versioned under /v1; the bare legacy routes remain as
-// aliases and label themselves "(deprecated)" in /metrics route stats):
+// Endpoints (all under /v1; any other path — the retired bare spellings
+// included — answers 404 with the error envelope, code "route_not_found"):
 //
 //	POST   /v1/graphs                          extract a query or Datalog program into a session
 //	GET    /v1/graphs                          list sessions
@@ -48,7 +48,7 @@
 // extraction. Program sessions are static-only: derived predicates are
 // not incrementally maintained under table mutations, so live=true is
 // rejected with a clear error — re-create the session to observe new
-// data. /metrics aggregates their evaluation counters (programs run,
+// data. /v1/metrics aggregates their evaluation counters (programs run,
 // strata, iterations, derived tuples) under "datalog_eval".
 //
 // Analytics results are memoized in a size-bounded LRU keyed by
@@ -203,16 +203,9 @@ func New(engine *graphgen.Engine, opts Options) *Server {
 		logger:           logger,
 	}
 	s.mux = http.NewServeMux()
-	// Every endpoint registers twice: the canonical versioned pattern under
-	// /v1, and the pre-versioning bare pattern as a compatibility alias.
-	// The alias serves the identical handler but is labeled "(deprecated)"
-	// in /metrics route stats, so operators can watch legacy traffic drain
-	// before the alias is removed.
 	route := func(method, path string, h http.HandlerFunc) {
-		v1 := method + " /v1" + path
-		legacy := method + " " + path
-		s.mux.HandleFunc(v1, s.instrument(v1, h))
-		s.mux.HandleFunc(legacy, s.instrument(legacy+" (deprecated)", h))
+		pattern := method + " /v1" + path
+		s.mux.HandleFunc(pattern, s.instrument(pattern, h))
 	}
 	route("POST", "/graphs", s.handleCreateGraph)
 	route("GET", "/graphs", s.handleListGraphs)
@@ -224,6 +217,11 @@ func New(engine *graphgen.Engine, opts Options) *Server {
 	route("POST", "/db/{table}/delete", s.handleMutate("delete"))
 	route("GET", "/healthz", s.handleHealthz)
 	route("GET", "/metrics", s.handleMetrics)
+	// Everything else gets the envelope (and a request id, a log line and
+	// one fixed metrics label) instead of net/http's plain-text 404.
+	s.mux.HandleFunc("/", s.instrument("unmatched", func(w http.ResponseWriter, r *http.Request) {
+		s.error(w, r, http.StatusNotFound, codeRouteNotFound, "no route %s %s: the API is served under /v1", r.Method, r.URL.Path)
+	}))
 	if opts.EnablePprof {
 		// Deliberately not registered through route(): the profiling
 		// surface is unversioned, opt-in, and uninstrumented (a pprof
@@ -337,6 +335,7 @@ const (
 	codeSessionExists    = "session_exists"    // create collided with an existing session name
 	codeSessionLimit     = "session_limit"     // MaxSessions reached
 	codeSessionNotFound  = "session_not_found" // no session under that name
+	codeRouteNotFound    = "route_not_found"   // no endpoint at that method and path
 	codeExtractionFailed = "extraction_failed" // query/program parse or evaluation error
 	codeBudgetExceeded   = "budget_exceeded"   // evaluation aborted by the derived-tuple budget
 	codeTableNotFound    = "table_not_found"   // mutation names an unknown table

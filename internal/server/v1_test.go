@@ -3,73 +3,51 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"reflect"
 	"strings"
 	"testing"
 
 	"graphgen/internal/datagen"
 )
 
-// TestV1RoutesAliasLegacy pins the versioning contract: every /v1 route
-// and its bare legacy alias are served by the same handler and return
-// byte-identical payloads (modulo fields that measure the request
-// itself, like uptime).
-func TestV1RoutesAliasLegacy(t *testing.T) {
+// TestBareRoutesRetired pins the versioning contract after the legacy
+// aliases were removed: every endpoint answers under /v1 only, its bare
+// spelling gets the 404 error envelope like any other unknown path, and
+// the route stats carry no "(deprecated)" label.
+func TestBareRoutesRetired(t *testing.T) {
 	_, ts := newTestServer(t, 40, 30)
-	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
-		"name": "co", "query": datagen.QueryCoauthors,
-	})
-	if code != http.StatusCreated {
-		t.Fatalf("create via /v1: status %d, body %v", code, body)
-	}
-	paths := []string{
-		"/graphs",
-		"/graphs/co/stats",
-		"/graphs/co/neighbors?v=1",
-	}
-	for _, path := range paths {
-		legacyCode, legacy := doJSON(t, "GET", ts.URL+path, nil)
-		v1Code, v1 := doJSON(t, "GET", ts.URL+"/v1"+path, nil)
-		if legacyCode != v1Code {
-			t.Fatalf("%s: legacy status %d, /v1 status %d", path, legacyCode, v1Code)
+	createSession(t, ts, "co", false)
+	for _, c := range []struct{ method, path string }{
+		{"POST", "/graphs"},
+		{"GET", "/graphs"},
+		{"DELETE", "/graphs/co"},
+		{"GET", "/graphs/co/stats"},
+		{"GET", "/graphs/co/neighbors?v=1"},
+		{"GET", "/graphs/co/analyze/degree"},
+		{"POST", "/db/AuthorPub/insert"},
+		{"POST", "/db/AuthorPub/delete"},
+		{"GET", "/healthz"},
+		{"GET", "/metrics"},
+	} {
+		code, body := doJSON(t, c.method, ts.URL+c.path, map[string]any{"name": "x", "query": datagen.QueryCoauthors, "row": []any{1, 1}})
+		errCode, msg := errEnvelope(t, body)
+		reqID, _ := body["error"].(map[string]any)["request_id"].(string)
+		if code != http.StatusNotFound || errCode != "route_not_found" || msg == "" || reqID == "" {
+			t.Errorf("%s %s: status %d, envelope %v; want 404 route_not_found with a message and request id", c.method, c.path, code, body)
 		}
-		if !reflect.DeepEqual(legacy, v1) {
-			t.Fatalf("%s: legacy payload %v, /v1 payload %v", path, legacy, v1)
-		}
 	}
-	// Healthz payloads share shape; uptime advances between the requests.
-	legacyCode, legacy := doJSON(t, "GET", ts.URL+"/healthz", nil)
-	v1Code, v1 := doJSON(t, "GET", ts.URL+"/v1/healthz", nil)
-	if legacyCode != http.StatusOK || v1Code != http.StatusOK ||
-		legacy["status"] != v1["status"] || legacy["sessions"] != v1["sessions"] {
-		t.Fatalf("healthz mismatch: legacy %v, /v1 %v", legacy, v1)
+	// Nothing the bare requests carried took effect.
+	if code, list := doJSON(t, "GET", ts.URL+api+"/graphs", nil); code != http.StatusOK || len(list["sessions"].([]any)) != 1 {
+		t.Fatalf("sessions after bare requests: status %d, %v", code, list)
 	}
-	// Errors carry the same envelope on both spellings, modulo the
-	// per-request id (each request gets its own).
-	legacyCode, legacy = doJSON(t, "GET", ts.URL+"/graphs/nope/stats", nil)
-	v1Code, v1 = doJSON(t, "GET", ts.URL+"/v1/graphs/nope/stats", nil)
-	if legacyCode != http.StatusNotFound || v1Code != http.StatusNotFound {
-		t.Fatalf("missing session: legacy %d, /v1 %d", legacyCode, v1Code)
-	}
-	for _, body := range []map[string]any{legacy, v1} {
-		inner := body["error"].(map[string]any)
-		if id, _ := inner["request_id"].(string); id == "" {
-			t.Fatalf("error envelope missing request_id: %v", body)
-		}
-		delete(inner, "request_id")
-	}
-	if !reflect.DeepEqual(legacy, v1) {
-		t.Fatalf("error envelope mismatch: legacy %v, /v1 %v", legacy, v1)
-	}
-	// Both spellings appear in /metrics route stats; the legacy one is
-	// labeled deprecated so operators can watch its traffic drain.
-	_, m := doJSON(t, "GET", ts.URL+"/v1/metrics", nil)
+	_, m := doJSON(t, "GET", ts.URL+api+"/metrics", nil)
 	reqs := m["requests"].(map[string]any)
-	if _, ok := reqs["GET /v1/graphs/{name}/stats"]; !ok {
+	if _, ok := reqs["GET /v1/graphs"]; !ok {
 		t.Fatalf("no /v1 route label in metrics: %v", reqs)
 	}
-	if _, ok := reqs["GET /graphs/{name}/stats (deprecated)"]; !ok {
-		t.Fatalf("no deprecated legacy label in metrics: %v", reqs)
+	for label := range reqs {
+		if strings.Contains(label, "deprecated") || !(strings.Contains(label, " /v1/") || label == "unmatched") {
+			t.Errorf("unexpected route label %q in metrics", label)
+		}
 	}
 }
 

@@ -24,13 +24,15 @@ echo "== graphlint"
 go run ./cmd/graphlint -counts "$@"
 
 # The nested bench module is outside ./...; its one-second runs are
-# oracle checks (extraction rows; degrees and PageRank of all five
-# representations; Reach closure == independent BFS, which covers the
+# oracle checks (extraction rows, on the default planner path through
+# Engine.Extract and on the forced join pipeline; degrees and PageRank of
+# all five representations; Reach closure == independent BFS, which covers the
 # datalogeval caller of the conjunctive evaluator; served neighbors ==
 # fresh Extract, which covers the incremental caller), not measurements.
 echo "== bench module (vet, tests, oracle smoke)"
 go vet -C bench ./...
 go test -C bench ./...
+go run -C bench . -workload extract-condensed -seconds 1
 go run -C bench . -workload extract-expand -seconds 1
 go run -C bench . -workload dedup-analytics -seconds 1
 go run -C bench . -workload program-recursive -seconds 1

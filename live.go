@@ -49,15 +49,12 @@ func (e *Engine) ExtractLive(dsl string, opts ...Option) (*LiveGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := e.opts
-	for _, fn := range opts {
-		fn(&o)
-	}
-	live, err := incremental.New(e.db, prog, o)
+	cfg := e.cfg.with(opts)
+	live, err := incremental.New(e.db, prog, cfg.extract)
 	if err != nil {
 		return nil, err
 	}
-	return &LiveGraph{live: live, profile: o.Trace.Finish()}, nil
+	return &LiveGraph{live: live, profile: cfg.extract.Trace.Finish()}, nil
 }
 
 // Vertices returns an iterator over all vertices.

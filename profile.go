@@ -1,9 +1,6 @@
 package graphgen
 
-import (
-	"graphgen/internal/extract"
-	"graphgen/internal/obs"
-)
+import "graphgen/internal/obs"
 
 // This file is the public EXPLAIN/ANALYZE surface. WithProfile arms
 // operator-span tracing for one extraction call; the resulting Graph
@@ -25,7 +22,7 @@ type Profile = obs.Span
 // (an engine-level profile would accumulate every extraction into one
 // tree).
 func WithProfile() Option {
-	return func(o *extract.Options) { o.Trace = obs.NewTrace() }
+	return func(c *config) { c.extract.Trace = obs.NewTrace() }
 }
 
 // Profile returns the execution tree recorded when the graph was

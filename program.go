@@ -26,9 +26,10 @@ var ErrTooManyDerived = datalogeval.ErrTooManyDerived
 // WithMaxDerivedTuples bounds the total number of tuples the program
 // evaluator may materialize for derived predicates (0, the default,
 // disables the guard). It is the evaluation-side counterpart of
-// WithMaxEdges.
+// WithMaxEdges; Extract and ExtractLive evaluate no derived predicates and
+// ignore it.
 func WithMaxDerivedTuples(n int64) Option {
-	return func(o *extract.Options) { o.MaxDerivedTuples = n }
+	return func(c *config) { c.maxDerivedTuples = n }
 }
 
 // ExtractProgram parses and runs a multi-rule Datalog program: derived
@@ -54,21 +55,15 @@ func (e *Engine) ExtractProgram(src string, opts ...Option) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := e.opts
-	for _, fn := range opts {
-		fn(&o)
-	}
+	cfg := e.cfg.with(opts)
 	ev, err := datalogeval.Evaluate(e.db, ps, datalogeval.Options{
-		Workers:          o.Workers,
-		MaxDerivedTuples: o.MaxDerivedTuples,
-		NoIndex:          o.NoIndex,
-		NoStream:         o.NoStream,
-		Trace:            o.Trace,
+		ExecOpts:         cfg.extract.ExecOpts,
+		MaxDerivedTuples: cfg.maxDerivedTuples,
 	})
 	if err != nil {
 		return nil, err
 	}
-	res, err := extract.Extract(ev.DB, ev.Program, o)
+	res, err := extract.Extract(ev.DB, ev.Program, cfg.extract)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +74,7 @@ func (e *Engine) ExtractProgram(src string, opts ...Option) (*Graph, error) {
 	if res.Stats.PeakIntermediateRows > evalStats.PeakIntermediateRows {
 		evalStats.PeakIntermediateRows = res.Stats.PeakIntermediateRows
 	}
-	return &Graph{c: res.Graph, stats: res.Stats, evalStats: &evalStats, profile: o.Trace.Finish()}, nil
+	return &Graph{c: res.Graph, stats: res.Stats, evalStats: &evalStats, profile: cfg.extract.Trace.Finish()}, nil
 }
 
 // ProgramStats returns the Datalog evaluation statistics when the graph

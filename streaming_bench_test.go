@@ -34,19 +34,18 @@ Edges(ID1, ID2) :- AuthorPubYear(ID1, P, Y), AuthorPubYear(ID2, P, Y).
 
 // BenchmarkStreamingExtraction times the low-selectivity extraction
 // through the default fused streaming pipeline and the legacy
-// materializing path (the NoStream oracle), reporting each arm's peak
+// materializing path (the relstore.MaterializingOracle test oracle), reporting each arm's peak
 // intermediate rows as a benchjson extra metric next to ns/op.
 func BenchmarkStreamingExtraction(b *testing.B) {
 	db, prog := streamingBenchWorkload()
 	for _, mode := range []struct {
-		name     string
-		noStream bool
+		name   string
+		oracle bool
 	}{{"Streaming", false}, {"Materializing", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			var peak int64
 			for i := 0; i < b.N; i++ {
-				opts := extract.DefaultOptions()
-				opts.NoStream = mode.noStream
+				opts := extractOptions(mode.oracle)
 				res, err := extract.Extract(db, prog, opts)
 				if err != nil {
 					b.Fatal(err)
@@ -68,15 +67,13 @@ func TestStreamingPeakReduction(t *testing.T) {
 		t.Skip("multi-second extraction workload skipped in -short mode")
 	}
 	db, prog := streamingBenchWorkload()
-	measure := func(noStream bool) int64 {
-		opts := extract.DefaultOptions()
-		opts.NoStream = noStream
-		res, err := extract.Extract(db, prog, opts)
+	measure := func(oracle bool) int64 {
+		res, err := extract.Extract(db, prog, extractOptions(oracle))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Stats.PeakIntermediateRows <= 0 {
-			t.Fatalf("noStream=%v reported no peak intermediate rows", noStream)
+			t.Fatalf("oracle=%v reported no peak intermediate rows", oracle)
 		}
 		return res.Stats.PeakIntermediateRows
 	}
