@@ -43,8 +43,9 @@ func Condensed(cfg CondensedConfig) *core.Graph {
 		g.AddRealNode(int64(i + 1))
 	}
 	// degree tracks virtual memberships per real node for the
-	// preferential choices.
+	// preferential choices; degreeTotal is the sum of degree+1.
 	degree := make([]int, n)
+	degreeTotal := n
 
 	sampleSize := func() int {
 		s := int(rng.NormFloat64()*cfg.StdDev + cfg.MeanSize)
@@ -100,7 +101,7 @@ func Condensed(cfg CondensedConfig) *core.Graph {
 			// Anchor on a real node weighted by degree, then fill
 			// from its 2-hop membership neighborhood weighted by
 			// degree squared.
-			anchor := pickWeighted(rng, degree)
+			anchor := pickWeighted(rng, degree, degreeTotal)
 			members[int32(anchor)] = struct{}{}
 			cands := neighborhood(memberSets[:i], degree, int32(anchor))
 			for len(members) < spec.size && len(cands) > 0 {
@@ -114,6 +115,7 @@ func Condensed(cfg CondensedConfig) *core.Graph {
 		for m := range members {
 			degree[m]++
 		}
+		degreeTotal += len(members)
 	}
 	// Step 5: merge split halves back into one virtual node.
 	for i, spec := range specs {
@@ -142,12 +144,10 @@ func Condensed(cfg CondensedConfig) *core.Graph {
 	return g
 }
 
-// pickWeighted picks an index with probability proportional to weight+1.
-func pickWeighted(rng *rand.Rand, weights []int) int {
-	total := 0
-	for _, w := range weights {
-		total += w + 1
-	}
+// pickWeighted picks an index with probability proportional to weight+1;
+// total is the sum of those, which callers keep as they change weights
+// instead of having every pick re-add them all.
+func pickWeighted(rng *rand.Rand, weights []int, total int) int {
 	x := rng.Intn(total)
 	for i, w := range weights {
 		x -= w + 1

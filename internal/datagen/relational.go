@@ -51,7 +51,7 @@ func DBLPTemporal(seed int64, nAuthors, nPubs, fromYear, toYear int) *relstore.D
 	for a := 1; a <= nAuthors; a++ {
 		author.Insert(relstore.IntVal(int64(a)), relstore.StrVal(fmt.Sprintf("author-%d", a)))
 	}
-	degree := make([]int, nAuthors)
+	degree, degreeTotal := make([]int, nAuthors), nAuthors
 	years := toYear - fromYear + 1
 	for pid := 1; pid <= nPubs; pid++ {
 		year := int64(fromYear + rng.Intn(years))
@@ -66,7 +66,7 @@ func DBLPTemporal(seed int64, nAuthors, nPubs, fromYear, toYear int) *relstore.D
 		for len(seen) < size {
 			var m int
 			if rng.Float64() < 0.3 {
-				m = pickWeighted(rng, degree)
+				m = pickWeighted(rng, degree, degreeTotal)
 			} else {
 				m = rng.Intn(nAuthors)
 			}
@@ -75,6 +75,7 @@ func DBLPTemporal(seed int64, nAuthors, nPubs, fromYear, toYear int) *relstore.D
 			}
 			seen[m] = struct{}{}
 			degree[m]++
+			degreeTotal++
 			apy.Insert(relstore.IntVal(int64(m+1)), relstore.IntVal(int64(1_000_000+pid)), relstore.IntVal(year))
 		}
 	}
@@ -177,7 +178,7 @@ func UnivLike(seed int64, nStudents, nInstructors, nCourses, coursesPerStudent i
 // mild preferential skew. Group IDs start at idBase to keep them disjoint
 // from member IDs.
 func addMembership(rng *rand.Rand, t *relstore.Table, nMembers, nGroups int, mean, sd float64, idBase int64) {
-	degree := make([]int, nMembers)
+	degree, degreeTotal := make([]int, nMembers), nMembers
 	for gID := 1; gID <= nGroups; gID++ {
 		size := int(rng.NormFloat64()*sd + mean)
 		if size < 1 {
@@ -190,7 +191,7 @@ func addMembership(rng *rand.Rand, t *relstore.Table, nMembers, nGroups int, mea
 		for len(seen) < size {
 			var m int
 			if rng.Float64() < 0.3 {
-				m = pickWeighted(rng, degree)
+				m = pickWeighted(rng, degree, degreeTotal)
 			} else {
 				m = rng.Intn(nMembers)
 			}
@@ -202,6 +203,7 @@ func addMembership(rng *rand.Rand, t *relstore.Table, nMembers, nGroups int, mea
 			}
 			seen[m] = struct{}{}
 			degree[m]++
+			degreeTotal++
 			t.Insert(relstore.IntVal(int64(m+1)), relstore.IntVal(idBase+int64(gID)))
 		}
 	}
