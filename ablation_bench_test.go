@@ -1,6 +1,7 @@
 package graphgen
 
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for four design choices of the condensed
+// representation (paper Sections 4.2 and 5):
 //
 //   - Step-6 preprocessing (inline tiny virtual nodes) on vs off;
 //   - the C-DUP on-the-fly hash set vs DEDUP-1's hashset-free traversal on
@@ -32,6 +33,7 @@ func BenchmarkAblation_Preprocessing(b *testing.B) {
 			name = "WithoutPreprocess"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			var virtuals int
 			for i := 0; i < b.N; i++ {
 				opts := extract.DefaultOptions()
@@ -76,6 +78,7 @@ func BenchmarkAblation_HashSetOverhead(b *testing.B) {
 		work := g.Clone()
 		work.SetMode(mode)
 		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				work.ForEachReal(func(r int32) bool {
 					work.ForNeighbors(r, func(int32) bool { return true })
@@ -101,6 +104,7 @@ func BenchmarkAblation_BitmapVsHashSet(b *testing.B) {
 		g    *core.Graph
 	}{{"C-DUP/hashset", g}, {"BITMAP/masks", bm}} {
 		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tc.g.ForEachReal(func(r int32) bool {
 					tc.g.ForNeighbors(r, func(int32) bool { return true })
@@ -142,6 +146,7 @@ func BenchmarkAblation_FlattenLayers(b *testing.B) {
 				ids = append(ids, tc.g.RealID(r))
 				return len(ids) < 64
 			})
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id := ids[i%len(ids)]

@@ -1,12 +1,12 @@
 // Command experiments regenerates the tables and figures of the paper's
 // evaluation (Section 6). Each experiment prints rows in the layout of the
-// corresponding table/figure; see EXPERIMENTS.md for the paper-vs-measured
-// comparison.
+// corresponding table/figure; README.md ("Reproducing the evaluation (§6)")
+// describes the reproduction targets.
 //
 // Usage:
 //
 //	experiments -exp table1          # one experiment
-//	experiments -exp all             # everything (the EXPERIMENTS.md run)
+//	experiments -exp all             # everything
 //	experiments -exp fig10 -quick    # smaller datasets, faster
 //	experiments -list
 package main

@@ -1,6 +1,5 @@
-// Command graphload drives a sustained mixed workload against a
-// graphgend endpoint and reports per-op-class latency percentiles in a
-// form the cmd/benchjson pipeline ingests.
+// Command graphload drives a sustained mixed workload against a running
+// graphgend endpoint and reports per-op-class latency percentiles.
 //
 // It replays three op classes against one live graph session, with a
 // configurable weight mix:
@@ -11,23 +10,17 @@
 //	analyze  GET  /v1/graphs/{s}/analyze/...      rotation over degree, components,
 //	                                           sssp, closeness
 //
-// With no -addr it generates an SNB social network (internal/datagen)
-// at the requested scale factor and serves it from an in-process
-// server, so a single command is a self-contained load test:
+// The endpoint must serve an SNB-schema dataset (graphgend -dataset snb):
 //
-//	graphload -sf 0.1 -duration 5s
+//	graphgend -addr localhost:8080 -dataset snb &
 //	graphload -addr localhost:8080 -clients 16 -mix read=80,mutate=15,analyze=5
 //
-// Alongside the human summary it emits one machine-readable line per op
-// class:
-//
-//	LOADSTAT graphload/read ops=5000 errors=0 p50_ns=120000 p95_ns=300000 p99_ns=500000 ops_per_s=1234.5
-//
-// which `benchjson convert` folds into the benchmark artifact (schema
-// v2 "latencies") next to the ns/op rows, and `benchjson compare`
-// gates on p99. Exit codes follow the repo convention: 0 on success
-// (any op errors make the run a failure), 1 on runtime errors, 2 on
-// usage errors; -h exits 0.
+// graphload is a load driver, not a benchmark: the committed
+// measurement harness is the bench/ module (go run -C bench .), whose
+// serve-* workloads time the same daemon. Exit codes follow the repo
+// convention: 0 on success (any op errors make the run a failure), 1 on
+// runtime errors, 2 on usage errors (including a missing -addr); -h
+// exits 0.
 package main
 
 import (
@@ -38,17 +31,12 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-
-	"graphgen"
-	"graphgen/internal/datagen"
-	"graphgen/internal/server"
 )
 
 func main() {
@@ -72,14 +60,12 @@ const mutIDBase = int64(900_000_000)
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("graphload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	addr := fs.String("addr", "", "graphgend endpoint (host:port or URL); empty runs an in-process server")
-	sf := fs.Float64("sf", 0.1, "SNB scale factor for the in-process server (ignored with -addr)")
-	seed := fs.Int64("seed", 1, "generator and client RNG seed")
+	addr := fs.String("addr", "", "graphgend endpoint (host:port or URL), required")
+	seed := fs.Int64("seed", 1, "client RNG seed")
 	clients := fs.Int("clients", 8, "concurrent client connections")
 	duration := fs.Duration("duration", 10*time.Second, "sustained load duration")
 	mixSpec := fs.String("mix", "read=60,mutate=30,analyze=10", "op class weights as class=weight pairs")
 	sessName := fs.String("session", "load", "live session name created on the endpoint")
-	outPath := fs.String("out", "", "also append the LOADSTAT rows to this file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -99,8 +85,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *duration <= 0 {
 		return usage("-duration must be positive, got %v", *duration)
 	}
-	if *addr == "" && *sf <= 0 {
-		return usage("-sf must be positive for the in-process server, got %g", *sf)
+	if *addr == "" {
+		return usage("-addr is required (the graphgend endpoint to load)")
 	}
 	mix, err := parseMix(*mixSpec)
 	if err != nil {
@@ -108,14 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	base := *addr
-	if base == "" {
-		db := datagen.SNB(datagen.SNBConfig{Seed: *seed, ScaleFactor: *sf})
-		srv := server.New(graphgen.NewEngine(db), server.Options{})
-		defer srv.Close()
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		base = ts.URL
-	} else if !strings.Contains(base, "://") {
+	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
 	base = strings.TrimRight(base, "/")
@@ -144,12 +123,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer lg.deleteSession()
 
-	where := "remote"
-	if *addr == "" {
-		where = fmt.Sprintf("in-process, snb sf=%g", *sf)
-	}
-	fmt.Fprintf(stdout, "graphload: %d clients for %v against %s (%s; session %q; %d vertices; mix %s)\n",
-		*clients, *duration, base, where, *sessName, vertices, *mixSpec)
+	fmt.Fprintf(stdout, "graphload: %d clients for %v against %s (session %q; %d vertices; mix %s)\n",
+		*clients, *duration, base, *sessName, vertices, *mixSpec)
 
 	workers := make([]*worker, *clients)
 	start := time.Now()
@@ -172,7 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	var loadstats []string
 	totalErrors := int64(0)
 	var firstErr error
 	for class := 0; class < numClasses; class++ {
@@ -193,28 +167,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ops := int64(len(lat))
 		totalErrors += errs
 		p50, p95, p99 := pct(lat, 50), pct(lat, 95), pct(lat, 99)
-		opsPerSec := float64(ops) / elapsed.Seconds()
-		name := classNames[class]
-		fmt.Fprintf(stdout, "graphload: %-7s ops=%d errors=%d p50=%v p95=%v p99=%v (%s ops/s)\n",
-			name, ops, errs, time.Duration(p50), time.Duration(p95), time.Duration(p99), fmtF(opsPerSec))
-		loadstats = append(loadstats, fmt.Sprintf(
-			"LOADSTAT graphload/%s ops=%d errors=%d p50_ns=%d p95_ns=%d p99_ns=%d ops_per_s=%s",
-			name, ops, errs, p50, p95, p99, fmtF(opsPerSec)))
-	}
-	for _, row := range loadstats {
-		fmt.Fprintln(stdout, row)
-	}
-	if *outPath != "" {
-		f, err := os.OpenFile(*outPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fail(err)
-		}
-		for _, row := range loadstats {
-			fmt.Fprintln(f, row)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
+		fmt.Fprintf(stdout, "graphload: %-7s ops=%d errors=%d p50=%v p95=%v p99=%v (%.1f ops/s)\n",
+			classNames[class], ops, errs, time.Duration(p50), time.Duration(p95), time.Duration(p99),
+			float64(ops)/elapsed.Seconds())
 	}
 	if totalErrors > 0 {
 		return fail(fmt.Errorf("%d op errors (first: %v)", totalErrors, firstErr))
@@ -279,10 +234,6 @@ func pct(sorted []int64, q int) int64 {
 	}
 	return sorted[idx-1]
 }
-
-// fmtF renders a rate with one decimal and never in exponent notation
-// (the LOADSTAT grammar only admits [0-9.]).
-func fmtF(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
 
 // --- HTTP plumbing ---
 
@@ -391,12 +342,20 @@ func (lg *loadgen) health() error {
 	return nil
 }
 
+// queryKnows is the SNB dataset's person-knows-person extraction query
+// (datagen.QueryKnows, spelled out so the command does not link the
+// generator).
+const queryKnows = `
+Nodes(ID, Name) :- Person(ID, Name, Country).
+Edges(A, B) :- Knows(A, B).
+`
+
 // createSession creates the live Knows session the read and analyze
 // ops target and returns its vertex count. A leftover session from an
 // earlier run (409) is dropped and re-created so repeated invocations
 // against a long-lived daemon just work.
 func (lg *loadgen) createSession() (int64, error) {
-	req := map[string]any{"name": lg.session, "query": datagen.QueryKnows, "live": true}
+	req := map[string]any{"name": lg.session, "query": queryKnows, "live": true}
 	var body struct {
 		Vertices int64 `json:"vertices"`
 	}

@@ -5,10 +5,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"graphgen"
+	"graphgen/internal/datagen"
+	"graphgen/internal/server"
 )
 
 func runCapture(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -28,16 +31,24 @@ func TestHelpExitsZero(t *testing.T) {
 	}
 }
 
+// TestUsageErrorsExitTwo: every case runs after a valid -addr, so each
+// one fails on the flag it names ("missing addr" overrides it with an
+// empty one). The endpoint is never contacted: usage errors are caught
+// before the health probe.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 	}{
+		{"missing addr", []string{"-addr", ""}},
 		{"unknown flag", []string{"-nope"}},
 		{"stray argument", []string{"extra"}},
 		{"zero clients", []string{"-clients", "0"}},
 		{"zero duration", []string{"-duration", "0s"}},
+		// -sf and -out belonged to the retired in-process mode: both
+		// are unknown flags now.
 		{"negative sf", []string{"-sf", "-1"}},
+		{"removed out", []string{"-out", "load.out"}},
 		{"mix unknown class", []string{"-mix", "read=1,write=2"}},
 		{"mix malformed entry", []string{"-mix", "read"}},
 		{"mix negative weight", []string{"-mix", "read=-5"}},
@@ -45,9 +56,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, _, stderr := runCapture(t, tc.args...)
+			args := append([]string{"-addr", "127.0.0.1:1"}, tc.args...)
+			code, _, stderr := runCapture(t, args...)
 			if code != 2 {
-				t.Fatalf("args %v exited %d, want 2\nstderr: %s", tc.args, code, stderr)
+				t.Fatalf("args %v exited %d, want 2\nstderr: %s", args, code, stderr)
 			}
 		})
 	}
@@ -169,17 +181,17 @@ func TestReadErrorPaths(t *testing.T) {
 			if !strings.Contains(stderr, "op errors") {
 				t.Fatalf("stderr does not report op errors:\n%s", stderr)
 			}
-			// The LOADSTAT row still comes out (partial data beats none)
+			// The summary row still comes out (partial data beats none)
 			// and its error count is honest.
 			for _, line := range strings.Split(stdout, "\n") {
-				if strings.HasPrefix(line, "LOADSTAT graphload/read") {
-					if strings.Contains(line, "errors=0") {
-						t.Fatalf("LOADSTAT row claims zero errors:\n%s", line)
+				if strings.HasPrefix(line, "graphload: read ") {
+					if strings.Contains(line, "errors=0 ") {
+						t.Fatalf("summary row claims zero errors:\n%s", line)
 					}
 					return
 				}
 			}
-			t.Fatalf("no LOADSTAT row for reads in:\n%s", stdout)
+			t.Fatalf("no summary row for reads in:\n%s", stdout)
 		})
 	}
 }
@@ -221,30 +233,35 @@ func TestSessionCreateConflictRetries(t *testing.T) {
 	}
 }
 
-// TestInProcessSmoke is the CI load-smoke: a short in-process run must
-// complete with zero errors and emit one LOADSTAT row per class.
+// TestInProcessSmoke runs a short load against a real daemon handler
+// over a small SNB network, served in this process: it must complete
+// with zero errors and print one percentile row per class.
 func TestInProcessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: CI runs the load smoke as a separate step")
 	}
+	srv := server.New(graphgen.NewEngine(datagen.SNB(datagen.SNBConfig{Seed: 1, ScaleFactor: 0.1})), server.Options{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
 	code, stdout, stderr := runCapture(t,
-		"-sf", "0.02", "-clients", "4", "-duration", "300ms")
+		"-addr", ts.URL, "-clients", "4", "-duration", "300ms")
 	if code != 0 {
 		t.Fatalf("exited %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 	for _, class := range classNames {
-		prefix := "LOADSTAT graphload/" + class + " "
+		prefix := "graphload: " + class + " "
 		found := false
 		for _, line := range strings.Split(stdout, "\n") {
 			if strings.HasPrefix(line, prefix) {
 				found = true
-				if !strings.Contains(line, "errors=0") {
-					t.Fatalf("%s row reports errors:\n%s", class, line)
+				if !strings.Contains(line, "errors=0 ") || !strings.Contains(line, "p99=") {
+					t.Fatalf("%s row reports errors or no p99:\n%s", class, line)
 				}
 			}
 		}
 		if !found {
-			t.Fatalf("no LOADSTAT row for %s in:\n%s", class, stdout)
+			t.Fatalf("no summary row for %s in:\n%s", class, stdout)
 		}
 	}
 	if !strings.Contains(stdout, "zero op errors") {
@@ -252,25 +269,11 @@ func TestInProcessSmoke(t *testing.T) {
 	}
 }
 
-// TestOutFileAppends: -out collects the LOADSTAT rows for artifact
-// pipelines that don't capture stdout.
-func TestOutFileAppends(t *testing.T) {
-	ts := fakeDaemon(t, func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte(`{"degree":0,"neighbors":[]}`))
-	})
-	path := t.TempDir() + "/load.out"
-	for i := 0; i < 2; i++ {
-		code, _, stderr := runCapture(t,
-			"-addr", ts.URL, "-mix", "read=100", "-clients", "1", "-duration", "50ms", "-out", path)
-		if code != 0 {
-			t.Fatalf("run %d exited %d\nstderr: %s", i, code, stderr)
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(data), "LOADSTAT graphload/read"); n != 2 {
-		t.Fatalf("out file holds %d read rows after 2 runs, want 2:\n%s", n, data)
+// TestQueryKnowsMatchesGenerator: the command spells out the SNB
+// extraction query instead of importing the generator; it must not
+// drift from the generator's own.
+func TestQueryKnowsMatchesGenerator(t *testing.T) {
+	if queryKnows != datagen.QueryKnows {
+		t.Fatalf("queryKnows = %q, want datagen.QueryKnows %q", queryKnows, datagen.QueryKnows)
 	}
 }

@@ -12,6 +12,11 @@ go build -o /tmp/graphgend ./cmd/graphgend
 DAEMON=$!
 trap 'kill $DAEMON 2>/dev/null || true' EXIT
 
+# peek prints the first N bytes of a GET response. It reads the whole
+# body first: curl piped into head dies of SIGPIPE on a long body, which
+# pipefail turns into a failed run.
+peek() { local body; body=$(curl -sf "$1"); printf '%s\n' "${body:0:$2}"; }
+
 for _ in $(seq 1 50); do
   curl -sf "$BASE/v1/healthz" >/dev/null 2>&1 && break
   sleep 0.1
@@ -26,13 +31,13 @@ curl -sf -X POST "$BASE/v1/graphs" -d '{
 }'
 
 echo "== analyze twice (second is cached) =="
-curl -sf "$BASE/v1/graphs/coauth/analyze/pagerank?k=5" | head -c 400; echo
+peek "$BASE/v1/graphs/coauth/analyze/pagerank?k=5" 400
 curl -sf "$BASE/v1/graphs/coauth/analyze/pagerank?k=5" | grep -o '"cached": [a-z]*'
 
 echo "== mutate: live graph and cache follow =="
 curl -sf -X POST "$BASE/v1/db/AuthorPub/insert" -d '{"rows": [[1, 99991], [2, 99991]]}'; echo
 curl -sf "$BASE/v1/graphs/coauth/analyze/pagerank?k=5" | grep -o '"cached": [a-z]*'
-curl -sf "$BASE/v1/graphs/coauth/neighbors?v=1" | head -c 200; echo
+peek "$BASE/v1/graphs/coauth/neighbors?v=1" 200
 curl -sf -X POST "$BASE/v1/db/AuthorPub/delete" -d '{"row": [2, 99991]}'; echo
 
 echo "== recursive program session, created with ANALYZE tracing =="
@@ -49,7 +54,7 @@ echo "-- delta rounds recorded in the profile:"
 grep -o '"op": "round"' /tmp/reach_create.json | wc -l
 # the recorded build plan re-attaches to analytics calls on demand
 curl -sf "$BASE/v1/graphs/reach/analyze/components?explain=true" | grep -o '"op": "[a-z_]*"' | sort | uniq -c | sort -rn | head -5
-curl -sf "$BASE/v1/graphs/reach/analyze/components" | head -c 300; echo
+peek "$BASE/v1/graphs/reach/analyze/components" 300
 # program sessions are static-only: live=true is rejected with the
 # structured error envelope (stable "code", human-readable "message")
 curl -s -X POST "$BASE/v1/graphs" -d '{"name": "reach-live", "live": true,
@@ -61,10 +66,10 @@ curl -sf -D - -o /dev/null "$BASE/v1/healthz" | grep -i 'x-request-id'
 curl -s "$BASE/v1/graphs/no-such-session/stats" | grep -o '"request_id": "[^"]*"'
 
 echo "== metrics =="
-curl -sf "$BASE/v1/metrics" | head -c 600; echo
+peek "$BASE/v1/metrics" 600
 curl -sf "$BASE/v1/metrics" | grep -o '"programs": [0-9]*'
 echo "-- Prometheus exposition (status-class counters, latency histograms):"
-curl -sf "$BASE/v1/metrics?format=prometheus" | grep -E 'requests_total|uptime' | head -8
+grep -m 8 -E 'requests_total|uptime' <<<"$(curl -sf "$BASE/v1/metrics?format=prometheus")"
 
 echo "== clean up =="
 curl -sf -X DELETE "$BASE/v1/graphs/coauth"; echo

@@ -44,6 +44,7 @@ func BenchmarkIndexedExtraction(b *testing.B) {
 		useIndex relstore.IndexMode
 	}{{"Indexed", relstore.IndexAuto}, {"Scan", relstore.IndexOff}} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var edges int64
 			for i := 0; i < b.N; i++ {
 				opts := extract.DefaultOptions()

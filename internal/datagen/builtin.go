@@ -25,8 +25,8 @@ func ByName(name string, seed int64) (*relstore.DB, string, error) {
 	case "univ":
 		return UnivLike(seed, 600, 20, 40, 4), QuerySameCourse, nil
 	case "snb":
-		// CI-scale social network (SF 0.1 ≈ 1k persons); cmd/graphload
-		// regenerates at any scale factor for load runs.
+		// CI-scale social network (SF 0.1 ≈ 1k persons): the dataset
+		// `graphgend -dataset snb` serves to cmd/graphload.
 		return SNB(SNBConfig{Seed: seed, ScaleFactor: 0.1}), QueryKnows, nil
 	default:
 		return nil, "", fmt.Errorf("unknown dataset %q (valid: %s)", name, strings.Join(BuiltinDatasets, ", "))

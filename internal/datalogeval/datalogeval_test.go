@@ -473,9 +473,11 @@ func TestSemiNaiveSpeedup(t *testing.T) {
 	}
 }
 
-// BenchmarkDatalogEval is the CI benchmark family: recursive co-authorship
-// reachability on the DBLP-like chain, semi-naive (the shipping
-// configuration) vs the naive re-evaluation baseline.
+// BenchmarkDatalogEval times recursive co-authorship reachability on the
+// DBLP-like chain, semi-naive (the shipping configuration) vs the naive
+// re-evaluation baseline. Evaluation adds derived tables to the database,
+// so each iteration builds a fresh one with the timer (and the
+// allocation count) stopped.
 func BenchmarkDatalogEval(b *testing.B) {
 	ps, err := datalog.ParseProgram(reachProgram)
 	if err != nil {
@@ -489,6 +491,7 @@ func BenchmarkDatalogEval(b *testing.B) {
 		{"Naive", true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				db := coauthorChainDB(120)

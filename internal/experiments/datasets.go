@@ -4,7 +4,8 @@
 // series the paper reports. Absolute numbers differ (the substrate is an
 // in-process simulator on CI-class hardware, not the authors' 24-core
 // testbed); the comparisons — who wins, by what factor, where EXP becomes
-// infeasible — are the reproduction targets tracked in EXPERIMENTS.md.
+// infeasible — are the reproduction targets (README.md, "Reproducing the
+// evaluation (§6)").
 package experiments
 
 import (
@@ -137,10 +138,3 @@ func fmtDur(d time.Duration) string { return fmt.Sprintf("%.3fs", d.Seconds()) }
 
 // fmtMB renders bytes as MB.
 func fmtMB(b int64) string { return fmt.Sprintf("%.2fMB", float64(b)/(1<<20)) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

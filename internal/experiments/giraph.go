@@ -116,10 +116,3 @@ func Table5(s Scale) string {
 	}
 	return sb.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -550,6 +550,7 @@ func BenchmarkLiveSingleTupleUpdate(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer lv.Close()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				row := w.row(i)
@@ -569,6 +570,7 @@ func BenchmarkReextractAfterUpdate(b *testing.B) {
 	ap, _ := db.Table("AuthorPub")
 	prog, _ := datalog.Parse(datagen.QueryCoauthors)
 	opts := extract.Options{LargeOutputFactor: 2}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		aid := relstore.IntVal(int64(i%2000 + 1))

@@ -31,11 +31,11 @@ func benchServer(b *testing.B) *httptest.Server {
 
 // BenchmarkServerThroughput measures mixed read traffic against a live
 // session with a warm cache — the daemon's hot serving path (cache
-// lookups, neighbor reads, stats) including HTTP and JSON overhead. It is
-// one of the benchmark families the CI bench job tracks for regressions.
+// lookups, neighbor reads, stats) including HTTP and JSON overhead.
 func BenchmarkServerThroughput(b *testing.B) {
 	ts := benchServer(b)
 	var i atomic.Int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -66,6 +66,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 func BenchmarkServerCachedAnalyze(b *testing.B) {
 	ts := benchServer(b)
 	url := ts.URL + "/v1/graphs/co/analyze/pagerank"
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		code, err := getStatus(url)
@@ -79,6 +80,7 @@ func BenchmarkServerCachedAnalyze(b *testing.B) {
 // varying the BFS source, measuring the uncached analytics path.
 func BenchmarkServerColdAnalyze(b *testing.B) {
 	ts := benchServer(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		url := fmt.Sprintf("%s/v1/graphs/co/analyze/bfs?src=%d", ts.URL, i%2000+1)
@@ -94,6 +96,7 @@ func BenchmarkServerColdAnalyze(b *testing.B) {
 // deferred to the next read).
 func BenchmarkServerMutation(b *testing.B) {
 	ts := benchServer(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ins := map[string]any{"row": []any{i%2000 + 1, 950000 + i%500}}

@@ -5,7 +5,9 @@
 // the tables change (cmd/graphgend is the binary front end).
 //
 // Endpoints (all under /v1; any other path — the retired bare spellings
-// included — answers 404 with the error envelope, code "route_not_found"):
+// included — answers 404 with the error envelope, code "route_not_found";
+// a wrong method on one of these paths answers 405, code
+// "method_not_allowed", with an Allow header):
 //
 //	POST   /v1/graphs                          extract a query or Datalog program into a session
 //	GET    /v1/graphs                          list sessions
@@ -203,9 +205,15 @@ func New(engine *graphgen.Engine, opts Options) *Server {
 		logger:           logger,
 	}
 	s.mux = http.NewServeMux()
+	var paths []string             // registration order, for deterministic 405 routes
+	allow := map[string][]string{} // path -> its registered methods
 	route := func(method, path string, h http.HandlerFunc) {
 		pattern := method + " /v1" + path
 		s.mux.HandleFunc(pattern, s.instrument(pattern, h))
+		if allow[path] == nil {
+			paths = append(paths, path)
+		}
+		allow[path] = append(allow[path], method)
 	}
 	route("POST", "/graphs", s.handleCreateGraph)
 	route("GET", "/graphs", s.handleListGraphs)
@@ -217,6 +225,16 @@ func New(engine *graphgen.Engine, opts Options) *Server {
 	route("POST", "/db/{table}/delete", s.handleMutate("delete"))
 	route("GET", "/healthz", s.handleHealthz)
 	route("GET", "/metrics", s.handleMetrics)
+	// A registered path under any other method: the method-less pattern
+	// is less specific than every "METHOD /path" above, so it only
+	// catches what they do not serve.
+	for _, path := range paths {
+		methods := strings.Join(allow[path], ", ")
+		s.mux.HandleFunc("/v1"+path, s.instrument("unmatched", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Allow", methods)
+			s.error(w, r, http.StatusMethodNotAllowed, codeMethodNotAllowed, "method %s not allowed on %s (allowed: %s)", r.Method, r.URL.Path, methods)
+		}))
+	}
 	// Everything else gets the envelope (and a request id, a log line and
 	// one fixed metrics label) instead of net/http's plain-text 404.
 	s.mux.HandleFunc("/", s.instrument("unmatched", func(w http.ResponseWriter, r *http.Request) {
@@ -330,17 +348,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // Clients branch on the code; the message is human-readable and free to
 // change between releases.
 const (
-	codeBadJSON          = "bad_json"          // request body is not valid JSON
-	codeBadParam         = "bad_param"         // a field or query parameter is missing or malformed
-	codeSessionExists    = "session_exists"    // create collided with an existing session name
-	codeSessionLimit     = "session_limit"     // MaxSessions reached
-	codeSessionNotFound  = "session_not_found" // no session under that name
-	codeRouteNotFound    = "route_not_found"   // no endpoint at that method and path
-	codeExtractionFailed = "extraction_failed" // query/program parse or evaluation error
-	codeBudgetExceeded   = "budget_exceeded"   // evaluation aborted by the derived-tuple budget
-	codeTableNotFound    = "table_not_found"   // mutation names an unknown table
-	codeMutationFailed   = "mutation_failed"   // a row failed mid-batch
-	codeInternal         = "internal"          // unexpected server-side failure
+	codeBadJSON          = "bad_json"           // request body is not valid JSON
+	codeBadParam         = "bad_param"          // a field or query parameter is missing or malformed
+	codeSessionExists    = "session_exists"     // create collided with an existing session name
+	codeSessionLimit     = "session_limit"      // MaxSessions reached
+	codeSessionNotFound  = "session_not_found"  // no session under that name
+	codeRouteNotFound    = "route_not_found"    // no endpoint at that path
+	codeMethodNotAllowed = "method_not_allowed" // the path exists, the method does not (Allow lists the methods)
+	codeExtractionFailed = "extraction_failed"  // query/program parse or evaluation error
+	codeBudgetExceeded   = "budget_exceeded"    // evaluation aborted by the derived-tuple budget
+	codeTableNotFound    = "table_not_found"    // mutation names an unknown table
+	codeMutationFailed   = "mutation_failed"    // a row failed mid-batch
+	codeInternal         = "internal"           // unexpected server-side failure
 )
 
 // errorBody is the inner object of the error envelope. RequestID echoes

@@ -51,6 +51,64 @@ func TestBareRoutesRetired(t *testing.T) {
 	}
 }
 
+// TestWrongMethodIs405 sends a method no route serves to every
+// registered path: each answers 405 method_not_allowed with the
+// request id and an Allow header naming exactly the registered
+// methods, and changes nothing. A path under /v1 that no route has
+// still answers 404.
+func TestWrongMethodIs405(t *testing.T) {
+	_, ts := newTestServer(t, 40, 30)
+	createSession(t, ts, "co", false)
+	for _, c := range []struct{ method, path, allow string }{
+		{"PUT", "/graphs", "POST, GET"},
+		{"GET", "/graphs/co", "DELETE"},
+		{"POST", "/graphs/co/stats", "GET"},
+		{"DELETE", "/graphs/co/neighbors?v=1", "GET"},
+		{"POST", "/graphs/co/analyze/degree", "GET"},
+		{"GET", "/db/AuthorPub/insert", "POST"},
+		{"PUT", "/db/AuthorPub/delete", "POST"},
+		{"DELETE", "/healthz", "GET"},
+		{"POST", "/metrics", "GET"},
+	} {
+		t.Run(c.method+" "+c.path, func(t *testing.T) {
+			req, err := http.NewRequest(c.method, ts.URL+api+c.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body map[string]any
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			errCode, msg := errEnvelope(t, body)
+			reqID, _ := body["error"].(map[string]any)["request_id"].(string)
+			if resp.StatusCode != http.StatusMethodNotAllowed || errCode != "method_not_allowed" || msg == "" {
+				t.Errorf("status %d, envelope %v; want 405 method_not_allowed with a message", resp.StatusCode, body)
+			}
+			if reqID == "" || reqID != resp.Header.Get("X-Request-Id") {
+				t.Errorf("envelope request id %q, header %q", reqID, resp.Header.Get("X-Request-Id"))
+			}
+			if got := resp.Header.Get("Allow"); got != c.allow {
+				t.Errorf("Allow = %q, want %q", got, c.allow)
+			}
+		})
+	}
+	// Nothing the wrong-method requests carried took effect.
+	if code, list := doJSON(t, "GET", ts.URL+api+"/graphs", nil); code != http.StatusOK || len(list["sessions"].([]any)) != 1 {
+		t.Fatalf("sessions after wrong-method requests: status %d, %v", code, list)
+	}
+	for _, path := range []string{"/graphs/co/nope", "/db/AuthorPub", "/nope"} {
+		code, body := doJSON(t, "DELETE", ts.URL+api+path, nil)
+		if errCode, _ := errEnvelope(t, body); code != http.StatusNotFound || errCode != "route_not_found" {
+			t.Errorf("DELETE /v1%s: status %d code %q, want 404 route_not_found", path, code, errCode)
+		}
+	}
+}
+
 // TestErrorEnvelopeCodes walks the error surface and asserts each
 // failure mode returns its documented stable code.
 func TestErrorEnvelopeCodes(t *testing.T) {

@@ -3,10 +3,10 @@
 // interest-community extraction (community.go, expressed as a Datalog
 // program through Engine.ExtractProgram). These are the scenario-scale
 // queries the Elekes/Antal/Szárnyas contest analysis identifies as the
-// workload where naive graph implementations fall over; cmd/graphload
-// replays them (mixed with reads and mutations) against a graphgend
-// daemon, and internal/server exposes them as /analyze/sssp and
-// /analyze/closeness.
+// workload where naive graph implementations fall over. internal/server
+// exposes the first two as /analyze/sssp and /analyze/closeness, which
+// cmd/graphload drives (mixed with reads and mutations) against a
+// running graphgend daemon.
 //
 // The fast implementations freeze the representation-independent
 // graphapi.Graph into a CSR snapshot once (Snap) and then run

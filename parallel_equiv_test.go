@@ -159,6 +159,25 @@ func dedupConversions() map[string]func(*core.Graph, dedup.Options) (*core.Graph
 	}
 }
 
+// experimentsSmall extracts the quick-scale small datasets of the
+// paper's evaluation into C-DUP graphs, keyed by dataset name.
+func experimentsSmall() ([]string, map[string]*core.Graph) {
+	s := experiments.Scale{Quick: true}
+	dbs, condensed := experiments.SmallDatasets(s)
+	graphs := make(map[string]*core.Graph)
+	for _, d := range dbs {
+		g, _, err := experiments.ExtractCondensed(d)
+		if err != nil {
+			panic(err)
+		}
+		graphs[d.Name] = g
+	}
+	for name, g := range condensed {
+		graphs[name] = g
+	}
+	return []string{"DBLP", "IMDB", "Synthetic_1", "Synthetic_2"}, graphs
+}
+
 // TestParallelDedupEquivalence asserts that every conversion produces a
 // structurally identical graph (bitmaps included) for every worker count.
 func TestParallelDedupEquivalence(t *testing.T) {

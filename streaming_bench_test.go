@@ -34,8 +34,9 @@ Edges(ID1, ID2) :- AuthorPubYear(ID1, P, Y), AuthorPubYear(ID2, P, Y).
 
 // BenchmarkStreamingExtraction times the low-selectivity extraction
 // through the default fused streaming pipeline and the legacy
-// materializing path (the relstore.MaterializingOracle test oracle), reporting each arm's peak
-// intermediate rows as a benchjson extra metric next to ns/op.
+// materializing path (the relstore.MaterializingOracle test oracle),
+// reporting each arm's peak intermediate rows as a custom metric next to
+// ns/op and allocs/op.
 func BenchmarkStreamingExtraction(b *testing.B) {
 	db, prog := streamingBenchWorkload()
 	for _, mode := range []struct {
@@ -43,6 +44,7 @@ func BenchmarkStreamingExtraction(b *testing.B) {
 		oracle bool
 	}{{"Streaming", false}, {"Materializing", true}} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var peak int64
 			for i := 0; i < b.N; i++ {
 				opts := extractOptions(mode.oracle)

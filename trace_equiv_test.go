@@ -279,7 +279,7 @@ func TestTraceOverhead(t *testing.T) {
 
 // BenchmarkTraceOverhead times the same extraction with tracing off and
 // on. The Off arm is the number the ≤5% overhead contract is judged
-// against in CI; the On arm prices a full span tree.
+// against; the On arm prices a full span tree.
 func BenchmarkTraceOverhead(b *testing.B) {
 	db, prog := traceOverheadWorkload()
 	for _, mode := range []struct {
@@ -287,6 +287,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		traced bool
 	}{{"Off", false}, {"On", true}} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				opts := extract.DefaultOptions()
 				if mode.traced {
