@@ -1,25 +1,41 @@
 // Package algo implements the graph algorithms used throughout the paper's
 // evaluation — Degree, BFS, PageRank, Connected Components, and triangle
-// counting — against the representation-independent neighbor iteration of
-// the condensed graph core, so every algorithm runs unchanged on C-DUP,
-// EXP, DEDUP-1, DEDUP-2, and BITMAP graphs.
+// counting — against representation-independent neighbor iteration, so
+// every algorithm runs unchanged on C-DUP, EXP, DEDUP-1, DEDUP-2, and
+// BITMAP graphs (*core.Graph) and on their frozen CSR views (*core.Frozen).
+//
+// The algorithms reach the graph only through Graph, an interface, so the
+// callbacks they pass escape to the heap: each algorithm builds its
+// callbacks once per call, never once per vertex.
 package algo
 
-import (
-	"graphgen/internal/core"
-)
+// Graph is the traversal surface the algorithms need: dense real-node
+// indices in [0, NumRealSlots) of which the Alive ones are vertices, and the
+// paper's getNeighbors in both directions, each logical neighbor exactly
+// once. *core.Graph and *core.Frozen satisfy it.
+type Graph interface {
+	NumRealSlots() int
+	NumRealNodes() int
+	Alive(r int32) bool
+	RealIndex(id int64) (int32, bool)
+	ForNeighbors(r int32, fn func(t int32) bool)
+	ForInNeighbors(r int32, fn func(s int32) bool)
+}
 
 // Degrees returns the logical out-degree of every real node, indexed by
 // dense node index (dead slots report 0). Self loops follow the graph's
 // SelfLoops setting.
-func Degrees(g *core.Graph) []int {
+func Degrees(g Graph) []int {
 	deg := make([]int, g.NumRealSlots())
-	g.ForEachReal(func(r int32) bool {
-		n := 0
-		g.ForNeighbors(r, func(int32) bool { n++; return true })
-		deg[r] = n
-		return true
-	})
+	n := 0
+	count := func(int32) bool { n++; return true }
+	for r := range int32(len(deg)) {
+		if g.Alive(r) {
+			n = 0
+			g.ForNeighbors(r, count)
+			deg[r] = n
+		}
+	}
 	return deg
 }
 
@@ -35,36 +51,56 @@ type BFSResult struct {
 
 // BFS runs a single-threaded breadth-first search from the node with
 // external ID src, following logical out-edges (the paper's Figure 11 BFS).
-func BFS(g *core.Graph, src int64) BFSResult {
+func BFS(g Graph, src int64) BFSResult {
 	res := BFSResult{Dist: make([]int32, g.NumRealSlots())}
-	for i := range res.Dist {
-		res.Dist[i] = -1
+	var seeds []int32
+	if s, ok := g.RealIndex(src); ok {
+		seeds = []int32{s}
 	}
-	s, ok := g.RealIndex(src)
-	if !ok || !g.Alive(s) {
-		return res
+	visited, depth, _ := BFSFrom(g, seeds, res.Dist)
+	res.Visited, res.MaxDepth = visited, int(depth)
+	return res
+}
+
+// BFSFrom runs one breadth-first search from all seeds at once (dense
+// indices; dead or repeated seeds are skipped) and fills dist, which must
+// have NumRealSlots entries, with each vertex's hop distance from the
+// nearest seed, -1 when unreached. It reports the number of vertices
+// reached (seeds included), the largest distance and the sum of distances.
+func BFSFrom(g Graph, seeds []int32, dist []int32) (reached int, maxDepth int32, sumDist int64) {
+	for i := range dist {
+		dist[i] = -1
 	}
-	res.Dist[s] = 0
-	res.Visited = 1
-	frontier := []int32{s}
-	for depth := int32(1); len(frontier) > 0; depth++ {
-		var next []int32
+	frontier := make([]int32, 0, len(seeds))
+	for _, s := range seeds {
+		if g.Alive(s) && dist[s] < 0 {
+			dist[s] = 0
+			frontier = append(frontier, s)
+		}
+	}
+	reached = len(frontier)
+	var next []int32
+	var depth int32
+	visit := func(t int32) bool {
+		if dist[t] < 0 {
+			dist[t] = depth
+			next = append(next, t)
+		}
+		return true
+	}
+	for depth = 1; len(frontier) > 0; depth++ {
+		next = next[:0]
 		for _, u := range frontier {
-			g.ForNeighbors(u, func(t int32) bool {
-				if res.Dist[t] < 0 {
-					res.Dist[t] = depth
-					res.Visited++
-					next = append(next, t)
-				}
-				return true
-			})
+			g.ForNeighbors(u, visit)
 		}
 		if len(next) > 0 {
-			res.MaxDepth = int(depth)
+			maxDepth = depth
 		}
-		frontier = next
+		reached += len(next)
+		sumDist += int64(depth) * int64(len(next))
+		frontier, next = next, frontier
 	}
-	return res
+	return reached, maxDepth, sumDist
 }
 
 // PageRank runs iters iterations of textbook damped PageRank and returns
@@ -72,32 +108,36 @@ func BFS(g *core.Graph, src int64) BFSResult {
 // logical in-neighbors; dangling mass is dropped (not redistributed), the
 // same convention the vertex-centric and BSP implementations follow so that
 // all three engines agree bit-for-bit.
-func PageRank(g *core.Graph, iters int, damping float64) []float64 {
+func PageRank(g Graph, iters int, damping float64) []float64 {
 	n := g.NumRealNodes()
-	slots := g.NumRealSlots()
+	slots := int32(g.NumRealSlots())
 	rank := make([]float64, slots)
 	next := make([]float64, slots)
 	if n == 0 {
 		return rank
 	}
 	outDeg := Degrees(g)
-	g.ForEachReal(func(r int32) bool {
-		rank[r] = 1.0 / float64(n)
-		return true
-	})
+	for r := range slots {
+		if g.Alive(r) {
+			rank[r] = 1.0 / float64(n)
+		}
+	}
 	base := (1 - damping) / float64(n)
+	sum := 0.0
+	pull := func(s int32) bool {
+		if outDeg[s] > 0 {
+			sum += rank[s] / float64(outDeg[s])
+		}
+		return true
+	}
 	for it := 0; it < iters; it++ {
-		g.ForEachReal(func(r int32) bool {
-			sum := 0.0
-			g.ForInNeighbors(r, func(s int32) bool {
-				if outDeg[s] > 0 {
-					sum += rank[s] / float64(outDeg[s])
-				}
-				return true
-			})
-			next[r] = base + damping*sum
-			return true
-		})
+		for r := range slots {
+			if g.Alive(r) {
+				sum = 0
+				g.ForInNeighbors(r, pull)
+				next[r] = base + damping*sum
+			}
+		}
 		rank, next = next, rank
 	}
 	return rank
@@ -107,63 +147,48 @@ func PageRank(g *core.Graph, iters int, damping float64) []float64 {
 // undirected) and returns the label array plus the component count. It is a
 // duplicate-insensitive algorithm, so it is safe to run directly on C-DUP
 // (Section 4.1).
-func ConnectedComponents(g *core.Graph) ([]int32, int) {
+func ConnectedComponents(g Graph) ([]int32, int) {
 	labels := make([]int32, g.NumRealSlots())
 	for i := range labels {
 		labels[i] = -1
 	}
 	count := 0
 	var stack []int32
-	g.ForEachReal(func(s int32) bool {
-		if labels[s] >= 0 {
-			return true
+	var lbl int32
+	visit := func(t int32) bool {
+		if labels[t] < 0 {
+			labels[t] = lbl
+			stack = append(stack, t)
 		}
-		lbl := int32(count)
+		return true
+	}
+	for s := range int32(len(labels)) {
+		if !g.Alive(s) || labels[s] >= 0 {
+			continue
+		}
+		lbl = int32(count)
 		count++
 		labels[s] = lbl
 		stack = append(stack[:0], s)
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			visit := func(t int32) bool {
-				if labels[t] < 0 {
-					labels[t] = lbl
-					stack = append(stack, t)
-				}
-				return true
-			}
 			g.ForNeighbors(u, visit)
 			g.ForInNeighbors(u, visit)
 		}
-		return true
-	})
+	}
 	return labels, count
 }
 
 // CountTriangles counts undirected triangles {a, b, c} (each counted once).
 // It materializes undirected neighbor sets, so it is intended for the
 // small/medium graphs of the microbenchmarks.
-func CountTriangles(g *core.Graph) int64 {
-	slots := g.NumRealSlots()
-	adj := make([]map[int32]struct{}, slots)
-	g.ForEachReal(func(r int32) bool {
-		set := make(map[int32]struct{})
-		g.ForNeighbors(r, func(t int32) bool {
-			set[t] = struct{}{}
-			return true
-		})
-		g.ForInNeighbors(r, func(t int32) bool {
-			set[t] = struct{}{}
-			return true
-		})
-		delete(set, r)
-		adj[r] = set
-		return true
-	})
+func CountTriangles(g Graph) int64 {
+	adj := undirectedSets(g)
 	var count int64
-	g.ForEachReal(func(a int32) bool {
+	for a := range adj {
 		for b := range adj[a] {
-			if b <= a {
+			if b <= int32(a) {
 				continue
 			}
 			for c := range adj[b] {
@@ -175,7 +200,28 @@ func CountTriangles(g *core.Graph) int64 {
 				}
 			}
 		}
-		return true
-	})
+	}
 	return count
+}
+
+// undirectedSets returns, per dense index, the set of distinct neighbors
+// in either direction, self excluded (nil for dead slots).
+func undirectedSets(g Graph) []map[int32]struct{} {
+	adj := make([]map[int32]struct{}, g.NumRealSlots())
+	var set map[int32]struct{}
+	add := func(t int32) bool {
+		set[t] = struct{}{}
+		return true
+	}
+	for r := range int32(len(adj)) {
+		if !g.Alive(r) {
+			continue
+		}
+		set = make(map[int32]struct{})
+		g.ForNeighbors(r, add)
+		g.ForInNeighbors(r, add)
+		delete(set, r)
+		adj[r] = set
+	}
+	return adj
 }

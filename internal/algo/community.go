@@ -2,9 +2,7 @@ package algo
 
 import (
 	"math/rand"
-	"sort"
-
-	"graphgen/internal/core"
+	"slices"
 )
 
 // This file implements the heavier analyses the paper's introduction
@@ -18,26 +16,26 @@ import (
 // its (undirected) neighborhood, ties broken by the smallest label, with a
 // seeded shuffle of the visit order per round. Returns labels per dense
 // index and the number of communities.
-func LabelPropagation(g *core.Graph, maxIters int, seed int64) ([]int32, int) {
+func LabelPropagation(g Graph, maxIters int, seed int64) ([]int32, int) {
 	rng := rand.New(rand.NewSource(seed))
-	slots := g.NumRealSlots()
-	labels := make([]int32, slots)
+	labels := make([]int32, g.NumRealSlots())
 	var nodes []int32
-	g.ForEachReal(func(r int32) bool {
-		labels[r] = r
-		nodes = append(nodes, r)
-		return true
-	})
+	for r := range int32(len(labels)) {
+		if g.Alive(r) {
+			labels[r] = r
+			nodes = append(nodes, r)
+		}
+	}
 	counts := make(map[int32]int)
+	scan := func(t int32) bool {
+		counts[labels[t]]++
+		return true
+	}
 	for it := 0; it < maxIters; it++ {
 		rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
 		changed := false
 		for _, r := range nodes {
 			clear(counts)
-			scan := func(t int32) bool {
-				counts[labels[t]]++
-				return true
-			}
 			g.ForNeighbors(r, scan)
 			g.ForInNeighbors(r, scan)
 			if len(counts) == 0 {
@@ -67,28 +65,17 @@ func LabelPropagation(g *core.Graph, maxIters int, seed int64) ([]int32, int) {
 
 // KCore computes the core number of every node (undirected degeneracy
 // ordering via the standard peeling algorithm). Dead slots report 0.
-func KCore(g *core.Graph) []int {
+func KCore(g Graph) []int {
 	slots := g.NumRealSlots()
 	deg := make([]int, slots)
 	adj := make([][]int32, slots)
-	g.ForEachReal(func(r int32) bool {
-		seen := make(map[int32]struct{})
-		collect := func(t int32) bool {
-			if t != r {
-				seen[t] = struct{}{}
-			}
-			return true
-		}
-		g.ForNeighbors(r, collect)
-		g.ForInNeighbors(r, collect)
-		adj[r] = make([]int32, 0, len(seen))
-		for t := range seen {
+	for r, set := range undirectedSets(g) {
+		for t := range set {
 			adj[r] = append(adj[r], t)
 		}
-		sort.Slice(adj[r], func(i, j int) bool { return adj[r][i] < adj[r][j] })
+		slices.Sort(adj[r])
 		deg[r] = len(adj[r])
-		return true
-	})
+	}
 	// Bucket peeling.
 	maxDeg := 0
 	for _, d := range deg {
@@ -97,10 +84,11 @@ func KCore(g *core.Graph) []int {
 		}
 	}
 	buckets := make([][]int32, maxDeg+1)
-	g.ForEachReal(func(r int32) bool {
-		buckets[deg[r]] = append(buckets[deg[r]], r)
-		return true
-	})
+	for r := range int32(slots) {
+		if g.Alive(r) {
+			buckets[deg[r]] = append(buckets[deg[r]], r)
+		}
+	}
 	core := make([]int, slots)
 	removed := make([]bool, slots)
 	cur := make([]int, slots)
@@ -128,22 +116,12 @@ func KCore(g *core.Graph) []int {
 
 // ClusteringCoefficient returns the global clustering coefficient
 // (3 x triangles / open+closed wedges) of the undirected graph.
-func ClusteringCoefficient(g *core.Graph) float64 {
+func ClusteringCoefficient(g Graph) float64 {
 	var wedges int64
-	g.ForEachReal(func(r int32) bool {
-		seen := make(map[int32]struct{})
-		collect := func(t int32) bool {
-			if t != r {
-				seen[t] = struct{}{}
-			}
-			return true
-		}
-		g.ForNeighbors(r, collect)
-		g.ForInNeighbors(r, collect)
-		d := int64(len(seen))
+	for _, set := range undirectedSets(g) {
+		d := int64(len(set))
 		wedges += d * (d - 1) / 2
-		return true
-	})
+	}
 	if wedges == 0 {
 		return 0
 	}
@@ -152,7 +130,7 @@ func ClusteringCoefficient(g *core.Graph) float64 {
 
 // DegreeHistogram returns the out-degree distribution: hist[d] is the
 // number of live nodes with logical out-degree d.
-func DegreeHistogram(g *core.Graph) map[int]int {
+func DegreeHistogram(g Graph) map[int]int {
 	hist := make(map[int]int)
 	for _, d := range Degrees(g) {
 		hist[d]++

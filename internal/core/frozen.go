@@ -1,0 +1,166 @@
+package core
+
+import (
+	"cmp"
+	"slices"
+)
+
+// Frozen is an immutable CSR view of a Graph's logical edges: the live real
+// nodes renumbered densely 0..n-1 in ascending external-ID order, with
+// out-adjacency (offsets + targets) and in-adjacency (offsets + sources) as
+// flat arrays. Each logical edge appears exactly once in each direction,
+// whatever representation the source graph was in, so analytics on a view
+// see the graph only through getNeighbors (Section 3.4) without walking
+// virtual nodes, mark sets or tombstones again.
+//
+// A view shares the source graph's per-vertex property maps by reference
+// rather than copying them. That is safe because no path mutates a property
+// map of a graph a view may be taken from: the incremental flush
+// (internal/incremental) only does edge surgery and virtual-node
+// bookkeeping, and a rebuild installs a brand-new Graph instead of editing
+// the old one. SetProperty on the source graph after Freeze would be
+// visible through the view; callers that do that must not freeze.
+//
+// A Frozen is safe for concurrent use and satisfies the traversal surface
+// of internal/algo, so every algorithm runs on it unchanged.
+type Frozen struct {
+	ids    []int64 // dense -> external, ascending
+	outOff []int64 // len n+1
+	out    []int32
+	inOff  []int64 // len n+1
+	in     []int32
+	props  []map[string]string // shared with the source graph, read-only
+	// first is the dense index of the source graph's lowest live slot —
+	// the vertex its Vertices iterator yields first — or -1 when empty.
+	first int32
+}
+
+// Freeze builds the CSR view of g's current logical graph: one
+// ForNeighbors pass per live vertex (so SelfLoops and every
+// representation's deduplication apply exactly as for any reader), then a
+// counting-sort transpose for the in-adjacency. g must not be mutated
+// while Freeze runs; the view stays valid after g changes, except for
+// property maps (see Frozen).
+func (g *Graph) Freeze() *Frozen {
+	n := g.NumRealNodes()
+	order := make([]int32, 0, n) // dense -> source slot
+	g.ForEachReal(func(r int32) bool {
+		order = append(order, r)
+		return true
+	})
+	firstSlot := none
+	if n > 0 {
+		firstSlot = order[0]
+	}
+	byID := func(a, b int32) int { return cmp.Compare(g.realID[a], g.realID[b]) }
+	if !slices.IsSortedFunc(order, byID) {
+		slices.SortFunc(order, byID)
+	}
+	dense := make([]int32, len(g.realID)) // source slot -> dense
+	f := &Frozen{
+		ids:    make([]int64, n),
+		outOff: make([]int64, n+1),
+		inOff:  make([]int64, n+1),
+		props:  make([]map[string]string, n),
+		first:  none,
+	}
+	for i, r := range order {
+		dense[r] = int32(i)
+		f.ids[i] = g.realID[r]
+		f.props[i] = g.props[r]
+	}
+	if firstSlot != none {
+		f.first = dense[firstSlot]
+	}
+	out := make([]int32, 0, n)
+	add := func(t int32) bool {
+		out = append(out, dense[t])
+		return true
+	}
+	for i, r := range order {
+		g.ForNeighbors(r, add)
+		f.outOff[i+1] = int64(len(out))
+	}
+	f.out = out
+	// Transpose: count in-degrees, prefix-sum, then place each source in
+	// ascending source order.
+	for _, t := range out {
+		f.inOff[t+1]++
+	}
+	for i := 0; i < n; i++ {
+		f.inOff[i+1] += f.inOff[i]
+	}
+	f.in = make([]int32, len(out))
+	next := slices.Clone(f.inOff[:n])
+	for s := 0; s < n; s++ {
+		for _, t := range out[f.outOff[s]:f.outOff[s+1]] {
+			f.in[next[t]] = int32(s)
+			next[t]++
+		}
+	}
+	return f
+}
+
+// NumRealNodes returns the vertex count n.
+func (f *Frozen) NumRealNodes() int { return len(f.ids) }
+
+// NumRealSlots equals NumRealNodes: a view has no tombstones.
+func (f *Frozen) NumRealSlots() int { return len(f.ids) }
+
+// NumEdges returns the logical edge count.
+func (f *Frozen) NumEdges() int64 { return int64(len(f.out)) }
+
+// Alive reports whether r is a dense index of the view.
+func (f *Frozen) Alive(r int32) bool { return r >= 0 && int(r) < len(f.ids) }
+
+// IDs returns the external IDs in ascending order, indexed by dense index.
+// Callers must not mutate the returned slice.
+func (f *Frozen) IDs() []int64 { return f.ids }
+
+// RealID returns the external ID of dense index r.
+func (f *Frozen) RealID(r int32) int64 { return f.ids[r] }
+
+// RealIndex returns the dense index of external ID id (binary search).
+func (f *Frozen) RealIndex(id int64) (int32, bool) {
+	i, ok := slices.BinarySearch(f.ids, id)
+	return int32(i), ok
+}
+
+// First returns the external ID the source graph's Vertices iterator
+// yielded first (its lowest live slot, not in general the smallest ID).
+func (f *Frozen) First() (int64, bool) {
+	if f.first == none {
+		return 0, false
+	}
+	return f.ids[f.first], true
+}
+
+// ForNeighbors calls fn for each logical out-neighbor of r, in the order
+// the source graph's ForNeighbors emitted them.
+func (f *Frozen) ForNeighbors(r int32, fn func(t int32) bool) {
+	for _, t := range f.out[f.outOff[r]:f.outOff[r+1]] {
+		if !fn(t) {
+			return
+		}
+	}
+}
+
+// ForInNeighbors calls fn for each logical in-neighbor of r, in ascending
+// dense (and so external-ID) order.
+func (f *Frozen) ForInNeighbors(r int32, fn func(s int32) bool) {
+	for _, s := range f.in[f.inOff[r]:f.inOff[r+1]] {
+		if !fn(s) {
+			return
+		}
+	}
+}
+
+// PropertyOf returns the named property of the vertex with external ID id.
+func (f *Frozen) PropertyOf(id int64, key string) (string, bool) {
+	r, ok := f.RealIndex(id)
+	if !ok {
+		return "", false
+	}
+	val, ok := f.props[r][key]
+	return val, ok
+}

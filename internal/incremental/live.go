@@ -624,6 +624,19 @@ func (lv *Live) SnapshotVersioned() (*core.Graph, uint64) {
 	return lv.g.Clone(), lv.version
 }
 
+// FreezeVersioned applies pending deltas and returns an immutable CSR view
+// of the graph plus the version it was frozen at, read atomically under
+// one lock acquisition, like SnapshotVersioned. The view copies only the
+// logical adjacency (no virtual nodes, no per-vertex property maps — those
+// are shared, which is safe because flushes only do edge surgery and a
+// rebuild installs a new graph), so the read lock is held for a fraction
+// of what Clone takes.
+func (lv *Live) FreezeVersioned() (*core.Frozen, uint64) {
+	lv.acquire()
+	defer lv.mu.RUnlock()
+	return lv.g.Freeze(), lv.version
+}
+
 // Pending returns the number of queued, not-yet-applied count deltas.
 func (lv *Live) Pending() int {
 	lv.pendMu.Lock()

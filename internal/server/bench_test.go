@@ -108,3 +108,43 @@ func BenchmarkServerMutation(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLiveAnalyzeMiss measures an analysis that misses the cache on a
+// live session: a live SNB knows session (scale factor 1, 10 000 persons)
+// takes one insert+delete pair before every request, outside the timer, so
+// each timed request flushes the pair, freezes a new view and recomputes.
+// The analyses and parameters are the bench/ serve-mixed rotation's.
+func BenchmarkLiveAnalyzeMiss(b *testing.B) {
+	db := datagen.SNB(datagen.SNBConfig{Seed: 2, ScaleFactor: 1})
+	s := New(graphgen.NewEngine(db), Options{})
+	ts := httptest.NewServer(s.Handler())
+	b.Cleanup(func() { ts.Close(); s.Close() })
+	if code, err := postJSON(ts.URL+"/v1/graphs", map[string]any{"name": "knows", "query": datagen.QueryKnows, "live": true}); err != nil || code != http.StatusCreated {
+		b.Fatalf("create: code %d err %v", code, err)
+	}
+	for _, a := range []struct{ name, path string }{
+		{"degree", "degree?k=10"},
+		{"components", "components"},
+		{"sssp", "sssp?sources=4"},
+		{"closeness", "closeness?samples=8&k=5"},
+	} {
+		b.Run(a.name, func(b *testing.B) {
+			url := ts.URL + "/v1/graphs/knows/analyze/" + a.path
+			row := map[string]any{"row": []any{900_000_001, 900_000_002}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for _, op := range []string{"insert", "delete"} {
+					if code, err := postJSON(ts.URL+"/v1/db/Knows/"+op, row); err != nil || code != http.StatusOK {
+						b.Fatalf("%s: code %d err %v", op, code, err)
+					}
+				}
+				b.StartTimer()
+				if code, err := getStatus(url); err != nil || code != http.StatusOK {
+					b.Fatalf("%s: code %d err %v", a.path, code, err)
+				}
+			}
+		})
+	}
+}

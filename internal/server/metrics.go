@@ -86,6 +86,10 @@ type metrics struct {
 	evalPeak       atomic.Int64
 	evalDepthHist  *obs.Histogram
 	evalTupleHist  *obs.Histogram
+
+	// viewsFrozen counts analytics views built (Server.analyticsView): at
+	// most one per static session and one per version of a live session.
+	viewsFrozen atomic.Int64
 }
 
 func newMetrics() *metrics {
@@ -209,6 +213,8 @@ func (m *metrics) writeProm(w io.Writer) {
 		routes[name].Latency.WriteProm(w, "graphgend_request_duration_seconds",
 			obs.PromLabel("route", name))
 	}
+	fmt.Fprintf(w, "# TYPE graphgend_analytics_views_frozen_total counter\n")
+	fmt.Fprintf(w, "graphgend_analytics_views_frozen_total %d\n", m.viewsFrozen.Load())
 	es := m.evalSnapshot()
 	fmt.Fprintf(w, "# TYPE graphgend_eval_programs_total counter\n")
 	fmt.Fprintf(w, "graphgend_eval_programs_total %d\n", es.Programs)

@@ -71,6 +71,7 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -87,6 +88,8 @@ import (
 	"time"
 
 	"graphgen"
+	"graphgen/internal/algo"
+	"graphgen/internal/core"
 	"graphgen/internal/obs"
 	"graphgen/internal/workload"
 )
@@ -145,6 +148,18 @@ type session struct {
 	// session, recorded when the create request asked for
 	// explain/analyze; nil otherwise. Immutable once set.
 	profile *graphgen.Profile
+	// view is the frozen graph every analysis of the session runs on,
+	// tagged with the version it was frozen at; viewMu makes concurrent
+	// misses share one freeze (see Server.analyticsView).
+	view   atomic.Pointer[versionedView]
+	viewMu sync.Mutex
+}
+
+// versionedView is an immutable CSR view of a session's graph and the
+// version it was frozen at (always 0 for static sessions).
+type versionedView struct {
+	version uint64
+	f       *core.Frozen
 }
 
 // Server is the graph-serving daemon core, independent of the listener:
@@ -709,13 +724,13 @@ func attachProfile(env *analyzeEnvelope, r *http.Request, sess *session) {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	name, algo := r.PathValue("name"), r.PathValue("algo")
+	name, analysis := r.PathValue("name"), r.PathValue("algo")
 	sess, ok := s.lookup(name)
 	if !ok {
 		s.error(w, r, http.StatusNotFound, codeSessionNotFound, "no session %q", name)
 		return
 	}
-	params, err := parseParams(algo, r.URL.Query())
+	params, err := parseParams(analysis, r.URL.Query())
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, codeBadParam, "%v", err)
 		return
@@ -727,26 +742,23 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if sess.live != nil {
 		version = sess.live.Version()
 	}
-	key := cacheKey{sessionID: sess.id, version: version, analysis: algo, params: params.canonical}
+	key := cacheKey{sessionID: sess.id, version: version, analysis: analysis, params: params.canonical}
 	if body, ok := s.cache.get(key); ok {
 		env := analyzeEnvelope{
-			Session: name, Analysis: algo, Params: params.canonical,
+			Session: name, Analysis: analysis, Params: params.canonical,
 			Version: key.version, Cached: true, Result: body,
 		}
 		attachProfile(&env, r, sess)
 		writeJSON(w, http.StatusOK, env)
 		return
 	}
-	// Miss: compute on an isolated graph. Live sessions are snapshotted
-	// (atomically with the version, in case a mutation flushed between
-	// the Version read above and now); static graphs are immutable and
-	// shared.
-	g := sess.static
-	if sess.live != nil {
-		g, key.version = sess.live.SnapshotWithVersion()
-	}
+	// Miss: compute on the session's frozen view, and store the result
+	// under the version the view was frozen at — in case a mutation
+	// flushed between the Version read above and the freeze.
+	view := s.analyticsView(sess, version)
+	key.version = view.version
 	start := time.Now()
-	result, err := computeAnalysis(g, algo, params)
+	result, err := computeAnalysis(view.f, analysis, params)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, codeBadParam, "%v", err)
@@ -759,12 +771,39 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cache.put(key, body)
 	env := analyzeEnvelope{
-		Session: name, Analysis: algo, Params: params.canonical,
+		Session: name, Analysis: analysis, Params: params.canonical,
 		Version: key.version, Cached: false,
 		ComputeMS: float64(elapsed.Nanoseconds()) / 1e6, Result: body,
 	}
 	attachProfile(&env, r, sess)
 	writeJSON(w, http.StatusOK, env)
+}
+
+// analyticsView returns a frozen view of sess at version or later. The
+// session keeps one view: a miss reuses it unless a flush has moved the
+// graph past it, in which case the view is re-frozen (atomically with its
+// version) and replaced. Concurrent misses wait for one freeze, so a
+// static session freezes once and a live one at most once per version.
+// Any view at least as new as the version probed at the start of the
+// request reflects every mutation made before the request.
+func (s *Server) analyticsView(sess *session, version uint64) *versionedView {
+	if v := sess.view.Load(); v != nil && v.version >= version {
+		return v
+	}
+	sess.viewMu.Lock()
+	defer sess.viewMu.Unlock()
+	if v := sess.view.Load(); v != nil && v.version >= version {
+		return v
+	}
+	v := new(versionedView)
+	if sess.live != nil {
+		v.f, v.version = sess.live.FreezeWithVersion()
+	} else {
+		v.f = sess.static.Core().Freeze()
+	}
+	s.metrics.viewsFrozen.Add(1)
+	sess.view.Store(v)
+	return v
 }
 
 // analysisParams carries the typed parameters of one analysis plus their
@@ -785,7 +824,7 @@ type analysisParams struct {
 
 var errUnknownAnalysis = errors.New(`unknown analysis (valid: bfs, closeness, components, degree, pagerank, sssp, triangles)`)
 
-func parseParams(algo string, q map[string][]string) (analysisParams, error) {
+func parseParams(analysis string, q map[string][]string) (analysisParams, error) {
 	p := analysisParams{iters: 20, damping: 0.85, k: 10, srcAuto: true, sources: 4, samples: 64}
 	get := func(name string) (string, bool) {
 		vs := q[name]
@@ -839,7 +878,7 @@ func parseParams(algo string, q map[string][]string) (analysisParams, error) {
 			return p, fmt.Errorf("samples must be an integer in [1,10000], got %q", v)
 		}
 	}
-	switch algo {
+	switch analysis {
 	case "degree":
 		p.canonical = fmt.Sprintf("k=%d", p.k)
 	case "pagerank":
@@ -870,95 +909,79 @@ func parseParams(algo string, q map[string][]string) (analysisParams, error) {
 	return p, nil
 }
 
-// computeAnalysis runs one analysis on a graph the caller guarantees is
-// not being mutated (a live snapshot or an immutable static session).
-func computeAnalysis(g *graphgen.Graph, algo string, p analysisParams) (any, error) {
-	switch algo {
+// computeAnalysis runs one analysis on a session's frozen view.
+func computeAnalysis(f *core.Frozen, name string, p analysisParams) (any, error) {
+	switch name {
 	case "degree":
-		deg := g.Degrees()
+		deg := algo.Degrees(f)
 		type entry struct {
 			ID     int64 `json:"id"`
 			Degree int   `json:"degree"`
 		}
-		top := make([]entry, 0, len(deg))
+		top := make([]entry, len(deg))
 		var sum int64
-		for id, d := range deg {
-			top = append(top, entry{ID: id, Degree: d})
+		for r, d := range deg {
+			top[r] = entry{ID: f.RealID(int32(r)), Degree: d}
 			sum += int64(d)
 		}
-		sort.Slice(top, func(i, j int) bool {
-			if top[i].Degree != top[j].Degree {
-				return top[i].Degree > top[j].Degree
-			}
-			return top[i].ID < top[j].ID
+		top = topK(top, p.k, func(a, b entry) int {
+			return cmp.Or(cmp.Compare(b.Degree, a.Degree), cmp.Compare(a.ID, b.ID))
 		})
 		maxDeg, avg := 0, 0.0
 		if len(top) > 0 {
 			maxDeg = top[0].Degree
-			avg = float64(sum) / float64(len(top))
-		}
-		if len(top) > p.k {
-			top = top[:p.k]
+			avg = float64(sum) / float64(len(deg))
 		}
 		return map[string]any{"vertices": len(deg), "max_degree": maxDeg, "avg_degree": avg, "top": top}, nil
 	case "pagerank":
-		pr := g.PageRank(p.iters, p.damping)
+		pr := algo.PageRank(f, p.iters, p.damping)
 		type entry struct {
 			ID   int64   `json:"id"`
 			Rank float64 `json:"rank"`
 			Name string  `json:"name,omitempty"`
 		}
-		top := make([]entry, 0, len(pr))
-		for id, rank := range pr {
-			top = append(top, entry{ID: id, Rank: rank})
+		top := make([]entry, len(pr))
+		for r, rank := range pr {
+			top[r] = entry{ID: f.RealID(int32(r)), Rank: rank}
 		}
-		sort.Slice(top, func(i, j int) bool {
-			if top[i].Rank != top[j].Rank {
-				return top[i].Rank > top[j].Rank
-			}
-			return top[i].ID < top[j].ID
+		top = topK(top, p.k, func(a, b entry) int {
+			return cmp.Or(cmp.Compare(b.Rank, a.Rank), cmp.Compare(a.ID, b.ID))
 		})
-		if len(top) > p.k {
-			top = top[:p.k]
-		}
 		for i := range top {
-			if name, ok := g.PropertyOf(top[i].ID, "Name"); ok {
+			if name, ok := f.PropertyOf(top[i].ID, "Name"); ok {
 				top[i].Name = name
 			}
 		}
 		return map[string]any{"iters": p.iters, "damping": p.damping, "top": top}, nil
 	case "components":
-		labels, n := g.ConnectedComponents()
-		sizes := make(map[int]int)
+		labels, n := algo.ConnectedComponents(f)
+		sizes := make([]int, n)
+		largest := 0
 		for _, c := range labels {
 			sizes[c]++
-		}
-		largest := 0
-		for _, sz := range sizes {
-			if sz > largest {
-				largest = sz
-			}
+			largest = max(largest, sizes[c])
 		}
 		return map[string]any{"components": n, "largest_size": largest, "vertices": len(labels)}, nil
 	case "bfs":
 		src := p.src
 		if p.srcAuto {
-			it := g.Vertices()
-			first, ok := it.Next()
+			// The first vertex the graph iterates, as the library's
+			// Vertices order would yield it.
+			first, ok := f.First()
 			if !ok {
 				return map[string]any{"src": nil, "visited": 0, "max_depth": 0}, nil
 			}
 			src = first
 		}
-		visited, depth := g.BFS(src)
-		return map[string]any{"src": src, "visited": visited, "max_depth": depth}, nil
+		res := algo.BFS(f, src)
+		return map[string]any{"src": src, "visited": res.Visited, "max_depth": res.MaxDepth}, nil
 	case "triangles":
-		return map[string]any{"triangles": g.CountTriangles()}, nil
+		return map[string]any{"triangles": algo.CountTriangles(f)}, nil
 	case "sssp":
 		// Multi-source shortest paths (SIGMOD 2014 contest family): hop
 		// distance to the nearest source. Explicit ?srcs=1,2,3 or a
 		// deterministic evenly-spaced ?sources=k sample.
-		snap := workload.Snap(g)
+		snap := workload.View(f)
 		srcs := p.srcs
 		if len(srcs) == 0 {
 			srcs = snap.SampleSources(p.sources)
@@ -983,7 +1006,7 @@ func computeAnalysis(g *graphgen.Graph, algo string, p analysisParams) (any, err
 	case "closeness":
 		// Sampled exact closeness centrality: one BFS per pivot, contest
 		// scoring (reachability-corrected), top-k by score.
-		snap := workload.Snap(g)
+		snap := workload.View(f)
 		pivots := snap.SampleSources(p.samples)
 		scores := workload.TopCloseness(snap.Closeness(pivots, 0), p.k)
 		type entry struct {
@@ -996,13 +1019,54 @@ func computeAnalysis(g *graphgen.Graph, algo string, p analysisParams) (any, err
 		top := make([]entry, len(scores))
 		for i, s := range scores {
 			top[i] = entry{ID: s.ID, Closeness: s.Closeness, Reached: s.Reached, SumDist: s.SumDist}
-			if name, ok := g.PropertyOf(s.ID, "Name"); ok {
+			if name, ok := f.PropertyOf(s.ID, "Name"); ok {
 				top[i].Name = name
 			}
 		}
 		return map[string]any{"samples": len(pivots), "vertices": snap.NumVertices(), "top": top}, nil
 	default:
 		return nil, errUnknownAnalysis
+	}
+}
+
+// topK returns the first k elements of s in order under cmp, a total
+// order, sorted — what sorting s and truncating it returns, in
+// O(n log k). s is reordered.
+func topK[E any](s []E, k int, cmp func(a, b E) int) []E {
+	if k >= len(s) {
+		slices.SortFunc(s, cmp)
+		return s
+	}
+	// s[:k] is a heap with the last-ranked kept element at its root.
+	h := s[:max(k, 0)]
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, cmp)
+	}
+	for _, e := range s[len(h):] {
+		if len(h) > 0 && cmp(e, h[0]) < 0 {
+			h[0] = e
+			siftDown(h, 0, cmp)
+		}
+	}
+	slices.SortFunc(h, cmp)
+	return h
+}
+
+// siftDown restores the heap order of h below index i.
+func siftDown[E any](h []E, i int, cmp func(a, b E) int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if j+1 < len(h) && cmp(h[j+1], h[j]) > 0 {
+			j++
+		}
+		if cmp(h[j], h[i]) <= 0 {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
 }
 
@@ -1158,11 +1222,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_s":     uptime.Seconds(),
-		"sessions":     n,
-		"requests":     routes,
-		"cache":        s.cache.stats(),
-		"db_indexes":   s.dbIndexes.Load(),
-		"datalog_eval": s.metrics.evalSnapshot(),
+		"uptime_s":               uptime.Seconds(),
+		"sessions":               n,
+		"requests":               routes,
+		"cache":                  s.cache.stats(),
+		"db_indexes":             s.dbIndexes.Load(),
+		"datalog_eval":           s.metrics.evalSnapshot(),
+		"analytics_views_frozen": s.metrics.viewsFrozen.Load(),
 	})
 }

@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -1076,5 +1078,27 @@ func TestSSSPCacheInvalidatedByMutation(t *testing.T) {
 	after := res["result"].(map[string]any)["reached"].(float64)
 	if after != before+2 {
 		t.Fatalf("reached %v -> %v after attaching 2 vertices, want +2", before, after)
+	}
+}
+
+// TestTopKMatchesSort: the bounded selection returns exactly what a full
+// sort truncated to k returns, ties and k >= n included.
+func TestTopKMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	type entry struct{ id, score int }
+	byScore := func(a, b entry) int { return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.id, b.id)) }
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(60)
+		s := make([]entry, n)
+		for i := range s {
+			s[i] = entry{id: rng.Intn(1000), score: rng.Intn(8)}
+		}
+		k := 1 + rng.Intn(n+3)
+		want := slices.Clone(s)
+		slices.SortFunc(want, byScore)
+		want = want[:min(k, n)]
+		if got := topK(slices.Clone(s), k, byScore); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n %d, k %d): topK %v, sort %v", trial, n, k, got, want)
+		}
 	}
 }

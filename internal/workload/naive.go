@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"graphgen/internal/graphapi"
 	"graphgen/internal/relstore"
@@ -71,33 +72,33 @@ func naiveDistances(g graphapi.Graph, sources []int64) map[int64]int64 {
 }
 
 // NaiveMultiSourceBFS is the reference multi-source shortest-path query.
+// Its Dist is aligned with the graph's vertex IDs in ascending order, the
+// fast path's contract.
 func NaiveMultiSourceBFS(g graphapi.Graph, sources []int64) SSSPResult {
-	res := SSSPResult{Dist: make(map[int64]int32)}
-	present := make(map[int64]bool)
-	it := g.Vertices()
-	n := 0
-	for {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		present[v] = true
-		n++
-	}
+	ids := graphapi.ToList(g.Vertices())
+	slices.Sort(ids)
+	var res SSSPResult
 	for _, s := range sources {
-		if present[s] {
+		if _, ok := slices.BinarySearch(ids, s); ok {
 			res.Sources = append(res.Sources, s)
 		}
 	}
-	for v, d := range naiveDistances(g, sources) {
-		res.Dist[v] = int32(d)
+	dist := naiveDistances(g, sources)
+	res.Dist = make([]int32, len(ids))
+	for i, v := range ids {
+		d, ok := dist[v]
+		if !ok {
+			res.Dist[i] = -1
+			continue
+		}
+		res.Dist[i] = int32(d)
 		res.Reached++
 		res.SumDist += d
 		if int(d) > res.MaxDepth {
 			res.MaxDepth = int(d)
 		}
 	}
-	res.Unreached = n - res.Reached
+	res.Unreached = len(ids) - res.Reached
 	return res
 }
 

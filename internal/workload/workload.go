@@ -8,129 +8,88 @@
 // cmd/graphload drives (mixed with reads and mutations) against a
 // running graphgend daemon.
 //
-// The fast implementations freeze the representation-independent
-// graphapi.Graph into a CSR snapshot once (Snap) and then run
-// array-indexed BFS per query; naive.go keeps deliberately slow reference
-// implementations that iterate the graphapi interface directly, used only
-// by the randomized equivalence tests.
+// The fast implementations run on a frozen CSR view of the graph
+// (core.Frozen, built by Snap or shared by the caller through View): dense
+// indexes in ascending external-ID order, one array-indexed BFS per query
+// through the same BFS kernel as internal/algo. naive.go keeps deliberately
+// slow reference implementations that iterate the graphapi interface
+// directly, used only by the randomized equivalence tests.
 package workload
 
 import (
 	"sort"
 
-	"graphgen/internal/graphapi"
+	"graphgen/internal/algo"
+	"graphgen/internal/core"
 	"graphgen/internal/parallel"
 )
 
-// Snapshot is a frozen CSR view of a graph: dense indexes 0..n-1 in
-// ascending external-ID order, with out-neighbor adjacency. Building it
-// costs one pass over the graph; every query on it is array-indexed.
-// The snapshot is immutable and safe for concurrent use.
+// Snapshot runs the contest queries on a frozen CSR view of a graph. It is
+// immutable and safe for concurrent use.
 type Snapshot struct {
-	ids  []int64         // dense -> external, ascending
-	idx  map[int64]int32 // external -> dense
-	offs []int64         // CSR row offsets, len n+1
-	adj  []int32         // CSR column indexes
+	f *core.Frozen
 }
 
-// Snap freezes g into a CSR snapshot. Neighbors pointing outside the
-// vertex set (impossible for extracted graphs) are dropped.
-func Snap(g graphapi.Graph) *Snapshot {
-	ids := graphapi.ToList(g.Vertices())
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	s := &Snapshot{ids: ids, idx: make(map[int64]int32, len(ids))}
-	for i, id := range ids {
-		s.idx[id] = int32(i)
-	}
-	s.offs = make([]int64, len(ids)+1)
-	for i, id := range ids {
-		s.offs[i+1] = s.offs[i]
-		it := g.Neighbors(id)
-		for {
-			t, ok := it.Next()
-			if !ok {
-				break
-			}
-			if d, ok := s.idx[t]; ok {
-				s.adj = append(s.adj, d)
-				s.offs[i+1]++
-			}
-		}
-	}
-	return s
-}
+// Snap freezes g's condensed core graph (*graphgen.Graph satisfies the
+// parameter) into a CSR view. g must not be mutated while Snap runs.
+func Snap(g interface{ Core() *core.Graph }) *Snapshot { return View(g.Core().Freeze()) }
+
+// View wraps an existing frozen view without copying it.
+func View(f *core.Frozen) *Snapshot { return &Snapshot{f: f} }
 
 // NumVertices returns the snapshot's vertex count.
-func (s *Snapshot) NumVertices() int { return len(s.ids) }
+func (s *Snapshot) NumVertices() int { return s.f.NumRealNodes() }
 
 // NumEdges returns the snapshot's directed edge count.
-func (s *Snapshot) NumEdges() int64 { return int64(len(s.adj)) }
+func (s *Snapshot) NumEdges() int64 { return s.f.NumEdges() }
 
 // IDs returns the vertex IDs in ascending order. Callers must not mutate
 // the returned slice.
-func (s *Snapshot) IDs() []int64 { return s.ids }
+func (s *Snapshot) IDs() []int64 { return s.f.IDs() }
 
 // SampleSources picks k deterministic, evenly spaced vertex IDs (in
 // ascending-ID order) — the pivot set for sampled closeness and
 // auto-sourced SSSP. k <= 0 or k >= n returns all vertices.
 func (s *Snapshot) SampleSources(k int) []int64 {
-	n := len(s.ids)
+	ids := s.f.IDs()
+	n := len(ids)
 	if n == 0 {
 		return nil
 	}
 	if k <= 0 || k >= n {
 		out := make([]int64, n)
-		copy(out, s.ids)
+		copy(out, ids)
 		return out
 	}
 	out := make([]int64, k)
 	for i := 0; i < k; i++ {
-		out[i] = s.ids[i*n/k]
+		out[i] = ids[i*n/k]
 	}
 	return out
 }
 
-// bfsFrom runs one array-indexed BFS over the CSR from the given dense
-// seeds (dist must be len n, filled with -1). It reports the number of
-// reached vertices, the max depth, and the sum of distances.
-func (s *Snapshot) bfsFrom(seeds []int32, dist []int32) (reached int, maxDepth int32, sumDist int64) {
-	frontier := make([]int32, 0, len(seeds))
-	for _, v := range seeds {
-		if dist[v] < 0 {
-			dist[v] = 0
-			frontier = append(frontier, v)
-			reached++
+// seeds resolves external IDs to dense indexes, dropping unknown IDs; it
+// also returns the IDs it kept.
+func (s *Snapshot) seeds(ids []int64) ([]int32, []int64) {
+	seeds := make([]int32, 0, len(ids))
+	var kept []int64
+	for _, id := range ids {
+		if d, ok := s.f.RealIndex(id); ok {
+			seeds = append(seeds, d)
+			kept = append(kept, id)
 		}
 	}
-	var next []int32
-	for depth := int32(1); len(frontier) > 0; depth++ {
-		next = next[:0]
-		for _, u := range frontier {
-			for _, t := range s.adj[s.offs[u]:s.offs[u+1]] {
-				if dist[t] < 0 {
-					dist[t] = depth
-					sumDist += int64(depth)
-					next = append(next, t)
-				}
-			}
-		}
-		if len(next) > 0 {
-			maxDepth = depth
-		}
-		reached += len(next)
-		frontier, next = next, frontier
-	}
-	return reached, maxDepth, sumDist
+	return seeds, kept
 }
 
 // SSSPResult reports a multi-source shortest-path query: per-vertex
-// distance to the nearest source (hop count; unreached vertices are
-// absent from Dist) plus summary statistics.
+// distance to the nearest source (hop count) plus summary statistics.
 type SSSPResult struct {
 	// Sources echoes the source IDs actually used (unknown IDs dropped).
 	Sources []int64
-	// Dist maps vertex ID to hop distance from the nearest source.
-	Dist map[int64]int32
+	// Dist is the hop distance from the nearest source per vertex, aligned
+	// with the snapshot's IDs(); -1 marks an unreached vertex.
+	Dist []int32
 	// Reached counts vertices with a finite distance (sources included).
 	Reached int
 	// Unreached counts vertices no source can reach.
@@ -145,26 +104,11 @@ type SSSPResult struct {
 // sources — the contest's multi-source shortest-path query (unweighted
 // edges). Source IDs not present in the graph are ignored.
 func (s *Snapshot) MultiSourceBFS(sources []int64) SSSPResult {
-	res := SSSPResult{Dist: make(map[int64]int32)}
-	seeds := make([]int32, 0, len(sources))
-	for _, id := range sources {
-		if d, ok := s.idx[id]; ok {
-			seeds = append(seeds, d)
-			res.Sources = append(res.Sources, id)
-		}
-	}
-	dist := make([]int32, len(s.ids))
-	for i := range dist {
-		dist[i] = -1
-	}
-	reached, maxDepth, sumDist := s.bfsFrom(seeds, dist)
+	seeds, kept := s.seeds(sources)
+	res := SSSPResult{Sources: kept, Dist: make([]int32, s.f.NumRealNodes())}
+	reached, maxDepth, sumDist := algo.BFSFrom(s.f, seeds, res.Dist)
 	res.Reached, res.MaxDepth, res.SumDist = reached, int(maxDepth), sumDist
-	res.Unreached = len(s.ids) - reached
-	for i, d := range dist {
-		if d >= 0 {
-			res.Dist[s.ids[i]] = d
-		}
-	}
+	res.Unreached = len(res.Dist) - reached
 	return res
 }
 
@@ -191,23 +135,15 @@ type CentralityScore struct {
 // graph are dropped. Use SampleSources to pick a deterministic pivot set
 // when computing all n vertices is too expensive.
 func (s *Snapshot) Closeness(sources []int64, workers int) []CentralityScore {
-	seeds := make([]int32, 0, len(sources))
-	for _, id := range sources {
-		if d, ok := s.idx[id]; ok {
-			seeds = append(seeds, d)
-		}
-	}
-	n := len(s.ids)
+	seeds, _ := s.seeds(sources)
+	n := s.f.NumRealNodes()
 	out := make([]CentralityScore, len(seeds))
 	parallel.RunMin(len(seeds), workers, 1, func(_, lo, hi int) {
 		dist := make([]int32, n)
 		for i := lo; i < hi; i++ {
-			for j := range dist {
-				dist[j] = -1
-			}
-			reached, _, sumDist := s.bfsFrom(seeds[i:i+1], dist)
+			reached, _, sumDist := algo.BFSFrom(s.f, seeds[i:i+1], dist)
 			out[i] = CentralityScore{
-				ID:        s.ids[seeds[i]],
+				ID:        s.f.RealID(seeds[i]),
 				Closeness: closeness(reached, sumDist, n),
 				Reached:   reached,
 				SumDist:   sumDist,

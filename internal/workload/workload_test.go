@@ -69,7 +69,7 @@ func TestMultiSourceBFSEquivalence(t *testing.T) {
 		naive := NaiveMultiSourceBFS(g, sources)
 
 		if !reflect.DeepEqual(fast.Dist, naive.Dist) {
-			t.Fatalf("trial %d: distance maps differ\nfast:  %v\nnaive: %v", trial, fast.Dist, naive.Dist)
+			t.Fatalf("trial %d: distances differ\nfast:  %v\nnaive: %v", trial, fast.Dist, naive.Dist)
 		}
 		if fast.Reached != naive.Reached || fast.Unreached != naive.Unreached ||
 			fast.MaxDepth != naive.MaxDepth || fast.SumDist != naive.SumDist {

@@ -3,6 +3,7 @@ package graphgen
 import (
 	"errors"
 
+	"graphgen/internal/core"
 	"graphgen/internal/datalog"
 	"graphgen/internal/graphapi"
 	"graphgen/internal/incremental"
@@ -121,6 +122,14 @@ func (g *LiveGraph) SnapshotWithVersion() (*Graph, uint64) {
 	c, ver := g.live.SnapshotVersioned()
 	return WrapCore(c), ver
 }
+
+// FreezeWithVersion applies pending deltas and returns an immutable CSR
+// view of the current logical graph (see core.Frozen) plus the version it
+// was frozen at, read atomically. It is the analytics substrate of the
+// serving layer: cheaper than SnapshotWithVersion because it copies only
+// the deduplicated adjacency, and not a Graph — it cannot be converted or
+// mutated.
+func (g *LiveGraph) FreezeWithVersion() (*core.Frozen, uint64) { return g.live.FreezeVersioned() }
 
 // MaintenanceStats returns counters of the maintenance activity.
 func (g *LiveGraph) MaintenanceStats() incremental.Stats { return g.live.Stats() }
