@@ -101,6 +101,128 @@ func (g *Graph) Freeze() *Frozen {
 	return f
 }
 
+// FreezeFrom derives the view of g's current logical graph from prev, a
+// view of an earlier state of the same graph, re-walking only the rows in
+// dirty. It requires that g's live vertex set is prev's and that dirty —
+// live source slots, in any order, repeats allowed — names every vertex
+// whose ForNeighbors emission may differ from its row in prev. Under that
+// contract the result equals g.Freeze() array for array.
+//
+// The derived view shares prev's ids and property maps (the vertex set is
+// unchanged), copies each run of clean out-rows with one copy, appends the
+// re-walked dirty rows in place, and patches the in-rows of the targets a
+// dirty row had or now has; every other in-row is copied. prev is not
+// modified, so views handed out earlier stay valid.
+func (g *Graph) FreezeFrom(prev *Frozen, dirty []int32) *Frozen {
+	n := int32(len(prev.ids))
+	dense := func(slot int32) int32 {
+		d, _ := prev.RealIndex(g.realID[slot])
+		return d
+	}
+	rows := make([]int32, len(dirty)) // dirty rows, dense, ascending
+	for i, s := range dirty {
+		rows[i] = dense(s)
+	}
+	slices.Sort(rows)
+	rows = slices.Compact(rows)
+	isDirty := func(d int32) bool {
+		_, ok := slices.BinarySearch(rows, d)
+		return ok
+	}
+
+	// Re-walk the dirty rows back to back, and collect the in-edges they
+	// contribute, grouped by target in ascending source order.
+	var fresh []int32
+	freshOff := make([]int, len(rows)+1)
+	add := func(t int32) bool {
+		fresh = append(fresh, dense(t))
+		return true
+	}
+	touched := make([]int32, 0, 2*len(rows))
+	var removed int64
+	for i, d := range rows {
+		g.ForNeighbors(g.realIdx[prev.ids[d]], add)
+		freshOff[i+1] = len(fresh)
+		old := prev.out[prev.outOff[d]:prev.outOff[d+1]]
+		removed += int64(len(old))
+		touched = append(touched, old...)
+	}
+	touched = append(touched, fresh...)
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	type edge struct{ t, s int32 }
+	added := make([]edge, 0, len(fresh))
+	for i, d := range rows {
+		for _, t := range fresh[freshOff[i]:freshOff[i+1]] {
+			added = append(added, edge{t, d})
+		}
+	}
+	slices.SortStableFunc(added, func(a, b edge) int { return cmp.Compare(a.t, b.t) })
+
+	m := int64(len(prev.out)) - removed + int64(len(fresh))
+	f := &Frozen{
+		ids:    prev.ids,
+		props:  prev.props,
+		first:  prev.first,
+		outOff: make([]int64, n+1),
+		out:    make([]int32, 0, m),
+		inOff:  make([]int64, n+1),
+		in:     make([]int32, 0, m),
+	}
+	// Out-rows: clean runs between dirty rows are copied, offsets shifted.
+	var lo int32
+	for i, d := range rows {
+		f.out = appendRows(f.outOff, f.out, prev.outOff, prev.out, lo, d)
+		f.out = append(f.out, fresh[freshOff[i]:freshOff[i+1]]...)
+		f.outOff[d+1] = int64(len(f.out))
+		lo = d + 1
+	}
+	f.out = appendRows(f.outOff, f.out, prev.outOff, prev.out, lo, n)
+	// In-rows: a touched target keeps its clean sources and merges in the
+	// dirty ones, still in ascending source order.
+	lo = 0
+	for _, t := range touched {
+		f.in = appendRows(f.inOff, f.in, prev.inOff, prev.in, lo, t)
+		k := 0 // every target in added is touched, so added is consumed in order
+		for k < len(added) && added[k].t == t {
+			k++
+		}
+		srcs := added[:k]
+		added = added[k:]
+		for _, s := range prev.in[prev.inOff[t]:prev.inOff[t+1]] {
+			if isDirty(s) {
+				continue
+			}
+			for len(srcs) > 0 && srcs[0].s < s {
+				f.in = append(f.in, srcs[0].s)
+				srcs = srcs[1:]
+			}
+			f.in = append(f.in, s)
+		}
+		for _, e := range srcs {
+			f.in = append(f.in, e.s)
+		}
+		f.inOff[t+1] = int64(len(f.in))
+		lo = t + 1
+	}
+	f.in = appendRows(f.inOff, f.in, prev.inOff, prev.in, lo, n)
+	return f
+}
+
+// appendRows appends the CSR rows [lo, hi) of (srcOff, src) to dst, whose
+// offsets dstOff are filled through row lo, and fills dstOff through hi.
+func appendRows(dstOff []int64, dst []int32, srcOff []int64, src []int32, lo, hi int32) []int32 {
+	if lo >= hi {
+		return dst
+	}
+	shift := int64(len(dst)) - srcOff[lo]
+	dst = append(dst, src[srcOff[lo]:srcOff[hi]]...)
+	for i := lo; i < hi; i++ {
+		dstOff[i+1] = srcOff[i+1] + shift
+	}
+	return dst
+}
+
 // NumRealNodes returns the vertex count n.
 func (f *Frozen) NumRealNodes() int { return len(f.ids) }
 
@@ -163,4 +285,26 @@ func (f *Frozen) PropertyOf(id int64, key string) (string, bool) {
 	}
 	val, ok := f.props[r][key]
 	return val, ok
+}
+
+// Diff names the first part in which f and o differ — "ids", "outOff",
+// "out", "inOff", "in" or "first" — or returns "" when the two views are
+// identical array for array. It is the oracle check that a view from
+// FreezeFrom equals a from-scratch Freeze.
+func (f *Frozen) Diff(o *Frozen) string {
+	switch {
+	case !slices.Equal(f.ids, o.ids):
+		return "ids"
+	case !slices.Equal(f.outOff, o.outOff):
+		return "outOff"
+	case !slices.Equal(f.out, o.out):
+		return "out"
+	case !slices.Equal(f.inOff, o.inOff):
+		return "inOff"
+	case !slices.Equal(f.in, o.in):
+		return "in"
+	case f.first != o.first:
+		return "first"
+	}
+	return ""
 }

@@ -145,3 +145,66 @@ func TestFrozenOutlivesMutation(t *testing.T) {
 		t.Fatalf("view edges %d (was %d), graph now %d", f.NumEdges(), before, g.LogicalEdges())
 	}
 }
+
+// TestFreezeFromMatchesFreeze: after random edge surgery on a condensed
+// graph, a view derived from the previous one with the rows whose emission
+// changed (plus some unchanged ones, which the contract allows) is
+// identical to a fresh Freeze, and the previous view is left as it was.
+func TestFreezeFromMatchesFreeze(t *testing.T) {
+	for seed := int64(0); seed < 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomCondensed(seed, seed%2 == 1)
+		if seed%3 == 0 {
+			g = shuffledIDs(seed)
+		}
+		var live []int32
+		g.ForEachReal(func(r int32) bool { live = append(live, r); return true })
+		if len(live) == 0 {
+			continue
+		}
+		pick := func() int32 { return live[rng.Intn(len(live))] }
+		prev, prevWant := g.Freeze(), g.Freeze()
+		for round := 0; round < 6; round++ {
+			before := make([][]int32, g.NumRealSlots())
+			for _, r := range live {
+				before[r] = collectOut(g, r)
+			}
+			for k := 0; k < rng.Intn(4); k++ {
+				u, w := pick(), pick()
+				switch op := rng.Intn(4); {
+				case op == 0:
+					g.AddDirectEdgeIdx(u, w)
+				case op == 1 && len(g.outReal[u]) > 0:
+					g.RemoveDirectEdgeIdx(u, g.outReal[u][rng.Intn(len(g.outReal[u]))])
+				case g.NumVirtualSlots() == 0:
+				case op == 2:
+					v := int32(rng.Intn(g.NumVirtualSlots()))
+					if g.VirtAlive(v) {
+						g.ConnectRealToVirt(u, v)
+						g.ConnectVirtToReal(v, w)
+					}
+				default:
+					v := int32(rng.Intn(g.NumVirtualSlots()))
+					if ts := g.VirtTargets(v); len(ts) > 0 {
+						g.DisconnectVirtToReal(v, ts[rng.Intn(len(ts))])
+					}
+				}
+			}
+			var dirty []int32
+			for _, r := range live {
+				if !slices.Equal(before[r], collectOut(g, r)) || rng.Intn(8) == 0 {
+					dirty = append(dirty, r, r)
+				}
+			}
+			rng.Shuffle(len(dirty), func(i, j int) { dirty[i], dirty[j] = dirty[j], dirty[i] })
+			got, want := g.FreezeFrom(prev, dirty), g.Freeze()
+			if d := got.Diff(want); d != "" {
+				t.Fatalf("seed %d round %d: derived view differs from Freeze in %s", seed, round, d)
+			}
+			if d := prev.Diff(prevWant); d != "" {
+				t.Fatalf("seed %d round %d: deriving changed the previous view's %s", seed, round, d)
+			}
+			prev, prevWant = got, want
+		}
+	}
+}

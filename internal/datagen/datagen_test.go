@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"math/rand"
 	"testing"
 
 	"graphgen/internal/core"
@@ -188,6 +189,33 @@ func TestBSPDatasets(t *testing.T) {
 		}
 		if g.LogicalEdges() == 0 {
 			t.Fatalf("%s: no edges", s.Name)
+		}
+	}
+}
+
+// TestPickWeightedMatchesScan: the blocked scan picks the same index as a
+// one-element-at-a-time scan of the same draw, on weight vectors whose
+// lengths are and are not multiples of four.
+func TestPickWeightedMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 23; n++ {
+		weights := make([]int, n)
+		total := n
+		for i := range weights {
+			weights[i] = rng.Intn(5)
+			total += weights[i]
+		}
+		a, b := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		for k := 0; k < 20*total; k++ {
+			want := 0
+			for x := b.Intn(total); ; want++ {
+				if x -= weights[want] + 1; x < 0 {
+					break
+				}
+			}
+			if got := pickWeighted(a, weights, total); got != want {
+				t.Fatalf("weights %v: pick %d is %d, a plain scan picks %d", weights, k, got, want)
+			}
 		}
 	}
 }

@@ -28,13 +28,49 @@ func logicalEdges(g *core.Graph) map[[2]int64]bool {
 	return out
 }
 
+// checkView asserts that the view FreezeVersioned hands out (after
+// flushing pending deltas) is identical, array for array, to a
+// from-scratch Freeze of the live graph at the same version, and returns
+// both.
+func checkView(t *testing.T, lv *Live, step string) (view, want *core.Frozen) {
+	t.Helper()
+	view, version, build := lv.FreezeVersioned()
+	lv.mu.RLock()
+	want, now := lv.g.Freeze(), lv.version
+	lv.mu.RUnlock()
+	if version != now {
+		t.Fatalf("%s: view at version %d, graph at %d", step, version, now)
+	}
+	if d := view.Diff(want); d != "" {
+		t.Fatalf("%s: %s view differs from Freeze in %s", step, build, d)
+	}
+	return view, want
+}
+
+// viewHistory checks a sequence of views: each against a fresh Freeze, and
+// the one before it against the Freeze taken with it — deriving a view
+// must leave the views handed out earlier as they were.
+type viewHistory struct{ last, lastWant *core.Frozen }
+
+func (h *viewHistory) check(t *testing.T, lv *Live, step string) {
+	t.Helper()
+	view, want := checkView(t, lv, step)
+	if h.last != nil {
+		if d := h.last.Diff(h.lastWant); d != "" {
+			t.Fatalf("%s: taking a view changed the previous view's %s", step, d)
+		}
+	}
+	h.last, h.lastWant = view, want
+}
+
 // checkEquivalence compares the live graph against a fresh extraction over
-// the current database state.
+// the current database state, and its view against a fresh Freeze.
 func checkEquivalence(t *testing.T, lv *Live, db *relstore.DB, prog *datalog.Program, opts extract.Options, step string) {
 	t.Helper()
 	if err := lv.Flush(); err != nil {
 		t.Fatalf("%s: flush: %v", step, err)
 	}
+	checkView(t, lv, step)
 	fresh, err := extract.Extract(db, prog, opts)
 	if err != nil {
 		t.Fatalf("%s: fresh extract: %v", step, err)
@@ -55,6 +91,10 @@ func checkEquivalence(t *testing.T, lv *Live, db *relstore.DB, prog *datalog.Pro
 // listed tables, drawing column values from small domains so that duplicate
 // rows, shared join values, and deletes of multi-support pairs all occur.
 // It verifies live-vs-fresh equivalence every checkEvery ops and at the end.
+// After each op it also, at random, takes a view (which flushes) and checks
+// it against Freeze and the previous view against the Freeze taken with
+// it; or flushes without a view, so a later view covers the rows several
+// flushes touched; or leaves the deltas pending for a batched flush.
 func randomOps(t *testing.T, rng *rand.Rand, db *relstore.DB, prog *datalog.Program, opts extract.Options,
 	tables []*relstore.Table, domains [][]int64, nOps, checkEvery int) {
 	t.Helper()
@@ -63,6 +103,8 @@ func randomOps(t *testing.T, rng *rand.Rand, db *relstore.DB, prog *datalog.Prog
 		t.Fatal(err)
 	}
 	defer lv.Close()
+	var views viewHistory
+	sched := rand.New(rand.NewSource(int64(nOps)))
 	for op := 1; op <= nOps; op++ {
 		ti := rng.Intn(len(tables))
 		tbl := tables[ti]
@@ -81,11 +123,23 @@ func randomOps(t *testing.T, rng *rand.Rand, db *relstore.DB, prog *datalog.Prog
 				t.Fatalf("delete %v: ok=%v err=%v", victim, ok, err)
 			}
 		}
+		step := fmt.Sprintf("after op %d", op)
+		switch sched.Intn(3) {
+		case 0:
+			views.check(t, lv, step)
+		case 1:
+			if err := lv.Flush(); err != nil {
+				t.Fatalf("%s: flush: %v", step, err)
+			}
+		}
 		if op%checkEvery == 0 {
-			checkEquivalence(t, lv, db, prog, opts, fmt.Sprintf("after op %d", op))
+			checkEquivalence(t, lv, db, prog, opts, step)
 		}
 	}
 	checkEquivalence(t, lv, db, prog, opts, "final")
+	if st := lv.Stats(); st.ViewsDerived == 0 {
+		t.Fatalf("no view was derived (%d full, %d reused): the derivation went untested", st.ViewsFull, st.ViewsReused)
+	}
 }
 
 // coauthorDB builds the co-authorship schema with a small value domain.
@@ -405,6 +459,50 @@ func TestLiveNodeTableRebuild(t *testing.T) {
 	checkEquivalence(t, lv, db, prog, opts, "after node delete")
 }
 
+// TestLiveViewBuilds walks a live graph through every way FreezeVersioned
+// obtains a view: the first is frozen from scratch, a second call at the
+// same version shares it, a flush that touches no vertex reuses it at the
+// new version, a flush that does derives a new one, and a rebuild freezes
+// from scratch again. Stats counts each build.
+func TestLiveViewBuilds(t *testing.T) {
+	rng := rand.New(rand.NewSource(88))
+	db, ap := coauthorDB(t, rng, 8, 30)
+	author, _ := db.Table("Author")
+	prog, _ := datalog.Parse(coauthorQuery)
+	lv, err := New(db, prog, extract.Options{LargeOutputFactor: 2, ForceCondensed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lv.Close()
+	var last *core.Frozen
+	var lastVersion uint64
+	step := func(name string, wantBuild ViewBuild, sameView bool) {
+		t.Helper()
+		f, version, build := lv.FreezeVersioned()
+		if build != wantBuild {
+			t.Fatalf("%s: view %s, want %s", name, build, wantBuild)
+		}
+		if (f == last) != sameView || (version == lastVersion) != (build == ViewShared) {
+			t.Fatalf("%s: same view %v, version %d -> %d", name, f == last, lastVersion, version)
+		}
+		checkView(t, lv, name)
+		last, lastVersion = f, version
+	}
+	step("first view", ViewFull, false)
+	step("same version", ViewShared, true)
+	ap.Insert(relstore.IntVal(99), relstore.IntVal(1)) // 99 is not an author
+	step("no vertex touched", ViewReused, true)
+	ap.Insert(relstore.IntVal(1), relstore.IntVal(7)) // a new publication
+	ap.Delete(relstore.IntVal(99), relstore.IntVal(1))
+	step("author 1 touched", ViewDerived, false)
+	author.Insert(relstore.IntVal(99), relstore.StrVal("late"))
+	step("after rebuild", ViewFull, false)
+	st := lv.Stats()
+	if st.ViewsFull != 2 || st.ViewsDerived != 1 || st.ViewsReused != 1 {
+		t.Fatalf("stats: %d full, %d derived, %d reused; want 2, 1, 1", st.ViewsFull, st.ViewsDerived, st.ViewsReused)
+	}
+}
+
 // TestLiveConcurrentReads races readers against update application: tuple
 // mutations happen on one goroutine while others read. Run under -race (CI
 // does) to validate the locking.
@@ -436,6 +534,7 @@ func TestLiveConcurrentReads(t *testing.T) {
 				lv.Neighbors(u)
 				lv.ExistsEdge(u, int64(r.Intn(10)+1))
 				lv.NumVertices()
+				lv.FreezeVersioned()
 			}
 		}(int64(w))
 	}
@@ -450,6 +549,9 @@ func TestLiveConcurrentReads(t *testing.T) {
 	close(done)
 	wg.Wait()
 	checkEquivalence(t, lv, db, prog, opts, "after concurrent run")
+	if st := lv.Stats(); st.ViewsFull != 1 {
+		t.Fatalf("%d full freezes without a rebuild, want 1", st.ViewsFull)
+	}
 }
 
 // liveWorkloads are the large maintained datasets of the timing test and

@@ -47,6 +47,10 @@ type Stats struct {
 	// Rebuilds is the number of full re-extractions (node-table changes
 	// or delta-evaluation failures).
 	Rebuilds int64
+	// ViewsFull, ViewsDerived and ViewsReused count the analytics views
+	// FreezeVersioned built from scratch, derived from the previous view,
+	// and reused unchanged at a new version (see ViewBuild).
+	ViewsFull, ViewsDerived, ViewsReused int64
 }
 
 // countDelta is one pending +-1 contribution to a segment pair count.
@@ -115,6 +119,22 @@ type Live struct {
 	pendMu sync.Mutex
 	// graphlint:guardedby pendMu
 	pending []countDelta
+
+	// viewMu guards the last view FreezeVersioned handed out, its version,
+	// the rows flushes changed since (tracked only while a view exists),
+	// and the per-ViewBuild counts. Lock order: mu before viewMu. A flush
+	// records rows under mu held for writing; FreezeVersioned derives
+	// under mu held for reading, so a derivation never overlaps a flush,
+	// and viewMu serializes concurrent derivations.
+	viewMu sync.Mutex
+	// graphlint:guardedby viewMu
+	view *core.Frozen
+	// graphlint:guardedby viewMu
+	viewVersion uint64
+	// graphlint:guardedby viewMu
+	touched rowSet
+	// graphlint:guardedby viewMu
+	views [ViewFull + 1]int64
 
 	nodeTables map[*relstore.Table]bool
 	cancels    []func()
@@ -210,7 +230,7 @@ func (lv *Live) build() error {
 			for _, row := range rel.Rows {
 				pair := [2]relstore.Value{row[0], row[1]}
 				if rs.counts[s][pair] == 0 {
-					addPair(g, rs, s, pair)
+					addPair(g, rs, s, pair, nil)
 				}
 				rs.counts[s][pair]++
 			}
@@ -308,6 +328,7 @@ func (lv *Live) rebuildNow() {
 	lv.pending = nil
 	lv.pendMu.Unlock()
 	lv.stats.Rebuilds++
+	lv.dropView()
 	if err := lv.build(); err != nil {
 		// Keep serving the last good graph; surface via Flush/Err. The
 		// version still advances: the database moved past the served
@@ -377,6 +398,12 @@ func (lv *Live) flushLocked() {
 			net[k] += p.net[k]
 		}
 	}
+	lv.viewMu.Lock()
+	defer lv.viewMu.Unlock()
+	var touched *rowSet
+	if lv.view != nil {
+		touched = &lv.touched
+	}
 	for _, k := range order {
 		dn := net[k]
 		if dn == 0 {
@@ -395,19 +422,20 @@ func (lv *Live) flushLocked() {
 		}
 		switch {
 		case old == 0 && now > 0:
-			addPair(lv.g, rs, k.seg, k.pair)
+			addPair(lv.g, rs, k.seg, k.pair, touched)
 			lv.stats.Transitions++
 		case old > 0 && now == 0:
-			removePair(lv.g, rs, k.seg, k.pair)
+			removePair(lv.g, rs, k.seg, k.pair, touched)
 			lv.stats.Transitions++
 		}
 	}
 }
 
 // addPair wires the physical edge of a pair whose support count became
-// positive. Pairs whose real endpoint is absent from the node set stay
-// unwired, matching Extract's skipped-row semantics.
-func addPair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value) {
+// positive, recording the out-rows it may change in touched (see view.go).
+// Pairs whose real endpoint is absent from the node set stay unwired,
+// matching Extract's skipped-row semantics.
+func addPair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value, touched *rowSet) {
 	last := len(rs.plan.Segments) - 1
 	switch {
 	case last == 0:
@@ -417,20 +445,26 @@ func addPair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value) {
 			return
 		}
 		g.AddDirectEdgeIdx(u, w)
+		touched.add(u)
 	case seg == 0:
 		r, ok := g.RealIndex(extract.AsID(pair[0]))
 		if !ok {
 			return
 		}
 		g.ConnectRealToVirt(r, getVirt(g, rs, 0, pair[1]))
+		touched.add(r)
 	case seg == last:
 		r, ok := g.RealIndex(extract.AsID(pair[1]))
 		if !ok {
 			return
 		}
-		g.ConnectVirtToReal(getVirt(g, rs, seg-1, pair[0]), r)
+		v := getVirt(g, rs, seg-1, pair[0])
+		g.ConnectVirtToReal(v, r)
+		touched.addReaching(g, v)
 	default:
-		g.ConnectVirtToVirt(getVirt(g, rs, seg-1, pair[0]), getVirt(g, rs, seg, pair[1]))
+		v := getVirt(g, rs, seg-1, pair[0])
+		g.ConnectVirtToVirt(v, getVirt(g, rs, seg, pair[1]))
+		touched.addReaching(g, v)
 	}
 }
 
@@ -438,8 +472,9 @@ func addPair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value) {
 // is the single-membership analogue of core's DeleteEdge compensation: only
 // the physical edge whose support vanished is removed, so every other
 // logical edge (including ones sharing the virtual node) survives, and
-// fully disconnected virtual nodes are reclaimed.
-func removePair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value) {
+// fully disconnected virtual nodes are reclaimed. Rows are recorded in
+// touched like addPair's, before the surgery.
+func removePair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value, touched *rowSet) {
 	last := len(rs.plan.Segments) - 1
 	switch {
 	case last == 0:
@@ -448,6 +483,7 @@ func removePair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value) {
 		if !okU || !okW {
 			return
 		}
+		touched.add(u)
 		g.RemoveDirectEdgeIdx(u, w)
 	case seg == 0:
 		r, okR := g.RealIndex(extract.AsID(pair[0]))
@@ -455,6 +491,7 @@ func removePair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value) {
 		if !okR || !okV {
 			return
 		}
+		touched.add(r)
 		g.DisconnectRealToVirt(r, v)
 		releaseVirtIfEmpty(g, rs, v)
 	case seg == last:
@@ -463,6 +500,7 @@ func removePair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value) {
 		if !okR || !okV {
 			return
 		}
+		touched.addReaching(g, v)
 		g.DisconnectVirtToReal(v, r)
 		releaseVirtIfEmpty(g, rs, v)
 	default:
@@ -471,6 +509,7 @@ func removePair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value) {
 		if !okV || !okW {
 			return
 		}
+		touched.addReaching(g, v)
 		g.DisconnectVirtToVirt(v, w)
 		releaseVirtIfEmpty(g, rs, v)
 		releaseVirtIfEmpty(g, rs, w)
@@ -624,19 +663,6 @@ func (lv *Live) SnapshotVersioned() (*core.Graph, uint64) {
 	return lv.g.Clone(), lv.version
 }
 
-// FreezeVersioned applies pending deltas and returns an immutable CSR view
-// of the graph plus the version it was frozen at, read atomically under
-// one lock acquisition, like SnapshotVersioned. The view copies only the
-// logical adjacency (no virtual nodes, no per-vertex property maps — those
-// are shared, which is safe because flushes only do edge surgery and a
-// rebuild installs a new graph), so the read lock is held for a fraction
-// of what Clone takes.
-func (lv *Live) FreezeVersioned() (*core.Frozen, uint64) {
-	lv.acquire()
-	defer lv.mu.RUnlock()
-	return lv.g.Freeze(), lv.version
-}
-
 // Pending returns the number of queued, not-yet-applied count deltas.
 func (lv *Live) Pending() int {
 	lv.pendMu.Lock()
@@ -675,7 +701,11 @@ func (lv *Live) Summarize() Summary {
 func (lv *Live) Stats() Stats {
 	lv.acquire()
 	defer lv.mu.RUnlock()
-	return lv.stats
+	st := lv.stats
+	lv.viewMu.Lock()
+	defer lv.viewMu.Unlock()
+	st.ViewsFull, st.ViewsDerived, st.ViewsReused = lv.views[ViewFull], lv.views[ViewDerived], lv.views[ViewReused]
+	return st
 }
 
 // Err returns the first unrecovered rebuild error, if any.

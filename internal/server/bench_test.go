@@ -109,12 +109,18 @@ func BenchmarkServerMutation(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveAnalyzeMiss measures an analysis that misses the cache on a
-// live session: a live SNB knows session (scale factor 1, 10 000 persons)
-// takes one insert+delete pair before every request, outside the timer, so
-// each timed request flushes the pair, freezes a new view and recomputes.
-// The analyses and parameters are the bench/ serve-mixed rotation's.
-func BenchmarkLiveAnalyzeMiss(b *testing.B) {
+// liveMissAnalyses are the bench/ serve-mixed rotation's analyses and
+// parameters.
+var liveMissAnalyses = []struct{ name, path string }{
+	{"degree", "degree?k=10"},
+	{"components", "components"},
+	{"sssp", "sssp?sources=4"},
+	{"closeness", "closeness?samples=8&k=5"},
+}
+
+// liveMissServer serves a live SNB knows session (scale factor 1, 10 000
+// persons) named "knows".
+func liveMissServer(b *testing.B) (*Server, *httptest.Server) {
 	db := datagen.SNB(datagen.SNBConfig{Seed: 2, ScaleFactor: 1})
 	s := New(graphgen.NewEngine(db), Options{})
 	ts := httptest.NewServer(s.Handler())
@@ -122,24 +128,20 @@ func BenchmarkLiveAnalyzeMiss(b *testing.B) {
 	if code, err := postJSON(ts.URL+"/v1/graphs", map[string]any{"name": "knows", "query": datagen.QueryKnows, "live": true}); err != nil || code != http.StatusCreated {
 		b.Fatalf("create: code %d err %v", code, err)
 	}
-	for _, a := range []struct{ name, path string }{
-		{"degree", "degree?k=10"},
-		{"components", "components"},
-		{"sssp", "sssp?sources=4"},
-		{"closeness", "closeness?samples=8&k=5"},
-	} {
+	return s, ts
+}
+
+// runLiveMiss times one analysis request per iteration, each after
+// mutate(i) ran outside the timer.
+func runLiveMiss(b *testing.B, ts *httptest.Server, mutate func(b *testing.B, i int)) {
+	for _, a := range liveMissAnalyses {
 		b.Run(a.name, func(b *testing.B) {
 			url := ts.URL + "/v1/graphs/knows/analyze/" + a.path
-			row := map[string]any{"row": []any{900_000_001, 900_000_002}}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				for _, op := range []string{"insert", "delete"} {
-					if code, err := postJSON(ts.URL+"/v1/db/Knows/"+op, row); err != nil || code != http.StatusOK {
-						b.Fatalf("%s: code %d err %v", op, code, err)
-					}
-				}
+				mutate(b, i)
 				b.StartTimer()
 				if code, err := getStatus(url); err != nil || code != http.StatusOK {
 					b.Fatalf("%s: code %d err %v", a.path, code, err)
@@ -147,4 +149,50 @@ func BenchmarkLiveAnalyzeMiss(b *testing.B) {
 			}
 		})
 	}
+}
+
+// postRow routes one insert or delete of a Knows row.
+func postRow(b *testing.B, ts *httptest.Server, op string, row []any) {
+	if code, err := postJSON(ts.URL+"/v1/db/Knows/"+op, map[string]any{"row": row}); err != nil || code != http.StatusOK {
+		b.Fatalf("%s: code %d err %v", op, code, err)
+	}
+}
+
+// BenchmarkLiveAnalyzeMiss measures an analysis that misses the cache on a
+// live session, with the bench/ serve-mixed traffic's mutations: one
+// insert+delete pair of a Knows row between IDs that are not persons
+// before every request, outside the timer. The pair moves the version, so
+// each timed request flushes it and recomputes; the flush changes no
+// vertex's neighbors, so the request reuses the previous view.
+func BenchmarkLiveAnalyzeMiss(b *testing.B) {
+	_, ts := liveMissServer(b)
+	row := []any{900_000_001, 900_000_002}
+	runLiveMiss(b, ts, func(b *testing.B, _ int) {
+		postRow(b, ts, "insert", row)
+		postRow(b, ts, "delete", row)
+	})
+}
+
+// BenchmarkLiveAnalyzeMissTouching is BenchmarkLiveAnalyzeMiss with
+// mutations that change real rows: before every request a Knows edge
+// between two existing persons, both directions, is inserted (even
+// iterations) or deleted again (odd ones). Each timed request flushes it,
+// derives a view re-walking the two persons' rows, and recomputes.
+func BenchmarkLiveAnalyzeMissTouching(b *testing.B) {
+	s, ts := liveMissServer(b)
+	sess, _ := s.lookup("knows")
+	q := int64(2)
+	for sess.live.ExistsEdge(1, q) || sess.live.ExistsEdge(q, 1) {
+		q++
+	}
+	present := false
+	runLiveMiss(b, ts, func(b *testing.B, _ int) {
+		op := "insert"
+		if present {
+			op = "delete"
+		}
+		postRow(b, ts, op, []any{1, q})
+		postRow(b, ts, op, []any{q, 1})
+		present = !present
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"graphgen"
+	"graphgen/internal/incremental"
 	"graphgen/internal/obs"
 )
 
@@ -87,9 +88,12 @@ type metrics struct {
 	evalDepthHist  *obs.Histogram
 	evalTupleHist  *obs.Histogram
 
-	// viewsFrozen counts analytics views built (Server.analyticsView): at
-	// most one per static session and one per version of a live session.
-	viewsFrozen atomic.Int64
+	// views counts the analytics views misses obtained
+	// (Server.analyticsView), by how they were built: one full freeze per
+	// static session; per live session at most one full, derived or
+	// reused view per version. Views shared within a version are not
+	// counted.
+	views [incremental.ViewFull + 1]atomic.Int64
 }
 
 func newMetrics() *metrics {
@@ -130,6 +134,26 @@ func (m *metrics) evalSnapshot() EvalStats {
 		Depth:                m.evalDepthHist.Snapshot(),
 		Derived:              m.evalTupleHist.Snapshot(),
 	}
+}
+
+// observeView counts one view a miss obtained.
+func (m *metrics) observeView(b incremental.ViewBuild) {
+	if b != incremental.ViewShared {
+		m.views[b].Add(1)
+	}
+}
+
+// viewBuilds are the counted view builds, in metrics order.
+var viewBuilds = []incremental.ViewBuild{incremental.ViewFull, incremental.ViewDerived, incremental.ViewReused}
+
+// viewSnapshot returns the view counts keyed by build ("full",
+// "derived", "reused").
+func (m *metrics) viewSnapshot() map[string]int64 {
+	out := make(map[string]int64, len(viewBuilds))
+	for _, b := range viewBuilds {
+		out[b.String()] = m.views[b].Load()
+	}
+	return out
 }
 
 // statusClass folds an HTTP status into its class label ("2xx", "4xx",
@@ -213,8 +237,10 @@ func (m *metrics) writeProm(w io.Writer) {
 		routes[name].Latency.WriteProm(w, "graphgend_request_duration_seconds",
 			obs.PromLabel("route", name))
 	}
-	fmt.Fprintf(w, "# TYPE graphgend_analytics_views_frozen_total counter\n")
-	fmt.Fprintf(w, "graphgend_analytics_views_frozen_total %d\n", m.viewsFrozen.Load())
+	fmt.Fprintf(w, "# TYPE graphgend_analytics_views_total counter\n")
+	for _, b := range viewBuilds {
+		fmt.Fprintf(w, "graphgend_analytics_views_total{%s} %d\n", obs.PromLabel("build", b.String()), m.views[b].Load())
+	}
 	es := m.evalSnapshot()
 	fmt.Fprintf(w, "# TYPE graphgend_eval_programs_total counter\n")
 	fmt.Fprintf(w, "graphgend_eval_programs_total %d\n", es.Programs)

@@ -262,6 +262,10 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"# TYPE graphgend_eval_programs_total counter",
 		"graphgend_eval_programs_total 0",
 		`graphgend_eval_depth_bucket{le="+Inf"} 0`,
+		"# TYPE graphgend_analytics_views_total counter",
+		`graphgend_analytics_views_total{build="full"} 0`,
+		`graphgend_analytics_views_total{build="derived"} 0`,
+		`graphgend_analytics_views_total{build="reused"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus output missing %q", want)

@@ -90,6 +90,7 @@ import (
 	"graphgen"
 	"graphgen/internal/algo"
 	"graphgen/internal/core"
+	"graphgen/internal/incremental"
 	"graphgen/internal/obs"
 	"graphgen/internal/workload"
 )
@@ -148,18 +149,12 @@ type session struct {
 	// session, recorded when the create request asked for
 	// explain/analyze; nil otherwise. Immutable once set.
 	profile *graphgen.Profile
-	// view is the frozen graph every analysis of the session runs on,
-	// tagged with the version it was frozen at; viewMu makes concurrent
-	// misses share one freeze (see Server.analyticsView).
-	view   atomic.Pointer[versionedView]
+	// view is a static session's frozen graph, which every analysis of
+	// the session runs on; viewMu makes concurrent first misses share one
+	// freeze (see Server.analyticsView). A live session's graph keeps its
+	// own view.
+	view   atomic.Pointer[core.Frozen]
 	viewMu sync.Mutex
-}
-
-// versionedView is an immutable CSR view of a session's graph and the
-// version it was frozen at (always 0 for static sessions).
-type versionedView struct {
-	version uint64
-	f       *core.Frozen
 }
 
 // Server is the graph-serving daemon core, independent of the listener:
@@ -614,10 +609,13 @@ func (s *Server) statsPayload(sess *session) map[string]any {
 		out["version"] = sum.Version
 		out["pending_deltas"] = sum.Pending
 		out["maintenance"] = map[string]int64{
-			"delta_rows":  ms.DeltaRows,
-			"transitions": ms.Transitions,
-			"flushes":     ms.Flushes,
-			"rebuilds":    ms.Rebuilds,
+			"delta_rows":    ms.DeltaRows,
+			"transitions":   ms.Transitions,
+			"flushes":       ms.Flushes,
+			"rebuilds":      ms.Rebuilds,
+			"views_full":    ms.ViewsFull,
+			"views_derived": ms.ViewsDerived,
+			"views_reused":  ms.ViewsReused,
 		}
 		return out
 	}
@@ -753,12 +751,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Miss: compute on the session's frozen view, and store the result
-	// under the version the view was frozen at — in case a mutation
-	// flushed between the Version read above and the freeze.
-	view := s.analyticsView(sess, version)
-	key.version = view.version
+	// under the version the view reflects — in case a mutation flushed
+	// between the Version read above and the freeze.
+	view, viewVersion := s.analyticsView(sess)
+	key.version = viewVersion
 	start := time.Now()
-	result, err := computeAnalysis(view.f, analysis, params)
+	result, err := computeAnalysis(view, analysis, params)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, codeBadParam, "%v", err)
@@ -779,31 +777,30 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, env)
 }
 
-// analyticsView returns a frozen view of sess at version or later. The
-// session keeps one view: a miss reuses it unless a flush has moved the
-// graph past it, in which case the view is re-frozen (atomically with its
-// version) and replaced. Concurrent misses wait for one freeze, so a
-// static session freezes once and a live one at most once per version.
-// Any view at least as new as the version probed at the start of the
-// request reflects every mutation made before the request.
-func (s *Server) analyticsView(sess *session, version uint64) *versionedView {
-	if v := sess.view.Load(); v != nil && v.version >= version {
-		return v
+// analyticsView returns the frozen view of sess that a miss computes on,
+// and the version it reflects. A live session's graph derives each view
+// from its last one, at most one per version (LiveGraph.FreezeWithVersion);
+// the view is at least as new as any version the request probed before,
+// so it reflects every mutation made before the request. A static session
+// freezes once, and concurrent first misses wait for that one freeze.
+func (s *Server) analyticsView(sess *session) (*core.Frozen, uint64) {
+	if sess.live != nil {
+		f, version, build := sess.live.FreezeWithVersion()
+		s.metrics.observeView(build)
+		return f, version
+	}
+	if f := sess.view.Load(); f != nil {
+		return f, 0
 	}
 	sess.viewMu.Lock()
 	defer sess.viewMu.Unlock()
-	if v := sess.view.Load(); v != nil && v.version >= version {
-		return v
+	if f := sess.view.Load(); f != nil {
+		return f, 0
 	}
-	v := new(versionedView)
-	if sess.live != nil {
-		v.f, v.version = sess.live.FreezeWithVersion()
-	} else {
-		v.f = sess.static.Core().Freeze()
-	}
-	s.metrics.viewsFrozen.Add(1)
-	sess.view.Store(v)
-	return v
+	f := sess.static.Core().Freeze()
+	s.metrics.observeView(incremental.ViewFull)
+	sess.view.Store(f)
+	return f, 0
 }
 
 // analysisParams carries the typed parameters of one analysis plus their
@@ -1222,12 +1219,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_s":               uptime.Seconds(),
-		"sessions":               n,
-		"requests":               routes,
-		"cache":                  s.cache.stats(),
-		"db_indexes":             s.dbIndexes.Load(),
-		"datalog_eval":           s.metrics.evalSnapshot(),
-		"analytics_views_frozen": s.metrics.viewsFrozen.Load(),
+		"uptime_s":        uptime.Seconds(),
+		"sessions":        n,
+		"requests":        routes,
+		"cache":           s.cache.stats(),
+		"db_indexes":      s.dbIndexes.Load(),
+		"datalog_eval":    s.metrics.evalSnapshot(),
+		"analytics_views": s.metrics.viewSnapshot(),
 	})
 }

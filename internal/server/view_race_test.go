@@ -33,14 +33,22 @@ func getAnalyze(t *testing.T, ts *httptest.Server, session, analysis string) ana
 	return r
 }
 
-func viewsFrozen(t *testing.T, ts *httptest.Server) int64 {
+// viewCounts reads /metrics' analytics view counts by build.
+func viewCounts(t *testing.T, ts *httptest.Server) (full, derived, reused int64) {
 	t.Helper()
 	_, m := doJSON(t, "GET", ts.URL+api+"/metrics", nil)
-	n, ok := m["analytics_views_frozen"].(float64)
+	views, ok := m["analytics_views"].(map[string]any)
 	if !ok {
-		t.Fatalf("no analytics_views_frozen in /metrics: %v", m)
+		t.Fatalf("no analytics_views in /metrics: %v", m)
 	}
-	return int64(n)
+	get := func(build string) int64 {
+		n, ok := views[build].(float64)
+		if !ok {
+			t.Fatalf("no %q count in analytics_views: %v", build, views)
+		}
+		return int64(n)
+	}
+	return get("full"), get("derived"), get("reused")
 }
 
 // raceAnalyses cycles every analysis; the bfs sources vary so requests
@@ -53,8 +61,10 @@ var raceAnalyses = []string{
 // TestAnalyzeRacesMutations runs analyze requests against a live session
 // while routed mutations keep moving its version. Every reply for the same
 // (version, analysis, params) must be byte-identical, a live session
-// freezes at most once per version, and once mutations stop the served
+// builds at most one view per version, and once mutations stop the served
 // results equal the analyses computed on a detached clone at that version.
+// The mutations name real authors, so views after the first are derived
+// from their predecessor; the served view must equal a fresh Freeze.
 func TestAnalyzeRacesMutations(t *testing.T) {
 	s, ts := newTestServer(t, 150, 110)
 	createSession(t, ts, "lv", true)
@@ -113,11 +123,35 @@ func TestAnalyzeRacesMutations(t *testing.T) {
 	if len(versions) < 2 {
 		t.Fatalf("analyses observed %d version(s): no version boundary was crossed", len(versions))
 	}
+	// One more mutation of a real author's row, after the racing
+	// analyses, so at least one view is derived whatever the schedule.
+	if code, err := postJSON(ts.URL+api+"/db/AuthorPub/insert", map[string]any{"row": []any{7, 1_000_100}}); err != nil || code != http.StatusOK {
+		t.Fatalf("insert: code %d err %v", code, err)
+	}
+	getAnalyze(t, ts, "lv", "degree?k=5")
 	sess, _ := s.lookup("lv")
 	g, v := sess.live.SnapshotWithVersion()
 	maxV = max(maxV, v)
-	if n := viewsFrozen(t, ts); n < 1 || uint64(n) > maxV {
-		t.Fatalf("%d views frozen over %d versions: more than one per version", n, maxV)
+	full, derived, reused := viewCounts(t, ts)
+	if n := full + derived + reused; n < 1 || uint64(n) > maxV {
+		t.Fatalf("%d views (%d full, %d derived, %d reused) over %d versions: more than one per version", n, full, derived, reused, maxV)
+	}
+	if full != 1 || derived < 1 {
+		t.Fatalf("views: %d full, %d derived; want one full freeze and derivations after it", full, derived)
+	}
+	_, stats := doJSON(t, "GET", ts.URL+api+"/graphs/lv/stats", nil)
+	maint, _ := stats["maintenance"].(map[string]any)
+	for build, want := range map[string]int64{"views_full": full, "views_derived": derived, "views_reused": reused} {
+		if got, ok := maint[build].(float64); !ok || int64(got) != want {
+			t.Errorf("/stats maintenance %s = %v, /metrics counts %d", build, maint[build], want)
+		}
+	}
+	served, servedV, _ := sess.live.FreezeWithVersion()
+	if servedV != v {
+		t.Fatalf("view at version %d, snapshot at %d", servedV, v)
+	}
+	if d := served.Diff(g.Core().Freeze()); d != "" {
+		t.Fatalf("served view differs from a fresh Freeze in %s", d)
 	}
 	for _, a := range raceAnalyses {
 		r := getAnalyze(t, ts, "lv", a)
@@ -153,7 +187,7 @@ func TestAnalyzeRacesMutations(t *testing.T) {
 func TestStaticSessionFreezesOnce(t *testing.T) {
 	_, ts := newTestServer(t, 3000, 2500)
 	createSession(t, ts, "st", false)
-	before := viewsFrozen(t, ts)
+	before, _, _ := viewCounts(t, ts)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
@@ -171,7 +205,8 @@ func TestStaticSessionFreezesOnce(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if n := viewsFrozen(t, ts) - before; n != 1 {
-		t.Fatalf("static session froze %d views, want exactly 1", n)
+	full, derived, reused := viewCounts(t, ts)
+	if n := full - before; n != 1 || derived != 0 || reused != 0 {
+		t.Fatalf("static session: %d full, %d derived, %d reused views, want exactly 1 full", n, derived, reused)
 	}
 }

@@ -23,6 +23,11 @@ go vet "$@"
 echo "== graphlint"
 go run ./cmd/graphlint -counts "$@"
 
+# Ten seconds of fuzzing past the committed FuzzLiveView corpus: derived
+# live views == Freeze, live edges == a fresh extraction.
+echo "== fuzz live views"
+go test -run '^$' -fuzz '^FuzzLiveView$' -fuzztime 10s ./internal/incremental
+
 # The nested bench module is outside ./...; its one-second runs are
 # oracle checks (extraction rows, on the default planner path through
 # Engine.Extract and on the forced join pipeline; degrees and PageRank of

@@ -124,12 +124,19 @@ func (g *LiveGraph) SnapshotWithVersion() (*Graph, uint64) {
 }
 
 // FreezeWithVersion applies pending deltas and returns an immutable CSR
-// view of the current logical graph (see core.Frozen) plus the version it
-// was frozen at, read atomically. It is the analytics substrate of the
-// serving layer: cheaper than SnapshotWithVersion because it copies only
-// the deduplicated adjacency, and not a Graph — it cannot be converted or
-// mutated.
-func (g *LiveGraph) FreezeWithVersion() (*core.Frozen, uint64) { return g.live.FreezeVersioned() }
+// view of the current logical graph (see core.Frozen), the version it
+// reflects, read atomically, and how the view was obtained. It is the
+// analytics substrate of the serving layer: cheaper than
+// SnapshotWithVersion because it holds only the deduplicated adjacency,
+// and not a Graph — it cannot be converted or mutated. The graph keeps the
+// last view it handed out and derives the next one from it: a version
+// whose flushes changed no vertex's neighbors gets the same view back, one
+// that did gets a copy with only the changed rows re-walked, and only the
+// first call after building or rebuilding the graph freezes from scratch.
+// Concurrent callers at one version share one view.
+func (g *LiveGraph) FreezeWithVersion() (*core.Frozen, uint64, incremental.ViewBuild) {
+	return g.live.FreezeVersioned()
+}
 
 // MaintenanceStats returns counters of the maintenance activity.
 func (g *LiveGraph) MaintenanceStats() incremental.Stats { return g.live.Stats() }
