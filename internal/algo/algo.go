@@ -7,6 +7,14 @@
 // The algorithms reach the graph only through Graph, an interface, so the
 // callbacks they pass escape to the heap: each algorithm builds its
 // callbacks once per call, never once per vertex.
+//
+// Degrees, BFSFrom and ConnectedComponents have a second loop for a graph
+// that also hands out its rows as flat slices (flatRows; *core.Frozen, the
+// view every served analysis runs on). They check for it once per call and
+// then range over the slices, so a traversal of a view pays no indirect
+// call per edge. Every other graph, *core.Graph included, takes the
+// callback loop; PageRank, triangles and the community kernels are
+// callback-only.
 package algo
 
 // Graph is the traversal surface the algorithms need: dense real-node
@@ -22,11 +30,28 @@ type Graph interface {
 	ForInNeighbors(r int32, fn func(s int32) bool)
 }
 
+// flatRows is a Graph whose adjacency is stored as flat rows: OutRow(r)
+// and InRow(r) are exactly the neighbors ForNeighbors and ForInNeighbors
+// yield, as one read-only slice each. *core.Frozen satisfies it.
+type flatRows interface {
+	Graph
+	OutRow(r int32) []int32
+	InRow(r int32) []int32
+}
+
 // Degrees returns the logical out-degree of every real node, indexed by
 // dense node index (dead slots report 0). Self loops follow the graph's
 // SelfLoops setting.
 func Degrees(g Graph) []int {
 	deg := make([]int, g.NumRealSlots())
+	if fg, ok := g.(flatRows); ok {
+		for r := range int32(len(deg)) {
+			if fg.Alive(r) {
+				deg[r] = len(fg.OutRow(r))
+			}
+		}
+		return deg
+	}
 	n := 0
 	count := func(int32) bool { n++; return true }
 	for r := range int32(len(deg)) {
@@ -79,6 +104,9 @@ func BFSFrom(g Graph, seeds []int32, dist []int32) (reached int, maxDepth int32,
 		}
 	}
 	reached = len(frontier)
+	if fg, ok := g.(flatRows); ok {
+		return bfsRows(fg, frontier, dist, reached)
+	}
 	var next []int32
 	var depth int32
 	visit := func(t int32) bool {
@@ -92,6 +120,31 @@ func BFSFrom(g Graph, seeds []int32, dist []int32) (reached int, maxDepth int32,
 		next = next[:0]
 		for _, u := range frontier {
 			g.ForNeighbors(u, visit)
+		}
+		if len(next) > 0 {
+			maxDepth = depth
+		}
+		reached += len(next)
+		sumDist += int64(depth) * int64(len(next))
+		frontier, next = next, frontier
+	}
+	return reached, maxDepth, sumDist
+}
+
+// bfsRows is BFSFrom's level loop on flat rows, from the seeded frontier.
+func bfsRows(g flatRows, frontier, dist []int32, reached int) (int, int32, int64) {
+	var next []int32
+	var maxDepth int32
+	var sumDist int64
+	for depth := int32(1); len(frontier) > 0; depth++ {
+		next = next[:0]
+		for _, u := range frontier {
+			for _, t := range g.OutRow(u) {
+				if dist[t] < 0 {
+					dist[t] = depth
+					next = append(next, t)
+				}
+			}
 		}
 		if len(next) > 0 {
 			maxDepth = depth
@@ -152,6 +205,9 @@ func ConnectedComponents(g Graph) ([]int32, int) {
 	for i := range labels {
 		labels[i] = -1
 	}
+	if fg, ok := g.(flatRows); ok {
+		return labels, componentsRows(fg, labels)
+	}
 	count := 0
 	var stack []int32
 	var lbl int32
@@ -178,6 +234,35 @@ func ConnectedComponents(g Graph) ([]int32, int) {
 		}
 	}
 	return labels, count
+}
+
+// componentsRows is ConnectedComponents' search on flat rows; labels
+// arrive all -1.
+func componentsRows(g flatRows, labels []int32) int {
+	count := 0
+	var stack []int32
+	for s := range int32(len(labels)) {
+		if !g.Alive(s) || labels[s] >= 0 {
+			continue
+		}
+		lbl := int32(count)
+		count++
+		labels[s] = lbl
+		stack = append(stack[:0], s)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, row := range [2][]int32{g.OutRow(u), g.InRow(u)} {
+				for _, t := range row {
+					if labels[t] < 0 {
+						labels[t] = lbl
+						stack = append(stack, t)
+					}
+				}
+			}
+		}
+	}
+	return count
 }
 
 // CountTriangles counts undirected triangles {a, b, c} (each counted once).

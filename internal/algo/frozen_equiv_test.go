@@ -158,6 +158,15 @@ func TestAlgorithmsAgreeOnFrozenView(t *testing.T) {
 			}
 		}
 
+		for _, set := range seedSets(g, f) {
+			da, db := make([]int32, g.NumRealSlots()), make([]int32, f.NumRealSlots())
+			ra, ma, sa := BFSFrom(g, set.graph, da)
+			rb, mb, sb := BFSFrom(f, set.view, db)
+			if ra != rb || ma != mb || sa != sb || !equalMaps(perID(g, gid, da), perID(f, fid, db)) {
+				t.Errorf("%s: BFSFrom %s differs: graph %d/%d/%d view %d/%d/%d", name, set.name, ra, ma, sa, rb, mb, sb)
+			}
+		}
+
 		la, na := ConnectedComponents(g)
 		lb, nb := ConnectedComponents(f)
 		if pa, pb := partition(g, gid, la), partition(f, fid, lb); na != nb || fmt.Sprint(pa) != fmt.Sprint(pb) {
@@ -181,6 +190,49 @@ func TestAlgorithmsAgreeOnFrozenView(t *testing.T) {
 			t.Errorf("%s: k-core numbers differ", name)
 		}
 	}
+}
+
+// seedSet is one BFSFrom seed list, as dense indexes of the graph and of
+// its view.
+type seedSet struct {
+	name        string
+	graph, view []int32
+}
+
+// seedSets returns multi-source seed lists: several live seeds, repeated
+// ones, dead ones (-1, one past the last slot and, on a tombstoned graph, a
+// deleted slot, which the view does not have) alone and mixed with live
+// ones, and none.
+func seedSets(g *core.Graph, f *core.Frozen) []seedSet {
+	dead := seedSet{"dead", []int32{-1, int32(g.NumRealSlots())}, []int32{-1, int32(f.NumRealSlots())}}
+	for r := range int32(g.NumRealSlots()) {
+		if !g.Alive(r) {
+			dead.graph = append(dead.graph, r)
+			dead.view = append(dead.view, int32(f.NumRealSlots()))
+			break
+		}
+	}
+	byID := func(name string, ids ...int64) seedSet {
+		set := seedSet{name: name}
+		for _, id := range ids {
+			a, _ := g.RealIndex(id)
+			b, _ := f.RealIndex(id)
+			set.graph, set.view = append(set.graph, a), append(set.view, b)
+		}
+		return set
+	}
+	join := func(name string, a, b seedSet) seedSet {
+		return seedSet{name, append(slices.Clone(a.graph), b.graph...), append(slices.Clone(a.view), b.view...)}
+	}
+	sets := []seedSet{dead, {name: "none"}}
+	if ids := f.IDs(); len(ids) > 0 {
+		first, mid, last := ids[0], ids[len(ids)/2], ids[len(ids)-1]
+		several := byID("several", first, mid, last, ids[len(ids)/3])
+		sets = append(sets, several,
+			byID("repeated", mid, first, mid, mid, first),
+			join("dead and live", dead, several))
+	}
+	return sets
 }
 
 func equalMaps[T comparable](a, b map[int64]T) bool {

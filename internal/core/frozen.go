@@ -22,7 +22,9 @@ import (
 // visible through the view; callers that do that must not freeze.
 //
 // A Frozen is safe for concurrent use and satisfies the traversal surface
-// of internal/algo, so every algorithm runs on it unchanged.
+// of internal/algo, so every algorithm runs on it unchanged; OutRow and
+// InRow also hand out its rows as flat slices, which the BFS-shaped
+// kernels range over instead of calling back once per edge.
 type Frozen struct {
 	ids    []int64 // dense -> external, ascending
 	outOff []int64 // len n+1
@@ -257,10 +259,26 @@ func (f *Frozen) First() (int64, bool) {
 	return f.ids[f.first], true
 }
 
+// OutRow returns the logical out-neighbors of r as a slice of dense
+// indexes, in the order ForNeighbors yields them. The slice is part of the
+// view: callers must not mutate it (its capacity ends with the row, so an
+// append copies).
+func (f *Frozen) OutRow(r int32) []int32 {
+	lo, hi := f.outOff[r], f.outOff[r+1]
+	return f.out[lo:hi:hi]
+}
+
+// InRow returns the logical in-neighbors of r, in the order
+// ForInNeighbors yields them, under OutRow's contract.
+func (f *Frozen) InRow(r int32) []int32 {
+	lo, hi := f.inOff[r], f.inOff[r+1]
+	return f.in[lo:hi:hi]
+}
+
 // ForNeighbors calls fn for each logical out-neighbor of r, in the order
 // the source graph's ForNeighbors emitted them.
 func (f *Frozen) ForNeighbors(r int32, fn func(t int32) bool) {
-	for _, t := range f.out[f.outOff[r]:f.outOff[r+1]] {
+	for _, t := range f.OutRow(r) {
 		if !fn(t) {
 			return
 		}
@@ -270,7 +288,7 @@ func (f *Frozen) ForNeighbors(r int32, fn func(t int32) bool) {
 // ForInNeighbors calls fn for each logical in-neighbor of r, in ascending
 // dense (and so external-ID) order.
 func (f *Frozen) ForInNeighbors(r int32, fn func(s int32) bool) {
-	for _, s := range f.in[f.inOff[r]:f.inOff[r+1]] {
+	for _, s := range f.InRow(r) {
 		if !fn(s) {
 			return
 		}

@@ -69,6 +69,9 @@ func checkFrozen(t *testing.T, name string, g *Graph) {
 		var out, in []int32
 		f.ForNeighbors(int32(d), func(t int32) bool { out = append(out, t); return true })
 		f.ForInNeighbors(int32(d), func(s int32) bool { in = append(in, s); return true })
+		if !slices.Equal(f.OutRow(int32(d)), out) || !slices.Equal(f.InRow(int32(d)), in) {
+			t.Fatalf("%s: rows of %d differ from the callbacks: out %v/%v in %v/%v", name, id, f.OutRow(int32(d)), out, f.InRow(int32(d)), in)
+		}
 		if got, want := ids(f.RealID, out), ids(g.RealID, collectOut(g, r)); !slices.Equal(got, want) {
 			t.Fatalf("%s: out-neighbors of %d = %v, graph %v", name, id, got, want)
 		}
@@ -128,6 +131,26 @@ func TestFrozenEarlyStop(t *testing.T) {
 		each(0, func(int32) bool { calls++; return false })
 		if calls != 1 {
 			t.Fatalf("iteration continued after the callback stopped it: %d calls", calls)
+		}
+	}
+}
+
+// TestFrozenRowsAreCapped: appending to a row a view handed out copies it
+// instead of overwriting the next row.
+func TestFrozenRowsAreCapped(t *testing.T) {
+	g := New(EXP)
+	for id := int64(1); id <= 3; id++ {
+		g.AddRealNode(id)
+	}
+	g.AddDirectEdgeIdx(0, 1)
+	g.AddDirectEdgeIdx(1, 2)
+	g.AddDirectEdgeIdx(2, 0)
+	f := g.Freeze()
+	for _, row := range []func(int32) []int32{f.OutRow, f.InRow} {
+		before := slices.Clone(row(1))
+		_ = append(row(0), 99)
+		if got := row(1); !slices.Equal(got, before) {
+			t.Fatalf("append to row 0 changed row 1: %v, was %v", got, before)
 		}
 	}
 }

@@ -1001,8 +1001,8 @@ func computeAnalysis(f *core.Frozen, name string, p analysisParams) (any, error)
 			"avg_dist":  avg,
 		}, nil
 	case "closeness":
-		// Sampled exact closeness centrality: one BFS per pivot, contest
-		// scoring (reachability-corrected), top-k by score.
+		// Sampled exact closeness centrality: bit-parallel BFS over the
+		// pivots, contest scoring (reachability-corrected), top-k by score.
 		snap := workload.View(f)
 		pivots := snap.SampleSources(p.samples)
 		scores := workload.TopCloseness(snap.Closeness(pivots, 0), p.k)

@@ -10,14 +10,18 @@
 //
 // The fast implementations run on a frozen CSR view of the graph
 // (core.Frozen, built by Snap or shared by the caller through View): dense
-// indexes in ascending external-ID order, one array-indexed BFS per query
-// through the same BFS kernel as internal/algo. naive.go keeps deliberately
-// slow reference implementations that iterate the graphapi interface
-// directly, used only by the randomized equivalence tests.
+// indexes in ascending external-ID order. Multi-source shortest paths is
+// one BFS through the same kernel as internal/algo; closeness runs its
+// sources in batches of 64, one bit-parallel BFS over the view's flat
+// out-rows per batch. naive.go keeps deliberately slow reference
+// implementations that iterate the graphapi interface directly, used only
+// by the randomized equivalence tests.
 package workload
 
 import (
+	"math/bits"
 	"sort"
+	"sync"
 
 	"graphgen/internal/algo"
 	"graphgen/internal/core"
@@ -129,28 +133,152 @@ type CentralityScore struct {
 	SumDist int64
 }
 
-// Closeness computes the exact closeness centrality of each given vertex
-// (one BFS per vertex, fanned across the worker pool; results are in
-// input order and independent of the worker count). Vertex IDs not in the
-// graph are dropped. Use SampleSources to pick a deterministic pivot set
-// when computing all n vertices is too expensive.
+// Closeness computes the exact closeness centrality of each given vertex.
+// The sources run in batches of 64: one bit-parallel BFS (msbfs) answers a
+// whole batch, and the batches are fanned across the worker pool. Results
+// are in input order and independent of the worker count. Vertex IDs not
+// in the graph are dropped; a repeated ID is scored once per occurrence.
+// Use SampleSources to pick a deterministic pivot set when computing all n
+// vertices is too expensive.
 func (s *Snapshot) Closeness(sources []int64, workers int) []CentralityScore {
 	seeds, _ := s.seeds(sources)
 	n := s.f.NumRealNodes()
 	out := make([]CentralityScore, len(seeds))
-	parallel.RunMin(len(seeds), workers, 1, func(_, lo, hi int) {
-		dist := make([]int32, n)
-		for i := lo; i < hi; i++ {
-			reached, _, sumDist := algo.BFSFrom(s.f, seeds[i:i+1], dist)
-			out[i] = CentralityScore{
-				ID:        s.f.RealID(seeds[i]),
-				Closeness: closeness(reached, sumDist, n),
-				Reached:   reached,
-				SumDist:   sumDist,
+	batches := (len(seeds) + batchSize - 1) / batchSize
+	parallel.RunMin(batches, workers, 1, func(_, lo, hi int) {
+		bfs := getMSBFS(n)
+		var reached [batchSize]int
+		var sumDist [batchSize]int64
+		for b := lo; b < hi; b++ {
+			batch := seeds[b*batchSize : min((b+1)*batchSize, len(seeds))]
+			bfs.run(s.f, batch, &reached, &sumDist)
+			for i, seed := range batch {
+				out[b*batchSize+i] = CentralityScore{
+					ID:        s.f.RealID(seed),
+					Closeness: closeness(reached[i], sumDist[i], n),
+					Reached:   reached[i],
+					SumDist:   sumDist[i],
+				}
 			}
 		}
+		msbfsPool.Put(bfs) // not deferred: a run cut short leaves it dirty
 	})
 	return out
+}
+
+// batchSize is the number of BFSs one msbfs traversal runs: one bit of a
+// uint64 mask per source.
+const batchSize = 64
+
+// wideLevel is the frontier density at which an msbfs level switches from
+// the touched-vertex list to a sweep over all vertices: a level is wide
+// when len(frontier)*wideLevel >= n.
+const wideLevel = 32
+
+// msbfs is the bit-parallel multi-source BFS of Then et al. ("The More the
+// Merrier", VLDB 2015): up to 64 BFSs share one traversal, one bit per
+// source in each vertex's masks. seen[v] holds the sources that reached v,
+// visit[v] those that reached it at the current level, next[v] the ones
+// reaching it at the next. A run starts by clearing seen; visit and next
+// are zero over their whole capacity before a run, and a run leaves them
+// so.
+type msbfs struct {
+	seen, visit, next []uint64
+	frontier, touched []int32
+}
+
+// msbfsPool recycles msbfs scratch across Closeness calls. Fresh scratch
+// is three n-word arrays; on a 100 000-vertex path with one source,
+// allocating them cost as much as the traversal itself.
+var msbfsPool sync.Pool
+
+// getMSBFS returns scratch for n vertices: pooled when a large enough one
+// is free, allocated otherwise.
+func getMSBFS(n int) *msbfs {
+	if m, ok := msbfsPool.Get().(*msbfs); ok && cap(m.seen) >= n {
+		m.seen, m.visit, m.next = m.seen[:n], m.visit[:n], m.next[:n]
+		return m
+	}
+	return &msbfs{seen: make([]uint64, n), visit: make([]uint64, n), next: make([]uint64, n)}
+}
+
+// run traverses f's out-rows from seeds (dense indexes, at most batchSize,
+// repeats allowed) and sets reached[i] and sumDist[i] to the number of
+// vertices seed i reaches (itself included) and the sum of their
+// distances.
+//
+// Each level picks its strategy from the frontier size. A wide level ORs
+// every frontier row into next with no per-edge seen test, then sweeps all
+// n vertices once to keep the new bits. A narrow level tests seen per edge
+// and keeps a list of the vertices it touched, so a long thin graph (a
+// path) costs O(n) in total instead of a sweep per level.
+func (m *msbfs) run(f *core.Frozen, seeds []int32, reached *[batchSize]int, sumDist *[batchSize]int64) {
+	seen, visit, next := m.seen, m.visit, m.next
+	n := len(seen)
+	clear(seen)
+	frontier, touched := m.frontier[:0], m.touched[:0]
+	for i, s := range seeds {
+		bit := uint64(1) << i
+		if visit[s] == 0 {
+			frontier = append(frontier, s)
+		}
+		seen[s] |= bit
+		visit[s] |= bit
+		reached[i], sumDist[i] = 1, 0
+	}
+	for depth := int64(1); len(frontier) > 0; depth++ {
+		touched = touched[:0]
+		if len(frontier)*wideLevel >= n {
+			for _, u := range frontier {
+				x := visit[u]
+				visit[u] = 0
+				for _, w := range f.OutRow(u) {
+					next[w] |= x
+				}
+			}
+			for w, x := range next {
+				if x == 0 {
+					continue
+				}
+				if x &^= seen[w]; x != 0 {
+					seen[w] |= x
+					touched = append(touched, int32(w))
+					count(x, depth, reached, sumDist)
+				}
+				next[w] = x
+			}
+		} else {
+			for _, u := range frontier {
+				x := visit[u]
+				visit[u] = 0
+				for _, w := range f.OutRow(u) {
+					if y := x &^ seen[w]; y != 0 {
+						seen[w] |= y
+						if next[w] == 0 {
+							touched = append(touched, w)
+						}
+						next[w] |= y
+						count(y, depth, reached, sumDist)
+					}
+				}
+			}
+		}
+		// visit is all zero again: the new level's masks become visit,
+		// and the old visit array is the next level's zeroed next.
+		visit, next = next, visit
+		frontier, touched = touched, frontier
+	}
+	m.visit, m.next = visit, next
+	m.frontier, m.touched = frontier, touched
+}
+
+// count credits one vertex at the given depth to every source in mask x.
+func count(x uint64, depth int64, reached *[batchSize]int, sumDist *[batchSize]int64) {
+	for ; x != 0; x &= x - 1 {
+		i := bits.TrailingZeros64(x)
+		reached[i]++
+		sumDist[i] += depth
+	}
 }
 
 // closeness applies the contest formula to one vertex's BFS aggregates.

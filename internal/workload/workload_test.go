@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -81,33 +82,106 @@ func TestMultiSourceBFSEquivalence(t *testing.T) {
 	}
 }
 
+// TestClosenessEquivalence scores every vertex of graphs with up to ~200
+// vertices, so a run needs up to four 64-source batches, plus a repeated
+// and an unknown ID; a long path and a two-component graph are included.
 func TestClosenessEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	type graphCase struct {
+		name string
+		g    *graphgen.Graph
+	}
+	var cases []graphCase
 	for trial := 0; trial < 25; trial++ {
-		n := 4 + rng.Intn(40)
-		p := []float64{0.03, 0.1, 0.4}[rng.Intn(3)]
-		g := randomGraph(t, rng, n, p)
-		snap := Snap(g)
-		// All vertices, plus an unknown ID that both must drop.
-		sources := append(append([]int64{}, snap.IDs()...), -1)
+		n := 4 + rng.Intn(197)
+		deg := []float64{0.5, 1.5, 4}[rng.Intn(3)] // mean out-degree
+		cases = append(cases, graphCase{fmt.Sprintf("trial %d (n=%d)", trial, n), randomGraph(t, rng, n, deg/float64(n))})
+	}
+	chords := pathGraph(t, 200)
+	for k := 0; k < 40; k++ {
+		if err := chords.AddEdge(int64(10+3*rng.Intn(200)), int64(10+3*rng.Intn(200))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases = append(cases,
+		graphCase{"path of 150", pathGraph(t, 150)},
+		graphCase{"path of 200 with chords", chords},
+		graphCase{"two components", twoComponents(t, rng, 70, 90)})
+	for _, c := range cases {
+		snap := Snap(c.g)
+		ids := snap.IDs()
+		sources := append(append([]int64{}, ids...), ids[rng.Intn(len(ids))], -1)
+		// A batch of one to three sources keeps its early levels narrow.
+		few := make([]int64, 1+rng.Intn(3))
+		for i := range few {
+			few[i] = ids[rng.Intn(len(ids))]
+		}
+		for _, sources := range [][]int64{sources, few} {
+			checkCloseness(t, c.name, c.g, snap, sources)
+		}
+	}
+}
 
-		for _, workers := range []int{1, 4} {
-			fast := snap.Closeness(sources, workers)
-			naive := NaiveCloseness(g, sources)
-			if len(fast) != len(naive) {
-				t.Fatalf("trial %d: score counts differ: %d vs %d", trial, len(fast), len(naive))
+// checkCloseness compares Closeness on one and four workers with
+// NaiveCloseness.
+func checkCloseness(t *testing.T, name string, g *graphgen.Graph, snap *Snapshot, sources []int64) {
+	t.Helper()
+	naive := NaiveCloseness(g, sources)
+	for _, workers := range []int{1, 4} {
+		fast := snap.Closeness(sources, workers)
+		if len(fast) != len(naive) {
+			t.Fatalf("%s: score counts differ: %d vs %d", name, len(fast), len(naive))
+		}
+		for i := range fast {
+			f, nv := fast[i], naive[i]
+			if f.ID != nv.ID || f.Reached != nv.Reached || f.SumDist != nv.SumDist {
+				t.Fatalf("%s, workers %d: score %d differs: fast %+v naive %+v", name, workers, i, f, nv)
 			}
-			for i := range fast {
-				f, nv := fast[i], naive[i]
-				if f.ID != nv.ID || f.Reached != nv.Reached || f.SumDist != nv.SumDist {
-					t.Fatalf("trial %d: score %d differs: fast %+v naive %+v", trial, i, f, nv)
-				}
-				if math.Abs(f.Closeness-nv.Closeness) > 1e-12 {
-					t.Fatalf("trial %d: closeness of %d differs: %v vs %v", trial, f.ID, f.Closeness, nv.Closeness)
+			if math.Abs(f.Closeness-nv.Closeness) > 1e-12 {
+				t.Fatalf("%s: closeness of %d differs: %v vs %v", name, f.ID, f.Closeness, nv.Closeness)
+			}
+		}
+	}
+}
+
+// pathGraph builds the directed path 0 -> 1 -> ... -> n-1 on IDs 10+3i.
+func pathGraph(t testing.TB, n int) *graphgen.Graph {
+	t.Helper()
+	g := graphgen.WrapCore(core.New(core.EXP))
+	for i := 0; i < n; i++ {
+		if err := g.AddVertex(int64(10 + 3*i)); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := g.AddEdge(int64(10+3*(i-1)), int64(10+3*i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return g
+}
+
+// twoComponents builds two random graphs of a and b vertices with no edge
+// between them, their IDs interleaved.
+func twoComponents(t *testing.T, rng *rand.Rand, a, b int) *graphgen.Graph {
+	t.Helper()
+	g := graphgen.WrapCore(core.New(core.EXP))
+	for part, size := range []int{a, b} {
+		for i := 0; i < size; i++ {
+			if err := g.AddVertex(int64(2*i + part)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 2*size; k++ {
+			u, v := int64(2*rng.Intn(size)+part), int64(2*rng.Intn(size)+part)
+			if u != v {
+				if err := g.AddEdge(u, v); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
 	}
+	return g
 }
 
 func TestInterestCommunitiesEquivalence(t *testing.T) {

@@ -28,6 +28,11 @@ go run ./cmd/graphlint -counts "$@"
 echo "== fuzz live views"
 go test -run '^$' -fuzz '^FuzzLiveView$' -fuzztime 10s ./internal/incremental
 
+# Ten seconds past the committed FuzzCloseness corpus: the batched
+# bit-parallel closeness == the relaxation reference on decoded graphs.
+echo "== fuzz closeness"
+go test -run '^$' -fuzz '^FuzzCloseness$' -fuzztime 10s ./internal/workload
+
 # The nested bench module is outside ./...; its one-second runs are
 # oracle checks (extraction rows, on the default planner path through
 # Engine.Extract and on the forced join pipeline; degrees and PageRank of
