@@ -1,7 +1,7 @@
 // Command graphlint machine-checks GraphGen's repo-specific invariants —
 // the contracts previously enforced only by review and randomized tests:
 //
-//	keyencode     composite keys over relstore.Value data use relstore.AppendRowKey
+//	keyencode     string keys over relstore.Value data use relstore.AppendRowKey (sets: relstore.RowSet)
 //	lockorder     internal/server: dbMu before sessMu; table access under dbMu
 //	notifyorder   relstore mutators route through notify; indexes before subscribers
 //	determinism   deterministic packages shun wall clocks, global rand, map-order appends

@@ -12,10 +12,12 @@ const relstorePath = "graphgen/internal/relstore"
 // relstore.Value (or row) data with fmt.Sprintf/Sprint, strings.Join, or
 // manual string concatenation. Such keys are ambiguous the moment a
 // string value contains the chosen separator — the PR 4 tuple-drop bug,
-// where "a|b"+"c" and "a"+"b|c" collided in a dedup set. The single safe
+// where "a|b"+"c" and "a"+"b|c" collided in a dedup set. The safe string
 // encoding is relstore.AppendRowKey (each value length-prefixed by
-// Value.AppendKeyBytes), shared by the relational operators and the
-// Datalog evaluator's tuple sets.
+// Value.AppendKeyBytes), which keys the persistent index buckets; a dedup
+// or build set needs no string key at all — relstore.RowSet hashes the
+// Values in place, and is what the relational operators, conj's negation
+// sets and the Datalog evaluator's tuple sets use.
 //
 // Detection is taint-based within one function: strings derived from
 // Value data (field reads, String() calls, carried through assignments)

@@ -463,7 +463,9 @@ func (sc *atomScan) matches(row []relstore.Value) bool {
 type Negation struct {
 	atom  datalog.Atom
 	names []string // distinct variables, key order
-	set   map[string]struct{}
+	// set holds the matching table rows themselves, keyed on the table
+	// columns of names.
+	set *relstore.RowSet
 }
 
 // NewNegation scans t once and builds the membership set of neg.
@@ -472,14 +474,11 @@ func NewNegation(neg datalog.Atom, t *relstore.Table) (*Negation, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Negation{atom: neg, names: sc.names, set: make(map[string]struct{})}
-	var key []byte
+	n := &Negation{atom: neg, names: sc.names, set: relstore.NewRowSet(sc.cols, len(t.Rows))}
 	for _, row := range t.Rows {
-		if !sc.matches(row) {
-			continue
+		if sc.matches(row) {
+			n.set.Add(row)
 		}
-		key = relstore.AppendRowKey(key[:0], row, sc.cols)
-		n.set[string(key)] = struct{}{}
 	}
 	return n, nil
 }
@@ -492,12 +491,9 @@ func (n *Negation) filter(cur relstore.RowIter, exec relstore.ExecOpts) relstore
 	for k, v := range n.names {
 		idx[k] = slices.Index(cur.Cols(), v) // live until here, so present
 	}
+	// The filter runs concurrently across a window; RowSet.Find is
+	// read-only, so the workers share the set.
 	return relstore.NewFilter(cur, exec, func(row []relstore.Value) bool {
-		// The filter runs concurrently across a window, so the key buffer
-		// is per call; short keys stay on the stack and the map probe with
-		// string(key) does not allocate.
-		var buf [64]byte
-		_, hit := n.set[string(relstore.AppendRowKey(buf[:0], row, idx))]
-		return !hit
+		return n.set.Find(row, idx) < 0
 	})
 }

@@ -134,7 +134,7 @@ func Evaluate(base *relstore.DB, ps *datalog.ProgramSet, opts Options) (*Result,
 	if opts.Tracker == nil {
 		opts.Tracker = relstore.NewTracker()
 	}
-	ev := &evaluator{db: ov, opts: opts, sets: make(map[string]map[string]struct{})}
+	ev := &evaluator{db: ov, opts: opts, sets: make(map[string]*relstore.RowSet)}
 	if err := ev.checkPredicates(ps); err != nil {
 		return nil, err
 	}
@@ -173,8 +173,9 @@ type evaluator struct {
 	db   *relstore.DB
 	opts Options
 	// sets deduplicates each derived table's tuples (keyed by lowercased
-	// predicate name).
-	sets  map[string]map[string]struct{}
+	// predicate name); each holds the tuples it admitted, keyed on every
+	// column.
+	sets  map[string]*relstore.RowSet
 	stats Stats
 }
 
@@ -334,13 +335,15 @@ func (ev *evaluator) createTempTables(ps *datalog.ProgramSet) error {
 	}
 	for _, p := range preds {
 		cols := make([]relstore.Column, arity[p])
+		all := make([]int, arity[p])
 		for i := range cols {
 			cols[i] = relstore.Column{Name: fmt.Sprintf("c%d", i), Type: types[p][i]}
+			all[i] = i
 		}
 		if _, err := ev.db.Create(displayName[p], cols...); err != nil {
 			return err
 		}
-		ev.sets[p] = make(map[string]struct{})
+		ev.sets[p] = relstore.NewRowSet(all, 0)
 		ev.stats.TempTables++
 	}
 	return nil
@@ -508,11 +511,6 @@ func (ev *evaluator) insert(head datalog.Atom, body relstore.RowIter) ([][]relst
 		}
 	}
 	set := ev.sets[pred]
-	all := make([]int, len(head.Terms))
-	for i := range all {
-		all[i] = i
-	}
-	var key []byte // reused: a duplicate tuple allocates no key
 	var fresh [][]relstore.Value
 	for {
 		row, ok, err := body.Next()
@@ -530,11 +528,9 @@ func (ev *evaluator) insert(head datalog.Atom, body relstore.RowIter) ([][]relst
 				out[i] = row[idx[i]]
 			}
 		}
-		key = relstore.AppendRowKey(key[:0], out, all)
-		if _, dup := set[string(key)]; dup {
+		if _, added := set.Add(out); !added {
 			continue
 		}
-		set[string(key)] = struct{}{}
 		if err := t.Insert(out...); err != nil {
 			return nil, err
 		}

@@ -26,8 +26,9 @@ var pruneStrings = []string{"a", "a|b", "|b", "1", "12", "1|s2:x", "s1:a"}
 
 // pruneDB builds three tables of (int, int, string) columns over small
 // domains, re-inserting a share of the rows so every table holds
-// duplicates, with hash indexes on a random subset of columns.
-func pruneDB(t *testing.T, rng *rand.Rand) *relstore.DB {
+// duplicates, with hash indexes on a random subset of columns. scale
+// multiplies the number of distinct rows drawn.
+func pruneDB(t *testing.T, rng *rand.Rand, scale int) *relstore.DB {
 	t.Helper()
 	db := relstore.NewDB()
 	for _, name := range []string{"R", "S", "T"} {
@@ -38,7 +39,7 @@ func pruneDB(t *testing.T, rng *rand.Rand) *relstore.DB {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, n := 0, 8+rng.Intn(25); i < n; i++ {
+		for i, n := 0, (8+rng.Intn(25))*scale; i < n; i++ {
 			row := []relstore.Value{
 				relstore.IntVal(int64(rng.Intn(4))), relstore.IntVal(int64(rng.Intn(5))),
 				relstore.StrVal(pruneStrings[rng.Intn(len(pruneStrings))]),
@@ -60,10 +61,10 @@ func pruneDB(t *testing.T, rng *rand.Rand) *relstore.DB {
 	return db
 }
 
-// pruneBody generates a connected 2-5 atom body and a non-empty output
-// variable list (which may repeat a variable). Int and string positions
-// draw from separate variable pools so joins can match.
-func pruneBody(rng *rand.Rand) ([]datalog.Atom, []string) {
+// pruneBody generates a connected body of 2 to min(5, maxAtoms) atoms and
+// a non-empty output variable list (which may repeat a variable). Int and
+// string positions draw from separate variable pools so joins can match.
+func pruneBody(rng *rand.Rand, maxAtoms int) ([]datalog.Atom, []string) {
 	var used [2][]string // variables so far, by column type
 	pools := [2][]string{{"a", "b", "c", "d"}, {"s", "u"}}
 	term := func(typ int, mustShare bool) datalog.Term {
@@ -82,7 +83,7 @@ func pruneBody(rng *rand.Rand) ([]datalog.Atom, []string) {
 		return datalog.Term{Kind: datalog.TermVar, Var: pools[typ][rng.Intn(len(pools[typ]))]}
 	}
 	var atoms []datalog.Atom
-	for i, n := 0, 2+rng.Intn(4); i < n; i++ {
+	for i, n := 0, min(2+rng.Intn(4), maxAtoms); i < n; i++ {
 		types := []int{0, 0, 1}
 		// Every atom after the first repeats an earlier variable, so
 		// the body is connected in any join order.
@@ -140,75 +141,103 @@ func drained(tr *relstore.Tracker) bool {
 	return tr.Peak() == peak
 }
 
+// prunePasses are TestPrunedEqualsUnprunedRandomized's two passes. The
+// first is the main one: small tables, bodies of up to five atoms, several
+// worker counts. Its streams are too short for a window to fan out (a
+// worker takes at least 64 rows), so the second scales the tables up
+// until every scan spans several workers — then a join's probe kernels
+// read one built table concurrently, which is what -race must see — and
+// cuts bodies to two atoms to keep the joins small.
+var prunePasses = []struct {
+	seeds, scale, maxAtoms int
+	workers                []int
+}{
+	{150, 1, 5, []int{1, 2, 4, 7}},
+	{20, 10, 2, []int{4}},
+}
+
+// pruneTally counts what the pruned runs exercised.
+type pruneTally struct{ earlyDistinct, prunedJoins, multiAtom int }
+
 func TestPrunedEqualsUnprunedRandomized(t *testing.T) {
-	var earlyDistinct, prunedJoins, multiAtom int
-	for seed := int64(1); seed <= 150; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		db := pruneDB(t, rng)
-		atoms, outVars := pruneBody(rng)
-		body := fmt.Sprint(atoms, " -> ", outVars)
-		for _, distinct := range []bool{true, false} {
-			oracleOpts := DefaultOptions()
-			oracleOpts.ExecOpts = relstore.MaterializingOracle(relstore.ExecOpts{Workers: 1, UseIndex: relstore.IndexOff})
-			oracle, err := EvalConjunctive(db, atoms, outVars, distinct, oracleOpts)
-			if err != nil {
-				t.Fatalf("seed %d %s: oracle: %v", seed, body, err)
-			}
-			want := relString(oracle)
-			for _, workers := range []int{1, 2, 7} {
-				for _, noIndex := range []bool{false, true} {
-					label := fmt.Sprintf("seed %d %s distinct=%t workers=%d noIndex=%t", seed, body, distinct, workers, noIndex)
-					opts := DefaultOptions()
-					opts.Workers = workers
-					if noIndex {
-						opts.UseIndex = relstore.IndexOff
-					}
-					opts.Tracker = relstore.NewTracker()
-					opts.Trace = obs.NewTrace()
-					rel, err := EvalConjunctive(db, atoms, outVars, distinct, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if fmt.Sprint(rel.Cols) != fmt.Sprint(oracle.Cols) {
-						t.Fatalf("%s: cols %v, oracle %v", label, rel.Cols, oracle.Cols)
-					}
-					got := relString(rel)
-					if strings.Join(got, "\n") != strings.Join(want, "\n") {
-						if !distinct {
-							// Say whether multiplicities or only order broke.
-							g, w := append([]string{}, got...), append([]string{}, want...)
-							sort.Strings(g)
-							sort.Strings(w)
-							if strings.Join(g, "\n") != strings.Join(w, "\n") {
-								t.Fatalf("%s: bags differ: %d rows vs oracle %d", label, len(got), len(want))
-							}
-						}
-						t.Fatalf("%s: rows differ from the unpruned oracle (%d vs %d rows)", label, len(got), len(want))
-					}
-					if !drained(opts.Tracker) {
-						t.Fatalf("%s: tracker still holds rows after the pipeline closed", label)
-					}
-					opts.Trace.Finish().Walk(func(s *obs.Span) {
-						switch {
-						case s.Strategy == "distinct early":
-							earlyDistinct++
-							if !distinct {
-								t.Fatalf("%s: early distinct stage in a bag evaluation", label)
-							}
-						case strings.Contains(s.Detail, " -> "):
-							prunedJoins++
-						}
-					})
-				}
-			}
-		}
-		if len(atoms) > 2 {
-			multiAtom++
+	var tally pruneTally
+	for _, pass := range prunePasses {
+		for seed := int64(1); seed <= int64(pass.seeds); seed++ {
+			prunedEqualsUnpruned(t, seed, pass.scale, pass.maxAtoms, pass.workers, &tally)
 		}
 	}
 	// Guard against a generator (or a pipeline) that never prunes.
-	if earlyDistinct == 0 || prunedJoins == 0 || multiAtom == 0 {
+	if tally.earlyDistinct == 0 || tally.prunedJoins == 0 || tally.multiAtom == 0 {
 		t.Fatalf("vacuous run: %d early distinct stages, %d pruned joins, %d bodies over two atoms",
-			earlyDistinct, prunedJoins, multiAtom)
+			tally.earlyDistinct, tally.prunedJoins, tally.multiAtom)
+	}
+}
+
+// prunedEqualsUnpruned evaluates one generated body on one generated
+// database under every worker count and index mode, pruned, against the
+// materializing oracle, and tallies what the pruned runs exercised.
+func prunedEqualsUnpruned(t *testing.T, seed int64, scale, maxAtoms int, workerCounts []int, tally *pruneTally) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	db := pruneDB(t, rng, scale)
+	atoms, outVars := pruneBody(rng, maxAtoms)
+	body := fmt.Sprintf("scale %d: %v -> %v", scale, atoms, outVars)
+	for _, distinct := range []bool{true, false} {
+		oracleOpts := DefaultOptions()
+		oracleOpts.ExecOpts = relstore.MaterializingOracle(relstore.ExecOpts{Workers: 1, UseIndex: relstore.IndexOff})
+		oracle, err := EvalConjunctive(db, atoms, outVars, distinct, oracleOpts)
+		if err != nil {
+			t.Fatalf("seed %d %s: oracle: %v", seed, body, err)
+		}
+		want := relString(oracle)
+		for _, workers := range workerCounts {
+			for _, noIndex := range []bool{false, true} {
+				label := fmt.Sprintf("seed %d %s distinct=%t workers=%d noIndex=%t", seed, body, distinct, workers, noIndex)
+				opts := DefaultOptions()
+				opts.Workers = workers
+				if noIndex {
+					opts.UseIndex = relstore.IndexOff
+				}
+				opts.Tracker = relstore.NewTracker()
+				opts.Trace = obs.NewTrace()
+				rel, err := EvalConjunctive(db, atoms, outVars, distinct, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if fmt.Sprint(rel.Cols) != fmt.Sprint(oracle.Cols) {
+					t.Fatalf("%s: cols %v, oracle %v", label, rel.Cols, oracle.Cols)
+				}
+				got := relString(rel)
+				if strings.Join(got, "\n") != strings.Join(want, "\n") {
+					if !distinct {
+						// Say whether multiplicities or only order broke.
+						g, w := append([]string{}, got...), append([]string{}, want...)
+						sort.Strings(g)
+						sort.Strings(w)
+						if strings.Join(g, "\n") != strings.Join(w, "\n") {
+							t.Fatalf("%s: bags differ: %d rows vs oracle %d", label, len(got), len(want))
+						}
+					}
+					t.Fatalf("%s: rows differ from the unpruned oracle (%d vs %d rows)", label, len(got), len(want))
+				}
+				if !drained(opts.Tracker) {
+					t.Fatalf("%s: tracker still holds rows after the pipeline closed", label)
+				}
+				opts.Trace.Finish().Walk(func(s *obs.Span) {
+					switch {
+					case s.Strategy == "distinct early":
+						tally.earlyDistinct++
+						if !distinct {
+							t.Fatalf("%s: early distinct stage in a bag evaluation", label)
+						}
+					case strings.Contains(s.Detail, " -> "):
+						tally.prunedJoins++
+					}
+				})
+			}
+		}
+	}
+	if len(atoms) > 2 {
+		tally.multiAtom++
 	}
 }

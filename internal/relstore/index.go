@@ -118,7 +118,7 @@ func (ix *Index) apply(ch Change) {
 // Lookup returns the rows whose indexed column equals v, in table order.
 // The returned rows are the table's storage; callers must not mutate them.
 func (ix *Index) Lookup(v Value) [][]Value {
-	bucket := ix.buckets[hashKey(v)]
+	bucket := ix.bucket(v)
 	if len(bucket) == 0 {
 		return nil
 	}
@@ -144,4 +144,11 @@ func (ix *Index) Len() int {
 		n += len(b)
 	}
 	return n
+}
+
+// bucket returns v's bucket. The key is encoded on the stack, so a lookup
+// allocates nothing.
+func (ix *Index) bucket(v Value) []indexEntry {
+	var buf [32]byte
+	return ix.buckets[string(v.AppendKeyBytes(buf[:0]))]
 }

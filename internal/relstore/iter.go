@@ -399,7 +399,7 @@ func NewScan(t *Table, preds []Pred, cols []int, names []string, opts ExecOpts) 
 				rest = append(rest, p)
 			}
 		}
-		src := &bucketIter{bucket: ix.buckets[hashKey(preds[pi].Value)]}
+		src := &bucketIter{bucket: ix.bucket(preds[pi].Value)}
 		return traced(newExpandIter(outCols, src, 1, selectFn(rest, nil, cols)), sp), nil
 	}
 	return traced(newExpandIter(outCols, IterRows(nil, t.Rows), opts.Workers, selectFn(preds, nil, cols)), sp), nil
@@ -655,18 +655,9 @@ func newHashJoin(a, b RowIter, aOn, bOn, keep []string, opts ExecOpts, op, detai
 	nOut := len(cols)
 	return traced(&buildProbeIter{cols: cols, build: a, probe: b, opts: opts,
 		mk: func(rows [][]Value) func(Row, func(Row)) {
-			table := make(map[string][][]Value, len(rows))
-			var key []byte
-			for _, row := range rows {
-				key = AppendRowKey(key[:0], row, ai)
-				k := string(key)
-				table[k] = append(table[k], row)
-			}
+			table := groupRows(rows, ai)
 			return func(brow Row, emit func(Row)) {
-				// Kernels run concurrently across a window, so the probe
-				// buffer is per call; short keys stay on the stack.
-				var buf [64]byte
-				for _, arow := range table[string(AppendRowKey(buf[:0], brow, bi))] {
+				for _, arow := range table.lookup(brow, bi) {
 					emit(joinRow(nOut, arow, brow, fromA, fromB))
 				}
 			}
@@ -825,13 +816,7 @@ func (it *tableJoinIter) start() error {
 	if err != nil {
 		return err
 	}
-	build := make(map[string][][]Value, len(rows))
-	var kbuf []byte
-	for _, row := range rows {
-		kbuf = tableJoinKey(kbuf[:0], row, it.ci)
-		k := string(kbuf)
-		build[k] = append(build[k], row)
-	}
+	build := groupRows(rows, it.ci)
 	it.held = len(rows)
 	it.opts.Tracker.Acquire(it.held)
 	useIndex := it.ix != nil &&
@@ -847,22 +832,21 @@ func (it *tableJoinIter) start() error {
 		// Gather the matching table rows and restore table order:
 		// sequence numbers are assigned in insertion order and deletions
 		// preserve relative order, so sorting by seq reproduces the order
-		// a scan of t would have produced (map iteration order does not
-		// leak through). Buckets match on the indexed column only; the
-		// build-map probe below checks the whole join key.
+		// a scan of t would have produced. Buckets match on the indexed
+		// column only; the build probe below checks the whole join key.
+		// Each distinct value of that column is looked up once: with a
+		// one-column key the build's groups are exactly those values, with
+		// a wider one the groups are collapsed onto that column first.
+		keys := &build.set
+		if len(it.ci) > 1 {
+			keys = NewRowSet(it.ci[it.pk:it.pk+1], keys.Len())
+			for g := 0; g < build.set.Len(); g++ {
+				keys.Add(build.set.Row(g))
+			}
+		}
 		var entries []indexEntry
-		if len(it.ci) == 1 {
-			for k := range build {
-				entries = append(entries, it.ix.buckets[k]...)
-			}
-		} else {
-			probed := make(map[string]bool, len(rows))
-			for _, row := range rows {
-				if k := hashKey(row[it.ci[it.pk]]); !probed[k] {
-					probed[k] = true
-					entries = append(entries, it.ix.buckets[k]...)
-				}
-			}
+		for g := 0; g < keys.Len(); g++ {
+			entries = append(entries, it.ix.bucket(keys.Row(g)[it.ci[it.pk]])...)
 		}
 		sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
 		it.opts.Tracker.Acquire(len(entries))
@@ -885,8 +869,7 @@ func (it *tableJoinIter) start() error {
 					return
 				}
 			}
-			var buf [64]byte
-			for _, crow := range build[string(tableJoinKey(buf[:0], row, tn))] {
+			for _, crow := range build.lookup(row, tn) {
 				emit(joinRow(nOut, crow, row, fromCur, fromTable))
 			}
 		}
@@ -906,24 +889,12 @@ func (it *tableJoinIter) start() error {
 	}
 	ni, fromScan := it.ni, it.fromScan
 	kernel := func(brow Row, emit func(Row)) {
-		var buf [64]byte
-		for _, crow := range build[string(tableJoinKey(buf[:0], brow, ni))] {
+		for _, crow := range build.lookup(brow, ni) {
 			emit(joinRow(nOut, crow, brow, fromCur, fromScan))
 		}
 	}
 	it.inner = newExpandIter(it.cols, scan, it.opts.Workers, kernel)
 	return nil
-}
-
-// tableJoinKey encodes a table join's build/probe key. Single-column joins
-// use the bare value encoding so the build map's keys are exactly the
-// index's bucket keys, letting the index path gather buckets straight from
-// the build map.
-func tableJoinKey(dst []byte, row []Value, idx []int) []byte {
-	if len(idx) == 1 {
-		return row[idx[0]].AppendKeyBytes(dst)
-	}
-	return AppendRowKey(dst, row, idx)
 }
 
 func (it *tableJoinIter) batches() int64 {
@@ -996,8 +967,7 @@ func NewProject(src RowIter, cols []string, distinct bool, opts ExecOpts) (RowIt
 		}
 	}
 	if distinct {
-		return traced(&distinctIter{cols: outCols, src: src, idx: idx, opts: opts, span: sp,
-			seen: make(map[string]struct{})}, sp), nil
+		return traced(newDistinctIter(outCols, src, idx, false, opts, sp), sp), nil
 	}
 	return traced(newExpandIter(outCols, src, opts.Workers, func(row Row, emit func(Row)) {
 		proj := make([]Value, len(idx))
@@ -1015,17 +985,12 @@ func NewProject(src RowIter, cols []string, distinct bool, opts ExecOpts) (RowIt
 // row beyond its (tracked) seen-set.
 func NewDistinct(src RowIter, opts ExecOpts) RowIter {
 	cols := src.Cols()
-	idx := make([]int, len(cols))
-	for i := range idx {
-		idx[i] = i
-	}
 	var sp *obs.Span
 	if opts.Trace != nil {
 		sp = opts.Trace.StartSpan("project", strings.Join(cols, ","))
 		sp.SetStrategy("distinct early")
 	}
-	return traced(&distinctIter{cols: cols, src: src, idx: idx, whole: true, opts: opts, span: sp,
-		seen: make(map[string]struct{})}, sp)
+	return traced(newDistinctIter(cols, src, identityCols(len(cols)), true, opts, sp), sp)
 }
 
 // distinctIter is the streaming SELECT DISTINCT projection. whole marks
@@ -1036,13 +1001,17 @@ type distinctIter struct {
 	src    RowIter
 	idx    []int
 	whole  bool
-	seen   map[string]struct{}
-	key    []byte // reused key buffer: dropped rows allocate nothing
+	seen   *RowSet // the survivors, keyed on all their columns
 	opts   ExecOpts
 	span   *obs.Span // records rows in at Close; may be nil
 	in     int64
 	held   int
 	closed bool
+}
+
+func newDistinctIter(cols []string, src RowIter, idx []int, whole bool, opts ExecOpts, sp *obs.Span) *distinctIter {
+	return &distinctIter{cols: cols, src: src, idx: idx, whole: whole, opts: opts, span: sp,
+		seen: NewRowSet(identityCols(len(idx)), 0)}
 }
 
 func (it *distinctIter) Cols() []string { return it.cols }
@@ -1054,22 +1023,23 @@ func (it *distinctIter) Next() (Row, bool, error) {
 			return nil, false, err
 		}
 		it.in++
-		key := AppendRowKey(it.key[:0], row, it.idx)
-		it.key = key
-		if _, dup := it.seen[string(key)]; dup {
+		// The row is probed where its key columns sit; only a survivor is
+		// projected, and the projection is what the set keeps.
+		slot, g := it.seen.find(hashRow(row, it.idx), row, it.idx)
+		if g >= 0 {
 			continue
 		}
-		it.seen[string(key)] = struct{}{}
+		out := row
+		if !it.whole {
+			out = make([]Value, len(it.idx))
+			for i, j := range it.idx {
+				out[i] = row[j]
+			}
+		}
+		it.seen.put(slot, out)
 		it.opts.Tracker.Acquire(1)
 		it.held++
-		if it.whole {
-			return row, true, nil
-		}
-		proj := make([]Value, len(it.idx))
-		for i, j := range it.idx {
-			proj[i] = row[j]
-		}
-		return proj, true, nil
+		return out, true, nil
 	}
 }
 
@@ -1081,8 +1051,17 @@ func (it *distinctIter) Close() error {
 	it.span.Set("rows_in", it.in)
 	it.opts.Tracker.Release(it.held)
 	it.held = 0
-	it.seen, it.key = nil, nil
+	it.seen = nil
 	return it.src.Close()
+}
+
+// identityCols returns the column list 0..n-1.
+func identityCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
 }
 
 // colIndex is Rel.ColIndex over a bare schema: exact, case-sensitive

@@ -11,8 +11,8 @@ import (
 )
 
 // TestAppendRowKeyEncoding pins the key bytes themselves — index buckets
-// are keyed by them and the single-column table join reuses bucket keys as
-// build-map keys — over the values that have broken key encodings before:
+// are keyed by them, and a one-column row key is a bucket key plus its
+// separator — over the values that have broken key encodings before:
 // separators inside strings, digit-prefixed strings, int64 extremes.
 func TestAppendRowKeyEncoding(t *testing.T) {
 	row := []Value{IntVal(7), StrVal("a|b"), IntVal(-1 << 63), StrVal(""), StrVal("1|s2:x"), StrVal("i7")}

@@ -53,8 +53,9 @@ func validateScan(t *Table, preds []Pred, cols []int, names []string) error {
 	return nil
 }
 
-// hashKey is the index bucket key of one value: its bare AppendKeyBytes
-// encoding.
+// hashKey is the persistent index bucket key of one value: its bare
+// AppendKeyBytes encoding. It is the one string key left in the operator
+// layer; builds and dedup sets key rows through RowSet.
 func hashKey(v Value) string {
 	var buf [32]byte
 	return string(v.AppendKeyBytes(buf[:0]))

@@ -13,6 +13,10 @@
 // Collect. Their parallel stages partition input windows across the
 // shared worker pool and concatenate per-chunk outputs in chunk order, so
 // a pipeline returns row-for-row the same relation for any worker count.
+// Every dedup and build map they keep — distinct's seen-set, the join
+// builds — is a RowSet (rowtable.go), which hashes the key columns' Values
+// in place instead of encoding them; so are conj's negation sets and the
+// Datalog evaluator's derived-tuple sets.
 package relstore
 
 import (
@@ -57,14 +61,14 @@ func (v Value) Equal(o Value) bool {
 }
 
 // AppendKeyBytes appends an unambiguous encoding of v to b and returns the
-// extended slice, for composite hash/dedup keys: integers render as
-// digits, strings are length-prefixed, so a value containing a caller's
-// separator byte can never shift content between key components. This is
-// the single key encoding shared by the relational operators (index
-// buckets, joins, distinct) and the Datalog evaluator's tuple sets —
-// extend it here, in one place, if Value ever grows a new type. Callers
-// encode into a reused buffer and probe a map with string(b), which does
-// not allocate.
+// extended slice, for string keys over Values: integers render as digits,
+// strings are length-prefixed, so a value containing a caller's separator
+// byte can never shift content between key components. It is the key of
+// the persistent index buckets (hashKey) and, through AppendRowKey, the
+// encoding for any composite string key — extend it here, in one place,
+// if Value ever grows a new type. A dedup or build set in memory needs no
+// string at all: RowSet hashes the Values themselves. Callers encode into
+// a reused buffer and probe a map with string(b), which does not allocate.
 func (v Value) AppendKeyBytes(b []byte) []byte {
 	if v.T == Int {
 		return strconv.AppendInt(append(b, 'i'), v.I, 10)

@@ -33,6 +33,12 @@ go test -run '^$' -fuzz '^FuzzLiveView$' -fuzztime 10s ./internal/incremental
 echo "== fuzz closeness"
 go test -run '^$' -fuzz '^FuzzCloseness$' -fuzztime 10s ./internal/workload
 
+# Ten seconds past the committed FuzzRowSet corpus: the value-hashed row
+# table (distinct, join builds, tuple sets) == the AppendRowKey-keyed map
+# reference on decoded relations.
+echo "== fuzz row table"
+go test -run '^$' -fuzz '^FuzzRowSet$' -fuzztime 10s ./internal/relstore
+
 # The nested bench module is outside ./...; its one-second runs are
 # oracle checks (extraction rows, on the default planner path through
 # Engine.Extract and on the forced join pipeline; degrees and PageRank of
