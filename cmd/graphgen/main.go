@@ -110,7 +110,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	seed := fs.Int64("seed", 1, "dataset generator seed")
 	suggestFlag := fs.Bool("suggest", false, "propose candidate extraction queries for the dataset's schema and exit")
 	csvTables := fs.String("csv", "", "comma-separated name=path.csv pairs loaded into a fresh database instead of -dataset")
-	workers := fs.Int("workers", 0, "worker-pool parallelism for extraction and conversion (0 = GOMAXPROCS, 1 = serial)")
+	workers := fs.Int("workers", 0, "worker-pool parallelism for Step-6 preprocessing and conversion (0 = GOMAXPROCS, 1 = serial)")
 	noIndex := fs.Bool("no-index", false, "disable automatic secondary hash indexes on join/predicate columns (indexes are on by default)")
 	explain := fs.Bool("explain", false, "trace the extraction and print its execution profile as JSON (operator tree, access-path choices, rows, wall time)")
 	if err := fs.Parse(args); err != nil {

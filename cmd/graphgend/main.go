@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dataset := fs.String("dataset", "dblp", "built-in dataset: "+strings.Join(datagen.BuiltinDatasets, ", "))
 	seed := fs.Int64("seed", 1, "dataset generator seed")
 	csvTables := fs.String("csv", "", "comma-separated name=path.csv pairs loaded instead of -dataset")
-	workers := fs.Int("workers", 0, "extraction worker-pool parallelism (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "worker-pool parallelism for Step-6 preprocessing (0 = GOMAXPROCS)")
 	noIndex := fs.Bool("no-index", false, "disable automatic secondary hash indexes on join/predicate columns (indexes are on by default)")
 	cacheEntries := fs.Int("cache-entries", 256, "analytics cache: max entries")
 	cacheMB := fs.Int64("cache-mb", 64, "analytics cache: max total result megabytes")

@@ -20,12 +20,14 @@
 // planner detects large-output joins; Graph.As converts it to EXP, DEDUP-1,
 // DEDUP-2 or BITMAP using the deduplication algorithms of Section 5.
 //
-// Every stage runs multi-core by default on a shared worker pool
-// (internal/parallel) with deterministic chunk-ordered merges: extraction
-// parallelism is set with WithParallelism, conversion parallelism with
-// DedupOptions.Workers, and the identical-output guarantee means a worker
-// count never changes what is extracted or converted (PageRank may differ
-// in the last float bits, from summation order).
+// The relational pipeline streams one row at a time. The Step-6
+// preprocessing pass, the representation conversions and the BSP analytics
+// run on a shared worker pool (internal/parallel) with deterministic
+// chunk-ordered merges: preprocessing parallelism is set with
+// WithParallelism, conversion parallelism with DedupOptions.Workers, and
+// the identical-output guarantee means a worker count never changes what
+// is extracted or converted (PageRank may differ in the last float bits,
+// from summation order).
 package graphgen
 
 import (
@@ -150,7 +152,7 @@ func WithLargeOutputFactor(f float64) Option {
 // When on, the engine creates per-column hash indexes on every join and
 // equality-predicate column an extraction query (or Datalog program)
 // reads, the first time it reads them; the planner then costs the
-// index-backed access paths against the parallel scans using the catalog
+// index-backed access paths against the table scans using the catalog
 // statistics. Indexes live on the tables — maintained incrementally under
 // Insert/Delete/DeleteWhere through the same mutation path that feeds the
 // change log — so they are reused across extractions, across the
@@ -169,12 +171,11 @@ func WithAutoIndex(on bool) Option {
 	return func(c *config) { c.extract.UseIndex = mode }
 }
 
-// WithParallelism bounds the extraction pipeline's worker-pool parallelism:
-// the relational scans, the conjunctive-join probe phase, and the Step-6
-// preprocessing pass all partition their work across n workers with
-// deterministic chunk-ordered merges. n <= 0 (the default) selects
-// runtime.GOMAXPROCS(0); n == 1 reproduces the serial pipeline bit-for-bit;
-// every setting extracts an identical graph. The same knob for
+// WithParallelism bounds the worker pool of extraction's Step-6
+// preprocessing pass, which decides across n workers which virtual nodes
+// to inline (the relational pipeline itself streams one row at a time).
+// n <= 0 (the default) selects runtime.GOMAXPROCS(0); n == 1 is the serial
+// pass; every setting extracts an identical graph. The same knob for
 // representation conversion is DedupOptions.Workers (Graph.As), and for the
 // BSP analytics engine bsp.Options.Workers.
 func WithParallelism(n int) Option {

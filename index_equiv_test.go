@@ -77,7 +77,7 @@ Edges(ID1, ID2) :- AuthorPubYear(ID1, P, %d), AuthorPubYear(ID2, P, %d).
 // TestIndexedExtractionEquivalenceRandomized builds randomized two-table
 // membership databases (duplicate rows included) and compares indexed vs
 // unindexed extraction across random constant-predicate queries and the
-// plain co-membership join, under several worker counts.
+// plain co-membership join.
 func TestIndexedExtractionEquivalenceRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -98,15 +98,12 @@ Edges(A, B) :- Mem(A, G, k), Mem(B, G, k).`,
 Edges(A, B) :- Mem(A, G, %d), Mem(B, G, %d).`, rng.Intn(4), rng.Intn(4)),
 		}
 		for qi, query := range queries {
-			for _, workers := range []int{1, 3} {
-				opts := extract.DefaultOptions()
-				opts.Workers = workers
-				indexed := extractFingerprint(t, db, query, opts)
-				opts.UseIndex = relstore.IndexOff
-				unindexed := extractFingerprint(t, db, query, opts)
-				if indexed != unindexed {
-					t.Errorf("seed %d query %d workers %d: indexed differs from scan", seed, qi, workers)
-				}
+			opts := extract.DefaultOptions()
+			indexed := extractFingerprint(t, db, query, opts)
+			opts.UseIndex = relstore.IndexOff
+			unindexed := extractFingerprint(t, db, query, opts)
+			if indexed != unindexed {
+				t.Errorf("seed %d query %d: indexed differs from scan", seed, qi)
 			}
 		}
 	}

@@ -16,8 +16,8 @@
 // deferred index-vs-scan choice; occurrences with explicit rows (a
 // semi-naive delta, a changed tuple, a pre-update view) never take an
 // index path — their row source is the slice, not the table. Every access
-// path yields the same row stream, so results depend neither on the worker
-// count nor on which indexes exist.
+// path yields the same row stream, so results do not depend on which
+// indexes exist.
 //
 // Liveness: after a stage a variable is live when it is an output variable
 // or occurs in an occurrence, comparison or negated atom still to be
@@ -491,8 +491,6 @@ func (n *Negation) filter(cur relstore.RowIter, exec relstore.ExecOpts) relstore
 	for k, v := range n.names {
 		idx[k] = slices.Index(cur.Cols(), v) // live until here, so present
 	}
-	// The filter runs concurrently across a window; RowSet.Find is
-	// read-only, so the workers share the set.
 	return relstore.NewFilter(cur, exec, func(row []relstore.Value) bool {
 		return n.set.Find(row, idx) < 0
 	})

@@ -464,7 +464,7 @@ func resident(tr *relstore.Tracker) int64 {
 
 // TestRandomBodiesAgree: streaming == oracle row for row, and both are
 // bag-equal (set-equal and duplicate-free under Distinct) to the
-// nested-loop reference, for every worker count and index mode.
+// nested-loop reference, in both index modes.
 func TestRandomBodiesAgree(t *testing.T) {
 	var nonEmpty, long, disconnected, withNeg, withComps int
 	bodies(t, 1, 240, func(k int, _ *rand.Rand, db *relstore.DB, b body, want [][]relstore.Value) {
@@ -485,34 +485,32 @@ func TestRandomBodiesAgree(t *testing.T) {
 		}
 		wantBag := bagOf(want)
 		for _, distinct := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 7} {
-				for _, mode := range []relstore.IndexMode{relstore.IndexAuto, relstore.IndexOff} {
-					label := fmt.Sprintf("body %d %s distinct=%t workers=%d index=%d", k, b, distinct, workers, mode)
-					p := planFor(t, db, b)
-					p.Distinct = distinct
-					p.Exec = relstore.ExecOpts{Workers: workers, UseIndex: mode, Tracker: relstore.NewTracker()}
-					streamed := collect(t, p, label)
-					p.Exec = relstore.MaterializingOracle(p.Exec)
-					oracle := collect(t, p, label+" oracle")
-					if !slices.Equal(keysOf(streamed), keysOf(oracle)) {
-						t.Fatalf("%s: streaming and oracle rows differ\nstreaming %v\noracle    %v", label, keysOf(streamed), keysOf(oracle))
-					}
-					if held := resident(p.Exec.Tracker); held != 0 {
-						t.Fatalf("%s: tracker holds %d rows after both pipelines closed", label, held)
-					}
-					got := bagOf(streamed)
-					if distinct {
-						for key, n := range got {
-							if n != 1 || wantBag[key] == 0 {
-								t.Fatalf("%s: distinct output has %q x%d (reference x%d)", label, key, n, wantBag[key])
-							}
+			for _, mode := range []relstore.IndexMode{relstore.IndexAuto, relstore.IndexOff} {
+				label := fmt.Sprintf("body %d %s distinct=%t index=%d", k, b, distinct, mode)
+				p := planFor(t, db, b)
+				p.Distinct = distinct
+				p.Exec = relstore.ExecOpts{UseIndex: mode, Tracker: relstore.NewTracker()}
+				streamed := collect(t, p, label)
+				p.Exec = relstore.MaterializingOracle(p.Exec)
+				oracle := collect(t, p, label+" oracle")
+				if !slices.Equal(keysOf(streamed), keysOf(oracle)) {
+					t.Fatalf("%s: streaming and oracle rows differ\nstreaming %v\noracle    %v", label, keysOf(streamed), keysOf(oracle))
+				}
+				if held := resident(p.Exec.Tracker); held != 0 {
+					t.Fatalf("%s: tracker holds %d rows after both pipelines closed", label, held)
+				}
+				got := bagOf(streamed)
+				if distinct {
+					for key, n := range got {
+						if n != 1 || wantBag[key] == 0 {
+							t.Fatalf("%s: distinct output has %q x%d (reference x%d)", label, key, n, wantBag[key])
 						}
-						if len(got) != len(wantBag) {
-							t.Fatalf("%s: %d distinct rows, reference has %d", label, len(got), len(wantBag))
-						}
-					} else if !sameBag(got, wantBag) {
-						t.Fatalf("%s: bag differs from the nested-loop reference (%d rows vs %d)", label, len(streamed), len(want))
 					}
+					if len(got) != len(wantBag) {
+						t.Fatalf("%s: %d distinct rows, reference has %d", label, len(got), len(wantBag))
+					}
+				} else if !sameBag(got, wantBag) {
+					t.Fatalf("%s: bag differs from the nested-loop reference (%d rows vs %d)", label, len(streamed), len(want))
 				}
 			}
 		}
@@ -566,7 +564,7 @@ func TestCloseDiscipline(t *testing.T) {
 					label := fmt.Sprintf("body %d %s oracle=%t distinct=%t mode=%d", k, b, oracle, distinct, mode)
 					p := planFor(t, db, b)
 					p.Distinct = distinct
-					p.Exec = relstore.ExecOpts{Workers: 2, Tracker: relstore.NewTracker()}
+					p.Exec = relstore.ExecOpts{Tracker: relstore.NewTracker()}
 					if oracle {
 						p.Exec = relstore.MaterializingOracle(p.Exec)
 					}

@@ -10,11 +10,10 @@
 // reference, nothing copied), each table paired with a deduplicating tuple
 // set, and every iteration joins only the previous iteration's delta
 // against the full relations — so work is proportional to what is new, not
-// to what is known. Joins are hash joins on the bound positions, fanned out
-// through the shared worker pool (internal/parallel); negated atoms become
-// anti-joins against the already-complete tables of lower strata;
-// comparison literals are applied as filters as soon as their variables are
-// bound.
+// to what is known. Joins are hash joins on the bound positions; negated
+// atoms become anti-joins against the already-complete tables of lower
+// strata; comparison literals are applied as filters as soon as their
+// variables are bound.
 //
 // The Nodes/Edges extraction statements are not evaluated here: Evaluate
 // returns the overlay database plus a legacy datalog.Program referencing
@@ -43,16 +42,16 @@ import (
 )
 
 // Options tunes program evaluation: the embedded execution context
-// (Workers, UseIndex, Tracker, Trace — see relstore.ExecOpts, which every
-// rule-body plan runs under as it is) plus the two settings only the
-// evaluator decides on. The evaluated relations are identical for every
-// Workers and UseIndex setting; UseIndex == relstore.IndexOff also stops
-// Evaluate from auto-creating indexes on the rules' join and predicate
-// columns (base tables and derived temp tables alike); Evaluate installs a
-// Tracker when none is set (reported in Stats.PeakIntermediateRows) and
-// pushes a container span per stratum, fixpoint round and rule derivation
-// onto Trace — round spans carry the fresh-tuple count, so their row totals
-// sum to Stats.DerivedTuples.
+// (UseIndex, Tracker, Trace — see relstore.ExecOpts, which every rule-body
+// plan runs under as it is) plus the two settings only the evaluator
+// decides on. The evaluated relations are identical for every UseIndex
+// setting; UseIndex == relstore.IndexOff also stops Evaluate from
+// auto-creating indexes on the rules' join and predicate columns (base
+// tables and derived temp tables alike); Evaluate installs a Tracker when
+// none is set (reported in Stats.PeakIntermediateRows) and pushes a
+// container span per stratum, fixpoint round and rule derivation onto Trace
+// — round spans carry the fresh-tuple count, so their row totals sum to
+// Stats.DerivedTuples.
 type Options struct {
 	relstore.ExecOpts
 	// MaxDerivedTuples aborts evaluation once the total number of

@@ -146,7 +146,7 @@ func equalTuples(a, b []string) bool {
 
 // TestTransitiveClosureRandomized asserts the evaluator's fixpoint equals
 // an independently computed transitive closure on randomized graphs, for
-// both the semi-naive and naive modes and several worker counts.
+// the semi-naive and naive modes and with indexes off.
 func TestTransitiveClosureRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -155,7 +155,7 @@ func TestTransitiveClosureRandomized(t *testing.T) {
 		want := reachPairs(n, edges)
 
 		var first []string
-		for _, opt := range []Options{{}, {Naive: true}, {ExecOpts: relstore.ExecOpts{Workers: 1}}, {ExecOpts: relstore.ExecOpts{Workers: 4}}} {
+		for _, opt := range []Options{{}, {Naive: true}, {ExecOpts: relstore.ExecOpts{UseIndex: relstore.IndexOff}}} {
 			res := mustEval(t, edgeDB(t, n, edges), tcProgram, opt)
 			got := tableTuples(t, res.DB, "tc")
 			if len(got) != len(want) {
@@ -443,7 +443,7 @@ func TestSemiNaiveSpeedup(t *testing.T) {
 	run := func(naive bool) (time.Duration, *Result) {
 		db := coauthorChainDB(n)
 		start := time.Now()
-		res, err := Evaluate(db, ps, Options{Naive: naive, ExecOpts: relstore.ExecOpts{Workers: 1}})
+		res, err := Evaluate(db, ps, Options{Naive: naive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,8 +668,8 @@ Edges(A, C) :- Hop2(A, C).
 		n := 12 + rng.Intn(10)
 		db := edgeDB(t, n, randomEdges(rng, n, 3*n))
 		for pi, src := range programs {
-			indexed := mustEval(t, db, src, Options{ExecOpts: relstore.ExecOpts{Workers: 2}})
-			scan := mustEval(t, db, src, Options{ExecOpts: relstore.ExecOpts{Workers: 2, UseIndex: relstore.IndexOff}})
+			indexed := mustEval(t, db, src, Options{})
+			scan := mustEval(t, db, src, Options{ExecOpts: relstore.ExecOpts{UseIndex: relstore.IndexOff}})
 			if indexed.Stats.DerivedTuples != scan.Stats.DerivedTuples ||
 				indexed.Stats.Iterations != scan.Stats.Iterations ||
 				indexed.Stats.Strata != scan.Stats.Strata {
@@ -706,7 +706,7 @@ func TestIndexedSemiNaiveAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 15
 	db := edgeDB(t, n, randomEdges(rng, n, 40))
-	fast := mustEval(t, db, tcProgram, Options{ExecOpts: relstore.ExecOpts{Workers: 3}})
+	fast := mustEval(t, db, tcProgram, Options{})
 	slow := mustEval(t, db, tcProgram, Options{Naive: true, ExecOpts: relstore.ExecOpts{UseIndex: relstore.IndexOff}})
 	if !equalTuples(tableTuples(t, fast.DB, "TC"), tableTuples(t, slow.DB, "TC")) {
 		t.Fatal("indexed semi-naive TC differs from unindexed naive TC")
@@ -715,7 +715,7 @@ func TestIndexedSemiNaiveAgainstNaive(t *testing.T) {
 
 // TestNoStreamEquivalence runs a recursive program through the default
 // streaming pipelines and through relstore.MaterializingOracle on
-// randomized graphs, crossed with the naive/index/worker switches. The
+// randomized graphs, crossed with the naive and index switches. The
 // derived relations must match tuple for tuple, and both modes must
 // report a positive intermediate-row peak — the streaming one from
 // operator-held state, the oracle's from whole staged relations.
@@ -724,7 +724,7 @@ func TestNoStreamEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(100 + seed))
 		n := 15 + rng.Intn(20)
 		db := edgeDB(t, n, randomEdges(rng, n, n+rng.Intn(2*n)))
-		for _, base := range []Options{{}, {Naive: true}, {ExecOpts: relstore.ExecOpts{UseIndex: relstore.IndexOff}}, {ExecOpts: relstore.ExecOpts{Workers: 4}}} {
+		for _, base := range []Options{{}, {Naive: true}, {ExecOpts: relstore.ExecOpts{UseIndex: relstore.IndexOff}}} {
 			streaming := mustEval(t, db, tcProgram, base)
 			oracle := base
 			oracle.ExecOpts = relstore.MaterializingOracle(base.ExecOpts)

@@ -14,16 +14,15 @@ import (
 	"graphgen/internal/relstore"
 )
 
-// Options tunes extraction: the embedded execution context (Workers,
-// UseIndex, Tracker, Trace — see relstore.ExecOpts, which reaches every
-// operator as it is) plus the seven settings the planner and graph builder
-// decide on. Workers also sizes the Step-6 preprocessing pass; UseIndex ==
-// relstore.IndexOff also stops Extract from auto-creating indexes on the
-// query's join and predicate columns, so the indexed and unindexed pipelines
-// (which extract identical graphs) can be compared; Extract installs a
-// Tracker when none is set (reported in Stats.PeakIntermediateRows) and
-// pushes a container span per Nodes rule, Edges rule and chain segment
-// onto Trace.
+// Options tunes extraction: the embedded execution context (UseIndex,
+// Tracker, Trace — see relstore.ExecOpts, which reaches every operator as it
+// is) plus the eight settings the planner and graph builder decide on.
+// UseIndex == relstore.IndexOff also stops Extract from auto-creating
+// indexes on the query's join and predicate columns, so the indexed and
+// unindexed pipelines (which extract identical graphs) can be compared;
+// Extract installs a Tracker when none is set (reported in
+// Stats.PeakIntermediateRows) and pushes a container span per Nodes rule,
+// Edges rule and chain segment onto Trace.
 type Options struct {
 	relstore.ExecOpts
 	// LargeOutputFactor is the planner threshold: a join on attribute a
@@ -42,6 +41,9 @@ type Options struct {
 	// SkipPreprocess disables the Step-6 virtual-node expansion pass;
 	// the paper's representation experiments do the same (Section 6.5).
 	SkipPreprocess bool
+	// Workers sizes the Step-6 pass's worker pool; <= 0 means GOMAXPROCS.
+	// The extracted graph never depends on it.
+	Workers int
 	// AutoExpandFactor > 0 expands the final graph when the expanded
 	// edge count is at most this multiple of the condensed edge count
 	// (the paper suggests 1.2); 0 disables.

@@ -142,18 +142,13 @@ func drained(tr *relstore.Tracker) bool {
 }
 
 // prunePasses are TestPrunedEqualsUnprunedRandomized's two passes. The
-// first is the main one: small tables, bodies of up to five atoms, several
-// worker counts. Its streams are too short for a window to fan out (a
-// worker takes at least 64 rows), so the second scales the tables up
-// until every scan spans several workers — then a join's probe kernels
-// read one built table concurrently, which is what -race must see — and
-// cuts bodies to two atoms to keep the joins small.
-var prunePasses = []struct {
-	seeds, scale, maxAtoms int
-	workers                []int
-}{
-	{150, 1, 5, []int{1, 2, 4, 7}},
-	{20, 10, 2, []int{4}},
+// first is the main one: small tables, bodies of up to five atoms. The
+// second scales the tables up tenfold, so every scan, build side and
+// seen-set runs over longer streams, and cuts bodies to two atoms to keep
+// the joins small.
+var prunePasses = []struct{ seeds, scale, maxAtoms int }{
+	{150, 1, 5},
+	{20, 10, 2},
 }
 
 // pruneTally counts what the pruned runs exercised.
@@ -163,7 +158,7 @@ func TestPrunedEqualsUnprunedRandomized(t *testing.T) {
 	var tally pruneTally
 	for _, pass := range prunePasses {
 		for seed := int64(1); seed <= int64(pass.seeds); seed++ {
-			prunedEqualsUnpruned(t, seed, pass.scale, pass.maxAtoms, pass.workers, &tally)
+			prunedEqualsUnpruned(t, seed, pass.scale, pass.maxAtoms, &tally)
 		}
 	}
 	// Guard against a generator (or a pipeline) that never prunes.
@@ -174,9 +169,9 @@ func TestPrunedEqualsUnprunedRandomized(t *testing.T) {
 }
 
 // prunedEqualsUnpruned evaluates one generated body on one generated
-// database under every worker count and index mode, pruned, against the
-// materializing oracle, and tallies what the pruned runs exercised.
-func prunedEqualsUnpruned(t *testing.T, seed int64, scale, maxAtoms int, workerCounts []int, tally *pruneTally) {
+// database in both index modes, pruned, against the materializing oracle,
+// and tallies what the pruned runs exercised.
+func prunedEqualsUnpruned(t *testing.T, seed int64, scale, maxAtoms int, tally *pruneTally) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := pruneDB(t, rng, scale)
@@ -184,57 +179,54 @@ func prunedEqualsUnpruned(t *testing.T, seed int64, scale, maxAtoms int, workerC
 	body := fmt.Sprintf("scale %d: %v -> %v", scale, atoms, outVars)
 	for _, distinct := range []bool{true, false} {
 		oracleOpts := DefaultOptions()
-		oracleOpts.ExecOpts = relstore.MaterializingOracle(relstore.ExecOpts{Workers: 1, UseIndex: relstore.IndexOff})
+		oracleOpts.ExecOpts = relstore.MaterializingOracle(relstore.ExecOpts{UseIndex: relstore.IndexOff})
 		oracle, err := EvalConjunctive(db, atoms, outVars, distinct, oracleOpts)
 		if err != nil {
 			t.Fatalf("seed %d %s: oracle: %v", seed, body, err)
 		}
 		want := relString(oracle)
-		for _, workers := range workerCounts {
-			for _, noIndex := range []bool{false, true} {
-				label := fmt.Sprintf("seed %d %s distinct=%t workers=%d noIndex=%t", seed, body, distinct, workers, noIndex)
-				opts := DefaultOptions()
-				opts.Workers = workers
-				if noIndex {
-					opts.UseIndex = relstore.IndexOff
-				}
-				opts.Tracker = relstore.NewTracker()
-				opts.Trace = obs.NewTrace()
-				rel, err := EvalConjunctive(db, atoms, outVars, distinct, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if fmt.Sprint(rel.Cols) != fmt.Sprint(oracle.Cols) {
-					t.Fatalf("%s: cols %v, oracle %v", label, rel.Cols, oracle.Cols)
-				}
-				got := relString(rel)
-				if strings.Join(got, "\n") != strings.Join(want, "\n") {
-					if !distinct {
-						// Say whether multiplicities or only order broke.
-						g, w := append([]string{}, got...), append([]string{}, want...)
-						sort.Strings(g)
-						sort.Strings(w)
-						if strings.Join(g, "\n") != strings.Join(w, "\n") {
-							t.Fatalf("%s: bags differ: %d rows vs oracle %d", label, len(got), len(want))
-						}
-					}
-					t.Fatalf("%s: rows differ from the unpruned oracle (%d vs %d rows)", label, len(got), len(want))
-				}
-				if !drained(opts.Tracker) {
-					t.Fatalf("%s: tracker still holds rows after the pipeline closed", label)
-				}
-				opts.Trace.Finish().Walk(func(s *obs.Span) {
-					switch {
-					case s.Strategy == "distinct early":
-						tally.earlyDistinct++
-						if !distinct {
-							t.Fatalf("%s: early distinct stage in a bag evaluation", label)
-						}
-					case strings.Contains(s.Detail, " -> "):
-						tally.prunedJoins++
-					}
-				})
+		for _, noIndex := range []bool{false, true} {
+			label := fmt.Sprintf("seed %d %s distinct=%t noIndex=%t", seed, body, distinct, noIndex)
+			opts := DefaultOptions()
+			if noIndex {
+				opts.UseIndex = relstore.IndexOff
 			}
+			opts.Tracker = relstore.NewTracker()
+			opts.Trace = obs.NewTrace()
+			rel, err := EvalConjunctive(db, atoms, outVars, distinct, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if fmt.Sprint(rel.Cols) != fmt.Sprint(oracle.Cols) {
+				t.Fatalf("%s: cols %v, oracle %v", label, rel.Cols, oracle.Cols)
+			}
+			got := relString(rel)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				if !distinct {
+					// Say whether multiplicities or only order broke.
+					g, w := append([]string{}, got...), append([]string{}, want...)
+					sort.Strings(g)
+					sort.Strings(w)
+					if strings.Join(g, "\n") != strings.Join(w, "\n") {
+						t.Fatalf("%s: bags differ: %d rows vs oracle %d", label, len(got), len(want))
+					}
+				}
+				t.Fatalf("%s: rows differ from the unpruned oracle (%d vs %d rows)", label, len(got), len(want))
+			}
+			if !drained(opts.Tracker) {
+				t.Fatalf("%s: tracker still holds rows after the pipeline closed", label)
+			}
+			opts.Trace.Finish().Walk(func(s *obs.Span) {
+				switch {
+				case s.Strategy == "distinct early":
+					tally.earlyDistinct++
+					if !distinct {
+						t.Fatalf("%s: early distinct stage in a bag evaluation", label)
+					}
+				case strings.Contains(s.Detail, " -> "):
+					tally.prunedJoins++
+				}
+			})
 		}
 	}
 	if len(atoms) > 2 {

@@ -16,8 +16,8 @@
 //
 // Deltas are computed eagerly on the mutating goroutine (the relstore
 // change-log callback, where the pre/post state convention is exact) but
-// applied lazily in batch on the next read, aggregated on the shared worker
-// pool. Changes to tables referenced by Nodes rules fall back to a full
+// applied lazily in batch on the next read, netted per pair in one pass.
+// Changes to tables referenced by Nodes rules fall back to a full
 // rebuild — executed immediately on the mutating goroutine, the only place
 // table reads cannot race later table writes — since node-set maintenance
 // is out of scope (see docs/ARCHITECTURE.md for the limits).
@@ -30,7 +30,6 @@ import (
 	"graphgen/internal/core"
 	"graphgen/internal/datalog"
 	"graphgen/internal/extract"
-	"graphgen/internal/parallel"
 	"graphgen/internal/relstore"
 )
 
@@ -356,10 +355,9 @@ func (lv *Live) Flush() error {
 }
 
 // flushLocked drains the pending queue under mu. Net count changes are
-// aggregated per (rule, segment, pair) on the shared worker pool — chunked
-// partial maps merged in chunk order, so the application order (and thus
-// virtual-node numbering) is deterministic — and each 0<->1 transition is
-// applied as edge surgery.
+// aggregated per (rule, segment, pair) in one pass, in order of first
+// appearance, so the application order (and thus virtual-node numbering) is
+// deterministic; each 0<->1 transition is applied as edge surgery.
 //
 // graphlint:requires mu
 func (lv *Live) flushLocked() {
@@ -373,30 +371,14 @@ func (lv *Live) flushLocked() {
 	lv.stats.Flushes++
 	lv.stats.DeltaRows += int64(len(pending))
 	lv.version++
-	type partial struct {
-		net   map[countDelta]int // pair identity: n field zeroed
-		order []countDelta
-	}
-	partials := parallel.MapChunks(len(pending), lv.opts.Workers, 0, func(lo, hi int) partial {
-		p := partial{net: make(map[countDelta]int)}
-		for _, d := range pending[lo:hi] {
-			k := countDelta{rule: d.rule, seg: d.seg, pair: d.pair}
-			if _, ok := p.net[k]; !ok {
-				p.order = append(p.order, k)
-			}
-			p.net[k] += d.n
+	net := make(map[countDelta]int) // pair identity: n field zeroed
+	var order []countDelta
+	for _, d := range pending {
+		k := countDelta{rule: d.rule, seg: d.seg, pair: d.pair}
+		if _, ok := net[k]; !ok {
+			order = append(order, k)
 		}
-		return p
-	})
-	net := partials[0].net
-	order := partials[0].order
-	for _, p := range partials[1:] {
-		for _, k := range p.order {
-			if _, ok := net[k]; !ok {
-				order = append(order, k)
-			}
-			net[k] += p.net[k]
-		}
+		net[k] += d.n
 	}
 	lv.viewMu.Lock()
 	defer lv.viewMu.Unlock()

@@ -18,8 +18,7 @@ import (
 
 // A Span is one node of an execution trace: an operator, a rule body, a
 // stratum, or a delta round. Rows counts the tuples the node emitted
-// (for containers, the tuples derived under it), Batches the parallel
-// expansion windows an operator dispatched, and Strategy the plan
+// (for containers, the tuples derived under it), and Strategy the plan
 // choice the operator made (index vs table scan, probe side). The
 // exported fields form the stable ANALYZE JSON rendering.
 type Span struct {
@@ -27,7 +26,6 @@ type Span struct {
 	Detail     string           `json:"detail,omitempty"`
 	Strategy   string           `json:"strategy,omitempty"`
 	Rows       int64            `json:"rows"`
-	Batches    int64            `json:"batches,omitempty"`
 	Attrs      map[string]int64 `json:"attrs,omitempty"`
 	DurationUS int64            `json:"duration_us"`
 	Children   []*Span          `json:"children,omitempty"`
@@ -145,13 +143,6 @@ func (s *Span) AddRows(n int64) {
 	}
 }
 
-// SetBatches records how many expansion windows the operator dispatched.
-func (s *Span) SetBatches(n int64) {
-	if s != nil {
-		s.Batches = n
-	}
-}
-
 // Set records an auxiliary integer attribute (planner counters, budget
 // figures) under key.
 func (s *Span) Set(key string, v int64) {
@@ -177,8 +168,8 @@ func (s *Span) Walk(fn func(*Span)) {
 }
 
 // Plan returns the EXPLAIN view of the tree: operators, details, and
-// strategies only, with execution measurements (rows, batches, timing,
-// attrs) removed. The result marshals to the stable plan JSON.
+// strategies only, with execution measurements (rows, timing, attrs)
+// removed. The result marshals to the stable plan JSON.
 func (s *Span) Plan() map[string]any {
 	if s == nil {
 		return nil

@@ -22,7 +22,6 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	sp.SetStrategy("index")
 	sp.SetDetail("d")
 	sp.AddRows(3)
-	sp.SetBatches(1)
 	sp.Set("k", 1)
 	sp.Walk(func(*Span) { t.Fatalf("walk visited nil span") })
 	if sp.Plan() != nil {
@@ -102,7 +101,7 @@ func TestPlanRedactsMeasurements(t *testing.T) {
 	sp := tr.StartSpan("scan", "person")
 	sp.SetStrategy("table")
 	sp.AddRows(99)
-	sp.Set("windows", 3)
+	sp.Set("build_rows", 3)
 	sp.End()
 	root := tr.Finish()
 
@@ -111,7 +110,7 @@ func TestPlanRedactsMeasurements(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := string(raw)
-	for _, forbidden := range []string{"rows", "duration", "attrs", "batches"} {
+	for _, forbidden := range []string{"rows", "duration", "attrs"} {
 		if strings.Contains(s, forbidden) {
 			t.Fatalf("plan JSON leaks %q: %s", forbidden, s)
 		}

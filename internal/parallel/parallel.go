@@ -1,7 +1,8 @@
 // Package parallel is the shared worker-pool substrate behind every
-// multi-core path in GraphGen: the extraction join probe phase
-// (internal/extract), the BSP superstep engine (internal/bsp), and the
-// deduplication conversions (internal/dedup).
+// multi-core path in GraphGen: the Step-6 preprocessing pass
+// (internal/core), the BSP superstep engine (internal/bsp), the
+// deduplication conversions (internal/dedup), closeness (internal/workload)
+// and the data generators (internal/datagen).
 //
 // The design goal is determinism, not just speed: every caller partitions
 // its input into contiguous chunks, computes per-chunk results in isolation,

@@ -184,7 +184,7 @@ func TestIndexScanEquivalence(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			preds = append(preds, Pred{Col: 1, Value: IntVal(int64(rng.Intn(8)))})
 		}
-		want, err := collect(NewScan(tbl, preds, cols, names, ExecOpts{Workers: 3, UseIndex: IndexOff}))
+		want, err := collect(NewScan(tbl, preds, cols, names, ExecOpts{UseIndex: IndexOff}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestIndexScanEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		relsEqual(t, got, want, fmt.Sprintf("IndexForce trial %d", trial))
-		auto, err := collect(NewScan(tbl, preds, cols, names, ExecOpts{Workers: 3}))
+		auto, err := collect(NewScan(tbl, preds, cols, names, ExecOpts{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,15 +242,15 @@ func TestIndexedJoinEquivalence(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			preds = []Pred{{Col: 1, Value: IntVal(int64(rng.Intn(6)))}}
 		}
-		scanned, err := collect(NewScan(tbl, preds, cols, names, ExecOpts{Workers: 1, UseIndex: IndexOff}))
+		scanned, err := collect(NewScan(tbl, preds, cols, names, ExecOpts{UseIndex: IndexOff}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := collect(NewJoin(IterRel(cur), IterRel(scanned), []string{"K"}, nil, ExecOpts{Workers: 3}))
+		want, err := collect(NewJoin(IterRel(cur), IterRel(scanned), []string{"K"}, nil, ExecOpts{}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := collect(NewTableJoin(IterRel(cur), tbl, preds, cols, names, []string{"K"}, nil, ExecOpts{Workers: 3, UseIndex: IndexForce}))
+		got, err := collect(NewTableJoin(IterRel(cur), tbl, preds, cols, names, []string{"K"}, nil, ExecOpts{UseIndex: IndexForce}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,15 +270,15 @@ func TestIndexedJoinEquivalence(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		cur.Rows = append(cur.Rows, []Value{IntVal(int64(i)), IntVal(int64(rng.Intn(35)))})
 	}
-	scanned, err := collect(NewScan(tbl, nil, cols, names, ExecOpts{Workers: 1, UseIndex: IndexOff}))
+	scanned, err := collect(NewScan(tbl, nil, cols, names, ExecOpts{UseIndex: IndexOff}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := collect(NewJoin(IterRel(cur), IterRel(scanned), []string{"K"}, nil, ExecOpts{Workers: 2}))
+	want, err := collect(NewJoin(IterRel(cur), IterRel(scanned), []string{"K"}, nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := collect(NewTableJoin(IterRel(cur), tbl, nil, cols, names, []string{"K"}, nil, ExecOpts{Workers: 2, UseIndex: IndexForce}))
+	got, err := collect(NewTableJoin(IterRel(cur), tbl, nil, cols, names, []string{"K"}, nil, ExecOpts{UseIndex: IndexForce}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,13 +317,13 @@ func TestCompositeKeyJoinProbesIndex(t *testing.T) {
 				preds = []Pred{{Col: 2, Value: StrVal("t1")}}
 			}
 			keep := [][]string{nil, {"X", "T"}}[rng.Intn(2)]
-			want, err := collect(NewTableJoin(IterRel(cur), tbl, preds, cols, names, shared, keep, ExecOpts{Workers: 1, UseIndex: IndexOff}))
+			want, err := collect(NewTableJoin(IterRel(cur), tbl, preds, cols, names, shared, keep, ExecOpts{UseIndex: IndexOff}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, mode := range []IndexMode{IndexAuto, IndexForce} {
 				tr := obs.NewTrace()
-				got, err := collect(NewTableJoin(IterRel(cur), tbl, preds, cols, names, shared, keep, ExecOpts{Workers: 3, UseIndex: mode, Trace: tr}))
+				got, err := collect(NewTableJoin(IterRel(cur), tbl, preds, cols, names, shared, keep, ExecOpts{UseIndex: mode, Trace: tr}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -346,33 +346,33 @@ func TestCompositeKeyJoinProbesIndex(t *testing.T) {
 func TestIndexedJoinErrors(t *testing.T) {
 	_, _, ap := makeAuthors(t)
 	cur := &Rel{Cols: []string{"P"}, Rows: [][]Value{{IntVal(10)}}}
-	if _, err := collect(NewTableJoin(IterRel(cur), ap, nil, []int{0, 1}, []string{"A", "P"}, []string{"P"}, nil, ExecOpts{Workers: 1, UseIndex: IndexForce})); err == nil {
+	if _, err := collect(NewTableJoin(IterRel(cur), ap, nil, []int{0, 1}, []string{"A", "P"}, []string{"P"}, nil, ExecOpts{UseIndex: IndexForce})); err == nil {
 		t.Fatal("IndexForce table join without an index should error")
 	}
 	if _, err := ap.CreateIndex("pid"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := collect(NewTableJoin(IterRel(cur), ap, nil, []int{0, 1}, []string{"A", "P"}, []string{"Q"}, nil, ExecOpts{Workers: 1, UseIndex: IndexForce})); err == nil {
+	if _, err := collect(NewTableJoin(IterRel(cur), ap, nil, []int{0, 1}, []string{"A", "P"}, []string{"Q"}, nil, ExecOpts{UseIndex: IndexForce})); err == nil {
 		t.Fatal("table join with join column missing from cur should error")
 	}
-	if _, err := collect(NewTableJoin(IterRel(cur), ap, nil, []int{0, 1}, []string{"A", "B"}, []string{"P"}, nil, ExecOpts{Workers: 1, UseIndex: IndexForce})); err == nil {
+	if _, err := collect(NewTableJoin(IterRel(cur), ap, nil, []int{0, 1}, []string{"A", "B"}, []string{"P"}, nil, ExecOpts{UseIndex: IndexForce})); err == nil {
 		t.Fatal("table join with join column missing from projection should error")
 	}
 }
 
 // TestScanPredOutOfRange is the regression test for the
 // predicate-validation fix: an out-of-range predicate column must be an
-// error like every other malformed-input path, not a panic inside the
-// worker pool.
+// error like every other malformed-input path, not an index-out-of-range
+// panic.
 func TestScanPredOutOfRange(t *testing.T) {
 	_, _, ap := makeAuthors(t)
 	for _, col := range []int{-1, 2, 99} {
-		if _, err := collect(NewScan(ap, []Pred{{Col: col, Value: IntVal(1)}}, []int{0}, []string{"A"}, ExecOpts{Workers: 2, UseIndex: IndexOff})); err == nil {
+		if _, err := collect(NewScan(ap, []Pred{{Col: col, Value: IntVal(1)}}, []int{0}, []string{"A"}, ExecOpts{UseIndex: IndexOff})); err == nil {
 			t.Fatalf("predicate column %d: want error, got none", col)
 		}
 	}
 	// In-range predicates still work.
-	rel, err := collect(NewScan(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"A"}, ExecOpts{Workers: 2, UseIndex: IndexOff}))
+	rel, err := collect(NewScan(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"A"}, ExecOpts{UseIndex: IndexOff}))
 	if err != nil || len(rel.Rows) != 3 {
 		t.Fatalf("valid scan: rows=%v err=%v", rel, err)
 	}
@@ -399,7 +399,7 @@ func TestHashJoinBuildSideSwap(t *testing.T) {
 		{IntVal(1), IntVal(10), IntVal(101)},
 	}
 	// len(b) > len(a): the pre-fix fast path (build on a).
-	got, err := collect(NewHashJoin(IterRel(small), IterRel(big), "p", "p", nil, ExecOpts{Workers: 1}))
+	got, err := collect(NewHashJoin(IterRel(small), IterRel(big), "p", "p", nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestHashJoinBuildSideSwap(t *testing.T) {
 		{IntVal(10), IntVal(101), IntVal(1)},
 		{IntVal(20), IntVal(200), IntVal(2)},
 	}
-	got2, err := collect(NewHashJoin(IterRel(big), IterRel(small), "p", "p", nil, ExecOpts{Workers: 1}))
+	got2, err := collect(NewHashJoin(IterRel(big), IterRel(small), "p", "p", nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestHashJoinOrderIndependentOfCardinality(t *testing.T) {
 		a.Rows = append(a.Rows, []Value{IntVal(int64(i)), IntVal(int64(i % 2))})
 		b.Rows = append(b.Rows, []Value{IntVal(int64(i % 2)), IntVal(int64(100 + i))})
 	}
-	before, err := collect(NewHashJoin(IterRel(a), IterRel(b), "p", "p", nil, ExecOpts{Workers: 1}))
+	before, err := collect(NewHashJoin(IterRel(a), IterRel(b), "p", "p", nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestHashJoinOrderIndependentOfCardinality(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a.Rows = append(a.Rows, []Value{IntVal(int64(1000 + i)), IntVal(9999)})
 	}
-	after, err := collect(NewHashJoin(IterRel(a), IterRel(b), "p", "p", nil, ExecOpts{Workers: 1}))
+	after, err := collect(NewHashJoin(IterRel(a), IterRel(b), "p", "p", nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,13 +452,13 @@ func TestHashJoinOrderIndependentOfCardinality(t *testing.T) {
 func TestJoinEmptyShared(t *testing.T) {
 	a := &Rel{Cols: []string{"x"}, Rows: [][]Value{{IntVal(1)}, {IntVal(2)}}}
 	b := &Rel{Cols: []string{"y"}, Rows: [][]Value{{IntVal(10)}, {IntVal(20)}, {IntVal(30)}}}
-	if _, err := collect(NewJoin(IterRel(a), IterRel(b), nil, nil, ExecOpts{Workers: 1})); err == nil {
+	if _, err := collect(NewJoin(IterRel(a), IterRel(b), nil, nil, ExecOpts{})); err == nil {
 		t.Fatal("NewJoin with nil shared list should error")
 	}
-	if _, err := collect(NewJoin(IterRel(a), IterRel(b), []string{}, nil, ExecOpts{Workers: 4})); err == nil {
+	if _, err := collect(NewJoin(IterRel(a), IterRel(b), []string{}, nil, ExecOpts{})); err == nil {
 		t.Fatal("NewJoin with empty shared list should error")
 	}
-	cross, err := collect(NewCross(IterRel(a), IterRel(b), ExecOpts{Workers: 2}), nil)
+	cross, err := collect(NewCross(IterRel(a), IterRel(b), ExecOpts{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,10 +468,4 @@ func TestJoinEmptyShared(t *testing.T) {
 		{IntVal(1), IntVal(30)}, {IntVal(2), IntVal(30)},
 	}}
 	relsEqual(t, cross, want, "NewCross")
-	// The cross product is worker-count independent like every operator.
-	serial, err := collect(NewCross(IterRel(a), IterRel(b), ExecOpts{Workers: 1}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relsEqual(t, cross, serial, "NewCross parallel vs serial")
 }

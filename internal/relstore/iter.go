@@ -7,17 +7,16 @@ import (
 	"sync/atomic"
 
 	"graphgen/internal/obs"
-	"graphgen/internal/parallel"
 )
 
 // This file is the streaming operator layer: composable pull-based
 // iterators over rows, each with a fixed output contract — schema and
 // row-for-row order. Peak memory of a pipeline is what its operators
 // *hold*, not the sum of every intermediate relation: a scan holds a
-// window, a join holds its build side, distinct holds its seen-set. The
-// equivalence suites (indexed==unindexed, serial≡parallel,
-// semi-naive==naive, live==fresh, streaming==materializing) are the
-// correctness oracle for every operator here.
+// row, a join holds its build side, distinct holds its seen-set. The
+// equivalence suites (indexed==unindexed, semi-naive==naive, live==fresh,
+// streaming==materializing) are the correctness oracle for every operator
+// here.
 //
 // Contracts every iterator obeys:
 //
@@ -39,9 +38,8 @@ import (
 //     state while inserting head tuples. Deletes do NOT enjoy this
 //     guarantee (table and index storage shifts in place); drain or close
 //     pipelines before deleting from their source tables.
-//   - Order is deterministic and worker-count independent: parallel
-//     stages fan contiguous windows across the worker pool and merge in
-//     window order, so ExecOpts.Workers is purely a throughput knob.
+//   - Order is deterministic: every stage pulls one source row at a time
+//     through its kernel and hands on the kernel's output rows in order.
 
 // Row is one tuple flowing through a pipeline.
 type Row = []Value
@@ -64,9 +62,8 @@ type RowIter interface {
 type IndexMode uint8
 
 const (
-	// IndexAuto costs the index path against the parallel scan (the
-	// rules documented on NewScan and NewTableJoin) and picks the cheaper
-	// one.
+	// IndexAuto costs the index path against the table walk (the rules
+	// documented on NewScan and NewTableJoin) and picks the cheaper one.
 	IndexAuto IndexMode = iota
 	// IndexOff always walks the table.
 	IndexOff
@@ -79,14 +76,9 @@ const (
 // every layer that runs relational work. extract.Options and
 // datalogeval.Options embed it, the Engine fills it once, and it is handed
 // down untouched through conj.Plan.Exec to every operator constructor — a
-// new cross-cutting setting is one field here. The zero value — Workers 0
-// resolves to GOMAXPROCS, auto index choice, no tracking, no tracing — is a
-// sensible default.
+// new cross-cutting setting is one field here. The zero value — auto index
+// choice, no tracking, no tracing — is a sensible default.
 type ExecOpts struct {
-	// Workers partitions parallel stages (scans, join probes, filters, and
-	// the layers' own parallel passes); <=0 means GOMAXPROCS, 1 is the
-	// serial path. Output never depends on it.
-	Workers int
 	// UseIndex selects the access path for scans and table joins. IndexOff
 	// also stops the layers above from auto-creating indexes.
 	UseIndex IndexMode
@@ -96,10 +88,10 @@ type ExecOpts struct {
 	// evaluation each install one when unset.
 	Tracker *Tracker
 	// Trace, when non-nil, collects the execution tree: one span per
-	// operator constructed under these opts (kind, strategy, rows out,
-	// batches, wall time) under the container spans the layers push. Nil
-	// (the default) is the zero-overhead fast path — constructors test this
-	// one pointer and skip the span machinery entirely. A Trace belongs to
+	// operator constructed under these opts (kind, strategy, rows out, wall
+	// time) under the container spans the layers push. Nil (the default) is
+	// the zero-overhead fast path — constructors test this one pointer and
+	// skip the span machinery entirely. A Trace belongs to
 	// one call; it must not be shared across concurrent runs.
 	Trace *obs.Trace
 	// oracle is set only by MaterializingOracle.
@@ -124,9 +116,9 @@ func (o ExecOpts) Oracle() bool { return o.oracle }
 
 // Tracker accounts materialized intermediate rows across a pipeline (or
 // several: extraction shares one tracker across all segment pipelines of
-// a plan). Acquire/Release are cheap atomics so parallel stages can share
-// one; Peak is the high-water mark that lands in extraction and Datalog
-// EvalStats as PeakIntermediateRows. A nil *Tracker is valid and counts
+// a plan). Acquire/Release are cheap atomics so concurrent pipelines can
+// share one; Peak is the high-water mark that lands in extraction and
+// Datalog EvalStats as PeakIntermediateRows. A nil *Tracker is valid and counts
 // nothing.
 type Tracker struct {
 	cur, peak atomic.Int64
@@ -250,33 +242,23 @@ func closeAll(its ...RowIter) {
 	}
 }
 
-// expandWindow is the per-worker window size of parallel stages. Windows
-// bound the rows a stage holds in flight; boundaries affect only
-// batching, never output order, so results are worker-count independent.
-const expandWindow = 1024
-
 // expandIter streams src through a pure per-row expansion kernel (emit
-// zero or more output rows per input row), fanning each window of input
-// rows across the worker pool and concatenating per-chunk outputs in
-// chunk order — the streaming form of the MapChunks+concatChunks loops
-// the materializing operators use, with identical output order.
+// zero or more output rows per input row): it reads one source row, runs
+// the kernel, and hands on what it emitted before reading the next.
 type expandIter struct {
-	cols    []string
-	src     RowIter
-	workers int
-	window  int
-	fn      func(Row, func(Row))
-	in      [][]Value
-	buf     [][]Value
-	bufPos  int
-	nbatch  int64
-	srcDone bool
-	closed  bool
+	cols   []string
+	src    RowIter
+	fn     func(Row, func(Row))
+	emit   func(Row)
+	buf    [][]Value
+	bufPos int
+	closed bool
 }
 
-func newExpandIter(cols []string, src RowIter, workers int, fn func(Row, func(Row))) *expandIter {
-	w := parallel.Resolve(workers)
-	return &expandIter{cols: cols, src: src, workers: w, window: w * expandWindow, fn: fn}
+func newExpandIter(cols []string, src RowIter, fn func(Row, func(Row))) *expandIter {
+	it := &expandIter{cols: cols, src: src, fn: fn}
+	it.emit = func(r Row) { it.buf = append(it.buf, r) }
+	return it
 }
 
 func (it *expandIter) Cols() []string { return it.cols }
@@ -288,45 +270,21 @@ func (it *expandIter) Next() (Row, bool, error) {
 			it.bufPos++
 			return r, true, nil
 		}
-		if it.srcDone {
-			return nil, false, nil
+		row, ok, err := it.src.Next()
+		if !ok || err != nil {
+			return nil, false, err
 		}
-		it.in = it.in[:0]
-		for len(it.in) < it.window {
-			row, ok, err := it.src.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				it.srcDone = true
-				break
-			}
-			it.in = append(it.in, row)
-		}
-		if len(it.in) == 0 {
-			continue
-		}
-		it.nbatch++
-		chunks := parallel.MapChunks(len(it.in), it.workers, 0, func(lo, hi int) [][]Value {
-			var out [][]Value
-			emit := func(r Row) { out = append(out, r) }
-			for _, row := range it.in[lo:hi] {
-				it.fn(row, emit)
-			}
-			return out
-		})
-		it.buf, it.bufPos = concatChunks(chunks), 0
+		it.buf, it.bufPos = it.buf[:0], 0
+		it.fn(row, it.emit)
 	}
 }
-
-func (it *expandIter) batches() int64 { return it.nbatch }
 
 func (it *expandIter) Close() error {
 	if it.closed {
 		return nil
 	}
 	it.closed = true
-	it.in, it.buf = nil, nil
+	it.buf = nil
 	return it.src.Close()
 }
 
@@ -357,9 +315,9 @@ func selectFn(preds []Pred, equalities [][2]int, cols []int) func(Row, func(Row)
 // walk, projecting the listed column indexes under the given names. The
 // access path follows opts.UseIndex. IndexAuto costs the two: an equality
 // predicate over a column with d distinct values touches ~N/d rows
-// through the index versus ~N/workers per worker for the scan, so the
-// index wins once d reaches twice the resolved worker count (the factor
-// keeps the choice conservative about per-lookup overhead). IndexForce
+// through the index versus all N for the table walk, so the index wins
+// once d reaches 2 — the average bucket then holds at most half the table
+// — and the choice depends on the data alone. IndexForce
 // requires an indexed predicate column and walks the most selective
 // bucket (the driving predicate needs no re-check — the bucket key
 // encoding is injective). IndexOff always walks the table. All paths
@@ -379,7 +337,7 @@ func NewScan(t *Table, preds []Pred, cols []int, names []string, opts ExecOpts) 
 			}
 			useIndex = true
 		case IndexAuto:
-			useIndex = ix != nil && ix.NKeys() >= 2*parallel.Resolve(opts.Workers)
+			useIndex = ix != nil && ix.NKeys() >= 2
 		}
 	}
 	outCols := append([]string(nil), names...)
@@ -400,9 +358,9 @@ func NewScan(t *Table, preds []Pred, cols []int, names []string, opts ExecOpts) 
 			}
 		}
 		src := &bucketIter{bucket: ix.bucket(preds[pi].Value)}
-		return traced(newExpandIter(outCols, src, 1, selectFn(rest, nil, cols)), sp), nil
+		return traced(newExpandIter(outCols, src, selectFn(rest, nil, cols)), sp), nil
 	}
-	return traced(newExpandIter(outCols, IterRows(nil, t.Rows), opts.Workers, selectFn(preds, nil, cols)), sp), nil
+	return traced(newExpandIter(outCols, IterRows(nil, t.Rows), selectFn(preds, nil, cols)), sp), nil
 }
 
 // bucketIter walks one index bucket's rows in seq (= table) order,
@@ -434,7 +392,7 @@ func (it *bucketIter) Close() error { return nil }
 // pattern compilers used to materialize.
 func NewSelect(rows [][]Value, preds []Pred, equalities [][2]int, cols []int, names []string, opts ExecOpts) RowIter {
 	outCols := append([]string(nil), names...)
-	it := newExpandIter(outCols, IterRows(nil, rows), opts.Workers, selectFn(preds, equalities, cols))
+	it := newExpandIter(outCols, IterRows(nil, rows), selectFn(preds, equalities, cols))
 	if opts.Trace == nil {
 		return it
 	}
@@ -442,9 +400,8 @@ func NewSelect(rows [][]Value, preds []Pred, equalities [][2]int, cols []int, na
 }
 
 // NewFilter streams src through a row predicate, keeping the schema.
-// keep must be pure (it runs concurrently across a window).
 func NewFilter(src RowIter, opts ExecOpts, keep func(Row) bool) RowIter {
-	it := newExpandIter(src.Cols(), src, opts.Workers, func(row Row, emit func(Row)) {
+	it := newExpandIter(src.Cols(), src, func(row Row, emit func(Row)) {
 		if keep(row) {
 			emit(row)
 		}
@@ -501,16 +458,9 @@ func (it *buildProbeIter) Next() (Row, bool, error) {
 		}
 		it.held = len(rows)
 		it.opts.Tracker.Acquire(it.held)
-		it.inner = newExpandIter(it.cols, it.probe, it.opts.Workers, it.mk(rows))
+		it.inner = newExpandIter(it.cols, it.probe, it.mk(rows))
 	}
 	return it.inner.Next()
-}
-
-func (it *buildProbeIter) batches() int64 {
-	if bc, ok := it.inner.(batchCounter); ok {
-		return bc.batches()
-	}
-	return 0
 }
 
 func (it *buildProbeIter) Close() error {
@@ -873,7 +823,7 @@ func (it *tableJoinIter) start() error {
 				emit(joinRow(nOut, crow, row, fromCur, fromTable))
 			}
 		}
-		it.inner = newExpandIter(it.cols, &entrySliceIter{entries: entries}, it.opts.Workers, kernel)
+		it.inner = newExpandIter(it.cols, &entrySliceIter{entries: entries}, kernel)
 		return nil
 	}
 	scanOpts := it.opts
@@ -893,15 +843,8 @@ func (it *tableJoinIter) start() error {
 			emit(joinRow(nOut, crow, brow, fromCur, fromScan))
 		}
 	}
-	it.inner = newExpandIter(it.cols, scan, it.opts.Workers, kernel)
+	it.inner = newExpandIter(it.cols, scan, kernel)
 	return nil
-}
-
-func (it *tableJoinIter) batches() int64 {
-	if bc, ok := it.inner.(batchCounter); ok {
-		return bc.batches()
-	}
-	return 0
 }
 
 func (it *tableJoinIter) Close() error {
@@ -943,10 +886,9 @@ func (it *entrySliceIter) Next() (Row, bool, error) {
 func (it *entrySliceIter) Close() error { return nil }
 
 // NewProject streams src restricted to the named columns, optionally
-// deduplicating (SELECT DISTINCT). The distinct form runs serially — the
-// seen-set is inherently order-dependent state — and holds one seen-set
-// entry per distinct row (tracked); the plain form is a parallel
-// per-row projection.
+// deduplicating (SELECT DISTINCT). The distinct form holds one seen-set
+// entry per distinct row (tracked); the plain form is a per-row
+// projection.
 func NewProject(src RowIter, cols []string, distinct bool, opts ExecOpts) (RowIter, error) {
 	srcCols := src.Cols()
 	idx := make([]int, len(cols))
@@ -969,7 +911,7 @@ func NewProject(src RowIter, cols []string, distinct bool, opts ExecOpts) (RowIt
 	if distinct {
 		return traced(newDistinctIter(outCols, src, idx, false, opts, sp), sp), nil
 	}
-	return traced(newExpandIter(outCols, src, opts.Workers, func(row Row, emit func(Row)) {
+	return traced(newExpandIter(outCols, src, func(row Row, emit func(Row)) {
 		proj := make([]Value, len(idx))
 		for i, j := range idx {
 			proj[i] = row[j]

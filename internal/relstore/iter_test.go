@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"graphgen/internal/obs"
 )
 
 // --- helpers ---
@@ -72,8 +75,8 @@ func randTable(t *testing.T, db *DB, rng *rand.Rand, name string, cols []Column,
 // scan→join→project plans and runs each twice: as one fused streaming
 // pipeline, and with Materialize interposed after every operator (the
 // materializing oracle, which reproduces the old operator-at-a-time
-// execution). The collected outputs must match row for row, across
-// worker counts and index modes.
+// execution). The collected outputs must match row for row, in both
+// index modes.
 func TestStreamingMaterializingEquivalence(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -91,12 +94,11 @@ func TestStreamingMaterializingEquivalence(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			preds = []Pred{{Col: 1, Value: IntVal(int64(rng.Intn(8)))}}
 		}
-		workers := []int{1, 1 + rng.Intn(4)}[rng.Intn(2)]
 		useIndex := []IndexMode{IndexAuto, IndexOff}[rng.Intn(2)]
 		distinct := rng.Intn(2) == 0
 
 		build := func(stage func(RowIter) (RowIter, error)) (*Rel, error) {
-			opts := ExecOpts{Workers: workers, UseIndex: useIndex}
+			opts := ExecOpts{UseIndex: useIndex}
 			cur, err := NewScan(left, preds, []int{0, 1, 2}, []string{"a", "b", "s"}, opts)
 			if err != nil {
 				return nil, err
@@ -127,7 +129,7 @@ func TestStreamingMaterializingEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: materializing: %v", trial, err)
 		}
 		rowsEqual(t, streamed, materialized,
-			fmt.Sprintf("trial %d (workers=%d index=%d distinct=%t)", trial, workers, useIndex, distinct))
+			fmt.Sprintf("trial %d (index=%d distinct=%t)", trial, useIndex, distinct))
 	}
 }
 
@@ -161,8 +163,7 @@ var errMidStream = errors.New("mid-stream failure")
 
 // TestErrorPropagation drives a failing source through every operator
 // shape and asserts Collect surfaces the error, the source is closed
-// exactly once (the constructor owns its inputs), and — run under -race
-// in CI — no worker goroutines leak past the failure.
+// exactly once (the constructor owns its inputs).
 func TestErrorPropagation(t *testing.T) {
 	goodRows := func(n int) [][]Value {
 		rows := make([][]Value, n)
@@ -178,26 +179,26 @@ func TestErrorPropagation(t *testing.T) {
 		build func(src *failIter) (RowIter, error)
 	}{
 		{"filter", func(src *failIter) (RowIter, error) {
-			return NewFilter(src, ExecOpts{Workers: 3}, func(Row) bool { return true }), nil
+			return NewFilter(src, ExecOpts{}, func(Row) bool { return true }), nil
 		}},
 		{"project", func(src *failIter) (RowIter, error) {
-			return NewProject(src, []string{"k"}, false, ExecOpts{Workers: 3})
+			return NewProject(src, []string{"k"}, false, ExecOpts{})
 		}},
 		{"distinct", func(src *failIter) (RowIter, error) {
-			return NewProject(src, []string{"k"}, true, ExecOpts{Workers: 1})
+			return NewProject(src, []string{"k"}, true, ExecOpts{})
 		}},
 		{"join build side", func(src *failIter) (RowIter, error) {
-			return NewJoin(src, IterRel(probe), []string{"k"}, nil, ExecOpts{Workers: 2})
+			return NewJoin(src, IterRel(probe), []string{"k"}, nil, ExecOpts{})
 		}},
 		{"join probe side", func(src *failIter) (RowIter, error) {
-			return NewJoin(IterRel(probe), src, []string{"k"}, nil, ExecOpts{Workers: 2})
+			return NewJoin(IterRel(probe), src, []string{"k"}, nil, ExecOpts{})
 		}},
 		{"cross", func(src *failIter) (RowIter, error) {
-			return NewCross(IterRel(probe), src, ExecOpts{Workers: 2}), nil
+			return NewCross(IterRel(probe), src, ExecOpts{}), nil
 		}},
 		{"collect direct", func(src *failIter) (RowIter, error) { return src, nil }},
 	}
-	for _, nRows := range []int{0, 3, 2500} { // below and above one expand window
+	for _, nRows := range []int{0, 3, 2500} {
 		for _, shape := range shapes {
 			src := &failIter{cols: []string{"k", "v"}, rows: goodRows(nRows), err: errMidStream}
 			it, err := shape.build(src)
@@ -271,7 +272,7 @@ func TestTrackerCountsJoinBuildSide(t *testing.T) {
 	tr := NewTracker()
 	build := &Rel{Cols: []string{"k"}, Rows: [][]Value{{IntVal(1)}, {IntVal(2)}, {IntVal(3)}}}
 	probe := &Rel{Cols: []string{"k"}, Rows: [][]Value{{IntVal(1)}, {IntVal(2)}}}
-	it, err := NewJoin(IterRel(build), IterRel(probe), []string{"k"}, nil, ExecOpts{Workers: 1, Tracker: tr})
+	it, err := NewJoin(IterRel(build), IterRel(probe), []string{"k"}, nil, ExecOpts{Tracker: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,5 +299,131 @@ func TestNilTrackerIsSafe(t *testing.T) {
 	tr.Release(5)
 	if tr.Peak() != 0 {
 		t.Fatal("nil tracker peak")
+	}
+}
+
+// --- one source row at a time ---
+
+// keyedTable returns an n-row table (k, v) with k = i mod keys and v = i,
+// indexed on k.
+func keyedTable(t *testing.T, n, keys int) *Table {
+	t.Helper()
+	tbl, err := NewDB().Create("T", Column{"k", Int}, Column{"v", Int})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := tbl.Insert(IntVal(int64(i%keys)), IntVal(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tbl.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// sourceRowsRead follows a stage down its probe side to the row source at
+// the bottom (a row slice, an index bucket or a gathered bucket list) and
+// returns how many rows that source has handed out.
+func sourceRowsRead(t *testing.T, it RowIter) int {
+	t.Helper()
+	for {
+		switch s := it.(type) {
+		case *expandIter:
+			it = s.src
+		case *buildProbeIter:
+			it = s.inner
+		case *tableJoinIter:
+			it = s.inner
+		case *sliceIter:
+			return s.pos
+		case *bucketIter:
+			return s.pos
+		case *entrySliceIter:
+			return s.pos
+		default:
+			t.Fatalf("no row source under %T", it)
+			return 0
+		}
+	}
+}
+
+// TestStagesReadOneSourceRow pulls the first output row from every stage
+// that streams a source through a per-row kernel and checks that it read
+// one probe-side source row to produce it: a stage holds a row in flight,
+// never a window of them.
+func TestStagesReadOneSourceRow(t *testing.T) {
+	const n = 5000
+	tbl := keyedTable(t, n, 1) // every row has k = 0
+	k0 := []Pred{{Col: 0, Value: IntVal(0)}}
+	rows := func() RowIter { return IterRows([]string{"k", "v"}, tbl.Rows) }
+	one := func() RowIter { return IterRows([]string{"k"}, [][]Value{{IntVal(0)}}) }
+	tableJoin := func(mode IndexMode) (RowIter, error) {
+		return NewTableJoin(one(), tbl, nil, []int{0, 1}, []string{"k", "v"}, []string{"k"}, nil, ExecOpts{UseIndex: mode})
+	}
+	stages := []struct {
+		name  string
+		build func() (RowIter, error)
+	}{
+		{"scan, table walk", func() (RowIter, error) {
+			return NewScan(tbl, k0, []int{1}, []string{"v"}, ExecOpts{UseIndex: IndexOff})
+		}},
+		{"scan, index bucket", func() (RowIter, error) {
+			return NewScan(tbl, k0, []int{1}, []string{"v"}, ExecOpts{UseIndex: IndexForce})
+		}},
+		{"select", func() (RowIter, error) {
+			return NewSelect(tbl.Rows, k0, nil, []int{1}, []string{"v"}, ExecOpts{}), nil
+		}},
+		{"filter", func() (RowIter, error) {
+			return NewFilter(rows(), ExecOpts{}, func(Row) bool { return true }), nil
+		}},
+		{"project", func() (RowIter, error) { return NewProject(rows(), []string{"v"}, false, ExecOpts{}) }},
+		{"join probe", func() (RowIter, error) { return NewJoin(one(), rows(), []string{"k"}, nil, ExecOpts{}) }},
+		{"table join, scan path", func() (RowIter, error) { return tableJoin(IndexOff) }},
+		{"table join, index path", func() (RowIter, error) { return tableJoin(IndexForce) }},
+	}
+	for _, s := range stages {
+		it, err := s.build()
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if _, ok, err := it.Next(); !ok || err != nil {
+			t.Fatalf("%s: first Next: ok=%t err=%v", s.name, ok, err)
+		}
+		if read := sourceRowsRead(t, it); read != 1 {
+			t.Errorf("%s: read %d of %d source rows for its first output row, want 1", s.name, read, n)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestScanAccessPathIgnoresGOMAXPROCS: IndexAuto chooses between the index
+// and the table walk from the data alone. A predicate column with three
+// distinct keys takes the index at one processor and at eight.
+func TestScanAccessPathIgnoresGOMAXPROCS(t *testing.T) {
+	tbl := keyedTable(t, 300, 3)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var strategies []string
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		tr := obs.NewTrace()
+		rel, err := collect(NewScan(tbl, []Pred{{Col: 0, Value: IntVal(1)}}, []int{1}, []string{"v"}, ExecOpts{Trace: tr}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rel.Rows) != 100 {
+			t.Fatalf("GOMAXPROCS %d: %d rows, want 100", procs, len(rel.Rows))
+		}
+		root := tr.Finish()
+		if len(root.Children) != 1 || root.Children[0].Op != "scan" {
+			t.Fatalf("GOMAXPROCS %d: want one scan span, got %+v", procs, root.Children)
+		}
+		strategies = append(strategies, root.Children[0].Strategy)
+	}
+	if strategies[0] != "index" || strategies[1] != "index" {
+		t.Fatalf("strategy at GOMAXPROCS 1, 8 = %q, want index at both", strategies)
 	}
 }

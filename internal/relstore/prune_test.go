@@ -72,7 +72,7 @@ func TestPrunedJoinEqualsProjectedJoin(t *testing.T) {
 		lrel := &Rel{Cols: []string{"a", "b", "s"}, Rows: left.Rows}
 		rrel := &Rel{Cols: []string{"b", "s", "c"}, Rows: right.Rows}
 		rrelY := &Rel{Cols: []string{"y", "s2", "c"}, Rows: right.Rows}
-		opts := ExecOpts{Workers: 1 + rng.Intn(3)}
+		opts := ExecOpts{}
 		preds := []Pred{{Col: 2, Value: IntVal(int64(rng.Intn(8)))}}[:rng.Intn(2)]
 
 		joins := []struct {
@@ -223,7 +223,7 @@ func TestPrunedStageResourceContracts(t *testing.T) {
 					b.err = errMidStream
 				}
 				tr := NewTracker()
-				opts := ExecOpts{Workers: 2, Tracker: tr}
+				opts := ExecOpts{Tracker: tr}
 				if traced {
 					opts.Trace = obs.NewTrace()
 				}
@@ -282,7 +282,7 @@ func TestPrunedStageSpans(t *testing.T) {
 	}}
 	probe := &Rel{Cols: []string{"k", "w"}, Rows: [][]Value{{IntVal(1), IntVal(5)}, {IntVal(2), IntVal(5)}}}
 	tr := obs.NewTrace()
-	opts := ExecOpts{Workers: 1, Trace: tr}
+	opts := ExecOpts{Trace: tr}
 	j, err := NewJoin(IterRel(build), IterRel(probe), []string{"k"}, []string{"v", "w"}, opts)
 	if err != nil {
 		t.Fatal(err)

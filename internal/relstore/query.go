@@ -35,7 +35,7 @@ type Pred struct {
 
 // validateScan checks a scan's projection and predicate columns against
 // the table schema, so malformed input is an error on every scan path
-// (serial, parallel, and index-backed) instead of a worker-pool panic.
+// (table walk and index-backed) instead of an index-out-of-range panic.
 func validateScan(t *Table, preds []Pred, cols []int, names []string) error {
 	if len(cols) != len(names) {
 		return fmt.Errorf("relstore: scan of %s: %d cols, %d names", t.Name, len(cols), len(names))
@@ -59,25 +59,6 @@ func validateScan(t *Table, preds []Pred, cols []int, names []string) error {
 func hashKey(v Value) string {
 	var buf [32]byte
 	return string(v.AppendKeyBytes(buf[:0]))
-}
-
-// concatChunks merges per-chunk row slices in chunk order.
-func concatChunks(chunks [][][]Value) [][]Value {
-	switch len(chunks) {
-	case 0:
-		return nil
-	case 1:
-		return chunks[0]
-	}
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out := make([][]Value, 0, total)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out
 }
 
 // bestIndexedPred returns the index covering one of the equality

@@ -10,10 +10,8 @@
 // ExecOpts.UseIndex.
 //
 // Operators are pull-based RowIter pipelines (iter.go) drained by
-// Collect. Their parallel stages partition input windows across the
-// shared worker pool and concatenate per-chunk outputs in chunk order, so
-// a pipeline returns row-for-row the same relation for any worker count.
-// Every dedup and build map they keep — distinct's seen-set, the join
+// Collect. Each stage pulls one source row at a time through its kernel,
+// so a pipeline returns its rows in one deterministic order. Every dedup and build map they keep — distinct's seen-set, the join
 // builds — is a RowSet (rowtable.go), which hashes the key columns' Values
 // in place instead of encoding them; so are conj's negation sets and the
 // Datalog evaluator's derived-tuple sets.

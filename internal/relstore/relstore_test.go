@@ -79,26 +79,26 @@ func TestNDistinct(t *testing.T) {
 
 func TestScanWithPredicates(t *testing.T) {
 	_, _, ap := makeAuthors(t)
-	rel, err := collect(NewScan(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"a"}, ExecOpts{Workers: 1, UseIndex: IndexOff}))
+	rel, err := collect(NewScan(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"a"}, ExecOpts{UseIndex: IndexOff}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rel.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rel.Rows))
 	}
-	if _, err := collect(NewScan(ap, nil, []int{5}, []string{"x"}, ExecOpts{Workers: 1, UseIndex: IndexOff})); err == nil {
+	if _, err := collect(NewScan(ap, nil, []int{5}, []string{"x"}, ExecOpts{UseIndex: IndexOff})); err == nil {
 		t.Fatal("expected out-of-range column error")
 	}
-	if _, err := collect(NewScan(ap, nil, []int{0, 1}, []string{"x"}, ExecOpts{Workers: 1, UseIndex: IndexOff})); err == nil {
+	if _, err := collect(NewScan(ap, nil, []int{0, 1}, []string{"x"}, ExecOpts{UseIndex: IndexOff})); err == nil {
 		t.Fatal("expected arity mismatch error")
 	}
 }
 
 func TestHashJoinSelfJoin(t *testing.T) {
 	_, _, ap := makeAuthors(t)
-	left, _ := collect(NewScan(ap, nil, []int{0, 1}, []string{"a1", "p"}, ExecOpts{Workers: 1, UseIndex: IndexOff}))
-	right, _ := collect(NewScan(ap, nil, []int{0, 1}, []string{"a2", "p"}, ExecOpts{Workers: 1, UseIndex: IndexOff}))
-	joined, err := collect(NewHashJoin(IterRel(left), IterRel(right), "p", "p", nil, ExecOpts{Workers: 1}))
+	left, _ := collect(NewScan(ap, nil, []int{0, 1}, []string{"a1", "p"}, ExecOpts{UseIndex: IndexOff}))
+	right, _ := collect(NewScan(ap, nil, []int{0, 1}, []string{"a2", "p"}, ExecOpts{UseIndex: IndexOff}))
+	joined, err := collect(NewHashJoin(IterRel(left), IterRel(right), "p", "p", nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestHashJoinSelfJoin(t *testing.T) {
 	if len(joined.Rows) != 14 {
 		t.Fatalf("join rows = %d, want 14", len(joined.Rows))
 	}
-	if _, err := collect(NewHashJoin(IterRel(left), IterRel(right), "nope", "p", nil, ExecOpts{Workers: 1})); err == nil {
+	if _, err := collect(NewHashJoin(IterRel(left), IterRel(right), "nope", "p", nil, ExecOpts{})); err == nil {
 		t.Fatal("expected missing join column error")
 	}
 }
@@ -121,7 +121,7 @@ func TestMultiJoinCompositeKey(t *testing.T) {
 		{IntVal(1), IntVal(2), StrVal("q")},
 		{IntVal(2), IntVal(1), StrVal("r")},
 	}}
-	j, err := collect(NewJoin(IterRel(a), IterRel(b), []string{"x", "y"}, nil, ExecOpts{Workers: 1}))
+	j, err := collect(NewJoin(IterRel(a), IterRel(b), []string{"x", "y"}, nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,19 +135,19 @@ func TestMultiJoinCompositeKey(t *testing.T) {
 
 func TestProjectDistinct(t *testing.T) {
 	_, _, ap := makeAuthors(t)
-	rel, _ := collect(NewScan(ap, nil, []int{1}, []string{"p"}, ExecOpts{Workers: 1, UseIndex: IndexOff}))
-	d, err := collect(NewProject(IterRel(rel), []string{"p"}, true, ExecOpts{Workers: 1}))
+	rel, _ := collect(NewScan(ap, nil, []int{1}, []string{"p"}, ExecOpts{UseIndex: IndexOff}))
+	d, err := collect(NewProject(IterRel(rel), []string{"p"}, true, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Rows) != 3 {
 		t.Fatalf("distinct rows = %d, want 3", len(d.Rows))
 	}
-	nd, _ := collect(NewProject(IterRel(rel), []string{"p"}, false, ExecOpts{Workers: 1}))
+	nd, _ := collect(NewProject(IterRel(rel), []string{"p"}, false, ExecOpts{}))
 	if len(nd.Rows) != 6 {
 		t.Fatalf("non-distinct rows = %d, want 6", len(nd.Rows))
 	}
-	if _, err := collect(NewProject(IterRel(rel), []string{"zzz"}, true, ExecOpts{Workers: 1})); err == nil {
+	if _, err := collect(NewProject(IterRel(rel), []string{"zzz"}, true, ExecOpts{})); err == nil {
 		t.Fatal("expected missing-column error")
 	}
 }
@@ -324,7 +324,7 @@ func TestJoinKeyDelimiterStrings(t *testing.T) {
 	b := &Rel{Cols: []string{"x", "y", "z"}, Rows: [][]Value{
 		{StrVal("a|sb"), StrVal("c"), IntVal(1)},
 	}}
-	out, err := collect(NewJoin(IterRel(a), IterRel(b), []string{"x", "y"}, nil, ExecOpts{Workers: 1}))
+	out, err := collect(NewJoin(IterRel(a), IterRel(b), []string{"x", "y"}, nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestJoinKeyDelimiterStrings(t *testing.T) {
 		t.Fatalf("joined the wrong row: %v", out.Rows[0])
 	}
 	// Distinct projection must keep both delimiter-twins.
-	proj, err := collect(NewProject(IterRel(a), []string{"x", "y"}, true, ExecOpts{Workers: 1}))
+	proj, err := collect(NewProject(IterRel(a), []string{"x", "y"}, true, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,8 +184,7 @@ func (s *RowSet) grow() {
 
 // rowGroups is a build side grouped by key: group g's rows, in input
 // order, are rows[start[g]:start[g+1]], or just rows[g] when start is nil
-// (every key unique). It is read-only once built, so the probe kernels
-// running across a window's workers share one.
+// (every key unique). It is read-only once built.
 type rowGroups struct {
 	set   RowSet
 	start []int32

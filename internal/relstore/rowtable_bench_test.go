@@ -8,7 +8,7 @@ import (
 
 // The benchmarks below drive the operators the row table serves through
 // the public constructors only, so the same file times any version of
-// them. Both run one worker: the table's cost, not the pool's.
+// them.
 
 // distinctRows returns n two-column rows with exactly 40 % survivors: 0.4n
 // distinct keys, each repeated, in shuffled order. second builds the
@@ -42,7 +42,7 @@ func BenchmarkDistinct(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				it := NewDistinct(IterRows([]string{"a", "b"}, rows), ExecOpts{Workers: 1})
+				it := NewDistinct(IterRows([]string{"a", "b"}, rows), ExecOpts{})
 				n := 0
 				for {
 					_, ok, err := it.Next()
@@ -90,7 +90,7 @@ func BenchmarkTableJoinBuild(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				it, err := NewTableJoin(IterRows([]string{"x", "k"}, build), t, nil, []int{0, 1}, []string{"k", "v"},
-					[]string{"k"}, nil, ExecOpts{Workers: 1})
+					[]string{"k"}, nil, ExecOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -207,7 +207,8 @@ func TestRowSetMatchesKeyMap(t *testing.T) {
 }
 
 // TestRowGroupsConcurrentLookup probes one built table from several
-// goroutines at once, as a window's workers do; run it under -race.
+// goroutines at once: a built table is read-only, so concurrent probes
+// need no lock. Run it under -race.
 func TestRowGroupsConcurrentLookup(t *testing.T) {
 	var rows [][]Value
 	for i := 0; i < 5000; i++ {

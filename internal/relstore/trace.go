@@ -7,20 +7,13 @@ import (
 // This file is the operator layer's tracing shim. Every exported
 // iterator constructor opens one obs.Span when ExecOpts.Trace is set,
 // recording the operator kind, the access-path/strategy choice, rows
-// emitted, parallel windows dispatched, and wall time from construction
-// to Close. The tracing-off fast path is a single nil-pointer test per
-// constructor: no span, no wrapper, no allocation — the returned
-// iterator is exactly the untraced one.
+// emitted, and wall time from construction to Close. The tracing-off fast
+// path is a single nil-pointer test per constructor: no span, no wrapper,
+// no allocation — the returned iterator is exactly the untraced one.
 
-// batchCounter is implemented by operators that dispatch parallel
-// expansion windows; the traced wrapper harvests the count at Close.
-type batchCounter interface {
-	batches() int64
-}
-
-// traced wraps it so sp records its rows out, batches, and wall time,
-// ending at the first Close (Close stays idempotent). A nil span —
-// tracing off — returns it unchanged.
+// traced wraps it so sp records its rows out and wall time, ending at the
+// first Close (Close stays idempotent). A nil span — tracing off — returns
+// it unchanged.
 func traced(it RowIter, sp *obs.Span) RowIter {
 	if sp == nil {
 		return it
@@ -50,20 +43,7 @@ func (it *tracedIter) Close() error {
 	if !it.closed {
 		it.closed = true
 		it.span.AddRows(it.rows)
-		if bc, ok := it.inner.(batchCounter); ok {
-			it.span.SetBatches(bc.batches())
-		}
 		it.span.End()
 	}
 	return err
-}
-
-// batches forwards the inner operator's window count so a traced
-// iterator can itself feed a downstream traced wrapper.
-func (it *tracedIter) batches() int64 {
-	bc, ok := it.inner.(batchCounter)
-	if !ok {
-		return 0
-	}
-	return bc.batches()
 }

@@ -32,7 +32,7 @@
 // ?analyze=true — either one records an operator-span execution trace of
 // the extraction (graphgen.WithProfile); explain adds a "plan" field
 // (structure only: operator kinds, access-path strategies) and analyze a
-// "profile" field (the full tree with rows, batches, and wall time) to
+// "profile" field (the full tree with rows and wall time) to
 // the create response. The trace is kept on the session, so the analyze
 // endpoints accept the same parameters to re-attach the build plan or
 // profile to any later response.
@@ -482,7 +482,7 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, graphgen.WithMaxEdges(req.MaxEdges))
 	}
 	// ?explain=true asks for the execution plan (structure only),
-	// ?analyze=true for the full profile (rows, batches, wall time).
+	// ?analyze=true for the full profile (rows, wall time).
 	// Either arms tracing for the one extraction this request runs.
 	explain := boolParam(r, "explain")
 	analyze := boolParam(r, "analyze")

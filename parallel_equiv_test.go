@@ -1,8 +1,8 @@
 package graphgen
 
-// Property-style equivalence tests for the parallel engine: every
-// parallelized path — extraction, representation conversion, BSP analytics —
-// must produce output identical to the serial run (Parallelism: 1) for any
+// Property-style equivalence tests for the parallel engine: the Step-6
+// preprocessing pass, the representation conversions and the BSP analytics
+// must produce output identical to the serial run (one worker) for any
 // worker count; PageRank alone is compared under a float tolerance because
 // parallel message merging reorders float summation.
 
@@ -16,10 +16,8 @@ import (
 	"graphgen/internal/bitset"
 	"graphgen/internal/bsp"
 	"graphgen/internal/core"
-	"graphgen/internal/datalog"
 	"graphgen/internal/dedup"
 	"graphgen/internal/experiments"
-	"graphgen/internal/extract"
 )
 
 // equivWorkers are the worker counts checked against the serial baseline.
@@ -87,65 +85,6 @@ func coreFingerprint(g *core.Graph) string {
 	return sb.String()
 }
 
-// TestParallelExtractionEquivalence asserts that the extracted graph is
-// identical for every worker count, in both planner modes, across the
-// Table 1 workloads.
-func TestParallelExtractionEquivalence(t *testing.T) {
-	for _, d := range experiments.Table1Datasets(experiments.Scale{Quick: true}) {
-		prog, err := datalog.Parse(d.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, condensed := range []bool{true, false} {
-			opts := extract.DefaultOptions()
-			opts.ForceCondensed = condensed
-			opts.Workers = 1
-			serial, err := extract.Extract(d.DB, prog, opts)
-			if err != nil {
-				t.Fatalf("%s: serial extraction: %v", d.Name, err)
-			}
-			want := coreFingerprint(serial.Graph)
-			for _, w := range equivWorkers {
-				opts.Workers = w
-				par, err := extract.Extract(d.DB, prog, opts)
-				if err != nil {
-					t.Fatalf("%s: workers=%d: %v", d.Name, w, err)
-				}
-				if got := coreFingerprint(par.Graph); got != want {
-					t.Errorf("%s (condensed=%t): workers=%d extraction differs from serial", d.Name, condensed, w)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelEngineOptionEquivalence exercises the public API end to end:
-// WithParallelism(n) must not change the extracted graph.
-func TestParallelEngineOptionEquivalence(t *testing.T) {
-	d := experiments.Table1Datasets(experiments.Scale{Quick: true})[0]
-	base, err := NewEngine(d.DB, WithParallelism(1)).Extract(d.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want strings.Builder
-	if err := base.WriteEdgeList(&want); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range equivWorkers {
-		g, err := NewEngine(d.DB, WithParallelism(w)).Extract(d.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got strings.Builder
-		if err := g.WriteEdgeList(&got); err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Errorf("WithParallelism(%d) edge list differs from serial", w)
-		}
-	}
-}
-
 // dedupConversions are the parallelized representation conversions under
 // equivalence test.
 func dedupConversions() map[string]func(*core.Graph, dedup.Options) (*core.Graph, dedup.Stats, error) {
@@ -176,6 +115,32 @@ func experimentsSmall() ([]string, map[string]*core.Graph) {
 		graphs[name] = g
 	}
 	return []string{"DBLP", "IMDB", "Synthetic_1", "Synthetic_2"}, graphs
+}
+
+// TestParallelPreprocessEquivalence asserts that the Step-6 pass inlines
+// the same virtual nodes and leaves a structurally identical graph for
+// every worker count.
+func TestParallelPreprocessEquivalence(t *testing.T) {
+	names, graphs := experimentsSmall()
+	var inlined int
+	for _, name := range names {
+		serial := graphs[name].Clone()
+		n := serial.PreprocessExpandSmall(1)
+		inlined += n
+		want := coreFingerprint(serial)
+		for _, w := range equivWorkers {
+			par := graphs[name].Clone()
+			if got := par.PreprocessExpandSmall(w); got != n {
+				t.Errorf("%s: workers=%d inlined %d virtual nodes, serial %d", name, w, got, n)
+			}
+			if coreFingerprint(par) != want {
+				t.Errorf("%s: workers=%d preprocessed graph differs from serial", name, w)
+			}
+		}
+	}
+	if inlined == 0 {
+		t.Fatal("no dataset had a virtual node to inline")
+	}
 }
 
 // TestParallelDedupEquivalence asserts that every conversion produces a

@@ -10,7 +10,7 @@ import "graphgen/internal/obs"
 
 // Profile is the completed execution tree of one traced extraction or
 // program evaluation: a span per relational operator (with its access-
-// path choice, rows out, batches, and wall time) nested under container
+// path choice, rows out, and wall time) nested under container
 // spans per rule, chain segment, stratum, and semi-naive delta round.
 type Profile = obs.Span
 

@@ -4,8 +4,7 @@ package graphgen
 // materializing execution (the relstore.MaterializingOracle test oracle): both paths
 // must produce structurally identical graphs — the streaming operators
 // promise row-for-row identical output, so the condensed representation,
-// adjacency lists, and bitmaps must all match, for any worker count and
-// planner mode.
+// adjacency lists, and bitmaps must all match, in either planner mode.
 
 import (
 	"testing"
@@ -27,10 +26,10 @@ func extractOptions(oracle bool) extract.Options {
 }
 
 // TestStreamingExtractionEquivalence runs the Table 1 workloads through
-// the streaming and oracle paths and compares coreFingerprints, in
-// both planner modes and across the usual worker counts. It also checks
-// that both paths report a positive peak-intermediate-rows figure —
-// equivalence with a silently dead tracker would be vacuous.
+// the streaming and oracle paths and compares coreFingerprints, in both
+// planner modes. It also checks that both paths report a positive
+// peak-intermediate-rows figure — equivalence with a silently dead tracker
+// would be vacuous.
 func TestStreamingExtractionEquivalence(t *testing.T) {
 	for _, d := range experiments.Table1Datasets(experiments.Scale{Quick: true}) {
 		prog, err := datalog.Parse(d.Query)
@@ -38,28 +37,23 @@ func TestStreamingExtractionEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, condensed := range []bool{true, false} {
-			for _, w := range append([]int{1}, equivWorkers...) {
-				opts := extract.DefaultOptions()
-				opts.ForceCondensed = condensed
-				opts.Workers = w
-				streaming, err := extract.Extract(d.DB, prog, opts)
-				if err != nil {
-					t.Fatalf("%s: streaming workers=%d: %v", d.Name, w, err)
-				}
-				opts.ExecOpts = relstore.MaterializingOracle(opts.ExecOpts)
-				materializing, err := extract.Extract(d.DB, prog, opts)
-				if err != nil {
-					t.Fatalf("%s: oracle workers=%d: %v", d.Name, w, err)
-				}
-				if coreFingerprint(streaming.Graph) != coreFingerprint(materializing.Graph) {
-					t.Errorf("%s (condensed=%t workers=%d): streaming and oracle graphs differ",
-						d.Name, condensed, w)
-				}
-				if streaming.Stats.PeakIntermediateRows <= 0 || materializing.Stats.PeakIntermediateRows <= 0 {
-					t.Errorf("%s (condensed=%t workers=%d): peak tracking dead (streaming=%d, oracle=%d)",
-						d.Name, condensed, w,
-						streaming.Stats.PeakIntermediateRows, materializing.Stats.PeakIntermediateRows)
-				}
+			opts := extract.DefaultOptions()
+			opts.ForceCondensed = condensed
+			streaming, err := extract.Extract(d.DB, prog, opts)
+			if err != nil {
+				t.Fatalf("%s: streaming: %v", d.Name, err)
+			}
+			opts.ExecOpts = relstore.MaterializingOracle(opts.ExecOpts)
+			materializing, err := extract.Extract(d.DB, prog, opts)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", d.Name, err)
+			}
+			if coreFingerprint(streaming.Graph) != coreFingerprint(materializing.Graph) {
+				t.Errorf("%s (condensed=%t): streaming and oracle graphs differ", d.Name, condensed)
+			}
+			if streaming.Stats.PeakIntermediateRows <= 0 || materializing.Stats.PeakIntermediateRows <= 0 {
+				t.Errorf("%s (condensed=%t): peak tracking dead (streaming=%d, oracle=%d)", d.Name, condensed,
+					streaming.Stats.PeakIntermediateRows, materializing.Stats.PeakIntermediateRows)
 			}
 		}
 	}

@@ -76,9 +76,9 @@ func TestTracedExtractionEquivalenceTable1(t *testing.T) {
 }
 
 // TestTracedExtractionEquivalenceRandomized compares traced vs untraced
-// extraction over randomized membership databases, random constant
-// predicates, and several worker counts — the same plan space the index
-// equivalence suite walks, now with the span collector armed.
+// extraction over randomized membership databases and random constant
+// predicates — the same plan space the index equivalence suite walks, now
+// with the span collector armed.
 func TestTracedExtractionEquivalenceRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -99,15 +99,12 @@ Edges(A, B) :- Mem(A, G, k), Mem(B, G, k).`,
 Edges(A, B) :- Mem(A, G, %d), Mem(B, G, %d).`, rng.Intn(4), rng.Intn(4)),
 		}
 		for qi, query := range queries {
-			for _, workers := range []int{1, 3} {
-				opts := extract.DefaultOptions()
-				opts.Workers = workers
-				untraced := extractFingerprint(t, db, query, opts)
-				opts.Trace = obs.NewTrace()
-				traced := extractFingerprint(t, db, query, opts)
-				if traced != untraced {
-					t.Errorf("seed %d query %d workers %d: traced differs from untraced", seed, qi, workers)
-				}
+			opts := extract.DefaultOptions()
+			untraced := extractFingerprint(t, db, query, opts)
+			opts.Trace = obs.NewTrace()
+			traced := extractFingerprint(t, db, query, opts)
+			if traced != untraced {
+				t.Errorf("seed %d query %d: traced differs from untraced", seed, qi)
 			}
 		}
 	}
