@@ -95,7 +95,7 @@ func BenchmarkAblation_BitmapVsHashSet(b *testing.B) {
 	g := datagen.Condensed(datagen.CondensedConfig{
 		Seed: 9, RealNodes: 800, VirtualNodes: 600, MeanSize: 7, StdDev: 2,
 	})
-	bm, _, err := dedup.Bitmap2(g, dedup.Options{Seed: 9})
+	bm, _, err := dedup.Bitmap2(g)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -104,9 +104,9 @@ func (g *Graph) MemBytes() int64 { return g.c.MemBytes() }
 // Virtual Nodes First for DEDUP-1, the Appendix-B greedy for DEDUP-2, and
 // full expansion for EXP. The receiver is never modified.
 //
-// DedupOptions.Workers sets the conversion's parallelism (<= 0, the
-// default, means GOMAXPROCS; 1 is the serial path); the converted graph is
-// identical for every setting.
+// DedupOptions sets the processing order and seed of the DEDUP-1 and
+// DEDUP-2 heuristics; BITMAP, EXP and C-DUP ignore it. Every conversion is
+// a serial loop, so one input and one DedupOptions give one output.
 func (g *Graph) As(rep Representation, opts ...DedupOptions) (*Graph, error) {
 	var o DedupOptions
 	if len(opts) > 0 {
@@ -122,7 +122,7 @@ func (g *Graph) As(rep Representation, opts ...DedupOptions) (*Graph, error) {
 		}
 		return &Graph{c: exp, stats: g.stats, evalStats: g.evalStats, profile: g.profile}, nil
 	case BITMAP:
-		out, _, err := dedup.Bitmap2(g.c, o)
+		out, _, err := dedup.Bitmap2(g.c)
 		if err != nil {
 			return nil, err
 		}

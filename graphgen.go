@@ -20,14 +20,13 @@
 // planner detects large-output joins; Graph.As converts it to EXP, DEDUP-1,
 // DEDUP-2 or BITMAP using the deduplication algorithms of Section 5.
 //
-// The relational pipeline streams one row at a time. The Step-6
-// preprocessing pass, the representation conversions and the BSP analytics
-// run on a shared worker pool (internal/parallel) with deterministic
-// chunk-ordered merges: preprocessing parallelism is set with
-// WithParallelism, conversion parallelism with DedupOptions.Workers, and
-// the identical-output guarantee means a worker count never changes what
-// is extracted or converted (PageRank may differ in the last float bits,
-// from summation order).
+// The relational pipeline streams one row at a time and the
+// representation conversions are serial loops. The Step-6 preprocessing
+// pass and the BSP and vertex-centric analytics run on a shared worker
+// pool (internal/parallel) with deterministic chunk-ordered merges:
+// preprocessing parallelism is set with WithParallelism, and a worker
+// count never changes what is extracted (BSP PageRank may differ in the
+// last float bits, from summation order).
 package graphgen
 
 import (
@@ -175,9 +174,9 @@ func WithAutoIndex(on bool) Option {
 // preprocessing pass, which decides across n workers which virtual nodes
 // to inline (the relational pipeline itself streams one row at a time).
 // n <= 0 (the default) selects runtime.GOMAXPROCS(0); n == 1 is the serial
-// pass; every setting extracts an identical graph. The same knob for
-// representation conversion is DedupOptions.Workers (Graph.As), and for the
-// BSP analytics engine bsp.Options.Workers.
+// pass; every setting extracts an identical graph. Representation
+// conversion (Graph.As) is serial; the analytics engines size their own
+// pools (bsp.Options.Workers, RunVertexCentric's workers).
 func WithParallelism(n int) Option {
 	return func(c *config) { c.extract.Workers = n }
 }

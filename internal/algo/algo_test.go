@@ -27,7 +27,7 @@ func allReps(t *testing.T, seed int64) map[string]*core.Graph {
 	} else {
 		t.Fatal(err)
 	}
-	if b2, _, err := dedup.Bitmap2(g, dedup.Options{Seed: seed}); err == nil {
+	if b2, _, err := dedup.Bitmap2(g); err == nil {
 		reps["BITMAP-2"] = b2
 	} else {
 		t.Fatal(err)

@@ -85,7 +85,7 @@ func equivGraphs(t *testing.T) map[string]*core.Graph {
 			add(prefix+"C-DUP", g, nil)
 			exp, err := g.Expand(0)
 			add(prefix+"EXP", exp, err)
-			b, _, err := dedup.Bitmap2(g, dedup.Options{Seed: seed})
+			b, _, err := dedup.Bitmap2(g)
 			add(prefix+"BITMAP", b, err)
 			if loops {
 				continue // DEDUP-1 and DEDUP-2 reject self loops by contract
@@ -102,7 +102,7 @@ func equivGraphs(t *testing.T) map[string]*core.Graph {
 			add(prefix+"C-DUP", g, nil)
 			exp, err := g.Expand(0)
 			add(prefix+"EXP", exp, err)
-			b, _, err := dedup.Bitmap2(g, dedup.Options{Seed: seed})
+			b, _, err := dedup.Bitmap2(g)
 			add(prefix+"BITMAP", b, err)
 		}
 	}

@@ -9,8 +9,9 @@ import (
 // deterministicPkgs are the packages under the byte-identical-output
 // contract: the data generators (same seed, same tables, at any worker
 // count), the worker-pool substrate every chunk-ordered merge builds on,
-// and the chunk-merging consumers (workload snapshots, BSP supersteps,
-// dedup conversions, vertex-centric runs, incremental delta application).
+// the chunk-merging consumers (workload snapshots, BSP supersteps,
+// vertex-centric runs) and the serial builders whose output is pinned
+// byte for byte (dedup conversions, incremental delta application).
 var deterministicPkgs = map[string]bool{
 	"graphgen/internal/datagen":       true,
 	"graphgen/internal/parallel":      true,

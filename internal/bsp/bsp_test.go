@@ -27,7 +27,7 @@ func reps(t *testing.T, seed int64) map[string]*core.Graph {
 		t.Fatal(err)
 	}
 	out["DEDUP-1"] = d1
-	bm, _, err := dedup.Bitmap2(g, dedup.Options{Seed: seed})
+	bm, _, err := dedup.Bitmap2(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestBSPMultiLayerPageRank(t *testing.T) {
 	g.ConnectVirtToReal(v1, 0)
 	g.SortAdjacency()
 
-	bm, _, err := dedup.Bitmap2(g, dedup.Options{})
+	bm, _, err := dedup.Bitmap2(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,8 @@ func SNB(cfg SNBConfig) *relstore.DB {
 		relstore.Column{Name: "tag", Type: relstore.String})
 
 	// Phase 1 (parallel, entity-order merge): person attributes and
-	// interests, derived from per-person RNGs.
+	// interests, derived from per-person RNGs. Phases 1 and 4 keep the
+	// pool: on a 2-vCPU Xeon, SF 1 takes 377 ms at 2 workers, 545 ms at 1.
 	countries := make([]int, n+1)   // person -> country index
 	interests := make([][]int, n+1) // person -> sorted tag indexes
 	personRows := make([][]relstore.Value, n+1)

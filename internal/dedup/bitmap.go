@@ -4,7 +4,6 @@ import (
 	"graphgen/internal/bitset"
 	"graphgen/internal/core"
 	"graphgen/internal/markset"
-	"graphgen/internal/parallel"
 )
 
 // This file implements the BITMAP preprocessing algorithms of Section 5.1.
@@ -27,78 +26,49 @@ import (
 
 // Bitmap1 builds the BITMAP representation with the naive BITMAP-1
 // algorithm. It accepts any condensed graph (single- or multi-layer).
-//
-// The per-origin walks are independent and read-only, so they run on the
-// shared worker pool (Options.Workers); each chunk stages its planned
-// bitmaps and the mutations apply serially afterwards, making the output
-// identical for every worker count.
-func Bitmap1(g *core.Graph, opts ...Options) (*core.Graph, Stats, error) {
-	workers := 0 // the Options contract: <= 0 means GOMAXPROCS
-	if len(opts) > 0 {
-		workers = opts[0].Workers
-	}
+func Bitmap1(g *core.Graph) (*core.Graph, Stats, error) {
 	out := g.Clone()
 	var st Stats
 	st.RepEdgesBefore = out.RepEdges()
 	out.NormalizeDirects()
 
-	var origins []int32
-	out.ForEachReal(func(u int32) bool { origins = append(origins, u); return true })
-	chunks := parallel.MapChunks(len(origins), workers, 8, func(lo, hi int) []bitmap2Plan {
-		var plans []bitmap2Plan
-		var sc planScratch
-		for _, u := range origins[lo:hi] {
-			sc.covered.Reset(out.NumRealSlots())
-			sc.seenVirt.Reset(out.NumVirtualSlots())
-			p := bitmap2Plan{origin: u}
-			sc.work = append(sc.work[:0], out.OutVirtuals(u)...)
-			for len(sc.work) > 0 {
-				v := sc.work[len(sc.work)-1]
-				sc.work = sc.work[:len(sc.work)-1]
-				if !sc.seenVirt.Mark(v) {
-					continue
-				}
-				targets := out.VirtTargets(v)
-				if len(targets) > 0 {
-					bmp := bitset.New(len(targets))
-					for i, t := range targets {
-						if t == u && !out.SelfLoops {
-							continue // self edge: leave masked
-						}
-						if sc.covered.Mark(t) {
-							bmp.Set(i)
-						}
+	var sc planScratch
+	out.ForEachReal(func(u int32) bool {
+		sc.covered.Reset(out.NumRealSlots())
+		sc.seenVirt.Reset(out.NumVirtualSlots())
+		sc.work = append(sc.work[:0], out.OutVirtuals(u)...)
+		for len(sc.work) > 0 {
+			v := sc.work[len(sc.work)-1]
+			sc.work = sc.work[:len(sc.work)-1]
+			if !sc.seenVirt.Mark(v) {
+				continue
+			}
+			targets := out.VirtTargets(v)
+			if len(targets) > 0 {
+				bmp := bitset.New(len(targets))
+				for i, t := range targets {
+					if t == u && !out.SelfLoops {
+						continue // self edge: leave masked
 					}
-					p.bitmaps = append(p.bitmaps, plannedBitmap{virt: v, bits: bmp})
+					if sc.covered.Mark(t) {
+						bmp.Set(i)
+					}
 				}
-				sc.work = append(sc.work, out.VirtOutVirt(v)...)
-			}
-			if len(p.bitmaps) > 0 {
-				plans = append(plans, p)
-			}
-		}
-		return plans
-	})
-	for _, ps := range chunks {
-		for _, p := range ps {
-			for _, pb := range p.bitmaps {
-				out.SetBitmap(pb.virt, p.origin, pb.bits)
+				out.SetBitmap(v, u, bmp)
 				st.BitmapsCreated++
 			}
+			sc.work = append(sc.work, out.VirtOutVirt(v)...)
 		}
-	}
+		return true
+	})
 	out.SetMode(core.BITMAP)
 	st.RepEdgesAfter = out.RepEdges()
 	return out, st, nil
 }
 
-// bitmap2Plan is the per-origin result of the parallel analysis phase of
-// BITMAP-2: which virtual nodes get which bitmaps and which first-layer
-// edges are deleted. Mutations are applied serially afterwards; the paper
-// notes its own multi-threaded implementation needed careful concurrency
-// control for exactly this reason.
+// bitmap2Plan is BITMAP-2's decision for one origin: which virtual nodes get
+// which bitmaps and which first-layer edges are deleted.
 type bitmap2Plan struct {
-	origin  int32
 	bitmaps []plannedBitmap
 	drop    []int32 // first-layer virtual nodes to disconnect from origin
 }
@@ -109,47 +79,39 @@ type plannedBitmap struct {
 }
 
 // Bitmap2 builds the BITMAP representation with the greedy set-cover
-// BITMAP-2 algorithm. It accepts any condensed graph; the analysis phase is
-// parallelized over chunks of real nodes (Section 5.1.3).
-func Bitmap2(g *core.Graph, opts Options) (*core.Graph, Stats, error) {
+// BITMAP-2 algorithm. It accepts any condensed graph. Each origin is
+// planned and applied before the next: a plan reads only the origin's own
+// first-layer edges and the virtual nodes' targets and virtual out-edges,
+// none of which applying another origin's plan changes.
+func Bitmap2(g *core.Graph) (*core.Graph, Stats, error) {
 	out := g.Clone()
 	var st Stats
 	st.RepEdgesBefore = out.RepEdges()
 	out.NormalizeDirects()
 
-	var origins []int32
-	out.ForEachReal(func(r int32) bool { origins = append(origins, r); return true })
-
-	plans := parallel.MapChunks(len(origins), opts.Workers, 8, func(lo, hi int) []bitmap2Plan {
-		var ps []bitmap2Plan
-		var sc planScratch
-		for _, u := range origins[lo:hi] {
-			if p := planBitmap2(out, u, &sc); p != nil {
-				ps = append(ps, *p)
-			}
+	var sc planScratch
+	out.ForEachReal(func(u int32) bool {
+		p := planBitmap2(out, u, &sc)
+		if p == nil {
+			return true
 		}
-		return ps
+		for _, pb := range p.bitmaps {
+			out.SetBitmap(pb.virt, u, pb.bits)
+			st.BitmapsCreated++
+		}
+		for _, v := range p.drop {
+			out.DisconnectRealToVirt(u, v)
+		}
+		return true
 	})
-
-	for _, ps := range plans {
-		for _, p := range ps {
-			for _, pb := range p.bitmaps {
-				out.SetBitmap(pb.virt, p.origin, pb.bits)
-				st.BitmapsCreated++
-			}
-			for _, v := range p.drop {
-				out.DisconnectRealToVirt(p.origin, v)
-			}
-		}
-	}
 	out.SetMode(core.BITMAP)
 	st.RepEdgesAfter = out.RepEdges()
 	return out, st, nil
 }
 
-// planScratch is the per-origin working memory of the BITMAP planners. One
-// worker chunk owns one and reuses it for every origin it plans, so the
-// dense sets are paid for once per chunk rather than once per origin.
+// planScratch is the per-origin working memory of the BITMAP builders. One
+// conversion reuses it for every origin, so the dense sets are paid for
+// once per conversion rather than once per origin.
 type planScratch struct {
 	seenVirt  markset.Set // virtual nodes reachable from the origin
 	reachable markset.Set // virtual nodes still reachable after the drops
@@ -198,9 +160,8 @@ func (sc *planScratch) subtreeHasChosen(g *core.Graph, v int32) bool {
 	return false
 }
 
-// planBitmap2 computes the greedy set cover for one origin. It only reads
-// the graph, so it is safe to run concurrently with other origins, each
-// with its own scratch.
+// planBitmap2 computes the greedy set cover for one origin, or nil when the
+// origin has no first-layer edges. It only reads the graph.
 func planBitmap2(g *core.Graph, u int32, sc *planScratch) *bitmap2Plan {
 	first := g.OutVirtuals(u)
 	if len(first) == 0 {
@@ -259,7 +220,7 @@ func planBitmap2(g *core.Graph, u int32, sc *planScratch) *bitmap2Plan {
 	sc.work = remaining
 	// Emit the chosen bitmaps in discovery (reach) order, so a plan's bitmap
 	// sequence is identical run to run.
-	p := &bitmap2Plan{origin: u}
+	p := &bitmap2Plan{}
 	for _, v := range sc.reach {
 		if bmp := sc.chosen[v]; bmp != nil {
 			p.bitmaps = append(p.bitmaps, plannedBitmap{virt: v, bits: bmp})

@@ -22,7 +22,6 @@ import (
 	"slices"
 
 	"graphgen/internal/core"
-	"graphgen/internal/parallel"
 )
 
 // ErrUnsupported is returned when an algorithm is applied to a graph outside
@@ -65,13 +64,6 @@ type Options struct {
 	// Seed drives the random ordering and random choices; runs are
 	// deterministic for a fixed seed.
 	Seed int64
-	// Workers bounds the parallelism of the conversion's independent
-	// phases, all run on the shared worker pool (internal/parallel): the
-	// BITMAP-1/BITMAP-2 per-origin plans, DEDUP-1's greedy candidate cost
-	// evaluation, DEDUP-2's pair-coverage checks, and the input-contract
-	// validation scan. Every phase merges deterministically, so the output
-	// graph is identical for any setting; <= 0 means GOMAXPROCS.
-	Workers int
 }
 
 // Stats reports what a deduplication run did.
@@ -94,46 +86,25 @@ type Stats struct {
 // one virtual layer, member-set virtual nodes (I(V) == O(V)), symmetric
 // direct edges, and no logical self loops (a member of two virtual nodes
 // would emit its self edge once per membership, which membership surgery
-// cannot deduplicate — the BITMAP representations handle that case). The
-// per-node checks are independent and read-only, so they run chunked on the
-// worker pool with an order-insensitive all-of reduction.
-func requireSymmetricSingleLayer(g *core.Graph, workers int) error {
-	if g.SelfLoops {
+// cannot deduplicate — the BITMAP representations handle that case).
+func requireSymmetricSingleLayer(g *core.Graph) error {
+	if g.SelfLoops || g.MaxLayer() > 1 {
 		return ErrUnsupported
 	}
-	if g.MaxLayer() > 1 {
-		return ErrUnsupported
+	for v := int32(0); int(v) < g.NumVirtualSlots(); v++ {
+		if g.VirtAlive(v) && !slices.Equal(g.VirtSources(v), g.VirtTargets(v)) {
+			return ErrUnsupported
+		}
 	}
-	virtOK := parallel.MapChunks(g.NumVirtualSlots(), workers, 0, func(lo, hi int) bool {
-		for v := int32(lo); v < int32(hi); v++ {
-			if !g.VirtAlive(v) {
-				continue
-			}
-			if !slices.Equal(g.VirtSources(v), g.VirtTargets(v)) {
-				return false
+	for u := int32(0); int(u) < g.NumRealSlots(); u++ {
+		if !g.Alive(u) {
+			continue
+		}
+		for _, w := range g.OutDirect(u) {
+			if !slices.Contains(g.OutDirect(w), u) {
+				return ErrUnsupported
 			}
 		}
-		return true
-	})
-	ok := !slices.Contains(virtOK, false)
-	if ok {
-		realOK := parallel.MapChunks(g.NumRealSlots(), workers, 0, func(lo, hi int) bool {
-			for u := int32(lo); u < int32(hi); u++ {
-				if !g.Alive(u) {
-					continue
-				}
-				for _, w := range g.OutDirect(u) {
-					if !slices.Contains(g.OutDirect(w), u) {
-						return false
-					}
-				}
-			}
-			return true
-		})
-		ok = !slices.Contains(realOK, false)
-	}
-	if !ok {
-		return ErrUnsupported
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"graphgen/internal/core"
-	"graphgen/internal/parallel"
 )
 
 // This file implements the four DEDUP-1 algorithms of Section 5.2.1. All of
@@ -40,7 +39,7 @@ func Dedup1GreedyVirtualFirst(g *core.Graph, opts Options) (*core.Graph, Stats, 
 }
 
 func dedup1VirtualFirst(g *core.Graph, opts Options, greedy bool) (*core.Graph, Stats, error) {
-	if err := requireSymmetricSingleLayer(g, opts.Workers); err != nil {
+	if err := requireSymmetricSingleLayer(g); err != nil {
 		return nil, Stats{}, err
 	}
 	out := g.Clone()
@@ -61,7 +60,7 @@ func dedup1VirtualFirst(g *core.Graph, opts Options, greedy bool) (*core.Graph, 
 			continue
 		}
 		if greedy {
-			dedupVirtualGreedy(out, v, processed, memberIndex, &st, opts.Workers)
+			dedupVirtualGreedy(out, v, processed, memberIndex, &st)
 		} else {
 			dedupVirtualNaive(out, v, processed, memberIndex, rng, &st)
 		}
@@ -118,7 +117,7 @@ func dedupVirtualNaive(out *core.Graph, v int32, processed map[int32]bool, membe
 	dropRedundantDirects(out, v, st)
 }
 
-func dedupVirtualGreedy(out *core.Graph, v int32, processed map[int32]bool, memberIndex map[int32][]int32, st *Stats, workers int) {
+func dedupVirtualGreedy(out *core.Graph, v int32, processed map[int32]bool, memberIndex map[int32][]int32, st *Stats) {
 	for {
 		rel := relevantProcessed(out, v, memberIndex, 2)
 		if len(rel) == 0 {
@@ -140,41 +139,18 @@ func dedupVirtualGreedy(out *core.Graph, v int32, processed map[int32]bool, memb
 				memberDupCount[m]++
 			}
 		}
-		// compensationCost dominates the scan. The candidate (side,
-		// member) pairs are collected in the serial encounter order,
-		// their costs computed concurrently (each is a read-only
-		// coverage check), and the winner picked by a serial reduction
-		// over that same order — so the eviction chosen is identical to
-		// the serial algorithm's for every worker count.
-		type cand struct {
-			side, member int32
-		}
-		var cands []cand
-		candIdx := make(map[int64]int)
-		idxOf := func(side, m int32) int {
+		// compensationCost dominates the scan, and (v, m) recurs once per
+		// intersection holding m, so each cost is computed once per round.
+		costs := make(map[int64]int)
+		costOf := func(side, m int32) int {
 			key := int64(side)<<32 | int64(uint32(m))
-			if i, ok := candIdx[key]; ok {
-				return i
+			c, ok := costs[key]
+			if !ok {
+				c = compensationCost(out, side, m)
+				costs[key] = c
 			}
-			candIdx[key] = len(cands)
-			cands = append(cands, cand{side: side, member: m})
-			return len(cands) - 1
+			return c
 		}
-		for i, s := range rel {
-			if len(intersections[i]) <= 1 {
-				continue
-			}
-			for _, m := range intersections[i] {
-				idxOf(v, m)
-				idxOf(s, m)
-			}
-		}
-		costs := make([]int, len(cands))
-		parallel.RunMin(len(cands), workers, 4, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				costs[i] = compensationCost(out, cands[i].side, cands[i].member)
-			}
-		})
 		for i, s := range rel {
 			if len(intersections[i]) <= 1 {
 				continue
@@ -183,7 +159,7 @@ func dedupVirtualGreedy(out *core.Graph, v int32, processed map[int32]bool, memb
 				// Removing m from v shrinks every intersection
 				// containing m; removing it from s shrinks one.
 				evalChoice := func(side int32, benefit int) {
-					cost := costs[idxOf(side, m)]
+					cost := costOf(side, m)
 					ratio := float64(benefit) / float64(cost+1)
 					if ratio > best.ratio {
 						best = choice{side: side, member: m, ratio: ratio}
@@ -247,7 +223,7 @@ func dropRedundantDirects(out *core.Graph, v int32, st *Stats) {
 // virtual neighborhood is deduplicated pairwise in encounter order, with the
 // processed set scoped to that neighborhood and cleared per real node.
 func Dedup1NaiveRealFirst(g *core.Graph, opts Options) (*core.Graph, Stats, error) {
-	if err := requireSymmetricSingleLayer(g, opts.Workers); err != nil {
+	if err := requireSymmetricSingleLayer(g); err != nil {
 		return nil, Stats{}, err
 	}
 	out := g.Clone()
@@ -297,7 +273,7 @@ func Dedup1NaiveRealFirst(g *core.Graph, opts Options) (*core.Graph, Stats, erro
 // positive benefit, u is removed from the remaining nodes and connected to
 // any still-uncovered neighbors with direct edges.
 func Dedup1GreedyRealFirst(g *core.Graph, opts Options) (*core.Graph, Stats, error) {
-	if err := requireSymmetricSingleLayer(g, opts.Workers); err != nil {
+	if err := requireSymmetricSingleLayer(g); err != nil {
 		return nil, Stats{}, err
 	}
 	out := g.Clone()

@@ -5,7 +5,6 @@ import (
 
 	"graphgen/internal/core"
 	"graphgen/internal/markset"
-	"graphgen/internal/parallel"
 )
 
 // This file implements the DEDUP-2 greedy algorithm of Appendix B. DEDUP-2
@@ -39,7 +38,7 @@ import (
 // Dedup2Greedy converts a single-layer symmetric C-DUP graph into the
 // DEDUP-2 representation.
 func Dedup2Greedy(g *core.Graph, opts Options) (*core.Graph, Stats, error) {
-	if err := requireSymmetricSingleLayer(g, opts.Workers); err != nil {
+	if err := requireSymmetricSingleLayer(g); err != nil {
 		return nil, Stats{}, err
 	}
 	var st Stats
@@ -51,7 +50,7 @@ func Dedup2Greedy(g *core.Graph, opts Options) (*core.Graph, Stats, error) {
 	src.NormalizeDirects()
 	g = src
 
-	b := &dedup2Builder{out: core.New(core.DEDUP2), st: &st, workers: opts.Workers}
+	b := &dedup2Builder{out: core.New(core.DEDUP2), st: &st}
 	b.out.Symmetric = true
 	b.out.SelfLoops = false
 	// Real nodes copy. The output drops the source's tombstones, so source
@@ -105,8 +104,6 @@ type dedup2Builder struct {
 	// idx maps a real node to the processed virtual nodes it belongs to.
 	idx [][]int32
 	st  *Stats
-	// workers bounds the parallelism of the candidate-evaluation checks.
-	workers int
 
 	// Working sets over out's real nodes, reused for the whole build.
 	// marks holds whichever member set the serial code is probing right
@@ -152,30 +149,6 @@ func (b *dedup2Builder) covered(a, c int32) bool {
 		return true
 	}
 	for _, v := range b.virtsOf(a) {
-		if slices.Contains(b.members(v), c) {
-			return true
-		}
-		for _, n := range b.out.VirtUndirected(v) {
-			if slices.Contains(b.members(n), c) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// coveredRO is covered without virtsOf's index compaction: it only reads
-// builder state, so concurrent calls from the worker pool are safe. Stale
-// index entries are skipped instead of pruned, which cannot change the
-// answer — only the cost of reaching it.
-func (b *dedup2Builder) coveredRO(a, c int32) bool {
-	if slices.Contains(b.out.OutDirect(a), c) {
-		return true
-	}
-	for _, v := range b.idx[a] {
-		if !b.out.VirtAlive(v) || !slices.Contains(b.members(v), a) {
-			continue
-		}
 		if slices.Contains(b.members(v), c) {
 			return true
 		}
@@ -326,49 +299,7 @@ func (b *dedup2Builder) addEdgeChecked(a, c int32) {
 	if slices.Contains(b.out.VirtUndirected(a), c) {
 		return
 	}
-	// Adjacent virtual nodes must be member-disjoint.
-	ok := b.disjoint(b.members(a), b.members(c))
-	// The neighborhoods of a and c must stay pairwise disjoint.
-	if ok {
-		for _, n := range b.out.VirtUndirected(a) {
-			if !b.disjoint(b.members(n), b.members(c)) {
-				ok = false
-				break
-			}
-		}
-	}
-	if ok {
-		for _, n := range b.out.VirtUndirected(c) {
-			if !b.disjoint(b.members(n), b.members(a)) {
-				ok = false
-				break
-			}
-		}
-	}
-	// No pair may already be covered. The per-pair checks are read-only
-	// (coveredRO) and independent, so the |M(a)| x |M(c)| scan — the
-	// expensive candidate evaluation of the conversion — fans out over the
-	// worker pool; any-covered is an order-insensitive reduction.
-	if ok {
-		ma, mc := b.members(a), b.members(c)
-		anyCovered := parallel.MapChunks(len(ma), b.workers, 8, func(lo, hi int) bool {
-			for _, x := range ma[lo:hi] {
-				for _, y := range mc {
-					if b.coveredRO(x, y) {
-						return true
-					}
-				}
-			}
-			return false
-		})
-		for _, hit := range anyCovered {
-			if hit {
-				ok = false
-				break
-			}
-		}
-	}
-	if ok {
+	if b.linkable(a, c) {
 		b.out.ConnectVirtUndirected(a, c)
 		return
 	}
@@ -383,4 +314,33 @@ func (b *dedup2Builder) addEdgeChecked(a, c int32) {
 			b.st.DirectEdgesAdded += 2
 		}
 	}
+}
+
+// linkable reports whether the undirected edge a <-> c keeps the partial
+// graph duplicate-free: a and c are member-disjoint, each one's virtual
+// neighborhood is disjoint from the other, and no pair of M(a) x M(c) is
+// covered yet.
+func (b *dedup2Builder) linkable(a, c int32) bool {
+	ma, mc := b.members(a), b.members(c)
+	if !b.disjoint(ma, mc) {
+		return false
+	}
+	for _, n := range b.out.VirtUndirected(a) {
+		if !b.disjoint(b.members(n), mc) {
+			return false
+		}
+	}
+	for _, n := range b.out.VirtUndirected(c) {
+		if !b.disjoint(b.members(n), ma) {
+			return false
+		}
+	}
+	for _, x := range ma {
+		for _, y := range mc {
+			if b.covered(x, y) {
+				return false
+			}
+		}
+	}
+	return true
 }

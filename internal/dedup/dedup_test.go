@@ -73,7 +73,7 @@ type convert struct {
 func allConverters() []convert {
 	return []convert{
 		{"BITMAP-1", func(g *core.Graph, _ Options) (*core.Graph, Stats, error) { return Bitmap1(g) }},
-		{"BITMAP-2", Bitmap2},
+		{"BITMAP-2", func(g *core.Graph, _ Options) (*core.Graph, Stats, error) { return Bitmap2(g) }},
 		{"DEDUP1-NaiveVNF", Dedup1NaiveVirtualFirst},
 		{"DEDUP1-NaiveRNF", Dedup1NaiveRealFirst},
 		{"DEDUP1-GreedyRNF", Dedup1GreedyRealFirst},
@@ -236,7 +236,7 @@ func TestBitmap2NeverLosesVirtualOutEdges(t *testing.T) {
 	// BITMAP-2 may delete real->virtual edges but must never delete a
 	// virtual node's outgoing edges (another origin may need them).
 	g := randomSymmetric(6, 20, 12, 6)
-	out, _, err := Bitmap2(g, Options{})
+	out, _, err := Bitmap2(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestBitmap1KeepsEdgeStructure(t *testing.T) {
 		t.Fatal("BITMAP-1 created no bitmaps")
 	}
 	// BITMAP-2 initializes no more bitmaps than BITMAP-1 (set cover).
-	out2, st2, err := Bitmap2(g, Options{})
+	out2, st2, err := Bitmap2(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ type namedRep struct {
 // allRepresentations converts in with every algorithm that accepts it and
 // adds the input itself and its EXP materialization: all five
 // representations, several of them more than once.
-func allRepresentations(t *testing.T, in *core.Graph, seed int64, workers int) []namedRep {
+func allRepresentations(t *testing.T, in *core.Graph, seed int64) []namedRep {
 	t.Helper()
 	reps := []namedRep{{"C-DUP", in}}
 	exp, err := in.Expand(0)
@@ -121,7 +121,7 @@ func allRepresentations(t *testing.T, in *core.Graph, seed int64, workers int) [
 	}
 	reps = append(reps, namedRep{"EXP", exp})
 	for _, c := range allConverters() {
-		out, _, err := c.fn(in, Options{Seed: seed, Workers: workers})
+		out, _, err := c.fn(in, Options{Seed: seed})
 		if err == ErrUnsupported {
 			continue
 		}
@@ -183,7 +183,7 @@ func checkRepresentation(t *testing.T, name string, in *core.Graph, rep *core.Gr
 func TestRepresentationsMatchHashSetReference(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		single := withDirectsAndTombstones(randomSymmetric(seed, 30+int(seed), 14, 7), seed)
-		reps := allRepresentations(t, single, seed, 1+int(seed%4))
+		reps := allRepresentations(t, single, seed)
 		if len(reps) != 2+len(allConverters()) {
 			t.Fatalf("single-layer input converted to %d representations, want every one", len(reps))
 		}
@@ -197,7 +197,7 @@ func TestRepresentationsMatchHashSetReference(t *testing.T) {
 		for k := int64(0); k < 3; k++ {
 			_ = multi.DeleteVertexID((seed*7 + k*5) % 24)
 		}
-		reps = allRepresentations(t, multi, seed, 1+int(seed%4))
+		reps = allRepresentations(t, multi, seed)
 		if len(reps) != 4 {
 			t.Fatalf("multi-layer input converted to %d representations, want C-DUP, EXP and two BITMAPs", len(reps))
 		}
@@ -214,7 +214,7 @@ func TestRepresentationsMatchHashSetReference(t *testing.T) {
 func TestRepresentationsNestedAndInterleaved(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		in := withDirectsAndTombstones(randomSymmetric(seed, 40, 18, 8), seed)
-		reps := allRepresentations(t, in, seed, 2)
+		reps := allRepresentations(t, in, seed)
 		small := randomMultiLayer(seed, 9, 4, 3)
 		in.ForEachReal(func(r int32) bool {
 			id := in.RealID(r)
@@ -250,7 +250,7 @@ func TestRepresentationsNestedAndInterleaved(t *testing.T) {
 // several readers; run with -race.
 func TestRepresentationsConcurrentReaders(t *testing.T) {
 	in := withDirectsAndTombstones(randomSymmetric(5, 60, 24, 8), 5)
-	reps := allRepresentations(t, in, 5, 2)
+	reps := allRepresentations(t, in, 5)
 	type want struct{ out, in []int64 }
 	wants := make(map[int64]want)
 	in.ForEachReal(func(r int32) bool {
@@ -297,7 +297,7 @@ func TestWarmTraversalDoesNotAllocate(t *testing.T) {
 	}
 	cases := []tc{{"C-DUP", single}, {"C-DUP multi-layer", multi}}
 	for _, in := range []*core.Graph{single, multi} {
-		bmp, _, err := Bitmap2(in, Options{Seed: 3})
+		bmp, _, err := Bitmap2(in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,7 +94,7 @@ func bspReps(g *core.Graph) []bspRep {
 	if d1, _, err := dedup.Dedup1NaiveVirtualFirst(g, dedup.Options{Seed: 3}); err == nil {
 		out = append(out, bspRep{"DEDUP1", d1})
 	}
-	if bm, _, err := dedup.Bitmap2(g, dedup.Options{Seed: 3}); err == nil {
+	if bm, _, err := dedup.Bitmap2(g); err == nil {
 		out = append(out, bspRep{"BMP", bm})
 	}
 	return out

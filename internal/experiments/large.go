@@ -44,7 +44,7 @@ func Table3(s Scale) string {
 
 		// BITMAP row (BITMAP-2 dedup; works on multi-layer graphs too).
 		start := time.Now()
-		bmp, _, err := dedup.Bitmap2(cdup, dedup.Options{Seed: 3})
+		bmp, _, err := dedup.Bitmap2(cdup)
 		dedupTime := time.Since(start)
 		if err != nil {
 			fmt.Fprintf(&sb, "%-10s %-8s dedup error: %v\n", d.Name, "BITMAP", err)

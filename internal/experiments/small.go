@@ -104,7 +104,7 @@ func repBuilders(seed int64) []struct {
 			return out, err
 		}},
 		{"BITMAP-2", func(g *core.Graph) (*core.Graph, error) {
-			out, _, err := dedup.Bitmap2(g, o)
+			out, _, err := dedup.Bitmap2(g)
 			return out, err
 		}},
 		{"EXP", func(g *core.Graph) (*core.Graph, error) { return g.Expand(0) }},
@@ -272,12 +272,13 @@ func dedupAlgorithms() []dedupAlgo {
 			return out, err
 		}
 	}
+	// The BITMAP builders take no options.
+	bitmap := func(fn func(*core.Graph) (*core.Graph, dedup.Stats, error)) func(*core.Graph, dedup.Options) (*core.Graph, error) {
+		return wrap(func(g *core.Graph, _ dedup.Options) (*core.Graph, dedup.Stats, error) { return fn(g) })
+	}
 	return []dedupAlgo{
-		{"BITMAP-1", func(g *core.Graph, _ dedup.Options) (*core.Graph, error) {
-			out, _, err := dedup.Bitmap1(g)
-			return out, err
-		}},
-		{"BITMAP-2", wrap(dedup.Bitmap2)},
+		{"BITMAP-1", bitmap(dedup.Bitmap1)},
+		{"BITMAP-2", bitmap(dedup.Bitmap2)},
 		{"DEDUP1-NaiveVirtualFirst", wrap(dedup.Dedup1NaiveVirtualFirst)},
 		{"DEDUP1-NaiveRealFirst", wrap(dedup.Dedup1NaiveRealFirst)},
 		{"DEDUP1-GreedyRealFirst", wrap(dedup.Dedup1GreedyRealFirst)},

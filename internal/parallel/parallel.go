@@ -1,8 +1,14 @@
-// Package parallel is the shared worker-pool substrate behind every
-// multi-core path in GraphGen: the Step-6 preprocessing pass
-// (internal/core), the BSP superstep engine (internal/bsp), the
-// deduplication conversions (internal/dedup), closeness (internal/workload)
-// and the data generators (internal/datagen).
+// Package parallel is the shared worker pool behind every multi-core path
+// in GraphGen. A caller uses it only where 2 workers were measured to beat
+// 1 on a 2-vCPU box; the ratio is a comment at the call site:
+//   - the BSP superstep engine (internal/bsp);
+//   - the vertex-centric supersteps (internal/vertexcentric);
+//   - closeness over several 64-source batches (internal/workload);
+//   - the per-entity phases of the SNB generator (internal/datagen).
+//
+// The Step-6 preprocessing scan (internal/core) measured flat and keeps its
+// pool only while the benchmark harness passes it a worker count. The
+// representation conversions and the relational pipeline are serial.
 //
 // The design goal is determinism, not just speed: every caller partitions
 // its input into contiguous chunks, computes per-chunk results in isolation,

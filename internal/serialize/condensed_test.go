@@ -95,7 +95,7 @@ func TestCondensedBitmapDowngradesToCDUP(t *testing.T) {
 	g := datagen.Condensed(datagen.CondensedConfig{
 		Seed: 11, RealNodes: 20, VirtualNodes: 10, MeanSize: 5, StdDev: 2,
 	})
-	bm, _, err := dedup.Bitmap2(g, dedup.Options{Seed: 11})
+	bm, _, err := dedup.Bitmap2(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"graphgen/internal/core"
 	"graphgen/internal/datagen"
 	"graphgen/internal/dedup"
+	"graphgen/internal/parallel"
 )
 
 func testGraph(t *testing.T, seed int64) *core.Graph {
@@ -15,6 +16,20 @@ func testGraph(t *testing.T, seed int64) *core.Graph {
 	return datagen.Condensed(datagen.CondensedConfig{
 		Seed: seed, RealNodes: 50, VirtualNodes: 25, MeanSize: 5, StdDev: 2,
 	})
+}
+
+// multiChunkGraph is large enough that the worker pool splits a superstep
+// into workers chunks, so Run's fan-out and per-chunk aggregates run (and
+// -race sees them).
+func multiChunkGraph(t *testing.T, seed int64, workers int) *core.Graph {
+	t.Helper()
+	g := datagen.Condensed(datagen.CondensedConfig{
+		Seed: seed, RealNodes: 2000, VirtualNodes: 900, MeanSize: 4, StdDev: 2,
+	})
+	if n := len(parallel.Chunks(g.NumRealNodes(), workers, 0)); n != workers {
+		t.Fatalf("%d vertices split into %d chunks, want %d", g.NumRealNodes(), n, workers)
+	}
+	return g
 }
 
 func TestDegreeProgramMatchesSequential(t *testing.T) {
@@ -46,7 +61,7 @@ func TestPageRankProgramMatchesSequential(t *testing.T) {
 }
 
 func TestPageRankDeterministicAcrossWorkerCounts(t *testing.T) {
-	g := testGraph(t, 7)
+	g := multiChunkGraph(t, 7, 8)
 	a := Run(g, PageRankProgram(g, 6, 0.85), Options{Workers: 1})
 	b := Run(g, PageRankProgram(g, 6, 0.85), Options{Workers: 8})
 	for i := range a.Values {
@@ -57,9 +72,9 @@ func TestPageRankDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestComponentProgramMatchesSequential(t *testing.T) {
-	g := testGraph(t, 9)
+	g := multiChunkGraph(t, 9, 4)
 	_, want := algo.ConnectedComponents(g)
-	res := Run(g, ComponentProgram(), Options{Workers: 2})
+	res := Run(g, ComponentProgram(), Options{Workers: 4})
 	distinct := make(map[float64]struct{})
 	g.ForEachReal(func(r int32) bool {
 		distinct[res.Values[r]] = struct{}{}
