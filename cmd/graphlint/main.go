@@ -2,14 +2,17 @@
 // the contracts previously enforced only by review and randomized tests:
 //
 //	keyencode     string keys over relstore.Value data use relstore.AppendRowKey (sets: relstore.RowSet)
-//	lockorder     internal/server: dbMu before sessMu; table access under dbMu
+//	lockorder     internal/server: no dbMu while sessMu may be held; table access under dbMu
 //	notifyorder   relstore mutators route through notify; indexes before subscribers
 //	determinism   deterministic packages shun wall clocks, global rand, map-order appends
-//	lockedreturn  returns must not leak a held mutex
+//	lockedreturn  returns must not leak a mutex some path into them holds
 //	iterclose     row iterators in relstore/conj/extract/datalogeval/incremental are closed or handed off
 //	spanend       trace spans in relstore/conj/extract/datalogeval/incremental are ended or handed off
 //	guardedby     fields annotated graphlint:guardedby are accessed under their mutex
 //	nilsafe       internal/obs: exported *Trace/*Span methods begin with a nil guard
+//
+// guardedby, lockedreturn and lockorder share one branch-aware lock
+// simulator; iterclose and spanend share one obligation checker.
 //
 // Usage:
 //

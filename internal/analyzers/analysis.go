@@ -5,21 +5,27 @@
 //
 //   - keyencode:    composite map/dedup keys built from relstore.Value data
 //     must go through relstore.AppendRowKey (the PR 4 "|"-collision bug class)
-//   - lockorder:    internal/server must take dbMu before sessMu and touch
-//     relational tables only inside a dbMu critical section
+//   - lockorder:    internal/server must not take dbMu while sessMu may be
+//     held, and must touch relational tables only with dbMu held on every path
 //   - notifyorder:  relstore mutators must route through Table.notify, and
 //     notify must bring indexes up to date before subscribers run
 //   - determinism:  the deterministic packages (datagen, parallel, workload,
 //     and the worker-pool merge paths) must not read wall clocks, use the
 //     global math/rand source, or feed ordered appends from map iteration
-//   - lockedreturn: a return must not leak a held sync.Mutex/RWMutex
+//   - lockedreturn: a return must not leak a sync.Mutex/RWMutex that some
+//     path into it holds
 //   - iterclose:   a row iterator acquired in relstore/conj/extract/datalogeval/incremental
 //     must be closed or handed off (consumer call, return, store)
 //   - spanend:     a trace span started in relstore/conj/extract/datalogeval/incremental
 //     must be ended or handed off (End call, owner handoff, return, store)
 //   - guardedby:   struct fields annotated "graphlint:guardedby mu" are
-//     accessed only while the named sibling mutex is held, checked
-//     interprocedurally over per-function lock summaries (summary.go)
+//     accessed only while the named sibling mutex is held
+//
+// The three lock analyzers (guardedby, lockedreturn, lockorder) run on one
+// branch-aware simulator over per-function lock summaries (summary.go),
+// which tracks the locks held on every path (must) and on some path (may).
+// iterclose and spanend are one positional obligation checker
+// (obligation.go) with two specs.
 //   - nilsafe:     internal/obs: exported *Trace/*Span methods begin with
 //     a nil-receiver guard (the tracing-off fast path)
 //

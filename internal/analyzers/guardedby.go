@@ -53,9 +53,8 @@ func runGuardedBy(pass *Pass) error {
 		return nil // unannotated packages opt out entirely
 	}
 	idx.computeSummaries()
+	idx.check(checker{assumeInferred: true, reportf: pass.Reportf})
 	for _, fi := range idx.order {
-		sc := idx.newSim(fi, false, pass.Reportf)
-		sc.run()
 		if fi.obj.Exported() && fi.recv != "" {
 			// An exported function's inferred requirement is invisible to
 			// the cross-package callers that can actually violate it.

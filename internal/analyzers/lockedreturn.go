@@ -2,8 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
+	"strings"
 )
 
 // LockedReturnAnalyzer flags early returns that leak a held mutex in code
@@ -11,13 +10,16 @@ import (
 // Unlock" bug, which in this codebase stalls every request behind dbMu or
 // wedges live-graph maintenance behind an incremental-subsystem lock.
 //
-// Within one function body (closures are independent units), a mutex
-// expression is considered held from a Lock/RLock call until the next
-// textual Unlock/RUnlock of the same expression or a deferred unlock.
-// A return with a lock held and no intervening release is reported.
-// TryLock is ignored: its acquisition is conditional and needs control
-// flow the position scan does not model. Intentional lock handoffs take a
-// //lint:ignore lockedreturn <why>.
+// It runs on the shared lock simulator (summary.go). At each explicit
+// return, every lock that some path into it may hold is a leak if it was
+// acquired in the body being simulated (the function's, or an inline
+// function literal's) and no deferred unlock is armed for it on those
+// paths. Locks required on entry and locks an enclosing body took are not
+// this body's to release, and a helper that falls off its end holding a
+// lock (the acquire() shape) has no return to flag. TryLock is ignored:
+// its acquisition is conditional on a result the simulator does not
+// branch on. Intentional lock handoffs take a //lint:ignore lockedreturn
+// <why>.
 var LockedReturnAnalyzer = &Analyzer{
 	Name: "lockedreturn",
 	Doc:  "returns must not leak a held sync.Mutex/RWMutex",
@@ -25,89 +27,21 @@ var LockedReturnAnalyzer = &Analyzer{
 }
 
 func runLockedReturn(pass *Pass) error {
-	for _, file := range pass.Files {
-		funcUnits(file, func(_ string, body *ast.BlockStmt) {
-			lockedReturnUnit(pass, body)
-		})
-	}
-	return nil
-}
-
-// mutexKey identifies one mutex within a function: its receiver
-// expression rendering plus the read/write half of an RWMutex.
-type mutexKey struct {
-	expr string
-	read bool
-}
-
-func lockedReturnUnit(pass *Pass, body *ast.BlockStmt) {
-	type acquire struct {
-		pos  token.Pos
-		line int
-	}
-	locks := map[mutexKey][]acquire{}      // Lock/RLock positions
-	releases := map[mutexKey][]token.Pos{} // Unlock/RUnlock and deferred unlock positions
-	var returns []token.Pos
-
-	deferred := map[*ast.CallExpr]bool{}
-	inspectUnit(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.DeferStmt:
-			deferred[x.Call] = true
-		case *ast.ReturnStmt:
-			returns = append(returns, x.Pos())
-		case *ast.CallExpr:
-			sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
-			if !ok || !isSyncLockMethod(pass.Info, sel) {
-				return true
-			}
-			key := mutexKey{expr: types.ExprString(sel.X)}
-			switch sel.Sel.Name {
-			case "RLock", "RUnlock":
-				key.read = true
-			}
-			switch sel.Sel.Name {
-			case "Lock", "RLock":
-				if !deferred[x] {
-					locks[key] = append(locks[key], acquire{pos: x.Pos(), line: pass.Fset.Position(x.Pos()).Line})
-				}
-			case "Unlock", "RUnlock":
-				// A deferred unlock releases at every return after it;
-				// recording its own position covers exactly the returns
-				// that follow it, which is when it is armed.
-				releases[key] = append(releases[key], x.Pos())
-			}
+	idx := buildIndex(pass, nil)
+	idx.computeSummaries()
+	idx.check(checker{visit: func(st *simState, unit *ast.BlockStmt, n ast.Node) {
+		ret, ok := n.(*ast.ReturnStmt)
+		if !ok {
+			return
 		}
-		return true
-	})
-
-	for _, ret := range returns {
-		for key, acqs := range locks {
-			// Last acquisition before the return...
-			var last *acquire
-			for i := range acqs {
-				if acqs[i].pos < ret {
-					last = &acqs[i]
-				}
-			}
-			if last == nil {
+		for _, path := range sortedNames(st.may) {
+			a := st.may[path]
+			if st.deferred[path] || strings.HasPrefix(a.method, "Try") || a.pos < unit.Pos() || a.pos >= unit.End() {
 				continue
 			}
-			// ...with no release between it and the return.
-			released := false
-			for _, rel := range releases[key] {
-				if rel > last.pos && rel < ret {
-					released = true
-					break
-				}
-			}
-			if !released {
-				verb := "Lock"
-				if key.read {
-					verb = "RLock"
-				}
-				pass.Reportf(ret, "return leaks %s.%s held since line %d; unlock before returning or defer the unlock", key.expr, verb, last.line)
-			}
+			pass.Reportf(ret.Pos(), "return leaks %s.%s held since line %d; unlock before returning or defer the unlock",
+				path, a.method, pass.Fset.Position(a.pos).Line)
 		}
-	}
+	}})
+	return nil
 }

@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -22,190 +21,52 @@ const serverPath = "graphgen/internal/server"
 //     change-log subscriptions that mutations walk concurrently — the
 //     exact race PR 3 fixed).
 //
-// Within one function body the analysis is position-based: a mutex is
-// held from its Lock to the next non-deferred Unlock (a deferred Unlock
-// holds to function end). Across functions it consumes the shared
-// interprocedural layer (summary.go): the per-function lock summaries,
-// computed to fixpoint over the package call graph, make "acquires
-// dbMu" transitive, and a "// graphlint:requires dbMu" annotation lets
-// a helper assume dbMu on entry — its body is checked as if locked, and
-// every call to it outside a dbMu critical section is the finding.
+// Both are checked on the shared lock simulator (summary.go), which gives every
+// call the locks held on every path to it (must) and on some path to it
+// (may). Acquiring dbMu, or calling a function whose summary acquires it
+// at any call depth, is an inversion when sessMu is may-held. A table op,
+// or a call to a helper annotated "// graphlint:requires dbMu", needs
+// dbMu must-held; such a helper's own body is checked as if locked.
+// Inline function literals (callbacks run before the call returns) see
+// the call site's locks; escaping ones (go, defer, stored) see none.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc:  "internal/server: dbMu before sessMu; table/extraction/live-close calls only under dbMu",
 	Run:  runLockOrder,
 }
 
-// lockEvent is one position-ordered occurrence inside a function body.
-type lockEvent struct {
-	pos  token.Pos
-	kind int
-	call *ast.CallExpr
-	name string // rendering for diagnostics
-}
-
-const (
-	evSessLock = iota
-	evSessUnlock
-	evDbLock
-	evDbUnlock
-	evDbLockerCall // call to a function that (transitively) acquires dbMu
-	evRequiresDb   // call to a function annotated graphlint:requires dbMu
-	evTableOp      // relational access that requires dbMu
-)
-
 func runLockOrder(pass *Pass) error {
 	if pass.Pkg.Path() != serverPath {
 		return nil
 	}
-	// The shared interprocedural layer: transitive acquire sets make
-	// "calls a method that takes dbMu" work at any depth, not just one
-	// (the index reports no annotation diagnostics here — guardedby
-	// owns those).
 	idx := buildIndex(pass, nil)
 	idx.computeSummaries()
-
-	for _, fi := range idx.order {
-		lockOrderUnit(pass, idx, fi.decl.Body, fi.annotated["dbMu"] != modeNone)
-	}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				lockOrderUnit(pass, idx, lit.Body, false)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-func lockOrderUnit(pass *Pass, idx *pkgIndex, body *ast.BlockStmt, entryDbHeld bool) {
-	var events []lockEvent
-	add := func(pos token.Pos, kind int, call *ast.CallExpr, name string) {
-		events = append(events, lockEvent{pos: pos, kind: kind, call: call, name: name})
-	}
-	deferred := map[*ast.CallExpr]bool{}
-	inspectUnit(body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			deferred[d.Call] = true
-		}
+	idx.check(checker{visit: func(st *simState, _ *ast.BlockStmt, n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
+			return
 		}
-		if kind, _ := classifyMutexCall(pass.Info, call); kind >= 0 {
-			// A deferred Unlock runs at function end: recording no event
-			// leaves the mutex held for the rest of the position scan,
-			// which is exactly the deferred semantics.
-			if !deferred[call] {
-				add(call.Pos(), kind, call, "")
+		if _, name, method, ok := mutexOp(pass.Info, call); ok {
+			if name == "dbMu" && method != "Unlock" && method != "RUnlock" && heldNamed(st.may, "sessMu") {
+				pass.Reportf(call.Pos(), "dbMu acquired while sessMu is held; the lock order is dbMu before sessMu (see Server.Close)")
 			}
-			return true
+			return
 		}
 		f := calleeFunc(pass.Info, call)
-		if f == nil {
-			return true
-		}
 		if fi := idx.funcs[f]; fi != nil {
-			if fi.annotated["dbMu"] != modeNone {
-				add(call.Pos(), evRequiresDb, call, f.Name())
+			if fi.annotated["dbMu"] != modeNone && !heldNamed(st.must, "dbMu") {
+				pass.Reportf(call.Pos(), "%s requires dbMu held on entry (graphlint:requires) and is called outside a dbMu critical section", f.Name())
 			}
-			if fi.sum != nil && fi.sum.acquires["dbMu"] != modeNone {
-				add(call.Pos(), evDbLockerCall, call, f.Name())
-				return true
+			if fi.sum.acquires["dbMu"] != modeNone && heldNamed(st.may, "sessMu") {
+				pass.Reportf(call.Pos(), "%s acquires dbMu and must not be called while sessMu is held; the lock order is dbMu before sessMu", f.Name())
 			}
+			return
 		}
-		if name, ok := tableOpName(f); ok {
-			add(call.Pos(), evTableOp, call, name)
+		if name, ok := tableOpName(f); ok && !heldNamed(st.must, "dbMu") {
+			pass.Reportf(call.Pos(), "%s outside a dbMu critical section; relational tables and live-session teardown are serialized on dbMu", name)
 		}
-		return true
-	})
-
-	// Position-ordered simulation. AST inspection already visits in
-	// source order within one unit.
-	sessHeld, dbHeld := false, entryDbHeld
-	for _, ev := range events {
-		switch ev.kind {
-		case evSessLock:
-			sessHeld = true
-		case evSessUnlock:
-			sessHeld = false
-		case evDbLock:
-			if sessHeld {
-				pass.Reportf(ev.pos, "dbMu acquired while sessMu is held; the lock order is dbMu before sessMu (see Server.Close)")
-			}
-			dbHeld = true
-		case evDbUnlock:
-			dbHeld = false
-		case evDbLockerCall:
-			if sessHeld {
-				pass.Reportf(ev.pos, "%s acquires dbMu and must not be called while sessMu is held; the lock order is dbMu before sessMu", ev.name)
-			}
-		case evRequiresDb:
-			if !dbHeld {
-				pass.Reportf(ev.pos, "%s requires dbMu held on entry (graphlint:requires) and is called outside a dbMu critical section", ev.name)
-			}
-		case evTableOp:
-			if !dbHeld {
-				pass.Reportf(ev.pos, "%s outside a dbMu critical section; relational tables and live-session teardown are serialized on dbMu", ev.name)
-			}
-		}
-	}
-}
-
-// classifyMutexCall classifies a call as a dbMu/sessMu lock event. The
-// mutex identity is the field name (dbMu/sessMu on any receiver), the
-// method must be a real sync.Mutex/RWMutex method. isDefer distinguishes
-// Unlock calls so the caller can apply deferred semantics.
-func classifyMutexCall(info *types.Info, call *ast.CallExpr) (kind int, isUnlock bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !isSyncLockMethod(info, sel) {
-		return -1, false
-	}
-	field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	var fieldName string
-	if ok {
-		fieldName = field.Sel.Name
-	} else if id, isId := ast.Unparen(sel.X).(*ast.Ident); isId {
-		fieldName = id.Name
-	} else {
-		return -1, false
-	}
-	var sess bool
-	switch fieldName {
-	case "dbMu":
-	case "sessMu":
-		sess = true
-	default:
-		return -1, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock":
-		if sess {
-			return evSessLock, false
-		}
-		return evDbLock, false
-	case "Unlock", "RUnlock":
-		if sess {
-			return evSessUnlock, true
-		}
-		return evDbUnlock, true
-	}
-	return -1, false
-}
-
-// isSyncLockMethod reports whether sel resolves to a method of
-// sync.Mutex or sync.RWMutex.
-func isSyncLockMethod(info *types.Info, sel *ast.SelectorExpr) bool {
-	f, _ := info.Uses[sel.Sel].(*types.Func)
-	if f == nil {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return typeIs(sig.Recv().Type(), "sync", "Mutex") || typeIs(sig.Recv().Type(), "sync", "RWMutex")
+	}})
+	return nil
 }
 
 // tableOpName reports whether f is a call that must run under dbMu, and

@@ -1,12 +1,13 @@
 package analyzers
 
-// The shared interprocedural layer behind guardedby and lockorder: guard
-// annotations parsed from struct-field comments, a per-package index of
-// function declarations, and per-function lock summaries — which locks a
-// function acquires (transitively), which it holds on exit or releases
-// for its caller, and which it requires held on entry — computed to
-// fixpoint over the package call graph so mutually recursive helpers
-// converge.
+// The shared interprocedural layer behind the three lock analyzers —
+// guardedby, lockedreturn and lockorder: guard annotations parsed from
+// struct-field comments, a per-package index of function declarations,
+// per-function lock summaries — which locks a function acquires
+// (transitively), which it holds on exit or releases for its caller, and
+// which it requires held on entry — computed to fixpoint over the
+// package call graph so mutually recursive helpers converge, and the
+// branch-aware simulator that computes them and then checks each body.
 //
 // Lock identity is textual and receiver-relative. At a call site or
 // access site a lock is the rendered path of its owner expression plus
@@ -19,22 +20,27 @@ package analyzers
 // non-receiver base can never be summarized — those sites are checked
 // (and reported) directly instead.
 //
-// Control flow is simulated per statement, branch-aware: if/else arms
-// merge by intersection (an arm that returns drops out), loop bodies run
-// once and merge with the pre-state, and a deferred unlock holds its
-// lock to function exit without counting as held-at-exit. Function
-// literals passed directly as call arguments (iterator callbacks,
-// sort.Slice comparators, worker-pool bodies) are simulated inline with
-// the held set at the call site — they run before the call returns, so
-// the enclosing critical section still covers them. Every other literal
-// (go, defer, assigned, returned, stored) escapes the critical section
-// and is simulated with nothing held.
+// Control flow is simulated per statement, branch-aware, with two lock
+// sets per point. The must-held set is what every path holds: if/else
+// arms merge by intersection (an arm that returns drops out), and it is
+// what an access or a call needs. The may-held set is what some path
+// holds, with where it was taken: arms merge by union, and it is what a
+// return can leak or an acquisition can invert. Loop bodies run once and
+// merge with the pre-state. Deferred unlocks are tracked per path and
+// run at function exit: they hold their lock to the end without counting
+// as held-at-exit. Function literals passed directly as call arguments
+// (iterator callbacks, sort.Slice comparators, worker-pool bodies) are
+// simulated inline with the lock sets at the call site — they run before
+// the call returns, so the enclosing critical section still covers them.
+// Every other literal (go, defer, assigned, returned, stored) escapes the
+// critical section and is simulated with nothing held.
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -122,38 +128,11 @@ func newSummary() *lockSummary {
 	}
 }
 
-func modesEqual(a, b map[string]lockMode) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 func summaryEqual(a, b *lockSummary) bool {
-	if len(a.exitReleased) != len(b.exitReleased) {
-		return false
-	}
-	for k := range a.exitReleased {
-		if !b.exitReleased[k] {
-			return false
-		}
-	}
-	return modesEqual(a.acquires, b.acquires) &&
-		modesEqual(a.exitHeld, b.exitHeld) &&
-		modesEqual(a.requires, b.requires)
-}
-
-func copyModes(m map[string]lockMode) map[string]lockMode {
-	out := make(map[string]lockMode, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return maps.Equal(a.acquires, b.acquires) &&
+		maps.Equal(a.exitHeld, b.exitHeld) &&
+		maps.Equal(a.exitReleased, b.exitReleased) &&
+		maps.Equal(a.requires, b.requires)
 }
 
 func sortedNames[V any](m map[string]V) []string {
@@ -168,6 +147,7 @@ func sortedNames[V any](m map[string]V) []string {
 // pkgIndex is the shared interprocedural view of one package.
 type pkgIndex struct {
 	fset   *token.FileSet
+	files  []*ast.File
 	info   *types.Info
 	pkg    *types.Package
 	guards map[*types.Var]guardInfo
@@ -177,11 +157,12 @@ type pkgIndex struct {
 
 // buildIndex collects guard and requires annotations and the function
 // declarations of the package. Malformed annotations are reported through
-// report when it is non-nil (guardedby owns those diagnostics; lockorder
-// passes nil to avoid duplicates).
+// report when it is non-nil (guardedby owns those diagnostics;
+// lockedreturn and lockorder pass nil to avoid duplicates).
 func buildIndex(pass *Pass, report func(pos token.Pos, format string, args ...any)) *pkgIndex {
 	idx := &pkgIndex{
 		fset:   pass.Fset,
+		files:  pass.Files,
 		info:   pass.Info,
 		pkg:    pass.Pkg,
 		guards: map[*types.Var]guardInfo{},
@@ -352,13 +333,13 @@ func receiverMutexField(fn *types.Func, name string) bool {
 func (idx *pkgIndex) computeSummaries() {
 	for _, fi := range idx.order {
 		fi.sum = newSummary()
-		fi.sum.requires = copyModes(fi.annotated)
+		fi.sum.requires = maps.Clone(fi.annotated)
 	}
 	for range 20 {
 		changed := false
 		for _, fi := range idx.order {
-			sc := idx.newSim(fi, true, nil)
-			sc.inferred = copyModes(fi.sum.requires)
+			sc := idx.newSim(fi, true, checker{})
+			sc.inferred = maps.Clone(fi.sum.requires)
 			ns := sc.run()
 			if !summaryEqual(ns, fi.sum) {
 				fi.sum = ns
@@ -371,66 +352,159 @@ func (idx *pkgIndex) computeSummaries() {
 	}
 }
 
+// checker is what one analyzer asks of a check-mode simulation.
+type checker struct {
+	// assumeInferred enters each body holding its inferred entry
+	// requirements as well as its annotated ones. guardedby sets it: an
+	// unmet need is then reported at the callers that fail to supply it.
+	// lockorder checks each graphlint:requires call where it is made, so
+	// it assumes only what is annotated.
+	assumeInferred bool
+	// reportf receives the unmet needs of accesses and calls.
+	reportf func(pos token.Pos, format string, args ...any)
+	// visit sees every return and every call with the lock state just
+	// before it applies, and the body being simulated.
+	visit func(st *simState, unit *ast.BlockStmt, n ast.Node)
+}
+
+// check simulates every function of the package in check mode, once
+// computeSummaries has converged. Function literals outside any function
+// body (package variable initializers) run with nothing held.
+func (idx *pkgIndex) check(c checker) {
+	for _, fi := range idx.order {
+		idx.newSim(fi, false, c).run()
+	}
+	pkgLevel := &funcInfo{sum: newSummary()}
+	for _, file := range idx.files {
+		for _, decl := range file.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if _, isFunc := n.(*ast.FuncDecl); isFunc {
+					return false
+				}
+				if lit, ok := n.(*ast.FuncLit); ok {
+					idx.newSim(pkgLevel, false, c).simEscapedClosure(lit)
+					return false
+				}
+				return true
+			})
+		}
+	}
+}
+
 // simCtx simulates one function body. In summary mode (infer=true) unmet
 // receiver-rooted needs become inferred entry requirements; in check
-// mode (reportf set) they are diagnostics.
+// mode they go to the checker.
 type simCtx struct {
+	checker
 	idx      *pkgIndex
 	fi       *funcInfo
 	infer    bool
-	reportf  func(pos token.Pos, format string, args ...any)
-	escaped  bool // inside an escaping function literal: nothing may be assumed held
+	top      *ast.BlockStmt // the declaration's body: only its returns exit the function
+	unit     *ast.BlockStmt // the body being simulated: top or a function literal's
+	escaped  bool           // inside an escaping function literal: nothing may be assumed held
 	inferred map[string]lockMode
 	acquires map[string]lockMode
 	released map[string]bool
-	deferRel map[string]bool
 	exits    []map[string]lockMode
 	reported map[string]bool
 }
 
+// simState is the lock state of the paths reaching one point.
 type simState struct {
-	held map[string]lockMode
-	dead bool // all paths through this state returned or branched away
+	must     map[string]lockMode    // held on every live path, at the weakest mode
+	may      map[string]acquisition // held on at least one live path
+	deferred map[string]bool        // unlock deferred to function exit on some path
+	dead     bool                   // all paths through this state returned or branched away
+}
+
+// acquisition is where a may-held lock was taken.
+type acquisition struct {
+	pos    token.Pos // token.NoPos for a lock required on entry
+	method string    // Lock, RLock, TryLock or TryRLock; a callee's net acquisition reads as Lock or RLock
+}
+
+func newState() *simState {
+	return &simState{must: map[string]lockMode{}, may: map[string]acquisition{}, deferred: map[string]bool{}}
 }
 
 func (st *simState) clone() *simState {
-	held := make(map[string]lockMode, len(st.held))
-	for k, v := range st.held {
-		held[k] = v
-	}
-	return &simState{held: held, dead: st.dead}
+	return &simState{must: maps.Clone(st.must), may: maps.Clone(st.may), deferred: maps.Clone(st.deferred), dead: st.dead}
 }
 
-// mergeInto folds other into st by intersection: a lock is held after a
-// join only if every live inbound path holds it, at the weakest mode.
+// mergeInto joins other into st: the must set by intersection, the may
+// and deferred sets by union (the later acquisition wins a tie).
 func (st *simState) mergeInto(other *simState) {
 	if other.dead {
 		return
 	}
 	if st.dead {
-		st.held, st.dead = other.held, false
+		*st = *other
 		return
 	}
-	for k, v := range st.held {
-		ov, ok := other.held[k]
+	intersectModes(st.must, other.must)
+	for k, a := range other.may {
+		if cur, ok := st.may[k]; !ok || a.pos > cur.pos {
+			st.may[k] = a
+		}
+	}
+	for k := range other.deferred {
+		st.deferred[k] = true
+	}
+}
+
+// intersectModes keeps in dst only the locks src holds too, at the
+// weaker of the two modes.
+func intersectModes(dst, src map[string]lockMode) {
+	for k, v := range dst {
+		sv, ok := src[k]
 		if !ok {
-			delete(st.held, k)
-		} else if ov < v {
-			st.held[k] = ov
+			delete(dst, k)
+		} else if sv < v {
+			dst[k] = sv
 		}
 	}
 }
 
-func (idx *pkgIndex) newSim(fi *funcInfo, infer bool, reportf func(pos token.Pos, format string, args ...any)) *simCtx {
+// raise records that m holds k at least at mode.
+func raise(m map[string]lockMode, k string, mode lockMode) {
+	if m[k] < mode {
+		m[k] = mode
+	}
+}
+
+// hold makes path held on this path, taken by the call at pos.
+func (st *simState) hold(path string, mode lockMode, pos token.Pos, method string) {
+	raise(st.must, path, mode)
+	st.may[path] = acquisition{pos: pos, method: method}
+}
+
+// heldNamed reports whether set holds a lock whose field name is name,
+// on any owner path ("s.dbMu", "dbMu").
+func heldNamed[V any](set map[string]V, name string) bool {
+	for p := range set {
+		if p == name || strings.HasSuffix(p, "."+name) {
+			return true
+		}
+	}
+	return false
+}
+
+func lockMethod(mode lockMode) string {
+	if mode == modeRead {
+		return "RLock"
+	}
+	return "Lock"
+}
+
+func (idx *pkgIndex) newSim(fi *funcInfo, infer bool, c checker) *simCtx {
 	return &simCtx{
+		checker:  c,
 		idx:      idx,
 		fi:       fi,
 		infer:    infer,
-		reportf:  reportf,
 		inferred: map[string]lockMode{},
 		acquires: map[string]lockMode{},
 		released: map[string]bool{},
-		deferRel: map[string]bool{},
 		reported: map[string]bool{},
 	}
 }
@@ -438,47 +512,52 @@ func (idx *pkgIndex) newSim(fi *funcInfo, infer bool, reportf func(pos token.Pos
 // run simulates the function from the given summary's entry assumptions
 // and returns the resulting summary.
 func (sc *simCtx) run() *lockSummary {
-	st := &simState{held: map[string]lockMode{}}
+	st := newState()
 	if !sc.infer && sc.fi.recv != "" {
-		// Check mode assumes the (converged) entry requirements hold.
-		for name, mode := range sc.fi.sum.requires {
-			st.held[sc.fi.recv+"."+name] = mode
+		// Check mode assumes the entry requirements hold.
+		entry := sc.fi.annotated
+		if sc.assumeInferred {
+			entry = sc.fi.sum.requires
+		}
+		for name, mode := range entry {
+			st.hold(sc.fi.recv+"."+name, mode, token.NoPos, lockMethod(mode))
 		}
 	}
-	sc.simBlock(st, sc.fi.decl.Body.List)
+	sc.top, sc.unit = sc.fi.decl.Body, sc.fi.decl.Body
+	sc.simBlock(st, sc.top.List)
 	if !st.dead {
-		sc.exits = append(sc.exits, st.held)
+		sc.exit(st)
 	}
 	return sc.finalize()
 }
 
+// exit records the locks one path holds when it leaves the function. Its
+// deferred unlocks run first: one whose lock the path holds cancels that
+// net acquisition, one whose lock it does not hold releases the caller's.
+func (sc *simCtx) exit(st *simState) {
+	held := maps.Clone(st.must)
+	for p := range st.deferred {
+		if _, ok := held[p]; ok {
+			delete(held, p)
+		} else if name, ok := recvRel(sc.fi.recv, p); ok {
+			sc.released[name] = true
+		}
+	}
+	sc.exits = append(sc.exits, held)
+}
+
+// finalize merges the exit states by intersection into the summary.
 func (sc *simCtx) finalize() *lockSummary {
 	sum := newSummary()
 	sum.acquires = sc.acquires
 	sum.requires = sc.inferred
-	// Merge the exit states by intersection, then apply deferred
-	// releases: a deferred unlock cancels a net acquisition, and if the
-	// lock was never taken here it releases the caller's hold.
+	sum.exitReleased = sc.released
 	var merged map[string]lockMode
 	for i, e := range sc.exits {
 		if i == 0 {
 			merged = e
-			continue
-		}
-		for k, v := range merged {
-			ev, ok := e[k]
-			if !ok {
-				delete(merged, k)
-			} else if ev < v {
-				merged[k] = ev
-			}
-		}
-	}
-	for p := range sc.deferRel {
-		if _, ok := merged[p]; ok {
-			delete(merged, p)
-		} else if name, ok := recvRel(sc.fi.recv, p); ok {
-			sc.released[name] = true
+		} else {
+			intersectModes(merged, e)
 		}
 	}
 	for p, m := range merged {
@@ -486,7 +565,6 @@ func (sc *simCtx) finalize() *lockSummary {
 			sum.exitHeld[name] = m
 		}
 	}
-	sum.exitReleased = sc.released
 	return sum
 }
 
@@ -560,8 +638,9 @@ func (sc *simCtx) simStmt(st *simState, stmt ast.Stmt) {
 		for _, r := range s.Results {
 			sc.simExpr(st, r)
 		}
-		if !sc.escaped {
-			sc.exits = append(sc.exits, st.clone().held)
+		sc.observe(st, s)
+		if sc.unit == sc.top {
+			sc.exit(st)
 		}
 		st.dead = true
 	case *ast.BranchStmt:
@@ -571,6 +650,7 @@ func (sc *simCtx) simStmt(st *simState, stmt ast.Stmt) {
 	case *ast.DeferStmt:
 		sc.simDefer(st, s.Call)
 	case *ast.GoStmt:
+		sc.observe(newState(), s.Call) // the goroutine starts holding nothing
 		sc.simAsyncCall(st, s.Call)
 	case *ast.LabeledStmt:
 		sc.simStmt(st, s.Stmt)
@@ -632,16 +712,17 @@ func (sc *simCtx) simClauses(st *simState, clauses []ast.Stmt, exhaustive bool) 
 }
 
 // simDefer handles a defer: a deferred direct unlock holds its lock to
-// function exit (and is excluded from exitHeld); a deferred function
-// literal escapes the critical section; anything else only evaluates
-// its arguments now.
+// function exit on this path (and is excluded from exitHeld); any other
+// deferred call is observed with the locks held where it is deferred, and
+// a deferred function literal escapes the critical section.
 func (sc *simCtx) simDefer(st *simState, call *ast.CallExpr) {
 	if path, _, method, ok := mutexOp(sc.idx.info, call); ok {
 		if method == "Unlock" || method == "RUnlock" {
-			sc.deferRel[path] = true
+			st.deferred[path] = true
 		}
 		return
 	}
+	sc.observe(st, call)
 	sc.simAsyncCall(st, call)
 }
 
@@ -658,14 +739,15 @@ func (sc *simCtx) simAsyncCall(st *simState, call *ast.CallExpr) {
 
 // simInlineClosure simulates a function literal passed directly as a
 // call argument: it runs before the call returns, under whatever the
-// caller holds at the call site.
+// caller holds at the call site. Its own defers run at its own exit, and
+// its returns leave only the literal.
 func (sc *simCtx) simInlineClosure(st *simState, lit *ast.FuncLit) {
-	saveExits, saveDefer := sc.exits, sc.deferRel
-	sc.exits, sc.deferRel = nil, map[string]bool{}
 	inner := st.clone()
-	inner.dead = false
+	inner.deferred = map[string]bool{}
+	saveUnit := sc.unit
+	sc.unit = lit.Body
 	sc.simBlock(inner, lit.Body.List)
-	sc.exits, sc.deferRel = saveExits, saveDefer
+	sc.unit = saveUnit
 }
 
 // simEscapedClosure simulates a literal that outlives the statement
@@ -675,10 +757,17 @@ func (sc *simCtx) simEscapedClosure(lit *ast.FuncLit) {
 	if sc.infer {
 		return // escaping bodies contribute nothing to the summary
 	}
-	saveExits, saveDefer, saveEsc := sc.exits, sc.deferRel, sc.escaped
-	sc.exits, sc.deferRel, sc.escaped = nil, map[string]bool{}, true
-	sc.simBlock(&simState{held: map[string]lockMode{}}, lit.Body.List)
-	sc.exits, sc.deferRel, sc.escaped = saveExits, saveDefer, saveEsc
+	saveUnit, saveEsc := sc.unit, sc.escaped
+	sc.unit, sc.escaped = lit.Body, true
+	sc.simBlock(newState(), lit.Body.List)
+	sc.unit, sc.escaped = saveUnit, saveEsc
+}
+
+// observe hands one return or call to the check-mode visitor.
+func (sc *simCtx) observe(st *simState, n ast.Node) {
+	if sc.visit != nil {
+		sc.visit(st, sc.unit, n)
+	}
 }
 
 // simExpr extracts and applies the events of one simple statement or
@@ -712,8 +801,9 @@ func (sc *simCtx) simExpr(st *simState, node ast.Node) {
 				markWriteSpine(writes, x.X)
 			}
 		case *ast.CallExpr:
+			sc.observe(st, x)
 			if path, name, method, ok := mutexOp(sc.idx.info, x); ok {
-				sc.applyMutexOp(st, path, name, method)
+				sc.applyMutexOp(st, x.Pos(), path, name, method)
 				return true
 			}
 			if isBuiltinDelete(sc.idx.info, x) && len(x.Args) > 0 {
@@ -786,24 +876,33 @@ func mutexOp(info *types.Info, call *ast.CallExpr) (path, name, method string, o
 	return path, name, sel.Sel.Name, true
 }
 
-func (sc *simCtx) applyMutexOp(st *simState, path, name, method string) {
+// isSyncLockMethod reports whether sel resolves to a method of
+// sync.Mutex or sync.RWMutex.
+func isSyncLockMethod(info *types.Info, sel *ast.SelectorExpr) bool {
+	f, _ := info.Uses[sel.Sel].(*types.Func)
+	if f == nil {
+		return false
+	}
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	return typeIs(sig.Recv().Type(), "sync", "Mutex") || typeIs(sig.Recv().Type(), "sync", "RWMutex")
+}
+
+func (sc *simCtx) applyMutexOp(st *simState, pos token.Pos, path, name, method string) {
 	switch method {
 	case "Lock", "TryLock":
-		st.held[path] = modeWrite
-		if sc.acquires[name] < modeWrite {
-			sc.acquires[name] = modeWrite
-		}
+		st.hold(path, modeWrite, pos, method)
+		raise(sc.acquires, name, modeWrite)
 	case "RLock", "TryRLock":
-		if st.held[path] < modeRead {
-			st.held[path] = modeRead
-		}
-		if sc.acquires[name] < modeRead {
-			sc.acquires[name] = modeRead
-		}
+		st.hold(path, modeRead, pos, method)
+		raise(sc.acquires, name, modeRead)
 	case "Unlock", "RUnlock":
-		if _, held := st.held[path]; held {
-			delete(st.held, path)
-		} else if rel, ok := recvRel(sc.fi.recv, path); ok && !sc.escaped {
+		_, held := st.must[path]
+		delete(st.must, path)
+		delete(st.may, path)
+		if rel, ok := recvRel(sc.fi.recv, path); ok && !held && !sc.escaped {
 			// Releasing a lock this function never took: it unlocks on
 			// behalf of the caller.
 			sc.released[rel] = true
@@ -828,27 +927,24 @@ func (sc *simCtx) applyCall(st *simState, call *ast.CallExpr) {
 		basePath = types.ExprString(ast.Unparen(sel.X))
 	}
 	for name, mode := range fi.sum.acquires {
-		if sc.acquires[name] < mode {
-			sc.acquires[name] = mode
-		}
+		raise(sc.acquires, name, mode)
 	}
 	if basePath == "" {
 		return // requirements and net effects are receiver-relative
 	}
 	for _, name := range sortedNames(fi.sum.requires) {
 		mode := fi.sum.requires[name]
-		if st.held[basePath+"."+name] < mode {
+		if st.must[basePath+"."+name] < mode {
 			sc.unmet(call.Pos(), basePath, name, mode,
 				fmt.Sprintf("call to %s, which needs %s.%s %s-held on entry", f.Name(), basePath, name, mode))
 		}
 	}
 	for name := range fi.sum.exitReleased {
-		delete(st.held, basePath+"."+name)
+		delete(st.must, basePath+"."+name)
+		delete(st.may, basePath+"."+name)
 	}
 	for name, mode := range fi.sum.exitHeld {
-		if st.held[basePath+"."+name] < mode {
-			st.held[basePath+"."+name] = mode
-		}
+		st.hold(basePath+"."+name, mode, call.Pos(), lockMethod(mode))
 	}
 }
 
@@ -869,7 +965,7 @@ func (sc *simCtx) checkAccess(st *simState, sel *ast.SelectorExpr, write bool) {
 		need = modeWrite
 		verb = "written"
 	}
-	have := st.held[basePath+"."+g.lock]
+	have := st.must[basePath+"."+g.lock]
 	if have >= need {
 		return
 	}
@@ -889,9 +985,7 @@ func (sc *simCtx) checkAccess(st *simState, sel *ast.SelectorExpr, write bool) {
 func (sc *simCtx) unmet(pos token.Pos, basePath, name string, mode lockMode, what string) {
 	if !sc.escaped && basePath == sc.fi.recv && sc.fi.recv != "" {
 		if sc.infer {
-			if sc.inferred[name] < mode {
-				sc.inferred[name] = mode
-			}
+			raise(sc.inferred, name, mode)
 			return
 		}
 		// Check mode runs with the converged requirements held, so a

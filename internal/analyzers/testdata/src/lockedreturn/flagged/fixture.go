@@ -42,3 +42,34 @@ func (g *guarded) relock() int {
 	g.mu.Lock()
 	return g.n // want `lockedreturn: return leaks g.mu.Lock held since line \d+`
 }
+
+// earlyUnlockOnly releases on the error arm only: the fall-through
+// return still holds the lock, though an Unlock sits between them.
+func (g *guarded) earlyUnlockOnly(fail bool) int {
+	g.mu.Lock()
+	if fail {
+		g.mu.Unlock()
+		return -1
+	}
+	return g.n // want `lockedreturn: return leaks g.mu.Lock held since line \d+`
+}
+
+// maybeLocked holds the lock on one path into the return, not on every
+// path: the leak is on the path that took it.
+func (g *guarded) maybeLocked(c bool) int {
+	if c {
+		g.mu.Lock()
+	}
+	return g.n // want `lockedreturn: return leaks g.mu.Lock held since line \d+`
+}
+
+// deferLate arms its deferred unlock after the early return: that return
+// runs no deferred release.
+func (g *guarded) deferLate(fail bool) int {
+	g.mu.Lock()
+	if fail {
+		return -1 // want `lockedreturn: return leaks g.mu.Lock held since line \d+`
+	}
+	defer g.mu.Unlock()
+	return g.n
+}

@@ -64,3 +64,23 @@ func (s *srv) insertViaHelper(row []relstore.Value) error {
 	defer s.dbMu.Unlock()
 	return s.withDB(row)
 }
+
+// eachRow calls fn once per row before it returns.
+func eachRow(rows [][]relstore.Value, fn func([]relstore.Value) error) error {
+	for _, row := range rows {
+		if err := fn(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// insertAll's callback runs inside the dbMu critical section: a
+// function literal passed inline sees the locks of its call site.
+func (s *srv) insertAll(rows [][]relstore.Value) error {
+	s.dbMu.Lock()
+	defer s.dbMu.Unlock()
+	return eachRow(rows, func(row []relstore.Value) error {
+		return s.tab.Insert(row...)
+	})
+}

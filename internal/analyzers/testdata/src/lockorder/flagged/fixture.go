@@ -80,3 +80,37 @@ func (s *srv) withDB(row []relstore.Value) error {
 func (s *srv) callsWithDBUnlocked(row []relstore.Value) error {
 	return s.withDB(row) // want `lockorder: withDB requires dbMu held on entry \(graphlint:requires\) and is called outside a dbMu critical section`
 }
+
+// earlyReleaseOnly drops sessMu on the early-return arm only; the
+// fall-through still holds it when it takes dbMu.
+func (s *srv) earlyReleaseOnly(done bool) {
+	s.sessMu.Lock()
+	if done {
+		s.sessMu.Unlock()
+		return
+	}
+	s.dbMu.Lock() // want `lockorder: dbMu acquired while sessMu is held`
+	s.dbMu.Unlock()
+	s.sessMu.Unlock()
+}
+
+// maybeSess holds sessMu on one path only; taking dbMu after the branch
+// inverts the order on that path.
+func (s *srv) maybeSess(c bool) {
+	if c {
+		s.sessMu.Lock()
+		defer s.sessMu.Unlock()
+	}
+	s.dbMu.Lock() // want `lockorder: dbMu acquired while sessMu is held`
+	s.dbMu.Unlock()
+}
+
+// conditionalLock holds dbMu on one path only, so the insert after the
+// branch may run without it.
+func (s *srv) conditionalLock(lock bool, row []relstore.Value) error {
+	if lock {
+		s.dbMu.Lock()
+		defer s.dbMu.Unlock()
+	}
+	return s.tab.Insert(row...) // want `lockorder: \(Table\)\.Insert outside a dbMu critical section`
+}

@@ -150,11 +150,11 @@ type session struct {
 	// explain/analyze; nil otherwise. Immutable once set.
 	profile *graphgen.Profile
 	// view is a static session's frozen graph, which every analysis of
-	// the session runs on; viewMu makes concurrent first misses share one
-	// freeze (see Server.analyticsView). A live session's graph keeps its
-	// own view.
-	view   atomic.Pointer[core.Frozen]
-	viewMu sync.Mutex
+	// the session runs on; viewOnce makes concurrent first misses share
+	// one freeze (see Server.analyticsView). A live session's graph keeps
+	// its own view.
+	view     *core.Frozen
+	viewOnce sync.Once
 }
 
 // Server is the graph-serving daemon core, independent of the listener:
@@ -789,18 +789,11 @@ func (s *Server) analyticsView(sess *session) (*core.Frozen, uint64) {
 		s.metrics.observeView(build)
 		return f, version
 	}
-	if f := sess.view.Load(); f != nil {
-		return f, 0
-	}
-	sess.viewMu.Lock()
-	defer sess.viewMu.Unlock()
-	if f := sess.view.Load(); f != nil {
-		return f, 0
-	}
-	f := sess.static.Core().Freeze()
-	s.metrics.observeView(incremental.ViewFull)
-	sess.view.Store(f)
-	return f, 0
+	sess.viewOnce.Do(func() {
+		sess.view = sess.static.Core().Freeze()
+		s.metrics.observeView(incremental.ViewFull)
+	})
+	return sess.view, 0
 }
 
 // analysisParams carries the typed parameters of one analysis plus their
