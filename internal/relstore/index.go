@@ -1,7 +1,9 @@
 package relstore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -14,16 +16,18 @@ import (
 // equality-predicate scans and equi-joins; these are the relstore
 // substrate's equivalent, so that repeated extractions, the semi-naive
 // delta rounds, and live-graph delta evaluation stop paying a full table
-// scan per predicate.
+// scan per predicate. Entries are tagged with the table's row sequence
+// numbers (one sequence per table, locator.go): a bucket is sorted by
+// them, and a delete removes the entry carrying the deleted row's number.
 
-// indexEntry is one indexed row tagged with its table-order sequence
-// number. Sequence numbers increase monotonically per index; because
-// Delete and DeleteWhere preserve the relative order of surviving rows,
-// ascending sequence order inside (and across) buckets is exactly table
-// row order, which is what lets the index-backed operators reproduce the
-// scan operators' output row-for-row.
+// indexEntry is one indexed row tagged with its table sequence number.
+// Sequence numbers increase in insertion order and deletes preserve the
+// relative order of surviving rows, so ascending sequence order inside
+// (and across) buckets is exactly table row order, which is what lets the
+// index-backed operators reproduce the scan operators' output
+// row-for-row.
 type indexEntry struct {
-	seq uint64
+	seq uint32
 	row []Value
 }
 
@@ -39,15 +43,15 @@ type Index struct {
 	t   *Table
 	col int
 	// graphlint:guardedby external:dbMu
-	next uint64
-	// graphlint:guardedby external:dbMu
 	buckets map[string][]indexEntry
 }
 
 // CreateIndex builds (or returns, if one already exists) a hash index on
-// the named column. Building is O(rows); maintenance is O(1) per insert
-// and O(bucket) per delete, piggybacked on the mutation path that also
-// feeds the change log.
+// the named column, its entries tagged with the rows' table sequence
+// numbers. Building is O(rows); maintenance is O(1) per insert and, per
+// delete, a binary search for the row's sequence number plus a tail move
+// of its bucket, piggybacked on the mutation path that also feeds the
+// change log.
 func (t *Table) CreateIndex(col string) (*Index, error) {
 	i, ok := t.ColIndex(col)
 	if !ok {
@@ -57,10 +61,9 @@ func (t *Table) CreateIndex(col string) (*Index, error) {
 		return ix, nil
 	}
 	ix := &Index{t: t, col: i, buckets: make(map[string][]indexEntry)}
-	for _, row := range t.Rows {
+	for r, row := range t.Rows {
 		k := hashKey(row[i])
-		ix.buckets[k] = append(ix.buckets[k], indexEntry{seq: ix.next, row: row})
-		ix.next++
+		ix.buckets[k] = append(ix.buckets[k], indexEntry{seq: t.seqAt(r), row: row})
 	}
 	if t.indexes == nil {
 		t.indexes = make(map[int]*Index)
@@ -88,30 +91,22 @@ func (t *Table) IndexedColumns() []string {
 	return out
 }
 
-// apply keeps the index consistent with one single-tuple change. It runs
-// inside the table's mutation path, after the row storage has changed and
-// before change-log subscribers are notified.
-func (ix *Index) apply(ch Change) {
+// apply keeps the index consistent with one single-tuple change to the
+// row with sequence number seq. It runs inside the table's mutation path,
+// after the row storage has changed and before change-log subscribers are
+// notified.
+func (ix *Index) apply(ch Change, seq uint32) {
 	k := hashKey(ch.Row[ix.col])
+	bucket := ix.buckets[k]
 	if ch.Op == OpInsert {
-		ix.buckets[k] = append(ix.buckets[k], indexEntry{seq: ix.next, row: ch.Row})
-		ix.next++
+		ix.buckets[k] = append(bucket, indexEntry{seq: seq, row: ch.Row})
 		return
 	}
-	bucket := ix.buckets[k]
-	for i, e := range bucket {
-		// Remove the first full-tuple match: the table's Delete removed its
-		// first matching row, and bucket order mirrors table order, so this
-		// is the same (value-equal) row.
-		if RowsEqual(e.row, ch.Row) {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			if len(bucket) == 0 {
-				delete(ix.buckets, k)
-			} else {
-				ix.buckets[k] = bucket
-			}
-			return
-		}
+	i, _ := slices.BinarySearchFunc(bucket, seq, func(e indexEntry, s uint32) int { return cmp.Compare(e.seq, s) })
+	if bucket = append(bucket[:i], bucket[i+1:]...); len(bucket) == 0 {
+		delete(ix.buckets, k)
+	} else {
+		ix.buckets[k] = bucket
 	}
 }
 

@@ -170,6 +170,18 @@ type Table struct {
 	statsDirty bool
 	// graphlint:guardedby external:dbMu
 	nDistinct []int
+	// nextSeq is the sequence number the next inserted row gets
+	// (locator.go); while seqs is nil it equals len(Rows).
+	// graphlint:guardedby external:dbMu
+	nextSeq uint32
+	// seqs[i] is Rows[i]'s sequence number. It is nil until the first
+	// Delete or DeleteWhere; until then a row's number is its position.
+	// graphlint:guardedby external:dbMu
+	seqs []uint32
+	// loc finds a row by its full contents for Delete. It is built by the
+	// first Delete and kept up to date by every mutation after that.
+	// graphlint:guardedby external:dbMu
+	loc *rowLocator
 	// secondary hash indexes by column position (index.go), maintained
 	// in notify before change-log subscribers run.
 	// graphlint:guardedby external:dbMu
@@ -200,9 +212,23 @@ func (t *Table) Insert(row ...Value) error {
 	if len(row) != len(t.Cols) {
 		return fmt.Errorf("relstore: %s: row arity %d, schema arity %d", t.Name, len(row), len(t.Cols))
 	}
+	if t.nextSeq == seqLimit {
+		t.renumber()
+		if t.nextSeq == seqLimit {
+			return fmt.Errorf("relstore: %s: table holds %d rows, the most it can", t.Name, len(t.Rows))
+		}
+	}
+	seq := t.nextSeq
+	t.nextSeq++
 	t.Rows = append(t.Rows, row)
+	if t.seqs != nil {
+		t.seqs = append(t.seqs, seq)
+	}
+	if t.loc != nil {
+		t.loc.add(row, seq)
+	}
 	t.statsDirty = true
-	t.notify(Change{Op: OpInsert, Row: row})
+	t.notify(Change{Op: OpInsert, Row: row}, seq)
 	return nil
 }
 
@@ -210,19 +236,29 @@ func (t *Table) Insert(row ...Value) error {
 // reports whether one was found. Duplicate rows are legal in a relation
 // here, so a single Delete removes exactly one copy — the change-log
 // counterpart of one Insert.
+//
+// Cost: the first Delete of a table builds its full-row locator
+// (locator.go) in O(rows). After that a Delete hashes the tuple,
+// compares a constant expected number of rows, each found by a binary
+// search over the sequence numbers, and cuts the victim with one tail
+// move of Rows (a memmove of the rows after it); each index drops the
+// entry carrying the victim's sequence number.
 func (t *Table) Delete(row ...Value) (bool, error) {
 	if len(row) != len(t.Cols) {
 		return false, fmt.Errorf("relstore: %s: row arity %d, schema arity %d", t.Name, len(row), len(t.Cols))
 	}
-	for i, r := range t.Rows {
-		if RowsEqual(r, row) {
-			t.Rows = append(t.Rows[:i], t.Rows[i+1:]...)
-			t.statsDirty = true
-			t.notify(Change{Op: OpDelete, Row: r})
-			return true, nil
-		}
+	loc := t.locator()
+	slot, i := loc.find(row)
+	if slot < 0 {
+		return false, nil
 	}
-	return false, nil
+	r := t.Rows[i]
+	seq := t.cutSeq(i)
+	t.Rows = append(t.Rows[:i], t.Rows[i+1:]...)
+	loc.removeAt(slot)
+	t.statsDirty = true
+	t.notify(Change{Op: OpDelete, Row: r}, seq)
+	return true, nil
 }
 
 // DeleteWhere removes every row for which pred returns true and returns the
@@ -231,15 +267,19 @@ func (t *Table) Delete(row ...Value) (bool, error) {
 func (t *Table) DeleteWhere(pred func(row []Value) bool) int {
 	removed := 0
 	for i := 0; i < len(t.Rows); {
-		if !pred(t.Rows[i]) {
+		r := t.Rows[i]
+		if !pred(r) {
 			i++
 			continue
 		}
-		r := t.Rows[i]
+		seq := t.cutSeq(i)
 		t.Rows = append(t.Rows[:i], t.Rows[i+1:]...)
+		if t.loc != nil {
+			t.loc.remove(r, seq)
+		}
 		t.statsDirty = true
 		removed++
-		t.notify(Change{Op: OpDelete, Row: r})
+		t.notify(Change{Op: OpDelete, Row: r}, seq)
 	}
 	return removed
 }
@@ -273,13 +313,14 @@ func (t *Table) Subscribe(fn func(Change)) (cancel func()) {
 }
 
 // notify is the single-tuple mutation choke point: every index is brought
-// up to date first, then the change-log subscribers run — so a subscriber
-// (e.g. live-graph delta evaluation) that reads the table through an index
-// always observes the post-change state, the same convention subscribers
-// already rely on for the row storage itself.
-func (t *Table) notify(ch Change) {
+// up to date first, by the changed row's sequence number seq, then the
+// change-log subscribers run — so a subscriber (e.g. live-graph delta
+// evaluation) that reads the table through an index always observes the
+// post-change state, the same convention subscribers already rely on for
+// the row storage itself.
+func (t *Table) notify(ch Change, seq uint32) {
 	for _, ix := range t.indexes {
-		ix.apply(ch)
+		ix.apply(ch, seq)
 	}
 	for _, fn := range t.subs {
 		if fn != nil {

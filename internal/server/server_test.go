@@ -208,6 +208,64 @@ func TestBatchInsertAndDeleteCounts(t *testing.T) {
 	}
 }
 
+// TestBatchDeleteOfDuplicates names one tuple twice in a delete batch on a
+// table holding it three times: each name removes one copy, so two go and
+// one stays, and the live session then serves exactly what a fresh
+// extraction of the same database does.
+func TestBatchDeleteOfDuplicates(t *testing.T) {
+	s, ts := newTestServer(t, 60, 50)
+	createSession(t, ts, "live", true)
+	dup := []any{5, 777777}
+	code, res := doJSON(t, "POST", ts.URL+api+"/db/AuthorPub/insert", map[string]any{
+		"rows": []any{dup, dup, dup, []any{6, 777777}},
+	})
+	if code != http.StatusOK || res["applied"].(float64) != 4 {
+		t.Fatalf("insert: status %d, %v", code, res)
+	}
+	code, res = doJSON(t, "POST", ts.URL+api+"/db/AuthorPub/delete", map[string]any{"rows": []any{dup, dup}})
+	if code != http.StatusOK || res["applied"].(float64) != 2 || res["requested"].(float64) != 2 {
+		t.Fatalf("delete: status %d, %v", code, res)
+	}
+
+	fresh, err := s.engine.Extract(datagen.QueryCoauthors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats := doJSON(t, "GET", ts.URL+api+"/graphs/live/stats", nil)
+	if got, want := int(stats["vertices"].(float64)), fresh.NumVertices(); got != want {
+		t.Fatalf("live session has %d vertices, fresh extraction %d", got, want)
+	}
+	if got, want := int64(stats["logical_edges"].(float64)), fresh.LogicalEdges(); got != want {
+		t.Fatalf("live session has %d logical edges, fresh extraction %d", got, want)
+	}
+	if !fresh.ExistsEdge(5, 6) {
+		t.Fatal("the copy left of (5, 777777) should still join 5 and 6")
+	}
+	for it := fresh.Vertices(); ; {
+		v, ok := it.Next()
+		if !ok {
+			break
+		}
+		want := []int64{}
+		for nit := fresh.Neighbors(v); ; {
+			n, ok := nit.Next()
+			if !ok {
+				break
+			}
+			want = append(want, n)
+		}
+		slices.Sort(want)
+		_, body := doJSON(t, "GET", fmt.Sprintf("%s%s/graphs/live/neighbors?v=%d", ts.URL, api, v), nil)
+		got := []int64{}
+		for _, n := range body["neighbors"].([]any) {
+			got = append(got, int64(n.(float64)))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("vertex %d: served neighbors %v, fresh extraction %v", v, got, want)
+		}
+	}
+}
+
 func TestErrorStatuses(t *testing.T) {
 	_, ts := newTestServer(t, 50, 40)
 	createSession(t, ts, "co", false)

@@ -39,6 +39,12 @@ go test -run '^$' -fuzz '^FuzzCloseness$' -fuzztime 10s ./internal/workload
 echo "== fuzz row table"
 go test -run '^$' -fuzz '^FuzzRowSet$' -fuzztime 10s ./internal/relstore
 
+# Ten seconds past the committed FuzzTable corpus: Table (sequence numbers,
+# full-row locator) == the slice-table reference over decoded mutation
+# sequences.
+echo "== fuzz table"
+go test -run '^$' -fuzz '^FuzzTable$' -fuzztime 10s ./internal/relstore
+
 # The nested bench module is outside ./...; its one-second runs are
 # oracle checks (extraction rows, on the default planner path through
 # Engine.Extract and on the forced join pipeline; degrees and PageRank of
