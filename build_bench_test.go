@@ -1,0 +1,49 @@
+package graphgen
+
+import (
+	"testing"
+
+	"graphgen/internal/datagen"
+)
+
+// The graph-build benchmarks own the condensed build and the
+// representation conversions, on the committed benchmark's inputs (seed
+// 2): BenchmarkExtractCoactors is one extract-condensed op, query text to
+// C-DUP graph over 32 000 IMDB-like actors; BenchmarkConvertRepresentations
+// is dedup-analytics' four conversions of one 16 000-actor C-DUP graph,
+// without its analytics. B/op and allocs/op are exact; they are what
+// per-vertex garbage in the build shows up in.
+
+// BenchmarkExtractCoactors extracts the co-actor graph; the first
+// extraction, which also builds the join indexes, runs before the timer.
+func BenchmarkExtractCoactors(b *testing.B) {
+	engine := NewEngine(datagen.IMDBLike(2, 32000, 5200))
+	if _, err := engine.Extract(datagen.QueryCoactors); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Extract(datagen.QueryCoactors); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConvertRepresentations converts one C-DUP co-actor graph to
+// DEDUP-1, DEDUP-2, BITMAP and EXP per op.
+func BenchmarkConvertRepresentations(b *testing.B) {
+	cdup, err := NewEngine(datagen.IMDBLike(2, 16000, 2600)).Extract(datagen.QueryCoactors)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, rep := range []Representation{DEDUP1, DEDUP2, BITMAP, EXP} {
+			if _, err := cdup.As(rep); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -40,7 +40,7 @@ func (it *vertexIterator) Next() (graphapi.NodeID, bool) {
 // dominant cost; here it is a pooled mark set (see neighbors.go) borrowed
 // only while ForNeighbors runs, so the slice of IDs is the one allocation.
 func (g *Graph) Neighbors(v graphapi.NodeID) graphapi.Iterator {
-	r, ok := g.realIdx[v]
+	r, ok := g.RealIndex(v)
 	if !ok {
 		return graphapi.NewSliceIterator(nil)
 	}
@@ -54,11 +54,11 @@ func (g *Graph) Neighbors(v graphapi.NodeID) graphapi.Iterator {
 
 // ExistsEdge reports whether the logical edge u -> v exists.
 func (g *Graph) ExistsEdge(u, v graphapi.NodeID) bool {
-	ui, ok := g.realIdx[u]
+	ui, ok := g.RealIndex(u)
 	if !ok {
 		return false
 	}
-	vi, ok := g.realIdx[v]
+	vi, ok := g.RealIndex(v)
 	if !ok {
 		return false
 	}
@@ -73,11 +73,11 @@ func (g *Graph) DeleteVertex(v graphapi.NodeID) error { return g.DeleteVertexID(
 
 // AddEdge implements graphapi.Graph.
 func (g *Graph) AddEdge(u, v graphapi.NodeID) error {
-	ui, ok := g.realIdx[u]
+	ui, ok := g.RealIndex(u)
 	if !ok {
 		return fmt.Errorf("graphgen: vertex %d not found", u)
 	}
-	vi, ok := g.realIdx[v]
+	vi, ok := g.RealIndex(v)
 	if !ok {
 		return fmt.Errorf("graphgen: vertex %d not found", v)
 	}
@@ -86,11 +86,11 @@ func (g *Graph) AddEdge(u, v graphapi.NodeID) error {
 
 // DeleteEdge implements graphapi.Graph.
 func (g *Graph) DeleteEdge(u, v graphapi.NodeID) error {
-	ui, ok := g.realIdx[u]
+	ui, ok := g.RealIndex(u)
 	if !ok {
 		return fmt.Errorf("graphgen: vertex %d not found", u)
 	}
-	vi, ok := g.realIdx[v]
+	vi, ok := g.RealIndex(v)
 	if !ok {
 		return fmt.Errorf("graphgen: vertex %d not found", v)
 	}
@@ -102,7 +102,7 @@ func (g *Graph) NumVertices() int { return g.NumRealNodes() }
 
 // PropertyOf returns the named property of vertex v by external ID.
 func (g *Graph) PropertyOf(v graphapi.NodeID, key string) (string, bool) {
-	r, ok := g.realIdx[v]
+	r, ok := g.RealIndex(v)
 	if !ok {
 		return "", false
 	}
@@ -111,7 +111,7 @@ func (g *Graph) PropertyOf(v graphapi.NodeID, key string) (string, bool) {
 
 // SetPropertyOf sets the named property of vertex v by external ID.
 func (g *Graph) SetPropertyOf(v graphapi.NodeID, key, value string) error {
-	r, ok := g.realIdx[v]
+	r, ok := g.RealIndex(v)
 	if !ok {
 		return fmt.Errorf("graphgen: vertex %d not found", v)
 	}

@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"graphgen/internal/bitset"
@@ -91,6 +92,11 @@ const none int32 = -1
 // Adjacency uses the paper's CSR variant: per-node mutable in/out slices.
 // Real-node deletion is lazy (Section 3.4): deleted vertices are tombstoned
 // and skipped during iteration until Compact is called.
+//
+// Nothing is allocated per vertex outside its adjacency rows and the ID
+// map: real nodes live in flat per-slot arrays, and vertex properties are
+// stored one column per key (props.go). Grow sizes the per-slot arrays and
+// the ID map once before a bulk load.
 type Graph struct {
 	mode Mode
 
@@ -106,8 +112,8 @@ type Graph struct {
 
 	// Real nodes.
 	realID  []int64
-	realIdx map[int64]int32
-	props   []map[string]string
+	realIdx map[int64]int32 // external ID -> live slot
+	props   []propColumn    // one column per property key, in first-set order
 	dead    []bool
 	numDead int
 
@@ -151,6 +157,27 @@ func New(mode Mode) *Graph {
 	return &Graph{mode: mode, realIdx: make(map[int64]int32), vOutSorted: true}
 }
 
+// Grow reserves room for reals more real nodes: the ID array, the
+// tombstone flags and the four per-node adjacency headers are sized once,
+// so adding that many nodes (and setting a property on each) grows no array
+// one node at a time. The ID map, which a Go map cannot grow in place, is
+// presized only while the graph has no live nodes. Like slices.Grow it is a
+// capacity hint only; the graph's contents do not change.
+func (g *Graph) Grow(reals int) {
+	if reals <= 0 {
+		return
+	}
+	g.realID = slices.Grow(g.realID, reals)
+	g.dead = slices.Grow(g.dead, reals)
+	g.outVirt = slices.Grow(g.outVirt, reals)
+	g.outReal = slices.Grow(g.outReal, reals)
+	g.inVirt = slices.Grow(g.inVirt, reals)
+	g.inReal = slices.Grow(g.inReal, reals)
+	if len(g.realIdx) == 0 {
+		g.realIdx = make(map[int64]int32, reals)
+	}
+}
+
 // Mode returns the representation mode of the graph.
 func (g *Graph) Mode() Mode { return g.mode }
 
@@ -192,7 +219,6 @@ func (g *Graph) AddRealNode(id int64) int32 {
 	idx := int32(len(g.realID))
 	g.realID = append(g.realID, id)
 	g.realIdx[id] = idx
-	g.props = append(g.props, nil)
 	g.dead = append(g.dead, false)
 	g.outVirt = append(g.outVirt, nil)
 	g.outReal = append(g.outReal, nil)
@@ -230,27 +256,6 @@ func (g *Graph) RealIndex(id int64) (int32, bool) {
 
 // VirtLayer returns the layer tag of virtual node v.
 func (g *Graph) VirtLayer(v int32) int32 { return g.vLayer[v] }
-
-// Property returns the named property of real index r.
-func (g *Graph) Property(r int32, key string) (string, bool) {
-	if g.props[r] == nil {
-		return "", false
-	}
-	val, ok := g.props[r][key]
-	return val, ok
-}
-
-// SetProperty sets a property on real index r.
-func (g *Graph) SetProperty(r int32, key, value string) {
-	if g.props[r] == nil {
-		g.props[r] = make(map[string]string, 1)
-	}
-	g.props[r][key] = value
-}
-
-// Properties returns the property map of real index r (nil when the node has
-// none). The returned map must not be mutated.
-func (g *Graph) Properties(r int32) map[string]string { return g.props[r] }
 
 // --- Edge construction (used by extraction, generators, and dedup) ---
 
@@ -480,8 +485,8 @@ func (g *Graph) Clone() *Graph {
 		SelfLoops:  g.SelfLoops,
 		Symmetric:  g.Symmetric,
 		realID:     append([]int64(nil), g.realID...),
-		realIdx:    make(map[int64]int32, len(g.realIdx)),
-		props:      make([]map[string]string, len(g.props)),
+		realIdx:    maps.Clone(g.realIdx),
+		props:      cloneColumns(g.props),
 		dead:       append([]bool(nil), g.dead...),
 		numDead:    g.numDead,
 		outVirt:    cloneAdj(g.outVirt),
@@ -499,18 +504,6 @@ func (g *Graph) Clone() *Graph {
 		vUndir:     cloneAdj(g.vUndir),
 		bitmaps:    make([]map[int32]*bitset.Set, len(g.bitmaps)),
 		layerHint:  g.layerHint,
-	}
-	for id, idx := range g.realIdx {
-		ng.realIdx[id] = idx
-	}
-	for i, p := range g.props {
-		if p != nil {
-			np := make(map[string]string, len(p))
-			for k, v := range p {
-				np[k] = v
-			}
-			ng.props[i] = np
-		}
 	}
 	for i, m := range g.bitmaps {
 		if m != nil {

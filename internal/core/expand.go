@@ -135,14 +135,12 @@ func (g *Graph) Expand(maxEdges int64) (*Graph, error) {
 	// remap takes a source index to its index in ng; tombstones are skipped
 	// by ForEachReal and never looked up (ForNeighbors emits live nodes).
 	remap := make([]int32, len(g.realID))
+	ng.Grow(g.NumRealNodes())
 	g.ForEachReal(func(r int32) bool {
-		nr := ng.AddRealNode(g.realID[r])
-		remap[r] = nr
-		for k, v := range g.props[r] {
-			ng.SetProperty(nr, k, v)
-		}
+		remap[r] = ng.AddRealNode(g.realID[r])
 		return true
 	})
+	ng.CopyProperties(g, remap)
 	var count int64
 	var overflow bool
 	g.ForEachReal(func(r int32) bool {

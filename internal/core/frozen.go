@@ -13,13 +13,13 @@ import (
 // see the graph only through getNeighbors (Section 3.4) without walking
 // virtual nodes, mark sets or tombstones again.
 //
-// A view shares the source graph's per-vertex property maps by reference
-// rather than copying them. That is safe because no path mutates a property
-// map of a graph a view may be taken from: the incremental flush
-// (internal/incremental) only does edge surgery and virtual-node
-// bookkeeping, and a rebuild installs a brand-new Graph instead of editing
-// the old one. SetProperty on the source graph after Freeze would be
-// visible through the view; callers that do that must not freeze.
+// A view holds its own copy of the source graph's property columns,
+// gathered into dense order by Freeze, so SetProperty on the source after
+// Freeze is not visible through it. A view derived by FreezeFrom shares
+// its predecessor's columns (and IDs) read-only: the vertex set is the
+// same, and no path sets a property on a graph a view is derived from —
+// the incremental flush (internal/incremental) only does edge surgery and
+// virtual-node bookkeeping, and a rebuild installs a brand-new Graph.
 //
 // A Frozen is safe for concurrent use and satisfies the traversal surface
 // of internal/algo, so every algorithm runs on it unchanged; OutRow and
@@ -31,7 +31,7 @@ type Frozen struct {
 	out    []int32
 	inOff  []int64 // len n+1
 	in     []int32
-	props  []map[string]string // shared with the source graph, read-only
+	props  []propColumn // by dense index; shared with derived views, read-only
 	// first is the dense index of the source graph's lowest live slot —
 	// the vertex its Vertices iterator yields first — or -1 when empty.
 	first int32
@@ -41,8 +41,7 @@ type Frozen struct {
 // ForNeighbors pass per live vertex (so SelfLoops and every
 // representation's deduplication apply exactly as for any reader), then a
 // counting-sort transpose for the in-adjacency. g must not be mutated
-// while Freeze runs; the view stays valid after g changes, except for
-// property maps (see Frozen).
+// while Freeze runs; the view stays valid after g changes.
 func (g *Graph) Freeze() *Frozen {
 	n := g.NumRealNodes()
 	order := make([]int32, 0, n) // dense -> source slot
@@ -63,13 +62,12 @@ func (g *Graph) Freeze() *Frozen {
 		ids:    make([]int64, n),
 		outOff: make([]int64, n+1),
 		inOff:  make([]int64, n+1),
-		props:  make([]map[string]string, n),
+		props:  gatherColumns(g.props, order),
 		first:  none,
 	}
 	for i, r := range order {
 		dense[r] = int32(i)
 		f.ids[i] = g.realID[r]
-		f.props[i] = g.props[r]
 	}
 	if firstSlot != none {
 		f.first = dense[firstSlot]
@@ -110,10 +108,10 @@ func (g *Graph) Freeze() *Frozen {
 // whose ForNeighbors emission may differ from its row in prev. Under that
 // contract the result equals g.Freeze() array for array.
 //
-// The derived view shares prev's ids and property maps (the vertex set is
-// unchanged), copies each run of clean out-rows with one copy, appends the
-// re-walked dirty rows in place, and patches the in-rows of the targets a
-// dirty row had or now has; every other in-row is copied. prev is not
+// The derived view shares prev's ids and property columns (the vertex set
+// is unchanged), copies each run of clean out-rows with one copy, appends
+// the re-walked dirty rows in place, and patches the in-rows of the targets
+// a dirty row had or now has; every other in-row is copied. prev is not
 // modified, so views handed out earlier stay valid.
 func (g *Graph) FreezeFrom(prev *Frozen, dirty []int32) *Frozen {
 	n := int32(len(prev.ids))
@@ -143,7 +141,8 @@ func (g *Graph) FreezeFrom(prev *Frozen, dirty []int32) *Frozen {
 	touched := make([]int32, 0, 2*len(rows))
 	var removed int64
 	for i, d := range rows {
-		g.ForNeighbors(g.realIdx[prev.ids[d]], add)
+		r, _ := g.RealIndex(prev.ids[d])
+		g.ForNeighbors(r, add)
 		freshOff[i+1] = len(fresh)
 		old := prev.out[prev.outOff[d]:prev.outOff[d+1]]
 		removed += int64(len(old))
@@ -301,8 +300,7 @@ func (f *Frozen) PropertyOf(id int64, key string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	val, ok := f.props[r][key]
-	return val, ok
+	return lookupProperty(f.props, r, key)
 }
 
 // Diff names the first part in which f and o differ — "ids", "outOff",

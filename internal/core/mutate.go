@@ -11,7 +11,7 @@ import (
 
 // AddVertexID adds an isolated real vertex with the given external ID.
 func (g *Graph) AddVertexID(id int64) error {
-	if _, ok := g.realIdx[id]; ok {
+	if _, ok := g.RealIndex(id); ok {
 		return fmt.Errorf("graphgen: vertex %d already exists", id)
 	}
 	g.AddRealNode(id)
@@ -23,7 +23,7 @@ func (g *Graph) AddVertexID(id int64) error {
 // removed later in batch by Compact (the paper's lazy deletion mechanism,
 // Section 3.4, which avoids rebuilding the vertex index per deletion).
 func (g *Graph) DeleteVertexID(id int64) error {
-	r, ok := g.realIdx[id]
+	r, ok := g.RealIndex(id)
 	if !ok {
 		return fmt.Errorf("graphgen: vertex %d not found", id)
 	}
@@ -210,8 +210,8 @@ func (g *Graph) Compact() {
 		}
 	}
 	// Real-node arrays.
+	live := make([]int32, 0, n)
 	newID := make([]int64, 0, n)
-	newProps := make([]map[string]string, 0, n)
 	newOutVirt := make([][]int32, 0, n)
 	newOutReal := make([][]int32, 0, n)
 	newInVirt := make([][]int32, 0, n)
@@ -220,14 +220,14 @@ func (g *Graph) Compact() {
 		if g.dead[r] {
 			continue
 		}
+		live = append(live, int32(r))
 		newID = append(newID, g.realID[r])
-		newProps = append(newProps, g.props[r])
 		newOutVirt = append(newOutVirt, g.outVirt[r])
 		newOutReal = append(newOutReal, filter(g.outReal[r]))
 		newInVirt = append(newInVirt, g.inVirt[r])
 		newInReal = append(newInReal, filter(g.inReal[r]))
 	}
-	g.realID, g.props = newID, newProps
+	g.realID, g.props = newID, gatherColumns(g.props, live)
 	g.outVirt, g.outReal, g.inVirt, g.inReal = newOutVirt, newOutReal, newInVirt, newInReal
 	g.dead = make([]bool, n)
 	g.numDead = 0

@@ -46,7 +46,9 @@ func (g *Graph) TotalNodes() int { return g.NumRealNodes() + g.NumVirtualNodes()
 
 // MemBytes estimates the heap footprint of the representation, mirroring
 // the memory columns of Tables 3 and 4. It accounts for node arrays, the
-// vertex index, adjacency slices, property maps, and bitmaps.
+// vertex ID map, adjacency slices, the property columns (per key a string
+// header and a set flag per slot, plus the value bytes), and bitmaps.
+// Lengths are counted, not capacities.
 func (g *Graph) MemBytes() int64 {
 	const (
 		sliceHeader = 24
@@ -57,13 +59,9 @@ func (g *Graph) MemBytes() int64 {
 	b += int64(len(g.realID)) * (8 + 1 + 4*sliceHeader)
 	for r := range g.realID {
 		b += int64(len(g.outVirt[r])+len(g.outReal[r])+len(g.inVirt[r])+len(g.inReal[r])) * 4
-		if g.props[r] != nil {
-			for k, v := range g.props[r] {
-				b += int64(len(k)+len(v)) + mapEntry
-			}
-		}
 	}
 	b += int64(len(g.realIdx)) * mapEntry
+	b += propBytes(g.props)
 	// Virtual node arrays.
 	b += int64(len(g.vLayer)) * (4 + 1 + 5*sliceHeader)
 	for v := range g.vLayer {

@@ -60,14 +60,12 @@ func Dedup2Greedy(g *core.Graph, opts Options) (*core.Graph, Stats, error) {
 	for i := range remap {
 		remap[i] = -1
 	}
+	b.out.Grow(g.NumRealNodes())
 	g.ForEachReal(func(r int32) bool {
-		nr := b.out.AddRealNode(g.RealID(r))
-		remap[r] = nr
-		for key, val := range g.Properties(r) {
-			b.out.SetProperty(nr, key, val)
-		}
+		remap[r] = b.out.AddRealNode(g.RealID(r))
 		return true
 	})
+	b.out.CopyProperties(g, remap)
 	b.idx = make([][]int32, b.out.NumRealSlots())
 
 	for _, v := range virtualOrder(g, opts) {

@@ -105,45 +105,34 @@ func PlanEdges(db *relstore.DB, rule datalog.Rule, opts Options) (*EdgePlan, err
 
 // wirePlan evaluates the plan's segments against the database and
 // materializes the edges: direct edges for a single-segment plan, condensed
-// virtual-node wiring otherwise (Steps 4-5 of Section 4.2).
+// virtual-node wiring otherwise (Steps 4-5 of Section 4.2). Segments are
+// evaluated in chain order and each row is wired as its pipeline yields
+// it; no segment is materialized.
 func wirePlan(db *relstore.DB, g *core.Graph, plan *EdgePlan, opts Options, st *Stats) error {
-	rels := make([]*relstore.Rel, len(plan.Segments))
-	for i, s := range plan.Segments {
-		sp := opts.Trace.Push("segment", s.InVar+"->"+s.OutVar)
-		rel, err := EvalConjunctive(db, s.Atoms, []string{s.InVar, s.OutVar}, true, opts)
-		if err != nil {
-			sp.End()
-			return err
-		}
-		sp.AddRows(int64(len(rel.Rows)))
-		sp.End()
-		rels[i] = rel
-	}
-
-	if len(plan.Segments) == 1 {
+	last := len(plan.Segments) - 1
+	if last == 0 {
 		// No large-output join: the whole rule was handed to the
 		// database; load direct (expanded) edges.
 		var count int64
-		for _, row := range rels[0].Rows {
+		return streamSegment(db, plan.Segments[0], opts, func(row relstore.Row) error {
 			u, okU := g.RealIndex(AsID(row[0]))
 			v, okV := g.RealIndex(AsID(row[1]))
 			if !okU || !okV {
 				st.SkippedRows++
-				continue
+				return nil
 			}
 			g.AddDirectEdgeIdx(u, v)
 			count++
 			if opts.MaxEdges > 0 && count > opts.MaxEdges {
 				return core.ErrTooLarge
 			}
-		}
-		return nil
+			return nil
+		})
 	}
 
 	// Step 4: one virtual-node family per large join attribute; a virtual
 	// node per distinct value. Layer k is the k-th large join (1-based).
-	nAttrs := len(plan.Segments) - 1
-	virtOf := make([]map[relstore.Value]int32, nAttrs)
+	virtOf := make([]map[relstore.Value]int32, last)
 	for k := range virtOf {
 		virtOf[k] = make(map[relstore.Value]int32)
 	}
@@ -157,33 +146,61 @@ func wirePlan(db *relstore.DB, g *core.Graph, plan *EdgePlan, opts Options, st *
 	}
 
 	// Step 5: wire the condensed edges.
-	for i, rel := range rels {
-		switch {
-		case i == 0:
-			for _, row := range rel.Rows {
+	for i, s := range plan.Segments {
+		err := streamSegment(db, s, opts, func(row relstore.Row) error {
+			switch {
+			case i == 0:
 				r, ok := g.RealIndex(AsID(row[0]))
 				if !ok {
 					st.SkippedRows++
-					continue
+					return nil
 				}
 				g.ConnectRealToVirt(r, getVirt(0, row[1]))
-			}
-		case i == len(rels)-1:
-			for _, row := range rel.Rows {
+			case i == last:
 				r, ok := g.RealIndex(AsID(row[1]))
 				if !ok {
 					st.SkippedRows++
-					continue
+					return nil
 				}
 				g.ConnectVirtToReal(getVirt(i-1, row[0]), r)
-			}
-		default:
-			for _, row := range rel.Rows {
+			default:
 				g.ConnectVirtToVirt(getVirt(i-1, row[0]), getVirt(i, row[1]))
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// streamSegment evaluates one segment's (InVar, OutVar) projection and
+// hands each row to wire as the pipeline yields it, under a "segment" span
+// that records the rows out. An error from the pipeline or from wire
+// stops the stream; the pipeline is closed on every path.
+func streamSegment(db *relstore.DB, s SegmentPlan, opts Options, wire func(relstore.Row) error) error {
+	sp := opts.Trace.Push("segment", s.InVar+"->"+s.OutVar)
+	defer sp.End()
+	it, err := openConjunctive(db, s.Atoms, []string{s.InVar, s.OutVar}, true, opts)
+	if err != nil {
+		return err
+	}
+	var rows int64
+	for {
+		row, ok, err := it.Next()
+		if err == nil && ok {
+			rows++
+			err = wire(row)
+		}
+		if err != nil || !ok {
+			sp.AddRows(rows)
+			if cerr := it.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		}
+	}
 }
 
 // joinIsLarge applies the planner rule of Section 4.2 Step 2: the join on

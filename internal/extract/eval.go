@@ -17,6 +17,16 @@ import (
 // the row multiplicities are its initial support counts. The plan runs
 // under opts.ExecOpts as it is.
 func EvalConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, distinct bool, opts Options) (*relstore.Rel, error) {
+	it, err := openConjunctive(db, atoms, outVars, distinct, opts)
+	if err != nil {
+		return nil, err
+	}
+	return relstore.Collect(it)
+}
+
+// openConjunctive opens the pipeline EvalConjunctive collects, for callers
+// that consume its rows as they arrive; they must Close it.
+func openConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, distinct bool, opts Options) (relstore.RowIter, error) {
 	occs := make([]conj.Occurrence, len(atoms))
 	for i, a := range atoms {
 		t, err := db.Table(a.Pred)
@@ -26,11 +36,7 @@ func EvalConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, di
 		occs[i] = conj.Occurrence{Atom: a, Table: t}
 	}
 	plan := conj.Plan{Atoms: occs, Out: outVars, Distinct: distinct, Exec: opts.ExecOpts}
-	it, err := plan.Open()
-	if err != nil {
-		return nil, err
-	}
-	return relstore.Collect(it)
+	return plan.Open()
 }
 
 // EnsureIndexes walks the rules' positive bodies and creates (idempotently)

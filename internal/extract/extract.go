@@ -174,7 +174,9 @@ func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, err
 }
 
 // LoadNodes evaluates one Nodes rule and adds the result as real nodes with
-// properties named after the head variables. It is exported for the
+// properties named after the head variables. The rule's rows are collected
+// first so that their count sizes the graph's node arrays (Graph.Grow)
+// before the load. It is exported for the
 // incremental-maintenance subsystem, which builds its own graph from the
 // same rules.
 func LoadNodes(db *relstore.DB, g *core.Graph, rule datalog.Rule, opts Options) error {
@@ -192,6 +194,7 @@ func LoadNodes(db *relstore.DB, g *core.Graph, rule datalog.Rule, opts Options) 
 		return err
 	}
 	sp.AddRows(int64(len(rel.Rows)))
+	g.Grow(len(rel.Rows))
 	for _, row := range rel.Rows {
 		if row[0].T != relstore.Int {
 			return fmt.Errorf("extract: node ID attribute must be an integer column (rule %s)", rule.Head)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"graphgen/internal/core"
 	"graphgen/internal/datalog"
 	"graphgen/internal/extract"
 	"graphgen/internal/relstore"
@@ -107,10 +108,42 @@ func FuzzLiveView(f *testing.F) {
 			if op&0x80 != 0 {
 				step := fmt.Sprintf("after op %d", i/2)
 				views.check(t, lv, step)
+				checkViewProperties(t, lv, views.last, step)
 				checkEquivalence(t, lv, db, prog, opts, step)
 			}
 		}
 		views.check(t, lv, "final")
+		checkViewProperties(t, lv, views.last, "final")
 		checkEquivalence(t, lv, db, prog, opts, "final")
 	})
+}
+
+// checkViewProperties asserts that every vertex of view carries the live
+// graph's properties: each one ForEachProperty yields reads the same
+// through the view's PropertyOf, and a key the graph never set reads as
+// unset.
+func checkViewProperties(t *testing.T, lv *Live, view *core.Frozen, step string) {
+	t.Helper()
+	lv.mu.RLock()
+	defer lv.mu.RUnlock()
+	for _, id := range view.IDs() {
+		r, ok := lv.g.RealIndex(id)
+		if !ok {
+			t.Fatalf("%s: view vertex %d is not in the live graph", step, id)
+		}
+		n := 0
+		lv.g.ForEachProperty(r, func(k, v string) bool {
+			n++
+			if got, ok := view.PropertyOf(id, k); !ok || got != v {
+				t.Fatalf("%s: view PropertyOf(%d, %s) = %q,%v, live graph %q", step, id, k, got, ok, v)
+			}
+			return true
+		})
+		if n == 0 {
+			t.Fatalf("%s: live vertex %d has no properties", step, id)
+		}
+		if v, ok := view.PropertyOf(id, "unset"); ok {
+			t.Fatalf("%s: view PropertyOf(%d, unset) = %q", step, id, v)
+		}
+	}
 }

@@ -18,7 +18,7 @@ import (
 // line-oriented text format:
 //
 //	G <mode> <selfLoops> <symmetric>
-//	N <id> [key=value]...          real node
+//	N <id> [key=value]...          real node, keys in the graph's key order
 //	V <tag> <layer>                virtual node (tag is file-local)
 //	S <tag> <realID>               source edge  real -> virtual
 //	T <tag> <realID>               target edge  virtual -> real
@@ -41,15 +41,16 @@ func WriteCondensed(w io.Writer, g *core.Graph) error {
 	var err error
 	g.ForEachReal(func(r int32) bool {
 		fmt.Fprintf(bw, "N %d", g.RealID(r))
-		for k, v := range g.Properties(r) {
+		g.ForEachProperty(r, func(k, v string) bool {
 			if strings.ContainsAny(k, " \n") || strings.ContainsAny(v, " \n") {
 				err = fmt.Errorf("serialize: property %q=%q contains whitespace", k, v)
 				return false
 			}
 			fmt.Fprintf(bw, " %s=%s", k, v)
-		}
+			return true
+		})
 		fmt.Fprintln(bw)
-		return true
+		return err == nil
 	})
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package serialize
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -150,5 +151,53 @@ func TestCondensedRejectsWhitespaceProps(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteCondensed(&buf, g); err == nil {
 		t.Fatal("expected whitespace-property error")
+	}
+}
+
+// TestCondensedPropertiesDeterministic writes a graph whose vertices carry
+// several properties, set in different orders per vertex, 50 times: every
+// write must be byte-identical (properties in the graph's key order, not
+// a map's), and each must read back to the same properties.
+func TestCondensedPropertiesDeterministic(t *testing.T) {
+	g := datagen.Condensed(datagen.CondensedConfig{
+		Seed: 12, RealNodes: 20, VirtualNodes: 8, MeanSize: 4, StdDev: 1,
+	})
+	keys := []string{"e", "a", "d", "b", "c"}
+	for r := int32(0); int(r) < g.NumRealSlots(); r++ {
+		for k := range keys {
+			key := keys[(k+int(r))%len(keys)]
+			if (int(r)+k)%4 != 3 { // leave some properties unset
+				g.SetProperty(r, key, fmt.Sprintf("x%s%d", key, r))
+			}
+		}
+	}
+	var first []byte
+	for i := 0; i < 50; i++ {
+		var buf bytes.Buffer
+		if err := WriteCondensed(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = bytes.Clone(buf.Bytes())
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("write %d differs from write 0", i)
+		}
+		back, err := ReadCondensed(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := int32(0); int(r) < g.NumRealSlots(); r++ {
+			br, ok := back.RealIndex(g.RealID(r))
+			if !ok {
+				t.Fatalf("vertex %d lost", g.RealID(r))
+			}
+			for _, key := range keys {
+				want, wok := g.Property(r, key)
+				got, gok := back.Property(br, key)
+				if got != want || gok != wok {
+					t.Fatalf("vertex %d %s: read %q,%v, wrote %q,%v", g.RealID(r), key, got, gok, want, wok)
+				}
+			}
+		}
 	}
 }

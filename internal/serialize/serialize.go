@@ -61,9 +61,13 @@ func WriteJSON(w io.Writer, g *core.Graph) error {
 	doc := JSONGraph{Directed: !g.Symmetric}
 	g.ForEachReal(func(r int32) bool {
 		node := JSONNode{ID: g.RealID(r)}
-		if props := g.Properties(r); len(props) > 0 {
-			node.Props = props
-		}
+		g.ForEachProperty(r, func(k, v string) bool {
+			if node.Props == nil {
+				node.Props = make(map[string]string)
+			}
+			node.Props[k] = v
+			return true
+		})
 		doc.Nodes = append(doc.Nodes, node)
 		return true
 	})

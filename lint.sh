@@ -45,6 +45,12 @@ go test -run '^$' -fuzz '^FuzzRowSet$' -fuzztime 10s ./internal/relstore
 echo "== fuzz table"
 go test -run '^$' -fuzz '^FuzzTable$' -fuzztime 10s ./internal/relstore
 
+# One iteration each of the root module's graph-build benchmarks (co-actor
+# extraction, the four representation conversions): they must compile and
+# run; the numbers gate nothing.
+echo "== graph-build benchmarks (smoke)"
+go test -run '^$' -bench 'ExtractCoactors|ConvertRepresentations' -benchtime 1x .
+
 # The nested bench module is outside ./...; its one-second runs are
 # oracle checks (extraction rows, on the default planner path through
 # Engine.Extract and on the forced join pipeline; degrees and PageRank of

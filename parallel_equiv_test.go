@@ -41,11 +41,13 @@ func coreFingerprint(g *core.Graph) string {
 			continue
 		}
 		fmt.Fprintf(&sb, "N %d", g.RealID(r))
-		props := g.Properties(r)
-		keys := make([]string, 0, len(props))
-		for k := range props {
+		props := map[string]string{}
+		var keys []string
+		g.ForEachProperty(r, func(k, v string) bool {
+			props[k] = v
 			keys = append(keys, k)
-		}
+			return true
+		})
 		sort.Strings(keys)
 		for _, k := range keys {
 			fmt.Fprintf(&sb, " %s=%s", k, props[k])
