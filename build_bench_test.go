@@ -47,3 +47,25 @@ func BenchmarkConvertRepresentations(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPageRank runs dedup-analytics' PageRank (10 iterations, damping
+// 0.85) on each representation of the 16 000-actor co-actor graph, one
+// sub-benchmark per representation; the conversions run before the timer.
+func BenchmarkPageRank(b *testing.B) {
+	cdup, err := NewEngine(datagen.IMDBLike(2, 16000, 2600)).Extract(datagen.QueryCoactors)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rep := range []Representation{CDUP, DEDUP1, DEDUP2, BITMAP, EXP} {
+		g, err := cdup.As(rep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(rep.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.PageRank(10, 0.85)
+			}
+		})
+	}
+}

@@ -13,9 +13,14 @@
 // view every served analysis runs on). They check for it once per call and
 // then range over the slices, so a traversal of a view pays no indirect
 // call per edge. Every other graph, *core.Graph included, takes the
-// callback loop; PageRank, triangles and the community kernels are
-// callback-only.
+// callback loop. PageRank, which sweeps every edge once per iteration,
+// ranges over a view's rows too, and on any other graph builds an exact
+// copy of the logical in-edges first when that copy costs no more than
+// the graph itself (see pullRows). Triangles and the community kernels
+// are callback-only.
 package algo
+
+import "math"
 
 // Graph is the traversal surface the algorithms need: dense real-node
 // indices in [0, NumRealSlots) of which the Alive ones are vertices, and the
@@ -159,8 +164,15 @@ func bfsRows(g flatRows, frontier, dist []int32, reached int) (int, int32, int64
 // PageRank runs iters iterations of textbook damped PageRank and returns
 // the rank per dense node index. It is a pull-based formulation over
 // logical in-neighbors; dangling mass is dropped (not redistributed), the
-// same convention the vertex-centric and BSP implementations follow so that
-// all three engines agree bit-for-bit.
+// same convention the vertex-centric and BSP implementations follow, so
+// all three engines agree up to float summation order.
+//
+// Each iteration divides every source's rank by its out-degree once and
+// then sums, per vertex, its in-neighbors' shares in the order
+// ForInNeighbors yields them. The in-neighbors come from pullRows: a
+// view's own rows, a flat copy of the logical in-edges, or — when that
+// copy would cost more than the graph itself — one callback per edge.
+// All three sum in the same order, so the ranks are the same bits.
 func PageRank(g Graph, iters int, damping float64) []float64 {
 	n := g.NumRealNodes()
 	slots := int32(g.NumRealSlots())
@@ -169,31 +181,125 @@ func PageRank(g Graph, iters int, damping float64) []float64 {
 	if n == 0 {
 		return rank
 	}
-	outDeg := Degrees(g)
+	outDeg, rows := pullRows(g)
 	for r := range slots {
 		if g.Alive(r) {
 			rank[r] = 1.0 / float64(n)
 		}
 	}
 	base := (1 - damping) / float64(n)
+	// share[s] is rank[s]/outDeg[s]; a source without out-edges keeps 0.
+	share := make([]float64, slots)
 	sum := 0.0
 	pull := func(s int32) bool {
-		if outDeg[s] > 0 {
-			sum += rank[s] / float64(outDeg[s])
-		}
+		sum += share[s]
 		return true
 	}
 	for it := 0; it < iters; it++ {
+		for s, d := range outDeg {
+			if d > 0 {
+				share[s] = rank[s] / float64(d)
+			}
+		}
 		for r := range slots {
-			if g.Alive(r) {
+			if !g.Alive(r) {
+				continue
+			}
+			if rows == nil {
 				sum = 0
 				g.ForInNeighbors(r, pull)
 				next[r] = base + damping*sum
+				continue
 			}
+			acc := 0.0
+			for _, s := range rows.InRow(r) {
+				acc += share[s]
+			}
+			next[r] = base + damping*acc
 		}
 		rank, next = next, rank
 	}
 	return rank
+}
+
+// inRows hands out each vertex's logical in-neighbors as one slice, in
+// ForInNeighbors order. *core.Frozen and *inAdjacency satisfy it.
+type inRows interface {
+	InRow(r int32) []int32
+}
+
+// inAdjacency is an exactly sized copy of a graph's logical in-edges:
+// the in-neighbors of r are src[off[r]:off[r+1]].
+type inAdjacency struct {
+	off []int32
+	src []int32
+}
+
+func (a *inAdjacency) InRow(r int32) []int32 {
+	lo, hi := a.off[r], a.off[r+1]
+	return a.src[lo:hi:hi]
+}
+
+// pullRows returns PageRank's inputs: every slot's logical out-degree and
+// the in-neighbor rows, or nil rows when PageRank must pull through
+// ForInNeighbors instead.
+//
+// A view's rows are its own, and nothing is built. Any other graph is
+// swept once with ForNeighbors, counting out- and in-degrees. When 4 B per
+// logical edge is no more than the graph's own MemBytes (and the edges fit
+// int32 offsets), one ForInNeighbors sweep then fills an exact copy of the
+// in-rows. Otherwise rows is nil: a condensed graph whose expansion is
+// large against the graph — the paper's reason to keep it condensed — is
+// not expanded behind the caller's back. A graph that does not report
+// MemBytes is never copied.
+func pullRows(g Graph) ([]int32, inRows) {
+	outDeg := make([]int32, g.NumRealSlots())
+	if fg, ok := g.(flatRows); ok {
+		for r := range int32(len(outDeg)) {
+			if fg.Alive(r) {
+				outDeg[r] = int32(len(fg.OutRow(r)))
+			}
+		}
+		return outDeg, fg
+	}
+	inDeg := make([]int32, len(outDeg)+1)
+	var edges int64
+	var src int32
+	count := func(t int32) bool {
+		outDeg[src]++
+		inDeg[t]++
+		return true
+	}
+	for src = range int32(len(outDeg)) {
+		if g.Alive(src) {
+			g.ForNeighbors(src, count)
+			edges += int64(outDeg[src])
+		}
+	}
+	sized, ok := g.(interface{ MemBytes() int64 })
+	if !ok || edges > math.MaxInt32 || 4*edges > sized.MemBytes() {
+		return outDeg, nil
+	}
+	// inDeg becomes the offsets in place: off[r] is the sum of the
+	// in-degrees before r.
+	off := inDeg
+	var at int32
+	for r, d := range off {
+		off[r] = at
+		at += d
+	}
+	adj := &inAdjacency{off: off, src: make([]int32, edges)}
+	var pos int32
+	fill := func(s int32) bool {
+		adj.src[pos] = s
+		pos++
+		return true
+	}
+	for r := range int32(len(outDeg)) {
+		pos = off[r]
+		g.ForInNeighbors(r, fill)
+	}
+	return outDeg, adj
 }
 
 // ConnectedComponents labels weakly connected components (edges treated as

@@ -128,6 +128,14 @@ func (g *Graph) ExpandedEdgeCount() int64 { return g.LogicalEdges() }
 // Expand materializes the fully expanded graph (EXP). maxEdges bounds the
 // number of expanded edges; 0 means unlimited. On overflow it returns
 // ErrTooLarge, modelling the paper's infeasible-EXP cases.
+//
+// The build counts, then fills. One ForNeighbors sweep collects each
+// vertex's logical out-neighbors into a reused buffer, stores them as an
+// exactly sized out-row and counts in-degrees on the way. Each in-row is
+// then allocated at its exact size and filled by transposing the out-rows
+// in ascending source order, the order in which appending edge by edge
+// would fill it. Every row has len == cap, and the graph holds two
+// allocations per vertex with edges besides its per-graph arrays.
 func (g *Graph) Expand(maxEdges int64) (*Graph, error) {
 	ng := New(EXP)
 	ng.SelfLoops = g.SelfLoops
@@ -141,23 +149,43 @@ func (g *Graph) Expand(maxEdges int64) (*Graph, error) {
 		return true
 	})
 	ng.CopyProperties(g, remap)
+	inDeg := make([]int32, len(ng.realID))
+	var row []int32
 	var count int64
 	var overflow bool
+	collect := func(t int32) bool {
+		nt := remap[t]
+		row = append(row, nt)
+		inDeg[nt]++
+		count++
+		if maxEdges > 0 && count > maxEdges {
+			overflow = true
+			return false
+		}
+		return true
+	}
 	g.ForEachReal(func(r int32) bool {
-		nr := remap[r]
-		g.ForNeighbors(r, func(t int32) bool {
-			ng.AddDirectEdgeIdx(nr, remap[t])
-			count++
-			if maxEdges > 0 && count > maxEdges {
-				overflow = true
-				return false
-			}
-			return true
-		})
+		row = row[:0]
+		g.ForNeighbors(r, collect)
+		if len(row) > 0 && !overflow {
+			out := make([]int32, len(row))
+			copy(out, row)
+			ng.outReal[remap[r]] = out
+		}
 		return !overflow
 	})
 	if overflow {
 		return nil, ErrTooLarge
+	}
+	for t, d := range inDeg {
+		if d > 0 {
+			ng.inReal[t] = make([]int32, 0, d)
+		}
+	}
+	for s, out := range ng.outReal {
+		for _, t := range out {
+			ng.inReal[t] = append(ng.inReal[t], int32(s))
+		}
 	}
 	return ng, nil
 }

@@ -46,10 +46,11 @@ echo "== fuzz table"
 go test -run '^$' -fuzz '^FuzzTable$' -fuzztime 10s ./internal/relstore
 
 # One iteration each of the root module's graph-build benchmarks (co-actor
-# extraction, the four representation conversions): they must compile and
-# run; the numbers gate nothing.
+# extraction, the four representation conversions) and of its
+# per-representation PageRank: they must compile and run; the numbers
+# gate nothing.
 echo "== graph-build benchmarks (smoke)"
-go test -run '^$' -bench 'ExtractCoactors|ConvertRepresentations' -benchtime 1x .
+go test -run '^$' -bench 'ExtractCoactors|ConvertRepresentations|PageRank' -benchtime 1x .
 
 # The nested bench module is outside ./...; its one-second runs are
 # oracle checks (extraction rows, on the default planner path through
