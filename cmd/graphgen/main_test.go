@@ -26,8 +26,8 @@ func TestRunDispatch(t *testing.T) {
 	}
 	// Recursive reachability over the course-link graph (courses linked
 	// when a student took both), then instructor pairs connected through
-	// reachable courses — 3 strata once the Edges body (it carries a
-	// comparison) desugars into its own derived predicate.
+	// reachable courses — 2 strata: the Edges body's comparison is a
+	// filter in its extraction plan, not a derived predicate.
 	programFile := filepath.Join(tmp, "reach.dl")
 	if err := os.WriteFile(programFile, []byte(
 		"Link(C, D) :- TookCourse(S, C), TookCourse(S, D), C != D.\n"+
@@ -114,7 +114,7 @@ func TestRunDispatch(t *testing.T) {
 			name:       "recursive program extraction",
 			args:       []string{"-dataset", "univ", "-program", programFile, "-analyze", "components"},
 			wantCode:   0,
-			wantStdout: "program: 3 strata",
+			wantStdout: "program: 2 strata",
 		},
 		{
 			name:       "program with analysis output",

@@ -195,7 +195,8 @@ func NewEngine(db *DB, opts ...Option) *Engine {
 func (e *Engine) DB() *DB { return e.db }
 
 // Extract parses and executes an extraction program written in the Datalog
-// DSL and returns the in-memory graph.
+// DSL — Nodes and Edges rules over base tables, with comparisons and
+// negated atoms — and returns the in-memory graph.
 func (e *Engine) Extract(dsl string, opts ...Option) (*Graph, error) {
 	prog, err := datalog.Parse(dsl)
 	if err != nil {
@@ -244,7 +245,10 @@ func (e *Engine) ExtractBatched(queries []string, memBudget int64, opts ...Optio
 
 // Validate parses the DSL and classifies each Edges rule as Case 1
 // (condensable chain) or Case 2 (full expansion) without touching the
-// database. It returns one entry per Edges rule; true means Case 1.
+// database. It returns one entry per Edges rule; true means Case 1. A
+// chain rule can still plan as Case 2 once the data is known: a
+// comparison or negated atom whose variables span two segments forces it
+// when the planner postpones the join between them.
 func Validate(dsl string) ([]bool, error) {
 	prog, err := datalog.Parse(dsl)
 	if err != nil {

@@ -170,8 +170,7 @@ func (c Comparison) Vars() []string {
 }
 
 // Rule is head :- body. Body holds the positive atoms; Negated the atoms
-// prefixed with `!` (or `not`); Comps the comparison literals. The legacy
-// non-recursive fragment (Parse) only populates Body.
+// prefixed with `!` (or `not`); Comps the comparison literals.
 type Rule struct {
 	Head    Atom
 	Body    []Atom

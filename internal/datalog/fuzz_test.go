@@ -17,6 +17,10 @@ var fuzzSeeds = []string{
 	"P(A) :- R(A), not S(A).\nQ(A) :- R(A), !S(A).\nNodes(A) :- R(A).\nEdges(A, B) :- P(A), Q(B).",
 	"P(A, B) :- R(A, B), A < B, A <= 10, B > 0, B >= A, A = A, A == B.\nNodes(A) :- R(A, _).\nEdges(A, B) :- P(A, B).",
 	"Q(not) :- R(not), not < 5.\nP(A) :- not(A).\nNodes(A) :- R(A).\nEdges(A, B) :- P(A), Q(B).",
+	// Valid: filtered extraction bodies (Parse accepts them too).
+	"Nodes(ID, N) :- Author(ID, N).\nEdges(A, B) :- AuthorPubYear(A, P, Y), AuthorPubYear(B, P, _), Y >= 2010.",
+	"Nodes(ID, N) :- Author(ID, N), !Banned(ID), ID <= 40.\nEdges(A, B) :- R(A, P), R(B, P), not Retracted(P), A != B, 1 < 2.",
+	"Nodes(A) :- R(A, _).\nEdges(A, B) :- R(A, C), R(C, D), R(D, B), A < D, !S(B, 'x').",
 	// Valid: escapes, comments, negative ints.
 	"% comment\nNodes(A) :- R(A, 'O\\'Brien', \"say \\\"hi\\\"\", 'a\\\\b\\n\\t'). // tail\nEdges(A, B) :- R(A, B), S(B, -42).",
 	// Garbage and truncations.
@@ -35,17 +39,25 @@ var fuzzSeeds = []string{
 	":- R(A).",
 }
 
-// FuzzParse asserts two invariants over arbitrary input: parsing never
-// panics and always fails with a positioned *SyntaxError, and any program
-// that parses renders (String) to source that re-parses to a stable
-// rendering — so error reporting and the printer can be trusted on any
-// input.
+// FuzzParse asserts three invariants over arbitrary input: parsing never
+// panics and always fails with a positioned *SyntaxError; any program that
+// parses renders (String) to source that re-parses to a stable rendering —
+// so error reporting and the printer can be trusted on any input; and
+// Parse succeeds exactly when ParseProgram does with no derived
+// predicates, returning the same extraction statements.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		ps, err := ParseProgram(src)
+		p, perr := Parse(src)
+		if want := err == nil && len(ps.IDB) == 0; (perr == nil) != want {
+			t.Fatalf("Parse err = %v, ParseProgram err = %v: Parse must succeed exactly on programs without derived predicates", perr, err)
+		}
+		if perr == nil && p.String() != (&Program{Nodes: ps.Nodes, Edges: ps.Edges}).String() {
+			t.Fatalf("Parse/ParseProgram disagree:\n%s\nvs\n%s", p, ps)
+		}
 		if err != nil {
 			var se *SyntaxError
 			if !errors.As(err, &se) {
@@ -63,15 +75,6 @@ func FuzzParse(f *testing.F) {
 		}
 		if again := ps2.String(); again != out {
 			t.Fatalf("rendering unstable:\nfirst:  %q\nsecond: %q", out, again)
-		}
-		// The legacy entry point must agree with ParseProgram on the
-		// legacy fragment: it may reject (program constructs) but must
-		// never panic or succeed with different rule counts.
-		if p, err := Parse(src); err == nil {
-			if len(p.Nodes) != len(ps.Nodes) || len(p.Edges) != len(ps.Edges) {
-				t.Fatalf("Parse/ParseProgram disagree: %d/%d vs %d/%d nodes/edges",
-					len(p.Nodes), len(p.Edges), len(ps.Nodes), len(ps.Edges))
-			}
 		}
 	})
 }

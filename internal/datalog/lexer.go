@@ -1,16 +1,17 @@
 // Package datalog implements GraphGen's graph-extraction DSL (Section 3.2).
 // Two entry points parse two fragments of the language:
 //
-// Parse accepts the original non-recursive fragment — only the special head
-// predicates Nodes and Edges, positive conjunctive bodies:
+// Parse accepts the non-recursive fragment — only the special head
+// predicates Nodes and Edges, conjunctive bodies over base tables with
+// negated atoms (`!P(X)` or `not P(X)`) and comparison literals (`<`, `<=`,
+// `>`, `>=`, `=`, `!=`), which the extraction planner places as filters:
 //
 //	Nodes(ID, Name) :- Author(ID, Name).
-//	Edges(ID1, ID2) :- AuthorPub(ID1, PubID), AuthorPub(ID2, PubID).
+//	Edges(ID1, ID2) :- AuthorPubYear(ID1, PubID, Y), AuthorPubYear(ID2, PubID, _), Y >= 2010.
 //
-// ParseProgram accepts full multi-rule programs: derived (IDB) predicates,
-// recursion, negated atoms (`!P(X)` or `not P(X)`), and comparison literals
-// (`<`, `<=`, `>`, `>=`, `=`, `!=`), stratified by Stratify and evaluated
-// bottom-up by internal/datalogeval:
+// ParseProgram accepts full multi-rule programs: the same bodies plus
+// derived (IDB) predicates and recursion, stratified by Stratify and
+// evaluated bottom-up by internal/datalogeval:
 //
 //	Coauthor(A, B) :- AuthorPub(A, P), AuthorPub(B, P), A != B.
 //	Reach(A, B)    :- Coauthor(A, B).

@@ -6,15 +6,16 @@ import (
 	"strings"
 )
 
-// Parse parses an extraction program in the legacy non-recursive fragment.
-// It enforces the structural rules of Section 3.2: at least one Nodes
+// Parse parses an extraction program in the non-recursive fragment. It
+// enforces the structural rules of Section 3.2: at least one Nodes
 // statement, at least one Edges statement, head predicates restricted to
 // Nodes/Edges, Nodes heads with >= 1 term and Edges heads with >= 2 terms
-// (the ID positions), and non-recursive positive bodies. Programs that need
-// derived predicates, recursion, negation, or comparisons must go through
-// ParseProgram and the program evaluator instead.
+// (the ID positions), and bodies over base tables only. Bodies may carry
+// negated atoms and comparison literals; the extraction planner places
+// them as filters. Programs that need derived predicates or recursion must
+// go through ParseProgram and the program evaluator instead.
 func Parse(src string) (*Program, error) {
-	// The IDB and negation/comparison checks run before the structural
+	// The derived-predicate check runs before the structural
 	// Nodes/Edges-presence checks so a misspelled head (`Node(A) :- ...`)
 	// is reported as the bad head it is, at its own position, rather than
 	// as a missing-Nodes-statement program error.
@@ -26,18 +27,6 @@ func Parse(src string) (*Program, error) {
 		r := ps.IDB[0]
 		return nil, &SyntaxError{Line: r.Head.Line, Col: r.Head.Col,
 			Msg: fmt.Sprintf("head predicate must be Nodes or Edges, got %q (derived predicates need program evaluation — ExtractProgram)", r.Head.Pred)}
-	}
-	for _, r := range ps.Rules {
-		if len(r.Negated) > 0 {
-			a := r.Negated[0]
-			return nil, &SyntaxError{Line: a.Line, Col: a.Col,
-				Msg: "negated atoms need program evaluation (ExtractProgram)"}
-		}
-		if len(r.Comps) > 0 {
-			c := r.Comps[0]
-			return nil, &SyntaxError{Line: c.Line, Col: c.Col,
-				Msg: "comparison literals need program evaluation (ExtractProgram)"}
-		}
 	}
 	if err := checkPresence(ps); err != nil {
 		return nil, err
@@ -103,9 +92,6 @@ func parseProgramSet(src string) (*ProgramSet, error) {
 			}
 			ps.Edges = append(ps.Edges, rule)
 		default:
-			if strings.HasPrefix(strings.ToLower(rule.Head.Pred), reservedAuxPrefix) {
-				return nil, p.errAt(rule.Head, fmt.Sprintf("predicate names starting with %q are reserved for desugared extraction bodies", reservedAuxPrefix))
-			}
 			for _, t := range rule.Head.Terms {
 				if t.Kind == TermWildcard {
 					return nil, p.errAt(rule.Head, fmt.Sprintf("wildcard _ cannot appear in the head of %q", rule.Head.Pred))
@@ -118,20 +104,11 @@ func parseProgramSet(src string) (*ProgramSet, error) {
 			if lower == "nodes" || lower == "edges" {
 				return nil, p.errAt(a, "Nodes/Edges cannot appear in rule bodies; define a derived predicate instead")
 			}
-			if strings.HasPrefix(lower, reservedAuxPrefix) {
-				return nil, p.errAt(a, fmt.Sprintf("predicate names starting with %q are reserved for desugared extraction bodies", reservedAuxPrefix))
-			}
 		}
 		ps.Rules = append(ps.Rules, rule)
 	}
 	return ps, nil
 }
-
-// reservedAuxPrefix prefixes the synthetic predicates the program
-// evaluator introduces when it desugars Nodes/Edges bodies; user programs
-// may not define predicates under it (their derivations would silently
-// merge with the synthetic ones).
-const reservedAuxPrefix = "__extract_body_"
 
 type parser struct {
 	lex   *lexer

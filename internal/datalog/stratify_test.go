@@ -98,17 +98,19 @@ Edges(A, B) :- P(A, B).
 	}
 }
 
+// TestParseLegacyRejectsProgramConstructs: Parse rejects derived
+// predicates, the one program construct extraction cannot plan, and keeps
+// the negated atoms and comparisons of Nodes/Edges bodies for the planner.
 func TestParseLegacyRejectsProgramConstructs(t *testing.T) {
-	cases := []struct{ name, src, want string }{
-		{"idb rule", wrap(`P(A) :- R(A).`), "ExtractProgram"},
-		{"negation", "Nodes(A) :- R(A).\nEdges(A, B) :- R(A), R(B), !S(A, B).", "negated atoms"},
-		{"comparison", "Nodes(A) :- R(A).\nEdges(A, B) :- R(A), R(B), A != B.", "comparison literals"},
+	if _, err := Parse(wrap(`P(A) :- R(A).`)); err == nil || !strings.Contains(err.Error(), "ExtractProgram") {
+		t.Errorf("idb rule: err = %v, want mention of %q", err, "ExtractProgram")
 	}
-	for _, c := range cases {
-		_, err := Parse(c.src)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
-		}
+	p, err := Parse("Nodes(A) :- R(A), A > 0.\nEdges(A, B) :- R(A), R(B), !S(A, B), A != B.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, e := p.Nodes[0], p.Edges[0]; len(n.Comps) != 1 || len(e.Negated) != 1 || len(e.Comps) != 1 {
+		t.Fatalf("filters lost: nodes %s, edges %s", n, e)
 	}
 }
 
@@ -280,13 +282,6 @@ Edges(A, B) :- Far(A, B).
 	}
 }
 
-func TestReservedAuxPrefixRejected(t *testing.T) {
-	_, err := ParseProgram(wrap(`__extract_body_1(A) :- R(A).`))
-	if err == nil || !strings.Contains(err.Error(), "reserved") {
-		t.Fatalf("err = %v, want reserved-prefix rejection", err)
-	}
-}
-
 // TestParseMisspelledHeadDiagnostic: the legacy entry point must point at
 // the typo'd head predicate, not at a missing-Nodes program error.
 func TestParseMisspelledHeadDiagnostic(t *testing.T) {
@@ -297,16 +292,5 @@ func TestParseMisspelledHeadDiagnostic(t *testing.T) {
 	se, ok := err.(*SyntaxError)
 	if !ok || se.Line != 1 || se.Col != 1 {
 		t.Fatalf("position = %+v, want the offending rule's position", err)
-	}
-}
-
-func TestReservedAuxPrefixRejectedInBodies(t *testing.T) {
-	for _, src := range []string{
-		wrap(`P(A) :- __extract_body_1(A).`),
-		wrap(`P(A) :- R(A), !__Extract_Body_2(A).`),
-	} {
-		if _, err := ParseProgram(src); err == nil || !strings.Contains(err.Error(), "reserved") {
-			t.Fatalf("%s: err = %v, want reserved-prefix rejection", src, err)
-		}
 	}
 }

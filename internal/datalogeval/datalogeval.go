@@ -16,13 +16,12 @@
 // variables are bound.
 //
 // The Nodes/Edges extraction statements are not evaluated here: Evaluate
-// returns the overlay database plus a legacy datalog.Program referencing
-// the materialized predicates, which the caller hands to internal/extract
+// returns the overlay database plus a datalog.Program referencing the
+// materialized predicates, which the caller hands to internal/extract
 // unchanged — so condensed representations, deduplication, analytics, and
-// serving all work on recursive graphs for free. Extraction statements
-// whose bodies use negation or comparisons are desugared first: the body
-// moves into a synthetic derived predicate (one more stratum) and the
-// statement keeps a single positive atom the planner can handle.
+// serving all work on recursive graphs for free. Their negated atoms and
+// comparisons go along: the extraction planner places them as filters in
+// its chain segments, and a negated derived predicate is complete by then.
 //
 // The overlay database and its temporary tables live exactly as long as
 // the caller needs the extraction: nothing registers with the base DB, so
@@ -67,8 +66,7 @@ type Options struct {
 // Stats describes one program evaluation.
 type Stats struct {
 	// Strata is the number of evaluation strata (mutually recursive
-	// predicate groups, including any synthetic extraction-body
-	// predicates).
+	// derived-predicate groups; extraction statements add none).
 	Strata int
 	// Iterations is the total number of fixpoint iterations across all
 	// strata (each stratum contributes at least its seeding round).
@@ -88,7 +86,7 @@ type Stats struct {
 
 // Result is an evaluated program: the overlay database holding base tables
 // (shared) plus materialized derived predicates (owned), and the
-// extraction statements rewritten to reference them.
+// extraction statements, which read both.
 type Result struct {
 	DB      *relstore.DB
 	Program *datalog.Program
@@ -103,13 +101,6 @@ var ErrTooManyDerived = fmt.Errorf("datalogeval: derived tuples exceed the confi
 // the extraction planner.
 func Evaluate(base *relstore.DB, ps *datalog.ProgramSet, opts Options) (*Result, error) {
 	start := time.Now()
-	// Validate the user-written rules first so diagnostics carry the
-	// user's predicate names, then desugar and re-stratify for evaluation
-	// order (desugaring cannot introduce new violations).
-	if _, err := datalog.Stratify(ps); err != nil {
-		return nil, err
-	}
-	ps = desugarExtraction(ps)
 	strata, err := datalog.Stratify(ps)
 	if err != nil {
 		return nil, err
@@ -176,54 +167,6 @@ type evaluator struct {
 	// column.
 	sets  map[string]*relstore.RowSet
 	stats Stats
-}
-
-// desugarExtraction rewrites Nodes/Edges statements whose bodies use
-// negation or comparisons: the body becomes a synthetic derived predicate
-// over the statement's head variables and the statement keeps one positive
-// atom, which is all the extraction planner understands. Statements with
-// plain positive bodies pass through untouched (so chain planning and
-// condensation still apply to them).
-func desugarExtraction(ps *datalog.ProgramSet) *datalog.ProgramSet {
-	out := &datalog.ProgramSet{IDB: append([]datalog.Rule(nil), ps.IDB...)}
-	aux := 0
-	rewrite := func(r datalog.Rule) datalog.Rule {
-		if len(r.Negated) == 0 && len(r.Comps) == 0 {
-			return r
-		}
-		aux++
-		name := fmt.Sprintf("__extract_body_%d", aux)
-		var terms []datalog.Term
-		seen := make(map[string]struct{})
-		for _, t := range r.Head.Terms {
-			if t.Kind != datalog.TermVar {
-				continue
-			}
-			if _, dup := seen[t.Var]; dup {
-				continue
-			}
-			seen[t.Var] = struct{}{}
-			terms = append(terms, t)
-		}
-		auxHead := datalog.Atom{Pred: name, Terms: terms, Line: r.Line, Col: r.Col}
-		out.IDB = append(out.IDB, datalog.Rule{
-			Head: auxHead, Body: r.Body, Negated: r.Negated, Comps: r.Comps,
-			Line: r.Line, Col: r.Col,
-		})
-		return datalog.Rule{
-			Head: r.Head,
-			Body: []datalog.Atom{{Pred: name, Terms: terms, Line: r.Line, Col: r.Col}},
-			Line: r.Line, Col: r.Col,
-		}
-	}
-	for _, r := range ps.Nodes {
-		out.Nodes = append(out.Nodes, rewrite(r))
-	}
-	for _, r := range ps.Edges {
-		out.Edges = append(out.Edges, rewrite(r))
-	}
-	out.Rules = append(append(append([]datalog.Rule(nil), out.IDB...), out.Nodes...), out.Edges...)
-	return out
 }
 
 // checkPredicates verifies every body atom references either a base table

@@ -291,14 +291,6 @@ Edges(A, B) :- Prof(A, _), Prof(B, _), A != B.
 	if tab.Cols[1].Type != relstore.String {
 		t.Fatal("inferred type of constant head column should be String")
 	}
-	// The desugared Edges rule (comparison in an extraction body) must
-	// reference a synthetic predicate.
-	if res.Program.Edges[0].Body[0].Pred != "__extract_body_1" {
-		t.Fatalf("edges body = %v, want desugared synthetic atom", res.Program.Edges[0].Body)
-	}
-	if got := tableTuples(t, res.DB, "__extract_body_1"); len(got) != 2 {
-		t.Fatalf("aux table = %v, want 2 tuples (1-3, 3-1)", got)
-	}
 }
 
 func TestCrossProductBody(t *testing.T) {

@@ -2,6 +2,7 @@ package extract
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"graphgen/internal/core"
@@ -23,11 +24,14 @@ import (
 // SegmentPlan is a maximal run of chain atoms without an interior
 // large-output join. InVar/OutVar are its boundary variables: the left edge
 // endpoint (or previous large-join attribute) and the right edge endpoint
-// (or next large-join attribute).
+// (or next large-join attribute). Comps and Negated are the rule's filters
+// whose variables the segment's atoms all bind.
 type SegmentPlan struct {
-	Atoms  []datalog.Atom
-	InVar  string
-	OutVar string
+	Atoms   []datalog.Atom
+	InVar   string
+	OutVar  string
+	Comps   []datalog.Comparison
+	Negated []datalog.Atom
 }
 
 // EdgePlan is the extraction plan for one Edges rule. A single segment
@@ -37,11 +41,12 @@ type SegmentPlan struct {
 type EdgePlan struct {
 	Rule     datalog.Rule
 	Segments []SegmentPlan
-	// Case2 records that the rule body is not an acyclic chain and fell
-	// back to full expansion (its single segment is the whole body).
+	// Case2 records that the rule fell back to full expansion (its single
+	// segment is the whole body with every filter): the body is not an
+	// acyclic chain, or a filter spans two segments.
 	Case2 bool
-	// Symmetric records that the chain is its own mirror image, making
-	// the extracted edges undirected.
+	// Symmetric records that the chain is its own mirror image and no
+	// filter breaks the mirror, making the extracted edges undirected.
 	Symmetric bool
 	// LargeJoins and DatabaseJoins count the planner's classification of
 	// the rule's joins.
@@ -49,24 +54,24 @@ type EdgePlan struct {
 	DatabaseJoins int
 }
 
-// PlanEdges classifies rule and returns its extraction plan. Rules whose
-// body is not an acyclic chain (Case 2) plan as one full-expansion segment;
-// chain rules split into segments at the large-output joins.
+// PlanEdges classifies rule and returns its extraction plan. Chain rules
+// split into segments at the large-output joins, and each comparison or
+// negated atom filters every segment whose atoms bind all of its variables.
+// Other rules (Case 2), and chains with a filter no segment binds, plan as
+// one full-expansion segment — except for ID1 != ID2 while self loops are
+// off, which the graph applies itself by dropping self edges.
 func PlanEdges(db *relstore.DB, rule datalog.Rule, opts Options) (*EdgePlan, error) {
+	id1 := rule.Head.Terms[0].Var
+	id2 := rule.Head.Terms[1].Var
+	// Case 2: the whole body, filters included, is one database query
+	// over the head endpoints.
+	expanded := &EdgePlan{Rule: rule, Case2: true, DatabaseJoins: len(rule.Body) - 1,
+		Segments: []SegmentPlan{{Atoms: rule.Body, InVar: id1, OutVar: id2, Comps: rule.Comps, Negated: rule.Negated}}}
 	chain, err := datalog.AnalyzeChain(rule)
 	if err != nil {
-		// Case 2: the whole body is one database query over the head
-		// endpoints.
-		id1 := rule.Head.Terms[0].Var
-		id2 := rule.Head.Terms[1].Var
-		return &EdgePlan{
-			Rule:          rule,
-			Case2:         true,
-			Segments:      []SegmentPlan{{Atoms: rule.Body, InVar: id1, OutVar: id2}},
-			DatabaseJoins: len(rule.Body) - 1,
-		}, nil
+		return expanded, nil
 	}
-	plan := &EdgePlan{Rule: rule, Symmetric: chainSymmetric(chain)}
+	plan := &EdgePlan{Rule: rule}
 	n := len(chain.Steps)
 	// Classify each of the n-1 joins.
 	large := make([]bool, len(chain.JoinVars))
@@ -83,14 +88,20 @@ func PlanEdges(db *relstore.DB, rule datalog.Rule, opts Options) (*EdgePlan, err
 		}
 	}
 	// Split into segments at the large joins.
+	var bound []map[string]bool
 	addSeg := func(lo, hi int) {
 		atoms := make([]datalog.Atom, 0, hi-lo+1)
+		vars := make(map[string]bool)
 		for k := lo; k <= hi; k++ {
 			atoms = append(atoms, chain.Steps[k].Atom)
+			for _, v := range chain.Steps[k].Atom.Vars() {
+				vars[v] = true
+			}
 		}
 		plan.Segments = append(plan.Segments, SegmentPlan{
 			Atoms: atoms, InVar: chain.Steps[lo].InVar, OutVar: chain.Steps[hi].OutVar,
 		})
+		bound = append(bound, vars)
 	}
 	lo := 0
 	for i := 0; i < len(large); i++ {
@@ -100,6 +111,34 @@ func PlanEdges(db *relstore.DB, rule datalog.Rule, opts Options) (*EdgePlan, err
 		}
 	}
 	addSeg(lo, n-1)
+
+	// Place the filters. Only ID1 != ID2 keeps the mirror image.
+	place := func(vars []string, add func(*SegmentPlan)) bool {
+		found := false
+		for i := range plan.Segments {
+			if !slices.ContainsFunc(vars, func(v string) bool { return !bound[i][v] }) {
+				add(&plan.Segments[i])
+				found = true
+			}
+		}
+		return found
+	}
+	plan.Symmetric = chainSymmetric(chain)
+	for _, c := range rule.Comps {
+		vs := c.Vars()
+		endpoints := c.Op == datalog.OpNE && len(vs) == 2 && slices.Contains(vs, id1) && slices.Contains(vs, id2)
+		if place(vs, func(s *SegmentPlan) { s.Comps = append(s.Comps, c) }) {
+			plan.Symmetric = plan.Symmetric && endpoints
+		} else if !endpoints || opts.SelfLoops {
+			return expanded, nil
+		}
+	}
+	for _, a := range rule.Negated {
+		if !place(a.Vars(), func(s *SegmentPlan) { s.Negated = append(s.Negated, a) }) {
+			return expanded, nil
+		}
+		plan.Symmetric = false
+	}
 	return plan, nil
 }
 
@@ -177,30 +216,17 @@ func wirePlan(db *relstore.DB, g *core.Graph, plan *EdgePlan, opts Options, st *
 
 // streamSegment evaluates one segment's (InVar, OutVar) projection and
 // hands each row to wire as the pipeline yields it, under a "segment" span
-// that records the rows out. An error from the pipeline or from wire
-// stops the stream; the pipeline is closed on every path.
+// that records the rows out.
 func streamSegment(db *relstore.DB, s SegmentPlan, opts Options, wire func(relstore.Row) error) error {
 	sp := opts.Trace.Push("segment", s.InVar+"->"+s.OutVar)
 	defer sp.End()
-	it, err := openConjunctive(db, s.Atoms, []string{s.InVar, s.OutVar}, true, opts)
+	p, err := s.Compile(db, []string{s.InVar, s.OutVar}, true, opts)
 	if err != nil {
 		return err
 	}
-	var rows int64
-	for {
-		row, ok, err := it.Next()
-		if err == nil && ok {
-			rows++
-			err = wire(row)
-		}
-		if err != nil || !ok {
-			sp.AddRows(rows)
-			if cerr := it.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		}
-	}
+	rows, err := Stream(p, wire)
+	sp.AddRows(rows)
+	return err
 }
 
 // joinIsLarge applies the planner rule of Section 4.2 Step 2: the join on

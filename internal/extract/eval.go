@@ -6,37 +6,80 @@ import (
 	"graphgen/internal/relstore"
 )
 
-// EvalConjunctive is the extraction layer's adaptor onto the one
-// conjunctive-body evaluator (internal/conj, which documents the pipeline:
-// join order, column liveness, early duplicate elimination): it resolves
-// each atom's table from db, joins the atoms on their shared variables —
-// components sharing none are cross-producted — and collects the projection
-// onto outVars, the single materialization boundary. The planner uses it
-// both for the in-segment joins it "hands to the database" and for Case 2
-// full expansion; incremental.ExtractLive calls it without distinct, since
-// the row multiplicities are its initial support counts. The plan runs
-// under opts.ExecOpts as it is.
+// EvalConjunctive collects the projection of a positive conjunctive body
+// onto outVars: the single materialization boundary, for callers that want
+// a segment's rows as a relation (the per-layer benchmark and the pruning
+// oracle). The extraction paths stream through Compile and Stream instead.
 func EvalConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, distinct bool, opts Options) (*relstore.Rel, error) {
-	it, err := openConjunctive(db, atoms, outVars, distinct, opts)
+	return SegmentPlan{Atoms: atoms}.collect(db, outVars, distinct, opts)
+}
+
+// collect compiles the body and materializes its projection onto out.
+func (s SegmentPlan) collect(db *relstore.DB, out []string, distinct bool, opts Options) (*relstore.Rel, error) {
+	p, err := s.Compile(db, out, distinct, opts)
+	if err != nil {
+		return nil, err
+	}
+	it, err := p.Open()
 	if err != nil {
 		return nil, err
 	}
 	return relstore.Collect(it)
 }
 
-// openConjunctive opens the pipeline EvalConjunctive collects, for callers
-// that consume its rows as they arrive; they must Close it.
-func openConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, distinct bool, opts Options) (relstore.RowIter, error) {
-	occs := make([]conj.Occurrence, len(atoms))
-	for i, a := range atoms {
+// Compile is the extraction layer's one adaptor onto the one
+// conjunctive-body evaluator (internal/conj, which documents the pipeline):
+// the segment's atoms with their tables resolved from db, its comparisons
+// and the membership sets of its negated atoms, projected onto out and run
+// under opts.ExecOpts as it is. Every Nodes body, Edges segment, live
+// support count (a bag: multiplicities are support counts) and delta term
+// is compiled here.
+func (s SegmentPlan) Compile(db *relstore.DB, out []string, distinct bool, opts Options) (*conj.Plan, error) {
+	p := &conj.Plan{Atoms: make([]conj.Occurrence, len(s.Atoms)), Comps: s.Comps,
+		Out: out, Distinct: distinct, Exec: opts.ExecOpts}
+	for i, a := range s.Atoms {
 		t, err := db.Table(a.Pred)
 		if err != nil {
 			return nil, err
 		}
-		occs[i] = conj.Occurrence{Atom: a, Table: t}
+		p.Atoms[i] = conj.Occurrence{Atom: a, Table: t}
 	}
-	plan := conj.Plan{Atoms: occs, Out: outVars, Distinct: distinct, Exec: opts.ExecOpts}
-	return plan.Open()
+	for _, a := range s.Negated {
+		t, err := db.Table(a.Pred)
+		if err != nil {
+			return nil, err
+		}
+		n, err := conj.NewNegation(a, t)
+		if err != nil {
+			return nil, err
+		}
+		p.Negs = append(p.Negs, n)
+	}
+	return p, nil
+}
+
+// Stream opens p and hands each row to fn as the pipeline yields it. An
+// error from the pipeline or from fn stops the stream; the pipeline is
+// closed on every path. It returns the rows read.
+func Stream(p *conj.Plan, fn func(relstore.Row) error) (int64, error) {
+	it, err := p.Open()
+	if err != nil {
+		return 0, err
+	}
+	var rows int64
+	for {
+		row, ok, err := it.Next()
+		if err == nil && ok {
+			rows++
+			err = fn(row)
+		}
+		if err != nil || !ok {
+			if cerr := it.Close(); err == nil {
+				err = cerr
+			}
+			return rows, err
+		}
+	}
 }
 
 // EnsureIndexes walks the rules' positive bodies and creates (idempotently)

@@ -173,12 +173,12 @@ func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, err
 	return res, nil
 }
 
-// LoadNodes evaluates one Nodes rule and adds the result as real nodes with
-// properties named after the head variables. The rule's rows are collected
-// first so that their count sizes the graph's node arrays (Graph.Grow)
-// before the load. It is exported for the
-// incremental-maintenance subsystem, which builds its own graph from the
-// same rules.
+// LoadNodes evaluates one Nodes rule, comparisons and negated atoms
+// included, and adds the result as real nodes with properties named after
+// the head variables. The rule's rows are collected first so that their
+// count sizes the graph's node arrays (Graph.Grow) before the load. It is
+// exported for the incremental-maintenance subsystem, which builds its own
+// graph from the same rules.
 func LoadNodes(db *relstore.DB, g *core.Graph, rule datalog.Rule, opts Options) error {
 	var outVars []string
 	for _, t := range rule.Head.Terms {
@@ -189,7 +189,8 @@ func LoadNodes(db *relstore.DB, g *core.Graph, rule datalog.Rule, opts Options) 
 	}
 	sp := opts.Trace.Push("nodes_rule", rule.Head.String())
 	defer sp.End()
-	rel, err := EvalConjunctive(db, rule.Body, outVars, true, opts)
+	body := SegmentPlan{Atoms: rule.Body, Comps: rule.Comps, Negated: rule.Negated}
+	rel, err := body.collect(db, outVars, true, opts)
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"graphgen/internal/conj"
-	"graphgen/internal/datalog"
 	"graphgen/internal/extract"
 	"graphgen/internal/relstore"
 )
@@ -47,25 +46,24 @@ import (
 const maxOccurrences = 8
 
 // segmentDelta returns the (inVar, outVar) pairs a single-tuple change to t
-// (insert when insert is true, delete otherwise) contributes to the segment
-// join, each with the sign of its contribution to the pair's support count
-// (the caller fills in rule and segment). tbls resolves each atom to its
-// table.
+// (insert when insert is true, delete otherwise) contributes to the
+// segment's bag plan seg, each with the sign of its contribution to the
+// pair's support count (the caller fills in rule and segment). The terms
+// run under exec, not under the context seg was compiled in: that may
+// carry the trace of the request that built the graph.
 //
-// Each term is one plan for the conjunctive evaluator (internal/conj) over
-// the same atoms, differing only in row sources. The join order starts at
-// an occurrence holding the changed tuple, so every later join probes a
+// Each term is seg over the same atoms and filters, differing only in row
+// sources: a comparison is a selection, linear like the join, so it filters
+// every term as it filters the segment. The join order starts at an
+// occurrence holding the changed tuple, so every later join probes a
 // persistent index from a small accumulated side. Indexes are updated
 // inside the mutation path before change-log subscribers run, so
 // table-backed occurrences see exactly the post-change state.
-func segmentDelta(atoms []datalog.Atom, tbls []*relstore.Table, inVar, outVar string,
-	t *relstore.Table, row []relstore.Value, insert bool, opts extract.Options) ([]countDelta, error) {
+func segmentDelta(seg *conj.Plan, t *relstore.Table, row []relstore.Value, insert bool, exec relstore.ExecOpts) ([]countDelta, error) {
 	changed := [][]relstore.Value{row}
-	current := make([]conj.Occurrence, len(atoms))
 	var occ []int // the occurrences of t
-	for j := range atoms {
-		current[j] = conj.Occurrence{Atom: atoms[j], Table: tbls[j]}
-		if tbls[j] == t {
+	for j, o := range seg.Atoms {
+		if o.Table == t {
 			occ = append(occ, j)
 		}
 	}
@@ -74,28 +72,24 @@ func segmentDelta(atoms []datalog.Atom, tbls []*relstore.Table, inVar, outVar st
 	}
 	var out []countDelta
 	for subset := 1; subset < 1<<len(occ); subset++ {
-		occs := slices.Clone(current)
-		n, start := -1, 0
+		term := *seg
+		term.Atoms, term.Exec = slices.Clone(seg.Atoms), exec
+		n := -1
 		if insert && bits.OnesCount(uint(subset))%2 == 1 {
 			n = 1
 		}
 		for k, j := range occ {
 			if subset>>k&1 == 1 {
-				occs[j].Rows, occs[j].Explicit = changed, true
-				start = j
+				term.Atoms[j].Rows, term.Atoms[j].Explicit = changed, true
+				term.Start = j
 			}
 		}
-		plan := conj.Plan{Atoms: occs, Start: start, Out: []string{inVar, outVar}, Exec: opts.ExecOpts}
-		it, err := plan.Open()
-		if err != nil {
-			return nil, err
-		}
-		pairs, err := relstore.Collect(it)
-		if err != nil {
-			return nil, err
-		}
-		for _, prow := range pairs.Rows {
+		_, err := extract.Stream(&term, func(prow relstore.Row) error {
 			out = append(out, countDelta{pair: [2]relstore.Value{prow[0], prow[1]}, n: n})
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

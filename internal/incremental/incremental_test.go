@@ -275,6 +275,48 @@ Edges(X, Y) :- F(X, Y), G(X, Y).
 		[]*relstore.Table{f, gt}, [][]int64{dom, dom}, 70, 5)
 }
 
+// TestLiveEquivalenceFiltered covers comparisons in live bodies. Y >= 5 is
+// a selection inside segment 0 of a condensed chain; Y < Z binds one
+// variable in each segment, so that rule plans Case 2. A selection is
+// linear like the join it filters, so both rules keep exact deltas.
+func TestLiveEquivalenceFiltered(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	db := relstore.NewDB()
+	person, _ := db.Create("Person",
+		relstore.Column{Name: "id", Type: relstore.Int},
+		relstore.Column{Name: "name", Type: relstore.String})
+	apy, _ := db.Create("APY",
+		relstore.Column{Name: "aid", Type: relstore.Int},
+		relstore.Column{Name: "pid", Type: relstore.Int},
+		relstore.Column{Name: "year", Type: relstore.Int})
+	for p := 1; p <= 10; p++ {
+		person.Insert(relstore.IntVal(int64(p)), relstore.StrVal(fmt.Sprintf("p%d", p)))
+	}
+	for i := 0; i < 40; i++ {
+		apy.Insert(relstore.IntVal(int64(rng.Intn(10)+1)), relstore.IntVal(int64(rng.Intn(6)+1)), relstore.IntVal(int64(rng.Intn(10)+1)))
+	}
+	prog, err := datalog.Parse(`
+Nodes(ID, Name) :- Person(ID, Name).
+Edges(A, B) :- APY(A, P, Y), APY(B, P, _), Y >= 5.
+Edges(A, B) :- APY(A, P, Y), APY(B, P, Z), Y < Z.
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := extract.Options{LargeOutputFactor: 2, ForceCondensed: true}
+	for i, wantCase2 := range []bool{false, true} {
+		plan, err := extract.PlanEdges(db, prog.Edges[i], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Case2 != wantCase2 || !wantCase2 && (len(plan.Segments) != 2 || len(plan.Segments[0].Comps) != 1) {
+			t.Fatalf("rule %d: Case2 %v with segments %+v", i+1, plan.Case2, plan.Segments)
+		}
+	}
+	dom := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	randomOps(t, rng, db, prog, opts, []*relstore.Table{apy}, [][]int64{dom}, 90, 4)
+}
+
 // TestLiveEquivalenceTripleSelfJoin covers a segment with three
 // occurrences of one table: a single-tuple change then contributes through
 // every occurrence, and the later (insert) or earlier (delete) ones expand

@@ -25,8 +25,10 @@ package incremental
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
+	"graphgen/internal/conj"
 	"graphgen/internal/core"
 	"graphgen/internal/datalog"
 	"graphgen/internal/extract"
@@ -65,12 +67,12 @@ type virtSlot struct {
 	key  relstore.Value
 }
 
-// ruleState is the maintenance state of one Edges rule: its plan, the
-// resolved table of every segment atom, per-segment pair counts, and the
+// ruleState is the maintenance state of one Edges rule: its plan, each
+// segment compiled once as a bag plan, per-segment pair counts, and the
 // per-attribute virtual-node maps.
 type ruleState struct {
 	plan   *extract.EdgePlan
-	tables [][]*relstore.Table // aligned with plan.Segments[i].Atoms
+	segs   []*conj.Plan // aligned with plan.Segments
 	counts []map[[2]relstore.Value]int
 	virt   []map[relstore.Value]int32 // large-join attribute value -> virtual index
 	vByIdx map[int32]virtSlot
@@ -78,9 +80,9 @@ type ruleState struct {
 
 // touches reports whether any atom of any segment reads t.
 func (rs *ruleState) touches(t *relstore.Table) bool {
-	for _, seg := range rs.tables {
-		for _, st := range seg {
-			if st == t {
+	for _, seg := range rs.segs {
+		for _, o := range seg.Atoms {
+			if o.Table == t {
 				return true
 			}
 		}
@@ -145,8 +147,17 @@ type Live struct {
 // maintenance needs the condensed wiring to stay aligned with the
 // per-segment counts. The logical edge set is unaffected. MaxEdges is
 // enforced against the representation edge count at build and rebuild time
-// (per-tuple maintenance never re-checks it).
+// (per-tuple maintenance never re-checks it). Comparisons are maintained
+// like the joins they filter; a negated atom is rejected, because a change
+// to the negated table has no delta rule.
 func New(db *relstore.DB, prog *datalog.Program, opts extract.Options) (*Live, error) {
+	for _, r := range slices.Concat(prog.Nodes, prog.Edges) {
+		if len(r.Negated) > 0 {
+			a := r.Negated[0]
+			return nil, fmt.Errorf("incremental: line %d col %d: negated atom !%s cannot be maintained live: a change to %s has no delta rule",
+				a.Line, a.Col, a, a.Pred)
+		}
+	}
 	if opts.LargeOutputFactor <= 0 {
 		opts.LargeOutputFactor = 2
 	}
@@ -198,40 +209,34 @@ func (lv *Live) build() error {
 		nSegs := len(plan.Segments)
 		rs := &ruleState{
 			plan:   plan,
-			tables: make([][]*relstore.Table, nSegs),
+			segs:   make([]*conj.Plan, nSegs),
 			counts: make([]map[[2]relstore.Value]int, nSegs),
 			virt:   make([]map[relstore.Value]int32, nSegs-1),
 			vByIdx: make(map[int32]virtSlot),
-		}
-		for s, seg := range plan.Segments {
-			rs.tables[s] = make([]*relstore.Table, len(seg.Atoms))
-			for a, atom := range seg.Atoms {
-				t, err := lv.db.Table(atom.Pred)
-				if err != nil {
-					return err
-				}
-				rs.tables[s][a] = t
-			}
-			rs.counts[s] = make(map[[2]relstore.Value]int)
 		}
 		for a := range rs.virt {
 			rs.virt[a] = make(map[relstore.Value]int32)
 		}
 		rules = append(rules, rs)
-		// Evaluate each segment WITHOUT distinct: the row multiplicities
+		// Stream each segment WITHOUT distinct: the row multiplicities
 		// are the initial support counts, and the first appearance of a
 		// pair wires its edge (matching Extract's distinct wiring).
 		for s, seg := range plan.Segments {
-			rel, err := extract.EvalConjunctive(lv.db, seg.Atoms, []string{seg.InVar, seg.OutVar}, false, lv.opts)
-			if err != nil {
+			if rs.segs[s], err = seg.Compile(lv.db, []string{seg.InVar, seg.OutVar}, false, lv.opts); err != nil {
 				return err
 			}
-			for _, row := range rel.Rows {
+			counts := make(map[[2]relstore.Value]int)
+			rs.counts[s] = counts
+			_, err := extract.Stream(rs.segs[s], func(row relstore.Row) error {
 				pair := [2]relstore.Value{row[0], row[1]}
-				if rs.counts[s][pair] == 0 {
+				if counts[pair] == 0 {
 					addPair(g, rs, s, pair, nil)
 				}
-				rs.counts[s][pair]++
+				counts[pair]++
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 		}
 	}
@@ -296,8 +301,8 @@ func (lv *Live) onChange(t *relstore.Table, ch relstore.Change) {
 		if !rs.touches(t) {
 			continue
 		}
-		for si, seg := range rs.plan.Segments {
-			deltas, err := segmentDelta(seg.Atoms, rs.tables[si], seg.InVar, seg.OutVar, t, ch.Row, ch.Op == relstore.OpInsert, lv.opts)
+		for si, seg := range rs.segs {
+			deltas, err := segmentDelta(seg, t, ch.Row, ch.Op == relstore.OpInsert, lv.opts.ExecOpts)
 			if err != nil {
 				failed = true
 				break

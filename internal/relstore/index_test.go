@@ -399,7 +399,7 @@ func TestHashJoinBuildSideSwap(t *testing.T) {
 		{IntVal(1), IntVal(10), IntVal(101)},
 	}
 	// len(b) > len(a): the pre-fix fast path (build on a).
-	got, err := collect(NewHashJoin(IterRel(small), IterRel(big), "p", "p", nil, ExecOpts{}))
+	got, err := collect(NewJoin(IterRel(small), IterRel(big), []string{"p"}, nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestHashJoinBuildSideSwap(t *testing.T) {
 		{IntVal(10), IntVal(101), IntVal(1)},
 		{IntVal(20), IntVal(200), IntVal(2)},
 	}
-	got2, err := collect(NewHashJoin(IterRel(big), IterRel(small), "p", "p", nil, ExecOpts{}))
+	got2, err := collect(NewJoin(IterRel(big), IterRel(small), []string{"p"}, nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestHashJoinOrderIndependentOfCardinality(t *testing.T) {
 		a.Rows = append(a.Rows, []Value{IntVal(int64(i)), IntVal(int64(i % 2))})
 		b.Rows = append(b.Rows, []Value{IntVal(int64(i % 2)), IntVal(int64(100 + i))})
 	}
-	before, err := collect(NewHashJoin(IterRel(a), IterRel(b), "p", "p", nil, ExecOpts{}))
+	before, err := collect(NewJoin(IterRel(a), IterRel(b), []string{"p"}, nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestHashJoinOrderIndependentOfCardinality(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a.Rows = append(a.Rows, []Value{IntVal(int64(1000 + i)), IntVal(9999)})
 	}
-	after, err := collect(NewHashJoin(IterRel(a), IterRel(b), "p", "p", nil, ExecOpts{}))
+	after, err := collect(NewJoin(IterRel(a), IterRel(b), []string{"p"}, nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}

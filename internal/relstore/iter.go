@@ -559,36 +559,28 @@ func NewJoin(a, b RowIter, shared, keep []string, opts ExecOpts) (RowIter, error
 		closeAll(a, b)
 		return nil, fmt.Errorf("relstore: join of %v with %v has no shared columns (use NewCross for an explicit cross product)", acols, bcols)
 	}
-	return newHashJoin(a, b, shared, shared, keep, opts, "join", strings.Join(shared, ","))
+	return newHashJoin(a, b, shared, keep, opts)
 }
 
-// NewHashJoin streams the equi-join of a and b on one column each (the
-// names may differ; a's is kept). The output schema is keep, or with a
-// nil keep a's columns then b's minus bCol; rows in b-major order.
-func NewHashJoin(a, b RowIter, aCol, bCol string, keep []string, opts ExecOpts) (RowIter, error) {
-	return newHashJoin(a, b, []string{aCol}, []string{bCol}, keep, opts, "hash_join", aCol+"="+bCol)
-}
-
-// newHashJoin is the build/probe hash join behind NewJoin and
-// NewHashJoin: a's aOn columns pair positionally with b's bOn columns.
-// op and detail label its span.
-func newHashJoin(a, b RowIter, aOn, bOn, keep []string, opts ExecOpts, op, detail string) (RowIter, error) {
+// newHashJoin is the build/probe hash join behind NewJoin on the shared
+// columns on.
+func newHashJoin(a, b RowIter, on, keep []string, opts ExecOpts) (RowIter, error) {
 	acols, bcols := a.Cols(), b.Cols()
 	fail := func(err error) (RowIter, error) {
 		closeAll(a, b)
 		return nil, err
 	}
-	ai := make([]int, len(aOn))
-	bi := make([]int, len(bOn))
+	ai := make([]int, len(on))
+	bi := make([]int, len(on))
 	bKey := make([]bool, len(bcols))
-	for k := range aOn {
-		i, ok := colIndex(acols, aOn[k])
+	for k, c := range on {
+		i, ok := colIndex(acols, c)
 		if !ok {
-			return fail(fmt.Errorf("relstore: join column %q not in left relation %v", aOn[k], acols))
+			return fail(fmt.Errorf("relstore: join column %q not in left relation %v", c, acols))
 		}
-		j, ok := colIndex(bcols, bOn[k])
+		j, ok := colIndex(bcols, c)
 		if !ok {
-			return fail(fmt.Errorf("relstore: join column %q not in right relation %v", bOn[k], bcols))
+			return fail(fmt.Errorf("relstore: join column %q not in right relation %v", c, bcols))
 		}
 		ai[k], bi[k] = i, j
 		bKey[j] = true
@@ -599,7 +591,7 @@ func newHashJoin(a, b RowIter, aOn, bOn, keep []string, opts ExecOpts, op, detai
 	}
 	var sp *obs.Span
 	if opts.Trace != nil {
-		sp = opts.Trace.StartSpan(op, detail+keepDetail(keep))
+		sp = opts.Trace.StartSpan("join", strings.Join(on, ",")+keepDetail(keep))
 		sp.SetStrategy("hash build=left")
 	}
 	nOut := len(cols)

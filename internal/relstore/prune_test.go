@@ -71,7 +71,7 @@ func TestPrunedJoinEqualsProjectedJoin(t *testing.T) {
 		}
 		lrel := &Rel{Cols: []string{"a", "b", "s"}, Rows: left.Rows}
 		rrel := &Rel{Cols: []string{"b", "s", "c"}, Rows: right.Rows}
-		rrelY := &Rel{Cols: []string{"y", "s2", "c"}, Rows: right.Rows}
+		rrelS2 := &Rel{Cols: []string{"b", "s2", "c"}, Rows: right.Rows}
 		opts := ExecOpts{}
 		preds := []Pred{{Col: 2, Value: IntVal(int64(rng.Intn(8)))}}[:rng.Intn(2)]
 
@@ -83,8 +83,8 @@ func TestPrunedJoinEqualsProjectedJoin(t *testing.T) {
 			{"join b", []string{"a", "b", "s", "c"}, func(keep []string) (RowIter, error) {
 				return NewJoin(IterRel(lrel), IterRel(rrel), []string{"b", "s"}, keep, opts)
 			}},
-			{"hash_join b=y", []string{"a", "b", "s", "s2", "c"}, func(keep []string) (RowIter, error) {
-				return NewHashJoin(IterRel(lrel), IterRel(rrelY), "b", "y", keep, opts)
+			{"join b, s2 apart", []string{"a", "b", "s", "s2", "c"}, func(keep []string) (RowIter, error) {
+				return NewJoin(IterRel(lrel), IterRel(rrelS2), []string{"b"}, keep, opts)
 			}},
 			{"table_join scan", []string{"a", "b", "s", "c"}, func(keep []string) (RowIter, error) {
 				o := opts
@@ -178,13 +178,6 @@ func TestPrunedStageResourceContracts(t *testing.T) {
 		}},
 		{"join+distinct", func(a, b *failIter, opts ExecOpts) (RowIter, error) {
 			j, err := NewJoin(a, b, []string{"k"}, []string{"v"}, opts)
-			if err != nil {
-				return nil, err
-			}
-			return NewDistinct(j, opts), nil
-		}},
-		{"hash_join+distinct", func(a, b *failIter, opts ExecOpts) (RowIter, error) {
-			j, err := NewHashJoin(a, b, "k", "k", []string{"v"}, opts)
 			if err != nil {
 				return nil, err
 			}

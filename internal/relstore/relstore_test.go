@@ -98,7 +98,7 @@ func TestHashJoinSelfJoin(t *testing.T) {
 	_, _, ap := makeAuthors(t)
 	left, _ := collect(NewScan(ap, nil, []int{0, 1}, []string{"a1", "p"}, ExecOpts{UseIndex: IndexOff}))
 	right, _ := collect(NewScan(ap, nil, []int{0, 1}, []string{"a2", "p"}, ExecOpts{UseIndex: IndexOff}))
-	joined, err := collect(NewHashJoin(IterRel(left), IterRel(right), "p", "p", nil, ExecOpts{}))
+	joined, err := collect(NewJoin(IterRel(left), IterRel(right), []string{"p"}, nil, ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestHashJoinSelfJoin(t *testing.T) {
 	if len(joined.Rows) != 14 {
 		t.Fatalf("join rows = %d, want 14", len(joined.Rows))
 	}
-	if _, err := collect(NewHashJoin(IterRel(left), IterRel(right), "nope", "p", nil, ExecOpts{})); err == nil {
+	if _, err := collect(NewJoin(IterRel(left), IterRel(right), []string{"nope"}, nil, ExecOpts{})); err == nil {
 		t.Fatal("expected missing join column error")
 	}
 }

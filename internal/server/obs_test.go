@@ -382,7 +382,7 @@ func TestCreateAnalyzeProgramReconciles(t *testing.T) {
 		case "round":
 			rounds++
 			roundRows += s["rows"].(float64)
-		case "scan", "select", "filter", "join", "hash_join", "cross", "table_join", "project":
+		case "scan", "select", "filter", "join", "cross", "table_join", "project":
 			operators++
 		}
 	})

@@ -28,6 +28,12 @@ go run ./cmd/graphlint -counts "$@"
 echo "== fuzz live views"
 go test -run '^$' -fuzz '^FuzzLiveView$' -fuzztime 10s ./internal/incremental
 
+# Ten seconds past the committed FuzzParse corpus: every error is a
+# positioned SyntaxError, renderings re-parse stably, and Parse accepts
+# exactly the programs ParseProgram accepts without derived predicates.
+echo "== fuzz parser"
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/datalog
+
 # Ten seconds past the committed FuzzCloseness corpus: the batched
 # bit-parallel closeness == the relaxation reference on decoded graphs.
 echo "== fuzz closeness"

@@ -40,7 +40,9 @@ var _ graphapi.Graph = (*LiveGraph)(nil)
 // subscribes to the change logs of every table the program reads and keeps
 // the result graph live. Close the returned graph to stop maintenance.
 //
-// Limits: changes to tables referenced by Nodes rules trigger a full
+// Limits: a negated atom is rejected with its line and column (a change
+// to the negated table has no delta rule; comparisons are maintained);
+// changes to tables referenced by Nodes rules trigger a full
 // re-extraction, executed immediately on the mutating goroutine (node-set
 // maintenance is not incremental); the live graph always stays in the
 // condensed C-DUP representation — take a Snapshot to convert or analyze;

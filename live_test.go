@@ -2,8 +2,10 @@ package graphgen
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"graphgen/internal/datagen"
 	"graphgen/internal/graphapi"
 )
 
@@ -92,5 +94,75 @@ func TestExtractLive(t *testing.T) {
 	}
 	if n := graphapi.Count(lg.Neighbors(3)); n == 0 {
 		t.Fatal("Neighbors(3) is empty")
+	}
+}
+
+// graphEdges drains the logical edge set through the Graph API.
+func graphEdges(g graphapi.Graph) map[[2]NodeID]bool {
+	out := make(map[[2]NodeID]bool)
+	for vs := g.Vertices(); ; {
+		v, ok := vs.Next()
+		if !ok {
+			return out
+		}
+		for ns := g.Neighbors(v); ; {
+			w, ok := ns.Next()
+			if !ok {
+				break
+			}
+			out[[2]NodeID{v, w}] = true
+		}
+	}
+}
+
+// TestExtractLiveFiltered: a year-filtered co-authorship query extracts
+// condensed through Extract and ExtractLive alike, and the live graph
+// equals a fresh Extract after inserts and deletes. A negated atom cannot
+// be maintained, so ExtractLive rejects it at the atom's position.
+func TestExtractLiveFiltered(t *testing.T) {
+	db := datagen.DBLPTemporal(2, 2000, 3000, 2000, 2019)
+	engine := NewEngine(db, WithForceCondensed())
+	q := "Nodes(ID, N) :- Author(ID, N).\n" +
+		"Edges(A, B) :- AuthorPubYear(A, P, Y), AuthorPubYear(B, P, _), Y >= 2010.\n"
+	lg, err := engine.ExtractLive(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	apy, err := db.Table("AuthorPubYear")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 3; step++ {
+		g, err := engine.Extract(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := lg.Snapshot()
+		if g.NumVirtualNodes() == 0 || snap.NumVirtualNodes() == 0 {
+			t.Fatalf("step %d: virtual nodes: Extract %d, ExtractLive %d", step, g.NumVirtualNodes(), snap.NumVirtualNodes())
+		}
+		want, got := graphEdges(g), graphEdges(lg)
+		if len(got) != len(want) {
+			t.Fatalf("step %d: live %d logical edges, fresh %d", step, len(got), len(want))
+		}
+		for e := range want {
+			if !got[e] {
+				t.Fatalf("step %d: live graph lacks %v", step, e)
+			}
+		}
+		// Two authors of a new 2015 paper, then the loss of an old row.
+		pid := IntVal(int64(2_000_000 + step))
+		apy.Insert(IntVal(int64(3+step)), pid, IntVal(2015))
+		apy.Insert(IntVal(int64(700+step)), pid, IntVal(2015))
+		if ok, err := apy.Delete(apy.Rows[step]...); err != nil || !ok {
+			t.Fatalf("delete: %v %v", ok, err)
+		}
+	}
+
+	_, err = engine.ExtractLive("Nodes(ID, N) :- Author(ID, N).\n" +
+		"Edges(A, B) :- AuthorPubYear(A, P, _), AuthorPubYear(B, P, _), !Retracted(P).\n")
+	if err == nil || !strings.Contains(err.Error(), "line 2 col 65: negated atom !Retracted(P)") {
+		t.Fatalf("negated live body: err = %v, want the atom's line and column", err)
 	}
 }

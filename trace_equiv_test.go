@@ -49,7 +49,7 @@ func TestTracedExtractionEquivalenceTable1(t *testing.T) {
 			var operators, rows int64
 			root.Walk(func(s *Profile) {
 				switch s.Op {
-				case "scan", "select", "filter", "join", "hash_join", "cross", "table_join", "project":
+				case "scan", "select", "filter", "join", "cross", "table_join", "project":
 					operators++
 					rows += s.Rows
 				}
