@@ -9,10 +9,13 @@ import (
 // The graph-build benchmarks own the condensed build and the
 // representation conversions, on the committed benchmark's inputs (seed
 // 2): BenchmarkExtractCoactors is one extract-condensed op, query text to
-// C-DUP graph over 32 000 IMDB-like actors; BenchmarkConvertRepresentations
-// is dedup-analytics' four conversions of one 16 000-actor C-DUP graph,
+// C-DUP graph over 32 000 IMDB-like actors; BenchmarkExtractSamePart is
+// one extract-expand op, the TPC-H same-part query with every join forced
+// into the relational pipeline; BenchmarkConvertRepresentations is
+// dedup-analytics' four conversions of one 16 000-actor C-DUP graph,
 // without its analytics. B/op and allocs/op are exact; they are what
-// per-vertex garbage in the build shows up in.
+// per-vertex garbage in the build, or per-row garbage in the joins, shows
+// up in.
 
 // BenchmarkExtractCoactors extracts the co-actor graph; the first
 // extraction, which also builds the join indexes, runs before the timer.
@@ -25,6 +28,23 @@ func BenchmarkExtractCoactors(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.Extract(datagen.QueryCoactors); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExtractSamePart extracts the same-part graph with every join
+// in the relational pipeline; the first extraction, which also builds the
+// join indexes, runs before the timer.
+func BenchmarkExtractSamePart(b *testing.B) {
+	engine := NewEngine(datagen.TPCHLike(2, 150, 1000, 25, 3))
+	if _, err := engine.Extract(datagen.QuerySamePart, WithForceExpand()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Extract(datagen.QuerySamePart, WithForceExpand()); err != nil {
 			b.Fatal(err)
 		}
 	}

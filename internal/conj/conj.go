@@ -21,8 +21,8 @@
 //
 // Liveness: after a stage a variable is live when it is an output variable
 // or occurs in an occurrence, comparison or negated atom still to be
-// applied. Scans and joins emit only live columns (the join kernels build
-// the pruned row directly). Under Distinct a stage that dropped a column
+// applied. Scans and joins emit only live columns (the join cursors build
+// the pruned row directly, in a reused scratch row). Under Distinct a stage that dropped a column
 // also drops the duplicates the narrowing exposed, in stream order: a
 // pruned-away attribute is exactly what made those rows differ, and each
 // would otherwise multiply through every later join. First occurrences are

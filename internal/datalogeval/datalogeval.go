@@ -165,7 +165,10 @@ type evaluator struct {
 	// sets deduplicates each derived table's tuples (keyed by lowercased
 	// predicate name); each holds the tuples it admitted, keyed on every
 	// column.
-	sets  map[string]*relstore.RowSet
+	sets map[string]*relstore.RowSet
+	// slab holds the derived tuples themselves: the rows the sets and the
+	// derived tables keep.
+	slab  relstore.RowSlab
 	stats Stats
 }
 
@@ -426,7 +429,10 @@ func (ev *evaluator) evalStratumNaive(rules []*compiledRule) error {
 // the head terms and appending the tuples not already present, and
 // returns the fresh ones (the next delta). It closes the pipeline on
 // every path — this is the single materialization boundary of a rule
-// evaluation, and only distinct head tuples ever materialize.
+// evaluation, and only distinct head tuples ever materialize: each row is
+// projected into one reused scratch tuple, and only a new tuple is copied
+// (into the evaluator's slab), which is the copy the set and the table
+// keep.
 func (ev *evaluator) insert(head datalog.Atom, body relstore.RowIter) ([][]relstore.Value, error) {
 	defer body.Close()
 	pred := strings.ToLower(head.Pred)
@@ -454,6 +460,7 @@ func (ev *evaluator) insert(head datalog.Atom, body relstore.RowIter) ([][]relst
 	}
 	set := ev.sets[pred]
 	var fresh [][]relstore.Value
+	tuple := make([]relstore.Value, len(head.Terms))
 	for {
 		row, ok, err := body.Next()
 		if err != nil {
@@ -462,15 +469,15 @@ func (ev *evaluator) insert(head datalog.Atom, body relstore.RowIter) ([][]relst
 		if !ok {
 			break
 		}
-		out := make([]relstore.Value, len(head.Terms))
-		for i := range out {
+		for i := range tuple {
 			if idx[i] < 0 {
-				out[i] = consts[i]
+				tuple[i] = consts[i]
 			} else {
-				out[i] = row[idx[i]]
+				tuple[i] = row[idx[i]]
 			}
 		}
-		if _, added := set.Add(out); !added {
+		out, added := set.AddCopy(tuple, &ev.slab)
+		if !added {
 			continue
 		}
 		if err := t.Insert(out...); err != nil {

@@ -13,7 +13,10 @@ import (
 // iterators over rows, each with a fixed output contract — schema and
 // row-for-row order. Peak memory of a pipeline is what its operators
 // *hold*, not the sum of every intermediate relation: a scan holds a
-// row, a join holds its build side, distinct holds its seen-set. The
+// row, a join holds its build side, distinct holds its seen-set. Nor does
+// a row cost an allocation on its way through: operators write their
+// output into one reused scratch row, and only the operators that keep a
+// row copy it. The
 // equivalence suites (indexed==unindexed, semi-naive==naive, live==fresh,
 // streaming==materializing) are the correctness oracle for every operator
 // here.
@@ -28,8 +31,15 @@ import (
 //     closed the inputs it was given; a constructor that succeeds owns
 //     them. Consequently a pipeline has exactly one Close obligation: its
 //     head. Collect discharges it.
-//   - Rows handed out by Next may alias table storage or be shared with
-//     other consumers; callers must not mutate them.
+//   - Rows are borrowed. A row returned by Next stays valid only until the
+//     next Next or Close on that iterator: an operator builds each output
+//     row in one scratch row it reuses, and a source may hand out table
+//     storage. Callers never mutate a row, and a caller that keeps one
+//     past that point copies it (RowSlab, RowSet.AddCopy) — distinct's
+//     seen-set, the join builds and Collect do, and nothing else does.
+//     Under the borrowpoison build tag (tests only) every scratch-row
+//     operator overwrites the row it last handed out at its next Next and
+//     at Close, so a keeper that forgot to copy reads garbage.
 //   - Source iterators capture their row-slice headers at construction
 //     (for the lazy build/gather stages: at first Next, which is before
 //     the pipeline has yielded any row). Rows appended to a table while a
@@ -39,7 +49,8 @@ import (
 //     guarantee (table and index storage shifts in place); drain or close
 //     pipelines before deleting from their source tables.
 //   - Order is deterministic: every stage pulls one source row at a time
-//     through its kernel and hands on the kernel's output rows in order.
+//     and hands on the output rows it makes of it, in order, before it
+//     pulls the next.
 
 // Row is one tuple flowing through a pipeline.
 type Row = []Value
@@ -157,11 +168,13 @@ func (t *Tracker) Peak() int64 {
 	return t.peak.Load()
 }
 
-// Collect drains it into a materialized relation, closes it, and returns
-// the relation — the single materialization boundary of a pipeline. On a
-// mid-stream error the pipeline is still closed and the error returned.
+// Collect drains it into a materialized relation of copied rows, closes
+// it, and returns the relation — the single materialization boundary of a
+// pipeline. On a mid-stream error the pipeline is still closed and the
+// error returned.
 func Collect(it RowIter) (*Rel, error) {
 	out := &Rel{Cols: append([]string(nil), it.Cols()...)}
+	var slab RowSlab
 	for {
 		row, ok, err := it.Next()
 		if err != nil {
@@ -171,7 +184,7 @@ func Collect(it RowIter) (*Rel, error) {
 		if !ok {
 			break
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, slab.Copy(row))
 	}
 	if err := it.Close(); err != nil {
 		return nil, err
@@ -242,73 +255,78 @@ func closeAll(its ...RowIter) {
 	}
 }
 
-// expandIter streams src through a pure per-row expansion kernel (emit
-// zero or more output rows per input row): it reads one source row, runs
-// the kernel, and hands on what it emitted before reading the next.
-type expandIter struct {
-	cols   []string
-	src    RowIter
-	fn     func(Row, func(Row))
-	emit   func(Row)
-	buf    [][]Value
-	bufPos int
-	closed bool
-}
-
-func newExpandIter(cols []string, src RowIter, fn func(Row, func(Row))) *expandIter {
-	it := &expandIter{cols: cols, src: src, fn: fn}
-	it.emit = func(r Row) { it.buf = append(it.buf, r) }
-	return it
-}
-
-func (it *expandIter) Cols() []string { return it.cols }
-
-func (it *expandIter) Next() (Row, bool, error) {
-	for {
-		if it.bufPos < len(it.buf) {
-			r := it.buf[it.bufPos]
-			it.bufPos++
-			return r, true, nil
+// poison overwrites a row its operator handed out, under the borrowpoison
+// build tag only; in every normal build it compiles to nothing.
+func poison(row Row) {
+	if borrowPoison {
+		for i := range row {
+			row[i] = poisoned
 		}
+	}
+}
+
+// poisoned is the value poison writes: a string no test data holds.
+var poisoned = StrVal("\x00poisoned: a borrowed row was kept")
+
+// selectIter is the scan kernel: constant-predicate filter, repeated-
+// variable equality filter, then projection of idx under the output
+// schema, written into one scratch row. Shared by the table walk, the
+// index-bucket walk, NewSelect and NewProject's plain form.
+type selectIter struct {
+	cols       []string
+	src        RowIter
+	preds      []Pred
+	equalities [][2]int
+	idx        []int // output column i is source column idx[i]
+	out        Row   // the scratch row, allocated at the first output row
+	closed     bool
+}
+
+func (it *selectIter) Cols() []string { return it.cols }
+
+func (it *selectIter) Next() (Row, bool, error) {
+	poison(it.out)
+next:
+	for {
 		row, ok, err := it.src.Next()
 		if !ok || err != nil {
 			return nil, false, err
 		}
-		it.buf, it.bufPos = it.buf[:0], 0
-		it.fn(row, it.emit)
+		if !holds(row, it.preds) {
+			continue
+		}
+		for _, eq := range it.equalities {
+			if !row[eq[0]].Equal(row[eq[1]]) {
+				continue next
+			}
+		}
+		if it.out == nil {
+			it.out = make(Row, len(it.idx))
+		}
+		for i, c := range it.idx {
+			it.out[i] = row[c]
+		}
+		return it.out, true, nil
 	}
 }
 
-func (it *expandIter) Close() error {
+func (it *selectIter) Close() error {
 	if it.closed {
 		return nil
 	}
 	it.closed = true
-	it.buf = nil
+	poison(it.out)
 	return it.src.Close()
 }
 
-// selectFn is the scan kernel: constant-predicate filter, repeated-
-// variable equality filter, then projection of cols under the output
-// schema. Shared by the table walk, the index-bucket walk, and NewSelect.
-func selectFn(preds []Pred, equalities [][2]int, cols []int) func(Row, func(Row)) {
-	return func(row Row, emit func(Row)) {
-		for _, p := range preds {
-			if !row[p.Col].Equal(p.Value) {
-				return
-			}
+// holds reports whether row satisfies every constant predicate.
+func holds(row Row, preds []Pred) bool {
+	for _, p := range preds {
+		if !row[p.Col].Equal(p.Value) {
+			return false
 		}
-		for _, eq := range equalities {
-			if !row[eq[0]].Equal(row[eq[1]]) {
-				return
-			}
-		}
-		proj := make([]Value, len(cols))
-		for i, c := range cols {
-			proj[i] = row[c]
-		}
-		emit(proj)
 	}
+	return true
 }
 
 // NewScan streams a table scan: equality predicates pushed into the row
@@ -358,9 +376,9 @@ func NewScan(t *Table, preds []Pred, cols []int, names []string, opts ExecOpts) 
 			}
 		}
 		src := &bucketIter{bucket: ix.bucket(preds[pi].Value)}
-		return traced(newExpandIter(outCols, src, selectFn(rest, nil, cols)), sp), nil
+		return traced(&selectIter{cols: outCols, src: src, preds: rest, idx: cols}, sp), nil
 	}
-	return traced(newExpandIter(outCols, IterRows(nil, t.Rows), selectFn(preds, nil, cols)), sp), nil
+	return traced(&selectIter{cols: outCols, src: IterRows(nil, t.Rows), preds: preds, idx: cols}, sp), nil
 }
 
 // bucketIter walks one index bucket's rows in seq (= table) order,
@@ -391,41 +409,69 @@ func (it *bucketIter) Close() error { return nil }
 // This is the one-pass form of the wide-scan+filter+project sequence the
 // pattern compilers used to materialize.
 func NewSelect(rows [][]Value, preds []Pred, equalities [][2]int, cols []int, names []string, opts ExecOpts) RowIter {
-	outCols := append([]string(nil), names...)
-	it := newExpandIter(outCols, IterRows(nil, rows), selectFn(preds, equalities, cols))
+	it := &selectIter{cols: append([]string(nil), names...), src: IterRows(nil, rows),
+		preds: preds, equalities: equalities, idx: cols}
 	if opts.Trace == nil {
 		return it
 	}
 	return traced(it, opts.Trace.StartSpan("select", ""))
 }
 
-// NewFilter streams src through a row predicate, keeping the schema.
+// NewFilter streams src through a row predicate, keeping the schema. A
+// kept row is src's own, handed on as it came.
 func NewFilter(src RowIter, opts ExecOpts, keep func(Row) bool) RowIter {
-	it := newExpandIter(src.Cols(), src, func(row Row, emit func(Row)) {
-		if keep(row) {
-			emit(row)
-		}
-	})
+	it := &filterIter{src: src, keep: keep}
 	if opts.Trace == nil {
 		return it
 	}
 	return traced(it, opts.Trace.StartSpan("filter", ""))
 }
 
+// filterIter implements NewFilter.
+type filterIter struct {
+	src    RowIter
+	keep   func(Row) bool
+	closed bool
+}
+
+func (it *filterIter) Cols() []string { return it.src.Cols() }
+
+func (it *filterIter) Next() (Row, bool, error) {
+	for {
+		row, ok, err := it.src.Next()
+		if !ok || err != nil {
+			return nil, false, err
+		}
+		if it.keep(row) {
+			return row, true, nil
+		}
+	}
+}
+
+func (it *filterIter) Close() error {
+	if it.closed {
+		return nil
+	}
+	it.closed = true
+	return it.src.Close()
+}
+
 // buildProbeIter is the shared shape of the streaming binary operators:
-// the build input drains into operator state at the first Next (before
-// any output row exists), then the probe input streams through a kernel
-// constructed from the drained rows. The build rows are tracked as
-// operator-resident until Close.
+// the build input drains into a grouped copy (drainGroups) at the first
+// Next, before any output row exists, then the probe input streams
+// against it. The build rows are tracked as operator-resident until Close.
 type buildProbeIter struct {
 	cols         []string
 	build, probe RowIter
-	opts         ExecOpts
-	mk           func(buildRows [][]Value) func(Row, func(Row))
-	inner        RowIter
-	held         int
-	failed       error
-	closed       bool
+	// on and probeOn are the join key's columns in the build and probe
+	// rows; fromBuild and fromProbe place their columns in the output.
+	on, probeOn          []int
+	fromBuild, fromProbe []colMove
+	opts                 ExecOpts
+	inner                *joinIter
+	held                 int
+	failed               error
+	closed               bool
 }
 
 func (it *buildProbeIter) Cols() []string { return it.cols }
@@ -435,30 +481,22 @@ func (it *buildProbeIter) Next() (Row, bool, error) {
 		return nil, false, it.failed
 	}
 	if it.inner == nil {
-		var rows [][]Value
-		for {
-			row, ok, err := it.build.Next()
-			if err != nil {
-				it.failed = err
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			rows = append(rows, row)
-		}
+		build, err := drainGroups(it.build, it.on)
 		// The drained build input is closed here, once, so what it held
 		// (an early distinct's seen-set) is released before the build
 		// rows are charged; Close skips it from now on.
-		err := it.build.Close()
+		if cerr := it.build.Close(); err == nil {
+			err = cerr
+		}
 		it.build = nil
 		if err != nil {
 			it.failed = err
 			return nil, false, err
 		}
-		it.held = len(rows)
+		it.held = build.n
 		it.opts.Tracker.Acquire(it.held)
-		it.inner = newExpandIter(it.cols, it.probe, it.mk(rows))
+		it.inner = &joinIter{cols: it.cols, probe: it.probe, build: build, key: it.probeOn,
+			fromBuild: it.fromBuild, fromProbe: it.fromProbe}
 	}
 	return it.inner.Next()
 }
@@ -484,15 +522,72 @@ func (it *buildProbeIter) Close() error {
 	return err
 }
 
+// joinIter is the probe side of every join: a cursor over (probe row,
+// matched build group) that builds one output row per match in its
+// scratch row. The probe row it holds is the probe input's own, valid
+// until the cursor pulls the next one, which it does only once the
+// group is used up.
+type joinIter struct {
+	cols  []string
+	probe RowIter
+	build *rowGroups
+	key   []int  // the join key's columns in the probe rows
+	preds []Pred // constant predicates a probe row must pass first
+	// fromBuild and fromProbe place the build and probe rows' columns in
+	// the output row.
+	fromBuild, fromProbe []colMove
+	prow                 Row
+	group                [][]Value // prow's build matches not yet emitted
+	out                  Row       // the scratch row, allocated at the first output row
+	closed               bool
+}
+
+func (it *joinIter) Cols() []string { return it.cols }
+
+func (it *joinIter) Next() (Row, bool, error) {
+	poison(it.out)
+	for len(it.group) == 0 {
+		row, ok, err := it.probe.Next()
+		if !ok || err != nil {
+			return nil, false, err
+		}
+		if holds(row, it.preds) {
+			it.prow, it.group = row, it.build.lookup(row, it.key)
+		}
+	}
+	if it.out == nil {
+		it.out = make(Row, len(it.cols))
+	}
+	b := it.group[0]
+	it.group = it.group[1:]
+	for _, m := range it.fromBuild {
+		it.out[m.dst] = b[m.src]
+	}
+	for _, m := range it.fromProbe {
+		it.out[m.dst] = it.prow[m.src]
+	}
+	return it.out, true, nil
+}
+
+func (it *joinIter) Close() error {
+	if it.closed {
+		return nil
+	}
+	it.closed = true
+	poison(it.out)
+	it.prow, it.group = nil, nil
+	return it.probe.Close()
+}
+
 // colMove copies input column src to output position dst.
 type colMove struct{ dst, src int }
 
 // joinShape resolves a join's output schema. The natural schema is left's
 // columns followed by right's minus the drop-flagged (join key) ones.
 // keep, when non-nil, names the output columns instead — any subset of
-// the natural schema, in any order — and the kernels build each joined
-// row directly in that shape (joinRow), so a column nothing downstream
-// reads is never copied and no wide row is allocated to be re-projected.
+// the natural schema, in any order — and joinIter builds each joined row
+// directly in that shape, so a column nothing downstream reads is never
+// copied and no wide row is built to be re-projected.
 // A name resolves to its first natural occurrence.
 func joinShape(left, right []string, drop []bool, keep []string) (cols []string, fromLeft, fromRight []colMove, err error) {
 	if keep == nil {
@@ -533,18 +628,6 @@ func keepDetail(keep []string) string {
 		return ""
 	}
 	return " -> " + strings.Join(keep, ",")
-}
-
-// joinRow builds one n-column output row from a left and a right row.
-func joinRow(n int, l, r Row, fromLeft, fromRight []colMove) Row {
-	out := make([]Value, n)
-	for _, m := range fromLeft {
-		out[m.dst] = l[m.src]
-	}
-	for _, m := range fromRight {
-		out[m.dst] = r[m.src]
-	}
-	return out
 }
 
 // NewJoin streams the equi-join of a and b on all shared column names (a
@@ -594,39 +677,22 @@ func newHashJoin(a, b RowIter, on, keep []string, opts ExecOpts) (RowIter, error
 		sp = opts.Trace.StartSpan("join", strings.Join(on, ",")+keepDetail(keep))
 		sp.SetStrategy("hash build=left")
 	}
-	nOut := len(cols)
-	return traced(&buildProbeIter{cols: cols, build: a, probe: b, opts: opts,
-		mk: func(rows [][]Value) func(Row, func(Row)) {
-			table := groupRows(rows, ai)
-			return func(brow Row, emit func(Row)) {
-				for _, arow := range table.lookup(brow, bi) {
-					emit(joinRow(nOut, arow, brow, fromA, fromB))
-				}
-			}
-		}}, sp), nil
+	return traced(&buildProbeIter{cols: cols, build: a, probe: b, on: ai, probeOn: bi,
+		fromBuild: fromA, fromProbe: fromB, opts: opts}, sp), nil
 }
 
 // NewCross streams the cross product: a drains, b streams, one output
-// row per (a row, b row) pair in b-major order.
+// row per (a row, b row) pair in b-major order. It is the hash join on
+// the empty key, whose one group is all of a.
 func NewCross(a, b RowIter, opts ExecOpts) RowIter {
-	cols := append(append([]string(nil), a.Cols()...), b.Cols()...)
-	nOut := len(cols)
+	cols, fromA, fromB, _ := joinShape(a.Cols(), b.Cols(), make([]bool, len(b.Cols())), nil)
 	var sp *obs.Span
 	if opts.Trace != nil {
 		sp = opts.Trace.StartSpan("cross", "")
 		sp.SetStrategy("build=left")
 	}
-	return traced(&buildProbeIter{cols: cols, build: a, probe: b, opts: opts,
-		mk: func(rows [][]Value) func(Row, func(Row)) {
-			return func(brow Row, emit func(Row)) {
-				for _, arow := range rows {
-					joined := make([]Value, 0, nOut)
-					joined = append(joined, arow...)
-					joined = append(joined, brow...)
-					emit(joined)
-				}
-			}
-		}}, sp)
+	return traced(&buildProbeIter{cols: cols, build: a, probe: b,
+		fromBuild: fromA, fromProbe: fromB, opts: opts}, sp)
 }
 
 // NewTableJoin streams the equi-join of cur against the
@@ -719,7 +785,7 @@ type tableJoinIter struct {
 	opts              ExecOpts
 	span              *obs.Span // records the deferred access-path choice; may be nil
 
-	inner  RowIter
+	inner  *joinIter
 	held   int
 	failed error
 	closed bool
@@ -741,35 +807,25 @@ func (it *tableJoinIter) Next() (Row, bool, error) {
 }
 
 func (it *tableJoinIter) start() error {
-	var rows [][]Value
-	for {
-		row, ok, err := it.cur.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, row)
-	}
+	build, err := drainGroups(it.cur, it.ci)
 	// Closed here, once, for the reason buildProbeIter gives.
-	err := it.cur.Close()
+	if cerr := it.cur.Close(); err == nil {
+		err = cerr
+	}
 	it.cur = nil
 	if err != nil {
 		return err
 	}
-	build := groupRows(rows, it.ci)
-	it.held = len(rows)
+	it.held = build.n
 	it.opts.Tracker.Acquire(it.held)
 	useIndex := it.ix != nil &&
-		(it.opts.UseIndex == IndexForce || 2*len(rows) <= it.ix.NKeys())
+		(it.opts.UseIndex == IndexForce || 2*build.n <= it.ix.NKeys())
 	if useIndex {
 		it.span.SetStrategy("index")
 	} else {
 		it.span.SetStrategy("scan")
 	}
-	it.span.Set("build_rows", int64(len(rows)))
-	nOut, fromCur := len(it.cols), it.fromCur
+	it.span.Set("build_rows", int64(build.n))
 	if useIndex {
 		// Gather the matching table rows and restore table order:
 		// sequence numbers are assigned in insertion order and deletions
@@ -804,18 +860,8 @@ func (it *tableJoinIter) start() error {
 		for k, j := range it.ni {
 			tn[k] = it.tCols[j]
 		}
-		preds := it.preds
-		kernel := func(row Row, emit func(Row)) {
-			for _, p := range preds {
-				if !row[p.Col].Equal(p.Value) {
-					return
-				}
-			}
-			for _, crow := range build.lookup(row, tn) {
-				emit(joinRow(nOut, crow, row, fromCur, fromTable))
-			}
-		}
-		it.inner = newExpandIter(it.cols, &entrySliceIter{entries: entries}, kernel)
+		it.inner = &joinIter{cols: it.cols, probe: &entrySliceIter{entries: entries}, build: build,
+			key: tn, preds: it.preds, fromBuild: it.fromCur, fromProbe: fromTable}
 		return nil
 	}
 	scanOpts := it.opts
@@ -829,13 +875,8 @@ func (it *tableJoinIter) start() error {
 	if err != nil {
 		return err
 	}
-	ni, fromScan := it.ni, it.fromScan
-	kernel := func(brow Row, emit func(Row)) {
-		for _, crow := range build.lookup(brow, ni) {
-			emit(joinRow(nOut, crow, brow, fromCur, fromScan))
-		}
-	}
-	it.inner = newExpandIter(it.cols, scan, kernel)
+	it.inner = &joinIter{cols: it.cols, probe: scan, build: build, key: it.ni,
+		fromBuild: it.fromCur, fromProbe: it.fromScan}
 	return nil
 }
 
@@ -901,22 +942,16 @@ func NewProject(src RowIter, cols []string, distinct bool, opts ExecOpts) (RowIt
 		}
 	}
 	if distinct {
-		return traced(newDistinctIter(outCols, src, idx, false, opts, sp), sp), nil
+		return traced(newDistinctIter(outCols, src, idx, opts, sp), sp), nil
 	}
-	return traced(newExpandIter(outCols, src, func(row Row, emit func(Row)) {
-		proj := make([]Value, len(idx))
-		for i, j := range idx {
-			proj[i] = row[j]
-		}
-		emit(proj)
-	}), sp), nil
+	return traced(&selectIter{cols: outCols, src: src, idx: idx}, sp), nil
 }
 
 // NewDistinct streams src minus every row equal to an earlier one, in
 // stream order: the early duplicate elimination a pipeline places behind
-// a join whose output was pruned to fewer columns than it computed.
-// Survivors pass through as they are, so the stage allocates nothing per
-// row beyond its (tracked) seen-set.
+// a join whose output was pruned to fewer columns than it computed. A
+// duplicate costs a probe and nothing else; a survivor is copied into the
+// (tracked) seen-set, since the row src handed out is borrowed.
 func NewDistinct(src RowIter, opts ExecOpts) RowIter {
 	cols := src.Cols()
 	var sp *obs.Span
@@ -924,18 +959,20 @@ func NewDistinct(src RowIter, opts ExecOpts) RowIter {
 		sp = opts.Trace.StartSpan("project", strings.Join(cols, ","))
 		sp.SetStrategy("distinct early")
 	}
-	return traced(newDistinctIter(cols, src, identityCols(len(cols)), true, opts, sp), sp)
+	return traced(newDistinctIter(cols, src, identityCols(len(cols)), opts, sp), sp)
 }
 
-// distinctIter is the streaming SELECT DISTINCT projection. whole marks
-// the identity projection (NewDistinct): survivors are handed on as they
-// are instead of being copied.
+// distinctIter is the streaming SELECT DISTINCT projection. The seen-set
+// keeps each survivor's projection, copied into slab; the row handed on
+// is a scratch copy of it, so a borrowed row is all distinct ever hands
+// out.
 type distinctIter struct {
 	cols   []string
 	src    RowIter
 	idx    []int
-	whole  bool
 	seen   *RowSet // the survivors, keyed on all their columns
+	slab   RowSlab
+	out    Row // the scratch row, allocated at the first survivor
 	opts   ExecOpts
 	span   *obs.Span // records rows in at Close; may be nil
 	in     int64
@@ -943,14 +980,15 @@ type distinctIter struct {
 	closed bool
 }
 
-func newDistinctIter(cols []string, src RowIter, idx []int, whole bool, opts ExecOpts, sp *obs.Span) *distinctIter {
-	return &distinctIter{cols: cols, src: src, idx: idx, whole: whole, opts: opts, span: sp,
+func newDistinctIter(cols []string, src RowIter, idx []int, opts ExecOpts, sp *obs.Span) *distinctIter {
+	return &distinctIter{cols: cols, src: src, idx: idx, opts: opts, span: sp,
 		seen: NewRowSet(identityCols(len(idx)), 0)}
 }
 
 func (it *distinctIter) Cols() []string { return it.cols }
 
 func (it *distinctIter) Next() (Row, bool, error) {
+	poison(it.out)
 	for {
 		row, ok, err := it.src.Next()
 		if !ok || err != nil {
@@ -963,17 +1001,15 @@ func (it *distinctIter) Next() (Row, bool, error) {
 		if g >= 0 {
 			continue
 		}
-		out := row
-		if !it.whole {
-			out = make([]Value, len(it.idx))
-			for i, j := range it.idx {
-				out[i] = row[j]
-			}
-		}
-		it.seen.put(slot, out)
+		kept := it.slab.copyAt(row, it.idx)
+		it.seen.put(slot, kept)
 		it.opts.Tracker.Acquire(1)
 		it.held++
-		return out, true, nil
+		if it.out == nil {
+			it.out = make(Row, len(kept))
+		}
+		copy(it.out, kept)
+		return it.out, true, nil
 	}
 }
 
@@ -982,10 +1018,11 @@ func (it *distinctIter) Close() error {
 		return nil
 	}
 	it.closed = true
+	poison(it.out)
 	it.span.Set("rows_in", it.in)
 	it.opts.Tracker.Release(it.held)
 	it.held = 0
-	it.seen = nil
+	it.seen, it.slab = nil, RowSlab{}
 	return it.src.Close()
 }
 

@@ -330,8 +330,12 @@ func sourceRowsRead(t *testing.T, it RowIter) int {
 	t.Helper()
 	for {
 		switch s := it.(type) {
-		case *expandIter:
+		case *selectIter:
 			it = s.src
+		case *filterIter:
+			it = s.src
+		case *joinIter:
+			it = s.probe
 		case *buildProbeIter:
 			it = s.inner
 		case *tableJoinIter:

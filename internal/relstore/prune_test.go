@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,8 +127,11 @@ func TestPrunedJoinEqualsProjectedJoin(t *testing.T) {
 }
 
 // TestDistinctKeepsFirstOccurrences: NewDistinct drops exactly the rows
-// equal to an earlier one, passes survivors through unprojected, and
-// keeps delimiter-twins apart.
+// equal to an earlier one, hands on each survivor equal in value to its
+// first occurrence, and keeps delimiter-twins apart. A survivor is
+// borrowed, valid until the next Next: what Collect returns are copies,
+// which stay equal to the survivors through every later Next that reused
+// the stage's row, and the input rows are never written.
 func TestDistinctKeepsFirstOccurrences(t *testing.T) {
 	rows := [][]Value{
 		{StrVal("a|sb"), StrVal("c")},
@@ -136,15 +140,35 @@ func TestDistinctKeepsFirstOccurrences(t *testing.T) {
 		{StrVal("1"), StrVal("2")},
 		{StrVal("a"), StrVal("b|sc")},
 	}
+	pristine := &Rel{Cols: []string{"x", "y"}, Rows: [][]Value{
+		slices.Clone(rows[0]), slices.Clone(rows[1]), slices.Clone(rows[2]), slices.Clone(rows[3]), slices.Clone(rows[4])}}
+	want := &Rel{Cols: []string{"x", "y"}, Rows: [][]Value{rows[0], rows[1], rows[3]}}
 	got, err := Collect(NewDistinct(IterRows([]string{"x", "y"}, rows), ExecOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &Rel{Cols: []string{"x", "y"}, Rows: [][]Value{rows[0], rows[1], rows[3]}}
 	rowsEqual(t, got, want, "distinct")
-	if &got.Rows[0][0] != &rows[0][0] {
-		t.Error("NewDistinct copied a surviving row")
+	it := NewDistinct(IterRows([]string{"x", "y"}, rows), ExecOpts{})
+	for i := 0; ; i++ {
+		row, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if i != len(want.Rows) {
+				t.Fatalf("%d survivors, want %d", i, len(want.Rows))
+			}
+			break
+		}
+		if i >= len(want.Rows) || !equalRow(row, want.Rows[i]) {
+			t.Fatalf("survivor %d is %v", i, row)
+		}
 	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rowsEqual(t, got, want, "collected survivors after a second drain")
+	rowsEqual(t, &Rel{Cols: pristine.Cols, Rows: rows}, pristine, "distinct's input")
 }
 
 // TestPrunedStageResourceContracts drives the pruned joins and the early

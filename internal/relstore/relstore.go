@@ -10,11 +10,14 @@
 // ExecOpts.UseIndex.
 //
 // Operators are pull-based RowIter pipelines (iter.go) drained by
-// Collect. Each stage pulls one source row at a time through its kernel,
-// so a pipeline returns its rows in one deterministic order. Every dedup and build map they keep — distinct's seen-set, the join
-// builds — is a RowSet (rowtable.go), which hashes the key columns' Values
-// in place instead of encoding them; so are conj's negation sets and the
-// Datalog evaluator's derived-tuple sets.
+// Collect. Each stage pulls one source row at a time and writes its output
+// into a reused row, so a pipeline returns its rows in one deterministic
+// order and a row it hands out is borrowed until the next one; the
+// operators that keep rows copy them into a RowSlab (slab.go). Every dedup
+// and build map they keep — distinct's seen-set, the join builds — is a
+// RowSet (rowtable.go), which hashes the key columns' Values in place
+// instead of encoding them; so are conj's negation sets and the Datalog
+// evaluator's derived-tuple sets.
 package relstore
 
 import (

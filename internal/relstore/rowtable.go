@@ -7,7 +7,7 @@ import (
 
 // This file is the one row hash table behind every relational dedup and
 // build map: distinct's seen-set, the hash-join and table-join builds
-// (grouped by key, groupRows), conj's negation sets and the Datalog
+// (grouped by key, drainGroups), conj's negation sets and the Datalog
 // evaluator's derived-tuple sets. It hashes the key columns' Values in
 // place and compares them with Value.Equal, so a probe builds no key bytes
 // and no string, and a held row costs the GC one reference, not a key.
@@ -68,8 +68,10 @@ func keysEqual(a Row, acols []int, b Row, bcols []int) bool {
 // RowSet is a hash set of rows keyed on a fixed list of their columns.
 // Rows with Equal key values fall in one group; group ids count from 0 in
 // order of first appearance, and each group keeps the first row added
-// with its key. The set holds row references, never copies, so rows added
-// must not be mutated afterwards.
+// with its key. Add keeps the very row it is given, so that row must not
+// be mutated afterwards; a row borrowed from a RowIter (valid only until
+// its iterator's next Next) goes in through AddCopy, which keeps a copy
+// only when the key is new.
 //
 // Find is read-only and may run concurrently with other Finds; Add must
 // not run concurrently with anything.
@@ -118,6 +120,19 @@ func (s *RowSet) Add(row Row) (g int, added bool) {
 		return g, false
 	}
 	return s.put(slot, row), true
+}
+
+// AddCopy is Add for a row the caller does not own: when row's key is
+// new, it files a copy made in slab and returns that copy, otherwise the
+// group's first row, with whether the key was new.
+func (s *RowSet) AddCopy(row Row, slab *RowSlab) (kept Row, added bool) {
+	slot, g := s.find(hashRow(row, s.cols), row, s.cols)
+	if g >= 0 {
+		return s.Row(g), false
+	}
+	kept = slab.Copy(row)
+	s.put(slot, kept)
+	return kept, true
 }
 
 // Find returns the group whose key equals row's values at cols — one
@@ -182,52 +197,70 @@ func (s *RowSet) grow() {
 	s.slots = slots
 }
 
-// rowGroups is a build side grouped by key: group g's rows, in input
-// order, are rows[start[g]:start[g+1]], or just rows[g] when start is nil
-// (every key unique). It is read-only once built.
+// rowGroups is a build side grouped by key: copies of the rows it
+// drained, with group g's rows, in input order, at
+// rows[start[g]:start[g+1]] — or, when start is nil (every key unique),
+// just the set's first row of g. It is read-only once built.
 type rowGroups struct {
 	set   RowSet
 	start []int32
 	rows  [][]Value
+	n     int // rows drained
 }
 
-// groupRows groups rows by their values at cols. It files every row into a
-// RowSet, then places the rows group by group with one counting pass, so a
-// group is a contiguous run of the result and a probe returns a subslice.
-// When no key repeats, group ids follow input order and rows is already
-// that layout.
-func groupRows(rows [][]Value, cols []int) *rowGroups {
-	gr := &rowGroups{rows: rows}
+// drainGroups drains it into a build side grouped by its values at cols;
+// the caller still closes it. It copies every row into a RowSlab and files
+// the copy into a RowSet, then, if a key repeated, places the rows group
+// by group with one counting pass, so a group is a contiguous run and a
+// probe returns a subslice. When no key repeats, group ids follow input
+// order and the set's chunks of first rows are already that layout.
+func drainGroups(it RowIter, cols []int) (*rowGroups, error) {
+	gr := &rowGroups{}
 	set := &gr.set
-	set.init(cols, len(rows))
-	gid := make([]int32, len(rows))
-	for i, row := range rows {
-		g, _ := set.Add(row)
-		gid[i] = int32(g)
+	set.init(cols, 0)
+	var slab RowSlab
+	var gid []int32
+	width := 0 // every row of one stream has the first row's width
+	for {
+		row, ok, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		width = len(row)
+		g, _ := set.Add(slab.Copy(row))
+		gid = append(gid, int32(g))
 	}
-	if set.Len() == len(rows) {
-		return gr
+	gr.n = len(gid)
+	if set.Len() == gr.n {
+		return gr, nil
 	}
-	// start[g] counts group g's rows, then becomes the group's end offset,
-	// then — as the rows are placed back to front — its start offset.
-	start := make([]int32, set.Len()+1)
+	// start[g+1] counts group g's rows, then the prefix sums make start[g]
+	// the group's offset; placing a row advances its group's offset, which
+	// leaves start[g] at the end of group g — one slot to the left of where
+	// lookup reads it — until the final shift.
+	groups := set.Len()
+	start := make([]int32, groups+1)
 	for _, g := range gid {
-		start[g]++
+		start[g+1]++
 	}
-	var end int32
-	for g := range start[:set.Len()] {
-		end += start[g]
-		start[g] = end
+	for g := 1; g <= groups; g++ {
+		start[g] += start[g-1]
 	}
-	start[set.Len()] = end
-	grouped := make([][]Value, len(rows))
-	for i := len(rows) - 1; i >= 0; i-- {
+	grouped := make([][]Value, gr.n)
+	i := 0
+	slab.each(gr.n, width, func(row Row) {
 		g := gid[i]
-		start[g]--
-		grouped[start[g]] = rows[i]
-	}
+		grouped[start[g]] = row
+		start[g]++
+		i++
+	})
+	copy(start[1:], start[:groups])
+	start[0] = 0
 	gr.start, gr.rows = start, grouped
-	return gr
+	return gr, nil
 }
 
 // lookup returns the build rows whose key equals row's values at cols, in
@@ -237,9 +270,10 @@ func (gr *rowGroups) lookup(row Row, cols []int) [][]Value {
 	if g < 0 {
 		return nil
 	}
-	lo, hi := int32(g), int32(g+1)
-	if gr.start != nil {
-		lo, hi = gr.start[g], gr.start[g+1]
+	if gr.start == nil {
+		c, i := gr.set.first[g>>rowChunkShift], g&(rowChunk-1)
+		return c[i : i+1 : i+1]
 	}
+	lo, hi := gr.start[g], gr.start[g+1]
 	return gr.rows[lo:hi:hi]
 }

@@ -44,11 +44,35 @@ func (r *refGroups) find(row []Value, cols []int) int {
 // not merely equal values. Test rows always have at least one column.
 func sameRow(a, b []Value) bool { return len(a) == len(b) && &a[0] == &b[0] }
 
+// equalRow reports whether a and b hold Equal values, column by column.
+func equalRow(a, b []Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// groupRows drains rows into a join build keyed at cols, as the joins do.
+func groupRows(t testing.TB, rows [][]Value, cols []int) *rowGroups {
+	t.Helper()
+	gr, err := drainGroups(IterRows(nil, rows), cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gr
+}
+
 // checkRowSet files rows into a RowSet (for each of a few size hints) and
-// into groupRows, keyed at cols, and compares both with the reference:
-// group ids and first-seen survivors for every Add, then for every probe
-// (key values at probeCols) the group found, and the group's members and
-// their order.
+// into a join build (drainGroups), keyed at cols, and compares both with
+// the reference: group ids and first-seen survivors for every Add, then
+// for every probe (key values at probeCols) the group found, and the
+// group's members — copies of the input rows, equal in value — and their
+// order.
 func checkRowSet(t testing.TB, rows [][]Value, cols []int, probes [][]Value, probeCols []int) *refGroups {
 	t.Helper()
 	ref := newRefGroups(rows, cols)
@@ -76,7 +100,7 @@ func checkRowSet(t testing.TB, rows [][]Value, cols []int, probes [][]Value, pro
 			}
 		}
 	}
-	gr := groupRows(rows, cols)
+	gr := groupRows(t, rows, cols)
 	for _, p := range probes {
 		got := gr.lookup(p, probeCols)
 		var want [][]Value
@@ -87,8 +111,8 @@ func checkRowSet(t testing.TB, rows [][]Value, cols []int, probes [][]Value, pro
 			t.Fatalf("lookup(%v at %v): %d rows, reference %d", p, probeCols, len(got), len(want))
 		}
 		for i := range got {
-			if !sameRow(got[i], want[i]) {
-				t.Fatalf("lookup(%v at %v): row %d is %v, reference %v", p, probeCols, i, got[i], want[i])
+			if !equalRow(got[i], want[i]) || len(got[i]) > 0 && sameRow(got[i], want[i]) {
+				t.Fatalf("lookup(%v at %v): row %d is %v, reference %v (a copy)", p, probeCols, i, got[i], want[i])
 			}
 		}
 	}
@@ -214,7 +238,7 @@ func TestRowGroupsConcurrentLookup(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		rows = append(rows, []Value{IntVal(int64(i % 1700)), StrVal(fmt.Sprint(i % 3))})
 	}
-	gr := groupRows(rows, []int{0, 1})
+	gr := groupRows(t, rows, []int{0, 1})
 	ref := newRefGroups(rows, []int{0, 1})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -292,7 +316,7 @@ func decodeRowSetInput(data []byte) (rows [][]Value, cols []int, probes [][]Valu
 	return rows, cols, probes, at
 }
 
-// FuzzRowSet checks RowSet and groupRows against the AppendRowKey map
+// FuzzRowSet checks RowSet and the join builds against the AppendRowKey map
 // reference on decoded relations (corpus in testdata/fuzz/FuzzRowSet).
 func FuzzRowSet(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 0, 1, 4, 1, 8})

@@ -23,6 +23,12 @@ go vet "$@"
 echo "== graphlint"
 go run ./cmd/graphlint -counts "$@"
 
+# The relational suites with borrowed-row poisoning: every operator that
+# reuses a scratch row overwrites the row it last handed out before the
+# next one, so a keeper that forgot to copy fails.
+echo "== borrowed-row poison mode"
+go test -tags borrowpoison ./internal/relstore ./internal/conj ./internal/extract ./internal/datalogeval ./internal/incremental .
+
 # Ten seconds of fuzzing past the committed FuzzLiveView corpus: derived
 # live views == Freeze, live edges == a fresh extraction.
 echo "== fuzz live views"
@@ -52,11 +58,11 @@ echo "== fuzz table"
 go test -run '^$' -fuzz '^FuzzTable$' -fuzztime 10s ./internal/relstore
 
 # One iteration each of the root module's graph-build benchmarks (co-actor
-# extraction, the four representation conversions) and of its
-# per-representation PageRank: they must compile and run; the numbers
-# gate nothing.
+# extraction, the same-part extraction through the join pipeline, the four
+# representation conversions) and of its per-representation PageRank: they
+# must compile and run; the numbers gate nothing.
 echo "== graph-build benchmarks (smoke)"
-go test -run '^$' -bench 'ExtractCoactors|ConvertRepresentations|PageRank' -benchtime 1x .
+go test -run '^$' -bench 'ExtractCoactors|ExtractSamePart|ConvertRepresentations|PageRank' -benchtime 1x .
 
 # The nested bench module is outside ./...; its one-second runs are
 # oracle checks (extraction rows, on the default planner path through
