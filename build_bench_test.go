@@ -13,9 +13,9 @@ import (
 // one extract-expand op, the TPC-H same-part query with every join forced
 // into the relational pipeline; BenchmarkConvertRepresentations is
 // dedup-analytics' four conversions of one 16 000-actor C-DUP graph,
-// without its analytics. B/op and allocs/op are exact; they are what
-// per-vertex garbage in the build, or per-row garbage in the joins, shows
-// up in.
+// one sub-benchmark each, without its analytics. B/op and allocs/op are
+// exact; they are what per-vertex garbage in the build, or per-row garbage
+// in the joins, shows up in.
 
 // BenchmarkExtractCoactors extracts the co-actor graph; the first
 // extraction, which also builds the join indexes, runs before the timer.
@@ -51,20 +51,22 @@ func BenchmarkExtractSamePart(b *testing.B) {
 }
 
 // BenchmarkConvertRepresentations converts one C-DUP co-actor graph to
-// DEDUP-1, DEDUP-2, BITMAP and EXP per op.
+// DEDUP-1, DEDUP-2, BITMAP and EXP, one sub-benchmark per target, so each
+// conversion's time and allocations print on their own line.
 func BenchmarkConvertRepresentations(b *testing.B) {
 	cdup, err := NewEngine(datagen.IMDBLike(2, 16000, 2600)).Extract(datagen.QueryCoactors)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, rep := range []Representation{DEDUP1, DEDUP2, BITMAP, EXP} {
-			if _, err := cdup.As(rep); err != nil {
-				b.Fatal(err)
+	for _, rep := range []Representation{DEDUP1, DEDUP2, BITMAP, EXP} {
+		b.Run(rep.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cdup.As(rep); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -77,7 +77,7 @@ func (g *Graph) DeleteEdgeIdx(u, w int32) error {
 	// Fast path: the edge is direct (it may ALSO exist through a virtual
 	// path in C-DUP, in which case the slow path below is still needed).
 	hadDirect := slices.Contains(g.outReal[u], w)
-	viaVirtual := g.reachableViaVirtual(u, w)
+	viaVirtual := g.ReachableViaVirtual(u, w)
 	if hadDirect {
 		g.RemoveDirectEdgeIdx(u, w)
 	}
@@ -157,7 +157,7 @@ func (g *Graph) NormalizeDirects() int {
 	removed := 0
 	g.ForEachReal(func(u int32) bool {
 		for _, w := range append([]int32(nil), g.outReal[u]...) {
-			if g.reachableViaVirtual(u, w) {
+			if g.ReachableViaVirtual(u, w) {
 				g.RemoveDirectEdgeIdx(u, w)
 				removed++
 			}

@@ -271,13 +271,14 @@ func (g *Graph) HasEdgeIdx(u, w int32) bool {
 	if u == w && !g.SelfLoops {
 		return false
 	}
-	return slices.Contains(g.outReal[u], w) || g.reachableViaVirtual(u, w)
+	return slices.Contains(g.outReal[u], w) || g.ReachableViaVirtual(u, w)
 }
 
-// reachableViaVirtual reports whether w is reachable from u through at least
+// ReachableViaVirtual reports whether w is reachable from u through at least
 // one virtual path (ignoring direct edges): a forward DFS through virtual
-// nodes with early exit, or DEDUP-2's 1-hop rule.
-func (g *Graph) reachableViaVirtual(u, w int32) bool {
+// nodes with early exit, or DEDUP-2's 1-hop rule. It is the test by which
+// NormalizeDirects drops a direct edge.
+func (g *Graph) ReachableViaVirtual(u, w int32) bool {
 	if g.mode == DEDUP2 {
 		for _, v := range g.outVirt[u] {
 			if g.virtHasTarget(v, w) {

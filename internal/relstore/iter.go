@@ -842,7 +842,11 @@ func (it *tableJoinIter) start() error {
 				keys.Add(build.set.Row(g))
 			}
 		}
-		var entries []indexEntry
+		n := 0
+		for g := 0; g < keys.Len(); g++ {
+			n += len(it.ix.bucket(keys.Row(g)[it.ci[it.pk]]))
+		}
+		entries := make([]indexEntry, 0, n)
 		for g := 0; g < keys.Len(); g++ {
 			entries = append(entries, it.ix.bucket(keys.Row(g)[it.ci[it.pk]])...)
 		}

@@ -219,7 +219,7 @@ func drainGroups(it RowIter, cols []int) (*rowGroups, error) {
 	set := &gr.set
 	set.init(cols, 0)
 	var slab RowSlab
-	var gid []int32
+	var gid idChunks
 	width := 0 // every row of one stream has the first row's width
 	for {
 		row, ok, err := it.Next()
@@ -231,9 +231,9 @@ func drainGroups(it RowIter, cols []int) (*rowGroups, error) {
 		}
 		width = len(row)
 		g, _ := set.Add(slab.Copy(row))
-		gid = append(gid, int32(g))
+		gid.add(int32(g))
+		gr.n++
 	}
-	gr.n = len(gid)
 	if set.Len() == gr.n {
 		return gr, nil
 	}
@@ -243,8 +243,8 @@ func drainGroups(it RowIter, cols []int) (*rowGroups, error) {
 	// lookup reads it — until the final shift.
 	groups := set.Len()
 	start := make([]int32, groups+1)
-	for _, g := range gid {
-		start[g+1]++
+	for i := range gr.n {
+		start[gid.at(i)+1]++
 	}
 	for g := 1; g <= groups; g++ {
 		start[g] += start[g-1]
@@ -252,7 +252,7 @@ func drainGroups(it RowIter, cols []int) (*rowGroups, error) {
 	grouped := make([][]Value, gr.n)
 	i := 0
 	slab.each(gr.n, width, func(row Row) {
-		g := gid[i]
+		g := gid.at(i)
 		grouped[start[g]] = row
 		start[g]++
 		i++
@@ -261,6 +261,33 @@ func drainGroups(it RowIter, cols []int) (*rowGroups, error) {
 	start[0] = 0
 	gr.start, gr.rows = start, grouped
 	return gr, nil
+}
+
+// idChunks is an append-only list of group ids. The first idChunkLen ids
+// grow in one slice by append, as a small build's always did; after that
+// the ids go into chunks of idChunkLen that never move, so a large build
+// does not copy its ids again at every growth step.
+type idChunks struct {
+	full [][]int32 // filled chunks, idChunkLen ids each
+	last []int32   // the chunk being filled
+}
+
+const idChunkLen = 1 << 13
+
+func (l *idChunks) add(id int32) {
+	if len(l.last) == idChunkLen {
+		l.full = append(l.full, l.last)
+		l.last = make([]int32, 0, idChunkLen)
+	}
+	l.last = append(l.last, id)
+}
+
+// at returns the i-th id added.
+func (l *idChunks) at(i int) int32 {
+	if k := i / idChunkLen; k < len(l.full) {
+		return l.full[k][i%idChunkLen]
+	}
+	return l.last[i%idChunkLen]
 }
 
 // lookup returns the build rows whose key equals row's values at cols, in

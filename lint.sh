@@ -57,10 +57,17 @@ go test -run '^$' -fuzz '^FuzzRowSet$' -fuzztime 10s ./internal/relstore
 echo "== fuzz table"
 go test -run '^$' -fuzz '^FuzzTable$' -fuzztime 10s ./internal/relstore
 
+# Ten seconds of FuzzDedup2: on decoded single-layer symmetric graphs with
+# tombstoned reals and direct edges, DEDUP-2 keeps the logical edges and the
+# Appendix-B invariants and emits no tombstoned virtual slot.
+echo "== fuzz DEDUP-2"
+go test -run '^$' -fuzz '^FuzzDedup2$' -fuzztime 10s ./internal/dedup
+
 # One iteration each of the root module's graph-build benchmarks (co-actor
 # extraction, the same-part extraction through the join pipeline, the four
-# representation conversions) and of its per-representation PageRank: they
-# must compile and run; the numbers gate nothing.
+# representation conversions, one sub-benchmark each) and of its
+# per-representation PageRank: they must compile and run; the numbers gate
+# nothing.
 echo "== graph-build benchmarks (smoke)"
 go test -run '^$' -bench 'ExtractCoactors|ExtractSamePart|ConvertRepresentations|PageRank' -benchtime 1x .
 
