@@ -11,15 +11,12 @@ import (
 )
 
 // This file implements the condensed extraction algorithm of Section 4.2:
-// classify each join of a Case-1 chain as large-output or not, split the
-// chain into segments at the large joins, evaluate the segments as database
-// queries, and materialize virtual nodes per distinct large-join attribute
-// value with the three kinds of condensed edges.
-//
-// Planning (PlanEdges) is exposed separately from materialization
-// (wirePlan) so that the incremental-maintenance subsystem
-// (internal/incremental) can reuse the planner's segment structure to keep
-// per-segment delta counts aligned with the wiring Extract produces.
+// classify each join of a Case-1 chain as large-output or not and split the
+// chain into segments at the large joins (PlanEdges), then turn each
+// segment row into a condensed edge (Wiring, whose doc comment carries the
+// mapping). Extract and the live graph (internal/incremental) share both:
+// Extract wires each distinct segment row once (wirePlan), the live graph
+// wires and unwires rows as their support counts move.
 
 // SegmentPlan is a maximal run of chain atoms without an interior
 // large-output join. InVar/OutVar are its boundary variables: the left edge
@@ -142,68 +139,166 @@ func PlanEdges(db *relstore.DB, rule datalog.Rule, opts Options) (*EdgePlan, err
 	return plan, nil
 }
 
-// wirePlan evaluates the plan's segments against the database and
-// materializes the edges: direct edges for a single-segment plan, condensed
-// virtual-node wiring otherwise (Steps 4-5 of Section 4.2). Segments are
-// evaluated in chain order and each row is wired as its pipeline yields
-// it; no segment is materialized.
+// Wiring is the one mapping from segment rows to condensed edges (Steps 4-5
+// of Section 4.2), for one Edges rule's plan on one graph:
+//
+//   - a single-segment plan's row (u, w) is the direct edge u -> w;
+//   - segment 0's row (u, a) is the membership edge u -> V(a);
+//   - an interior segment's row (a, b) is the virtual edge V(a) -> W(b);
+//   - the last segment's row (a, w) is the membership edge V(a) -> w;
+//
+// where a and b are values of the large joins that bound the segment, and
+// each value has one virtual node, created on first use, in layer k for the
+// k-th large join (1-based). A row whose real endpoint is not the ID of a
+// vertex is skipped; IDs are Int values, the only ones LoadNodes admits.
+// Extract wires each distinct segment row once (wirePlan); the live graph
+// (internal/incremental) wires a row when its support count becomes
+// positive and unwires it when the count returns to zero.
+type Wiring struct {
+	g    *core.Graph
+	last int                        // index of the last segment
+	virt []map[relstore.Value]int32 // per large join: value -> virtual node
+}
+
+// NewWiring returns the wiring of plan's segment rows onto g.
+func NewWiring(g *core.Graph, plan *EdgePlan) *Wiring {
+	w := &Wiring{g: g, last: len(plan.Segments) - 1, virt: make([]map[relstore.Value]int32, len(plan.Segments)-1)}
+	for k := range w.virt {
+		w.virt[k] = make(map[relstore.Value]int32)
+	}
+	return w
+}
+
+// real returns the slot of the vertex whose ID is v.
+func (w *Wiring) real(v relstore.Value) (int32, bool) {
+	if v.T != relstore.Int {
+		return 0, false
+	}
+	return w.g.RealIndex(v.I)
+}
+
+// virtual returns the virtual node of value v of large join k, creating it
+// on first use.
+func (w *Wiring) virtual(k int, v relstore.Value) int32 {
+	if idx, ok := w.virt[k][v]; ok {
+		return idx
+	}
+	idx := w.g.AddVirtualNode(int32(k + 1))
+	w.virt[k][v] = idx
+	return idx
+}
+
+// Wire adds the edge of segment seg's row (in, out). It returns the edge's
+// source, a real slot or (virt) a virtual node, and ok false when the row
+// is skipped.
+func (w *Wiring) Wire(seg int, in, out relstore.Value) (src int32, virt, ok bool) {
+	switch {
+	case w.last == 0:
+		u, okU := w.real(in)
+		t, okT := w.real(out)
+		if !okU || !okT {
+			return 0, false, false
+		}
+		w.g.AddDirectEdgeIdx(u, t)
+		return u, false, true
+	case seg == 0:
+		r, ok := w.real(in)
+		if !ok {
+			return 0, false, false
+		}
+		w.g.ConnectRealToVirt(r, w.virtual(0, out))
+		return r, false, true
+	case seg == w.last:
+		r, ok := w.real(out)
+		if !ok {
+			return 0, false, false
+		}
+		v := w.virtual(seg-1, in)
+		w.g.ConnectVirtToReal(v, r)
+		return v, true, true
+	default:
+		v := w.virtual(seg-1, in)
+		w.g.ConnectVirtToVirt(v, w.virtual(seg, out))
+		return v, true, true
+	}
+}
+
+// Unwire removes the edge Wire added for segment seg's row (in, out),
+// handing its source to before ahead of the surgery, and releases every
+// virtual node the removal left without edges, so that a later Wire of its
+// value creates a fresh node. A row Wire skipped unwires nothing. Only that
+// one edge goes: every other logical edge, including those through the
+// same virtual node, survives.
+func (w *Wiring) Unwire(seg int, in, out relstore.Value, before func(src int32, virt bool)) {
+	switch {
+	case w.last == 0:
+		u, okU := w.real(in)
+		t, okT := w.real(out)
+		if !okU || !okT {
+			return
+		}
+		before(u, false)
+		w.g.RemoveDirectEdgeIdx(u, t)
+	case seg == 0:
+		r, okR := w.real(in)
+		v, okV := w.virt[0][out]
+		if !okR || !okV {
+			return
+		}
+		before(r, false)
+		w.g.DisconnectRealToVirt(r, v)
+		w.release(0, out)
+	case seg == w.last:
+		r, okR := w.real(out)
+		v, okV := w.virt[seg-1][in]
+		if !okR || !okV {
+			return
+		}
+		before(v, true)
+		w.g.DisconnectVirtToReal(v, r)
+		w.release(seg-1, in)
+	default:
+		v, okV := w.virt[seg-1][in]
+		x, okX := w.virt[seg][out]
+		if !okV || !okX {
+			return
+		}
+		before(v, true)
+		w.g.DisconnectVirtToVirt(v, x)
+		w.release(seg-1, in)
+		w.release(seg, out)
+	}
+}
+
+// release removes the virtual node of value v of large join k, and forgets
+// the value, when the node has no edge left. Its dense slot stays dead
+// until the graph is rebuilt, like a tombstoned real node before Compact.
+func (w *Wiring) release(k int, v relstore.Value) {
+	idx, g := w.virt[k][v], w.g
+	if len(g.VirtSources(idx)) > 0 || len(g.VirtTargets(idx)) > 0 ||
+		len(g.VirtInVirt(idx)) > 0 || len(g.VirtOutVirt(idx)) > 0 || len(g.VirtUndirected(idx)) > 0 {
+		return
+	}
+	g.RemoveVirtualNode(idx)
+	delete(w.virt[k], v)
+}
+
+// wirePlan evaluates the plan's segments against the database in chain
+// order and wires each distinct row onto g as its pipeline yields it; no
+// segment is materialized. Skipped rows count in st, and a single-segment
+// plan's direct edges against opts.MaxEdges.
 func wirePlan(db *relstore.DB, g *core.Graph, plan *EdgePlan, opts Options, st *Stats) error {
-	last := len(plan.Segments) - 1
-	if last == 0 {
-		// No large-output join: the whole rule was handed to the
-		// database; load direct (expanded) edges.
-		var count int64
-		return streamSegment(db, plan.Segments[0], opts, func(row relstore.Row) error {
-			u, okU := g.RealIndex(AsID(row[0]))
-			v, okV := g.RealIndex(AsID(row[1]))
-			if !okU || !okV {
+	w := NewWiring(g, plan)
+	var wired int64
+	for i, s := range plan.Segments {
+		err := streamSegment(db, s, opts, func(row relstore.Row) error {
+			if _, _, ok := w.Wire(i, row[0], row[1]); !ok {
 				st.SkippedRows++
 				return nil
 			}
-			g.AddDirectEdgeIdx(u, v)
-			count++
-			if opts.MaxEdges > 0 && count > opts.MaxEdges {
+			wired++
+			if w.last == 0 && opts.MaxEdges > 0 && wired > opts.MaxEdges {
 				return core.ErrTooLarge
-			}
-			return nil
-		})
-	}
-
-	// Step 4: one virtual-node family per large join attribute; a virtual
-	// node per distinct value. Layer k is the k-th large join (1-based).
-	virtOf := make([]map[relstore.Value]int32, last)
-	for k := range virtOf {
-		virtOf[k] = make(map[relstore.Value]int32)
-	}
-	getVirt := func(attr int, v relstore.Value) int32 {
-		if idx, ok := virtOf[attr][v]; ok {
-			return idx
-		}
-		idx := g.AddVirtualNode(int32(attr + 1))
-		virtOf[attr][v] = idx
-		return idx
-	}
-
-	// Step 5: wire the condensed edges.
-	for i, s := range plan.Segments {
-		err := streamSegment(db, s, opts, func(row relstore.Row) error {
-			switch {
-			case i == 0:
-				r, ok := g.RealIndex(AsID(row[0]))
-				if !ok {
-					st.SkippedRows++
-					return nil
-				}
-				g.ConnectRealToVirt(r, getVirt(0, row[1]))
-			case i == last:
-				r, ok := g.RealIndex(AsID(row[1]))
-				if !ok {
-					st.SkippedRows++
-					return nil
-				}
-				g.ConnectVirtToReal(getVirt(i-1, row[0]), r)
-			default:
-				g.ConnectVirtToVirt(getVirt(i-1, row[0]), getVirt(i, row[1]))
 			}
 			return nil
 		})
@@ -263,8 +358,12 @@ func joinIsLarge(db *relstore.DB, left, right datalog.ChainStep, v string, opts 
 	if d == 0 {
 		return false, nil
 	}
+	factor := opts.LargeOutputFactor
+	if factor <= 0 {
+		factor = 2
+	}
 	nl, nr := int64(lt.NumRows()), int64(rt.NumRows())
-	return float64(nl*nr)/float64(d) > opts.LargeOutputFactor*float64(nl+nr), nil
+	return float64(nl*nr)/float64(d) > factor*float64(nl+nr), nil
 }
 
 // tableColumnFor resolves the table and column name bound to variable v in
@@ -304,19 +403,4 @@ func chainSymmetric(c *datalog.Chain) bool {
 		}
 	}
 	return true
-}
-
-// AsID maps a relational value into the real-node ID space. String IDs hash
-// into the int64 space; the generators use integer keys, so that path only
-// serves ad-hoc schemas.
-func AsID(v relstore.Value) int64 {
-	if v.T == relstore.Int {
-		return v.I
-	}
-	var h int64 = 1469598103934665603
-	for i := 0; i < len(v.S); i++ {
-		h ^= int64(v.S[i])
-		h *= 1099511628211
-	}
-	return h
 }

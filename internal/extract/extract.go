@@ -7,6 +7,7 @@ package extract
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"graphgen/internal/core"
@@ -27,7 +28,8 @@ type Options struct {
 	relstore.ExecOpts
 	// LargeOutputFactor is the planner threshold: a join on attribute a
 	// with distinct count d is large-output when |R||S|/d >
-	// factor*(|R|+|S|). The paper uses 2 (Section 4.2, Step 2).
+	// factor*(|R|+|S|). The paper uses 2 (Section 4.2, Step 2), which is
+	// also what <= 0 means.
 	LargeOutputFactor float64
 	// ForceCondensed treats every join as large-output; ForceExpand hands
 	// every join to the database (full expansion). Both are primarily for
@@ -68,7 +70,8 @@ type Stats struct {
 	DatabaseJoins    int
 	// Case2Rules counts Edges rules that fell back to full expansion.
 	Case2Rules int
-	// SkippedRows counts edge rows referencing IDs absent from Nodes.
+	// SkippedRows counts edge rows whose real endpoint is not the ID of a
+	// vertex: absent from Nodes, or not an Int value.
 	SkippedRows int64
 	// PreprocessExpanded is the number of virtual nodes inlined by the
 	// Step-6 pass.
@@ -94,59 +97,19 @@ type Result struct {
 // join (the graph is C-DUP mode; convert with internal/dedup as needed).
 func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, error) {
 	start := time.Now()
-	if opts.LargeOutputFactor <= 0 {
-		opts.LargeOutputFactor = 2
-	}
 	if opts.Tracker == nil {
 		opts.Tracker = relstore.NewTracker()
 	}
 	xsp := opts.Trace.Push("extract", "")
 	defer xsp.End()
-	g := core.New(core.CDUP)
-	g.SelfLoops = opts.SelfLoops
-	res := &Result{Graph: g}
-
-	// Step 0: make sure the access paths the program needs exist. Indexes
-	// live on the tables, so repeated extractions (and live rebuilds) pay
-	// the build cost once.
-	if opts.UseIndex != relstore.IndexOff {
-		EnsureIndexes(db, append(append([]datalog.Rule(nil), prog.Nodes...), prog.Edges...))
+	res := &Result{}
+	// Steps 0-5, wiring each distinct segment row once.
+	g, err := Build(db, prog, opts, &res.Stats, func(g *core.Graph, plan *EdgePlan) error {
+		return wirePlan(db, g, plan, opts, &res.Stats)
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Step 1: Nodes statements.
-	for _, rule := range prog.Nodes {
-		if err := LoadNodes(db, g, rule, opts); err != nil {
-			return nil, err
-		}
-	}
-	// Step 2-5: Edges statements — plan (classify joins, split into
-	// segments), then materialize.
-	symmetric := true
-	for _, rule := range prog.Edges {
-		rsp := opts.Trace.Push("edges_rule", rule.Head.String())
-		plan, err := PlanEdges(db, rule, opts)
-		if err != nil {
-			rsp.End()
-			return nil, err
-		}
-		if plan.Case2 {
-			res.Stats.Case2Rules++
-			rsp.Set("case2", 1)
-		}
-		if !plan.Symmetric {
-			symmetric = false
-		}
-		res.Stats.LargeOutputJoins += plan.LargeJoins
-		res.Stats.DatabaseJoins += plan.DatabaseJoins
-		rsp.Set("large_joins", int64(plan.LargeJoins))
-		rsp.Set("database_joins", int64(plan.DatabaseJoins))
-		if err := wirePlan(db, g, plan, opts, &res.Stats); err != nil {
-			rsp.End()
-			return nil, err
-		}
-		rsp.End()
-	}
-	g.Symmetric = symmetric
 	g.SortAdjacency()
 
 	// Step 6: preprocessing.
@@ -161,10 +124,10 @@ func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, err
 			if err == nil {
 				ng.Symmetric = g.Symmetric
 				g = ng
-				res.Graph = g
 			}
 		}
 	}
+	res.Graph = g
 	res.Stats.RealNodes = g.NumRealNodes()
 	res.Stats.VirtualNodes = g.NumVirtualNodes()
 	res.Stats.RepEdges = g.RepEdges()
@@ -173,12 +136,61 @@ func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, err
 	return res, nil
 }
 
+// Build runs the steps Extract and the live graph (internal/incremental)
+// share. Step 0 creates the access paths the program needs (unless
+// UseIndex is IndexOff); indexes live on the tables, so repeated builds pay
+// for them once. Step 1 loads the Nodes rules into a new C-DUP graph.
+// Steps 2-5 plan each Edges rule, recording the planner's counts in st,
+// and hand the graph and the plan to wire, which wires the plan's segment
+// rows through a Wiring, under the rule's "edges_rule" span. The graph is
+// Symmetric when every plan is.
+func Build(db *relstore.DB, prog *datalog.Program, opts Options, st *Stats, wire func(*core.Graph, *EdgePlan) error) (*core.Graph, error) {
+	if opts.UseIndex != relstore.IndexOff {
+		EnsureIndexes(db, slices.Concat(prog.Nodes, prog.Edges))
+	}
+	g := core.New(core.CDUP)
+	g.SelfLoops = opts.SelfLoops
+	for _, rule := range prog.Nodes {
+		if err := LoadNodes(db, g, rule, opts); err != nil {
+			return nil, err
+		}
+	}
+	symmetric := true
+	for _, rule := range prog.Edges {
+		plan, err := buildRule(db, g, rule, opts, st, wire)
+		if err != nil {
+			return nil, err
+		}
+		symmetric = symmetric && plan.Symmetric
+	}
+	g.Symmetric = symmetric
+	return g, nil
+}
+
+// buildRule plans one Edges rule and wires it onto g under its span.
+func buildRule(db *relstore.DB, g *core.Graph, rule datalog.Rule, opts Options, st *Stats, wire func(*core.Graph, *EdgePlan) error) (*EdgePlan, error) {
+	sp := opts.Trace.Push("edges_rule", rule.Head.String())
+	defer sp.End()
+	plan, err := PlanEdges(db, rule, opts)
+	if err != nil {
+		return nil, err
+	}
+	if plan.Case2 {
+		st.Case2Rules++
+		sp.Set("case2", 1)
+	}
+	st.LargeOutputJoins += plan.LargeJoins
+	st.DatabaseJoins += plan.DatabaseJoins
+	sp.Set("large_joins", int64(plan.LargeJoins))
+	sp.Set("database_joins", int64(plan.DatabaseJoins))
+	return plan, wire(g, plan)
+}
+
 // LoadNodes evaluates one Nodes rule, comparisons and negated atoms
 // included, and adds the result as real nodes with properties named after
 // the head variables. The rule's rows are collected first so that their
 // count sizes the graph's node arrays (Graph.Grow) before the load. It is
-// exported for the incremental-maintenance subsystem, which builds its own
-// graph from the same rules.
+// exported for the per-layer benchmark, which times the node load alone.
 func LoadNodes(db *relstore.DB, g *core.Graph, rule datalog.Rule, opts Options) error {
 	var outVars []string
 	for _, t := range rule.Head.Terms {

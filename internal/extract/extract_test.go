@@ -463,3 +463,58 @@ func TestExtractSelfLoopsOption(t *testing.T) {
 		t.Fatal("self loop 1->1 missing with SelfLoops enabled")
 	}
 }
+
+// oldStringID is the FNV-1a hash extraction once mapped String endpoints
+// through into the vertex ID space, so that a string endpoint wired to
+// whichever vertex its hash collided with.
+func oldStringID(s string) int64 {
+	var h int64 = 1469598103934665603
+	for i := 0; i < len(s); i++ {
+		h ^= int64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// TestStringEndpointsAreSkipped pins that an edge row whose endpoint is not
+// an Int is a skipped row, on the direct and the condensed path, even when
+// a vertex's ID is the string's old hash (AsID("alice") was
+// -6155642456901235291).
+func TestStringEndpointsAreSkipped(t *testing.T) {
+	if oldStringID("alice") != -6155642456901235291 {
+		t.Fatalf("oldStringID(alice) = %d", oldStringID("alice"))
+	}
+	db := relstore.NewDB()
+	people, _ := db.Create("People", relstore.Column{Name: "id", Type: relstore.Int})
+	knows, _ := db.Create("Knows",
+		relstore.Column{Name: "a", Type: relstore.String},
+		relstore.Column{Name: "b", Type: relstore.String})
+	likes, _ := db.Create("Likes",
+		relstore.Column{Name: "person", Type: relstore.String},
+		relstore.Column{Name: "topic", Type: relstore.Int})
+	for _, name := range []string{"alice", "bob"} {
+		people.Insert(relstore.IntVal(oldStringID(name)))
+		likes.Insert(relstore.StrVal(name), relstore.IntVal(1))
+	}
+	knows.Insert(relstore.StrVal("alice"), relstore.StrVal("bob"))
+	for _, c := range []struct {
+		name, src string
+		skipped   int64
+	}{
+		{"direct", "Nodes(ID) :- People(ID).\nEdges(A, B) :- Knows(A, B).", 1},
+		{"condensed", "Nodes(ID) :- People(ID).\nEdges(A, B) :- Likes(A, T), Likes(B, T).", 4},
+	} {
+		opts := DefaultOptions()
+		opts.ForceCondensed = true
+		opts.SkipPreprocess = true
+		res, err := Extract(db, mustParse(t, c.src), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		g := res.Graph
+		if res.Stats.SkippedRows != c.skipped || g.LogicalEdges() != 0 || g.NumVirtualNodes() != 0 {
+			t.Errorf("%s: %d skipped rows, %d logical edges, %d virtual nodes; want %d, 0, 0",
+				c.name, res.Stats.SkippedRows, g.LogicalEdges(), g.NumVirtualNodes(), c.skipped)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -87,6 +88,51 @@ func checkEquivalence(t *testing.T, lv *Live, db *relstore.DB, prog *datalog.Pro
 	}
 }
 
+// checkBuild asserts that the live graph just after New is the graph
+// Extract builds without Step 6 and auto-expansion, slot for slot: equal
+// representation edges, virtual nodes and slots, virtual layers, and
+// adjacency lists once a copy of the live graph is sorted the way Extract
+// sorts its own.
+func checkBuild(t *testing.T, lv *Live, db *relstore.DB, prog *datalog.Program, opts extract.Options) {
+	t.Helper()
+	opts.SkipPreprocess, opts.AutoExpandFactor = true, 0
+	res, err := extract.Extract(db, prog, opts)
+	if err != nil {
+		t.Fatalf("build: extract: %v", err)
+	}
+	want, got := res.Graph, lv.Snapshot()
+	got.SortAdjacency()
+	if got.RepEdges() != want.RepEdges() || got.NumVirtualNodes() != want.NumVirtualNodes() ||
+		got.NumVirtualSlots() != want.NumVirtualSlots() || got.NumRealSlots() != want.NumRealSlots() {
+		t.Fatalf("build: live has %d rep edges, %d virtual nodes in %d slots, %d real slots; Extract %d, %d in %d, %d",
+			got.RepEdges(), got.NumVirtualNodes(), got.NumVirtualSlots(), got.NumRealSlots(),
+			want.RepEdges(), want.NumVirtualNodes(), want.NumVirtualSlots(), want.NumRealSlots())
+	}
+	lists := func(name string, a, b []int32) {
+		t.Helper()
+		if !slices.Equal(a, b) {
+			t.Fatalf("build: %s is %v live, %v in Extract", name, a, b)
+		}
+	}
+	for r := int32(0); int(r) < got.NumRealSlots(); r++ {
+		lists(fmt.Sprintf("OutVirtuals(%d)", r), got.OutVirtuals(r), want.OutVirtuals(r))
+		lists(fmt.Sprintf("InVirtuals(%d)", r), got.InVirtuals(r), want.InVirtuals(r))
+		lists(fmt.Sprintf("OutDirect(%d)", r), got.OutDirect(r), want.OutDirect(r))
+		lists(fmt.Sprintf("InDirect(%d)", r), got.InDirect(r), want.InDirect(r))
+	}
+	for v := int32(0); int(v) < got.NumVirtualSlots(); v++ {
+		if got.VirtLayer(v) != want.VirtLayer(v) || got.VirtAlive(v) != want.VirtAlive(v) {
+			t.Fatalf("build: virtual %d is layer %d alive %v live, layer %d alive %v in Extract",
+				v, got.VirtLayer(v), got.VirtAlive(v), want.VirtLayer(v), want.VirtAlive(v))
+		}
+		lists(fmt.Sprintf("VirtSources(%d)", v), got.VirtSources(v), want.VirtSources(v))
+		lists(fmt.Sprintf("VirtTargets(%d)", v), got.VirtTargets(v), want.VirtTargets(v))
+		lists(fmt.Sprintf("VirtInVirt(%d)", v), got.VirtInVirt(v), want.VirtInVirt(v))
+		lists(fmt.Sprintf("VirtOutVirt(%d)", v), got.VirtOutVirt(v), want.VirtOutVirt(v))
+		lists(fmt.Sprintf("VirtUndirected(%d)", v), got.VirtUndirected(v), want.VirtUndirected(v))
+	}
+}
+
 // randomOps drives nOps random single-tuple inserts and deletes against the
 // listed tables, drawing column values from small domains so that duplicate
 // rows, shared join values, and deletes of multi-support pairs all occur.
@@ -103,6 +149,7 @@ func randomOps(t *testing.T, rng *rand.Rand, db *relstore.DB, prog *datalog.Prog
 		t.Fatal(err)
 	}
 	defer lv.Close()
+	checkBuild(t, lv, db, prog, opts)
 	var views viewHistory
 	sched := rand.New(rand.NewSource(int64(nOps)))
 	for op := 1; op <= nOps; op++ {
@@ -809,5 +856,60 @@ func TestLiveIndexedVsUnindexed(t *testing.T) {
 				t.Fatalf("%s: index lookup pid=%d returns %d rows, scan finds %d", step, pid, got, want)
 			}
 		}
+	}
+}
+
+// TestLiveStringEndpointsAreSkipped pins that inserting an edge row whose
+// endpoints are strings adds no edge, on the direct and the condensed path,
+// even when the vertices' IDs are the strings' old FNV-1a hashes (the one
+// way a string could once wire to a vertex).
+func TestLiveStringEndpointsAreSkipped(t *testing.T) {
+	oldStringID := func(s string) int64 {
+		var h int64 = 1469598103934665603
+		for i := 0; i < len(s); i++ {
+			h ^= int64(s[i])
+			h *= 1099511628211
+		}
+		return h
+	}
+	for _, c := range []struct {
+		name, src string
+		rows      [][2]relstore.Value
+	}{
+		{"direct", "Nodes(ID) :- People(ID).\nEdges(A, B) :- Knows(A, B).",
+			[][2]relstore.Value{{relstore.StrVal("alice"), relstore.StrVal("bob")}}},
+		{"condensed", "Nodes(ID) :- People(ID).\nEdges(A, B) :- Knows(A, T), Knows(B, T).",
+			[][2]relstore.Value{{relstore.StrVal("alice"), relstore.StrVal("t")}, {relstore.StrVal("bob"), relstore.StrVal("t")}}},
+	} {
+		db := relstore.NewDB()
+		people, _ := db.Create("People", relstore.Column{Name: "id", Type: relstore.Int})
+		knows, _ := db.Create("Knows",
+			relstore.Column{Name: "a", Type: relstore.String},
+			relstore.Column{Name: "b", Type: relstore.String})
+		people.Insert(relstore.IntVal(oldStringID("alice")))
+		people.Insert(relstore.IntVal(oldStringID("bob")))
+		prog, err := datalog.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv, err := New(db, prog, extract.Options{ForceCondensed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range c.rows {
+			if err := knows.Insert(row[0], row[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lv.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n := lv.LogicalEdges(); n != 0 || lv.ExistsEdge(oldStringID("alice"), oldStringID("bob")) {
+			t.Errorf("%s: %d logical edges after inserting string rows, want 0", c.name, n)
+		}
+		if st := lv.Stats(); st.Transitions == 0 {
+			t.Errorf("%s: no support transition: the inserted rows never reached the wiring", c.name)
+		}
+		lv.Close()
 	}
 }

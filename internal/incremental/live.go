@@ -7,12 +7,11 @@
 // by the counting delta rules in delta.go); count transitions 0 -> 1 and
 // 1 -> 0 are exactly the condensed-graph edge insertions and removals that
 // keep the live graph's logical edge set equal to a fresh extraction over
-// the mutated database:
-//
-//   - segment 0 pairs wire u_s -> V membership edges,
-//   - interior segment pairs wire V -> W virtual-virtual edges,
-//   - last segment pairs wire V -> u_t membership edges,
-//   - single-segment plans wire direct real-to-real edges.
+// the mutated database. A transition wires or unwires its pair through the
+// rule's extract.Wiring, the mapping from segment rows to condensed edges
+// that Extract uses too (its doc comment lists the four edge kinds); the
+// graph, the plans and the wirings come from extract.Build, the build
+// Extract runs, so the support counts are the only state added here.
 //
 // Deltas are computed eagerly on the mutating goroutine (the relstore
 // change-log callback, where the pre/post state convention is exact) but
@@ -61,21 +60,13 @@ type countDelta struct {
 	n         int
 }
 
-// virtSlot locates a virtual node's key for reverse cleanup.
-type virtSlot struct {
-	attr int
-	key  relstore.Value
-}
-
-// ruleState is the maintenance state of one Edges rule: its plan, each
-// segment compiled once as a bag plan, per-segment pair counts, and the
-// per-attribute virtual-node maps.
+// ruleState is the maintenance state of one Edges rule: each plan segment
+// compiled once as a bag plan, per-segment pair counts, and the wiring of
+// pairs onto the graph.
 type ruleState struct {
-	plan   *extract.EdgePlan
-	segs   []*conj.Plan // aligned with plan.Segments
+	segs   []*conj.Plan // aligned with the plan's segments
 	counts []map[[2]relstore.Value]int
-	virt   []map[relstore.Value]int32 // large-join attribute value -> virtual index
-	vByIdx map[int32]virtSlot
+	wiring *extract.Wiring
 }
 
 // touches reports whether any atom of any segment reads t.
@@ -142,14 +133,15 @@ type Live struct {
 }
 
 // New extracts prog against db and subscribes to the tables it reads.
-// Options follow extract.Options, except that the representation-changing
-// passes (Step-6 preprocessing, auto-expansion) are disabled: live
-// maintenance needs the condensed wiring to stay aligned with the
-// per-segment counts. The logical edge set is unaffected. MaxEdges is
-// enforced against the representation edge count at build and rebuild time
-// (per-tuple maintenance never re-checks it). Comparisons are maintained
-// like the joins they filter; a negated atom is rejected, because a change
-// to the negated table has no delta rule.
+// The live graph is extract.Build's graph without Extract's representation-
+// changing passes (Step-6 preprocessing, auto-expansion), which
+// SkipPreprocess, Workers and AutoExpandFactor configure and which have no
+// effect here: live maintenance needs the condensed wiring to stay aligned
+// with the per-segment counts. The logical edge set is unaffected. MaxEdges
+// is enforced against the representation edge count at build and rebuild
+// time (per-tuple maintenance never re-checks it). Comparisons are
+// maintained like the joins they filter; a negated atom is rejected,
+// because a change to the negated table has no delta rule.
 func New(db *relstore.DB, prog *datalog.Program, opts extract.Options) (*Live, error) {
 	for _, r := range slices.Concat(prog.Nodes, prog.Edges) {
 		if len(r.Negated) > 0 {
@@ -158,24 +150,15 @@ func New(db *relstore.DB, prog *datalog.Program, opts extract.Options) (*Live, e
 				a.Line, a.Col, a, a.Pred)
 		}
 	}
-	if opts.LargeOutputFactor <= 0 {
-		opts.LargeOutputFactor = 2
-	}
-	opts.SkipPreprocess = true
-	opts.AutoExpandFactor = 0
 	lv := &Live{db: db, prog: prog, opts: opts}
 	// A trace is scoped to one query execution; the initial build below
 	// is traced, but per-update maintenance and later rebuilds outlive
 	// the request that configured the trace and must not append to it.
 	defer func() { lv.opts.Trace = nil }()
-	// Create the program's indexes before the initial build and before
-	// subscribing: indexes are maintained inside the mutation path ahead
-	// of change-log subscribers, so the delta evaluation in onChange can
-	// probe them and always see the post-change state. They persist across
-	// rebuilds — a rebuild re-runs extraction over already-indexed tables.
-	if opts.UseIndex != relstore.IndexOff {
-		extract.EnsureIndexes(db, append(append([]datalog.Rule(nil), prog.Nodes...), prog.Edges...))
-	}
+	// The build creates the program's indexes before subscribing: indexes
+	// are maintained inside the mutation path ahead of change-log
+	// subscribers, so the delta evaluation in onChange can probe them and
+	// always see the post-change state.
 	//lint:ignore guardedby lv is not shared until New returns; the constructor builds without mu
 	if err := lv.build(); err != nil {
 		return nil, err
@@ -184,53 +167,35 @@ func New(db *relstore.DB, prog *datalog.Program, opts extract.Options) (*Live, e
 	return lv, nil
 }
 
-// build (re)constructs the graph, counts, and virtual-node maps from the
+// build (re)constructs the graph, plans, counts and wirings from the
 // current database state. Callers hold mu (or are the constructor).
 //
 // graphlint:requires mu
 func (lv *Live) build() error {
-	g := core.New(core.CDUP)
-	g.SelfLoops = lv.opts.SelfLoops
-	for _, rule := range lv.prog.Nodes {
-		if err := extract.LoadNodes(lv.db, g, rule, lv.opts); err != nil {
-			return err
-		}
-	}
-	symmetric := true
 	var rules []*ruleState
-	for _, rule := range lv.prog.Edges {
-		plan, err := extract.PlanEdges(lv.db, rule, lv.opts)
-		if err != nil {
-			return err
-		}
-		if !plan.Symmetric {
-			symmetric = false
-		}
+	g, err := extract.Build(lv.db, lv.prog, lv.opts, new(extract.Stats), func(g *core.Graph, plan *extract.EdgePlan) error {
+		w := extract.NewWiring(g, plan)
 		nSegs := len(plan.Segments)
 		rs := &ruleState{
-			plan:   plan,
 			segs:   make([]*conj.Plan, nSegs),
 			counts: make([]map[[2]relstore.Value]int, nSegs),
-			virt:   make([]map[relstore.Value]int32, nSegs-1),
-			vByIdx: make(map[int32]virtSlot),
-		}
-		for a := range rs.virt {
-			rs.virt[a] = make(map[relstore.Value]int32)
+			wiring: w,
 		}
 		rules = append(rules, rs)
 		// Stream each segment WITHOUT distinct: the row multiplicities
 		// are the initial support counts, and the first appearance of a
 		// pair wires its edge (matching Extract's distinct wiring).
 		for s, seg := range plan.Segments {
+			var err error
 			if rs.segs[s], err = seg.Compile(lv.db, []string{seg.InVar, seg.OutVar}, false, lv.opts); err != nil {
 				return err
 			}
 			counts := make(map[[2]relstore.Value]int)
 			rs.counts[s] = counts
-			_, err := extract.Stream(rs.segs[s], func(row relstore.Row) error {
+			_, err = extract.Stream(rs.segs[s], func(row relstore.Row) error {
 				pair := [2]relstore.Value{row[0], row[1]}
 				if counts[pair] == 0 {
-					addPair(g, rs, s, pair, nil)
+					w.Wire(s, row[0], row[1])
 				}
 				counts[pair]++
 				return nil
@@ -239,11 +204,14 @@ func (lv *Live) build() error {
 				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if lv.opts.MaxEdges > 0 && g.RepEdges() > lv.opts.MaxEdges {
 		return core.ErrTooLarge
 	}
-	g.Symmetric = symmetric
 	lv.g = g
 	lv.rules = rules
 	lv.err = nil
@@ -409,129 +377,16 @@ func (lv *Live) flushLocked() {
 		}
 		switch {
 		case old == 0 && now > 0:
-			addPair(lv.g, rs, k.seg, k.pair, touched)
+			if src, virt, ok := rs.wiring.Wire(k.seg, k.pair[0], k.pair[1]); ok {
+				touched.addSource(lv.g, src, virt)
+			}
 			lv.stats.Transitions++
 		case old > 0 && now == 0:
-			removePair(lv.g, rs, k.seg, k.pair, touched)
+			rs.wiring.Unwire(k.seg, k.pair[0], k.pair[1], func(src int32, virt bool) {
+				touched.addSource(lv.g, src, virt)
+			})
 			lv.stats.Transitions++
 		}
-	}
-}
-
-// addPair wires the physical edge of a pair whose support count became
-// positive, recording the out-rows it may change in touched (see view.go).
-// Pairs whose real endpoint is absent from the node set stay unwired,
-// matching Extract's skipped-row semantics.
-func addPair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value, touched *rowSet) {
-	last := len(rs.plan.Segments) - 1
-	switch {
-	case last == 0:
-		u, okU := g.RealIndex(extract.AsID(pair[0]))
-		w, okW := g.RealIndex(extract.AsID(pair[1]))
-		if !okU || !okW {
-			return
-		}
-		g.AddDirectEdgeIdx(u, w)
-		touched.add(u)
-	case seg == 0:
-		r, ok := g.RealIndex(extract.AsID(pair[0]))
-		if !ok {
-			return
-		}
-		g.ConnectRealToVirt(r, getVirt(g, rs, 0, pair[1]))
-		touched.add(r)
-	case seg == last:
-		r, ok := g.RealIndex(extract.AsID(pair[1]))
-		if !ok {
-			return
-		}
-		v := getVirt(g, rs, seg-1, pair[0])
-		g.ConnectVirtToReal(v, r)
-		touched.addReaching(g, v)
-	default:
-		v := getVirt(g, rs, seg-1, pair[0])
-		g.ConnectVirtToVirt(v, getVirt(g, rs, seg, pair[1]))
-		touched.addReaching(g, v)
-	}
-}
-
-// removePair is the edge surgery for a support count that reached zero. It
-// is the single-membership analogue of core's DeleteEdge compensation: only
-// the physical edge whose support vanished is removed, so every other
-// logical edge (including ones sharing the virtual node) survives, and
-// fully disconnected virtual nodes are reclaimed. Rows are recorded in
-// touched like addPair's, before the surgery.
-func removePair(g *core.Graph, rs *ruleState, seg int, pair [2]relstore.Value, touched *rowSet) {
-	last := len(rs.plan.Segments) - 1
-	switch {
-	case last == 0:
-		u, okU := g.RealIndex(extract.AsID(pair[0]))
-		w, okW := g.RealIndex(extract.AsID(pair[1]))
-		if !okU || !okW {
-			return
-		}
-		touched.add(u)
-		g.RemoveDirectEdgeIdx(u, w)
-	case seg == 0:
-		r, okR := g.RealIndex(extract.AsID(pair[0]))
-		v, okV := rs.virt[0][pair[1]]
-		if !okR || !okV {
-			return
-		}
-		touched.add(r)
-		g.DisconnectRealToVirt(r, v)
-		releaseVirtIfEmpty(g, rs, v)
-	case seg == last:
-		r, okR := g.RealIndex(extract.AsID(pair[1]))
-		v, okV := rs.virt[seg-1][pair[0]]
-		if !okR || !okV {
-			return
-		}
-		touched.addReaching(g, v)
-		g.DisconnectVirtToReal(v, r)
-		releaseVirtIfEmpty(g, rs, v)
-	default:
-		v, okV := rs.virt[seg-1][pair[0]]
-		w, okW := rs.virt[seg][pair[1]]
-		if !okV || !okW {
-			return
-		}
-		touched.addReaching(g, v)
-		g.DisconnectVirtToVirt(v, w)
-		releaseVirtIfEmpty(g, rs, v)
-		releaseVirtIfEmpty(g, rs, w)
-	}
-}
-
-// getVirt returns (creating on demand) the virtual node of a large-join
-// attribute value. Layer k is the k-th large join, 1-based, as in Extract.
-func getVirt(g *core.Graph, rs *ruleState, attr int, key relstore.Value) int32 {
-	if idx, ok := rs.virt[attr][key]; ok {
-		return idx
-	}
-	idx := g.AddVirtualNode(int32(attr + 1))
-	rs.virt[attr][key] = idx
-	rs.vByIdx[idx] = virtSlot{attr: attr, key: key}
-	return idx
-}
-
-// releaseVirtIfEmpty removes a virtual node that lost its last edge and
-// frees its attribute-map slot, so a later re-insert of the value gets a
-// fresh node. (Dead dense slots linger until the next rebuild, like
-// tombstoned real nodes before Compact.)
-func releaseVirtIfEmpty(g *core.Graph, rs *ruleState, v int32) {
-	if !g.VirtAlive(v) {
-		return
-	}
-	if len(g.VirtSources(v)) > 0 || len(g.VirtTargets(v)) > 0 ||
-		len(g.VirtInVirt(v)) > 0 || len(g.VirtOutVirt(v)) > 0 || len(g.VirtUndirected(v)) > 0 {
-		return
-	}
-	g.RemoveVirtualNode(v)
-	slot, ok := rs.vByIdx[v]
-	if ok {
-		delete(rs.virt[slot.attr], slot.key)
-		delete(rs.vByIdx, v)
 	}
 }
 

@@ -83,6 +83,17 @@ func (s *rowSet) add(r int32) {
 	}
 }
 
+// addSource records the rows surgery on an edge from src may change: src's
+// own when it is a real slot, those of every real that reaches it when it
+// is a virtual node (virt), as Wiring.Wire and Wiring.Unwire report it.
+func (s *rowSet) addSource(g *core.Graph, src int32, virt bool) {
+	if virt {
+		s.addReaching(g, src)
+	} else {
+		s.add(src)
+	}
+}
+
 // addReaching records every real that reaches virtual node v.
 func (s *rowSet) addReaching(g *core.Graph, v int32) {
 	if s == nil {

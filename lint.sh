@@ -57,6 +57,18 @@ go test -run '^$' -fuzz '^FuzzRowSet$' -fuzztime 10s ./internal/relstore
 echo "== fuzz table"
 go test -run '^$' -fuzz '^FuzzTable$' -fuzztime 10s ./internal/relstore
 
+# Ten seconds past the committed FuzzLoadCSV corpus: LoadCSV never panics,
+# a successful load upholds the type-inference contract, and reloading a
+# rendered table is a fixpoint.
+echo "== fuzz CSV load"
+go test -run '^$' -fuzz '^FuzzLoadCSV$' -fuzztime 10s ./internal/relstore
+
+# Ten seconds of FuzzDirectiveParse: graphlint's suppression-directive
+# parser never panics, accepts only known analyzers with a justification,
+# and re-parses a canonically rendered directive to itself.
+echo "== fuzz lint directives"
+go test -run '^$' -fuzz '^FuzzDirectiveParse$' -fuzztime 10s ./internal/analyzers
+
 # Ten seconds of FuzzDedup2: on decoded single-layer symmetric graphs with
 # tombstoned reals and direct edges, DEDUP-2 keeps the logical edges and the
 # Appendix-B invariants and emits no tombstoned virtual slot.
