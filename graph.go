@@ -102,7 +102,8 @@ func (g *Graph) MemBytes() int64 { return g.c.MemBytes() }
 // As converts the graph to the target representation using the paper's
 // default algorithm for that representation: BITMAP-2 for BITMAP, Greedy
 // Virtual Nodes First for DEDUP-1, the Appendix-B greedy for DEDUP-2, and
-// full expansion for EXP. The receiver is never modified.
+// full expansion for EXP; C-DUP is a copy, which for a BITMAP graph is its
+// structure without the masks. The receiver is never modified.
 //
 // DedupOptions sets the processing order and seed of the DEDUP-1 and
 // DEDUP-2 heuristics; BITMAP, EXP and C-DUP ignore it. Every conversion is
@@ -114,7 +115,13 @@ func (g *Graph) As(rep Representation, opts ...DedupOptions) (*Graph, error) {
 	}
 	switch rep {
 	case CDUP:
-		return &Graph{c: g.c.Clone(), stats: g.stats, evalStats: g.evalStats, profile: g.profile}, nil
+		c := g.c.Clone()
+		if c.Mode() == core.BITMAP {
+			// BITMAP-2 drops only first-layer edges whose targets other
+			// paths reach, so the structure without its masks is C-DUP.
+			c.SetMode(core.CDUP)
+		}
+		return &Graph{c: c, stats: g.stats, evalStats: g.evalStats, profile: g.profile}, nil
 	case EXP:
 		exp, err := g.c.Expand(0)
 		if err != nil {

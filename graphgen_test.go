@@ -3,9 +3,12 @@ package graphgen
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
+	"graphgen/internal/core"
 	"graphgen/internal/datagen"
 )
 
@@ -340,5 +343,102 @@ func TestWrapCoreAndUnsupported(t *testing.T) {
 	}
 	if _, err := g.As(Representation(99)); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
+	}
+}
+
+// twoCliques builds the C-DUP graph over vertices 1-5 with virtual nodes
+// {1,2,3} and {1,3,4}: 1 and 3 share both, and 5 is isolated.
+func twoCliques() *Graph {
+	c := core.New(core.CDUP)
+	c.Symmetric = true
+	for id := int64(1); id <= 5; id++ {
+		c.AddRealNode(id)
+	}
+	for _, members := range [][]int64{{1, 2, 3}, {1, 3, 4}} {
+		v := c.AddVirtualNode(1)
+		for _, id := range members {
+			r, _ := c.RealIndex(id)
+			c.AddMember(v, r)
+		}
+	}
+	return WrapCore(c)
+}
+
+// neighborLists drains every vertex's neighbor iterator, keeping repeats.
+func neighborLists(g *Graph) map[NodeID][]NodeID {
+	out := make(map[NodeID][]NodeID)
+	for vs := g.Vertices(); ; {
+		u, ok := vs.Next()
+		if !ok {
+			return out
+		}
+		out[u] = []NodeID{}
+		for it := g.Neighbors(u); ; {
+			w, ok := it.Next()
+			if !ok {
+				break
+			}
+			out[u] = append(out[u], w)
+		}
+		slices.Sort(out[u])
+	}
+}
+
+// TestBitmapCompactKeepsNeighborsExactlyOnce pins that Compact on a BITMAP
+// graph renumbers and packs its masks instead of dropping them: with the
+// masks gone, the shared member 3 was reached from 1 through both virtual
+// nodes, and Neighbors(1) gave [2 3 3 4].
+func TestBitmapCompactKeepsNeighborsExactlyOnce(t *testing.T) {
+	for _, dead := range [][]NodeID{{5}, {2}, {3}, {2, 5}} {
+		bmp, err := twoCliques().As(BITMAP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := twoCliques()
+		for _, id := range dead {
+			if err := bmp.DeleteVertex(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := oracle.DeleteVertex(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bmp.Compact()
+		oracle.Compact()
+		exp, err := oracle.As(EXP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := neighborLists(bmp), neighborLists(exp); !maps.EqualFunc(got, want, slices.Equal) {
+			t.Errorf("delete %v: BITMAP neighbors after Compact %v, EXP %v", dead, got, want)
+		}
+		if err := bmp.Core().VerifyNoDuplicates(); err != nil {
+			t.Errorf("delete %v: %v", dead, err)
+		}
+	}
+}
+
+// TestAsCDUPDropsMasks pins that converting a BITMAP graph to C-DUP gives a
+// C-DUP graph with no masks and the same logical edges.
+func TestAsCDUPDropsMasks(t *testing.T) {
+	bmp, err := twoCliques().As(BITMAP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bmp.Core().NumBitmaps() == 0 {
+		t.Fatal("BITMAP conversion attached no masks")
+	}
+	cdup, err := bmp.As(CDUP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, n := cdup.Representation(), cdup.Core().NumBitmaps(); rep != CDUP || n != 0 {
+		t.Fatalf("As(CDUP) of BITMAP: %v with %d masks, want C-DUP with none", rep, n)
+	}
+	if got, want := neighborLists(cdup), neighborLists(bmp); !maps.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("As(CDUP) neighbors %v, BITMAP %v", got, want)
+	}
+	if bmp.Representation() != BITMAP || bmp.Core().NumBitmaps() == 0 {
+		t.Fatal("As(CDUP) modified its receiver")
 	}
 }

@@ -21,10 +21,9 @@ package bsp
 
 import (
 	"errors"
-	"sort"
+	"math/bits"
 	"time"
 
-	"graphgen/internal/bitset"
 	"graphgen/internal/core"
 	"graphgen/internal/parallel"
 )
@@ -213,31 +212,18 @@ func Degree(g *core.Graph, opts ...Options) (*Result, error) {
 		e.forVirtuals(func(st *stage, v int32) {
 			switch g.Mode() {
 			case core.BITMAP:
-				// Bitmaps are keyed by traversal origin, so the
+				// Masks are keyed by traversal origin, so the
 				// masked contribution goes straight to the origin
 				// real node (multi-layer included). ForEachBitmap
-				// ranges over a map; sort by origin so the send
+				// yields origins in ascending order, so the send
 				// order — and thus the run — is deterministic.
-				type originMask struct {
-					origin int32
-					b      *bitset.Set
-				}
-				var masks []originMask
-				g.ForEachBitmap(v, func(origin int32, b *bitset.Set) {
-					masks = append(masks, originMask{origin, b})
-				})
-				sort.Slice(masks, func(i, j int) bool { return masks[i].origin < masks[j].origin })
-				for _, om := range masks {
-					n := om.b.Count()
-					// Bits beyond the real-target range mask
-					// virtual-virtual edges; exclude them.
-					for i := len(g.VirtTargets(v)); i < om.b.Len(); i++ {
-						if om.b.Get(i) {
-							n--
-						}
+				g.ForEachBitmap(v, func(origin int32, words []uint64) {
+					n := 0
+					for _, w := range words {
+						n += bits.OnesCount64(w)
 					}
-					st.send(e.realVertex(om.origin), message{value: float64(n), origin: -1})
-				}
+					st.send(e.realVertex(origin), message{value: float64(n), origin: -1})
+				})
 			case core.DEDUP2:
 				// A member reaches its own virtual node's other
 				// members plus the 1-hop neighborhood.

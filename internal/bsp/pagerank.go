@@ -87,9 +87,9 @@ func PageRank(g *core.Graph, iters int, damping float64, opts ...Options) (*Resu
 						continue
 					}
 					perOrigin[m.origin] = m.value
-					bmp, ok := g.Bitmap(v, m.origin)
+					mask, ok := g.Bitmap(v, m.origin)
 					for i := range targets {
-						if ok && !bmp.Get(i) {
+						if ok && mask[i>>6]&(1<<(i&63)) == 0 {
 							continue
 						}
 						if !ok && targets[i] == m.origin && !g.SelfLoops {

@@ -34,8 +34,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-
-	"graphgen/internal/bitset"
 )
 
 // Mode identifies the in-memory representation semantics of a Graph.
@@ -59,8 +57,10 @@ const (
 	// and its 1-hop virtual neighborhood).
 	DEDUP2
 	// BITMAP is the condensed representation with per-virtual-node bitmaps
-	// masking duplicate traversal paths. The masks are per origin, so they
-	// work forward only; in-neighbor iteration deduplicates like C-DUP.
+	// masking duplicate traversal paths: one bit per real target of the
+	// virtual node, per traversal origin (masks.go). The masks are per
+	// origin, so they work forward only; in-neighbor iteration
+	// deduplicates like C-DUP.
 	BITMAP
 )
 
@@ -140,10 +140,10 @@ type Graph struct {
 	// DEDUP-2: undirected virtual-virtual edges (stored on both sides).
 	vUndir [][]int32
 
-	// BITMAP: per virtual node, per traversal-origin real node, a bitmap
-	// over the virtual node's outgoing edges (vOut entries first, then
-	// vOutVirt entries). A missing bitmap means "traverse everything".
-	bitmaps []map[int32]*bitset.Set
+	// BITMAP: per virtual node, its traversal origins and their masks
+	// over vOut (masks.go). nil until the first SetBitmap; otherwise one
+	// row per virtual slot. A missing mask means "traverse everything".
+	masks []maskRow
 
 	// layerHint is an upper bound on MaxLayer maintained incrementally so
 	// traversals can decide in O(1) whether multi-layer bookkeeping is
@@ -183,8 +183,14 @@ func (g *Graph) Mode() Mode { return g.mode }
 
 // SetMode changes the representation mode. It is used by deduplication
 // algorithms after they have established the target representation's
-// invariants; see internal/dedup.
-func (g *Graph) SetMode(m Mode) { g.mode = m }
+// invariants; see internal/dedup. Only a BITMAP graph holds masks, so any
+// other mode drops them.
+func (g *Graph) SetMode(m Mode) {
+	g.mode = m
+	if m != BITMAP {
+		g.masks = nil
+	}
+}
 
 // NumRealNodes returns the number of live real nodes.
 func (g *Graph) NumRealNodes() int { return len(g.realID) - g.numDead }
@@ -241,7 +247,9 @@ func (g *Graph) AddVirtualNode(layer int32) int32 {
 	g.vOutVirt = append(g.vOutVirt, nil)
 	g.vDead = append(g.vDead, false)
 	g.vUndir = append(g.vUndir, nil)
-	g.bitmaps = append(g.bitmaps, nil)
+	if g.masks != nil {
+		g.masks = append(g.masks, maskRow{})
+	}
 	return idx
 }
 
@@ -329,12 +337,6 @@ func (g *Graph) DisconnectVirtToVirt(v, w int32) {
 	g.vInVirt[w] = removeOne(g.vInVirt[w], v)
 }
 
-// DisconnectVirtUndirected removes the undirected edge V <-> W.
-func (g *Graph) DisconnectVirtUndirected(v, w int32) {
-	g.vUndir[v] = removeOne(g.vUndir[v], w)
-	g.vUndir[w] = removeOne(g.vUndir[w], v)
-}
-
 // RemoveDirectEdgeIdx removes one direct edge u -> w.
 func (g *Graph) RemoveDirectEdgeIdx(u, w int32) {
 	g.outReal[u] = removeOne(g.outReal[u], w)
@@ -359,7 +361,9 @@ func (g *Graph) RemoveVirtualNode(v int32) {
 		g.vUndir[w] = removeOne(g.vUndir[w], v)
 	}
 	g.vIn[v], g.vInVirt[v], g.vOut[v], g.vOutVirt[v], g.vUndir[v] = nil, nil, nil, nil, nil
-	g.bitmaps[v] = nil
+	if g.masks != nil {
+		g.masks[v] = maskRow{}
+	}
 	if !g.vDead[v] {
 		g.vDead[v] = true
 		g.vNumDead++
@@ -395,49 +399,6 @@ func (g *Graph) OutDirect(r int32) []int32 { return g.outReal[r] }
 
 // InDirect returns the direct real in-neighbors of real node r.
 func (g *Graph) InDirect(r int32) []int32 { return g.inReal[r] }
-
-// SetBitmap attaches a traversal bitmap for origin real node r at virtual
-// node v. The bitmap indexes v's outgoing edges: vOut entries first,
-// followed by vOutVirt entries.
-func (g *Graph) SetBitmap(v, r int32, b *bitset.Set) {
-	if g.bitmaps[v] == nil {
-		g.bitmaps[v] = make(map[int32]*bitset.Set)
-	}
-	g.bitmaps[v][r] = b
-}
-
-// Bitmap returns the traversal bitmap for origin r at virtual node v.
-func (g *Graph) Bitmap(v, r int32) (*bitset.Set, bool) {
-	if g.bitmaps[v] == nil {
-		return nil, false
-	}
-	b, ok := g.bitmaps[v][r]
-	return b, ok
-}
-
-// RemoveBitmap drops the bitmap for origin r at virtual node v.
-func (g *Graph) RemoveBitmap(v, r int32) {
-	if g.bitmaps[v] != nil {
-		delete(g.bitmaps[v], r)
-	}
-}
-
-// ForEachBitmap calls fn for every (origin, bitmap) pair stored at virtual
-// node v. Iteration order is unspecified.
-func (g *Graph) ForEachBitmap(v int32, fn func(origin int32, b *bitset.Set)) {
-	for origin, b := range g.bitmaps[v] {
-		fn(origin, b)
-	}
-}
-
-// NumBitmaps returns the total number of bitmaps stored in the graph.
-func (g *Graph) NumBitmaps() int {
-	n := 0
-	for _, m := range g.bitmaps {
-		n += len(m)
-	}
-	return n
-}
 
 // SortAdjacency sorts every adjacency slice. Sorted adjacency makes the
 // overlap computations of the deduplication algorithms (Section 5.2) fast;
@@ -480,7 +441,7 @@ func (g *Graph) multiLayer() bool { return g.layerHint > 1 }
 // Clone returns a deep copy of the graph. Benchmarks use it to run several
 // deduplication algorithms from the same C-DUP starting point.
 func (g *Graph) Clone() *Graph {
-	ng := &Graph{
+	return &Graph{
 		mode:       g.mode,
 		SelfLoops:  g.SelfLoops,
 		Symmetric:  g.Symmetric,
@@ -502,19 +463,9 @@ func (g *Graph) Clone() *Graph {
 		vNumDead:   g.vNumDead,
 		vOutSorted: g.vOutSorted,
 		vUndir:     cloneAdj(g.vUndir),
-		bitmaps:    make([]map[int32]*bitset.Set, len(g.bitmaps)),
+		masks:      cloneMasks(g.masks),
 		layerHint:  g.layerHint,
 	}
-	for i, m := range g.bitmaps {
-		if m != nil {
-			nm := make(map[int32]*bitset.Set, len(m))
-			for k, b := range m {
-				nm[k] = b.Clone()
-			}
-			ng.bitmaps[i] = nm
-		}
-	}
-	return ng
 }
 
 func cloneAdj(a [][]int32) [][]int32 {

@@ -120,11 +120,6 @@ func (g *Graph) FlattenToSingleLayer(maxEdges int64) error {
 	return nil
 }
 
-// ExpandedEdgeCount computes the number of edges the EXP representation
-// would have, without materializing it. The paper computes this for free as
-// a side effect of deduplication and uses it to decide whether to expand.
-func (g *Graph) ExpandedEdgeCount() int64 { return g.LogicalEdges() }
-
 // Expand materializes the fully expanded graph (EXP). maxEdges bounds the
 // number of expanded edges; 0 means unlimited. On overflow it returns
 // ErrTooLarge, modelling the paper's infeasible-EXP cases.

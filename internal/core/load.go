@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"graphgen/internal/bitset"
-)
+import "slices"
 
 // LoadDedup2 writes a finished DEDUP-2 structure into g, which must hold
 // real nodes and nothing else: no edges and no virtual nodes. It creates nv
@@ -55,7 +51,6 @@ func (g *Graph) LoadDedup2(nv int, node func(v int32) (members, undir []int32), 
 	g.vOutVirt = make([][]int32, nv)
 	g.vDead = make([]bool, nv)
 	g.vUndir = make([][]int32, nv)
-	g.bitmaps = make([]map[int32]*bitset.Set, nv)
 	g.vOutSorted = true
 	for v := int32(0); int(v) < nv; v++ {
 		members, undir := node(v)

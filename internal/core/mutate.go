@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
+
+	"graphgen/internal/markset"
 )
 
 // This file implements the mutating half of the Graph API (Section 3.4):
@@ -149,15 +151,35 @@ func (g *Graph) deleteEdgeDedup2(u, w int32) error {
 }
 
 // NormalizeDirects removes every direct edge that duplicates a virtual
-// path (the logical edge survives through the virtual node). Deduplication
-// algorithms call it on their working copy so that direct-vs-virtual
-// duplication is eliminated up front and only virtual-virtual duplication
-// remains for them to resolve. Returns the number of edges removed.
+// path (the logical edge survives through the virtual node) or an earlier
+// direct edge; Step-6 expansion of two small virtual nodes that share two
+// members adds that pair twice. On a single-layer graph it also removes
+// every repeat of a real node's edge to a virtual node, which traversal
+// would follow twice; multi-layer traversals mark virtual nodes, so there
+// a repeat is left alone. Deduplication algorithms call it on their working
+// copy so that these duplicates are eliminated up front and only
+// duplication between distinct virtual paths remains for them to resolve.
+// Returns the number of edges removed.
 func (g *Graph) NormalizeDirects() int {
 	removed := 0
+	var seen markset.Set
+	var row []int32
+	single := !g.multiLayer()
 	g.ForEachReal(func(u int32) bool {
-		for _, w := range append([]int32(nil), g.outReal[u]...) {
-			if g.ReachableViaVirtual(u, w) {
+		if single {
+			seen.Reset(len(g.vLayer))
+			row = append(row[:0], g.outVirt[u]...)
+			for _, v := range row {
+				if !seen.Mark(v) {
+					g.DisconnectRealToVirt(u, v)
+					removed++
+				}
+			}
+		}
+		seen.Reset(len(g.realID))
+		row = append(row[:0], g.outReal[u]...)
+		for _, w := range row {
+			if !seen.Mark(w) || g.ReachableViaVirtual(u, w) {
 				g.RemoveDirectEdgeIdx(u, w)
 				removed++
 			}
@@ -169,7 +191,9 @@ func (g *Graph) NormalizeDirects() int {
 
 // Compact physically removes tombstoned real vertices: adjacency entries
 // pointing at dead vertices are dropped and the dense index is rebuilt.
-// This is the batched second half of lazy deletion.
+// This is the batched second half of lazy deletion. A BITMAP graph keeps
+// its masks, renumbered and packed to the surviving targets, so it stays
+// duplicate-free.
 func (g *Graph) Compact() {
 	if g.numDead == 0 {
 		return
@@ -199,15 +223,11 @@ func (g *Graph) Compact() {
 		if g.vDead[v] {
 			continue
 		}
+		if g.masks != nil {
+			g.compactMasks(v, remap) // reads vOut[v] before the filter
+		}
 		g.vIn[v] = filter(g.vIn[v])
 		g.vOut[v] = filter(g.vOut[v])
-		if g.bitmaps[v] != nil {
-			// Bitmaps index positions in vOut, which just changed,
-			// and are keyed by origin indices, which also changed.
-			// Dropping them is safe for C-DUP semantics; BITMAP
-			// graphs must be re-deduplicated after Compact.
-			g.bitmaps[v] = nil
-		}
 	}
 	// Real-node arrays.
 	live := make([]int32, 0, n)

@@ -20,9 +20,10 @@ import (
 //   - DEDUP-1: plain traversal; the deduplication algorithms guarantee at
 //     most one path between any two real nodes, so no visited set
 //     over real nodes is needed.
-//   - BITMAP:  traversal consults the per-(origin, virtual node) bitmaps to
-//     decide which outgoing edges of a virtual node to follow; in
-//     the backward direction it deduplicates like C-DUP.
+//   - BITMAP:  traversal consults the per-(origin, virtual node) masks to
+//     decide which real targets of a virtual node to emit, and
+//     descends every virtual out-edge; in the backward direction
+//     it deduplicates like C-DUP.
 //   - DEDUP-2: a real node reaches the targets of each directly adjacent
 //     virtual node V plus the targets of V's undirected 1-hop
 //     virtual neighborhood.
@@ -197,22 +198,16 @@ func (g *Graph) forNeighborsBitmap(r int32, fn func(int32) bool) {
 		if multi && !sc.virt.Mark(v) {
 			continue
 		}
-		bmp, hasBmp := g.Bitmap(v, r)
-		nOut := len(g.vOut[v])
+		mask, masked := g.Bitmap(v, r)
 		for i, t := range g.vOut[v] {
-			if hasBmp && !bmp.Get(i) {
+			if masked && mask[i>>6]&(1<<(i&63)) == 0 {
 				continue
 			}
 			if !g.emit(r, t, fn) {
 				return
 			}
 		}
-		for i, w := range g.vOutVirt[v] {
-			if hasBmp && bmp.Len() > nOut && !bmp.Get(nOut+i) {
-				continue
-			}
-			sc.stack = append(sc.stack, w)
-		}
+		sc.stack = append(sc.stack, g.vOutVirt[v]...)
 	}
 }
 

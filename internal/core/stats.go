@@ -47,7 +47,8 @@ func (g *Graph) TotalNodes() int { return g.NumRealNodes() + g.NumVirtualNodes()
 // MemBytes estimates the heap footprint of the representation, mirroring
 // the memory columns of Tables 3 and 4. It accounts for node arrays, the
 // vertex ID map, adjacency slices, the property columns (per key a string
-// header and a set flag per slot, plus the value bytes), and bitmaps.
+// header and a set flag per slot, plus the value bytes), and BITMAP's
+// masks.
 // Lengths are counted, not capacities.
 func (g *Graph) MemBytes() int64 {
 	const (
@@ -66,11 +67,12 @@ func (g *Graph) MemBytes() int64 {
 	b += int64(len(g.vLayer)) * (4 + 1 + 5*sliceHeader)
 	for v := range g.vLayer {
 		b += int64(len(g.vIn[v])+len(g.vInVirt[v])+len(g.vOut[v])+len(g.vOutVirt[v])+len(g.vUndir[v])) * 4
-		if g.bitmaps[v] != nil {
-			for _, bm := range g.bitmaps[v] {
-				b += int64(bm.MemBytes()) + mapEntry
-			}
-		}
+	}
+	// Masks: two slice headers per virtual slot once the store exists,
+	// then 4 B per origin and 8 B per word.
+	b += int64(len(g.masks)) * 2 * sliceHeader
+	for _, m := range g.masks {
+		b += int64(len(m.origins))*4 + int64(len(m.words))*8
 	}
 	return b
 }

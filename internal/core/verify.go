@@ -24,100 +24,30 @@ func (g *Graph) VerifyNoDuplicates() error {
 	return err
 }
 
-// rawTraversalHasDup walks r's representation the way its mode's Neighbors
-// does but WITHOUT any on-the-fly dedup, recording seen targets; it returns
-// the first duplicated target index or none.
+// rawTraversalHasDup walks r with its mode's own walker minus the C-DUP
+// mark set (C-DUP takes DEDUP-1's plain DFS), recording seen targets; it
+// returns the first duplicated target index or none.
 func (g *Graph) rawTraversalHasDup(r int32, seen map[int32]struct{}) int32 {
-	check := func(t int32) int32 {
-		if g.dead[t] || (t == r && !g.SelfLoops) {
-			return none
-		}
-		if _, dup := seen[t]; dup {
-			return t
+	dup := none
+	visit := func(t int32) bool {
+		if _, ok := seen[t]; ok {
+			dup = t
+			return false
 		}
 		seen[t] = struct{}{}
-		return none
-	}
-	for _, t := range g.outReal[r] {
-		if d := check(t); d != none {
-			return d
-		}
+		return true
 	}
 	switch g.mode {
 	case EXP:
-		return none
-	case DEDUP2:
-		for _, v := range g.outVirt[r] {
-			for _, t := range g.vOut[v] {
-				if t == r {
-					continue
-				}
-				if d := check(t); d != none {
-					return d
-				}
-			}
-			for _, w := range g.vUndir[v] {
-				for _, t := range g.vOut[w] {
-					if t == r {
-						continue
-					}
-					if d := check(t); d != none {
-						return d
-					}
-				}
-			}
-		}
-		return none
+		g.scanDirect(r, g.outReal[r], visit)
 	case BITMAP:
-		// Traversal honoring bitmaps but with no real-node mark set.
-		var seenVirt map[int32]struct{}
-		if g.multiLayer() {
-			seenVirt = make(map[int32]struct{}, 8)
-		}
-		var stack []int32
-		stack = append(stack, g.outVirt[r]...)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seenVirt != nil {
-				if _, dup := seenVirt[v]; dup {
-					continue
-				}
-				seenVirt[v] = struct{}{}
-			}
-			bmp, hasBmp := g.Bitmap(v, r)
-			nOut := len(g.vOut[v])
-			for i, t := range g.vOut[v] {
-				if hasBmp && !bmp.Get(i) {
-					continue
-				}
-				if d := check(t); d != none {
-					return d
-				}
-			}
-			for i, w := range g.vOutVirt[v] {
-				if hasBmp && bmp.Len() > nOut && !bmp.Get(nOut+i) {
-					continue
-				}
-				stack = append(stack, w)
-			}
-		}
-		return none
-	default: // CDUP, DEDUP1: raw DFS
-		var stack []int32
-		stack = append(stack, g.outVirt[r]...)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, t := range g.vOut[v] {
-				if d := check(t); d != none {
-					return d
-				}
-			}
-			stack = append(stack, g.vOutVirt[v]...)
-		}
-		return none
+		g.forNeighborsBitmap(r, visit)
+	case DEDUP2:
+		g.forNeighborsDedup2(r, visit)
+	default: // CDUP, DEDUP1
+		g.walkPlain(r, g.outReal[r], g.outVirt[r], g.vOut, g.vOutVirt, visit)
 	}
+	return dup
 }
 
 // EdgeSet returns the logical edge set as a map of packed (src,dst) dense

@@ -1,7 +1,6 @@
 package dedup
 
 import (
-	"graphgen/internal/bitset"
 	"graphgen/internal/core"
 	"graphgen/internal/markset"
 )
@@ -36,6 +35,7 @@ func Bitmap1(g *core.Graph) (*core.Graph, Stats, error) {
 	out.ForEachReal(func(u int32) bool {
 		sc.covered.Reset(out.NumRealSlots())
 		sc.seenVirt.Reset(out.NumVirtualSlots())
+		sc.words = sc.words[:0]
 		sc.work = append(sc.work[:0], out.OutVirtuals(u)...)
 		for len(sc.work) > 0 {
 			v := sc.work[len(sc.work)-1]
@@ -45,16 +45,16 @@ func Bitmap1(g *core.Graph) (*core.Graph, Stats, error) {
 			}
 			targets := out.VirtTargets(v)
 			if len(targets) > 0 {
-				bmp := bitset.New(len(targets))
+				mask := sc.mask(len(targets))
 				for i, t := range targets {
 					if t == u && !out.SelfLoops {
 						continue // self edge: leave masked
 					}
 					if sc.covered.Mark(t) {
-						bmp.Set(i)
+						mask[i>>6] |= 1 << (i & 63)
 					}
 				}
-				out.SetBitmap(v, u, bmp)
+				out.SetBitmap(v, u, mask)
 				st.BitmapsCreated++
 			}
 			sc.work = append(sc.work, out.VirtOutVirt(v)...)
@@ -67,15 +67,16 @@ func Bitmap1(g *core.Graph) (*core.Graph, Stats, error) {
 }
 
 // bitmap2Plan is BITMAP-2's decision for one origin: which virtual nodes get
-// which bitmaps and which first-layer edges are deleted.
+// which bitmaps and which first-layer edges are deleted. It lives in the
+// planScratch, masks included, until the next plan.
 type bitmap2Plan struct {
 	bitmaps []plannedBitmap
 	drop    []int32 // first-layer virtual nodes to disconnect from origin
 }
 
 type plannedBitmap struct {
-	virt int32
-	bits *bitset.Set
+	virt  int32
+	words []uint64 // the mask, laid out as core.Graph.SetBitmap takes it
 }
 
 // Bitmap2 builds the BITMAP representation with the greedy set-cover
@@ -96,7 +97,7 @@ func Bitmap2(g *core.Graph) (*core.Graph, Stats, error) {
 			return true
 		}
 		for _, pb := range p.bitmaps {
-			out.SetBitmap(pb.virt, u, pb.bits)
+			out.SetBitmap(pb.virt, u, pb.words)
 			st.BitmapsCreated++
 		}
 		for _, v := range p.drop {
@@ -116,12 +117,24 @@ type planScratch struct {
 	seenVirt  markset.Set // virtual nodes reachable from the origin
 	reachable markset.Set // virtual nodes still reachable after the drops
 	covered   markset.Set // real targets some bitmap already yields
-	// chosen[v] is the bitmap the set cover gave virtual node v, nil
+	// chosen[v] is the mask the set cover gave virtual node v, nil
 	// otherwise; only entries of reach are ever set, and planBitmap2 puts
 	// them back to nil before it returns.
-	chosen []*bitset.Set
-	reach  []int32 // reachable virtual nodes in discovery order
-	work   []int32 // BITMAP-1's DFS stack; BITMAP-2's not-yet-chosen nodes
+	chosen [][]uint64
+	reach  []int32  // reachable virtual nodes in discovery order
+	work   []int32  // BITMAP-1's DFS stack; BITMAP-2's not-yet-chosen nodes
+	words  []uint64 // the current origin's masks, cut by mask
+	plan   bitmap2Plan
+}
+
+// mask returns a zeroed mask over n targets, cut from the current origin's
+// words. A mask stays valid until the next origin resets words: growing
+// words moves later masks to a new array and leaves earlier ones where
+// they are.
+func (sc *planScratch) mask(n int) []uint64 {
+	start := len(sc.words)
+	sc.words = append(sc.words, make([]uint64, (n+63)>>6)...)
+	return sc.words[start:len(sc.words):len(sc.words)]
 }
 
 // collect appends the virtual nodes reachable from v to reach, each once, in
@@ -146,10 +159,11 @@ func (sc *planScratch) markReachable(g *core.Graph, v int32) {
 	}
 }
 
-// subtreeHasChosen reports whether v or a virtual node below it was chosen
-// with at least one bit set.
+// subtreeHasChosen reports whether v or a virtual node below it was
+// chosen. A chosen mask always has a bit set: the cover picks only nodes
+// with a positive gain.
 func (sc *planScratch) subtreeHasChosen(g *core.Graph, v int32) bool {
-	if bmp := sc.chosen[v]; bmp != nil && bmp.Any() {
+	if sc.chosen[v] != nil {
 		return true
 	}
 	for _, w := range g.VirtOutVirt(v) {
@@ -169,12 +183,13 @@ func planBitmap2(g *core.Graph, u int32, sc *planScratch) *bitmap2Plan {
 	}
 	nVirt := g.NumVirtualSlots()
 	if nVirt > len(sc.chosen) {
-		sc.chosen = append(sc.chosen, make([]*bitset.Set, nVirt-len(sc.chosen))...)
+		sc.chosen = append(sc.chosen, make([][]uint64, nVirt-len(sc.chosen))...)
 	}
 	// Collect the virtual nodes reachable from u (each once), in an order
 	// that does not depend on anything but the graph.
 	sc.seenVirt.Reset(nVirt)
 	sc.reach = sc.reach[:0]
+	sc.words = sc.words[:0]
 	for _, v := range first {
 		sc.collect(g, v)
 	}
@@ -206,24 +221,25 @@ func planBitmap2(g *core.Graph, u int32, sc *planScratch) *bitmap2Plan {
 		v := remaining[bestIdx]
 		remaining[bestIdx] = -1
 		targets := g.VirtTargets(v)
-		bmp := bitset.New(len(targets))
+		mask := sc.mask(len(targets))
 		for i, t := range targets {
 			if t == u && !g.SelfLoops {
 				continue
 			}
 			if sc.covered.Mark(t) {
-				bmp.Set(i)
+				mask[i>>6] |= 1 << (i & 63)
 			}
 		}
-		sc.chosen[v] = bmp
+		sc.chosen[v] = mask
 	}
 	sc.work = remaining
 	// Emit the chosen bitmaps in discovery (reach) order, so a plan's bitmap
 	// sequence is identical run to run.
-	p := &bitmap2Plan{}
+	p := &sc.plan
+	p.bitmaps, p.drop = p.bitmaps[:0], p.drop[:0]
 	for _, v := range sc.reach {
-		if bmp := sc.chosen[v]; bmp != nil {
-			p.bitmaps = append(p.bitmaps, plannedBitmap{virt: v, bits: bmp})
+		if mask := sc.chosen[v]; mask != nil {
+			p.bitmaps = append(p.bitmaps, plannedBitmap{virt: v, words: mask})
 		}
 	}
 	// Prune first-layer edges whose whole subtree contributed nothing.
@@ -248,7 +264,7 @@ func planBitmap2(g *core.Graph, u int32, sc *planScratch) *bitmap2Plan {
 			continue
 		}
 		if n := len(g.VirtTargets(v)); n > 0 {
-			p.bitmaps = append(p.bitmaps, plannedBitmap{virt: v, bits: bitset.New(n)})
+			p.bitmaps = append(p.bitmaps, plannedBitmap{virt: v, words: sc.mask(n)})
 		}
 	}
 	return p

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"graphgen/internal/bitset"
 	"graphgen/internal/core"
 	"graphgen/internal/datagen"
 	"graphgen/internal/datalog"
@@ -88,10 +87,11 @@ func hashGraph(g *core.Graph, live bool) string {
 			bits   []int64
 		}
 		var obs []ob
-		g.ForEachBitmap(v, func(origin int32, b *bitset.Set) {
-			bits := []int64{int64(b.Len())}
-			for i := 0; i < b.Len(); i++ {
-				if b.Get(i) {
+		n := len(g.VirtTargets(v)) // every mask spans the node's targets
+		g.ForEachBitmap(v, func(origin int32, b []uint64) {
+			bits := []int64{int64(n)}
+			for i := 0; i < n; i++ {
+				if b[i>>6]&(1<<(i&63)) != 0 {
 					bits = append(bits, int64(i))
 				}
 			}

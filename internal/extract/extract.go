@@ -118,7 +118,7 @@ func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, err
 	}
 	if opts.AutoExpandFactor > 0 && g.NumVirtualNodes() > 0 {
 		rep := g.RepEdges()
-		exp := g.ExpandedEdgeCount()
+		exp := g.LogicalEdges()
 		if rep == 0 || float64(exp) <= opts.AutoExpandFactor*float64(rep) {
 			ng, err := g.Expand(opts.MaxEdges)
 			if err == nil {

@@ -862,7 +862,8 @@ func TestLiveIndexedVsUnindexed(t *testing.T) {
 // TestLiveStringEndpointsAreSkipped pins that inserting an edge row whose
 // endpoints are strings adds no edge, on the direct and the condensed path,
 // even when the vertices' IDs are the strings' old FNV-1a hashes (the one
-// way a string could once wire to a vertex).
+// way a string could once wire to a vertex), and that the build and the
+// flush both count the segment rows they skip.
 func TestLiveStringEndpointsAreSkipped(t *testing.T) {
 	oldStringID := func(s string) int64 {
 		var h int64 = 1469598103934665603
@@ -872,14 +873,19 @@ func TestLiveStringEndpointsAreSkipped(t *testing.T) {
 		}
 		return h
 	}
+	// A row before New meets the build; the rows after it, the flush. A
+	// Knows row is one segment row on the direct path and two on the
+	// condensed one (Knows(A, T) and Knows(B, T)).
+	built := [2]relstore.Value{relstore.StrVal("carol"), relstore.StrVal("u")}
 	for _, c := range []struct {
-		name, src string
-		rows      [][2]relstore.Value
+		name, src            string
+		rows                 [][2]relstore.Value
+		skipBuild, skipFlush int64
 	}{
 		{"direct", "Nodes(ID) :- People(ID).\nEdges(A, B) :- Knows(A, B).",
-			[][2]relstore.Value{{relstore.StrVal("alice"), relstore.StrVal("bob")}}},
+			[][2]relstore.Value{{relstore.StrVal("alice"), relstore.StrVal("bob")}}, 1, 1},
 		{"condensed", "Nodes(ID) :- People(ID).\nEdges(A, B) :- Knows(A, T), Knows(B, T).",
-			[][2]relstore.Value{{relstore.StrVal("alice"), relstore.StrVal("t")}, {relstore.StrVal("bob"), relstore.StrVal("t")}}},
+			[][2]relstore.Value{{relstore.StrVal("alice"), relstore.StrVal("t")}, {relstore.StrVal("bob"), relstore.StrVal("t")}}, 2, 4},
 	} {
 		db := relstore.NewDB()
 		people, _ := db.Create("People", relstore.Column{Name: "id", Type: relstore.Int})
@@ -888,6 +894,7 @@ func TestLiveStringEndpointsAreSkipped(t *testing.T) {
 			relstore.Column{Name: "b", Type: relstore.String})
 		people.Insert(relstore.IntVal(oldStringID("alice")))
 		people.Insert(relstore.IntVal(oldStringID("bob")))
+		knows.Insert(built[0], built[1])
 		prog, err := datalog.Parse(c.src)
 		if err != nil {
 			t.Fatal(err)
@@ -895,6 +902,9 @@ func TestLiveStringEndpointsAreSkipped(t *testing.T) {
 		lv, err := New(db, prog, extract.Options{ForceCondensed: true})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := lv.Stats().SkippedRows; n != c.skipBuild {
+			t.Errorf("%s: build skipped %d rows, want %d", c.name, n, c.skipBuild)
 		}
 		for _, row := range c.rows {
 			if err := knows.Insert(row[0], row[1]); err != nil {
@@ -909,6 +919,8 @@ func TestLiveStringEndpointsAreSkipped(t *testing.T) {
 		}
 		if st := lv.Stats(); st.Transitions == 0 {
 			t.Errorf("%s: no support transition: the inserted rows never reached the wiring", c.name)
+		} else if st.SkippedRows != c.skipBuild+c.skipFlush {
+			t.Errorf("%s: %d skipped rows after the flush, want %d", c.name, st.SkippedRows, c.skipBuild+c.skipFlush)
 		}
 		lv.Close()
 	}

@@ -51,6 +51,11 @@ type Stats struct {
 	// FreezeVersioned built from scratch, derived from the previous view,
 	// and reused unchanged at a new version (see ViewBuild).
 	ViewsFull, ViewsDerived, ViewsReused int64
+	// SkippedRows counts segment rows left unwired because a real
+	// endpoint is not the ID of a vertex (extract.Stats.SkippedRows): each
+	// build's distinct rows, and each flushed row whose support rose from
+	// zero.
+	SkippedRows int64
 }
 
 // countDelta is one pending +-1 contribution to a segment pair count.
@@ -173,7 +178,8 @@ func New(db *relstore.DB, prog *datalog.Program, opts extract.Options) (*Live, e
 // graphlint:requires mu
 func (lv *Live) build() error {
 	var rules []*ruleState
-	g, err := extract.Build(lv.db, lv.prog, lv.opts, new(extract.Stats), func(g *core.Graph, plan *extract.EdgePlan) error {
+	var st extract.Stats
+	g, err := extract.Build(lv.db, lv.prog, lv.opts, &st, func(g *core.Graph, plan *extract.EdgePlan) error {
 		w := extract.NewWiring(g, plan)
 		nSegs := len(plan.Segments)
 		rs := &ruleState{
@@ -195,7 +201,9 @@ func (lv *Live) build() error {
 			_, err = extract.Stream(rs.segs[s], func(row relstore.Row) error {
 				pair := [2]relstore.Value{row[0], row[1]}
 				if counts[pair] == 0 {
-					w.Wire(s, row[0], row[1])
+					if _, _, ok := w.Wire(s, row[0], row[1]); !ok {
+						st.SkippedRows++
+					}
 				}
 				counts[pair]++
 				return nil
@@ -214,6 +222,7 @@ func (lv *Live) build() error {
 	}
 	lv.g = g
 	lv.rules = rules
+	lv.stats.SkippedRows += st.SkippedRows
 	lv.err = nil
 	lv.version++
 	return nil
@@ -379,6 +388,8 @@ func (lv *Live) flushLocked() {
 		case old == 0 && now > 0:
 			if src, virt, ok := rs.wiring.Wire(k.seg, k.pair[0], k.pair[1]); ok {
 				touched.addSource(lv.g, src, virt)
+			} else {
+				lv.stats.SkippedRows++
 			}
 			lv.stats.Transitions++
 		case old > 0 && now == 0:

@@ -616,6 +616,7 @@ func (s *Server) statsPayload(sess *session) map[string]any {
 			"views_full":    ms.ViewsFull,
 			"views_derived": ms.ViewsDerived,
 			"views_reused":  ms.ViewsReused,
+			"skipped_rows":  ms.SkippedRows,
 		}
 		return out
 	}

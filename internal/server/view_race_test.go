@@ -146,6 +146,9 @@ func TestAnalyzeRacesMutations(t *testing.T) {
 			t.Errorf("/stats maintenance %s = %v, /metrics counts %d", build, maint[build], want)
 		}
 	}
+	if n, ok := maint["skipped_rows"].(float64); !ok || n != 0 {
+		t.Errorf("/stats maintenance skipped_rows = %v, want 0: every row names a vertex", maint["skipped_rows"])
+	}
 	served, servedV, _ := sess.live.FreezeWithVersion()
 	if servedV != v {
 		t.Fatalf("view at version %d, snapshot at %d", servedV, v)

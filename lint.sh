@@ -75,6 +75,13 @@ go test -run '^$' -fuzz '^FuzzDirectiveParse$' -fuzztime 10s ./internal/analyzer
 echo "== fuzz DEDUP-2"
 go test -run '^$' -fuzz '^FuzzDedup2$' -fuzztime 10s ./internal/dedup
 
+# Ten seconds past the committed FuzzBitmap corpus: on decoded multi-layer
+# asymmetric graphs, BITMAP-1 and BITMAP-2 keep the logical edges with no
+# duplicate path and equal the EXP oracle, once per neighbor, across
+# DeleteVertex/Compact steps.
+echo "== fuzz BITMAP"
+go test -run '^$' -fuzz '^FuzzBitmap$' -fuzztime 10s ./internal/dedup
+
 # One iteration each of the root module's graph-build benchmarks (co-actor
 # extraction, the same-part extraction through the join pipeline, the four
 # representation conversions, one sub-benchmark each) and of its

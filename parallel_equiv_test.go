@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"graphgen/internal/bitset"
 	"graphgen/internal/bsp"
 	"graphgen/internal/core"
 	"graphgen/internal/dedup"
@@ -68,10 +67,11 @@ func coreFingerprint(g *core.Graph) string {
 			bits   string
 		}
 		var masks []ob
-		g.ForEachBitmap(v, func(origin int32, b *bitset.Set) {
+		n := len(g.VirtTargets(v)) // every mask spans the node's targets
+		g.ForEachBitmap(v, func(origin int32, b []uint64) {
 			var bits strings.Builder
-			for i := 0; i < b.Len(); i++ {
-				if b.Get(i) {
+			for i := 0; i < n; i++ {
+				if b[i>>6]&(1<<(i&63)) != 0 {
 					bits.WriteByte('1')
 				} else {
 					bits.WriteByte('0')
