@@ -136,6 +136,7 @@ func TestDisconnectedBodyAgreesAcrossEntryPoints(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Extract: %v", step, err)
 				}
+				requireNoDeadVirtualSlots(t, step, fresh.Core())
 				program, err := engine.ExtractProgram(query)
 				if err != nil {
 					t.Fatalf("%s: ExtractProgram: %v", step, err)

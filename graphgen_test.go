@@ -116,11 +116,21 @@ func TestAsDedup1AllAlgorithms(t *testing.T) {
 	}
 }
 
+// requireNoDeadVirtualSlots fails t when g keeps the slot of a removed
+// virtual node: Extract drops the slots Step 6 empties.
+func requireNoDeadVirtualSlots(t *testing.T, what string, g *core.Graph) {
+	t.Helper()
+	if g.NumVirtualSlots() != g.NumVirtualNodes() {
+		t.Errorf("%s: %d virtual slots for %d live nodes", what, g.NumVirtualSlots(), g.NumVirtualNodes())
+	}
+}
+
 func TestAnalysisEntryPoints(t *testing.T) {
 	g, err := NewEngine(demoDB(t)).Extract(demoQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireNoDeadVirtualSlots(t, "demo", g.Core())
 	deg := g.Degrees()
 	if deg[3] != 3 || deg[5] != 0 {
 		t.Fatalf("degrees = %v", deg)
@@ -166,6 +176,7 @@ func TestSuggestPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("top proposal failed: %v\n%s", err, props[0].Query)
 	}
+	requireNoDeadVirtualSlots(t, "top proposal", g.Core())
 	if g.NumVertices() == 0 {
 		t.Fatal("proposal produced an empty graph")
 	}
@@ -222,6 +233,7 @@ func TestSerializationViaPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireNoDeadVirtualSlots(t, "demo", g.Core())
 	var el, js bytes.Buffer
 	if err := g.WriteEdgeList(&el); err != nil {
 		t.Fatal(err)

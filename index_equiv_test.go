@@ -30,6 +30,7 @@ func extractFingerprint(t *testing.T, db *relstore.DB, query string, opts extrac
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireNoDeadVirtualSlots(t, query, res.Graph)
 	return coreFingerprint(res.Graph)
 }
 

@@ -132,9 +132,10 @@ type Graph struct {
 	vNumDead int
 
 	// vOutSorted records that every vOut list is in ascending order, which
-	// lets edge-existence probes binary-search it. SortAdjacency sets it;
-	// ConnectVirtToReal clears it on the first out-of-order append
-	// (removals and Compact's monotone remap keep the order).
+	// lets edge-existence probes binary-search it. SortAdjacency sets it,
+	// Load computes it, and ConnectVirtToReal clears it on the first
+	// out-of-order append (removals and the monotone remaps of Compact and
+	// CompactVirtual keep the order).
 	vOutSorted bool
 
 	// DEDUP-2: undirected virtual-virtual edges (stored on both sides).

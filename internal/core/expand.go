@@ -22,7 +22,9 @@ var ErrTooLarge = errors.New("graphgen: expanded graph exceeds the memory budget
 // nodes is parallelized across workers; mutations are applied serially to
 // keep adjacency surgery race-free (the paper notes its multi-threaded
 // implementation needed non-trivial concurrency control for the same
-// reason). Returns the number of virtual nodes expanded.
+// reason). Returns the number of virtual nodes expanded. Each expanded
+// node's slot is left dead, as RemoveVirtualNode leaves it; Extract drops
+// those slots afterwards with CompactVirtual.
 //
 // The scan's pool does not pay: full extractions timed within 0.2 % at 1
 // and 2 workers on a 2-vCPU Xeon. It stays only because the benchmark

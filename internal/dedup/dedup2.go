@@ -116,6 +116,11 @@ type dedup2Builder struct {
 	idx    [][]int32
 	direct [][]int32
 
+	// out records the output for one core.Graph.Load: the direct edges as
+	// they are added (both directions, so each row keeps direct's order),
+	// then, in emit, the live virtual nodes.
+	out core.Batch
+
 	// Working sets over the real nodes, reused for the whole build.
 	// marks holds whichever member set the serial code is probing right
 	// now (M(V1), the split part, M(c) in a linkability check) and is dead
@@ -208,6 +213,8 @@ func (b *dedup2Builder) connect(v, w int32) {
 func (b *dedup2Builder) addDirect(x, y int32) {
 	b.direct[x] = append(b.direct[x], y)
 	b.direct[y] = append(b.direct[y], x)
+	b.out.AddDirectEdgeIdx(x, y)
+	b.out.AddDirectEdgeIdx(y, x)
 	b.st.DirectEdgesAdded += 2
 }
 
@@ -462,7 +469,8 @@ func (b *dedup2Builder) markHolders(set *markset.Set, ms []int32) {
 }
 
 // emit writes the finished structure into out, which holds the real nodes:
-// the live virtual nodes, renumbered by live rank, and the direct edges.
+// the live virtual nodes, renumbered by live rank, each with its members
+// and undirected neighbors in the builder's order, and the direct edges.
 func (b *dedup2Builder) emit(out *core.Graph) {
 	// The live slots go on the (empty) stack, their ranks into the (zero)
 	// overlap counters.
@@ -474,14 +482,16 @@ func (b *dedup2Builder) emit(out *core.Graph) {
 		}
 	}
 	for _, v := range live {
-		ns := b.node(v).undir
-		for i, w := range ns {
-			ns[i] = b.node(w).count
+		nv := b.out.AddVirtualNode(1)
+		for _, r := range b.members(v) {
+			b.out.ConnectRealToVirt(r, nv)
+			b.out.ConnectVirtToReal(nv, r)
+		}
+		for _, w := range b.node(v).undir {
+			b.out.AddUndirectedNeighbor(nv, b.node(w).count)
 		}
 	}
-	out.LoadDedup2(len(live), func(v int32) ([]int32, []int32) {
-		return b.members(live[v]), b.node(live[v]).undir
-	}, b.direct)
+	out.Load(&b.out)
 }
 
 func markInto(set *markset.Set, members []int32) {

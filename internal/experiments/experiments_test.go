@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"graphgen/internal/datalog"
+	"graphgen/internal/extract"
 )
 
 // The experiment regenerators are exercised end-to-end in quick mode: every
@@ -60,6 +63,39 @@ func TestTable1ShapeTargets(t *testing.T) {
 		}
 		if cg.RepEdges() >= eg.RepEdges() {
 			t.Errorf("%s: condensed %d edges >= expanded %d", d.Name, cg.RepEdges(), eg.RepEdges())
+		}
+	}
+}
+
+// TestExtractionsLeaveNoDeadVirtualSlots extracts every dataset the
+// experiments extract, at both scales, as the experiments do (Step 6
+// skipped) and with Step 6 on: each graph must hold exactly its live
+// virtual nodes, since Extract drops the slots Step 6 empties.
+func TestExtractionsLeaveNoDeadVirtualSlots(t *testing.T) {
+	for _, s := range []Scale{{Quick: true}, {}} {
+		dbs, _ := SmallDatasets(s)
+		dbs = append(dbs, Table1Datasets(s)...)
+		for _, d := range LargeDatasets(s) {
+			dbs = append(dbs, Dataset{Name: d.Name, DB: d.DB, Query: d.Query})
+		}
+		for _, d := range dbs {
+			prog, err := datalog.Parse(d.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, step6 := range []bool{false, true} {
+				opts := extract.DefaultOptions()
+				opts.ForceCondensed = true
+				opts.SkipPreprocess = !step6
+				res, err := extract.Extract(d.DB, prog, opts)
+				if err != nil {
+					t.Fatalf("%s (quick %v, Step 6 %v): %v", d.Name, s.Quick, step6, err)
+				}
+				if g := res.Graph; g.NumVirtualSlots() != g.NumVirtualNodes() {
+					t.Errorf("%s (quick %v, Step 6 %v): %d virtual slots for %d live nodes",
+						d.Name, s.Quick, step6, g.NumVirtualSlots(), g.NumVirtualNodes())
+				}
+			}
 		}
 	}
 }

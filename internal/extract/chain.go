@@ -14,9 +14,12 @@ import (
 // classify each join of a Case-1 chain as large-output or not and split the
 // chain into segments at the large joins (PlanEdges), then turn each
 // segment row into a condensed edge (Wiring, whose doc comment carries the
-// mapping). Extract and the live graph (internal/incremental) share both:
-// Extract wires each distinct segment row once (wirePlan), the live graph
-// wires and unwires rows as their support counts move.
+// mapping). Extract and the live graph (internal/incremental) share both.
+// A build records every rule's edges in one core.Batch and loads them into
+// the graph once (Build); Extract wires each distinct segment row
+// (wirePlan), the live graph each row whose support count is positive.
+// After the load, the live graph wires and unwires rows by edge surgery as
+// their support counts move.
 
 // SegmentPlan is a maximal run of chain atoms without an interior
 // large-output join. InVar/OutVar are its boundary variables: the left edge
@@ -151,18 +154,34 @@ func PlanEdges(db *relstore.DB, rule datalog.Rule, opts Options) (*EdgePlan, err
 // each value has one virtual node, created on first use, in layer k for the
 // k-th large join (1-based). A row whose real endpoint is not the ID of a
 // vertex is skipped; IDs are Int values, the only ones LoadNodes admits.
-// Extract wires each distinct segment row once (wirePlan); the live graph
-// (internal/incremental) wires a row when its support count becomes
-// positive and unwires it when the count returns to zero.
+//
+// A Wiring has two phases. While Build runs, Wire records each edge and
+// each new virtual node in the build's core.Batch, numbered in arrival
+// order, and Build loads every rule's batch into the graph at once. After
+// that, Wire and Unwire edit the graph by edge surgery, as the live graph
+// (internal/incremental) does when a row's support count becomes positive
+// or returns to zero. Unwire is for the second phase only.
 type Wiring struct {
 	g    *core.Graph
+	to   builder                    // the build's batch until Build loads it, then g
 	last int                        // index of the last segment
 	virt []map[relstore.Value]int32 // per large join: value -> virtual node
 }
 
-// NewWiring returns the wiring of plan's segment rows onto g.
-func NewWiring(g *core.Graph, plan *EdgePlan) *Wiring {
-	w := &Wiring{g: g, last: len(plan.Segments) - 1, virt: make([]map[relstore.Value]int32, len(plan.Segments)-1)}
+// builder is what a Wiring adds virtual nodes and edges to: a core.Batch
+// during the build, the graph itself afterwards.
+type builder interface {
+	AddVirtualNode(layer int32) int32
+	AddDirectEdgeIdx(u, w int32)
+	ConnectRealToVirt(r, v int32)
+	ConnectVirtToReal(v, r int32)
+	ConnectVirtToVirt(v, w int32)
+}
+
+// newWiring returns the wiring of plan's segment rows onto g, recording
+// into b until Build loads it.
+func newWiring(g *core.Graph, b *core.Batch, plan *EdgePlan) *Wiring {
+	w := &Wiring{g: g, to: b, last: len(plan.Segments) - 1, virt: make([]map[relstore.Value]int32, len(plan.Segments)-1)}
 	for k := range w.virt {
 		w.virt[k] = make(map[relstore.Value]int32)
 	}
@@ -183,7 +202,7 @@ func (w *Wiring) virtual(k int, v relstore.Value) int32 {
 	if idx, ok := w.virt[k][v]; ok {
 		return idx
 	}
-	idx := w.g.AddVirtualNode(int32(k + 1))
+	idx := w.to.AddVirtualNode(int32(k + 1))
 	w.virt[k][v] = idx
 	return idx
 }
@@ -199,14 +218,14 @@ func (w *Wiring) Wire(seg int, in, out relstore.Value) (src int32, virt, ok bool
 		if !okU || !okT {
 			return 0, false, false
 		}
-		w.g.AddDirectEdgeIdx(u, t)
+		w.to.AddDirectEdgeIdx(u, t)
 		return u, false, true
 	case seg == 0:
 		r, ok := w.real(in)
 		if !ok {
 			return 0, false, false
 		}
-		w.g.ConnectRealToVirt(r, w.virtual(0, out))
+		w.to.ConnectRealToVirt(r, w.virtual(0, out))
 		return r, false, true
 	case seg == w.last:
 		r, ok := w.real(out)
@@ -214,11 +233,11 @@ func (w *Wiring) Wire(seg int, in, out relstore.Value) (src int32, virt, ok bool
 			return 0, false, false
 		}
 		v := w.virtual(seg-1, in)
-		w.g.ConnectVirtToReal(v, r)
+		w.to.ConnectVirtToReal(v, r)
 		return v, true, true
 	default:
 		v := w.virtual(seg-1, in)
-		w.g.ConnectVirtToVirt(v, w.virtual(seg, out))
+		w.to.ConnectVirtToVirt(v, w.virtual(seg, out))
 		return v, true, true
 	}
 }
@@ -284,11 +303,10 @@ func (w *Wiring) release(k int, v relstore.Value) {
 }
 
 // wirePlan evaluates the plan's segments against the database in chain
-// order and wires each distinct row onto g as its pipeline yields it; no
+// order and wires each distinct row through w as its pipeline yields it; no
 // segment is materialized. Skipped rows count in st, and a single-segment
 // plan's direct edges against opts.MaxEdges.
-func wirePlan(db *relstore.DB, g *core.Graph, plan *EdgePlan, opts Options, st *Stats) error {
-	w := NewWiring(g, plan)
+func wirePlan(db *relstore.DB, w *Wiring, plan *EdgePlan, opts Options, st *Stats) error {
 	var wired int64
 	for i, s := range plan.Segments {
 		err := streamSegment(db, s, opts, func(row relstore.Row) error {

@@ -11,12 +11,7 @@ import (
 // a segment's rows as a relation (the per-layer benchmark and the pruning
 // oracle). The extraction paths stream through Compile and Stream instead.
 func EvalConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, distinct bool, opts Options) (*relstore.Rel, error) {
-	return SegmentPlan{Atoms: atoms}.collect(db, outVars, distinct, opts)
-}
-
-// collect compiles the body and materializes its projection onto out.
-func (s SegmentPlan) collect(db *relstore.DB, out []string, distinct bool, opts Options) (*relstore.Rel, error) {
-	p, err := s.Compile(db, out, distinct, opts)
+	p, err := SegmentPlan{Atoms: atoms}.Compile(db, outVars, distinct, opts)
 	if err != nil {
 		return nil, err
 	}

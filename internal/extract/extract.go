@@ -6,7 +6,6 @@
 package extract
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -104,17 +103,18 @@ func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, err
 	defer xsp.End()
 	res := &Result{}
 	// Steps 0-5, wiring each distinct segment row once.
-	g, err := Build(db, prog, opts, &res.Stats, func(g *core.Graph, plan *EdgePlan) error {
-		return wirePlan(db, g, plan, opts, &res.Stats)
+	g, err := Build(db, prog, opts, &res.Stats, func(w *Wiring, plan *EdgePlan) error {
+		return wirePlan(db, w, plan, opts, &res.Stats)
 	})
 	if err != nil {
 		return nil, err
 	}
 	g.SortAdjacency()
 
-	// Step 6: preprocessing.
+	// Step 6: preprocessing. The expanded virtual nodes' slots are dropped.
 	if !opts.SkipPreprocess {
 		res.Stats.PreprocessExpanded = g.PreprocessExpandSmall(opts.Workers)
+		g.CompactVirtual()
 	}
 	if opts.AutoExpandFactor > 0 && g.NumVirtualNodes() > 0 {
 		rep := g.RepEdges()
@@ -139,12 +139,14 @@ func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, err
 // Build runs the steps Extract and the live graph (internal/incremental)
 // share. Step 0 creates the access paths the program needs (unless
 // UseIndex is IndexOff); indexes live on the tables, so repeated builds pay
-// for them once. Step 1 loads the Nodes rules into a new C-DUP graph.
+// for them once. Step 1 streams the Nodes rules into a new C-DUP graph.
 // Steps 2-5 plan each Edges rule, recording the planner's counts in st,
-// and hand the graph and the plan to wire, which wires the plan's segment
-// rows through a Wiring, under the rule's "edges_rule" span. The graph is
-// Symmetric when every plan is.
-func Build(db *relstore.DB, prog *datalog.Program, opts Options, st *Stats, wire func(*core.Graph, *EdgePlan) error) (*core.Graph, error) {
+// and hand the rule's Wiring and plan to wire, which wires the plan's
+// segment rows, under the rule's "edges_rule" span. The wirings record into
+// one core.Batch, which Build then loads into the graph in one pass; after
+// that they edit the graph directly. The graph is Symmetric when every plan
+// is.
+func Build(db *relstore.DB, prog *datalog.Program, opts Options, st *Stats, wire func(*Wiring, *EdgePlan) error) (*core.Graph, error) {
 	if opts.UseIndex != relstore.IndexOff {
 		EnsureIndexes(db, slices.Concat(prog.Nodes, prog.Edges))
 	}
@@ -155,25 +157,33 @@ func Build(db *relstore.DB, prog *datalog.Program, opts Options, st *Stats, wire
 			return nil, err
 		}
 	}
+	var batch core.Batch
+	wirings := make([]*Wiring, 0, len(prog.Edges))
 	symmetric := true
 	for _, rule := range prog.Edges {
-		plan, err := buildRule(db, g, rule, opts, st, wire)
+		w, plan, err := buildRule(db, g, &batch, rule, opts, st, wire)
 		if err != nil {
 			return nil, err
 		}
+		wirings = append(wirings, w)
 		symmetric = symmetric && plan.Symmetric
+	}
+	g.Load(&batch)
+	for _, w := range wirings {
+		w.to = g
 	}
 	g.Symmetric = symmetric
 	return g, nil
 }
 
-// buildRule plans one Edges rule and wires it onto g under its span.
-func buildRule(db *relstore.DB, g *core.Graph, rule datalog.Rule, opts Options, st *Stats, wire func(*core.Graph, *EdgePlan) error) (*EdgePlan, error) {
+// buildRule plans one Edges rule and wires it into b through a new Wiring,
+// under the rule's span.
+func buildRule(db *relstore.DB, g *core.Graph, b *core.Batch, rule datalog.Rule, opts Options, st *Stats, wire func(*Wiring, *EdgePlan) error) (*Wiring, *EdgePlan, error) {
 	sp := opts.Trace.Push("edges_rule", rule.Head.String())
 	defer sp.End()
 	plan, err := PlanEdges(db, rule, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if plan.Case2 {
 		st.Case2Rules++
@@ -183,39 +193,6 @@ func buildRule(db *relstore.DB, g *core.Graph, rule datalog.Rule, opts Options, 
 	st.DatabaseJoins += plan.DatabaseJoins
 	sp.Set("large_joins", int64(plan.LargeJoins))
 	sp.Set("database_joins", int64(plan.DatabaseJoins))
-	return plan, wire(g, plan)
-}
-
-// LoadNodes evaluates one Nodes rule, comparisons and negated atoms
-// included, and adds the result as real nodes with properties named after
-// the head variables. The rule's rows are collected first so that their
-// count sizes the graph's node arrays (Graph.Grow) before the load. It is
-// exported for the per-layer benchmark, which times the node load alone.
-func LoadNodes(db *relstore.DB, g *core.Graph, rule datalog.Rule, opts Options) error {
-	var outVars []string
-	for _, t := range rule.Head.Terms {
-		if t.Kind != datalog.TermVar {
-			return fmt.Errorf("extract: Nodes head terms must be variables: %s", rule.Head)
-		}
-		outVars = append(outVars, t.Var)
-	}
-	sp := opts.Trace.Push("nodes_rule", rule.Head.String())
-	defer sp.End()
-	body := SegmentPlan{Atoms: rule.Body, Comps: rule.Comps, Negated: rule.Negated}
-	rel, err := body.collect(db, outVars, true, opts)
-	if err != nil {
-		return err
-	}
-	sp.AddRows(int64(len(rel.Rows)))
-	g.Grow(len(rel.Rows))
-	for _, row := range rel.Rows {
-		if row[0].T != relstore.Int {
-			return fmt.Errorf("extract: node ID attribute must be an integer column (rule %s)", rule.Head)
-		}
-		r := g.AddRealNode(row[0].I)
-		for i := 1; i < len(row); i++ {
-			g.SetProperty(r, outVars[i], row[i].String())
-		}
-	}
-	return nil
+	w := newWiring(g, b, plan)
+	return w, plan, wire(w, plan)
 }

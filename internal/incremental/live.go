@@ -179,8 +179,7 @@ func New(db *relstore.DB, prog *datalog.Program, opts extract.Options) (*Live, e
 func (lv *Live) build() error {
 	var rules []*ruleState
 	var st extract.Stats
-	g, err := extract.Build(lv.db, lv.prog, lv.opts, &st, func(g *core.Graph, plan *extract.EdgePlan) error {
-		w := extract.NewWiring(g, plan)
+	g, err := extract.Build(lv.db, lv.prog, lv.opts, &st, func(w *extract.Wiring, plan *extract.EdgePlan) error {
 		nSegs := len(plan.Segments)
 		rs := &ruleState{
 			segs:   make([]*conj.Plan, nSegs),

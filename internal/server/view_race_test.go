@@ -59,10 +59,12 @@ var raceAnalyses = []string{
 }
 
 // TestAnalyzeRacesMutations runs analyze requests against a live session
-// while routed mutations keep moving its version. Every reply for the same
-// (version, analysis, params) must be byte-identical, a live session
-// builds at most one view per version, and once mutations stop the served
-// results equal the analyses computed on a detached clone at that version.
+// while routed mutations keep moving its version, and reads one analysis
+// itself before the mutations and one halfway through them. Every reply
+// for the same (version, analysis, params) must be byte-identical, a live
+// session builds at most one view per version, and once mutations stop the
+// served results equal the analyses computed on a detached clone at that
+// version.
 // The mutations name real authors, so views after the first are derived
 // from their predecessor; the served view must equal a fresh Freeze.
 func TestAnalyzeRacesMutations(t *testing.T) {
@@ -101,7 +103,16 @@ func TestAnalyzeRacesMutations(t *testing.T) {
 			}
 		}(c)
 	}
+	// The test goroutine analyzes once before the mutations and once
+	// between two batches of them: each mutation moves the version at the
+	// next read, so two versions are observed even when the racing clients
+	// are starved for the whole loop.
+	probe := func() { check(getAnalyze(t, ts, "lv", raceAnalyses[0]), raceAnalyses[0]) }
+	probe()
 	for i := 0; i < 40; i++ {
+		if i == 20 {
+			probe()
+		}
 		row := map[string]any{"row": []any{1 + i%150, 1_000_000 + i%25}}
 		op := "insert"
 		if i%3 == 2 {

@@ -82,6 +82,14 @@ go test -run '^$' -fuzz '^FuzzDedup2$' -fuzztime 10s ./internal/dedup
 echo "== fuzz BITMAP"
 go test -run '^$' -fuzz '^FuzzBitmap$' -fuzztime 10s ./internal/dedup
 
+# Ten seconds of FuzzLoad: on decoded multi-layer edge sequences with
+# repeated pairs, Graph.Load equals adding the same edges one at a time, row
+# for row, with every row at len == cap; after random RemoveVirtualNode
+# steps, CompactVirtual drops exactly the dead slots and changes no
+# neighbor list.
+echo "== fuzz graph load"
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/core
+
 # One iteration each of the root module's graph-build benchmarks (co-actor
 # extraction, the same-part extraction through the join pipeline, the four
 # representation conversions, one sub-benchmark each) and of its

@@ -138,6 +138,7 @@ func TestExtractLiveFiltered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireNoDeadVirtualSlots(t, "fresh", g.Core())
 		snap := lg.Snapshot()
 		if g.NumVirtualNodes() == 0 || snap.NumVirtualNodes() == 0 {
 			t.Fatalf("step %d: virtual nodes: Extract %d, ExtractLive %d", step, g.NumVirtualNodes(), snap.NumVirtualNodes())

@@ -48,6 +48,8 @@ func TestStreamingExtractionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", d.Name, err)
 			}
+			requireNoDeadVirtualSlots(t, d.Name+" streaming", streaming.Graph)
+			requireNoDeadVirtualSlots(t, d.Name+" oracle", materializing.Graph)
 			if coreFingerprint(streaming.Graph) != coreFingerprint(materializing.Graph) {
 				t.Errorf("%s (condensed=%t): streaming and oracle graphs differ", d.Name, condensed)
 			}

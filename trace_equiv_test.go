@@ -131,6 +131,7 @@ func TestConcurrentTracedQueries(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			requireNoDeadVirtualSlots(t, "co-authors", g.Core())
 			profiles[i] = g.Profile()
 		}(i)
 	}
