@@ -22,15 +22,18 @@
 // Liveness: after a stage a variable is live when it is an output variable
 // or occurs in an occurrence, comparison or negated atom still to be
 // applied. Scans and joins emit only live columns (the join cursors build
-// the pruned row directly, in a reused scratch row). Under Distinct a stage that dropped a column
-// also drops the duplicates the narrowing exposed, in stream order: a
-// pruned-away attribute is exactly what made those rows differ, and each
-// would otherwise multiply through every later join. First occurrences are
-// kept on what becomes the next join's build side and join output is
-// probe-major, so only rows repeating an earlier one leave the final
-// stream — the DISTINCT result is row-for-row the unpruned plan's. Bag
-// plans only project: their consumers count multiplicities (support counts,
-// the derived-row budget).
+// the pruned row directly, in a reused scratch row). Under Distinct — the
+// consumer keeps a set — a stage that dropped a column and still has a
+// join ahead also drops the duplicates the narrowing exposed, in stream
+// order: a pruned-away attribute is exactly what made those rows differ,
+// and each would otherwise multiply through every later join. First
+// occurrences are kept on what becomes the next join's build side and
+// join output is probe-major, so only rows repeating an earlier one leave
+// the stream: the first occurrences of the distinct rows arrive in the
+// unpruned plan's order. The final projection never deduplicates; the
+// consumer's set drops what repeats (Extract does so on resolved slot
+// pairs, EvalConjunctive through relstore). Bag plans only project: their
+// consumers count multiplicities (support counts, the derived-row budget).
 //
 // Close contract: Open returns a pipeline with one Close obligation, its
 // head; when Open fails, everything it had built is already closed.
@@ -65,9 +68,11 @@ type Plan struct {
 	Start int
 	Comps []datalog.Comparison
 	Negs  []*Negation
-	// Out lists the output variables; Distinct deduplicates the output and
-	// permits early duplicate elimination. A bag plan whose pipeline
-	// already carries exactly Out skips the final projection.
+	// Out lists the output variables. Distinct says the consumer keeps a
+	// set of the rows, which permits early duplicate elimination: the
+	// output may still repeat a row, and dropping the repeats is the
+	// consumer's. A pipeline that already carries exactly Out skips the
+	// final projection.
 	Out      []string
 	Distinct bool
 	// Guard, when non-nil, wraps the stream behind every join stage (after
@@ -170,10 +175,10 @@ func (p *Plan) Open() (relstore.RowIter, error) {
 			return nil, err
 		}
 	}
-	if !p.Distinct && slices.Equal(cur.Cols(), p.Out) {
+	if slices.Equal(cur.Cols(), p.Out) {
 		return cur, nil
 	}
-	return relstore.NewProject(cur, p.Out, p.Distinct, p.Exec)
+	return relstore.NewProject(cur, p.Out, false, p.Exec)
 }
 
 // checkBound rejects output variables, comparisons and negated atoms over

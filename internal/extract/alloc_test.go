@@ -1,20 +1,23 @@
 package extract
 
 import (
+	"runtime"
 	"testing"
 
 	"graphgen/internal/datagen"
 	"graphgen/internal/datalog"
 )
 
-// TestExtractCoactorsAllocations bounds the allocations of one co-actor
-// extraction on IMDBLike(2, 32000, 5200), the benchmark's condensed
-// workload: the node load streams into presized arrays and every edge
-// row is cut from one array per adjacency kind, so a few thousand
-// allocations remain, most of them the segments' distinct. Wiring the
-// graph one append at a time took about 100 000. It also checks that
-// Step 6 leaves no dead virtual slot behind: 191 of the 5 200 virtual
-// nodes are expanded.
+// TestExtractCoactorsAllocations bounds the allocations and the bytes of
+// one co-actor extraction on IMDBLike(2, 32000, 5200), the benchmark's
+// condensed workload. The node load streams into presized arrays, every
+// edge row is cut from one array per adjacency kind, and each segment
+// drops its repeated rows as int32 slot pairs in one flat set, so about
+// 1 300 allocations and 9 MB remain, most of the bytes the graph itself.
+// Wiring the graph one append at a time took about 100 000 allocations,
+// and a relational DISTINCT over each segment's Value rows 20.7 MB. It
+// also checks that Step 6 leaves no dead virtual slot behind: 191 of the
+// 5 200 virtual nodes are expanded.
 func TestExtractCoactorsAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -34,14 +37,27 @@ func TestExtractCoactorsAllocations(t *testing.T) {
 		t.Fatalf("%d virtual slots, %d live, %d expanded by Step 6; want 5009, 5009, 191",
 			g.NumVirtualSlots(), g.NumVirtualNodes(), res.Stats.PreprocessExpanded)
 	}
-	const bound = 5000
-	allocs := testing.AllocsPerRun(2, func() {
+	const bound, byteBound = 5000, 12 << 20
+	run := func() {
 		if _, err := Extract(db, prog, DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(2, run)
 	t.Logf("%.0f allocations per co-actor extraction", allocs)
 	if allocs > bound {
 		t.Errorf("%.0f allocations per co-actor extraction, want at most %d", allocs, bound)
+	}
+	const runs = 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per co-actor extraction", bytes)
+	if bytes > byteBound {
+		t.Errorf("%d bytes per co-actor extraction, want at most %d (12 MiB)", bytes, byteBound)
 	}
 }

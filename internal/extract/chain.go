@@ -16,10 +16,13 @@ import (
 // segment row into a condensed edge (Wiring, whose doc comment carries the
 // mapping). Extract and the live graph (internal/incremental) share both.
 // A build records every rule's edges in one core.Batch and loads them into
-// the graph once (Build); Extract wires each distinct segment row
-// (wirePlan), the live graph each row whose support count is positive.
-// After the load, the live graph wires and unwires rows by edge surgery as
-// their support counts move.
+// the graph once (Build). Extract streams each segment as a bag that may
+// repeat a row (conj drops only the duplicates a later join would
+// multiply) and drops the repeats itself once Wiring has resolved a row to
+// its (src, dst) slot pair, in one pairSet per segment (wirePlan); the live
+// graph wires each row whose support count is positive. After the load,
+// the live graph wires and unwires rows by edge surgery as their support
+// counts move.
 
 // SegmentPlan is a maximal run of chain atoms without an interior
 // large-output join. InVar/OutVar are its boundary variables: the left edge
@@ -52,6 +55,11 @@ type EdgePlan struct {
 	// the rule's joins.
 	LargeJoins    int
 	DatabaseJoins int
+	// JoinValues holds, per large join in chain order, the catalog
+	// distinct count of its attribute (the larger side; 0 under
+	// ForceCondensed, which reads no statistics): the size hint of the
+	// join's value -> virtual-node map.
+	JoinValues []int
 }
 
 // PlanEdges classifies rule and returns its extraction plan. Chain rules
@@ -76,13 +84,14 @@ func PlanEdges(db *relstore.DB, rule datalog.Rule, opts Options) (*EdgePlan, err
 	// Classify each of the n-1 joins.
 	large := make([]bool, len(chain.JoinVars))
 	for i, v := range chain.JoinVars {
-		isLarge, err := joinIsLarge(db, chain.Steps[i], chain.Steps[i+1], v, opts)
+		isLarge, d, err := joinIsLarge(db, chain.Steps[i], chain.Steps[i+1], v, opts)
 		if err != nil {
 			return nil, err
 		}
 		large[i] = isLarge
 		if isLarge {
 			plan.LargeJoins++
+			plan.JoinValues = append(plan.JoinValues, d)
 		} else {
 			plan.DatabaseJoins++
 		}
@@ -155,6 +164,10 @@ func PlanEdges(db *relstore.DB, rule datalog.Rule, opts Options) (*EdgePlan, err
 // k-th large join (1-based). A row whose real endpoint is not the ID of a
 // vertex is skipped; IDs are Int values, the only ones LoadNodes admits.
 //
+// A row is wired in two steps: resolve maps it to its edge's (src, dst)
+// slots, creating the virtual nodes it names, and record adds the edge.
+// Extract drops a repeated row between the two; Wire does both.
+//
 // A Wiring has two phases. While Build runs, Wire records each edge and
 // each new virtual node in the build's core.Batch, numbered in arrival
 // order, and Build loads every rule's batch into the graph at once. After
@@ -163,9 +176,45 @@ func PlanEdges(db *relstore.DB, rule datalog.Rule, opts Options) (*EdgePlan, err
 // or returns to zero. Unwire is for the second phase only.
 type Wiring struct {
 	g    *core.Graph
-	to   builder                    // the build's batch until Build loads it, then g
-	last int                        // index of the last segment
-	virt []map[relstore.Value]int32 // per large join: value -> virtual node
+	to   builder      // the build's batch until Build loads it, then g
+	last int          // index of the last segment
+	virt []valueNodes // per large join: value -> virtual node
+}
+
+// valueNodes maps one large join's values to their virtual nodes. An Int
+// value is keyed on its int64 and a String value on its string, in two
+// maps, so Int 5 and String "5" keep two nodes.
+type valueNodes struct {
+	ints map[int64]int32
+	strs map[string]int32 // nil until the first String value
+}
+
+func (m *valueNodes) get(v relstore.Value) (int32, bool) {
+	if v.T == relstore.Int {
+		idx, ok := m.ints[v.I]
+		return idx, ok
+	}
+	idx, ok := m.strs[v.S]
+	return idx, ok
+}
+
+func (m *valueNodes) put(v relstore.Value, idx int32) {
+	if v.T == relstore.Int {
+		m.ints[v.I] = idx
+		return
+	}
+	if m.strs == nil {
+		m.strs = make(map[string]int32)
+	}
+	m.strs[v.S] = idx
+}
+
+func (m *valueNodes) remove(v relstore.Value) {
+	if v.T == relstore.Int {
+		delete(m.ints, v.I)
+	} else {
+		delete(m.strs, v.S)
+	}
 }
 
 // builder is what a Wiring adds virtual nodes and edges to: a core.Batch
@@ -179,11 +228,12 @@ type builder interface {
 }
 
 // newWiring returns the wiring of plan's segment rows onto g, recording
-// into b until Build loads it.
+// into b until Build loads it. Each large join's Int map is presized from
+// the join's catalog distinct count.
 func newWiring(g *core.Graph, b *core.Batch, plan *EdgePlan) *Wiring {
-	w := &Wiring{g: g, to: b, last: len(plan.Segments) - 1, virt: make([]map[relstore.Value]int32, len(plan.Segments)-1)}
+	w := &Wiring{g: g, to: b, last: len(plan.Segments) - 1, virt: make([]valueNodes, len(plan.Segments)-1)}
 	for k := range w.virt {
-		w.virt[k] = make(map[relstore.Value]int32)
+		w.virt[k].ints = make(map[int64]int32, plan.JoinValues[k])
 	}
 	return w
 }
@@ -199,47 +249,69 @@ func (w *Wiring) real(v relstore.Value) (int32, bool) {
 // virtual returns the virtual node of value v of large join k, creating it
 // on first use.
 func (w *Wiring) virtual(k int, v relstore.Value) int32 {
-	if idx, ok := w.virt[k][v]; ok {
+	if idx, ok := w.virt[k].get(v); ok {
 		return idx
 	}
 	idx := w.to.AddVirtualNode(int32(k + 1))
-	w.virt[k][v] = idx
+	w.virt[k].put(v, idx)
 	return idx
+}
+
+// resolve returns the slots of the edge of segment seg's row (in, out):
+// src and dst are real slots or virtual nodes, as the segment's kind says.
+// A real endpoint is looked up first, so a skipped row (ok false) creates
+// no virtual node.
+func (w *Wiring) resolve(seg int, in, out relstore.Value) (src, dst int32, ok bool) {
+	switch {
+	case w.last == 0:
+		u, okU := w.real(in)
+		t, okT := w.real(out)
+		if !okU || !okT {
+			return 0, 0, false
+		}
+		return u, t, true
+	case seg == 0:
+		r, ok := w.real(in)
+		if !ok {
+			return 0, 0, false
+		}
+		return r, w.virtual(0, out), true
+	case seg == w.last:
+		r, ok := w.real(out)
+		if !ok {
+			return 0, 0, false
+		}
+		return w.virtual(seg-1, in), r, true
+	default:
+		v := w.virtual(seg-1, in)
+		return v, w.virtual(seg, out), true
+	}
+}
+
+// record adds segment seg's edge src -> dst, as resolve returned it.
+func (w *Wiring) record(seg int, src, dst int32) {
+	switch {
+	case w.last == 0:
+		w.to.AddDirectEdgeIdx(src, dst)
+	case seg == 0:
+		w.to.ConnectRealToVirt(src, dst)
+	case seg == w.last:
+		w.to.ConnectVirtToReal(src, dst)
+	default:
+		w.to.ConnectVirtToVirt(src, dst)
+	}
 }
 
 // Wire adds the edge of segment seg's row (in, out). It returns the edge's
 // source, a real slot or (virt) a virtual node, and ok false when the row
 // is skipped.
 func (w *Wiring) Wire(seg int, in, out relstore.Value) (src int32, virt, ok bool) {
-	switch {
-	case w.last == 0:
-		u, okU := w.real(in)
-		t, okT := w.real(out)
-		if !okU || !okT {
-			return 0, false, false
-		}
-		w.to.AddDirectEdgeIdx(u, t)
-		return u, false, true
-	case seg == 0:
-		r, ok := w.real(in)
-		if !ok {
-			return 0, false, false
-		}
-		w.to.ConnectRealToVirt(r, w.virtual(0, out))
-		return r, false, true
-	case seg == w.last:
-		r, ok := w.real(out)
-		if !ok {
-			return 0, false, false
-		}
-		v := w.virtual(seg-1, in)
-		w.to.ConnectVirtToReal(v, r)
-		return v, true, true
-	default:
-		v := w.virtual(seg-1, in)
-		w.to.ConnectVirtToVirt(v, w.virtual(seg, out))
-		return v, true, true
+	src, dst, ok := w.resolve(seg, in, out)
+	if !ok {
+		return 0, false, false
 	}
+	w.record(seg, src, dst)
+	return src, w.last > 0 && seg > 0, true
 }
 
 // Unwire removes the edge Wire added for segment seg's row (in, out),
@@ -260,7 +332,7 @@ func (w *Wiring) Unwire(seg int, in, out relstore.Value, before func(src int32, 
 		w.g.RemoveDirectEdgeIdx(u, t)
 	case seg == 0:
 		r, okR := w.real(in)
-		v, okV := w.virt[0][out]
+		v, okV := w.virt[0].get(out)
 		if !okR || !okV {
 			return
 		}
@@ -269,7 +341,7 @@ func (w *Wiring) Unwire(seg int, in, out relstore.Value, before func(src int32, 
 		w.release(0, out)
 	case seg == w.last:
 		r, okR := w.real(out)
-		v, okV := w.virt[seg-1][in]
+		v, okV := w.virt[seg-1].get(in)
 		if !okR || !okV {
 			return
 		}
@@ -277,8 +349,8 @@ func (w *Wiring) Unwire(seg int, in, out relstore.Value, before func(src int32, 
 		w.g.DisconnectVirtToReal(v, r)
 		w.release(seg-1, in)
 	default:
-		v, okV := w.virt[seg-1][in]
-		x, okX := w.virt[seg][out]
+		v, okV := w.virt[seg-1].get(in)
+		x, okX := w.virt[seg].get(out)
 		if !okV || !okX {
 			return
 		}
@@ -293,33 +365,60 @@ func (w *Wiring) Unwire(seg int, in, out relstore.Value, before func(src int32, 
 // the value, when the node has no edge left. Its dense slot stays dead
 // until the graph is rebuilt, like a tombstoned real node before Compact.
 func (w *Wiring) release(k int, v relstore.Value) {
-	idx, g := w.virt[k][v], w.g
+	idx, _ := w.virt[k].get(v)
+	g := w.g
 	if len(g.VirtSources(idx)) > 0 || len(g.VirtTargets(idx)) > 0 ||
 		len(g.VirtInVirt(idx)) > 0 || len(g.VirtOutVirt(idx)) > 0 || len(g.VirtUndirected(idx)) > 0 {
 		return
 	}
 	g.RemoveVirtualNode(idx)
-	delete(w.virt[k], v)
+	w.virt[k].remove(v)
 }
 
 // wirePlan evaluates the plan's segments against the database in chain
-// order and wires each distinct row through w as its pipeline yields it; no
-// segment is materialized. Skipped rows count in st, and a single-segment
-// plan's direct edges against opts.MaxEdges.
+// order and wires each row through w as its pipeline yields it; no
+// segment is materialized. A segment's stream is a bag, so each segment
+// drops its own repeats: a row's (src, dst) pair is recorded the first
+// time the segment's pairSet (one table, reset per segment) sees it, and
+// a skipped row counts in st the first time a set of skipped rows (rare,
+// so built on the first) sees it. Both sets' entries count on
+// opts.Tracker until their segment ends, as the rows the segment holds.
+// A single-segment plan's new direct edges count against opts.MaxEdges.
 func wirePlan(db *relstore.DB, w *Wiring, plan *EdgePlan, opts Options, st *Stats) error {
 	var wired int64
+	var seen pairSet
 	for i, s := range plan.Segments {
+		seen.reset(s.maxRows(db))
+		var skipped *relstore.RowSet
+		var slab relstore.RowSlab
 		err := streamSegment(db, s, opts, func(row relstore.Row) error {
-			if _, _, ok := w.Wire(i, row[0], row[1]); !ok {
-				st.SkippedRows++
+			src, dst, ok := w.resolve(i, row[0], row[1])
+			if !ok {
+				if skipped == nil {
+					skipped = relstore.NewRowSet([]int{0, 1}, 0)
+				}
+				if _, added := skipped.AddCopy(row, &slab); added {
+					st.SkippedRows++
+					opts.Tracker.Acquire(1)
+				}
 				return nil
 			}
+			if !seen.add(src, dst) {
+				return nil
+			}
+			opts.Tracker.Acquire(1)
+			w.record(i, src, dst)
 			wired++
 			if w.last == 0 && opts.MaxEdges > 0 && wired > opts.MaxEdges {
 				return core.ErrTooLarge
 			}
 			return nil
 		})
+		held := seen.n
+		if skipped != nil {
+			held += skipped.Len()
+		}
+		opts.Tracker.Release(held)
 		if err != nil {
 			return err
 		}
@@ -327,9 +426,22 @@ func wirePlan(db *relstore.DB, w *Wiring, plan *EdgePlan, opts Options, st *Stat
 	return nil
 }
 
+// maxRows returns the row count of the largest table the segment's atoms
+// read (0 when none resolves): the size hint of its pairSet.
+func (s SegmentPlan) maxRows(db *relstore.DB) int {
+	n := 0
+	for _, a := range s.Atoms {
+		if t, err := db.Table(a.Pred); err == nil {
+			n = max(n, t.NumRows())
+		}
+	}
+	return n
+}
+
 // streamSegment evaluates one segment's (InVar, OutVar) projection and
 // hands each row to wire as the pipeline yields it, under a "segment" span
-// that records the rows out.
+// that records the rows out. The plan permits early duplicate elimination
+// but keeps no final set, so a row may come more than once.
 func streamSegment(db *relstore.DB, s SegmentPlan, opts Options, wire func(relstore.Row) error) error {
 	sp := opts.Trace.Push("segment", s.InVar+"->"+s.OutVar)
 	defer sp.End()
@@ -345,43 +457,41 @@ func streamSegment(db *relstore.DB, s SegmentPlan, opts Options, wire func(relst
 // joinIsLarge applies the planner rule of Section 4.2 Step 2: the join on
 // attribute v between the tables of two adjacent steps is large-output when
 // |R||S|/d > factor*(|R|+|S|), with d the catalog distinct count of the join
-// attribute (the larger side under the uniformity assumption).
-func joinIsLarge(db *relstore.DB, left, right datalog.ChainStep, v string, opts Options) (bool, error) {
+// attribute (the larger side under the uniformity assumption). It returns
+// d too; a forced decision consults no statistics and returns 0.
+func joinIsLarge(db *relstore.DB, left, right datalog.ChainStep, v string, opts Options) (bool, int, error) {
 	if opts.ForceExpand {
-		return false, nil
+		return false, 0, nil
 	}
 	if opts.ForceCondensed {
-		return true, nil
+		return true, 0, nil
 	}
 	lt, lcol, err := tableColumnFor(db, left.Atom, v)
 	if err != nil {
-		return false, err
+		return false, 0, err
 	}
 	rt, rcol, err := tableColumnFor(db, right.Atom, v)
 	if err != nil {
-		return false, err
+		return false, 0, err
 	}
 	dl, err := lt.NDistinct(lcol)
 	if err != nil {
-		return false, err
+		return false, 0, err
 	}
 	dr, err := rt.NDistinct(rcol)
 	if err != nil {
-		return false, err
+		return false, 0, err
 	}
-	d := dl
-	if dr > d {
-		d = dr
-	}
+	d := max(dl, dr)
 	if d == 0 {
-		return false, nil
+		return false, 0, nil
 	}
 	factor := opts.LargeOutputFactor
 	if factor <= 0 {
 		factor = 2
 	}
 	nl, nr := int64(lt.NumRows()), int64(rt.NumRows())
-	return float64(nl*nr)/float64(d) > factor*float64(nl+nr), nil
+	return float64(nl*nr)/float64(d) > factor*float64(nl+nr), d, nil
 }
 
 // tableColumnFor resolves the table and column name bound to variable v in

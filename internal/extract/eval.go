@@ -9,7 +9,11 @@ import (
 // EvalConjunctive collects the projection of a positive conjunctive body
 // onto outVars: the single materialization boundary, for callers that want
 // a segment's rows as a relation (the per-layer benchmark and the pruning
-// oracle). The extraction paths stream through Compile and Stream instead.
+// oracle). Under distinct it is the consumer that keeps the set a
+// distinct conj.Plan asks for, so it drops the stream's repeats itself,
+// through a distinct projection (a "project" span with strategy
+// "distinct", told apart from conj's "distinct early" stages). The
+// extraction paths stream through Compile and Stream instead.
 func EvalConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, distinct bool, opts Options) (*relstore.Rel, error) {
 	p, err := SegmentPlan{Atoms: atoms}.Compile(db, outVars, distinct, opts)
 	if err != nil {
@@ -18,6 +22,11 @@ func EvalConjunctive(db *relstore.DB, atoms []datalog.Atom, outVars []string, di
 	it, err := p.Open()
 	if err != nil {
 		return nil, err
+	}
+	if distinct {
+		if it, err = relstore.NewProject(it, outVars, true, opts.ExecOpts); err != nil {
+			return nil, err
+		}
 	}
 	return relstore.Collect(it)
 }

@@ -75,12 +75,15 @@ type Stats struct {
 	// PreprocessExpanded is the number of virtual nodes inlined by the
 	// Step-6 pass.
 	PreprocessExpanded int
-	// PeakIntermediateRows is the high-water mark of operator-held
-	// intermediate rows across the extraction's relational pipelines:
-	// join build sides, distinct seen-sets, and index-bucket gathers on
-	// the streaming path, or whole staged relations under
-	// relstore.MaterializingOracle. Final query outputs are excluded on
-	// both paths, so the two compare like for like.
+	// PeakIntermediateRows is the high-water mark of intermediate rows
+	// held across the extraction's relational pipelines and the segment
+	// wiring: join build sides, early-distinct seen-sets and
+	// index-bucket gathers on the streaming path, or whole staged
+	// relations under relstore.MaterializingOracle, plus on both paths
+	// each segment's set of distinct rows — its pairSet of wired slot
+	// pairs and its set of skipped rows — until the segment ends. Final
+	// query outputs are excluded on both paths, so the two compare like
+	// for like.
 	PeakIntermediateRows int64
 	Duration             time.Duration
 }
@@ -102,7 +105,7 @@ func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, err
 	xsp := opts.Trace.Push("extract", "")
 	defer xsp.End()
 	res := &Result{}
-	// Steps 0-5, wiring each distinct segment row once.
+	// Steps 0-5, wiring each segment's distinct slot pairs once.
 	g, err := Build(db, prog, opts, &res.Stats, func(w *Wiring, plan *EdgePlan) error {
 		return wirePlan(db, w, plan, opts, &res.Stats)
 	})

@@ -90,6 +90,14 @@ go test -run '^$' -fuzz '^FuzzBitmap$' -fuzztime 10s ./internal/dedup
 echo "== fuzz graph load"
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/core
 
+# Ten seconds of FuzzExtractRows: on decoded small bag tables with repeated
+# rows and actors that are no vertex, over direct, two- and three-segment
+# and default-planner plans, Extract's logical edges equal a map-based
+# evaluation of the body, and RepEdges and SkippedRows count each
+# segment's distinct rows once.
+echo "== fuzz extraction rows"
+go test -run '^$' -fuzz '^FuzzExtractRows$' -fuzztime 10s ./internal/extract
+
 # One iteration each of the root module's graph-build benchmarks (co-actor
 # extraction, the same-part extraction through the join pipeline, the four
 # representation conversions, one sub-benchmark each) and of its
