@@ -61,7 +61,6 @@ type config struct {
 	seed        int64
 	suggest     bool
 	csvTables   string
-	workers     int
 	noIndex     bool
 	explain     bool
 }
@@ -110,7 +109,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	seed := fs.Int64("seed", 1, "dataset generator seed")
 	suggestFlag := fs.Bool("suggest", false, "propose candidate extraction queries for the dataset's schema and exit")
 	csvTables := fs.String("csv", "", "comma-separated name=path.csv pairs loaded into a fresh database instead of -dataset")
-	workers := fs.Int("workers", 0, "worker-pool parallelism for Step-6 preprocessing (0 = GOMAXPROCS)")
 	noIndex := fs.Bool("no-index", false, "disable automatic secondary hash indexes on join/predicate columns (indexes are on by default)")
 	explain := fs.Bool("explain", false, "trace the extraction and print its execution profile as JSON (operator tree, access-path choices, rows, wall time)")
 	if err := fs.Parse(args); err != nil {
@@ -130,7 +128,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		seed:        *seed,
 		suggest:     *suggestFlag,
 		csvTables:   *csvTables,
-		workers:     *workers,
 		noIndex:     *noIndex,
 		explain:     *explain,
 	}
@@ -193,7 +190,7 @@ func dispatch(cfg config, stdout io.Writer) error {
 		}
 		return nil
 	}
-	engine := graphgen.NewEngine(db, graphgen.WithParallelism(cfg.workers), graphgen.WithAutoIndex(!cfg.noIndex))
+	engine := graphgen.NewEngine(db, graphgen.WithAutoIndex(!cfg.noIndex))
 	var extractOpts []graphgen.Option
 	if cfg.explain {
 		extractOpts = append(extractOpts, graphgen.WithProfile())

@@ -79,7 +79,8 @@ func (g *Graph) SetPropertyOf(v NodeID, key, value string) error {
 	return g.c.SetPropertyOf(v, key, value)
 }
 
-// Compact physically removes lazily deleted vertices.
+// Compact physically removes lazily deleted vertices, and the virtual
+// nodes their removal left without sources or targets.
 func (g *Graph) Compact() { g.c.Compact() }
 
 // --- size metrics ---

@@ -20,13 +20,12 @@
 // planner detects large-output joins; Graph.As converts it to EXP, DEDUP-1,
 // DEDUP-2 or BITMAP using the deduplication algorithms of Section 5.
 //
-// The relational pipeline streams one row at a time and the
-// representation conversions are serial loops. The Step-6 preprocessing
-// pass and the BSP and vertex-centric analytics run on a shared worker
-// pool (internal/parallel) with deterministic chunk-ordered merges:
-// preprocessing parallelism is set with WithParallelism, and a worker
-// count never changes what is extracted (BSP PageRank may differ in the
-// last float bits, from summation order).
+// Extraction is serial: the relational pipeline streams one row at a
+// time, and the Step-6 preprocessing pass and the representation
+// conversions are serial loops. The BSP and vertex-centric analytics run
+// on a shared worker pool (internal/parallel) with deterministic
+// chunk-ordered merges, so a worker count changes no result (BSP PageRank
+// may differ in the last float bits, from summation order).
 package graphgen
 
 import (
@@ -168,17 +167,6 @@ func WithAutoIndex(on bool) Option {
 		mode = relstore.IndexAuto
 	}
 	return func(c *config) { c.extract.UseIndex = mode }
-}
-
-// WithParallelism bounds the worker pool of extraction's Step-6
-// preprocessing pass, which decides across n workers which virtual nodes
-// to inline (the relational pipeline itself streams one row at a time).
-// n <= 0 (the default) selects runtime.GOMAXPROCS(0); n == 1 is the serial
-// pass; every setting extracts an identical graph. Representation
-// conversion (Graph.As) is serial; the analytics engines size their own
-// pools (bsp.Options.Workers, RunVertexCentric's workers).
-func WithParallelism(n int) Option {
-	return func(c *config) { c.extract.Workers = n }
 }
 
 // NewEngine creates an extraction engine over db.

@@ -117,7 +117,7 @@ func TestAsDedup1AllAlgorithms(t *testing.T) {
 }
 
 // requireNoDeadVirtualSlots fails t when g keeps the slot of a removed
-// virtual node: Extract drops the slots Step 6 empties.
+// virtual node: every pass that removes virtual nodes drops their slots.
 func requireNoDeadVirtualSlots(t *testing.T, what string, g *core.Graph) {
 	t.Helper()
 	if g.NumVirtualSlots() != g.NumVirtualNodes() {

@@ -25,9 +25,8 @@
 // — performs no lazy initialization and is safe for concurrent use from
 // multiple goroutines. Traversal working memory comes from a pool outside
 // the Graph (see neighbors.go), never from shared graph state. The parallel
-// phases in internal/extract, internal/bsp, and internal/dedup rely on this
-// read-only contract. Mutating methods require external synchronization (the
-// parallel callers stage mutations per worker and apply them serially).
+// supersteps in internal/bsp and internal/vertexcentric rely on this
+// read-only contract. Mutating methods require external synchronization.
 package core
 
 import (
@@ -91,7 +90,10 @@ const none int32 = -1
 //
 // Adjacency uses the paper's CSR variant: per-node mutable in/out slices.
 // Real-node deletion is lazy (Section 3.4): deleted vertices are tombstoned
-// and skipped during iteration until Compact is called.
+// and skipped during iteration until Compact is called. A removed virtual
+// node's slot is free: the next AddVirtualNode reuses it, and every pass
+// that removes virtual nodes in bulk ends by dropping the free slots
+// (compact.go).
 //
 // Nothing is allocated per vertex outside its adjacency rows and the ID
 // map: real nodes live in flat per-slot arrays, and vertex properties are
@@ -129,13 +131,13 @@ type Graph struct {
 	vOut     [][]int32 // real targets of this virtual node
 	vOutVirt [][]int32 // virtual targets of this virtual node
 	vDead    []bool
-	vNumDead int
+	vFree    []int32 // the dead slots, reused last-freed first
 
 	// vOutSorted records that every vOut list is in ascending order, which
 	// lets edge-existence probes binary-search it. SortAdjacency sets it,
 	// Load computes it, and ConnectVirtToReal clears it on the first
-	// out-of-order append (removals and the monotone remaps of Compact and
-	// CompactVirtual keep the order).
+	// out-of-order append (removals and the monotone remaps of compact.go
+	// keep the order).
 	vOutSorted bool
 
 	// DEDUP-2: undirected virtual-virtual edges (stored on both sides).
@@ -201,10 +203,10 @@ func (g *Graph) NumRealNodes() int { return len(g.realID) - g.numDead }
 func (g *Graph) NumRealSlots() int { return len(g.realID) }
 
 // NumVirtualNodes returns the number of live virtual nodes.
-func (g *Graph) NumVirtualNodes() int { return len(g.vLayer) - g.vNumDead }
+func (g *Graph) NumVirtualNodes() int { return len(g.vLayer) - len(g.vFree) }
 
 // NumVirtualSlots returns the number of dense virtual-node slots including
-// tombstones.
+// free ones.
 func (g *Graph) NumVirtualSlots() int { return len(g.vLayer) }
 
 // Alive reports whether real index r is live.
@@ -235,12 +237,23 @@ func (g *Graph) AddRealNode(id int64) int32 {
 }
 
 // AddVirtualNode adds a virtual node in the given layer (1-based from the
-// source side) and returns its dense index.
+// source side) and returns its dense index: the slot RemoveVirtualNode
+// freed last, if any, else a new one.
 func (g *Graph) AddVirtualNode(layer int32) int32 {
-	idx := int32(len(g.vLayer))
 	if layer > g.layerHint {
 		g.layerHint = layer
 	}
+	if n := len(g.vFree); n > 0 {
+		idx := g.vFree[n-1]
+		g.vFree = g.vFree[:n-1]
+		g.vLayer[idx] = layer
+		g.vDead[idx] = false
+		if g.masks != nil {
+			g.masks[idx] = maskRow{}
+		}
+		return idx
+	}
+	idx := int32(len(g.vLayer))
 	g.vLayer = append(g.vLayer, layer)
 	g.vIn = append(g.vIn, nil)
 	g.vInVirt = append(g.vInVirt, nil)
@@ -344,7 +357,8 @@ func (g *Graph) RemoveDirectEdgeIdx(u, w int32) {
 	g.inReal[w] = removeOne(g.inReal[w], u)
 }
 
-// RemoveVirtualNode deletes a virtual node and all its edges.
+// RemoveVirtualNode deletes a virtual node and all its edges, and frees
+// its slot for the next AddVirtualNode.
 func (g *Graph) RemoveVirtualNode(v int32) {
 	for _, r := range g.vIn[v] {
 		g.outVirt[r] = removeOne(g.outVirt[r], v)
@@ -367,7 +381,7 @@ func (g *Graph) RemoveVirtualNode(v int32) {
 	}
 	if !g.vDead[v] {
 		g.vDead[v] = true
-		g.vNumDead++
+		g.vFree = append(g.vFree, v)
 	}
 }
 
@@ -461,7 +475,7 @@ func (g *Graph) Clone() *Graph {
 		vOut:       cloneAdj(g.vOut),
 		vOutVirt:   cloneAdj(g.vOutVirt),
 		vDead:      append([]bool(nil), g.vDead...),
-		vNumDead:   g.vNumDead,
+		vFree:      slices.Clone(g.vFree),
 		vOutSorted: g.vOutSorted,
 		vUndir:     cloneAdj(g.vUndir),
 		masks:      cloneMasks(g.masks),

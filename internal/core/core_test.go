@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -288,6 +289,33 @@ func TestPreprocessExpandSmall(t *testing.T) {
 	if len(before) != len(after) {
 		t.Fatalf("preprocessing changed the logical edge set: %d vs %d", len(before), len(after))
 	}
+	// The expanded node's slot is dropped and the survivor renumbered.
+	if g.NumVirtualSlots() != 1 || !slices.Equal(g.VirtSources(0), []int32{2, 3, 4}) || !slices.Equal(g.OutVirtuals(2), []int32{0}) {
+		t.Fatalf("%d virtual slots, slot 0 sources %v, real 2's virtuals %v; want 1, [2 3 4], [0]",
+			g.NumVirtualSlots(), g.VirtSources(0), g.OutVirtuals(2))
+	}
+}
+
+// TestRemovedVirtualSlotIsReused checks that RemoveVirtualNode frees its
+// slot and the next AddVirtualNode takes it back, empty, in its own layer
+// and without the masks the removed node had.
+func TestRemovedVirtualSlotIsReused(t *testing.T) {
+	g := buildOverlap(CDUP)
+	g.SetBitmap(0, 0, []uint64{1})
+	g.RemoveVirtualNode(0)
+	if g.NumVirtualSlots() != 2 || g.NumVirtualNodes() != 1 || g.VirtAlive(0) {
+		t.Fatalf("after remove: %d slots, %d live, slot 0 alive %v", g.NumVirtualSlots(), g.NumVirtualNodes(), g.VirtAlive(0))
+	}
+	v := g.AddVirtualNode(2)
+	if v != 0 || g.NumVirtualSlots() != 2 || g.NumVirtualNodes() != 2 || !g.VirtAlive(0) || g.VirtLayer(0) != 2 {
+		t.Fatalf("AddVirtualNode = %d: %d slots, %d live, layer %d", v, g.NumVirtualSlots(), g.NumVirtualNodes(), g.VirtLayer(v))
+	}
+	if len(g.VirtSources(v))+len(g.VirtTargets(v)) != 0 || g.NumBitmaps() != 0 {
+		t.Fatalf("reused slot holds sources %v, targets %v, %d masks", g.VirtSources(v), g.VirtTargets(v), g.NumBitmaps())
+	}
+	if w := g.AddVirtualNode(1); w != 2 {
+		t.Fatalf("with no free slot AddVirtualNode = %d, want the new slot 2", w)
+	}
 }
 
 func TestPropertiesAndVertexAPI(t *testing.T) {
@@ -417,6 +445,9 @@ func TestFlattenToSingleLayer(t *testing.T) {
 	if got := g.MaxLayer(); got > 1 {
 		t.Fatalf("MaxLayer after flatten = %d", got)
 	}
+	if g.NumVirtualSlots() != g.NumVirtualNodes() {
+		t.Fatalf("flatten left %d virtual slots for %d live nodes", g.NumVirtualSlots(), g.NumVirtualNodes())
+	}
 	after := g.EdgeSetByID()
 	if len(before) != len(after) {
 		t.Fatalf("flatten changed the edge set: %d vs %d", len(before), len(after))
@@ -443,6 +474,9 @@ func TestFlattenToSingleLayer(t *testing.T) {
 	want := g2.EdgeSetByID()
 	if err := g2.FlattenToSingleLayer(10); err != ErrTooLarge {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+	if g2.NumVirtualSlots() != g2.NumVirtualNodes() {
+		t.Fatalf("partial flatten left %d virtual slots for %d live nodes", g2.NumVirtualSlots(), g2.NumVirtualNodes())
 	}
 	got := g2.EdgeSetByID()
 	if len(want) != len(got) {

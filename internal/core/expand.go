@@ -1,10 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"graphgen/internal/parallel"
-)
+import "errors"
 
 // This file implements (a) the Step-6 preprocessing of Section 4.2 — expand
 // every virtual node whose expansion does not increase the edge count
@@ -18,49 +14,39 @@ var ErrTooLarge = errors.New("graphgen: expanded graph exceeds the memory budget
 
 // PreprocessExpandSmall applies the paper's preprocessing rule: a virtual
 // node V with in incoming and out outgoing edges is expanded (removed, with
-// direct in->out edges added) when in*out <= in+out+1. The scan over virtual
-// nodes is parallelized across workers; mutations are applied serially to
-// keep adjacency surgery race-free (the paper notes its multi-threaded
-// implementation needed non-trivial concurrency control for the same
-// reason). Returns the number of virtual nodes expanded. Each expanded
-// node's slot is left dead, as RemoveVirtualNode leaves it; Extract drops
-// those slots afterwards with CompactVirtual.
+// direct in->out edges added) when in*out <= in+out+1. The candidates are
+// the nodes the rule picks on the degrees before any expansion; expanding
+// one node can change the degree of another, so each candidate is
+// re-checked when its turn comes. Returns the number of virtual nodes
+// expanded; their slots are dropped (compact.go).
 //
-// The scan's pool does not pay: full extractions timed within 0.2 % at 1
-// and 2 workers on a 2-vCPU Xeon. It stays only because the benchmark
-// harness (bench/) passes a worker count to this method.
+// workers is ignored, and the pass is serial: a worker pool over the
+// candidate scan timed within 0.2 % at 1 and 2 workers on a 2-vCPU Xeon.
+// The parameter stays only while the benchmark harness (bench/) passes it.
 func (g *Graph) PreprocessExpandSmall(workers int) int {
-	// Parallel phase: decide which virtual nodes qualify.
-	n := len(g.vLayer)
-	candidates := make([]bool, n)
-	parallel.Run(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if g.vDead[v] {
-				continue
-			}
-			in := len(g.vIn[v]) + len(g.vInVirt[v])
-			out := len(g.vOut[v]) + len(g.vOutVirt[v])
-			if in*out <= in+out+1 {
-				candidates[v] = true
-			}
+	var candidates []int32
+	for v := int32(0); int(v) < len(g.vLayer); v++ {
+		if !g.vDead[v] && g.inlinable(v) {
+			candidates = append(candidates, v)
 		}
-	})
-	// Serial phase: apply the expansions. Expanding one node can change
-	// the degree of another, so each candidate is re-checked.
-	expanded := 0
-	for v := int32(0); int(v) < n; v++ {
-		if !candidates[v] || g.vDead[v] {
-			continue
-		}
-		in := len(g.vIn[v]) + len(g.vInVirt[v])
-		out := len(g.vOut[v]) + len(g.vOutVirt[v])
-		if in*out > in+out+1 {
-			continue
-		}
-		g.expandVirtualNode(v)
-		expanded++
 	}
+	expanded := 0
+	for _, v := range candidates {
+		if g.inlinable(v) {
+			g.expandVirtualNode(v)
+			expanded++
+		}
+	}
+	g.compactVirtual()
 	return expanded
+}
+
+// inlinable reports whether Step 6 expands virtual node v at its current
+// degrees.
+func (g *Graph) inlinable(v int32) bool {
+	in := len(g.vIn[v]) + len(g.vInVirt[v])
+	out := len(g.vOut[v]) + len(g.vOutVirt[v])
+	return in*out <= in+out+1
 }
 
 // expandVirtualNode removes virtual node v and connects every in-neighbor
@@ -95,7 +81,8 @@ func (g *Graph) expandVirtualNode(v int32) {
 // layer — the conversion Section 5.2.2 suggests before running the
 // single-layer deduplication algorithms. maxEdges bounds the growth
 // (0 = unlimited); on overflow the graph is left partially flattened but
-// still equivalent, and ErrTooLarge is returned.
+// still equivalent, and ErrTooLarge is returned. Either way the expanded
+// nodes' slots are dropped (compact.go).
 func (g *Graph) FlattenToSingleLayer(maxEdges int64) error {
 	for {
 		expanded := false
@@ -110,13 +97,13 @@ func (g *Graph) FlattenToSingleLayer(maxEdges int64) error {
 			break
 		}
 		if maxEdges > 0 && g.RepEdges() > maxEdges {
+			g.compactVirtual()
 			return ErrTooLarge
 		}
 	}
-	for v := int32(0); int(v) < len(g.vLayer); v++ {
-		if !g.vDead[v] {
-			g.vLayer[v] = 1
-		}
+	g.compactVirtual()
+	for v := range g.vLayer {
+		g.vLayer[v] = 1
 	}
 	g.layerHint = 1
 	return nil

@@ -133,51 +133,3 @@ func fillRows(rows [][]int32, pairs *pairSlab, side int, deg []int32) {
 		}
 	}
 }
-
-// CompactVirtual drops the slots of removed virtual nodes, in place: the
-// live ones keep their order and are renumbered 0..NumVirtualNodes()-1,
-// and every reference to them is rewritten. The renumbering is monotone,
-// so each row keeps its order and a sorted row stays sorted; apart from
-// the virtual IDs the graph is unchanged.
-func (g *Graph) CompactVirtual() {
-	if g.vNumDead == 0 {
-		return
-	}
-	rows := [...]*[][]int32{&g.vIn, &g.vInVirt, &g.vOut, &g.vOutVirt, &g.vUndir}
-	remap := make([]int32, len(g.vLayer))
-	var n int32
-	for v := range g.vLayer {
-		if g.vDead[v] {
-			remap[v] = none
-			continue
-		}
-		remap[v] = n
-		g.vLayer[n] = g.vLayer[v]
-		for _, a := range rows {
-			(*a)[n] = (*a)[v]
-		}
-		if g.masks != nil {
-			g.masks[n] = g.masks[v]
-		}
-		n++
-	}
-	for _, a := range rows {
-		clear((*a)[n:])
-		*a = (*a)[:n]
-	}
-	if g.masks != nil {
-		clear(g.masks[n:])
-		g.masks = g.masks[:n]
-	}
-	g.vLayer = g.vLayer[:n]
-	g.vDead = g.vDead[:n]
-	clear(g.vDead)
-	g.vNumDead = 0
-	for _, a := range [...][][]int32{g.outVirt, g.inVirt, g.vInVirt, g.vOutVirt, g.vUndir} {
-		for _, row := range a {
-			for i, v := range row {
-				row[i] = remap[v]
-			}
-		}
-	}
-}

@@ -125,7 +125,7 @@ func TestLoadDedup2MatchesNodeByNodeBuild(t *testing.T) {
 
 // liveFingerprint renders g with its removed virtual slots skipped and
 // the live ones renumbered by rank, so that a graph and its
-// CompactVirtual copy render alike.
+// compacted copy render alike.
 func liveFingerprint(g *Graph) string {
 	rank := make([]int32, len(g.vLayer))
 	var n int32
@@ -183,7 +183,7 @@ func neighborLists(g *Graph) string {
 // one call at a time and to a Batch that Load then writes: the two must
 // agree row for row and in order, with every loaded row at len == cap.
 // Random RemoveVirtualNode steps then tombstone virtual nodes, and
-// CompactVirtual must drop exactly their slots without changing any
+// compactVirtual must drop exactly their slots without changing any
 // logical neighbor list or the graph's live fingerprint.
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte{5, 4, 1, 1, 2, 0, 0, 1, 1, 0, 2, 1, 2, 0, 3, 2, 0, 1, 3, 2, 2, 0, 1, 2, 1, 3, 0, 0, 1, 9, 1, 2})
@@ -255,15 +255,15 @@ func FuzzLoad(f *testing.F) {
 			}
 		}
 		fp, nb := liveFingerprint(got), neighborLists(got)
-		got.CompactVirtual()
+		got.compactVirtual()
 		if got.NumVirtualSlots() != got.NumVirtualNodes() {
-			t.Fatalf("after CompactVirtual: %d virtual slots for %d live nodes", got.NumVirtualSlots(), got.NumVirtualNodes())
+			t.Fatalf("after compactVirtual: %d virtual slots for %d live nodes", got.NumVirtualSlots(), got.NumVirtualNodes())
 		}
 		if after := liveFingerprint(got); after != fp {
-			t.Fatalf("CompactVirtual changed the live graph:\n%s\nwas\n%s", after, fp)
+			t.Fatalf("compactVirtual changed the live graph:\n%s\nwas\n%s", after, fp)
 		}
 		if after := neighborLists(got); after != nb {
-			t.Fatalf("CompactVirtual changed the neighbors:\n%s\nwas\n%s", after, nb)
+			t.Fatalf("compactVirtual changed the neighbors:\n%s\nwas\n%s", after, nb)
 		}
 	})
 }

@@ -83,7 +83,8 @@ func TestMaskSetReplaceGet(t *testing.T) {
 // TestMaskStoreMatchesMapModel drives random SetBitmap, AddVirtualNode and
 // RemoveVirtualNode sequences against a map of masks: every mask reads
 // back, ForEachBitmap yields exactly the model's origins in ascending
-// order, and NumBitmaps counts them.
+// order, and NumBitmaps counts them. AddVirtualNode may reuse a removed
+// node's slot, which starts without masks.
 func TestMaskStoreMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -93,6 +94,11 @@ func TestMaskStoreMatchesMapModel(t *testing.T) {
 			switch k := rng.Intn(20); {
 			case k == 0:
 				v := g.AddVirtualNode(1)
+				for key := range model {
+					if key[0] == v {
+						delete(model, key)
+					}
+				}
 				for i := 0; i < rng.Intn(100); i++ {
 					g.ConnectVirtToReal(v, int32(rng.Intn(40)))
 				}

@@ -8,8 +8,8 @@ import (
 )
 
 // This file implements the mutating half of the Graph API (Section 3.4):
-// AddVertex, DeleteVertex (lazy), AddEdge, DeleteEdge, and the batch
-// compaction that physically removes tombstoned vertices.
+// AddVertex, DeleteVertex (lazy), AddEdge and DeleteEdge. The batch
+// compaction that physically removes tombstoned vertices is in compact.go.
 
 // AddVertexID adds an isolated real vertex with the given external ID.
 func (g *Graph) AddVertexID(id int64) error {
@@ -187,84 +187,4 @@ func (g *Graph) NormalizeDirects() int {
 		return true
 	})
 	return removed
-}
-
-// Compact physically removes tombstoned real vertices: adjacency entries
-// pointing at dead vertices are dropped and the dense index is rebuilt.
-// This is the batched second half of lazy deletion. A BITMAP graph keeps
-// its masks, renumbered and packed to the surviving targets, so it stays
-// duplicate-free.
-func (g *Graph) Compact() {
-	if g.numDead == 0 {
-		return
-	}
-	// Remap old dense indices to new ones.
-	remap := make([]int32, len(g.realID))
-	var n int32
-	for r := range g.realID {
-		if g.dead[r] {
-			remap[r] = none
-		} else {
-			remap[r] = n
-			n++
-		}
-	}
-	filter := func(s []int32) []int32 {
-		out := s[:0]
-		for _, e := range s {
-			if remap[e] != none {
-				out = append(out, remap[e])
-			}
-		}
-		return out
-	}
-	// Virtual adjacency referencing real nodes.
-	for v := range g.vLayer {
-		if g.vDead[v] {
-			continue
-		}
-		if g.masks != nil {
-			g.compactMasks(v, remap) // reads vOut[v] before the filter
-		}
-		g.vIn[v] = filter(g.vIn[v])
-		g.vOut[v] = filter(g.vOut[v])
-	}
-	// Real-node arrays.
-	live := make([]int32, 0, n)
-	newID := make([]int64, 0, n)
-	newOutVirt := make([][]int32, 0, n)
-	newOutReal := make([][]int32, 0, n)
-	newInVirt := make([][]int32, 0, n)
-	newInReal := make([][]int32, 0, n)
-	for r := range g.realID {
-		if g.dead[r] {
-			continue
-		}
-		live = append(live, int32(r))
-		newID = append(newID, g.realID[r])
-		newOutVirt = append(newOutVirt, g.outVirt[r])
-		newOutReal = append(newOutReal, filter(g.outReal[r]))
-		newInVirt = append(newInVirt, g.inVirt[r])
-		newInReal = append(newInReal, filter(g.inReal[r]))
-	}
-	g.realID, g.props = newID, gatherColumns(g.props, live)
-	g.outVirt, g.outReal, g.inVirt, g.inReal = newOutVirt, newOutReal, newInVirt, newInReal
-	g.dead = make([]bool, n)
-	g.numDead = 0
-	g.realIdx = make(map[int64]int32, n)
-	for r, id := range g.realID {
-		g.realIdx[id] = int32(r)
-	}
-	// Drop virtual nodes that lost all sources or targets.
-	for v := int32(0); int(v) < len(g.vLayer); v++ {
-		if g.vDead[v] {
-			continue
-		}
-		if len(g.vIn[v])+len(g.vInVirt[v]) == 0 || len(g.vOut[v])+len(g.vOutVirt[v]) == 0 {
-			if g.mode == DEDUP2 && len(g.vOut[v]) > 0 {
-				continue // DEDUP-2 members are reachable via undirected hops
-			}
-			g.RemoveVirtualNode(v)
-		}
-	}
 }

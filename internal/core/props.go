@@ -26,8 +26,9 @@ func (c *propColumn) get(r int32) (string, bool) {
 
 // extend lengthens c to n slots, unset. A reallocation reserves at least
 // capHint slots, the graph's real-slot capacity: after Graph.Grow a column
-// reaches its final size in one step. Columns never shrink in place, so
-// the slots past len are still zero.
+// reaches its final size in one step. Only Compact shrinks a column in
+// place, and it zeroes the slots it cuts off, so the slots past len are
+// still zero.
 func (c *propColumn) extend(n, capHint int) {
 	if n <= len(c.vals) {
 		return
@@ -71,7 +72,7 @@ func (g *Graph) column(key string) *propColumn {
 }
 
 // gatherColumns returns cols re-indexed by order: slot i of the result is
-// slot order[i] of the input. Freeze and Compact renumber with it.
+// slot order[i] of the input. Freeze renumbers with it.
 func gatherColumns(cols []propColumn, order []int32) []propColumn {
 	out := make([]propColumn, len(cols))
 	for k := range cols {

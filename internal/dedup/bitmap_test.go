@@ -79,6 +79,7 @@ func neighborsByID(g *core.Graph) map[int64][]int64 {
 // the input's logical edges and no duplicate path, and after every step of
 // a decoded DeleteVertex/Compact sequence its neighbors equal, exactly once
 // each, those of the EXP expansion of a C-DUP copy given the same steps.
+// Compact leaves both graphs with no dead virtual slot.
 func FuzzBitmap(f *testing.F) {
 	f.Add([]byte{0, 6, 3, 1, 1, 2, 0, 1, 2, 0, 2, 2, 0, 3, 4, 0, 2, 1, 3, 0, 1, 5, 2, 3, 5, 1, 0, 0, 0, 3, 0, 4, 1, 2, 1})
 	f.Add([]byte{1, 9, 5, 1, 1, 2, 2, 3, 2, 1, 2, 3, 4, 5, 2, 3, 4, 2, 2, 4, 2, 6, 7, 1, 3, 0, 3, 1, 8, 2, 6, 3, 0, 0, 1, 2, 3, 4, 7, 2, 5, 1, 3, 1, 0, 1, 6, 0})
@@ -101,6 +102,12 @@ func FuzzBitmap(f *testing.F) {
 				if b%4 == 0 {
 					out.Compact()
 					ref.Compact()
+					for _, g := range []*core.Graph{out, ref} {
+						if g.NumVirtualSlots() != g.NumVirtualNodes() {
+							t.Fatalf("%s after step %d: Compact left %d virtual slots for %d live nodes",
+								build.name, i, g.NumVirtualSlots(), g.NumVirtualNodes())
+						}
+					}
 				} else {
 					id := int64(100 + int(b)%20)
 					out.DeleteVertexID(id)

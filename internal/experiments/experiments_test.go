@@ -70,7 +70,7 @@ func TestTable1ShapeTargets(t *testing.T) {
 // TestExtractionsLeaveNoDeadVirtualSlots extracts every dataset the
 // experiments extract, at both scales, as the experiments do (Step 6
 // skipped) and with Step 6 on: each graph must hold exactly its live
-// virtual nodes, since Extract drops the slots Step 6 empties.
+// virtual nodes, since Step 6 drops the slots it empties.
 func TestExtractionsLeaveNoDeadVirtualSlots(t *testing.T) {
 	for _, s := range []Scale{{Quick: true}, {}} {
 		dbs, _ := SmallDatasets(s)

@@ -362,8 +362,8 @@ func (w *Wiring) Unwire(seg int, in, out relstore.Value, before func(src int32, 
 }
 
 // release removes the virtual node of value v of large join k, and forgets
-// the value, when the node has no edge left. Its dense slot stays dead
-// until the graph is rebuilt, like a tombstoned real node before Compact.
+// the value, when the node has no edge left. The graph frees its slot, and
+// the next virtual node a Wire creates reuses it.
 func (w *Wiring) release(k int, v relstore.Value) {
 	idx, _ := w.virt[k].get(v)
 	g := w.g

@@ -16,7 +16,8 @@ import (
 
 // Options tunes extraction: the embedded execution context (UseIndex,
 // Tracker, Trace — see relstore.ExecOpts, which reaches every operator as it
-// is) plus the eight settings the planner and graph builder decide on.
+// is) plus the seven settings the planner and graph builder decide on
+// and the ignored Workers.
 // UseIndex == relstore.IndexOff also stops Extract from auto-creating
 // indexes on the query's join and predicate columns, so the indexed and
 // unindexed pipelines (which extract identical graphs) can be compared;
@@ -42,8 +43,8 @@ type Options struct {
 	// SkipPreprocess disables the Step-6 virtual-node expansion pass;
 	// the paper's representation experiments do the same (Section 6.5).
 	SkipPreprocess bool
-	// Workers sizes the Step-6 pass's worker pool; <= 0 means GOMAXPROCS.
-	// The extracted graph never depends on it.
+	// Workers is ignored: the Step-6 pass is serial. It stays only while
+	// the benchmark harness (bench/) sets it.
 	Workers int
 	// AutoExpandFactor > 0 expands the final graph when the expanded
 	// edge count is at most this multiple of the condensed edge count
@@ -114,10 +115,9 @@ func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, err
 	}
 	g.SortAdjacency()
 
-	// Step 6: preprocessing. The expanded virtual nodes' slots are dropped.
+	// Step 6: preprocessing.
 	if !opts.SkipPreprocess {
 		res.Stats.PreprocessExpanded = g.PreprocessExpandSmall(opts.Workers)
-		g.CompactVirtual()
 	}
 	if opts.AutoExpandFactor > 0 && g.NumVirtualNodes() > 0 {
 		rep := g.RepEdges()

@@ -517,6 +517,54 @@ func TestLiveDuplicateSupport(t *testing.T) {
 	checkEquivalence(t, lv, db, prog, opts, "end")
 }
 
+// TestLiveChurnReusesVirtualSlots inserts and deletes, a thousand times, the
+// one cast row of a movie nobody else plays in, on a condensed co-actor
+// session: each insert wires the movie's virtual node and each delete
+// releases it. A released slot must be reused, so the graph never holds
+// more virtual slots than it had live virtual nodes at its peak.
+func TestLiveChurnReusesVirtualSlots(t *testing.T) {
+	db := datagen.IMDBLike(3, 60, 12)
+	cast, err := db.Table("cast_info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _ := datalog.Parse(datagen.QueryCoactors)
+	opts := extract.Options{LargeOutputFactor: 2, ForceCondensed: true}
+	lv, err := New(db, prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lv.Close()
+	virtual := func() (live, slots int) {
+		if err := lv.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		lv.mu.RLock()
+		defer lv.mu.RUnlock()
+		return lv.g.NumVirtualNodes(), lv.g.NumVirtualSlots()
+	}
+	row := []relstore.Value{relstore.IntVal(1), relstore.IntVal(9_000_000)}
+	peak, _ := virtual()
+	for i := 0; i < 1000; i++ {
+		cast.Insert(row...)
+		live, _ := virtual()
+		peak = max(peak, live)
+		if ok, _ := cast.Delete(row...); !ok {
+			t.Fatal("delete failed")
+		}
+		virtual() // flushed apart, so the pair does not cancel out pending
+	}
+	live, slots := virtual()
+	if slots > peak {
+		t.Fatalf("after 1000 insert/delete cycles: %d live virtual nodes in %d slots, peak %d live",
+			live, slots, peak)
+	}
+	if lv.Stats().Rebuilds != 0 {
+		t.Fatal("edge-table churn rebuilt the graph")
+	}
+	checkEquivalence(t, lv, db, prog, opts, "after churn")
+}
+
 // TestLiveNodeTableRebuild verifies the documented fallback: changes to a
 // Nodes-rule table trigger a full re-extraction on the next read, including
 // previously skipped edge rows that referenced the new node.

@@ -140,13 +140,16 @@ type Live struct {
 // New extracts prog against db and subscribes to the tables it reads.
 // The live graph is extract.Build's graph without Extract's representation-
 // changing passes (Step-6 preprocessing, auto-expansion), which
-// SkipPreprocess, Workers and AutoExpandFactor configure and which have no
-// effect here: live maintenance needs the condensed wiring to stay aligned
-// with the per-segment counts. The logical edge set is unaffected. MaxEdges
-// is enforced against the representation edge count at build and rebuild
-// time (per-tuple maintenance never re-checks it). Comparisons are
-// maintained like the joins they filter; a negated atom is rejected,
-// because a change to the negated table has no delta rule.
+// SkipPreprocess and AutoExpandFactor configure and which have no effect
+// here: live maintenance needs the condensed wiring to stay aligned with
+// the per-segment counts. The logical edge set is unaffected. A virtual
+// node that maintenance releases frees its slot for the next one it adds,
+// so the graph grows with what it holds, not with the number of updates.
+// Workers is ignored, here as in Extract. MaxEdges is enforced against the
+// representation edge count at build and rebuild time (per-tuple
+// maintenance never re-checks it). Comparisons are maintained like the
+// joins they filter; a negated atom is rejected, because a change to the
+// negated table has no delta rule.
 func New(db *relstore.DB, prog *datalog.Program, opts extract.Options) (*Live, error) {
 	for _, r := range slices.Concat(prog.Nodes, prog.Edges) {
 		if len(r.Negated) > 0 {

@@ -6,9 +6,9 @@
 //   - closeness over several 64-source batches (internal/workload);
 //   - the per-entity phases of the SNB generator (internal/datagen).
 //
-// The Step-6 preprocessing scan (internal/core) measured flat and keeps its
-// pool only while the benchmark harness passes it a worker count. The
-// representation conversions and the relational pipeline are serial.
+// The Step-6 preprocessing pass (internal/core), the representation
+// conversions and the relational pipeline are serial: a pool over Step 6's
+// candidate scan measured flat at 2 vs 1 workers and was removed.
 //
 // The design goal is determinism, not just speed: every caller partitions
 // its input into contiguous chunks, computes per-chunk results in isolation,

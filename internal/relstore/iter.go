@@ -381,10 +381,11 @@ func NewScan(t *Table, preds []Pred, cols []int, names []string, opts ExecOpts) 
 	return traced(&selectIter{cols: outCols, src: IterRows(nil, t.Rows), preds: preds, idx: cols}, sp), nil
 }
 
-// bucketIter walks one index bucket's rows in seq (= table) order,
-// without copying the bucket. The bucket slice header is captured at
-// construction: concurrent inserts append (or replace the map value) and
-// stay invisible.
+// bucketIter walks index entries' rows in slice order, without copying
+// them: one bucket's (in seq = table order), or the table join's entries
+// gathered from several buckets and sorted by seq. The slice header is
+// captured at construction: concurrent inserts append (or replace the map
+// value) and stay invisible.
 type bucketIter struct {
 	bucket []indexEntry
 	pos    int
@@ -864,7 +865,7 @@ func (it *tableJoinIter) start() error {
 		for k, j := range it.ni {
 			tn[k] = it.tCols[j]
 		}
-		it.inner = &joinIter{cols: it.cols, probe: &entrySliceIter{entries: entries}, build: build,
+		it.inner = &joinIter{cols: it.cols, probe: &bucketIter{bucket: entries}, build: build,
 			key: tn, preds: it.preds, fromBuild: it.fromCur, fromProbe: fromTable}
 		return nil
 	}
@@ -902,25 +903,6 @@ func (it *tableJoinIter) Close() error {
 	}
 	return err
 }
-
-// entrySliceIter streams gathered index entries' rows.
-type entrySliceIter struct {
-	entries []indexEntry
-	pos     int
-}
-
-func (it *entrySliceIter) Cols() []string { return nil }
-
-func (it *entrySliceIter) Next() (Row, bool, error) {
-	if it.pos >= len(it.entries) {
-		return nil, false, nil
-	}
-	r := it.entries[it.pos].row
-	it.pos++
-	return r, true, nil
-}
-
-func (it *entrySliceIter) Close() error { return nil }
 
 // NewProject streams src restricted to the named columns, optionally
 // deduplicating (SELECT DISTINCT). The distinct form holds one seen-set

@@ -344,8 +344,6 @@ func sourceRowsRead(t *testing.T, it RowIter) int {
 			return s.pos
 		case *bucketIter:
 			return s.pos
-		case *entrySliceIter:
-			return s.pos
 		default:
 			t.Fatalf("no row source under %T", it)
 			return 0

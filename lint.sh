@@ -29,74 +29,8 @@ go run ./cmd/graphlint -counts "$@"
 echo "== borrowed-row poison mode"
 go test -tags borrowpoison ./internal/relstore ./internal/conj ./internal/extract ./internal/datalogeval ./internal/incremental .
 
-# Ten seconds of fuzzing past the committed FuzzLiveView corpus: derived
-# live views == Freeze, live edges == a fresh extraction.
-echo "== fuzz live views"
-go test -run '^$' -fuzz '^FuzzLiveView$' -fuzztime 10s ./internal/incremental
-
-# Ten seconds past the committed FuzzParse corpus: every error is a
-# positioned SyntaxError, renderings re-parse stably, and Parse accepts
-# exactly the programs ParseProgram accepts without derived predicates.
-echo "== fuzz parser"
-go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/datalog
-
-# Ten seconds past the committed FuzzCloseness corpus: the batched
-# bit-parallel closeness == the relaxation reference on decoded graphs.
-echo "== fuzz closeness"
-go test -run '^$' -fuzz '^FuzzCloseness$' -fuzztime 10s ./internal/workload
-
-# Ten seconds past the committed FuzzRowSet corpus: the value-hashed row
-# table (distinct, join builds, tuple sets) == the AppendRowKey-keyed map
-# reference on decoded relations.
-echo "== fuzz row table"
-go test -run '^$' -fuzz '^FuzzRowSet$' -fuzztime 10s ./internal/relstore
-
-# Ten seconds past the committed FuzzTable corpus: Table (sequence numbers,
-# full-row locator) == the slice-table reference over decoded mutation
-# sequences.
-echo "== fuzz table"
-go test -run '^$' -fuzz '^FuzzTable$' -fuzztime 10s ./internal/relstore
-
-# Ten seconds past the committed FuzzLoadCSV corpus: LoadCSV never panics,
-# a successful load upholds the type-inference contract, and reloading a
-# rendered table is a fixpoint.
-echo "== fuzz CSV load"
-go test -run '^$' -fuzz '^FuzzLoadCSV$' -fuzztime 10s ./internal/relstore
-
-# Ten seconds of FuzzDirectiveParse: graphlint's suppression-directive
-# parser never panics, accepts only known analyzers with a justification,
-# and re-parses a canonically rendered directive to itself.
-echo "== fuzz lint directives"
-go test -run '^$' -fuzz '^FuzzDirectiveParse$' -fuzztime 10s ./internal/analyzers
-
-# Ten seconds of FuzzDedup2: on decoded single-layer symmetric graphs with
-# tombstoned reals and direct edges, DEDUP-2 keeps the logical edges and the
-# Appendix-B invariants and emits no tombstoned virtual slot.
-echo "== fuzz DEDUP-2"
-go test -run '^$' -fuzz '^FuzzDedup2$' -fuzztime 10s ./internal/dedup
-
-# Ten seconds past the committed FuzzBitmap corpus: on decoded multi-layer
-# asymmetric graphs, BITMAP-1 and BITMAP-2 keep the logical edges with no
-# duplicate path and equal the EXP oracle, once per neighbor, across
-# DeleteVertex/Compact steps.
-echo "== fuzz BITMAP"
-go test -run '^$' -fuzz '^FuzzBitmap$' -fuzztime 10s ./internal/dedup
-
-# Ten seconds of FuzzLoad: on decoded multi-layer edge sequences with
-# repeated pairs, Graph.Load equals adding the same edges one at a time, row
-# for row, with every row at len == cap; after random RemoveVirtualNode
-# steps, CompactVirtual drops exactly the dead slots and changes no
-# neighbor list.
-echo "== fuzz graph load"
-go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/core
-
-# Ten seconds of FuzzExtractRows: on decoded small bag tables with repeated
-# rows and actors that are no vertex, over direct, two- and three-segment
-# and default-planner plans, Extract's logical edges equal a map-based
-# evaluation of the body, and RepEdges and SkippedRows count each
-# segment's distinct rows once.
-echo "== fuzz extraction rows"
-go test -run '^$' -fuzz '^FuzzExtractRows$' -fuzztime 10s ./internal/extract
+# Ten seconds per fuzz target; the list is in fuzz.sh, which CI runs too.
+sh ./fuzz.sh
 
 # One iteration each of the root module's graph-build benchmarks (co-actor
 # extraction, the same-part extraction through the join pipeline, the four

@@ -220,9 +220,6 @@ func TestOptionFlow(t *testing.T) {
 				}
 				return ""
 			}},
-		// Parallelism sizes only the Step-6 pass's worker pool, whose
-		// output never depends on it: inert everywhere.
-		{"WithParallelism(1)", WithParallelism(1), []Option{WithProfile()}, nil, nil},
 		{"WithMaxDerivedTuples", WithMaxDerivedTuples(100), nil, all[1:2],
 			func(_ string, without, with optionRun) string {
 				if without.err != nil || !errors.Is(with.err, ErrTooManyDerived) {
