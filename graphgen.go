@@ -135,12 +135,6 @@ func WithSelfLoops() Option { return func(c *config) { c.extract.SelfLoops = tru
 // WithoutPreprocessing disables the Step-6 small-virtual-node inlining.
 func WithoutPreprocessing() Option { return func(c *config) { c.extract.SkipPreprocess = true } }
 
-// WithAutoExpand expands the final graph when the expanded edge count is at
-// most factor times the condensed count (the paper suggests 1.2).
-func WithAutoExpand(factor float64) Option {
-	return func(c *config) { c.extract.AutoExpandFactor = factor }
-}
-
 // WithLargeOutputFactor overrides the planner threshold (default 2).
 func WithLargeOutputFactor(f float64) Option {
 	return func(c *config) { c.extract.LargeOutputFactor = f }

@@ -49,22 +49,19 @@ func dedup1VirtualFirst(g *core.Graph, opts Options, greedy bool) (*core.Graph, 
 	st.RepEdgesBefore = out.RepEdges()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	order := virtualOrder(out, opts)
-	processed := make(map[int32]bool, len(order))
 	// memberIndex maps a real node to the processed virtual nodes it
 	// belongs to, so overlap candidates are found without a full scan.
 	memberIndex := make(map[int32][]int32)
 
-	for _, v := range order {
+	for _, v := range virtualOrder(out, opts) {
 		if !out.VirtAlive(v) {
 			continue
 		}
 		if greedy {
-			dedupVirtualGreedy(out, v, processed, memberIndex, &st)
+			dedupVirtualGreedy(out, v, memberIndex, &st)
 		} else {
-			dedupVirtualNaive(out, v, processed, memberIndex, rng, &st)
+			dedupVirtualNaive(out, v, memberIndex, rng, &st)
 		}
-		processed[v] = true
 		for _, m := range out.VirtTargets(v) {
 			memberIndex[m] = append(memberIndex[m], v)
 		}
@@ -95,7 +92,7 @@ func relevantProcessed(out *core.Graph, v int32, memberIndex map[int32][]int32, 
 	return rel
 }
 
-func dedupVirtualNaive(out *core.Graph, v int32, processed map[int32]bool, memberIndex map[int32][]int32, rng *rand.Rand, st *Stats) {
+func dedupVirtualNaive(out *core.Graph, v int32, memberIndex map[int32][]int32, rng *rand.Rand, st *Stats) {
 	for _, ri := range relevantProcessed(out, v, memberIndex, 2) {
 		for {
 			c := intersectSorted(out.VirtTargets(v), out.VirtTargets(ri))
@@ -117,7 +114,7 @@ func dedupVirtualNaive(out *core.Graph, v int32, processed map[int32]bool, membe
 	dropRedundantDirects(out, v, st)
 }
 
-func dedupVirtualGreedy(out *core.Graph, v int32, processed map[int32]bool, memberIndex map[int32][]int32, st *Stats) {
+func dedupVirtualGreedy(out *core.Graph, v int32, memberIndex map[int32][]int32, st *Stats) {
 	for {
 		rel := relevantProcessed(out, v, memberIndex, 2)
 		if len(rel) == 0 {
@@ -185,17 +182,11 @@ func compensationCost(out *core.Graph, v, m int32) int {
 		if y == m {
 			continue
 		}
-		if !coveredPairExcluding(out, m, y, v) {
+		if !coveredPair(out, m, y, v) {
 			cost++
 		}
 	}
 	return cost
-}
-
-// coveredPairExcluding reports whether the pair (a, b) has a path not going
-// through virtual node exclude.
-func coveredPairExcluding(g *core.Graph, a, b, exclude int32) bool {
-	return coveredPair(g, a, b, exclude)
 }
 
 // dropRedundantDirects removes direct edges between members of v, which are

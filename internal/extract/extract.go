@@ -46,10 +46,6 @@ type Options struct {
 	// Workers is ignored: the Step-6 pass is serial. It stays only while
 	// the benchmark harness (bench/) sets it.
 	Workers int
-	// AutoExpandFactor > 0 expands the final graph when the expanded
-	// edge count is at most this multiple of the condensed edge count
-	// (the paper suggests 1.2); 0 disables.
-	AutoExpandFactor float64
 	// SelfLoops keeps logical self edges in the extracted graph.
 	SelfLoops bool
 }
@@ -118,17 +114,6 @@ func Extract(db *relstore.DB, prog *datalog.Program, opts Options) (*Result, err
 	// Step 6: preprocessing.
 	if !opts.SkipPreprocess {
 		res.Stats.PreprocessExpanded = g.PreprocessExpandSmall(opts.Workers)
-	}
-	if opts.AutoExpandFactor > 0 && g.NumVirtualNodes() > 0 {
-		rep := g.RepEdges()
-		exp := g.LogicalEdges()
-		if rep == 0 || float64(exp) <= opts.AutoExpandFactor*float64(rep) {
-			ng, err := g.Expand(opts.MaxEdges)
-			if err == nil {
-				ng.Symmetric = g.Symmetric
-				g = ng
-			}
-		}
 	}
 	res.Graph = g
 	res.Stats.RealNodes = g.NumRealNodes()

@@ -419,22 +419,6 @@ func TestExtractPreprocessing(t *testing.T) {
 	}
 }
 
-func TestExtractAutoExpand(t *testing.T) {
-	db := dblpDB(t)
-	opts := DefaultOptions()
-	opts.ForceCondensed = true
-	opts.SkipPreprocess = true
-	opts.AutoExpandFactor = 100 // trivially satisfied: expand
-	res, err := Extract(db, mustParse(t, coauthors), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Graph.Mode() != core.EXP || res.Graph.NumVirtualNodes() != 0 {
-		t.Fatalf("auto-expand did not produce EXP: mode=%v virt=%d",
-			res.Graph.Mode(), res.Graph.NumVirtualNodes())
-	}
-}
-
 func TestExtractErrors(t *testing.T) {
 	db := dblpDB(t)
 	// Unknown table.

@@ -89,13 +89,13 @@ func checkEquivalence(t *testing.T, lv *Live, db *relstore.DB, prog *datalog.Pro
 }
 
 // checkBuild asserts that the live graph just after New is the graph
-// Extract builds without Step 6 and auto-expansion, slot for slot: equal
+// Extract builds without Step 6, slot for slot: equal
 // representation edges, virtual nodes and slots, virtual layers, and
 // adjacency lists once a copy of the live graph is sorted the way Extract
 // sorts its own.
 func checkBuild(t *testing.T, lv *Live, db *relstore.DB, prog *datalog.Program, opts extract.Options) {
 	t.Helper()
-	opts.SkipPreprocess, opts.AutoExpandFactor = true, 0
+	opts.SkipPreprocess = true
 	res, err := extract.Extract(db, prog, opts)
 	if err != nil {
 		t.Fatalf("build: extract: %v", err)

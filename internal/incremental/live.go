@@ -139,10 +139,9 @@ type Live struct {
 
 // New extracts prog against db and subscribes to the tables it reads.
 // The live graph is extract.Build's graph without Extract's representation-
-// changing passes (Step-6 preprocessing, auto-expansion), which
-// SkipPreprocess and AutoExpandFactor configure and which have no effect
-// here: live maintenance needs the condensed wiring to stay aligned with
-// the per-segment counts. The logical edge set is unaffected. A virtual
+// changing Step-6 preprocessing, which SkipPreprocess configures and which
+// has no effect here: live maintenance needs the condensed wiring to stay
+// aligned with the per-segment counts. The logical edge set is unaffected. A virtual
 // node that maintenance releases frees its slot for the next one it adds,
 // so the graph grows with what it holds, not with the number of updates.
 // Workers is ignored, here as in Extract. MaxEdges is enforced against the

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -42,6 +43,12 @@ func (db *DB) LoadCSVFiles(spec string) error {
 // every row parses as an integer, otherwise it is String (a single
 // non-numeric value anywhere demotes the column rather than failing the
 // load). A header-only file defaults every column to String.
+//
+// Inside a field (only a quoted one can hold a line break), a run of
+// carriage returns directly before a line feed is dropped: encoding/csv
+// folds just one quoted "\r\n" into "\n", so without this a field like
+// "a\r\r\nb" would lose one "\r" on every save and reload instead of
+// loading as the fixpoint "a\nb".
 func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -49,6 +56,7 @@ func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("relstore: %s: reading CSV header: %w", name, err)
 	}
+	dropCRBeforeLF(header)
 	if len(header) == 0 {
 		return nil, fmt.Errorf("relstore: %s: empty CSV header", name)
 	}
@@ -63,6 +71,7 @@ func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("relstore: %s: CSV row %d: %w", name, line, err)
 		}
+		dropCRBeforeLF(record)
 		records = append(records, record)
 	}
 	cols := make([]Column, len(header))
@@ -108,4 +117,22 @@ func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
 		}
 	}
 	return t, nil
+}
+
+// dropCRBeforeLF removes, in place in every field of record, each run of
+// carriage returns that directly precedes a line feed.
+func dropCRBeforeLF(record []string) {
+	for i, f := range record {
+		if !strings.Contains(f, "\r\n") {
+			continue
+		}
+		b := make([]byte, 0, len(f))
+		for j := 0; j < len(f); j++ {
+			if f[j] == '\n' {
+				b = bytes.TrimRight(b, "\r")
+			}
+			b = append(b, f[j])
+		}
+		record[i] = string(b)
+	}
 }

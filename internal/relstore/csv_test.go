@@ -82,6 +82,22 @@ func TestLoadCSVMixedColumn(t *testing.T) {
 	}
 }
 
+// TestLoadCSVDropsCRBeforeLF pins LoadCSV's line-break rule: a run of
+// carriage returns directly before a line feed inside a quoted field is
+// dropped, in the header and in rows alike, and a lone "\r" stays.
+func TestLoadCSVDropsCRBeforeLF(t *testing.T) {
+	tbl, err := NewDB().LoadCSV("T", strings.NewReader("\"h\r\r\r\nx\",b\n\"v\r\r\nw\",\"a\rb\"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Cols[0].Name != "h\nx" {
+		t.Fatalf("header = %q, want %q", tbl.Cols[0].Name, "h\nx")
+	}
+	if got := tbl.Rows[0]; got[0].S != "v\nw" || got[1].S != "a\rb" {
+		t.Fatalf("row = %q, %q; want %q, %q", got[0].S, got[1].S, "v\nw", "a\rb")
+	}
+}
+
 func TestLoadCSVEndToEnd(t *testing.T) {
 	// CSV in, graph out: the adoption path for real data.
 	db := NewDB()

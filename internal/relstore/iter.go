@@ -457,22 +457,42 @@ func (it *filterIter) Close() error {
 	return it.src.Close()
 }
 
-// buildProbeIter is the shared shape of the streaming binary operators:
-// the build input drains into a grouped copy (drainGroups) at the first
-// Next, before any output row exists, then the probe input streams
-// against it. The build rows are tracked as operator-resident until Close.
+// buildProbeIter is the one streaming binary operator behind NewJoin,
+// NewCross and NewTableJoin: the build input drains into a grouped copy
+// (drainGroups) at the first Next, before any output row exists, then a
+// probe cursor streams against it. The probe side is either an input
+// given at construction or, for a table join, the access path that
+// openTable picks once the build's size is known. The build rows (and a
+// table join's gathered index entries) are tracked as operator-resident
+// until Close.
 type buildProbeIter struct {
-	cols         []string
-	build, probe RowIter
+	cols  []string
+	build RowIter
+	probe RowIter // the given probe input; nil for a table join
 	// on and probeOn are the join key's columns in the build and probe
-	// rows; fromBuild and fromProbe place their columns in the output.
+	// rows; fromBuild and fromProbe place their columns in the output. A
+	// table join's probe rows are its scan projection (names-indexed).
 	on, probeOn          []int
 	fromBuild, fromProbe []colMove
+	table                tableProbe // a table join's probe side; table.t is nil otherwise
 	opts                 ExecOpts
 	inner                *joinIter
 	held                 int
 	failed               error
 	closed               bool
+}
+
+// tableProbe is what a table join knows of its probe side before the
+// build has drained: the table, the candidate index and the scan that
+// NewScan would run over it.
+type tableProbe struct {
+	t     *Table
+	ix    *Index // candidate index; nil when no shared column has one or IndexOff
+	pk    int    // ix indexes the table column of shared column pk
+	preds []Pred
+	tCols []int
+	names []string
+	span  *obs.Span // records the deferred access-path choice; may be nil
 }
 
 func (it *buildProbeIter) Cols() []string { return it.cols }
@@ -482,24 +502,102 @@ func (it *buildProbeIter) Next() (Row, bool, error) {
 		return nil, false, it.failed
 	}
 	if it.inner == nil {
-		build, err := drainGroups(it.build, it.on)
-		// The drained build input is closed here, once, so what it held
-		// (an early distinct's seen-set) is released before the build
-		// rows are charged; Close skips it from now on.
-		if cerr := it.build.Close(); err == nil {
-			err = cerr
-		}
-		it.build = nil
-		if err != nil {
+		if err := it.start(); err != nil {
 			it.failed = err
 			return nil, false, err
 		}
-		it.held = build.n
-		it.opts.Tracker.Acquire(it.held)
-		it.inner = &joinIter{cols: it.cols, probe: it.probe, build: build, key: it.probeOn,
-			fromBuild: it.fromBuild, fromProbe: it.fromProbe}
 	}
 	return it.inner.Next()
+}
+
+// start drains and charges the build, then opens the probe cursor over it.
+func (it *buildProbeIter) start() error {
+	build, err := drainGroups(it.build, it.on)
+	// The drained build input is closed here, once, so what it held (an
+	// early distinct's seen-set) is released before the build rows are
+	// charged; Close skips it from now on.
+	if cerr := it.build.Close(); err == nil {
+		err = cerr
+	}
+	it.build = nil
+	if err != nil {
+		return err
+	}
+	it.held = build.n
+	it.opts.Tracker.Acquire(it.held)
+	if it.table.t != nil {
+		return it.openTable(build)
+	}
+	it.inner = &joinIter{cols: it.cols, probe: it.probe, build: build, key: it.probeOn,
+		fromBuild: it.fromBuild, fromProbe: it.fromProbe}
+	return nil
+}
+
+// openTable opens a table join's probe side over its drained build: a
+// scan of the table, or the index buckets matching the build's keys when
+// 2·|build| ≤ the index's distinct keys (or IndexForce).
+func (it *buildProbeIter) openTable(build *rowGroups) error {
+	tp := &it.table
+	tp.span.Set("build_rows", int64(build.n))
+	if tp.ix == nil || (it.opts.UseIndex != IndexForce && 2*build.n > tp.ix.NKeys()) {
+		tp.span.SetStrategy("scan")
+		scanOpts := it.opts
+		if scanOpts.UseIndex == IndexForce {
+			scanOpts.UseIndex = IndexAuto
+		}
+		// The inner scan is an implementation detail of this operator's
+		// scan path; suppress its span so the table join is one node, not
+		// two.
+		scanOpts.Trace = nil
+		scan, err := NewScan(tp.t, tp.preds, tp.tCols, tp.names, scanOpts)
+		if err != nil {
+			return err
+		}
+		it.inner = &joinIter{cols: it.cols, probe: scan, build: build, key: it.probeOn,
+			fromBuild: it.fromBuild, fromProbe: it.fromProbe}
+		return nil
+	}
+	tp.span.SetStrategy("index")
+	// Gather the matching table rows and restore table order: sequence
+	// numbers are assigned in insertion order and deletions preserve
+	// relative order, so sorting by seq reproduces the order a scan of t
+	// would have produced. Buckets match on the indexed column only; the
+	// build probe below checks the whole join key. Each distinct value of
+	// that column is looked up once: with a one-column key the build's
+	// groups are exactly those values, with a wider one the groups are
+	// collapsed onto that column first.
+	kc := it.on[tp.pk]
+	keys := &build.set
+	if len(it.on) > 1 {
+		keys = NewRowSet(it.on[tp.pk:tp.pk+1], keys.Len())
+		for g := 0; g < build.set.Len(); g++ {
+			keys.Add(build.set.Row(g))
+		}
+	}
+	n := 0
+	for g := 0; g < keys.Len(); g++ {
+		n += len(tp.ix.bucket(keys.Row(g)[kc]))
+	}
+	entries := make([]indexEntry, 0, n)
+	for g := 0; g < keys.Len(); g++ {
+		entries = append(entries, tp.ix.bucket(keys.Row(g)[kc])...)
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
+	it.opts.Tracker.Acquire(len(entries))
+	it.held += len(entries)
+	// The gathered entries are whole table rows, so the scan-side moves and
+	// the join key read table columns instead of projection positions.
+	fromTable := make([]colMove, len(it.fromProbe))
+	for i, m := range it.fromProbe {
+		fromTable[i] = colMove{m.dst, tp.tCols[m.src]}
+	}
+	tn := make([]int, len(it.probeOn))
+	for k, j := range it.probeOn {
+		tn[k] = tp.tCols[j]
+	}
+	it.inner = &joinIter{cols: it.cols, probe: &bucketIter{bucket: entries}, build: build,
+		key: tn, preds: tp.preds, fromBuild: it.fromBuild, fromProbe: fromTable}
+	return nil
 }
 
 func (it *buildProbeIter) Close() error {
@@ -517,8 +615,10 @@ func (it *buildProbeIter) Close() error {
 		if e := it.inner.Close(); err == nil {
 			err = e
 		}
-	} else if e := it.probe.Close(); err == nil {
-		err = e
+	} else if it.probe != nil {
+		if e := it.probe.Close(); err == nil {
+			err = e
+		}
 	}
 	return err
 }
@@ -639,25 +739,17 @@ func keepDetail(keep []string) string {
 // empty shared list is an error — explicit cross products use NewCross.
 func NewJoin(a, b RowIter, shared, keep []string, opts ExecOpts) (RowIter, error) {
 	acols, bcols := a.Cols(), b.Cols()
-	if len(shared) == 0 {
-		closeAll(a, b)
-		return nil, fmt.Errorf("relstore: join of %v with %v has no shared columns (use NewCross for an explicit cross product)", acols, bcols)
-	}
-	return newHashJoin(a, b, shared, keep, opts)
-}
-
-// newHashJoin is the build/probe hash join behind NewJoin on the shared
-// columns on.
-func newHashJoin(a, b RowIter, on, keep []string, opts ExecOpts) (RowIter, error) {
-	acols, bcols := a.Cols(), b.Cols()
 	fail := func(err error) (RowIter, error) {
 		closeAll(a, b)
 		return nil, err
 	}
-	ai := make([]int, len(on))
-	bi := make([]int, len(on))
+	if len(shared) == 0 {
+		return fail(fmt.Errorf("relstore: join of %v with %v has no shared columns (use NewCross for an explicit cross product)", acols, bcols))
+	}
+	ai := make([]int, len(shared))
+	bi := make([]int, len(shared))
 	bKey := make([]bool, len(bcols))
-	for k, c := range on {
+	for k, c := range shared {
 		i, ok := colIndex(acols, c)
 		if !ok {
 			return fail(fmt.Errorf("relstore: join column %q not in left relation %v", c, acols))
@@ -675,7 +767,7 @@ func newHashJoin(a, b RowIter, on, keep []string, opts ExecOpts) (RowIter, error
 	}
 	var sp *obs.Span
 	if opts.Trace != nil {
-		sp = opts.Trace.StartSpan("join", strings.Join(on, ",")+keepDetail(keep))
+		sp = opts.Trace.StartSpan("join", strings.Join(shared, ",")+keepDetail(keep))
 		sp.SetStrategy("hash build=left")
 	}
 	return traced(&buildProbeIter{cols: cols, build: a, probe: b, on: ai, probeOn: bi,
@@ -713,11 +805,17 @@ func NewCross(a, b RowIter, opts ExecOpts) RowIter {
 // (NewScan with the same opts) and probed against the same hash table.
 // Both paths produce identical output: the keep
 // columns — with a nil keep, cur's columns then names minus the shared
-// ones — in table-major order with cur's row order inside.
+// ones — in table-major order with cur's row order inside. The drain, the
+// access-path choice and (on the index path) the bucket gather all happen
+// at the first Next — before any output row, so recursive bodies still
+// observe the pre-insert table state through the captured storage.
 func NewTableJoin(cur RowIter, t *Table, preds []Pred, cols []int, names []string, shared, keep []string, opts ExecOpts) (RowIter, error) {
-	if err := validateScan(t, preds, cols, names); err != nil {
+	fail := func(err error) (RowIter, error) {
 		closeAll(cur)
 		return nil, err
+	}
+	if err := validateScan(t, preds, cols, names); err != nil {
+		return fail(err)
 	}
 	curCols := cur.Cols()
 	ci := make([]int, len(shared))
@@ -726,13 +824,11 @@ func NewTableJoin(cur RowIter, t *Table, preds []Pred, cols []int, names []strin
 	for k, c := range shared {
 		i, ok := colIndex(curCols, c)
 		if !ok {
-			closeAll(cur)
-			return nil, fmt.Errorf("relstore: join column %q not in left relation %v", c, curCols)
+			return fail(fmt.Errorf("relstore: join column %q not in left relation %v", c, curCols))
 		}
 		j, ok := colIndex(names, c)
 		if !ok {
-			closeAll(cur)
-			return nil, fmt.Errorf("relstore: join column %q not in projection %v", c, names)
+			return fail(fmt.Errorf("relstore: join column %q not in projection %v", c, names))
 		}
 		ci[k], ni[k] = i, j
 		nShared[j] = true
@@ -747,161 +843,21 @@ func NewTableJoin(cur RowIter, t *Table, preds []Pred, cols []int, names []strin
 		}
 	}
 	if opts.UseIndex == IndexForce && ix == nil {
-		closeAll(cur)
-		return nil, fmt.Errorf("relstore: table join: IndexForce with no index on %s for join key %v", t.Name, shared)
+		return fail(fmt.Errorf("relstore: table join: IndexForce with no index on %s for join key %v", t.Name, shared))
 	}
 	outCols, fromCur, fromScan, err := joinShape(curCols, names, nShared, keep)
 	if err != nil {
-		closeAll(cur)
-		return nil, err
+		return fail(err)
 	}
 	var sp *obs.Span
 	if opts.Trace != nil {
 		// The access-path choice is deferred until the build side has
-		// drained; start() records it on this span when it happens.
+		// drained; openTable records it on this span when it happens.
 		sp = opts.Trace.StartSpan("table_join", t.Name+" on "+strings.Join(shared, ",")+keepDetail(keep))
 	}
-	return traced(&tableJoinIter{cols: outCols, cur: cur, t: t, ix: ix,
-		preds: preds, tCols: cols, names: names,
-		ci: ci, ni: ni, pk: pk, fromCur: fromCur, fromScan: fromScan, opts: opts, span: sp}, sp), nil
-}
-
-// tableJoinIter implements NewTableJoin. The build drain, access-path
-// decision, and (on the index path) bucket gather all happen at the
-// first Next — before any output row, so recursive bodies still observe
-// the pre-insert table state through the captured storage.
-type tableJoinIter struct {
-	cols   []string
-	cur    RowIter
-	t      *Table
-	ix     *Index // candidate index; nil when no shared column has one or IndexOff
-	preds  []Pred
-	tCols  []int
-	names  []string
-	ci, ni []int // the shared columns' positions in cur's schema and in names
-	pk     int   // ix indexes the table column of shared column pk
-	// fromCur and fromScan place cur's and the scan projection's (names-
-	// indexed) columns in the output row.
-	fromCur, fromScan []colMove
-	opts              ExecOpts
-	span              *obs.Span // records the deferred access-path choice; may be nil
-
-	inner  *joinIter
-	held   int
-	failed error
-	closed bool
-}
-
-func (it *tableJoinIter) Cols() []string { return it.cols }
-
-func (it *tableJoinIter) Next() (Row, bool, error) {
-	if it.failed != nil {
-		return nil, false, it.failed
-	}
-	if it.inner == nil {
-		if err := it.start(); err != nil {
-			it.failed = err
-			return nil, false, err
-		}
-	}
-	return it.inner.Next()
-}
-
-func (it *tableJoinIter) start() error {
-	build, err := drainGroups(it.cur, it.ci)
-	// Closed here, once, for the reason buildProbeIter gives.
-	if cerr := it.cur.Close(); err == nil {
-		err = cerr
-	}
-	it.cur = nil
-	if err != nil {
-		return err
-	}
-	it.held = build.n
-	it.opts.Tracker.Acquire(it.held)
-	useIndex := it.ix != nil &&
-		(it.opts.UseIndex == IndexForce || 2*build.n <= it.ix.NKeys())
-	if useIndex {
-		it.span.SetStrategy("index")
-	} else {
-		it.span.SetStrategy("scan")
-	}
-	it.span.Set("build_rows", int64(build.n))
-	if useIndex {
-		// Gather the matching table rows and restore table order:
-		// sequence numbers are assigned in insertion order and deletions
-		// preserve relative order, so sorting by seq reproduces the order
-		// a scan of t would have produced. Buckets match on the indexed
-		// column only; the build probe below checks the whole join key.
-		// Each distinct value of that column is looked up once: with a
-		// one-column key the build's groups are exactly those values, with
-		// a wider one the groups are collapsed onto that column first.
-		keys := &build.set
-		if len(it.ci) > 1 {
-			keys = NewRowSet(it.ci[it.pk:it.pk+1], keys.Len())
-			for g := 0; g < build.set.Len(); g++ {
-				keys.Add(build.set.Row(g))
-			}
-		}
-		n := 0
-		for g := 0; g < keys.Len(); g++ {
-			n += len(it.ix.bucket(keys.Row(g)[it.ci[it.pk]]))
-		}
-		entries := make([]indexEntry, 0, n)
-		for g := 0; g < keys.Len(); g++ {
-			entries = append(entries, it.ix.bucket(keys.Row(g)[it.ci[it.pk]])...)
-		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-		it.opts.Tracker.Acquire(len(entries))
-		it.held += len(entries)
-		// The gathered entries are whole table rows, so the scan-side
-		// moves and the join key read table columns instead of projection
-		// positions.
-		fromTable := make([]colMove, len(it.fromScan))
-		for i, m := range it.fromScan {
-			fromTable[i] = colMove{m.dst, it.tCols[m.src]}
-		}
-		tn := make([]int, len(it.ni))
-		for k, j := range it.ni {
-			tn[k] = it.tCols[j]
-		}
-		it.inner = &joinIter{cols: it.cols, probe: &bucketIter{bucket: entries}, build: build,
-			key: tn, preds: it.preds, fromBuild: it.fromCur, fromProbe: fromTable}
-		return nil
-	}
-	scanOpts := it.opts
-	if scanOpts.UseIndex == IndexForce {
-		scanOpts.UseIndex = IndexAuto
-	}
-	// The inner scan is an implementation detail of this operator's scan
-	// path; suppress its span so the table join is one node, not two.
-	scanOpts.Trace = nil
-	scan, err := NewScan(it.t, it.preds, it.tCols, it.names, scanOpts)
-	if err != nil {
-		return err
-	}
-	it.inner = &joinIter{cols: it.cols, probe: scan, build: build, key: it.ni,
-		fromBuild: it.fromCur, fromProbe: it.fromScan}
-	return nil
-}
-
-func (it *tableJoinIter) Close() error {
-	if it.closed {
-		return nil
-	}
-	it.closed = true
-	it.opts.Tracker.Release(it.held)
-	it.held = 0
-	var err error
-	if it.cur != nil {
-		err = it.cur.Close()
-	}
-	if it.inner != nil {
-		if e := it.inner.Close(); err == nil {
-			err = e
-		}
-	}
-	return err
+	return traced(&buildProbeIter{cols: outCols, build: cur, on: ci, probeOn: ni,
+		fromBuild: fromCur, fromProbe: fromScan, opts: opts,
+		table: tableProbe{t: t, ix: ix, pk: pk, preds: preds, tCols: cols, names: names, span: sp}}, sp), nil
 }
 
 // NewProject streams src restricted to the named columns, optionally

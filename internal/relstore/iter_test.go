@@ -338,8 +338,6 @@ func sourceRowsRead(t *testing.T, it RowIter) int {
 			it = s.probe
 		case *buildProbeIter:
 			it = s.inner
-		case *tableJoinIter:
-			it = s.inner
 		case *sliceIter:
 			return s.pos
 		case *bucketIter:

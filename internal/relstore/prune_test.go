@@ -171,11 +171,11 @@ func TestDistinctKeepsFirstOccurrences(t *testing.T) {
 	rowsEqual(t, &Rel{Cols: pristine.Cols, Rows: rows}, pristine, "distinct's input")
 }
 
-// TestPrunedStageResourceContracts drives the pruned joins and the early
-// distinct stage through a normal drain, an early Close after one row,
-// and a mid-stream failure of either input. Whatever happens, Close must
-// return every tracked row (current count 0) and close each input
-// exactly once.
+// TestPrunedStageResourceContracts drives the pruned joins, the cross
+// product and the early distinct stage through a normal drain, a Close
+// before the first Next, an early Close after one row, and a mid-stream
+// failure of either input. Whatever happens, Close must return every
+// tracked row (current count 0) and close each input exactly once.
 func TestPrunedStageResourceContracts(t *testing.T) {
 	db := NewDB()
 	rng := rand.New(rand.NewSource(77))
@@ -226,9 +226,12 @@ func TestPrunedStageResourceContracts(t *testing.T) {
 			}
 			return NewDistinct(j, opts), nil
 		}},
+		{"cross", func(a, b *failIter, opts ExecOpts) (RowIter, error) {
+			return NewCross(a, &renamed{RowIter: b, cols: []string{"x", "y"}}, opts), nil
+		}},
 	}
 	for _, shape := range shapes {
-		for _, mode := range []string{"drain", "early close", "fail a", "fail b"} {
+		for _, mode := range []string{"drain", "close before Next", "early close", "fail a", "fail b"} {
 			for _, traced := range []bool{false, true} {
 				label := fmt.Sprintf("%s/%s/traced=%t", shape.name, mode, traced)
 				a := &failIter{cols: []string{"k", "v"}, rows: mkRows(40)}
@@ -248,11 +251,13 @@ func TestPrunedStageResourceContracts(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: constructor: %v", label, err)
 				}
-				if mode == "early close" {
+				switch mode {
+				case "close before Next":
+				case "early close":
 					if _, _, err := it.Next(); err != nil {
 						t.Fatalf("%s: first Next: %v", label, err)
 					}
-				} else {
+				default:
 					for {
 						_, ok, err := it.Next()
 						if err != nil && !errors.Is(err, errMidStream) {
@@ -270,8 +275,9 @@ func TestPrunedStageResourceContracts(t *testing.T) {
 				if cur := tr.cur.Load(); cur != 0 {
 					t.Errorf("%s: tracker holds %d rows after Close", label, cur)
 				}
-				// A build side that fails mid-drain is never charged.
-				if mode != "fail a" && tr.Peak() <= 0 {
+				// A build side that fails mid-drain is never charged, and
+				// one never pulled is never drained.
+				if mode != "fail a" && mode != "close before Next" && tr.Peak() <= 0 {
 					t.Errorf("%s: nothing was ever tracked", label)
 				}
 				if a.closed != 1 || b.closed != 1 {

@@ -45,7 +45,8 @@ go test -run '^$' -bench 'ExtractCoactors|ExtractSamePart|ConvertRepresentations
 # Engine.Extract and on the forced join pipeline; degrees and PageRank of
 # all five representations; Reach closure == independent BFS, which covers the
 # datalogeval caller of the conjunctive evaluator; served neighbors ==
-# fresh Extract, which covers the incremental caller), not measurements.
+# fresh Extract after read-only traffic and after mixed traffic, which
+# covers the incremental caller), not measurements.
 echo "== bench module (vet, tests, oracle smoke)"
 go vet -C bench ./...
 go test -C bench ./...
@@ -53,6 +54,7 @@ go run -C bench . -workload extract-condensed -seconds 1
 go run -C bench . -workload extract-expand -seconds 1
 go run -C bench . -workload dedup-analytics -seconds 1
 go run -C bench . -workload program-recursive -seconds 1
+go run -C bench . -workload serve-read -seconds 1
 go run -C bench . -workload serve-mixed -seconds 1
 
 if command -v staticcheck >/dev/null 2>&1; then

@@ -148,7 +148,7 @@ func observeGraph(g *Graph, err error) optionRun {
 // option must be inert, and a per-call option must not outlive its call.
 func TestOptionFlow(t *testing.T) {
 	all := []string{"Extract", "ExtractProgram", "ExtractLive"}
-	static := all[:2] // live graphs never preprocess or auto-expand
+	static := all[:2] // live graphs never preprocess
 	cases := []struct {
 		name    string
 		opt     Option
@@ -189,13 +189,6 @@ func TestOptionFlow(t *testing.T) {
 				if without.stats.PreprocessExpanded == 0 || with.stats.PreprocessExpanded != 0 || with.virtual <= without.virtual {
 					return fmt.Sprintf("inlined %d -> %d, virtual nodes %d -> %d; want some -> 0 and more virtual nodes",
 						without.stats.PreprocessExpanded, with.stats.PreprocessExpanded, without.virtual, with.virtual)
-				}
-				return ""
-			}},
-		{"WithAutoExpand", WithAutoExpand(1e9), nil, static,
-			func(_ string, without, with optionRun) string {
-				if without.rep != CDUP || with.rep != EXP || with.virtual != 0 {
-					return fmt.Sprintf("representation %v -> %v (%d virtual nodes), want C-DUP -> EXP", without.rep, with.rep, with.virtual)
 				}
 				return ""
 			}},
