@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 
 	"graphgen"
@@ -30,11 +29,8 @@ import (
 	"graphgen/internal/workload"
 )
 
-// Valid flag-value sets, shared by dispatch and error messages.
-var (
-	validReps     = []string{"cdup", "exp", "dedup1", "dedup2", "bitmap"}
-	validAnalyses = []string{"degree", "bfs", "pagerank", "components", "triangles", "sssp", "closeness"}
-)
+// validReps is the -rep value set, shared by dispatch and error messages.
+var validReps = []string{"cdup", "exp", "dedup1", "dedup2", "bitmap"}
 
 // usageError marks a flag-validation failure: run exits 2 instead of 1.
 type usageError struct{ error }
@@ -102,7 +98,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	queryFile := fs.String("query-file", "", "file containing the extraction query (default: the dataset's canonical query)")
 	programFile := fs.String("program", "", "file containing a multi-rule Datalog program (recursion, negation, comparisons); mutually exclusive with -query-file")
 	rep := fs.String("rep", "cdup", "target representation: "+strings.Join(validReps, ", "))
-	analyze := fs.String("analyze", "", "analysis to run: "+strings.Join(validAnalyses, ", "))
+	analyze := fs.String("analyze", "", "analysis to run with its default parameters, printed as the JSON graphgend serves: "+strings.Join(workload.Analyses, ", "))
 	out := fs.String("out", "", "write the expanded edge list to this file")
 	outJSON := fs.String("out-json", "", "write the graph as JSON to this file")
 	validate := fs.String("validate", "", "parse and classify a query (Case 1 vs Case 2) and exit")
@@ -138,10 +134,12 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	if cfg.programFile != "" && cfg.queryFile != "" {
 		return config{}, usagef("-program and -query-file are mutually exclusive (pass one of them)")
 	}
-	if cfg.analyze != "" && !slices.Contains(validAnalyses, strings.ToLower(cfg.analyze)) {
-		return config{}, usagef("unknown -analyze %q (valid: %s)", cfg.analyze, strings.Join(validAnalyses, ", "))
-	}
 	cfg.analyze = strings.ToLower(cfg.analyze)
+	if cfg.analyze != "" {
+		if _, err := workload.ParseParams(cfg.analyze, nil); err != nil {
+			return config{}, usagef("-analyze %q: %v", *analyze, err)
+		}
+	}
 	return cfg, nil
 }
 
@@ -241,8 +239,10 @@ func dispatch(cfg config, stdout io.Writer) error {
 			g.Representation(), g.RepEdges(), float64(g.MemBytes())/(1<<20))
 	}
 
-	if err := runAnalysis(g, cfg.analyze, stdout); err != nil {
-		return err
+	if cfg.analyze != "" {
+		if err := analyze(g, cfg.analyze, stdout); err != nil {
+			return err
+		}
 	}
 
 	if cfg.out != "" {
@@ -280,60 +280,24 @@ func loadDatabase(cfg config) (*graphgen.DB, string, error) {
 	return db, "", nil
 }
 
-// runAnalysis executes the named analysis and prints its summary line.
-// The name is validated at flag-parse time; "" is a no-op.
-func runAnalysis(g *graphgen.Graph, analyze string, stdout io.Writer) error {
-	switch analyze {
-	case "":
-		return nil
-	case "degree":
-		deg := g.Degrees()
-		max, maxID := -1, int64(0)
-		for id, d := range deg {
-			if d > max {
-				max, maxID = d, id
-			}
-		}
-		fmt.Fprintf(stdout, "degree: max %d at vertex %d\n", max, maxID)
-	case "bfs":
-		it := g.Vertices()
-		src, _ := it.Next()
-		visited, depth := g.BFS(src)
-		fmt.Fprintf(stdout, "bfs from %d: visited %d vertices, max depth %d\n", src, visited, depth)
-	case "pagerank":
-		pr := g.PageRank(20, 0.85)
-		best, bestID := -1.0, int64(0)
-		for id, r := range pr {
-			if r > best {
-				best, bestID = r, id
-			}
-		}
-		name, _ := g.PropertyOf(bestID, "Name")
-		fmt.Fprintf(stdout, "pagerank: top vertex %d (%s) with rank %.6f\n", bestID, name, best)
-	case "components":
-		_, n := g.ConnectedComponents()
-		fmt.Fprintf(stdout, "connected components: %d\n", n)
-	case "triangles":
-		fmt.Fprintf(stdout, "triangles: %d\n", g.CountTriangles())
-	case "sssp":
-		snap := workload.Snap(g)
-		res := snap.MultiSourceBFS(snap.SampleSources(4))
-		fmt.Fprintf(stdout, "sssp from %d sources: reached %d vertices (%d unreached), max depth %d, sum of distances %d\n",
-			len(res.Sources), res.Reached, res.Unreached, res.MaxDepth, res.SumDist)
-	case "closeness":
-		snap := workload.Snap(g)
-		top := workload.TopCloseness(snap.Closeness(snap.SampleSources(64), 0), 1)
-		if len(top) == 0 {
-			fmt.Fprintln(stdout, "closeness: empty graph")
-			return nil
-		}
-		name, _ := g.PropertyOf(top[0].ID, "Name")
-		fmt.Fprintf(stdout, "closeness: top vertex %d (%s) with score %.6f (reached %d)\n",
-			top[0].ID, name, top[0].Closeness, top[0].Reached)
-	default:
-		return usagef("unknown -analyze %q (valid: %s)", analyze, strings.Join(validAnalyses, ", "))
+// analyze runs the named analysis of the served catalogue with its
+// default parameters on a frozen view of g, and prints the result on one
+// line as the JSON graphgend's /analyze/{name} returns.
+func analyze(g *graphgen.Graph, name string, stdout io.Writer) error {
+	p, err := workload.ParseParams(name, nil)
+	if err != nil {
+		return err
 	}
-	return nil
+	res, err := workload.Analyze(g.Core().Freeze(), name, p)
+	if err != nil {
+		return err
+	}
+	out, err := json.Marshal(res)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(stdout, "%s\n", out)
+	return err
 }
 
 func parseRep(s string) (graphgen.Representation, error) {

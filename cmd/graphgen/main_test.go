@@ -1,10 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"graphgen"
+	"graphgen/internal/server"
+	"graphgen/internal/workload"
 )
 
 // TestRunDispatch is the table-driven flag-to-pipeline dispatch test: for
@@ -72,19 +80,19 @@ func TestRunDispatch(t *testing.T) {
 			name:       "analysis dispatch",
 			args:       []string{"-dataset", "univ", "-analyze", "components"},
 			wantCode:   0,
-			wantStdout: "connected components:",
+			wantStdout: `{"components":`,
 		},
 		{
 			name:       "sssp analysis on the social network",
 			args:       []string{"-dataset", "snb", "-analyze", "sssp"},
 			wantCode:   0,
-			wantStdout: "sssp from 4 sources: reached",
+			wantStdout: `"sources":[`,
 		},
 		{
 			name:       "closeness analysis on the social network",
 			args:       []string{"-dataset", "snb", "-analyze", "closeness"},
 			wantCode:   0,
-			wantStdout: "closeness: top vertex",
+			wantStdout: `{"samples":64,"top":[{"id":`,
 		},
 		{
 			name:       "representation conversion dispatch",
@@ -102,7 +110,7 @@ func TestRunDispatch(t *testing.T) {
 			name:       "query file override",
 			args:       []string{"-dataset", "univ", "-query-file", queryFile, "-analyze", "degree"},
 			wantCode:   0,
-			wantStdout: "degree: max",
+			wantStdout: `"max_degree":`,
 		},
 		{
 			name:       "suggest mode",
@@ -156,7 +164,7 @@ func TestRunDispatch(t *testing.T) {
 			name:       "unknown analyze exits 2 and lists options",
 			args:       []string{"-analyze", "eigenvector"},
 			wantCode:   2,
-			wantStderr: "valid: degree, bfs, pagerank, components, triangles",
+			wantStderr: "valid: bfs, closeness, components, degree, pagerank, sssp, triangles",
 		},
 		{
 			name:       "unknown flag exits 2",
@@ -209,6 +217,70 @@ func TestRunDispatch(t *testing.T) {
 				t.Fatalf("stderr missing %q:\n%s", tc.wantStderr, stderr.String())
 			}
 		})
+	}
+}
+
+// TestAnalyzeMatchesServer: for every analysis of the catalogue, the last
+// line graphgen -csv … -analyze NAME prints is exactly the result JSON
+// that GET /v1/graphs/{s}/analyze/NAME returns for a static session over
+// the same tables. The fixture has degree and closeness ties, two
+// components besides an isolated vertex, and a triangle.
+func TestAnalyzeMatchesServer(t *testing.T) {
+	tmp := t.TempDir()
+	write := func(name, content string) string {
+		path := filepath.Join(tmp, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	spec := "Student=" + write("student.csv", "id,name\n1,ann\n2,bob\n3,cat\n4,dan\n5,eve\n6,fay\n7,gus\n8,hal\n") +
+		",TookCourse=" + write("took.csv", "sid,cid\n1,100\n2,100\n3,100\n3,101\n4,101\n5,102\n6,102\n7,103\n6,103\n")
+	query := "Nodes(ID, Name) :- Student(ID, Name).\nEdges(A, B) :- TookCourse(A, C), TookCourse(B, C), A != B.\n"
+	queryFile := write("q.dl", query)
+
+	db := graphgen.NewDB()
+	if err := db.LoadCSVFiles(spec); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(graphgen.NewEngine(db), server.Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+	body, _ := json.Marshal(map[string]any{"name": "s", "query": query})
+	resp, err := http.Post(ts.URL+"/v1/graphs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create session: status %d", resp.StatusCode)
+	}
+
+	for _, name := range workload.Analyses {
+		resp, err := http.Get(ts.URL + "/v1/graphs/s/analyze/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Result json.RawMessage `json:"result"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v", name, resp.StatusCode, err)
+		}
+		var served bytes.Buffer
+		if err := json.Compact(&served, env.Result); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-csv", spec, "-query-file", queryFile, "-analyze", name}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d: %s", name, code, stderr.String())
+		}
+		lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+		if got := lines[len(lines)-1]; got != served.String() {
+			t.Errorf("%s: CLI printed\n%s\nserver returned\n%s", name, got, served.String())
+		}
 	}
 }
 

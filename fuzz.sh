@@ -25,6 +25,12 @@ fuzz ./internal/datalog FuzzParse
 # included: batched bit-parallel closeness equals the relaxation reference.
 fuzz ./internal/workload FuzzCloseness
 
+# Arbitrary "name?query" spellings of a served analysis, parsed as a
+# request's query string: ParseParams never panics, accepts only catalogued
+# names, and every canonical form re-parses to itself with parameters that
+# give the same Analyze result.
+fuzz ./internal/workload FuzzAnalysisParams
+
 # Random relations over mixed-type keys (Int 5 vs String "5", separators
 # inside strings, int64 extremes), probed at other column positions:
 # RowSet and the grouped join builds match the AppendRowKey-keyed map

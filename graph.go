@@ -122,34 +122,40 @@ func (g *Graph) As(rep Representation, opts ...DedupOptions) (*Graph, error) {
 			// paths reach, so the structure without its masks is C-DUP.
 			c.SetMode(core.CDUP)
 		}
-		return &Graph{c: c, stats: g.stats, evalStats: g.evalStats, profile: g.profile}, nil
+		return g.derive(c), nil
 	case EXP:
 		exp, err := g.c.Expand(0)
 		if err != nil {
 			return nil, err
 		}
-		return &Graph{c: exp, stats: g.stats, evalStats: g.evalStats, profile: g.profile}, nil
+		return g.derive(exp), nil
 	case BITMAP:
 		out, _, err := dedup.Bitmap2(g.c)
 		if err != nil {
 			return nil, err
 		}
-		return &Graph{c: out, stats: g.stats, evalStats: g.evalStats, profile: g.profile}, nil
+		return g.derive(out), nil
 	case DEDUP1:
 		out, _, err := dedup.Dedup1GreedyVirtualFirst(g.c, o)
 		if err != nil {
 			return nil, err
 		}
-		return &Graph{c: out, stats: g.stats, evalStats: g.evalStats, profile: g.profile}, nil
+		return g.derive(out), nil
 	case DEDUP2:
 		out, _, err := dedup.Dedup2Greedy(g.c, o)
 		if err != nil {
 			return nil, err
 		}
-		return &Graph{c: out, stats: g.stats, evalStats: g.evalStats, profile: g.profile}, nil
+		return g.derive(out), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// derive wraps a converted core graph, keeping g's extraction statistics,
+// evaluation statistics and profile.
+func (g *Graph) derive(c *core.Graph) *Graph {
+	return &Graph{c: c, stats: g.stats, evalStats: g.evalStats, profile: g.profile}
 }
 
 // AsDedup1 converts to DEDUP-1 with an explicit algorithm choice.
@@ -171,20 +177,25 @@ func (g *Graph) AsDedup1(alg Dedup1Algorithm, o DedupOptions) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{c: out, stats: g.stats, evalStats: g.evalStats, profile: g.profile}, nil
+	return g.derive(out), nil
 }
 
 // --- analysis (Section 6 algorithms) ---
 
-// Degrees returns the out-degree of every vertex keyed by ID.
-func (g *Graph) Degrees() map[NodeID]int {
-	deg := algo.Degrees(g.c)
-	out := make(map[NodeID]int, g.c.NumRealNodes())
-	g.c.ForEachReal(func(r int32) bool {
-		out[g.c.RealID(r)] = deg[r]
+// byID keys a per-slot result by vertex ID: val(r) for every real slot r.
+func byID[V any](c *core.Graph, val func(r int32) V) map[NodeID]V {
+	out := make(map[NodeID]V, c.NumRealNodes())
+	c.ForEachReal(func(r int32) bool {
+		out[c.RealID(r)] = val(r)
 		return true
 	})
 	return out
+}
+
+// Degrees returns the out-degree of every vertex keyed by ID.
+func (g *Graph) Degrees() map[NodeID]int {
+	deg := algo.Degrees(g.c)
+	return byID(g.c, func(r int32) int { return deg[r] })
 }
 
 // BFS runs a breadth-first search from src and returns the number of
@@ -197,24 +208,14 @@ func (g *Graph) BFS(src NodeID) (visited, maxDepth int) {
 // PageRank runs iters damped PageRank iterations and returns ranks by ID.
 func (g *Graph) PageRank(iters int, damping float64) map[NodeID]float64 {
 	pr := algo.PageRank(g.c, iters, damping)
-	out := make(map[NodeID]float64, g.c.NumRealNodes())
-	g.c.ForEachReal(func(r int32) bool {
-		out[g.c.RealID(r)] = pr[r]
-		return true
-	})
-	return out
+	return byID(g.c, func(r int32) float64 { return pr[r] })
 }
 
 // ConnectedComponents returns component labels by ID and the component
 // count.
 func (g *Graph) ConnectedComponents() (map[NodeID]int, int) {
 	labels, n := algo.ConnectedComponents(g.c)
-	out := make(map[NodeID]int, g.c.NumRealNodes())
-	g.c.ForEachReal(func(r int32) bool {
-		out[g.c.RealID(r)] = int(labels[r])
-		return true
-	})
-	return out, n
+	return byID(g.c, func(r int32) int { return int(labels[r]) }), n
 }
 
 // CountTriangles counts undirected triangles.
@@ -225,23 +226,13 @@ func (g *Graph) CountTriangles() int64 { return algo.CountTriangles(g.c) }
 // by vertex ID and the community count.
 func (g *Graph) Communities(maxIters int, seed int64) (map[NodeID]int, int) {
 	labels, n := algo.LabelPropagation(g.c, maxIters, seed)
-	out := make(map[NodeID]int, g.c.NumRealNodes())
-	g.c.ForEachReal(func(r int32) bool {
-		out[g.c.RealID(r)] = int(labels[r])
-		return true
-	})
-	return out, n
+	return byID(g.c, func(r int32) int { return int(labels[r]) }), n
 }
 
 // KCore returns the core number of every vertex (dense-subgraph analysis).
 func (g *Graph) KCore() map[NodeID]int {
 	cores := algo.KCore(g.c)
-	out := make(map[NodeID]int, g.c.NumRealNodes())
-	g.c.ForEachReal(func(r int32) bool {
-		out[g.c.RealID(r)] = cores[r]
-		return true
-	})
-	return out
+	return byID(g.c, func(r int32) int { return cores[r] })
 }
 
 // ClusteringCoefficient returns the global clustering coefficient.
@@ -265,12 +256,7 @@ type ComputeFunc = vertexcentric.ExecutorFunc
 // given worker parallelism and returns final values keyed by vertex ID.
 func (g *Graph) RunVertexCentric(exec VertexExecutor, workers int) (map[NodeID]float64, int) {
 	res := vertexcentric.Run(g.c, exec, vertexcentric.Options{Workers: workers})
-	out := make(map[NodeID]float64, g.c.NumRealNodes())
-	g.c.ForEachReal(func(r int32) bool {
-		out[g.c.RealID(r)] = res.Values[r]
-		return true
-	})
-	return out, res.Supersteps
+	return byID(g.c, func(r int32) float64 { return res.Values[r] }), res.Supersteps
 }
 
 // --- serialization (Section 3.4's graphgenpy-style interop) ---

@@ -65,7 +65,11 @@ func (g *Graph) AddEdgeIdx(u, w int32) error {
 // logical edge. For a direct edge this is list surgery. For an edge realized
 // through shared virtual nodes the operation is the "quite involved" case
 // the paper describes: u's source side is detached from its virtual nodes
-// and replaced by direct edges to its remaining logical neighbors.
+// and replaced by direct edges to its remaining logical neighbors. DEDUP-2
+// is symmetric, so there the undirected edge u <-> w goes: every removal
+// and re-added edge covers both directions, and a virtual membership is
+// detached both ways. The paper notes deletion there is cheap because a
+// real node belongs to few virtual nodes.
 func (g *Graph) DeleteEdgeIdx(u, w int32) error {
 	if !g.Alive(u) || !g.Alive(w) {
 		return fmt.Errorf("graphgen: DeleteEdge on missing vertex")
@@ -73,15 +77,20 @@ func (g *Graph) DeleteEdgeIdx(u, w int32) error {
 	if !g.HasEdgeIdx(u, w) {
 		return fmt.Errorf("graphgen: edge %d -> %d not found", g.realID[u], g.realID[w])
 	}
-	if g.mode == DEDUP2 {
-		return g.deleteEdgeDedup2(u, w)
-	}
-	// Fast path: the edge is direct (it may ALSO exist through a virtual
-	// path in C-DUP, in which case the slow path below is still needed).
+	symmetric := g.mode == DEDUP2
+	// The edge may be direct and ALSO exist through a virtual path in
+	// C-DUP, in which case the detach below is still needed. A DEDUP-2
+	// edge has exactly one realization.
 	hadDirect := slices.Contains(g.outReal[u], w)
-	viaVirtual := g.ReachableViaVirtual(u, w)
+	viaVirtual := !hadDirect
+	if !symmetric {
+		viaVirtual = g.ReachableViaVirtual(u, w)
+	}
 	if hadDirect {
 		g.RemoveDirectEdgeIdx(u, w)
+		if symmetric {
+			g.RemoveDirectEdgeIdx(w, u)
+		}
 	}
 	if !viaVirtual {
 		return nil
@@ -92,6 +101,9 @@ func (g *Graph) DeleteEdgeIdx(u, w int32) error {
 	neighbors := g.NeighborsIdx(u)
 	for _, v := range append([]int32(nil), g.outVirt[u]...) {
 		g.DisconnectRealToVirt(u, v)
+		if symmetric {
+			g.DisconnectVirtToReal(v, u)
+		}
 	}
 	have := make(map[int32]struct{}, len(g.outReal[u]))
 	for _, t := range g.outReal[u] {
@@ -106,46 +118,9 @@ func (g *Graph) DeleteEdgeIdx(u, w int32) error {
 		}
 		have[t] = struct{}{}
 		g.AddDirectEdgeIdx(u, t)
-	}
-	return nil
-}
-
-// deleteEdgeDedup2 removes the undirected logical edge u <-> w in a DEDUP-2
-// graph. The representation is symmetric, so both directions go. The paper
-// notes deletion here is cheap because a real node connects to few virtual
-// nodes; we detach u from the virtual node realizing the edge and patch the
-// lost connectivity with direct (undirected) edges.
-func (g *Graph) deleteEdgeDedup2(u, w int32) error {
-	// Direct edge case.
-	for _, t := range g.outReal[u] {
-		if t == w {
-			g.RemoveDirectEdgeIdx(u, w)
-			g.RemoveDirectEdgeIdx(w, u)
-			return nil
+		if symmetric {
+			g.AddDirectEdgeIdx(t, u)
 		}
-	}
-	neighbors := g.NeighborsIdx(u)
-	// Detach u from every virtual node it belongs to (membership = both
-	// in and out edges), then re-add all former neighbors except w as
-	// undirected direct edges.
-	for _, v := range append([]int32(nil), g.outVirt[u]...) {
-		g.DisconnectRealToVirt(u, v)
-		g.DisconnectVirtToReal(v, u)
-	}
-	have := make(map[int32]struct{}, len(g.outReal[u]))
-	for _, t := range g.outReal[u] {
-		have[t] = struct{}{}
-	}
-	for _, t := range neighbors {
-		if t == w {
-			continue
-		}
-		if _, ok := have[t]; ok {
-			continue
-		}
-		have[t] = struct{}{}
-		g.AddDirectEdgeIdx(u, t)
-		g.AddDirectEdgeIdx(t, u)
 	}
 	return nil
 }

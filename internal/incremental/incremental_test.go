@@ -13,6 +13,7 @@ import (
 	"graphgen/internal/datagen"
 	"graphgen/internal/datalog"
 	"graphgen/internal/extract"
+	"graphgen/internal/graphapi"
 	"graphgen/internal/relstore"
 )
 
@@ -27,6 +28,18 @@ func logicalEdges(g *core.Graph) map[[2]int64]bool {
 		return true
 	})
 	return out
+}
+
+// liveEdges reads the live graph's logical edge set through Read.
+func liveEdges(lv *Live) (edges map[[2]int64]bool) {
+	lv.Read(func(g *core.Graph, _ uint64) { edges = logicalEdges(g) })
+	return edges
+}
+
+// existsEdge reads one logical edge of the live graph through Read.
+func existsEdge(lv *Live, u, w int64) (ok bool) {
+	lv.Read(func(g *core.Graph, _ uint64) { ok = g.ExistsEdge(u, w) })
+	return ok
 }
 
 // checkView asserts that the view FreezeVersioned hands out (after
@@ -77,7 +90,7 @@ func checkEquivalence(t *testing.T, lv *Live, db *relstore.DB, prog *datalog.Pro
 		t.Fatalf("%s: fresh extract: %v", step, err)
 	}
 	want := logicalEdges(fresh.Graph)
-	got := logicalEdges(lv.Snapshot())
+	got := liveEdges(lv)
 	if len(got) != len(want) {
 		t.Fatalf("%s: live has %d logical edges, fresh extract has %d", step, len(got), len(want))
 	}
@@ -100,7 +113,9 @@ func checkBuild(t *testing.T, lv *Live, db *relstore.DB, prog *datalog.Program, 
 	if err != nil {
 		t.Fatalf("build: extract: %v", err)
 	}
-	want, got := res.Graph, lv.Snapshot()
+	want := res.Graph
+	var got *core.Graph
+	lv.Read(func(g *core.Graph, _ uint64) { got = g.Clone() })
 	got.SortAdjacency()
 	if got.RepEdges() != want.RepEdges() || got.NumVirtualNodes() != want.NumVirtualNodes() ||
 		got.NumVirtualSlots() != want.NumVirtualSlots() || got.NumRealSlots() != want.NumRealSlots() {
@@ -498,20 +513,20 @@ func TestLiveDuplicateSupport(t *testing.T) {
 	if ok, _ := ap.Delete(relstore.IntVal(1), relstore.IntVal(10)); !ok {
 		t.Fatal("delete failed")
 	}
-	if !lv.ExistsEdge(1, 2) {
+	if !existsEdge(lv, 1, 2) {
 		t.Fatal("edge 1->2 lost after deleting one of two duplicate supports")
 	}
 	// Deleting the second copy still leaves pub 20 connecting them.
 	ap.Delete(relstore.IntVal(1), relstore.IntVal(10))
-	if !lv.ExistsEdge(1, 2) {
+	if !existsEdge(lv, 1, 2) {
 		t.Fatal("edge 1->2 lost while pub 20 still connects the authors")
 	}
 	// Removing author 1 from pub 20 finally severs it, but 2<->3 stays.
 	ap.Delete(relstore.IntVal(1), relstore.IntVal(20))
-	if lv.ExistsEdge(1, 2) {
+	if existsEdge(lv, 1, 2) {
 		t.Fatal("edge 1->2 survived the loss of its last support")
 	}
-	if !lv.ExistsEdge(2, 3) {
+	if !existsEdge(lv, 2, 3) {
 		t.Fatal("unrelated edge 2->3 was damaged by the deletion")
 	}
 	checkEquivalence(t, lv, db, prog, opts, "end")
@@ -588,7 +603,9 @@ func TestLiveNodeTableRebuild(t *testing.T) {
 	if lv.Stats().Rebuilds == 0 {
 		t.Fatal("node-table change did not trigger a rebuild")
 	}
-	if n := lv.NumVertices(); n != 7 {
+	var n int
+	lv.Read(func(g *core.Graph, _ uint64) { n = g.NumVertices() })
+	if n != 7 {
 		t.Fatalf("vertices = %d, want 7", n)
 	}
 	// Node deletion also rebuilds.
@@ -668,9 +685,9 @@ func TestLiveConcurrentReads(t *testing.T) {
 				default:
 				}
 				u := int64(r.Intn(10) + 1)
-				lv.Neighbors(u)
-				lv.ExistsEdge(u, int64(r.Intn(10)+1))
-				lv.NumVertices()
+				lv.Read(func(g *core.Graph, _ uint64) { graphapi.ToList(g.Neighbors(u)) })
+				existsEdge(lv, u, int64(r.Intn(10)+1))
+				lv.Read(func(g *core.Graph, _ uint64) { g.NumVertices() })
 				lv.FreezeVersioned()
 			}
 		}(int64(w))
@@ -877,8 +894,8 @@ func TestLiveIndexedVsUnindexed(t *testing.T) {
 		step := fmt.Sprintf("after op %d", op)
 		checkEquivalence(t, indexed, db, prog, indexedOpts, step+" (indexed)")
 		checkEquivalence(t, unindexed, db, prog, scanOpts, step+" (unindexed)")
-		gi := logicalEdges(indexed.Snapshot())
-		gu := logicalEdges(unindexed.Snapshot())
+		gi := liveEdges(indexed)
+		gu := liveEdges(unindexed)
 		if len(gi) != len(gu) {
 			t.Fatalf("%s: indexed live has %d edges, unindexed has %d", step, len(gi), len(gu))
 		}
@@ -962,7 +979,9 @@ func TestLiveStringEndpointsAreSkipped(t *testing.T) {
 		if err := lv.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if n := lv.LogicalEdges(); n != 0 || lv.ExistsEdge(oldStringID("alice"), oldStringID("bob")) {
+		var n int64
+		lv.Read(func(g *core.Graph, _ uint64) { n = g.LogicalEdges() })
+		if n != 0 || existsEdge(lv, oldStringID("alice"), oldStringID("bob")) {
 			t.Errorf("%s: %d logical edges after inserting string rows, want 0", c.name, n)
 		}
 		if st := lv.Stats(); st.Transitions == 0 {

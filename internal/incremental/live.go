@@ -20,6 +20,13 @@
 // rebuild — executed immediately on the mutating goroutine, the only place
 // table reads cannot race later table writes — since node-set maintenance
 // is out of scope (see docs/ARCHITECTURE.md for the limits).
+//
+// Reads: Live has no reader of its own by external ID. Live.Read applies
+// pending deltas and hands the graph and its version to a callback under
+// the read lock; the callback reads through core's Graph API (the
+// graphapi adaptor in internal/core/api.go), the same code that answers a
+// static graph. Besides Read, only FreezeVersioned (the analytics view),
+// Version and Summarize read the graph.
 package incremental
 
 import (
@@ -402,7 +409,7 @@ func (lv *Live) flushLocked() {
 	}
 }
 
-// --- reads (graphapi-shaped, by external node ID) ---
+// --- reads ---
 
 // acquire flushes pending deltas if any, then takes the read lock. Callers
 // must release with lv.mu.RUnlock().
@@ -415,82 +422,15 @@ func (lv *Live) acquire() {
 	lv.mu.RLock()
 }
 
-// Neighbors returns the logical out-neighbors of v, after applying pending
-// deltas.
-func (lv *Live) Neighbors(v int64) []int64 {
+// Read applies pending deltas, then calls fn with the live graph and its
+// version under the read lock, so everything fn reads is one consistent
+// state. fn reads g through core's Graph API (api.go), the same reader by
+// external ID a static graph uses; it must neither keep g past its return
+// nor mutate it, and must not call back into lv (the read lock is held).
+func (lv *Live) Read(fn func(g *core.Graph, version uint64)) {
 	lv.acquire()
 	defer lv.mu.RUnlock()
-	r, ok := lv.g.RealIndex(v)
-	if !ok {
-		return nil
-	}
-	var out []int64
-	lv.g.ForNeighbors(r, func(t int32) bool {
-		out = append(out, lv.g.RealID(t))
-		return true
-	})
-	return out
-}
-
-// ExistsEdge reports whether the logical edge u -> w exists, after applying
-// pending deltas.
-func (lv *Live) ExistsEdge(u, w int64) bool {
-	lv.acquire()
-	defer lv.mu.RUnlock()
-	ui, ok := lv.g.RealIndex(u)
-	if !ok {
-		return false
-	}
-	wi, ok := lv.g.RealIndex(w)
-	if !ok {
-		return false
-	}
-	return lv.g.HasEdgeIdx(ui, wi)
-}
-
-// Vertices returns the external IDs of all live vertices.
-func (lv *Live) Vertices() []int64 {
-	lv.acquire()
-	defer lv.mu.RUnlock()
-	out := make([]int64, 0, lv.g.NumRealNodes())
-	lv.g.ForEachReal(func(r int32) bool {
-		out = append(out, lv.g.RealID(r))
-		return true
-	})
-	return out
-}
-
-// NumVertices returns the number of live vertices.
-func (lv *Live) NumVertices() int {
-	lv.acquire()
-	defer lv.mu.RUnlock()
-	return lv.g.NumRealNodes()
-}
-
-// PropertyOf returns a vertex property set by the Nodes statements.
-func (lv *Live) PropertyOf(v int64, key string) (string, bool) {
-	lv.acquire()
-	defer lv.mu.RUnlock()
-	r, ok := lv.g.RealIndex(v)
-	if !ok {
-		return "", false
-	}
-	return lv.g.Property(r, key)
-}
-
-// LogicalEdges returns the logical (expanded) edge count.
-func (lv *Live) LogicalEdges() int64 {
-	lv.acquire()
-	defer lv.mu.RUnlock()
-	return lv.g.LogicalEdges()
-}
-
-// Snapshot applies pending deltas and returns a deep copy of the condensed
-// graph, detached from further maintenance.
-func (lv *Live) Snapshot() *core.Graph {
-	lv.acquire()
-	defer lv.mu.RUnlock()
-	return lv.g.Clone()
+	fn(lv.g, lv.version)
 }
 
 // Version returns the snapshot version: a counter that increases every
@@ -505,16 +445,6 @@ func (lv *Live) Version() uint64 {
 	lv.acquire()
 	defer lv.mu.RUnlock()
 	return lv.version
-}
-
-// SnapshotVersioned is Snapshot plus the version the snapshot was taken
-// at, read atomically under one lock acquisition, so a caller can key a
-// derived result to exactly the state it was computed from even while
-// mutations race the read.
-func (lv *Live) SnapshotVersioned() (*core.Graph, uint64) {
-	lv.acquire()
-	defer lv.mu.RUnlock()
-	return lv.g.Clone(), lv.version
 }
 
 // Pending returns the number of queued, not-yet-applied count deltas.

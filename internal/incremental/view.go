@@ -117,7 +117,7 @@ func (s *rowSet) addReaching(g *core.Graph, v int32) {
 // FreezeVersioned applies pending deltas and returns an immutable CSR view
 // of the graph, the version it reflects, and how the view was obtained —
 // view and version read atomically under one lock acquisition, like
-// SnapshotVersioned. The view is derived from the last one handed out:
+// Read. The view is derived from the last one handed out:
 // returned as is when no flush since then changed a row, rebuilt from the
 // changed rows otherwise, frozen from scratch only when no view exists
 // (first call, or after a rebuild). Calls are serialized, so concurrent

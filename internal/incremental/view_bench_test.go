@@ -51,7 +51,7 @@ func BenchmarkFreezeAfterUpdate(b *testing.B) {
 		}
 		if w.rows == nil {
 			q := int64(2)
-			for lv.ExistsEdge(1, q) || lv.ExistsEdge(q, 1) {
+			for existsEdge(lv, 1, q) || existsEdge(lv, q, 1) {
 				q++
 			}
 			w.rows = [][2]int64{{1, q}, {q, 1}}

@@ -71,7 +71,6 @@
 package server
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -79,7 +78,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,7 +86,6 @@ import (
 	"time"
 
 	"graphgen"
-	"graphgen/internal/algo"
 	"graphgen/internal/core"
 	"graphgen/internal/incremental"
 	"graphgen/internal/obs"
@@ -729,7 +726,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusNotFound, codeSessionNotFound, "no session %q", name)
 		return
 	}
-	params, err := parseParams(analysis, r.URL.Query())
+	params, err := workload.ParseParams(analysis, r.URL.Query())
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, codeBadParam, "%v", err)
 		return
@@ -741,10 +738,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if sess.live != nil {
 		version = sess.live.Version()
 	}
-	key := cacheKey{sessionID: sess.id, version: version, analysis: analysis, params: params.canonical}
+	key := cacheKey{sessionID: sess.id, version: version, analysis: analysis, params: params.Canonical}
 	if body, ok := s.cache.get(key); ok {
 		env := analyzeEnvelope{
-			Session: name, Analysis: analysis, Params: params.canonical,
+			Session: name, Analysis: analysis, Params: params.Canonical,
 			Version: key.version, Cached: true, Result: body,
 		}
 		attachProfile(&env, r, sess)
@@ -757,7 +754,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	view, viewVersion := s.analyticsView(sess)
 	key.version = viewVersion
 	start := time.Now()
-	result, err := computeAnalysis(view, analysis, params)
+	result, err := workload.Analyze(view, analysis, params)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, codeBadParam, "%v", err)
@@ -770,7 +767,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cache.put(key, body)
 	env := analyzeEnvelope{
-		Session: name, Analysis: analysis, Params: params.canonical,
+		Session: name, Analysis: analysis, Params: params.Canonical,
 		Version: key.version, Cached: false,
 		ComputeMS: float64(elapsed.Nanoseconds()) / 1e6, Result: body,
 	}
@@ -795,270 +792,6 @@ func (s *Server) analyticsView(sess *session) (*core.Frozen, uint64) {
 		s.metrics.observeView(incremental.ViewFull)
 	})
 	return sess.view, 0
-}
-
-// analysisParams carries the typed parameters of one analysis plus their
-// canonical form (sorted key=value pairs with defaults filled in), which
-// is the params component of the cache key — so ?iters=20 and the
-// defaulted spelling share an entry.
-type analysisParams struct {
-	canonical string
-	iters     int
-	damping   float64
-	k         int
-	src       int64
-	srcAuto   bool
-	srcs      []int64
-	sources   int
-	samples   int
-}
-
-var errUnknownAnalysis = errors.New(`unknown analysis (valid: bfs, closeness, components, degree, pagerank, sssp, triangles)`)
-
-func parseParams(analysis string, q map[string][]string) (analysisParams, error) {
-	p := analysisParams{iters: 20, damping: 0.85, k: 10, srcAuto: true, sources: 4, samples: 64}
-	get := func(name string) (string, bool) {
-		vs := q[name]
-		if len(vs) == 0 || vs[0] == "" {
-			return "", false
-		}
-		return vs[0], true
-	}
-	var err error
-	if v, ok := get("iters"); ok {
-		if p.iters, err = strconv.Atoi(v); err != nil || p.iters < 1 || p.iters > 10000 {
-			return p, fmt.Errorf("iters must be an integer in [1,10000], got %q", v)
-		}
-	}
-	if v, ok := get("damping"); ok {
-		if p.damping, err = strconv.ParseFloat(v, 64); err != nil || p.damping <= 0 || p.damping >= 1 {
-			return p, fmt.Errorf("damping must be a float in (0,1), got %q", v)
-		}
-	}
-	if v, ok := get("k"); ok {
-		if p.k, err = strconv.Atoi(v); err != nil || p.k < 1 || p.k > 10000 {
-			return p, fmt.Errorf("k must be an integer in [1,10000], got %q", v)
-		}
-	}
-	if v, ok := get("src"); ok {
-		if p.src, err = strconv.ParseInt(v, 10, 64); err != nil {
-			return p, fmt.Errorf("src must be an integer vertex ID, got %q", v)
-		}
-		p.srcAuto = false
-	}
-	if v, ok := get("srcs"); ok {
-		for _, part := range strings.Split(v, ",") {
-			id, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-			if err != nil {
-				return p, fmt.Errorf("srcs must be comma-separated integer vertex IDs, got %q", v)
-			}
-			p.srcs = append(p.srcs, id)
-		}
-		// Canonicalize: sorted, deduplicated — BFS from a multiset of
-		// sources equals BFS from the set.
-		sort.Slice(p.srcs, func(i, j int) bool { return p.srcs[i] < p.srcs[j] })
-		p.srcs = slices.Compact(p.srcs)
-	}
-	if v, ok := get("sources"); ok {
-		if p.sources, err = strconv.Atoi(v); err != nil || p.sources < 1 || p.sources > 10000 {
-			return p, fmt.Errorf("sources must be an integer in [1,10000], got %q", v)
-		}
-	}
-	if v, ok := get("samples"); ok {
-		if p.samples, err = strconv.Atoi(v); err != nil || p.samples < 1 || p.samples > 10000 {
-			return p, fmt.Errorf("samples must be an integer in [1,10000], got %q", v)
-		}
-	}
-	switch analysis {
-	case "degree":
-		p.canonical = fmt.Sprintf("k=%d", p.k)
-	case "pagerank":
-		p.canonical = fmt.Sprintf("damping=%g&iters=%d&k=%d", p.damping, p.iters, p.k)
-	case "components", "triangles":
-		p.canonical = ""
-	case "bfs":
-		if p.srcAuto {
-			p.canonical = "src=auto"
-		} else {
-			p.canonical = fmt.Sprintf("src=%d", p.src)
-		}
-	case "sssp":
-		if len(p.srcs) > 0 {
-			parts := make([]string, len(p.srcs))
-			for i, id := range p.srcs {
-				parts[i] = strconv.FormatInt(id, 10)
-			}
-			p.canonical = "srcs=" + strings.Join(parts, ",")
-		} else {
-			p.canonical = fmt.Sprintf("sources=%d", p.sources)
-		}
-	case "closeness":
-		p.canonical = fmt.Sprintf("k=%d&samples=%d", p.k, p.samples)
-	default:
-		return p, errUnknownAnalysis
-	}
-	return p, nil
-}
-
-// computeAnalysis runs one analysis on a session's frozen view.
-func computeAnalysis(f *core.Frozen, name string, p analysisParams) (any, error) {
-	switch name {
-	case "degree":
-		deg := algo.Degrees(f)
-		type entry struct {
-			ID     int64 `json:"id"`
-			Degree int   `json:"degree"`
-		}
-		top := make([]entry, len(deg))
-		var sum int64
-		for r, d := range deg {
-			top[r] = entry{ID: f.RealID(int32(r)), Degree: d}
-			sum += int64(d)
-		}
-		top = topK(top, p.k, func(a, b entry) int {
-			return cmp.Or(cmp.Compare(b.Degree, a.Degree), cmp.Compare(a.ID, b.ID))
-		})
-		maxDeg, avg := 0, 0.0
-		if len(top) > 0 {
-			maxDeg = top[0].Degree
-			avg = float64(sum) / float64(len(deg))
-		}
-		return map[string]any{"vertices": len(deg), "max_degree": maxDeg, "avg_degree": avg, "top": top}, nil
-	case "pagerank":
-		pr := algo.PageRank(f, p.iters, p.damping)
-		type entry struct {
-			ID   int64   `json:"id"`
-			Rank float64 `json:"rank"`
-			Name string  `json:"name,omitempty"`
-		}
-		top := make([]entry, len(pr))
-		for r, rank := range pr {
-			top[r] = entry{ID: f.RealID(int32(r)), Rank: rank}
-		}
-		top = topK(top, p.k, func(a, b entry) int {
-			return cmp.Or(cmp.Compare(b.Rank, a.Rank), cmp.Compare(a.ID, b.ID))
-		})
-		for i := range top {
-			if name, ok := f.PropertyOf(top[i].ID, "Name"); ok {
-				top[i].Name = name
-			}
-		}
-		return map[string]any{"iters": p.iters, "damping": p.damping, "top": top}, nil
-	case "components":
-		labels, n := algo.ConnectedComponents(f)
-		sizes := make([]int, n)
-		largest := 0
-		for _, c := range labels {
-			sizes[c]++
-			largest = max(largest, sizes[c])
-		}
-		return map[string]any{"components": n, "largest_size": largest, "vertices": len(labels)}, nil
-	case "bfs":
-		src := p.src
-		if p.srcAuto {
-			// The first vertex the graph iterates, as the library's
-			// Vertices order would yield it.
-			first, ok := f.First()
-			if !ok {
-				return map[string]any{"src": nil, "visited": 0, "max_depth": 0}, nil
-			}
-			src = first
-		}
-		res := algo.BFS(f, src)
-		return map[string]any{"src": src, "visited": res.Visited, "max_depth": res.MaxDepth}, nil
-	case "triangles":
-		return map[string]any{"triangles": algo.CountTriangles(f)}, nil
-	case "sssp":
-		// Multi-source shortest paths (SIGMOD 2014 contest family): hop
-		// distance to the nearest source. Explicit ?srcs=1,2,3 or a
-		// deterministic evenly-spaced ?sources=k sample.
-		snap := workload.View(f)
-		srcs := p.srcs
-		if len(srcs) == 0 {
-			srcs = snap.SampleSources(p.sources)
-		}
-		res := snap.MultiSourceBFS(srcs)
-		avg := 0.0
-		if res.Reached > 0 {
-			avg = float64(res.SumDist) / float64(res.Reached)
-		}
-		sources := res.Sources
-		if sources == nil {
-			sources = []int64{}
-		}
-		return map[string]any{
-			"sources":   sources,
-			"reached":   res.Reached,
-			"unreached": res.Unreached,
-			"max_depth": res.MaxDepth,
-			"sum_dist":  res.SumDist,
-			"avg_dist":  avg,
-		}, nil
-	case "closeness":
-		// Sampled exact closeness centrality: bit-parallel BFS over the
-		// pivots, contest scoring (reachability-corrected), top-k by score.
-		snap := workload.View(f)
-		pivots := snap.SampleSources(p.samples)
-		scores := workload.TopCloseness(snap.Closeness(pivots, 0), p.k)
-		type entry struct {
-			ID        int64   `json:"id"`
-			Closeness float64 `json:"closeness"`
-			Reached   int     `json:"reached"`
-			SumDist   int64   `json:"sum_dist"`
-			Name      string  `json:"name,omitempty"`
-		}
-		top := make([]entry, len(scores))
-		for i, s := range scores {
-			top[i] = entry{ID: s.ID, Closeness: s.Closeness, Reached: s.Reached, SumDist: s.SumDist}
-			if name, ok := f.PropertyOf(s.ID, "Name"); ok {
-				top[i].Name = name
-			}
-		}
-		return map[string]any{"samples": len(pivots), "vertices": snap.NumVertices(), "top": top}, nil
-	default:
-		return nil, errUnknownAnalysis
-	}
-}
-
-// topK returns the first k elements of s in order under cmp, a total
-// order, sorted — what sorting s and truncating it returns, in
-// O(n log k). s is reordered.
-func topK[E any](s []E, k int, cmp func(a, b E) int) []E {
-	if k >= len(s) {
-		slices.SortFunc(s, cmp)
-		return s
-	}
-	// s[:k] is a heap with the last-ranked kept element at its root.
-	h := s[:max(k, 0)]
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i, cmp)
-	}
-	for _, e := range s[len(h):] {
-		if len(h) > 0 && cmp(e, h[0]) < 0 {
-			h[0] = e
-			siftDown(h, 0, cmp)
-		}
-	}
-	slices.SortFunc(h, cmp)
-	return h
-}
-
-// siftDown restores the heap order of h below index i.
-func siftDown[E any](h []E, i int, cmp func(a, b E) int) {
-	for {
-		j := 2*i + 1
-		if j >= len(h) {
-			return
-		}
-		if j+1 < len(h) && cmp(h[j+1], h[j]) > 0 {
-			j++
-		}
-		if cmp(h[j], h[i]) <= 0 {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
 }
 
 // --- mutations ---

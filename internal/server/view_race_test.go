@@ -9,6 +9,8 @@ import (
 	"net/url"
 	"sync"
 	"testing"
+
+	"graphgen/internal/workload"
 )
 
 // analyzeReply is the part of an /analyze envelope the view tests check.
@@ -176,11 +178,11 @@ func TestAnalyzeRacesMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := parseParams(u.Path, u.Query())
+		p, err := workload.ParseParams(u.Path, u.Query())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := computeAnalysis(g.Core().Freeze(), u.Path, p)
+		want, err := workload.Analyze(g.Core().Freeze(), u.Path, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,9 +3,9 @@ package workload
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"graphgen"
+	"graphgen/internal/datalog"
 )
 
 // Interest-community extraction — the contest query that exercises the
@@ -18,37 +18,13 @@ import (
 // tag-restricted knows graph over the SNB schema (Person, Knows,
 // HasInterest). The tag is embedded as a quoted string constant.
 func InterestCommunityProgram(tag string) string {
-	q := quoteTag(tag)
 	return fmt.Sprintf(`
 Fan(P) :- HasInterest(P, %s).
 FanProfile(P, N) :- Person(P, N, C), Fan(P).
 FanKnows(A, B) :- Knows(A, B), Fan(A), Fan(B).
 Nodes(P, N) :- FanProfile(P, N).
 Edges(A, B) :- FanKnows(A, B).
-`, q)
-}
-
-// quoteTag renders tag as a Datalog string literal, escaping the
-// sequences the lexer understands.
-func quoteTag(tag string) string {
-	var sb strings.Builder
-	sb.WriteByte('\'')
-	for _, c := range tag {
-		switch c {
-		case '\\':
-			sb.WriteString(`\\`)
-		case '\'':
-			sb.WriteString(`\'`)
-		case '\n':
-			sb.WriteString(`\n`)
-		case '\t':
-			sb.WriteString(`\t`)
-		default:
-			sb.WriteRune(c)
-		}
-	}
-	sb.WriteByte('\'')
-	return sb.String()
+`, datalog.Quote(tag))
 }
 
 // CommunityResult describes the communities of one interest tag.

@@ -3,10 +3,11 @@
 // interest-community extraction (community.go, expressed as a Datalog
 // program through Engine.ExtractProgram). These are the scenario-scale
 // queries the Elekes/Antal/Szárnyas contest analysis identifies as the
-// workload where naive graph implementations fall over. internal/server
-// exposes the first two as /analyze/sssp and /analyze/closeness, which
-// cmd/graphload drives (mixed with reads and mutations) against a
-// running graphgend daemon.
+// workload where naive graph implementations fall over. The first two
+// are in the catalogue of served analyses (analyses.go: ParseParams and
+// Analyze), which internal/server exposes as /analyze/{name} and the
+// graphgen CLI as -analyze; cmd/graphload drives sssp and closeness
+// (mixed with reads and mutations) against a running graphgend daemon.
 //
 // The fast implementations run on a frozen CSR view of the graph
 // (core.Frozen, built by Snap or shared by the caller through View): dense

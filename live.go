@@ -60,31 +60,48 @@ func (e *Engine) ExtractLive(dsl string, opts ...Option) (*LiveGraph, error) {
 	return &LiveGraph{live: live, profile: cfg.extract.Trace.Finish()}, nil
 }
 
-// Vertices returns an iterator over all vertices.
-func (g *LiveGraph) Vertices() Iterator {
-	return graphapi.NewSliceIterator(g.live.Vertices())
+// Every read below applies pending deltas and answers through core's
+// Graph API inside incremental.Live.Read: the live graph is read by the
+// same code as a static one.
+
+// Vertices returns an iterator over all vertices, collected under the
+// read lock.
+func (g *LiveGraph) Vertices() (it Iterator) {
+	g.live.Read(func(c *core.Graph, _ uint64) { it = graphapi.NewSliceIterator(graphapi.ToList(c.Vertices())) })
+	return it
 }
 
 // Neighbors returns an iterator over v's logical out-neighbors after
 // applying pending deltas.
-func (g *LiveGraph) Neighbors(v NodeID) Iterator {
-	return graphapi.NewSliceIterator(g.live.Neighbors(v))
+func (g *LiveGraph) Neighbors(v NodeID) (it Iterator) {
+	g.live.Read(func(c *core.Graph, _ uint64) { it = c.Neighbors(v) })
+	return it
 }
 
 // ExistsEdge reports whether the logical edge u -> v exists after applying
 // pending deltas.
-func (g *LiveGraph) ExistsEdge(u, v NodeID) bool { return g.live.ExistsEdge(u, v) }
+func (g *LiveGraph) ExistsEdge(u, v NodeID) (ok bool) {
+	g.live.Read(func(c *core.Graph, _ uint64) { ok = c.ExistsEdge(u, v) })
+	return ok
+}
 
 // NumVertices returns the number of live vertices.
-func (g *LiveGraph) NumVertices() int { return g.live.NumVertices() }
+func (g *LiveGraph) NumVertices() (n int) {
+	g.live.Read(func(c *core.Graph, _ uint64) { n = c.NumVertices() })
+	return n
+}
 
 // PropertyOf returns a vertex property set by the Nodes statements.
-func (g *LiveGraph) PropertyOf(v NodeID, key string) (string, bool) {
-	return g.live.PropertyOf(v, key)
+func (g *LiveGraph) PropertyOf(v NodeID, key string) (val string, ok bool) {
+	g.live.Read(func(c *core.Graph, _ uint64) { val, ok = c.PropertyOf(v, key) })
+	return val, ok
 }
 
 // LogicalEdges returns the logical (expanded) edge count.
-func (g *LiveGraph) LogicalEdges() int64 { return g.live.LogicalEdges() }
+func (g *LiveGraph) LogicalEdges() (n int64) {
+	g.live.Read(func(c *core.Graph, _ uint64) { n = c.LogicalEdges() })
+	return n
+}
 
 // AddVertex returns ErrLiveMutation; insert into the node tables instead.
 func (g *LiveGraph) AddVertex(NodeID) error { return ErrLiveMutation }
@@ -106,7 +123,10 @@ func (g *LiveGraph) Pending() int { return g.live.Pending() }
 
 // Snapshot applies pending deltas and returns a detached Graph copy, for
 // representation conversion (Graph.As) and the analysis entry points.
-func (g *LiveGraph) Snapshot() *Graph { return WrapCore(g.live.Snapshot()) }
+func (g *LiveGraph) Snapshot() *Graph {
+	s, _ := g.SnapshotWithVersion()
+	return s
+}
 
 // Version applies pending deltas and returns the snapshot version: a
 // counter that increases every time the served graph state changes (the
@@ -120,9 +140,9 @@ func (g *LiveGraph) Version() uint64 { return g.live.Version() }
 // SnapshotWithVersion is Snapshot plus the version the copy was taken at,
 // read atomically, so derived results can be keyed to exactly the state
 // they were computed from even while table mutations race the read.
-func (g *LiveGraph) SnapshotWithVersion() (*Graph, uint64) {
-	c, ver := g.live.SnapshotVersioned()
-	return WrapCore(c), ver
+func (g *LiveGraph) SnapshotWithVersion() (s *Graph, version uint64) {
+	g.live.Read(func(c *core.Graph, v uint64) { s, version = WrapCore(c.Clone()), v })
+	return s, version
 }
 
 // FreezeWithVersion applies pending deltas and returns an immutable CSR

@@ -2,6 +2,7 @@ package graphgen
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,6 +80,18 @@ func TestExtractLive(t *testing.T) {
 	if lg.MaintenanceStats().Transitions == 0 {
 		t.Fatal("no maintenance transitions recorded")
 	}
+
+	// After a mutation batch, every read answers what the same read on a
+	// snapshot answers. The first read flushes the batch.
+	ap.Insert(IntVal(2), IntVal(30))
+	ap.Insert(IntVal(1), IntVal(40))
+	ap.Insert(IntVal(3), IntVal(40))
+	ap.Insert(IntVal(9), IntVal(10)) // 9 is no vertex: the row is skipped
+	ap.Delete(IntVal(3), IntVal(20))
+	if lg.Pending() == 0 {
+		t.Fatal("mutation batch queued no deltas")
+	}
+	checkLiveReads(t, lg)
 
 	// Close freezes the graph.
 	lg.Close()
@@ -165,5 +178,47 @@ func TestExtractLiveFiltered(t *testing.T) {
 		"Edges(A, B) :- AuthorPubYear(A, P, _), AuthorPubYear(B, P, _), !Retracted(P).\n")
 	if err == nil || !strings.Contains(err.Error(), "line 2 col 65: negated atom !Retracted(P)") {
 		t.Fatalf("negated live body: err = %v, want the atom's line and column", err)
+	}
+}
+
+// checkLiveReads checks every read of lg against the same read on
+// lg.Snapshot(), for each vertex, each vertex pair and an unknown ID. The
+// live reads run first, so the first of them applies any pending deltas.
+func checkLiveReads(t *testing.T, lg *LiveGraph) {
+	t.Helper()
+	const unknown = NodeID(-1)
+	edges := lg.LogicalEdges()
+	ids := graphapi.ToList(lg.Vertices())
+	n := lg.NumVertices()
+	snap, version := lg.SnapshotWithVersion()
+	want := lg.Snapshot()
+	if version != lg.Version() {
+		t.Fatalf("SnapshotWithVersion at version %d, Version %d", version, lg.Version())
+	}
+	if w := want.LogicalEdges(); edges != w || snap.LogicalEdges() != w {
+		t.Fatalf("LogicalEdges: live %d, SnapshotWithVersion %d, Snapshot %d", edges, snap.LogicalEdges(), w)
+	}
+	if w := graphapi.ToList(want.Vertices()); !slices.Equal(ids, w) || n != want.NumVertices() {
+		t.Fatalf("Vertices: live %v (NumVertices %d), Snapshot %v (%d)", ids, n, w, want.NumVertices())
+	}
+	for _, u := range append(slices.Clone(ids), unknown) {
+		w := graphapi.ToList(want.Neighbors(u))
+		if got := graphapi.ToList(lg.Neighbors(u)); !slices.Equal(got, w) {
+			t.Fatalf("Neighbors(%d): live %v, Snapshot %v", u, got, w)
+		}
+		if got := graphapi.ToList(snap.Neighbors(u)); !slices.Equal(got, w) {
+			t.Fatalf("Neighbors(%d): SnapshotWithVersion %v, Snapshot %v", u, got, w)
+		}
+		for _, key := range []string{"Name", "unset"} {
+			gv, gok := lg.PropertyOf(u, key)
+			if wv, wok := want.PropertyOf(u, key); gv != wv || gok != wok {
+				t.Fatalf("PropertyOf(%d, %s): live %q %v, Snapshot %q %v", u, key, gv, gok, wv, wok)
+			}
+		}
+		for _, v := range append(slices.Clone(ids), unknown) {
+			if got, w := lg.ExistsEdge(u, v), want.ExistsEdge(u, v); got != w || snap.ExistsEdge(u, v) != w {
+				t.Fatalf("ExistsEdge(%d, %d): live %v, SnapshotWithVersion %v, Snapshot %v", u, v, got, snap.ExistsEdge(u, v), w)
+			}
+		}
 	}
 }
