@@ -78,7 +78,8 @@ func (h *viewHistory) check(t *testing.T, lv *Live, step string) {
 }
 
 // checkEquivalence compares the live graph against a fresh extraction over
-// the current database state, and its view against a fresh Freeze.
+// the current database state, and its view against a fresh Freeze, and
+// checks the support counts' invariants.
 func checkEquivalence(t *testing.T, lv *Live, db *relstore.DB, prog *datalog.Program, opts extract.Options, step string) {
 	t.Helper()
 	if err := lv.Flush(); err != nil {
@@ -99,6 +100,7 @@ func checkEquivalence(t *testing.T, lv *Live, db *relstore.DB, prog *datalog.Pro
 			t.Fatalf("%s: live graph is missing edge %v", step, e)
 		}
 	}
+	checkCountState(t, lv, step)
 }
 
 // checkBuild asserts that the live graph just after New is the graph
@@ -536,7 +538,9 @@ func TestLiveDuplicateSupport(t *testing.T) {
 // one cast row of a movie nobody else plays in, on a condensed co-actor
 // session: each insert wires the movie's virtual node and each delete
 // releases it. A released slot must be reused, so the graph never holds
-// more virtual slots than it had live virtual nodes at its peak.
+// more virtual slots than it had live virtual nodes at its peak; a
+// released endpoint code too, so the dictionary never holds more codes
+// than it had live at its peak.
 func TestLiveChurnReusesVirtualSlots(t *testing.T) {
 	db := datagen.IMDBLike(3, 60, 12)
 	cast, err := db.Table("cast_info")
@@ -550,29 +554,33 @@ func TestLiveChurnReusesVirtualSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lv.Close()
-	virtual := func() (live, slots int) {
+	virtual := func() (live, slots, liveCodes, codes int) {
 		if err := lv.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		lv.mu.RLock()
 		defer lv.mu.RUnlock()
-		return lv.g.NumVirtualNodes(), lv.g.NumVirtualSlots()
+		return lv.g.NumVirtualNodes(), lv.g.NumVirtualSlots(), lv.codes.live(), len(lv.codes.refs)
 	}
 	row := []relstore.Value{relstore.IntVal(1), relstore.IntVal(9_000_000)}
-	peak, _ := virtual()
+	peak, _, peakCodes, _ := virtual()
 	for i := 0; i < 1000; i++ {
 		cast.Insert(row...)
-		live, _ := virtual()
-		peak = max(peak, live)
+		live, _, liveCodes, _ := virtual()
+		peak, peakCodes = max(peak, live), max(peakCodes, liveCodes)
 		if ok, _ := cast.Delete(row...); !ok {
 			t.Fatal("delete failed")
 		}
 		virtual() // flushed apart, so the pair does not cancel out pending
 	}
-	live, slots := virtual()
+	live, slots, liveCodes, codes := virtual()
 	if slots > peak {
 		t.Fatalf("after 1000 insert/delete cycles: %d live virtual nodes in %d slots, peak %d live",
 			live, slots, peak)
+	}
+	if codes > peakCodes {
+		t.Fatalf("after 1000 insert/delete cycles: %d live endpoint codes of %d, peak %d live",
+			liveCodes, codes, peakCodes)
 	}
 	if lv.Stats().Rebuilds != 0 {
 		t.Fatal("edge-table churn rebuilt the graph")

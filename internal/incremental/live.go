@@ -3,8 +3,10 @@
 // the *relational* side). Instead of re-running extraction after every
 // tuple insert or delete — a dead end for a long-lived served graph — it
 // maintains, per plan segment, a multiset count of the segment's (in, out)
-// join pairs. A single-tuple change contributes a delta multiset (computed
-// by the counting delta rules in delta.go); count transitions 0 -> 1 and
+// join pairs: open-addressed tables keyed on a pair of uint32 codes, which
+// one reference-counted dictionary per session assigns to the endpoint
+// values (counts.go). A single-tuple change contributes a delta multiset
+// (computed by the counting delta rules in delta.go); count transitions 0 -> 1 and
 // 1 -> 0 are exactly the condensed-graph edge insertions and removals that
 // keep the live graph's logical edge set equal to a fresh extraction over
 // the mutated database. A transition wires or unwires its pair through the
@@ -15,7 +17,7 @@
 //
 // Deltas are computed eagerly on the mutating goroutine (the relstore
 // change-log callback, where the pre/post state convention is exact) but
-// applied lazily in batch on the next read, netted per pair in one pass.
+// applied lazily in batch on the next read, netted per pair.
 // Changes to tables referenced by Nodes rules fall back to a full
 // rebuild — executed immediately on the mutating goroutine, the only place
 // table reads cannot race later table writes — since node-set maintenance
@@ -30,7 +32,10 @@
 package incremental
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -51,8 +56,8 @@ type Stats struct {
 	Transitions int64
 	// Flushes is the number of batched apply passes.
 	Flushes int64
-	// Rebuilds is the number of full re-extractions (node-table changes
-	// or delta-evaluation failures).
+	// Rebuilds is the number of full re-extractions (node-table changes,
+	// delta-evaluation failures, and support counts out of int32 range).
 	Rebuilds int64
 	// ViewsFull, ViewsDerived and ViewsReused count the analytics views
 	// FreezeVersioned built from scratch, derived from the previous view,
@@ -63,6 +68,11 @@ type Stats struct {
 	// build's distinct rows, and each flushed row whose support rose from
 	// zero.
 	SkippedRows int64
+	// CountEntries is the number of support counts held: the distinct
+	// (in, out) pairs with support, summed over every segment of every
+	// rule. CountBytes is what the counts occupy: the tables priced from
+	// their capacities plus the endpoint dictionary (counts.go).
+	CountEntries, CountBytes int64
 }
 
 // countDelta is one pending +-1 contribution to a segment pair count.
@@ -72,12 +82,21 @@ type countDelta struct {
 	n         int
 }
 
+// netDelta is one flush's net change to a segment pair count: the sum of
+// the pending deltas for the pair, the first of which is pending[at].
+type netDelta struct {
+	key       uint64 // code(in)<<32 | code(out)
+	n         int64
+	at        int32
+	rule, seg int32
+}
+
 // ruleState is the maintenance state of one Edges rule: each plan segment
 // compiled once as a bag plan, per-segment pair counts, and the wiring of
 // pairs onto the graph.
 type ruleState struct {
 	segs   []*conj.Plan // aligned with the plan's segments
-	counts []map[[2]relstore.Value]int
+	counts []pairCounts // aligned with segs
 	wiring *extract.Wiring
 }
 
@@ -106,19 +125,25 @@ type Live struct {
 	prog *datalog.Program
 	opts extract.Options
 
-	// mu guards g, rules, stats, version, and err; pendMu guards pending.
-	// Lock order: mu before pendMu.
+	// mu guards g, rules, codes, net, stats, version, err and
+	// rebuildDue; pendMu guards pending. Lock order: mu before pendMu.
 	mu sync.RWMutex
 	// graphlint:guardedby mu
 	g *core.Graph
 	// graphlint:guardedby mu
 	rules []*ruleState
 	// graphlint:guardedby mu
+	codes *endpoints // the endpoint codes of every rule's counts
+	// graphlint:guardedby mu
+	net []netDelta // the flush's netting scratch, reused
+	// graphlint:guardedby mu
 	stats Stats
 	// graphlint:guardedby mu
 	version uint64
 	// graphlint:guardedby mu
-	err error // first unrecoverable rebuild error, surfaced by Flush/Err
+	err error // first unrecoverable maintenance error, surfaced by Flush/Err
+	// graphlint:guardedby mu
+	rebuildDue bool // a flush found a count out of range: rebuild at the next change
 
 	pendMu sync.Mutex
 	// graphlint:guardedby pendMu
@@ -188,11 +213,12 @@ func New(db *relstore.DB, prog *datalog.Program, opts extract.Options) (*Live, e
 func (lv *Live) build() error {
 	var rules []*ruleState
 	var st extract.Stats
+	codes := newEndpoints()
 	g, err := extract.Build(lv.db, lv.prog, lv.opts, &st, func(w *extract.Wiring, plan *extract.EdgePlan) error {
 		nSegs := len(plan.Segments)
 		rs := &ruleState{
 			segs:   make([]*conj.Plan, nSegs),
-			counts: make([]map[[2]relstore.Value]int, nSegs),
+			counts: make([]pairCounts, nSegs),
 			wiring: w,
 		}
 		rules = append(rules, rs)
@@ -204,16 +230,20 @@ func (lv *Live) build() error {
 			if rs.segs[s], err = seg.Compile(lv.db, []string{seg.InVar, seg.OutVar}, false, lv.opts); err != nil {
 				return err
 			}
-			counts := make(map[[2]relstore.Value]int)
-			rs.counts[s] = counts
+			counts := &rs.counts[s]
 			_, err = extract.Stream(rs.segs[s], func(row relstore.Row) error {
-				pair := [2]relstore.Value{row[0], row[1]}
-				if counts[pair] == 0 {
+				in, out := codes.code(row[0]), codes.code(row[1])
+				old, _, ok := counts.add(uint64(in)<<32|uint64(out), 1)
+				if !ok {
+					return errCountRange
+				}
+				if old == 0 {
+					codes.refs[in]++
+					codes.refs[out]++
 					if _, _, ok := w.Wire(s, row[0], row[1]); !ok {
 						st.SkippedRows++
 					}
 				}
-				counts[pair]++
 				return nil
 			})
 			if err != nil {
@@ -230,11 +260,18 @@ func (lv *Live) build() error {
 	}
 	lv.g = g
 	lv.rules = rules
+	lv.codes = codes
 	lv.stats.SkippedRows += st.SkippedRows
 	lv.err = nil
+	lv.rebuildDue = false
 	lv.version++
 	return nil
 }
+
+// errCountRange is the failure of a support count that would leave the
+// int32 range: past math.MaxInt32 supports, or below zero, which exact
+// deltas never reach.
+var errCountRange = errors.New("incremental: support count out of int32 range")
 
 // subscribe registers change-log handlers on every table the program reads.
 func (lv *Live) subscribe() {
@@ -271,18 +308,22 @@ func (lv *Live) subscribe() {
 // onChange is the change-log callback: it computes the per-segment count
 // deltas of a single-tuple change and queues them. It runs on the mutating
 // goroutine, where the pre/post table-state convention of delta.go is
-// exact. Node-table changes (and delta-evaluation failures) rebuild
-// immediately, still on the mutating goroutine — the only place a full
-// re-extraction's table reads cannot race later table writes.
+// exact. Node-table changes, delta-evaluation failures and the first
+// change after a flush found a count out of range rebuild immediately,
+// still on the mutating goroutine — the only place a full re-extraction's
+// table reads cannot race later table writes.
 func (lv *Live) onChange(t *relstore.Table, ch relstore.Change) {
 	if lv.nodeTables[t] {
 		lv.rebuildNow()
 		return
 	}
 	var ds []countDelta
-	var failed bool
 	lv.mu.RLock()
+	failed := lv.rebuildDue
 	for ri, rs := range lv.rules {
+		if failed {
+			break
+		}
 		if !rs.touches(t) {
 			continue
 		}
@@ -345,9 +386,16 @@ func (lv *Live) Flush() error {
 }
 
 // flushLocked drains the pending queue under mu. Net count changes are
-// aggregated per (rule, segment, pair) in one pass, in order of first
-// appearance, so the application order (and thus virtual-node numbering) is
-// deterministic; each 0<->1 transition is applied as edge surgery.
+// aggregated per (rule, segment, pair) and applied in order of first
+// appearance, so the application order (and thus virtual-node numbering)
+// is deterministic; each 0<->1 transition is applied as edge surgery.
+//
+// A net change that would carry a count out of the int32 range fails the
+// flush before any of it is applied: the graph stays as the last flush
+// left it, Flush and Err report the failure, and the next change to a
+// table rebuilds. The rebuild waits for the mutating goroutine because a
+// flush runs on a reader's, where a re-extraction's table reads could
+// race the tables' writer.
 //
 // graphlint:requires mu
 func (lv *Live) flushLocked() {
@@ -361,14 +409,14 @@ func (lv *Live) flushLocked() {
 	lv.stats.Flushes++
 	lv.stats.DeltaRows += int64(len(pending))
 	lv.version++
-	net := make(map[countDelta]int) // pair identity: n field zeroed
-	var order []countDelta
-	for _, d := range pending {
-		k := countDelta{rule: d.rule, seg: d.seg, pair: d.pair}
-		if _, ok := net[k]; !ok {
-			order = append(order, k)
+	net := lv.netPending(pending)
+	for _, d := range net {
+		if now := int64(lv.rules[d.rule].counts[d.seg].get(d.key)) + d.n; now < 0 || now > math.MaxInt32 {
+			lv.releaseCodes(net, pending)
+			lv.rebuildDue = true
+			lv.err = fmt.Errorf("%w: serving the graph of an earlier state until the next change rebuilds it", errCountRange)
+			return
 		}
-		net[k] += d.n
 	}
 	lv.viewMu.Lock()
 	defer lv.viewMu.Unlock()
@@ -376,36 +424,83 @@ func (lv *Live) flushLocked() {
 	if lv.view != nil {
 		touched = &lv.touched
 	}
-	for _, k := range order {
-		dn := net[k]
-		if dn == 0 {
-			continue
-		}
-		rs := lv.rules[k.rule]
-		old := rs.counts[k.seg][k.pair]
-		now := old + dn
-		if now < 0 {
-			now = 0 // counts never go negative when deltas are exact
-		}
-		if now == 0 {
-			delete(rs.counts[k.seg], k.pair)
-		} else {
-			rs.counts[k.seg][k.pair] = now
-		}
+	refs := lv.codes.refs
+	zero := net[:0] // the pairs left without support, whose codes may be free
+	for _, d := range net {
+		pair, rs, seg := pending[d.at].pair, lv.rules[d.rule], int(d.seg)
+		old, now, _ := rs.counts[seg].add(d.key, d.n)
 		switch {
 		case old == 0 && now > 0:
-			if src, virt, ok := rs.wiring.Wire(k.seg, k.pair[0], k.pair[1]); ok {
+			refs[d.key>>32]++
+			refs[uint32(d.key)]++
+			if src, virt, ok := rs.wiring.Wire(seg, pair[0], pair[1]); ok {
 				touched.addSource(lv.g, src, virt)
 			} else {
 				lv.stats.SkippedRows++
 			}
 			lv.stats.Transitions++
 		case old > 0 && now == 0:
-			rs.wiring.Unwire(k.seg, k.pair[0], k.pair[1], func(src int32, virt bool) {
+			refs[d.key>>32]--
+			refs[uint32(d.key)]--
+			rs.wiring.Unwire(seg, pair[0], pair[1], func(src int32, virt bool) {
 				touched.addSource(lv.g, src, virt)
 			})
 			lv.stats.Transitions++
 		}
+		if now == 0 {
+			zero = append(zero, d)
+		}
+	}
+	lv.releaseCodes(zero, pending)
+}
+
+// netPending codes the pending pairs and nets their deltas per (rule,
+// segment, pair), in order of first appearance, in the reused lv.net. A
+// code assigned here starts without references: releaseCodes frees it
+// again if its pair's count stays zero.
+//
+// graphlint:requires mu
+func (lv *Live) netPending(pending []countDelta) []netDelta {
+	net := lv.net[:0]
+	for i, d := range pending {
+		in, out := lv.codes.code(d.pair[0]), lv.codes.code(d.pair[1])
+		net = append(net, netDelta{key: uint64(in)<<32 | uint64(out), n: int64(d.n), at: int32(i), rule: int32(d.rule), seg: int32(d.seg)})
+	}
+	if len(net) > 1 {
+		slices.SortFunc(net, func(a, b netDelta) int {
+			return cmp.Or(cmp.Compare(a.rule, b.rule), cmp.Compare(a.seg, b.seg), cmp.Compare(a.key, b.key), cmp.Compare(a.at, b.at))
+		})
+		k := 0
+		for _, d := range net[1:] {
+			if p := &net[k]; d.rule == p.rule && d.seg == p.seg && d.key == p.key {
+				p.n += d.n
+			} else {
+				k++
+				net[k] = d
+			}
+		}
+		net = net[:k+1]
+		slices.SortFunc(net, func(a, b netDelta) int { return cmp.Compare(a.at, b.at) })
+	}
+	if cap(net) <= maxNetScratch {
+		lv.net = net
+	}
+	return net
+}
+
+// maxNetScratch bounds the netting scratch a session keeps between
+// flushes: a bulk load's flush should not pin its size for good.
+const maxNetScratch = 1 << 12
+
+// releaseCodes frees the codes of the pairs of net that no count entry
+// names any more.
+//
+// graphlint:requires mu
+func (lv *Live) releaseCodes(net []netDelta, pending []countDelta) {
+	for _, d := range net {
+		pair := pending[d.at].pair
+		lv.codes.release(pair[0])
+		lv.codes.release(pair[1])
 	}
 }
 
@@ -486,6 +581,13 @@ func (lv *Live) Stats() Stats {
 	lv.acquire()
 	defer lv.mu.RUnlock()
 	st := lv.stats
+	st.CountBytes = lv.codes.bytes()
+	for _, rs := range lv.rules {
+		for i := range rs.counts {
+			st.CountEntries += int64(rs.counts[i].n)
+			st.CountBytes += rs.counts[i].bytes()
+		}
+	}
 	lv.viewMu.Lock()
 	defer lv.viewMu.Unlock()
 	st.ViewsFull, st.ViewsDerived, st.ViewsReused = lv.views[ViewFull], lv.views[ViewDerived], lv.views[ViewReused]

@@ -614,6 +614,8 @@ func (s *Server) statsPayload(sess *session) map[string]any {
 			"views_derived": ms.ViewsDerived,
 			"views_reused":  ms.ViewsReused,
 			"skipped_rows":  ms.SkippedRows,
+			"count_entries": ms.CountEntries,
+			"count_bytes":   ms.CountBytes,
 		}
 		return out
 	}

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"graphgen"
+	"graphgen/internal/datagen"
 	"graphgen/internal/workload"
 )
 
@@ -152,8 +154,7 @@ func TestAnalyzeRacesMutations(t *testing.T) {
 	if full != 1 || derived < 1 {
 		t.Fatalf("views: %d full, %d derived; want one full freeze and derivations after it", full, derived)
 	}
-	_, stats := doJSON(t, "GET", ts.URL+api+"/graphs/lv/stats", nil)
-	maint, _ := stats["maintenance"].(map[string]any)
+	maint := maintenance(t, ts, "lv")
 	for build, want := range map[string]int64{"views_full": full, "views_derived": derived, "views_reused": reused} {
 		if got, ok := maint[build].(float64); !ok || int64(got) != want {
 			t.Errorf("/stats maintenance %s = %v, /metrics counts %d", build, maint[build], want)
@@ -161,6 +162,11 @@ func TestAnalyzeRacesMutations(t *testing.T) {
 	}
 	if n, ok := maint["skipped_rows"].(float64); !ok || n != 0 {
 		t.Errorf("/stats maintenance skipped_rows = %v, want 0: every row names a vertex", maint["skipped_rows"])
+	}
+	if st := sess.live.MaintenanceStats(); maint["count_entries"] != float64(st.CountEntries) || st.CountEntries == 0 ||
+		maint["count_bytes"] != float64(st.CountBytes) || st.CountBytes == 0 {
+		t.Errorf("/stats maintenance count_entries %v, count_bytes %v; the session holds %d entries in %d B",
+			maint["count_entries"], maint["count_bytes"], st.CountEntries, st.CountBytes)
 	}
 	served, servedV, _ := sess.live.FreezeWithVersion()
 	if servedV != v {
@@ -194,6 +200,67 @@ func TestAnalyzeRacesMutations(t *testing.T) {
 		if got.String() != string(wantJSON) {
 			t.Errorf("%s at version %d: served %s\nclone gives %s", a, v, got.String(), wantJSON)
 		}
+	}
+}
+
+// maintenance reads a session's /stats maintenance block.
+func maintenance(t *testing.T, ts *httptest.Server, session string) map[string]any {
+	t.Helper()
+	_, stats := doJSON(t, "GET", ts.URL+api+"/graphs/"+session+"/stats", nil)
+	maint, ok := stats["maintenance"].(map[string]any)
+	if !ok {
+		t.Fatalf("no maintenance block in %s's /stats: %v", session, stats)
+	}
+	return maint
+}
+
+// TestStatsCountEntriesKnows serves a live SNB Knows session, the shape
+// graphgend's load is measured on, and routes mutations at it: a
+// duplicate of a Knows row, rows naming no person, and deletes. Its
+// /stats count_entries must then equal the distinct Knows rows: the one
+// rule has one atom, so one support count per distinct row.
+func TestStatsCountEntriesKnows(t *testing.T) {
+	db := datagen.SNB(datagen.SNBConfig{Seed: 1, ScaleFactor: 0.1})
+	s := New(graphgen.NewEngine(db), Options{})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	if code, body := doJSON(t, "POST", ts.URL+api+"/graphs", map[string]any{
+		"name": "kn", "query": datagen.QueryKnows, "live": true,
+	}); code != http.StatusCreated {
+		t.Fatalf("create: status %d, body %v", code, body)
+	}
+	knows, err := db.Table("Knows")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := []any{knows.Rows[0][0].I, knows.Rows[0][1].I}
+	second := []any{knows.Rows[1][0].I, knows.Rows[1][1].I}
+	for _, m := range []struct {
+		op  string
+		row []any
+	}{
+		{"insert", first},
+		{"insert", []any{900_000_001, 900_000_002}},
+		{"insert", []any{first[0], 900_000_003}},
+		{"insert", []any{900_000_004, 900_000_005}},
+		{"delete", []any{900_000_004, 900_000_005}},
+		{"delete", first},
+		{"delete", second},
+	} {
+		if code, err := postJSON(ts.URL+api+"/db/Knows/"+m.op, map[string]any{"row": m.row}); err != nil || code != http.StatusOK {
+			t.Fatalf("%s %v: code %d err %v", m.op, m.row, code, err)
+		}
+	}
+	distinct := make(map[[2]int64]bool)
+	for _, row := range knows.Rows {
+		distinct[[2]int64{row[0].I, row[1].I}] = true
+	}
+	maint := maintenance(t, ts, "kn")
+	if got, ok := maint["count_entries"].(float64); !ok || int(got) != len(distinct) {
+		t.Errorf("/stats maintenance count_entries = %v, want %d distinct Knows rows", maint["count_entries"], len(distinct))
+	}
+	if got, ok := maint["count_bytes"].(float64); !ok || got < 12*float64(len(distinct)) {
+		t.Errorf("/stats maintenance count_bytes = %v for %d entries, want at least 12 B each", maint["count_bytes"], len(distinct))
 	}
 }
 

@@ -35,10 +35,11 @@ sh ./fuzz.sh
 # One iteration each of the root module's graph-build benchmarks (co-actor
 # extraction, the same-part extraction through the join pipeline, the four
 # representation conversions, one sub-benchmark each) and of its
-# per-representation PageRank: they must compile and run; the numbers gate
-# nothing.
+# per-representation PageRank, and of the live single-tuple update
+# benchmark: they must compile and run; the numbers gate nothing.
 echo "== graph-build benchmarks (smoke)"
 go test -run '^$' -bench 'ExtractCoactors|ExtractSamePart|ConvertRepresentations|PageRank' -benchtime 1x .
+go test -run '^$' -bench LiveSingleTupleUpdate -benchtime 1x ./internal/incremental
 
 # The nested bench module is outside ./...; its one-second runs are
 # oracle checks (extraction rows, on the default planner path through
