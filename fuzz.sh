@@ -65,10 +65,16 @@ fuzz ./internal/dedup FuzzBitmap
 
 # Random multi-layer edge sequences with repeated pairs: the count-then-fill
 # Graph.Load equals adding the same edges one at a time, row for row, with
-# every row at len == cap; after random RemoveVirtualNode steps, the
-# virtual-slot compaction drops exactly the dead slots and changes no
-# neighbor list.
+# zero arena slack; after random RemoveVirtualNode steps, the virtual-slot
+# compaction drops exactly the dead slots and changes no neighbor list.
 fuzz ./internal/core FuzzLoad
+
+# Random AddMember / Connect* / Disconnect* / AddDirectEdgeIdx /
+# RemoveVirtualNode / DeleteVertexID / Compact / SortAdjacency / Clone
+# sequences: every adjacency row holds a map-of-multisets model's entries,
+# and VerifyLayout holds after every step (rows inside their arena, no
+# overlap, slack counted exactly and at most half the arena).
+fuzz ./internal/core FuzzAdjacency
 
 # Small bag tables with repeated rows and actors that are no vertex, over
 # direct, two- and three-segment and default-planner plans: Extract's

@@ -6,7 +6,8 @@ package core
 // AddVirtualNode, and dropped by compactVirtual, which ends
 // PreprocessExpandSmall, FlattenToSingleLayer and Compact. Both run in
 // place and renumber monotonically: survivors keep their order, so every
-// row keeps its order and a sorted row stays sorted.
+// row keeps its order and a sorted row stays sorted. The rows of dropped
+// slots become their arenas' slack (adj.go).
 
 // slotRemap maps each slot to its rank among the live ones, and a dead
 // slot to none.
@@ -41,20 +42,6 @@ func pack[T any](s []T, remap []int32) []T {
 	return s[:n]
 }
 
-// remapRows rewrites every entry of every row through remap, in place,
-// dropping the entries remap sends to none.
-func remapRows(rows [][]int32, remap []int32) {
-	for k, row := range rows {
-		out := row[:0]
-		for _, e := range row {
-			if to := remap[e]; to != none {
-				out = append(out, to)
-			}
-		}
-		rows[k] = out
-	}
-}
-
 // compactVirtual drops the slots of removed virtual nodes: the live ones
 // are renumbered 0..NumVirtualNodes()-1 and every reference to them is
 // rewritten. Apart from the virtual IDs the graph is unchanged.
@@ -64,18 +51,16 @@ func (g *Graph) compactVirtual() {
 	}
 	remap := slotRemap(g.vDead)
 	g.vLayer = pack(g.vLayer, remap)
-	g.vIn = pack(g.vIn, remap)
-	g.vInVirt = pack(g.vInVirt, remap)
-	g.vOut = pack(g.vOut, remap)
-	g.vOutVirt = pack(g.vOutVirt, remap)
-	g.vUndir = pack(g.vUndir, remap)
+	for _, a := range g.virtKinds() {
+		a.dropSlots(remap)
+	}
 	if g.masks != nil {
 		g.masks = pack(g.masks, remap)
 	}
 	g.vDead = pack(g.vDead, remap)
 	g.vFree = g.vFree[:0]
-	for _, rows := range [...][][]int32{g.outVirt, g.inVirt, g.vInVirt, g.vOutVirt, g.vUndir} {
-		remapRows(rows, remap)
+	for _, a := range [...]*adjacency{&g.outVirt, &g.inVirt, &g.vInVirt, &g.vOutVirt, &g.vUndir} {
+		a.remapEntries(remap)
 	}
 }
 
@@ -93,24 +78,23 @@ func (g *Graph) Compact() {
 	if g.masks != nil {
 		for v := range g.vLayer {
 			if !g.vDead[v] {
-				g.compactMasks(v, remap) // reads vOut[v] before its remap
+				g.compactMasks(v, remap) // reads vOut's row before its remap
 			}
 		}
 	}
-	remapRows(g.vIn, remap)
-	remapRows(g.vOut, remap)
+	g.vIn.remapEntries(remap)
+	g.vOut.remapEntries(remap)
 	for r, id := range g.realID {
 		if to := remap[r]; to != none && to != int32(r) {
 			g.realIdx[id] = to
 		}
 	}
 	g.realID = pack(g.realID, remap)
-	g.outVirt = pack(g.outVirt, remap)
-	g.outReal = pack(g.outReal, remap)
-	g.inVirt = pack(g.inVirt, remap)
-	g.inReal = pack(g.inReal, remap)
-	remapRows(g.outReal, remap)
-	remapRows(g.inReal, remap)
+	for _, a := range g.realKinds() {
+		a.dropSlots(remap)
+	}
+	g.outReal.remapEntries(remap)
+	g.inReal.remapEntries(remap)
 	for k := range g.props {
 		c := &g.props[k]
 		c.vals, c.set = pack(c.vals, remap), pack(c.set, remap)
@@ -121,8 +105,8 @@ func (g *Graph) Compact() {
 		if g.vDead[v] {
 			continue
 		}
-		if len(g.vIn[v])+len(g.vInVirt[v]) == 0 || len(g.vOut[v])+len(g.vOutVirt[v]) == 0 {
-			if g.mode == DEDUP2 && len(g.vOut[v]) > 0 {
+		if len(g.vIn.row(v))+len(g.vInVirt.row(v)) == 0 || len(g.vOut.row(v))+len(g.vOutVirt.row(v)) == 0 {
+			if g.mode == DEDUP2 && len(g.vOut.row(v)) > 0 {
 				continue // DEDUP-2 members are reachable via undirected hops
 			}
 			g.RemoveVirtualNode(v)

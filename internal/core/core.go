@@ -88,17 +88,20 @@ const none int32 = -1
 // exported index-level API are dense indices: real nodes and virtual nodes
 // live in separate index spaces.
 //
-// Adjacency uses the paper's CSR variant: per-node mutable in/out slices.
+// Adjacency uses the paper's CSR variant, kept mutable: each adjacency
+// kind is one int32 arena with a 12-byte (offset, length, capacity)
+// record per node (adj.go). Rows grow and shrink in place, move to the
+// arena's tail when full, and are repacked when half the arena is dead.
 // Real-node deletion is lazy (Section 3.4): deleted vertices are tombstoned
 // and skipped during iteration until Compact is called. A removed virtual
 // node's slot is free: the next AddVirtualNode reuses it, and every pass
 // that removes virtual nodes in bulk ends by dropping the free slots
 // (compact.go).
 //
-// Nothing is allocated per vertex outside its adjacency rows and the ID
-// map: real nodes live in flat per-slot arrays, and vertex properties are
-// stored one column per key (props.go). Grow sizes the per-slot arrays and
-// the ID map once before a bulk load.
+// Nothing is allocated per vertex outside the ID map: real nodes live in
+// flat per-slot arrays, adjacency in per-kind arenas, and vertex
+// properties one column per key (props.go). Grow sizes the per-slot arrays
+// and the ID map once before a bulk load.
 type Graph struct {
 	mode Mode
 
@@ -119,17 +122,17 @@ type Graph struct {
 	dead    []bool
 	numDead int
 
-	outVirt [][]int32 // real -> virtual out-neighbors (u_s -> V)
-	outReal [][]int32 // real -> direct real out-neighbors
-	inVirt  [][]int32 // real -> virtual in-neighbors (V -> u_t)
-	inReal  [][]int32 // real -> direct real in-neighbors
+	outVirt adjacency // real -> virtual out-neighbors (u_s -> V)
+	outReal adjacency // real -> direct real out-neighbors
+	inVirt  adjacency // real -> virtual in-neighbors (V -> u_t)
+	inReal  adjacency // real -> direct real in-neighbors
 
 	// Virtual nodes.
 	vLayer   []int32   // distance-from-source layer tag (1 = first layer)
-	vIn      [][]int32 // real sources pointing at this virtual node
-	vInVirt  [][]int32 // virtual sources pointing at this virtual node
-	vOut     [][]int32 // real targets of this virtual node
-	vOutVirt [][]int32 // virtual targets of this virtual node
+	vIn      adjacency // real sources pointing at this virtual node
+	vInVirt  adjacency // virtual sources pointing at this virtual node
+	vOut     adjacency // real targets of this virtual node
+	vOutVirt adjacency // virtual targets of this virtual node
 	vDead    []bool
 	vFree    []int32 // the dead slots, reused last-freed first
 
@@ -141,7 +144,7 @@ type Graph struct {
 	vOutSorted bool
 
 	// DEDUP-2: undirected virtual-virtual edges (stored on both sides).
-	vUndir [][]int32
+	vUndir adjacency
 
 	// BITMAP: per virtual node, its traversal origins and their masks
 	// over vOut (masks.go). nil until the first SetBitmap; otherwise one
@@ -161,9 +164,9 @@ func New(mode Mode) *Graph {
 }
 
 // Grow reserves room for reals more real nodes: the ID array, the
-// tombstone flags and the four per-node adjacency headers are sized once,
-// so adding that many nodes (and setting a property on each) grows no array
-// one node at a time. The ID map, which a Go map cannot grow in place, is
+// tombstone flags and the row records of every real-node adjacency kind
+// that holds entries are sized once, so adding that many nodes (and
+// setting a property on each) grows no array one node at a time. The ID map, which a Go map cannot grow in place, is
 // presized only while the graph has no live nodes. Like slices.Grow it is a
 // capacity hint only; the graph's contents do not change.
 func (g *Graph) Grow(reals int) {
@@ -172,13 +175,24 @@ func (g *Graph) Grow(reals int) {
 	}
 	g.realID = slices.Grow(g.realID, reals)
 	g.dead = slices.Grow(g.dead, reals)
-	g.outVirt = slices.Grow(g.outVirt, reals)
-	g.outReal = slices.Grow(g.outReal, reals)
-	g.inVirt = slices.Grow(g.inVirt, reals)
-	g.inReal = slices.Grow(g.inReal, reals)
+	for _, a := range g.realKinds() {
+		if a.recs != nil {
+			a.recs = slices.Grow(a.recs, reals)
+		}
+	}
 	if len(g.realIdx) == 0 {
 		g.realIdx = make(map[int64]int32, reals)
 	}
+}
+
+// realKinds returns the four real-node adjacency kinds.
+func (g *Graph) realKinds() [4]*adjacency {
+	return [4]*adjacency{&g.outVirt, &g.outReal, &g.inVirt, &g.inReal}
+}
+
+// virtKinds returns the five virtual-node adjacency kinds.
+func (g *Graph) virtKinds() [5]*adjacency {
+	return [5]*adjacency{&g.vIn, &g.vInVirt, &g.vOut, &g.vOutVirt, &g.vUndir}
 }
 
 // Mode returns the representation mode of the graph.
@@ -229,10 +243,9 @@ func (g *Graph) AddRealNode(id int64) int32 {
 	g.realID = append(g.realID, id)
 	g.realIdx[id] = idx
 	g.dead = append(g.dead, false)
-	g.outVirt = append(g.outVirt, nil)
-	g.outReal = append(g.outReal, nil)
-	g.inVirt = append(g.inVirt, nil)
-	g.inReal = append(g.inReal, nil)
+	for _, a := range g.realKinds() {
+		a.addSlot()
+	}
 	return idx
 }
 
@@ -255,12 +268,10 @@ func (g *Graph) AddVirtualNode(layer int32) int32 {
 	}
 	idx := int32(len(g.vLayer))
 	g.vLayer = append(g.vLayer, layer)
-	g.vIn = append(g.vIn, nil)
-	g.vInVirt = append(g.vInVirt, nil)
-	g.vOut = append(g.vOut, nil)
-	g.vOutVirt = append(g.vOutVirt, nil)
 	g.vDead = append(g.vDead, false)
-	g.vUndir = append(g.vUndir, nil)
+	for _, a := range g.virtKinds() {
+		a.addSlot()
+	}
 	if g.masks != nil {
 		g.masks = append(g.masks, maskRow{})
 	}
@@ -283,35 +294,35 @@ func (g *Graph) VirtLayer(v int32) int32 { return g.vLayer[v] }
 
 // ConnectRealToVirt adds the edge u_s -> V.
 func (g *Graph) ConnectRealToVirt(r, v int32) {
-	g.outVirt[r] = append(g.outVirt[r], v)
-	g.vIn[v] = append(g.vIn[v], r)
+	g.outVirt.push(r, v, len(g.realID))
+	g.vIn.push(v, r, len(g.vLayer))
 }
 
 // ConnectVirtToReal adds the edge V -> u_t.
 func (g *Graph) ConnectVirtToReal(v, r int32) {
-	if n := len(g.vOut[v]); n > 0 && g.vOut[v][n-1] > r {
+	if row := g.vOut.row(v); len(row) > 0 && row[len(row)-1] > r {
 		g.vOutSorted = false
 	}
-	g.vOut[v] = append(g.vOut[v], r)
-	g.inVirt[r] = append(g.inVirt[r], v)
+	g.vOut.push(v, r, len(g.vLayer))
+	g.inVirt.push(r, v, len(g.realID))
 }
 
 // ConnectVirtToVirt adds the directed edge V -> W between virtual nodes.
 func (g *Graph) ConnectVirtToVirt(v, w int32) {
-	g.vOutVirt[v] = append(g.vOutVirt[v], w)
-	g.vInVirt[w] = append(g.vInVirt[w], v)
+	g.vOutVirt.push(v, w, len(g.vLayer))
+	g.vInVirt.push(w, v, len(g.vLayer))
 }
 
 // ConnectVirtUndirected adds the DEDUP-2 undirected edge V <-> W.
 func (g *Graph) ConnectVirtUndirected(v, w int32) {
-	g.vUndir[v] = append(g.vUndir[v], w)
-	g.vUndir[w] = append(g.vUndir[w], v)
+	g.vUndir.push(v, w, len(g.vLayer))
+	g.vUndir.push(w, v, len(g.vLayer))
 }
 
 // AddDirectEdgeIdx adds the direct real edge u -> w.
 func (g *Graph) AddDirectEdgeIdx(u, w int32) {
-	g.outReal[u] = append(g.outReal[u], w)
-	g.inReal[w] = append(g.inReal[w], u)
+	g.outReal.push(u, w, len(g.realID))
+	g.inReal.push(w, u, len(g.realID))
 }
 
 // AddMember adds real node r as both a source and a target of virtual node
@@ -324,58 +335,51 @@ func (g *Graph) AddMember(v, r int32) {
 
 // --- Edge removal (used by deduplication algorithms) ---
 
-func removeOne(s []int32, x int32) []int32 {
-	for i, e := range s {
-		if e == x {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
 // DisconnectRealToVirt removes one u_s -> V edge.
 func (g *Graph) DisconnectRealToVirt(r, v int32) {
-	g.outVirt[r] = removeOne(g.outVirt[r], v)
-	g.vIn[v] = removeOne(g.vIn[v], r)
+	g.outVirt.remove(r, v)
+	g.vIn.remove(v, r)
 }
 
 // DisconnectVirtToReal removes one V -> u_t edge.
 func (g *Graph) DisconnectVirtToReal(v, r int32) {
-	g.vOut[v] = removeOne(g.vOut[v], r)
-	g.inVirt[r] = removeOne(g.inVirt[r], v)
+	g.vOut.remove(v, r)
+	g.inVirt.remove(r, v)
 }
 
 // DisconnectVirtToVirt removes one V -> W edge.
 func (g *Graph) DisconnectVirtToVirt(v, w int32) {
-	g.vOutVirt[v] = removeOne(g.vOutVirt[v], w)
-	g.vInVirt[w] = removeOne(g.vInVirt[w], v)
+	g.vOutVirt.remove(v, w)
+	g.vInVirt.remove(w, v)
 }
 
 // RemoveDirectEdgeIdx removes one direct edge u -> w.
 func (g *Graph) RemoveDirectEdgeIdx(u, w int32) {
-	g.outReal[u] = removeOne(g.outReal[u], w)
-	g.inReal[w] = removeOne(g.inReal[w], u)
+	g.outReal.remove(u, w)
+	g.inReal.remove(w, u)
 }
 
 // RemoveVirtualNode deletes a virtual node and all its edges, and frees
 // its slot for the next AddVirtualNode.
 func (g *Graph) RemoveVirtualNode(v int32) {
-	for _, r := range g.vIn[v] {
-		g.outVirt[r] = removeOne(g.outVirt[r], v)
+	for _, r := range g.vIn.row(v) {
+		g.outVirt.remove(r, v)
 	}
-	for _, w := range g.vInVirt[v] {
-		g.vOutVirt[w] = removeOne(g.vOutVirt[w], v)
+	for _, w := range g.vInVirt.row(v) {
+		g.vOutVirt.remove(w, v)
 	}
-	for _, r := range g.vOut[v] {
-		g.inVirt[r] = removeOne(g.inVirt[r], v)
+	for _, r := range g.vOut.row(v) {
+		g.inVirt.remove(r, v)
 	}
-	for _, w := range g.vOutVirt[v] {
-		g.vInVirt[w] = removeOne(g.vInVirt[w], v)
+	for _, w := range g.vOutVirt.row(v) {
+		g.vInVirt.remove(w, v)
 	}
-	for _, w := range g.vUndir[v] {
-		g.vUndir[w] = removeOne(g.vUndir[w], v)
+	for _, w := range g.vUndir.row(v) {
+		g.vUndir.remove(w, v)
 	}
-	g.vIn[v], g.vInVirt[v], g.vOut[v], g.vOutVirt[v], g.vUndir[v] = nil, nil, nil, nil, nil
+	for _, a := range g.virtKinds() {
+		a.free(v)
+	}
 	if g.masks != nil {
 		g.masks[v] = maskRow{}
 	}
@@ -386,51 +390,48 @@ func (g *Graph) RemoveVirtualNode(v int32) {
 }
 
 // --- Accessors for deduplication algorithms ---
+//
+// Each returns a row with cap == len: appending to it copies the row, and
+// a row taken before a mutation keeps reading what it read then, except
+// for removals from that same row, which shift it in place.
 
 // VirtSources returns the real sources I(V) of virtual node v. The returned
 // slice must not be mutated.
-func (g *Graph) VirtSources(v int32) []int32 { return g.vIn[v] }
+func (g *Graph) VirtSources(v int32) []int32 { return g.vIn.row(v) }
 
 // VirtTargets returns the real targets O(V) of virtual node v.
-func (g *Graph) VirtTargets(v int32) []int32 { return g.vOut[v] }
+func (g *Graph) VirtTargets(v int32) []int32 { return g.vOut.row(v) }
 
 // VirtOutVirt returns the virtual out-neighbors of virtual node v.
-func (g *Graph) VirtOutVirt(v int32) []int32 { return g.vOutVirt[v] }
+func (g *Graph) VirtOutVirt(v int32) []int32 { return g.vOutVirt.row(v) }
 
 // VirtInVirt returns the virtual in-neighbors of virtual node v.
-func (g *Graph) VirtInVirt(v int32) []int32 { return g.vInVirt[v] }
+func (g *Graph) VirtInVirt(v int32) []int32 { return g.vInVirt.row(v) }
 
 // VirtUndirected returns the DEDUP-2 undirected neighbors of v.
-func (g *Graph) VirtUndirected(v int32) []int32 { return g.vUndir[v] }
+func (g *Graph) VirtUndirected(v int32) []int32 { return g.vUndir.row(v) }
 
 // OutVirtuals returns the virtual out-neighbors of real node r.
-func (g *Graph) OutVirtuals(r int32) []int32 { return g.outVirt[r] }
+func (g *Graph) OutVirtuals(r int32) []int32 { return g.outVirt.row(r) }
 
 // InVirtuals returns the virtual in-neighbors of real node r.
-func (g *Graph) InVirtuals(r int32) []int32 { return g.inVirt[r] }
+func (g *Graph) InVirtuals(r int32) []int32 { return g.inVirt.row(r) }
 
 // OutDirect returns the direct real out-neighbors of real node r.
-func (g *Graph) OutDirect(r int32) []int32 { return g.outReal[r] }
+func (g *Graph) OutDirect(r int32) []int32 { return g.outReal.row(r) }
 
 // InDirect returns the direct real in-neighbors of real node r.
-func (g *Graph) InDirect(r int32) []int32 { return g.inReal[r] }
+func (g *Graph) InDirect(r int32) []int32 { return g.inReal.row(r) }
 
-// SortAdjacency sorts every adjacency slice. Sorted adjacency makes the
+// SortAdjacency sorts every adjacency row. Sorted adjacency makes the
 // overlap computations of the deduplication algorithms (Section 5.2) fast;
 // the paper keeps neighbor lists in sorted order for the same reason.
 func (g *Graph) SortAdjacency() {
-	for r := range g.realID {
-		slices.Sort(g.outVirt[r])
-		slices.Sort(g.outReal[r])
-		slices.Sort(g.inVirt[r])
-		slices.Sort(g.inReal[r])
+	for _, a := range g.realKinds() {
+		a.sortRows()
 	}
-	for v := range g.vLayer {
-		slices.Sort(g.vIn[v])
-		slices.Sort(g.vInVirt[v])
-		slices.Sort(g.vOut[v])
-		slices.Sort(g.vOutVirt[v])
-		slices.Sort(g.vUndir[v])
+	for _, a := range g.virtKinds() {
+		a.sortRows()
 	}
 	g.vOutSorted = true
 }
@@ -453,8 +454,25 @@ func (g *Graph) MaxLayer() int32 {
 // may contain more than one layer of virtual nodes.
 func (g *Graph) multiLayer() bool { return g.layerHint > 1 }
 
-// Clone returns a deep copy of the graph. Benchmarks use it to run several
-// deduplication algorithms from the same C-DUP starting point.
+// Pack copies every adjacency kind whose arena holds more than twice its
+// entries into a fresh arena, rows end to end at their lengths. Growth by
+// edge surgery leaves an arena up to about four times its entries: each
+// row at up to double its length, and up to half the arena the space of
+// moved rows (adj.go). Conversions that add edges row by row call Pack
+// when they are done; a later append to a packed row moves it as usual.
+func (g *Graph) Pack() {
+	for _, a := range g.realKinds() {
+		a.packLoose()
+	}
+	for _, a := range g.virtKinds() {
+		a.packLoose()
+	}
+}
+
+// Clone returns a deep copy of the graph, its adjacency packed: each kind
+// in one exactly sized arena, every row at its length, no slack.
+// Benchmarks use it to run several deduplication algorithms from the same
+// C-DUP starting point.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		mode:       g.mode,
@@ -465,30 +483,20 @@ func (g *Graph) Clone() *Graph {
 		props:      cloneColumns(g.props),
 		dead:       append([]bool(nil), g.dead...),
 		numDead:    g.numDead,
-		outVirt:    cloneAdj(g.outVirt),
-		outReal:    cloneAdj(g.outReal),
-		inVirt:     cloneAdj(g.inVirt),
-		inReal:     cloneAdj(g.inReal),
+		outVirt:    g.outVirt.clone(),
+		outReal:    g.outReal.clone(),
+		inVirt:     g.inVirt.clone(),
+		inReal:     g.inReal.clone(),
 		vLayer:     append([]int32(nil), g.vLayer...),
-		vIn:        cloneAdj(g.vIn),
-		vInVirt:    cloneAdj(g.vInVirt),
-		vOut:       cloneAdj(g.vOut),
-		vOutVirt:   cloneAdj(g.vOutVirt),
+		vIn:        g.vIn.clone(),
+		vInVirt:    g.vInVirt.clone(),
+		vOut:       g.vOut.clone(),
+		vOutVirt:   g.vOutVirt.clone(),
 		vDead:      append([]bool(nil), g.vDead...),
 		vFree:      slices.Clone(g.vFree),
 		vOutSorted: g.vOutSorted,
-		vUndir:     cloneAdj(g.vUndir),
+		vUndir:     g.vUndir.clone(),
 		masks:      cloneMasks(g.masks),
 		layerHint:  g.layerHint,
 	}
-}
-
-func cloneAdj(a [][]int32) [][]int32 {
-	na := make([][]int32, len(a))
-	for i, s := range a {
-		if s != nil {
-			na[i] = append([]int32(nil), s...)
-		}
-	}
-	return na
 }

@@ -44,18 +44,18 @@ func (g *Graph) PreprocessExpandSmall(workers int) int {
 // inlinable reports whether Step 6 expands virtual node v at its current
 // degrees.
 func (g *Graph) inlinable(v int32) bool {
-	in := len(g.vIn[v]) + len(g.vInVirt[v])
-	out := len(g.vOut[v]) + len(g.vOutVirt[v])
+	in := len(g.vIn.row(v)) + len(g.vInVirt.row(v))
+	out := len(g.vOut.row(v)) + len(g.vOutVirt.row(v))
 	return in*out <= in+out+1
 }
 
 // expandVirtualNode removes virtual node v and connects every in-neighbor
 // to every out-neighbor directly, preserving the path structure.
 func (g *Graph) expandVirtualNode(v int32) {
-	ins := append([]int32(nil), g.vIn[v]...)
-	insV := append([]int32(nil), g.vInVirt[v]...)
-	outs := append([]int32(nil), g.vOut[v]...)
-	outsV := append([]int32(nil), g.vOutVirt[v]...)
+	ins := append([]int32(nil), g.vIn.row(v)...)
+	insV := append([]int32(nil), g.vInVirt.row(v)...)
+	outs := append([]int32(nil), g.vOut.row(v)...)
+	outsV := append([]int32(nil), g.vOutVirt.row(v)...)
 	g.RemoveVirtualNode(v)
 	for _, s := range ins {
 		for _, t := range outs {
@@ -87,7 +87,7 @@ func (g *Graph) FlattenToSingleLayer(maxEdges int64) error {
 	for {
 		expanded := false
 		for v := int32(0); int(v) < len(g.vLayer); v++ {
-			if g.vDead[v] || len(g.vOutVirt[v]) == 0 {
+			if g.vDead[v] || len(g.vOutVirt.row(v)) == 0 {
 				continue
 			}
 			g.expandVirtualNode(v)
@@ -113,13 +113,14 @@ func (g *Graph) FlattenToSingleLayer(maxEdges int64) error {
 // number of expanded edges; 0 means unlimited. On overflow it returns
 // ErrTooLarge, modelling the paper's infeasible-EXP cases.
 //
-// The build counts, then fills. One ForNeighbors sweep collects each
-// vertex's logical out-neighbors into a reused buffer, stores them as an
-// exactly sized out-row and counts in-degrees on the way. Each in-row is
-// then allocated at its exact size and filled by transposing the out-rows
-// in ascending source order, the order in which appending edge by edge
-// would fill it. Every row has len == cap, and the graph holds two
-// allocations per vertex with edges besides its per-graph arrays.
+// The build counts, then fills. One ForNeighbors sweep appends each
+// vertex's logical out-neighbors to a slab of chunks that are never
+// copied, and counts in-degrees on the way. The out-arena is then one
+// copy of the slab, and the in-arena is allocated at its exact size and
+// filled by transposing the out-rows in ascending source order, the order
+// in which appending edge by edge would fill it. Both arenas have every
+// row at cap == len and no slack, and the build allocates per graph, not
+// per vertex.
 func (g *Graph) Expand(maxEdges int64) (*Graph, error) {
 	ng := New(EXP)
 	ng.SelfLoops = g.SelfLoops
@@ -133,43 +134,52 @@ func (g *Graph) Expand(maxEdges int64) (*Graph, error) {
 		return true
 	})
 	ng.CopyProperties(g, remap)
-	inDeg := make([]int32, len(ng.realID))
-	var row []int32
-	var count int64
+	n := len(ng.realID)
+	inDeg := make([]int32, n)
+	outRecs := make([]rowRec, n)
+	var out slab
 	var overflow bool
 	collect := func(t int32) bool {
 		nt := remap[t]
-		row = append(row, nt)
+		out.push(nt)
 		inDeg[nt]++
-		count++
-		if maxEdges > 0 && count > maxEdges {
+		if maxEdges > 0 && int64(out.n) > maxEdges {
 			overflow = true
 			return false
 		}
 		return true
 	}
 	g.ForEachReal(func(r int32) bool {
-		row = row[:0]
+		start := out.n
 		g.ForNeighbors(r, collect)
-		if len(row) > 0 && !overflow {
-			out := make([]int32, len(row))
-			copy(out, row)
-			ng.outReal[remap[r]] = out
-		}
+		d := uint32(out.n - start)
+		outRecs[remap[r]] = rowRec{uint32(start), d, d}
 		return !overflow
 	})
 	if overflow {
 		return nil, ErrTooLarge
 	}
+	if out.n == 0 {
+		return ng, nil
+	}
+	outs := make([]int32, 0, out.n)
+	for _, c := range out.chunks {
+		outs = append(outs, c...)
+	}
+	ng.outReal = adjacency{arena: outs, recs: outRecs}
+	ins := adjacency{arena: make([]int32, out.n), recs: make([]rowRec, n)}
+	off := uint32(0)
 	for t, d := range inDeg {
-		if d > 0 {
-			ng.inReal[t] = make([]int32, 0, d)
+		ins.recs[t] = rowRec{off, 0, uint32(d)}
+		off += uint32(d)
+	}
+	for s, r := range outRecs {
+		for _, t := range outs[r.off : r.off+r.len] {
+			in := &ins.recs[t]
+			ins.arena[in.off+in.len] = int32(s)
+			in.len++
 		}
 	}
-	for s, out := range ng.outReal {
-		for _, t := range out {
-			ng.inReal[t] = append(ng.inReal[t], int32(s))
-		}
-	}
+	ng.inReal = ins
 	return ng, nil
 }

@@ -30,7 +30,7 @@ func expandByAppend(g *Graph) *Graph {
 
 // TestExpandRowsExact checks, on random single- and multi-layer graphs in
 // every condensed mode, that Expand's rows equal the edge-by-edge build's
-// and that each row's capacity is its length.
+// and that its arenas are packed: every row at its length, no slack.
 func TestExpandRowsExact(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		src := randomCondensed(seed, seed%2 == 1)
@@ -48,15 +48,15 @@ func TestExpandRowsExact(t *testing.T) {
 			if !slices.Equal(got.realID, want.realID) {
 				t.Fatalf("seed %d %v: vertex IDs differ", seed, mode)
 			}
-			for r := range got.realID {
-				for _, rows := range [][2][]int32{{got.outReal[r], want.outReal[r]}, {got.inReal[r], want.inReal[r]}} {
+			for r := range int32(len(got.realID)) {
+				for _, rows := range [][2][]int32{{got.OutDirect(r), want.OutDirect(r)}, {got.InDirect(r), want.InDirect(r)}} {
 					if !slices.Equal(rows[0], rows[1]) {
 						t.Fatalf("seed %d %v slot %d: row %v, edge-by-edge build %v", seed, mode, r, rows[0], rows[1])
 					}
-					if len(rows[0]) != cap(rows[0]) {
-						t.Errorf("seed %d %v slot %d: row len %d cap %d", seed, mode, r, len(rows[0]), cap(rows[0]))
-					}
 				}
+			}
+			if err := packed(got); err != nil {
+				t.Errorf("seed %d %v: %v", seed, mode, err)
 			}
 		}
 	}
@@ -64,15 +64,17 @@ func TestExpandRowsExact(t *testing.T) {
 
 var graphSink *Graph
 
-// TestExpandAllocatesTwoPerVertex bounds Expand's allocations by two per
-// live vertex (its exact out-row and in-row) plus a constant, on groups of
-// co-occurring vertices where each row holds several edges: appending edge
-// by edge regrows every row a few times.
-func TestExpandAllocatesTwoPerVertex(t *testing.T) {
+// TestExpandAllocatesPerGraph bounds Expand's allocations by one constant
+// at 1 k and 10 k vertices, on groups of co-occurring vertices where each
+// row holds several edges: an allocation per row, or appending edge by
+// edge, makes the count grow with the vertices.
+func TestExpandAllocatesPerGraph(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const bound = 64 // per-graph arrays, property columns, the ID map's tables
+	// Per-graph arrays, the slab's chunks, property columns and the ID
+	// map's tables.
+	const bound = 64
 	for _, n := range []int{1_000, 10_000} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		g := New(CDUP)
@@ -97,8 +99,8 @@ func TestExpandAllocatesTwoPerVertex(t *testing.T) {
 			graphSink = exp
 		})
 		t.Logf("n=%d: %.0f allocations for %d live vertices", n, allocs, live)
-		if allocs > float64(2*live+bound) {
-			t.Errorf("n=%d: %.0f allocations, want at most 2 per live vertex (%d) + %d", n, allocs, 2*live, bound)
+		if allocs > bound {
+			t.Errorf("n=%d: %.0f allocations, want at most %d", n, allocs, bound)
 		}
 	}
 }

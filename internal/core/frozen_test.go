@@ -197,8 +197,8 @@ func TestFreezeFromMatchesFreeze(t *testing.T) {
 				switch op := rng.Intn(4); {
 				case op == 0:
 					g.AddDirectEdgeIdx(u, w)
-				case op == 1 && len(g.outReal[u]) > 0:
-					g.RemoveDirectEdgeIdx(u, g.outReal[u][rng.Intn(len(g.outReal[u]))])
+				case op == 1 && len(g.OutDirect(u)) > 0:
+					g.RemoveDirectEdgeIdx(u, g.OutDirect(u)[rng.Intn(len(g.OutDirect(u)))])
 				case g.NumVirtualSlots() == 0:
 				case op == 2:
 					v := int32(rng.Intn(g.NumVirtualSlots()))

@@ -15,30 +15,46 @@ type Batch struct {
 	layers []int32
 	// undir holds half-edges: (v, w) lists w among v's undirected
 	// neighbours.
-	direct, realToVirt, virtToReal, virtToVirt, undir pairSlab
+	direct, realToVirt, virtToReal, virtToVirt, undir slab
 }
 
-// pairSlab holds pairs end to end in chunks that are never copied: each
-// new chunk is as large as the slab so far, between pairChunkMin and
-// pairChunkMax values, so recording n pairs allocates about 8n bytes.
-type pairSlab struct {
+// slab holds int32 values end to end in chunks that are never copied:
+// each new chunk is as large as the slab so far, between slabChunkMin and
+// slabChunkMax values, so holding n values allocates about 4n bytes. A
+// slab holds either pairs (add) or single values (push), never both, so
+// a pair never straddles two chunks.
+type slab struct {
 	chunks [][]int32
 	n      int // values held
 }
 
 const (
-	pairChunkMin = 64
-	pairChunkMax = 1 << 14
+	slabChunkMin = 64
+	slabChunkMax = 1 << 14
 )
 
-func (s *pairSlab) add(a, b int32) {
+// room makes room for one more value at the end of the last chunk.
+func (s *slab) room() {
 	k := len(s.chunks) - 1
 	if k < 0 || len(s.chunks[k]) == cap(s.chunks[k]) {
-		s.chunks = append(s.chunks, make([]int32, 0, min(max(s.n, pairChunkMin), pairChunkMax)))
-		k++
+		s.chunks = append(s.chunks, make([]int32, 0, min(max(s.n, slabChunkMin), slabChunkMax)))
 	}
+}
+
+// add appends the pair (a, b).
+func (s *slab) add(a, b int32) {
+	s.room()
+	k := len(s.chunks) - 1
 	s.chunks[k] = append(s.chunks[k], a, b)
 	s.n += 2
+}
+
+// push appends the single value a.
+func (s *slab) push(a int32) {
+	s.room()
+	k := len(s.chunks) - 1
+	s.chunks[k] = append(s.chunks[k], a)
+	s.n++
 }
 
 // AddVirtualNode records a virtual node in the given layer and returns the
@@ -68,68 +84,33 @@ func (b *Batch) ConnectVirtToVirt(v, w int32) { b.virtToVirt.add(v, w) }
 func (b *Batch) AddUndirectedNeighbor(v, w int32) { b.undir.add(v, w) }
 
 // Load writes b into g, which must hold real nodes and nothing else: no
-// edges and no virtual nodes. It counts, then fills: every row is cut at
-// its exact size from one backing array per adjacency kind, so each has
-// len == cap and a later append to it reallocates instead of writing into
-// a neighbour. Each row lists its entries in the order b recorded them,
-// which is the row that adding the same nodes and edges one at a time
-// gives. b is not retained.
+// edges and no virtual nodes. It counts, then fills: each adjacency kind
+// gets one arena cut at exact size, rows end to end in slot order with
+// no slack, and a kind b records nothing for keeps no records. Each row
+// lists its entries in the order b recorded them, which is the row that
+// adding the same nodes and edges one at a time gives. b is not retained.
 func (g *Graph) Load(b *Batch) {
 	if len(g.vLayer) > 0 {
 		panic("core: Load on a graph that already has virtual nodes")
 	}
-	nv := len(b.layers)
+	nv, nr := len(b.layers), len(g.realID)
 	g.vLayer = slices.Clone(b.layers)
-	g.vIn = make([][]int32, nv)
-	g.vInVirt = make([][]int32, nv)
-	g.vOut = make([][]int32, nv)
-	g.vOutVirt = make([][]int32, nv)
 	g.vDead = make([]bool, nv)
-	g.vUndir = make([][]int32, nv)
 	if g.masks != nil {
 		g.masks = make([]maskRow, nv)
 	}
 	for _, l := range b.layers {
 		g.layerHint = max(g.layerHint, l)
 	}
-	deg := make([]int32, max(len(g.realID), nv))
-	fillRows(g.outReal, &b.direct, 0, deg)
-	fillRows(g.inReal, &b.direct, 1, deg)
-	fillRows(g.outVirt, &b.realToVirt, 0, deg)
-	fillRows(g.vIn, &b.realToVirt, 1, deg)
-	fillRows(g.vOut, &b.virtToReal, 0, deg)
-	fillRows(g.inVirt, &b.virtToReal, 1, deg)
-	fillRows(g.vOutVirt, &b.virtToVirt, 0, deg)
-	fillRows(g.vInVirt, &b.virtToVirt, 1, deg)
-	fillRows(g.vUndir, &b.undir, 0, deg)
-	g.vOutSorted = !slices.ContainsFunc(g.vOut, func(row []int32) bool { return !slices.IsSorted(row) })
-}
-
-// fillRows gives each node on one side of pairs (side 0: the sources, 1:
-// the targets) its row of partners, in pair order, cut at its exact size
-// from one backing array. deg is scratch of at least len(rows).
-func fillRows(rows [][]int32, pairs *pairSlab, side int, deg []int32) {
-	if pairs.n == 0 {
-		return
-	}
-	deg = deg[:len(rows)]
-	clear(deg)
-	for _, c := range pairs.chunks {
-		for i := side; i < len(c); i += 2 {
-			deg[c[i]]++
-		}
-	}
-	arena := make([]int32, pairs.n/2)
-	for k, d := range deg {
-		if d > 0 {
-			rows[k] = arena[:0:d]
-			arena = arena[d:]
-		}
-	}
-	for _, c := range pairs.chunks {
-		for i := 0; i < len(c); i += 2 {
-			k := c[i+side]
-			rows[k] = append(rows[k], c[i+1-side])
-		}
-	}
+	deg := make([]int32, max(nr, nv))
+	g.outReal.fill(&b.direct, 0, nr, deg)
+	g.inReal.fill(&b.direct, 1, nr, deg)
+	g.outVirt.fill(&b.realToVirt, 0, nr, deg)
+	g.vIn.fill(&b.realToVirt, 1, nv, deg)
+	g.vOut.fill(&b.virtToReal, 0, nv, deg)
+	g.inVirt.fill(&b.virtToReal, 1, nr, deg)
+	g.vOutVirt.fill(&b.virtToVirt, 0, nv, deg)
+	g.vInVirt.fill(&b.virtToVirt, 1, nv, deg)
+	g.vUndir.fill(&b.undir, 0, nv, deg)
+	g.vOutSorted = g.vOut.sorted()
 }

@@ -12,18 +12,19 @@ import (
 // order, so two graphs can be compared row for row.
 func adjRows(g *Graph) [][]int32 {
 	var rows [][]int32
-	for r := range g.realID {
-		rows = append(rows, g.outVirt[r], g.inVirt[r], g.outReal[r], g.inReal[r])
+	for r := range int32(len(g.realID)) {
+		rows = append(rows, g.outVirt.row(r), g.inVirt.row(r), g.outReal.row(r), g.inReal.row(r))
 	}
-	for v := range g.vLayer {
-		rows = append(rows, g.vIn[v], g.vOut[v], g.vUndir[v], g.vInVirt[v], g.vOutVirt[v])
+	for v := range int32(len(g.vLayer)) {
+		rows = append(rows, g.vIn.row(v), g.vOut.row(v), g.vUndir.row(v), g.vInVirt.row(v), g.vOutVirt.row(v))
 	}
 	return rows
 }
 
 // checkLoaded compares got, built through Load, with want, the same nodes
-// and edges added one call at a time: every row equal and at len == cap,
-// the same virtual slots, layers and size metrics.
+// and edges added one call at a time: every row equal, got's arenas packed
+// (no slack, every row at its length), the same virtual slots, layers and
+// RepEdges, and got's MemBytes equal to that of want's packed Clone.
 func checkLoaded(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if got.NumVirtualSlots() != want.NumVirtualSlots() || got.NumVirtualNodes() != want.NumVirtualNodes() ||
@@ -40,12 +41,12 @@ func checkLoaded(t *testing.T, got, want *Graph) {
 		if !slices.Equal(gr[i], wr[i]) {
 			t.Fatalf("row %d: %v, one-at-a-time build %v", i, gr[i], wr[i])
 		}
-		if len(gr[i]) != cap(gr[i]) {
-			t.Fatalf("row %d: len %d cap %d", i, len(gr[i]), cap(gr[i]))
-		}
 	}
-	if got.RepEdges() != want.RepEdges() || got.MemBytes() != want.MemBytes() {
-		t.Fatalf("RepEdges %d MemBytes %d, want %d and %d", got.RepEdges(), got.MemBytes(), want.RepEdges(), want.MemBytes())
+	if err := packed(got); err != nil {
+		t.Fatal(err)
+	}
+	if wantBytes := want.Clone().MemBytes(); got.RepEdges() != want.RepEdges() || got.MemBytes() != wantBytes {
+		t.Fatalf("RepEdges %d MemBytes %d, want %d and %d", got.RepEdges(), got.MemBytes(), want.RepEdges(), wantBytes)
 	}
 }
 
@@ -54,8 +55,8 @@ func checkLoaded(t *testing.T, got, want *Graph) {
 // half in an order of their own, symmetric direct edges — and checks it
 // against the same structure added one node and one edge at a time
 // through AddVirtualNode, AddMember, ConnectVirtUndirected and
-// AddDirectEdgeIdx. An append to one loaded row must leave its neighbours
-// in the shared array alone.
+// AddDirectEdgeIdx. An append to one loaded row, through the graph or to
+// a returned row, must leave its neighbours in the shared arena alone.
 func TestLoadDedup2MatchesNodeByNodeBuild(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -86,14 +87,14 @@ func TestLoadDedup2MatchesNodeByNodeBuild(t *testing.T) {
 		}
 		for k := rng.Intn(2*nVirt + 1); k > 0; k-- {
 			v, w := int32(rng.Intn(nVirt)), int32(rng.Intn(nVirt))
-			if v != w && !slices.Contains(want.vUndir[v], w) {
+			if v != w && !slices.Contains(want.VirtUndirected(v), w) {
 				want.ConnectVirtUndirected(v, w)
 			}
 		}
 		// The halves go in per node, in the order the rows hold them.
-		for v, ns := range want.vUndir {
-			for _, w := range ns {
-				b.AddUndirectedNeighbor(int32(v), w)
+		for v := range int32(nVirt) {
+			for _, w := range want.VirtUndirected(v) {
+				b.AddUndirectedNeighbor(v, w)
 			}
 		}
 		for k := rng.Intn(8); k > 0; k-- {
@@ -106,17 +107,17 @@ func TestLoadDedup2MatchesNodeByNodeBuild(t *testing.T) {
 		got.Load(&b)
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkLoaded(t, got, want) })
 
-		before := slices.Clone(got.vOut)
+		before := make([][]int32, nVirt)
 		for v := range before {
-			before[v] = slices.Clone(before[v])
+			before[v] = slices.Clone(got.VirtTargets(int32(v)))
 		}
-		for r := 0; r < nReal; r++ {
-			got.AddDirectEdgeIdx(int32(r), int32(r))
-			got.outVirt[r] = append(got.outVirt[r], -1)
+		for r := range int32(nReal) {
+			got.AddDirectEdgeIdx(r, r)
+			rowSink = append(got.OutVirtuals(r), -1)
 		}
 		for v := range before {
-			got.vIn[v] = append(got.vIn[v], -1)
-			if !slices.Equal(got.vOut[v], before[v]) {
+			rowSink = append(got.VirtSources(int32(v)), -1)
+			if !slices.Equal(got.VirtTargets(int32(v)), before[v]) {
 				t.Fatalf("seed %d: appending to other rows changed virtual node %d's members", seed, v)
 			}
 		}
@@ -145,24 +146,24 @@ func liveFingerprint(g *Graph) string {
 	real := func(row []int32) {
 		fmt.Fprintf(&sb, " %v |", row)
 	}
-	for r := range g.realID {
+	for r := range int32(len(g.realID)) {
 		fmt.Fprintf(&sb, "R%d:", g.realID[r])
-		virt(g.outVirt[r])
-		virt(g.inVirt[r])
-		real(g.outReal[r])
-		real(g.inReal[r])
+		virt(g.OutVirtuals(r))
+		virt(g.InVirtuals(r))
+		real(g.OutDirect(r))
+		real(g.InDirect(r))
 		sb.WriteString("\n")
 	}
-	for v := range g.vLayer {
+	for v := range int32(len(g.vLayer)) {
 		if g.vDead[v] {
 			continue
 		}
 		fmt.Fprintf(&sb, "V%d L%d:", rank[v], g.vLayer[v])
-		real(g.vIn[v])
-		real(g.vOut[v])
-		virt(g.vInVirt[v])
-		virt(g.vOutVirt[v])
-		virt(g.vUndir[v])
+		real(g.VirtSources(v))
+		real(g.VirtTargets(v))
+		virt(g.VirtInVirt(v))
+		virt(g.VirtOutVirt(v))
+		virt(g.VirtUndirected(v))
 		sb.WriteString("\n")
 	}
 	return sb.String()
@@ -181,10 +182,11 @@ func neighborLists(g *Graph) string {
 // FuzzLoad decodes random multi-layer graphs as sequences of edge
 // additions, repeated pairs included, and adds each one both to a graph
 // one call at a time and to a Batch that Load then writes: the two must
-// agree row for row and in order, with every loaded row at len == cap.
+// agree row for row and in order, with zero arena slack after Load.
 // Random RemoveVirtualNode steps then tombstone virtual nodes, and
 // compactVirtual must drop exactly their slots without changing any
-// logical neighbor list or the graph's live fingerprint.
+// logical neighbor list or the graph's live fingerprint, and leave a
+// valid arena layout.
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte{5, 4, 1, 1, 2, 0, 0, 1, 1, 0, 2, 1, 2, 0, 3, 2, 0, 1, 3, 2, 2, 0, 1, 2, 1, 3, 0, 0, 1, 9, 1, 2})
 	f.Add([]byte{12, 8, 1, 2, 3, 1, 2, 3, 2, 1, 0, 0, 1, 0, 0, 1, 1, 1, 1, 2, 0, 4, 3, 3, 3, 4, 4, 5, 1, 5, 2, 6, 2, 6, 7, 0, 7, 4, 4, 0, 2, 5, 3, 11, 2, 1, 7, 3})
@@ -264,6 +266,9 @@ func FuzzLoad(f *testing.F) {
 		}
 		if after := neighborLists(got); after != nb {
 			t.Fatalf("compactVirtual changed the neighbors:\n%s\nwas\n%s", after, nb)
+		}
+		if err := got.VerifyLayout(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

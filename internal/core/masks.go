@@ -32,9 +32,9 @@ func maskStride(n int) int { return (n + 63) >> 6 }
 // r had there. words holds ⌈len(VirtTargets(v))/64⌉ words; bit i set means
 // origin r traverses VirtTargets(v)[i]. The words are copied.
 func (g *Graph) SetBitmap(v, r int32, words []uint64) {
-	stride := maskStride(len(g.vOut[v]))
+	stride := maskStride(len(g.vOut.row(v)))
 	if len(words) != stride {
-		panic(fmt.Sprintf("core: mask of %d words for a virtual node of %d targets", len(words), len(g.vOut[v])))
+		panic(fmt.Sprintf("core: mask of %d words for a virtual node of %d targets", len(words), len(g.vOut.row(v))))
 	}
 	if g.masks == nil {
 		g.masks = make([]maskRow, len(g.vLayer))
@@ -60,7 +60,7 @@ func (g *Graph) Bitmap(v, r int32) ([]uint64, bool) {
 	if !ok {
 		return nil, false
 	}
-	s := maskStride(len(g.vOut[v]))
+	s := maskStride(len(g.vOut.row(v)))
 	return m.words[i*s : (i+1)*s : (i+1)*s], true
 }
 
@@ -72,7 +72,7 @@ func (g *Graph) ForEachBitmap(v int32, fn func(origin int32, words []uint64)) {
 		return
 	}
 	m := &g.masks[v]
-	s := maskStride(len(g.vOut[v]))
+	s := maskStride(len(g.vOut.row(v)))
 	for i, r := range m.origins {
 		fn(r, m.words[i*s:(i+1)*s:(i+1)*s])
 	}
@@ -96,7 +96,7 @@ func (g *Graph) compactMasks(v int, remap []int32) {
 	if len(m.origins) == 0 {
 		return
 	}
-	out := g.vOut[v]
+	out := g.vOut.row(int32(v))
 	kept := 0
 	for _, t := range out {
 		if remap[t] != none {

@@ -81,7 +81,7 @@ func (g *Graph) DeleteEdgeIdx(u, w int32) error {
 	// The edge may be direct and ALSO exist through a virtual path in
 	// C-DUP, in which case the detach below is still needed. A DEDUP-2
 	// edge has exactly one realization.
-	hadDirect := slices.Contains(g.outReal[u], w)
+	hadDirect := slices.Contains(g.outReal.row(u), w)
 	viaVirtual := !hadDirect
 	if !symmetric {
 		viaVirtual = g.ReachableViaVirtual(u, w)
@@ -99,14 +99,14 @@ func (g *Graph) DeleteEdgeIdx(u, w int32) error {
 	// disconnect u from all its virtual nodes, and re-add every neighbor
 	// except w as a direct edge (skipping ones already direct).
 	neighbors := g.NeighborsIdx(u)
-	for _, v := range append([]int32(nil), g.outVirt[u]...) {
+	for _, v := range append([]int32(nil), g.outVirt.row(u)...) {
 		g.DisconnectRealToVirt(u, v)
 		if symmetric {
 			g.DisconnectVirtToReal(v, u)
 		}
 	}
-	have := make(map[int32]struct{}, len(g.outReal[u]))
-	for _, t := range g.outReal[u] {
+	have := make(map[int32]struct{}, len(g.outReal.row(u)))
+	for _, t := range g.outReal.row(u) {
 		have[t] = struct{}{}
 	}
 	for _, t := range neighbors {
@@ -143,7 +143,7 @@ func (g *Graph) NormalizeDirects() int {
 	g.ForEachReal(func(u int32) bool {
 		if single {
 			seen.Reset(len(g.vLayer))
-			row = append(row[:0], g.outVirt[u]...)
+			row = append(row[:0], g.outVirt.row(u)...)
 			for _, v := range row {
 				if !seen.Mark(v) {
 					g.DisconnectRealToVirt(u, v)
@@ -152,7 +152,7 @@ func (g *Graph) NormalizeDirects() int {
 			}
 		}
 		seen.Reset(len(g.realID))
-		row = append(row[:0], g.outReal[u]...)
+		row = append(row[:0], g.outReal.row(u)...)
 		for _, w := range row {
 			if !seen.Mark(w) || g.ReachableViaVirtual(u, w) {
 				g.RemoveDirectEdgeIdx(u, w)

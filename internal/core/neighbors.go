@@ -70,13 +70,13 @@ func (g *Graph) ForNeighbors(r int32, fn func(t int32) bool) {
 	}
 	switch g.mode {
 	case EXP:
-		g.scanDirect(r, g.outReal[r], fn)
+		g.scanDirect(r, g.outReal.row(r), fn)
 	case CDUP:
 		// Direct edges participate in the duplicate check too: a direct
 		// edge added by AddEdge may coexist with a virtual path in C-DUP.
-		g.walkMarked(r, g.outReal[r], g.outVirt[r], g.vOut, g.vOutVirt, fn)
+		g.walkMarked(r, g.outReal.row(r), g.outVirt.row(r), &g.vOut, &g.vOutVirt, fn)
 	case DEDUP1:
-		g.walkPlain(r, g.outReal[r], g.outVirt[r], g.vOut, g.vOutVirt, fn)
+		g.walkPlain(r, g.outReal.row(r), g.outVirt.row(r), &g.vOut, &g.vOutVirt, fn)
 	case BITMAP:
 		g.forNeighborsBitmap(r, fn)
 	case DEDUP2:
@@ -97,13 +97,13 @@ func (g *Graph) ForInNeighbors(r int32, fn func(s int32) bool) {
 	}
 	switch g.mode {
 	case EXP:
-		g.scanDirect(r, g.inReal[r], fn)
+		g.scanDirect(r, g.inReal.row(r), fn)
 	case DEDUP1:
-		g.walkPlain(r, g.inReal[r], g.inVirt[r], g.vIn, g.vInVirt, fn)
+		g.walkPlain(r, g.inReal.row(r), g.inVirt.row(r), &g.vIn, &g.vInVirt, fn)
 	case DEDUP2:
 		g.forNeighborsDedup2(r, fn)
 	default: // CDUP, BITMAP
-		g.walkMarked(r, g.inReal[r], g.inVirt[r], g.vIn, g.vInVirt, fn)
+		g.walkMarked(r, g.inReal.row(r), g.inVirt.row(r), &g.vIn, &g.vInVirt, fn)
 	}
 }
 
@@ -132,7 +132,7 @@ func (g *Graph) scanDirect(r int32, direct []int32, fn func(int32) bool) bool {
 // side (vOut/vOutVirt forward, vIn/vInVirt backward). Virtual nodes can be
 // reached through multiple paths in multi-layer graphs, so there they are
 // marked too, which bounds the traversal.
-func (g *Graph) walkMarked(r int32, direct, first []int32, vReal, vVirt [][]int32, fn func(int32) bool) {
+func (g *Graph) walkMarked(r int32, direct, first []int32, vReal, vVirt *adjacency, fn func(int32) bool) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.real.Reset(len(g.realID))
@@ -151,17 +151,17 @@ func (g *Graph) walkMarked(r int32, direct, first []int32, vReal, vVirt [][]int3
 		if multi && !sc.virt.Mark(v) {
 			continue
 		}
-		for _, t := range vReal[v] {
+		for _, t := range vReal.row(v) {
 			if sc.real.Mark(t) && !g.emit(r, t, fn) {
 				return
 			}
 		}
-		sc.stack = append(sc.stack, vVirt[v]...)
+		sc.stack = append(sc.stack, vVirt.row(v)...)
 	}
 }
 
 // walkPlain is walkMarked without the duplicate checks, for DEDUP-1.
-func (g *Graph) walkPlain(r int32, direct, first []int32, vReal, vVirt [][]int32, fn func(int32) bool) {
+func (g *Graph) walkPlain(r int32, direct, first []int32, vReal, vVirt *adjacency, fn func(int32) bool) {
 	if !g.scanDirect(r, direct, fn) {
 		return
 	}
@@ -170,17 +170,17 @@ func (g *Graph) walkPlain(r int32, direct, first []int32, vReal, vVirt [][]int32
 	sc.stack = append(sc.stack[:0], first...)
 	for len(sc.stack) > 0 {
 		v := sc.pop()
-		for _, t := range vReal[v] {
+		for _, t := range vReal.row(v) {
 			if !g.emit(r, t, fn) {
 				return
 			}
 		}
-		sc.stack = append(sc.stack, vVirt[v]...)
+		sc.stack = append(sc.stack, vVirt.row(v)...)
 	}
 }
 
 func (g *Graph) forNeighborsBitmap(r int32, fn func(int32) bool) {
-	if !g.scanDirect(r, g.outReal[r], fn) {
+	if !g.scanDirect(r, g.outReal.row(r), fn) {
 		return
 	}
 	sc := scratchPool.Get().(*scratch)
@@ -192,14 +192,14 @@ func (g *Graph) forNeighborsBitmap(r int32, fn func(int32) bool) {
 	if multi {
 		sc.virt.Reset(len(g.vLayer))
 	}
-	sc.stack = append(sc.stack[:0], g.outVirt[r]...)
+	sc.stack = append(sc.stack[:0], g.outVirt.row(r)...)
 	for len(sc.stack) > 0 {
 		v := sc.pop()
 		if multi && !sc.virt.Mark(v) {
 			continue
 		}
 		mask, masked := g.Bitmap(v, r)
-		for i, t := range g.vOut[v] {
+		for i, t := range g.vOut.row(v) {
 			if masked && mask[i>>6]&(1<<(i&63)) == 0 {
 				continue
 			}
@@ -207,16 +207,16 @@ func (g *Graph) forNeighborsBitmap(r int32, fn func(int32) bool) {
 				return
 			}
 		}
-		sc.stack = append(sc.stack, g.vOutVirt[v]...)
+		sc.stack = append(sc.stack, g.vOutVirt.row(v)...)
 	}
 }
 
 func (g *Graph) forNeighborsDedup2(r int32, fn func(int32) bool) {
-	if !g.scanDirect(r, g.outReal[r], fn) {
+	if !g.scanDirect(r, g.outReal.row(r), fn) {
 		return
 	}
-	for _, v := range g.outVirt[r] {
-		for _, t := range g.vOut[v] {
+	for _, v := range g.outVirt.row(r) {
+		for _, t := range g.vOut.row(v) {
 			if t == r {
 				continue // u itself is a member of V
 			}
@@ -224,8 +224,8 @@ func (g *Graph) forNeighborsDedup2(r int32, fn func(int32) bool) {
 				return
 			}
 		}
-		for _, w := range g.vUndir[v] {
-			for _, t := range g.vOut[w] {
+		for _, w := range g.vUndir.row(v) {
+			for _, t := range g.vOut.row(w) {
 				if t == r {
 					continue
 				}
@@ -266,7 +266,7 @@ func (g *Graph) HasEdgeIdx(u, w int32) bool {
 	if u == w && !g.SelfLoops {
 		return false
 	}
-	return slices.Contains(g.outReal[u], w) || g.ReachableViaVirtual(u, w)
+	return slices.Contains(g.outReal.row(u), w) || g.ReachableViaVirtual(u, w)
 }
 
 // ReachableViaVirtual reports whether w is reachable from u through at least
@@ -275,11 +275,11 @@ func (g *Graph) HasEdgeIdx(u, w int32) bool {
 // NormalizeDirects drops a direct edge.
 func (g *Graph) ReachableViaVirtual(u, w int32) bool {
 	if g.mode == DEDUP2 {
-		for _, v := range g.outVirt[u] {
+		for _, v := range g.outVirt.row(u) {
 			if g.virtHasTarget(v, w) {
 				return true
 			}
-			for _, x := range g.vUndir[v] {
+			for _, x := range g.vUndir.row(v) {
 				if g.virtHasTarget(x, w) {
 					return true
 				}
@@ -293,7 +293,7 @@ func (g *Graph) ReachableViaVirtual(u, w int32) bool {
 	if multi {
 		sc.virt.Reset(len(g.vLayer))
 	}
-	sc.stack = append(sc.stack[:0], g.outVirt[u]...)
+	sc.stack = append(sc.stack[:0], g.outVirt.row(u)...)
 	for len(sc.stack) > 0 {
 		v := sc.pop()
 		if multi && !sc.virt.Mark(v) {
@@ -302,7 +302,7 @@ func (g *Graph) ReachableViaVirtual(u, w int32) bool {
 		if g.virtHasTarget(v, w) {
 			return true
 		}
-		sc.stack = append(sc.stack, g.vOutVirt[v]...)
+		sc.stack = append(sc.stack, g.vOutVirt.row(v)...)
 	}
 	return false
 }
@@ -313,10 +313,10 @@ func (g *Graph) ReachableViaVirtual(u, w int32) bool {
 // otherwise a scan — a miss never pays for both.
 func (g *Graph) virtHasTarget(v, w int32) bool {
 	if g.vOutSorted {
-		_, found := slices.BinarySearch(g.vOut[v], w)
+		_, found := slices.BinarySearch(g.vOut.row(v), w)
 		return found
 	}
-	return slices.Contains(g.vOut[v], w)
+	return slices.Contains(g.vOut.row(v), w)
 }
 
 // ForEachReal calls fn for every live real index.

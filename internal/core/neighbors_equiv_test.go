@@ -22,9 +22,9 @@ func refWalk(g *Graph, r int32, in bool) []int32 {
 	if !g.Alive(r) {
 		return nil
 	}
-	direct, first, vReal, vVirt := g.outReal[r], g.outVirt[r], g.vOut, g.vOutVirt
+	direct, first, vReal, vVirt := g.OutDirect(r), g.OutVirtuals(r), g.VirtTargets, g.VirtOutVirt
 	if in {
-		direct, first, vReal, vVirt = g.inReal[r], g.inVirt[r], g.vIn, g.vInVirt
+		direct, first, vReal, vVirt = g.InDirect(r), g.InVirtuals(r), g.VirtSources, g.VirtInVirt
 	}
 	seen := make(map[int32]struct{})
 	seenVirt := make(map[int32]struct{})
@@ -50,10 +50,10 @@ func refWalk(g *Graph, r int32, in bool) []int32 {
 			continue
 		}
 		seenVirt[v] = struct{}{}
-		for _, t := range vReal[v] {
+		for _, t := range vReal(v) {
 			visit(t)
 		}
-		stack = append(stack, vVirt[v]...)
+		stack = append(stack, vVirt(v)...)
 	}
 	return out
 }

@@ -9,22 +9,9 @@ package core
 // direct real->real, plus DEDUP-2 undirected virtual-virtual edges (counted
 // once). This is the "Edges" number of Figure 10 and Table 1.
 func (g *Graph) RepEdges() int64 {
-	var n int64
-	for r := range g.realID {
-		if g.dead[r] {
-			continue
-		}
-		n += int64(len(g.outVirt[r])) + int64(len(g.outReal[r]))
-	}
-	var undir int64
-	for v := range g.vLayer {
-		if g.vDead[v] {
-			continue
-		}
-		n += int64(len(g.vOut[v])) + int64(len(g.vOutVirt[v]))
-		undir += int64(len(g.vUndir[v]))
-	}
-	return n + undir/2
+	n := g.outVirt.entries(g.dead) + g.outReal.entries(g.dead) +
+		g.vOut.entries(g.vDead) + g.vOutVirt.entries(g.vDead)
+	return n + g.vUndir.entries(g.vDead)/2
 }
 
 // LogicalEdges returns the number of edges of the expanded graph, computed
@@ -44,29 +31,24 @@ func (g *Graph) LogicalEdges() int64 {
 // Figure 10).
 func (g *Graph) TotalNodes() int { return g.NumRealNodes() + g.NumVirtualNodes() }
 
-// MemBytes estimates the heap footprint of the representation, mirroring
-// the memory columns of Tables 3 and 4. It accounts for node arrays, the
-// vertex ID map, adjacency slices, the property columns (per key a string
-// header and a set flag per slot, plus the value bytes), and BITMAP's
-// masks.
-// Lengths are counted, not capacities.
+// MemBytes prices the heap footprint of the representation, mirroring
+// the memory columns of Tables 3 and 4. It counts the per-slot node
+// arrays (ID and tombstone per real slot, layer and tombstone per virtual
+// slot) at their lengths; each adjacency kind at its arena's capacity,
+// slack and spare room included, plus 12 B per row record (adj.go); the
+// property columns (per key a string header and a set flag per slot, plus
+// the value bytes); BITMAP's masks; and the vertex ID map at idMapEntry
+// per entry.
 func (g *Graph) MemBytes() int64 {
-	const (
-		sliceHeader = 24
-		mapEntry    = 48 // rough per-entry cost of a small Go map
-	)
-	var b int64
-	// Real node arrays: id (8), dead (1), 4 slice headers + elements.
-	b += int64(len(g.realID)) * (8 + 1 + 4*sliceHeader)
-	for r := range g.realID {
-		b += int64(len(g.outVirt[r])+len(g.outReal[r])+len(g.inVirt[r])+len(g.inReal[r])) * 4
-	}
-	b += int64(len(g.realIdx)) * mapEntry
+	const sliceHeader = 24
+	b := int64(len(g.realID))*(8+1) + int64(len(g.vLayer))*(4+1)
+	b += int64(len(g.realIdx)) * idMapEntry
 	b += propBytes(g.props)
-	// Virtual node arrays.
-	b += int64(len(g.vLayer)) * (4 + 1 + 5*sliceHeader)
-	for v := range g.vLayer {
-		b += int64(len(g.vIn[v])+len(g.vInVirt[v])+len(g.vOut[v])+len(g.vOutVirt[v])+len(g.vUndir[v])) * 4
+	for _, a := range g.realKinds() {
+		b += a.bytes()
+	}
+	for _, a := range g.virtKinds() {
+		b += a.bytes()
 	}
 	// Masks: two slice headers per virtual slot once the store exists,
 	// then 4 B per origin and 8 B per word.
@@ -77,12 +59,19 @@ func (g *Graph) MemBytes() int64 {
 	return b
 }
 
+// idMapEntry is the bytes per entry of the int64 -> int32 ID map at the Go
+// runtime's average load: a swiss-table slot (key and index, aligned to
+// the key) plus its control byte, over the ~5/8 of slots a map keeps
+// filled (Go 1.24). The runtime does not report a map's capacity, so the
+// map is the one estimated part of MemBytes.
+const idMapEntry = (16 + 1) * 8 / 5
+
 // AvgVirtualSize returns the average number of real targets per live virtual
 // node (the "Avg Size" column of Table 2).
 func (g *Graph) AvgVirtualSize() float64 {
 	var sum, n int64
 	g.ForEachVirtual(func(v int32) bool {
-		sum += int64(len(g.vOut[v]))
+		sum += int64(len(g.vOut.row(v)))
 		n++
 		return true
 	})
@@ -99,8 +88,8 @@ func (g *Graph) AvgVirtualSize() float64 {
 func (g *Graph) DuplicationStats() (paths int64, dupPairs int64) {
 	counts := make(map[int64]int32)
 	g.ForEachVirtual(func(v int32) bool {
-		for _, s := range g.vIn[v] {
-			for _, t := range g.vOut[v] {
+		for _, s := range g.vIn.row(v) {
+			for _, t := range g.vOut.row(v) {
 				if s == t && !g.SelfLoops {
 					continue
 				}
@@ -110,7 +99,7 @@ func (g *Graph) DuplicationStats() (paths int64, dupPairs int64) {
 		return true
 	})
 	g.ForEachReal(func(r int32) bool {
-		for _, t := range g.outReal[r] {
+		for _, t := range g.outReal.row(r) {
 			if r == t && !g.SelfLoops {
 				continue
 			}

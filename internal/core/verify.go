@@ -39,13 +39,13 @@ func (g *Graph) rawTraversalHasDup(r int32, seen map[int32]struct{}) int32 {
 	}
 	switch g.mode {
 	case EXP:
-		g.scanDirect(r, g.outReal[r], visit)
+		g.scanDirect(r, g.outReal.row(r), visit)
 	case BITMAP:
 		g.forNeighborsBitmap(r, visit)
 	case DEDUP2:
 		g.forNeighborsDedup2(r, visit)
 	default: // CDUP, DEDUP1
-		g.walkPlain(r, g.outReal[r], g.outVirt[r], g.vOut, g.vOutVirt, visit)
+		g.walkPlain(r, g.outReal.row(r), g.outVirt.row(r), &g.vOut, &g.vOutVirt, visit)
 	}
 	return dup
 }
@@ -91,7 +91,7 @@ func (g *Graph) VerifyDAG() error {
 	var visit func(v int32) error
 	visit = func(v int32) error {
 		color[v] = gray
-		for _, w := range g.vOutVirt[v] {
+		for _, w := range g.vOutVirt.row(v) {
 			switch color[w] {
 			case gray:
 				return fmt.Errorf("cycle through virtual node %d", w)
@@ -121,8 +121,8 @@ func (g *Graph) VerifyDAG() error {
 // (2) the virtual neighbors of any virtual node are pairwise disjoint.
 func (g *Graph) VerifyDedup2Invariants() error {
 	memberSet := func(v int32) map[int32]struct{} {
-		m := make(map[int32]struct{}, len(g.vOut[v]))
-		for _, t := range g.vOut[v] {
+		m := make(map[int32]struct{}, len(g.vOut.row(v)))
+		for _, t := range g.vOut.row(v) {
 			m[t] = struct{}{}
 		}
 		return m
@@ -140,17 +140,17 @@ func (g *Graph) VerifyDedup2Invariants() error {
 	g.ForEachVirtual(func(v int32) bool {
 		mv := memberSet(v)
 		// Adjacent virtual nodes must be member-disjoint.
-		for _, w := range g.vUndir[v] {
-			if n := overlap(mv, g.vOut[w]); n > 0 {
+		for _, w := range g.vUndir.row(v) {
+			if n := overlap(mv, g.vOut.row(w)); n > 0 {
 				err = fmt.Errorf("adjacent virtual nodes %d and %d share %d members", v, w, n)
 				return false
 			}
 		}
 		// Virtual neighbors of v must be pairwise disjoint.
-		for i, w1 := range g.vUndir[v] {
+		for i, w1 := range g.vUndir.row(v) {
 			m1 := memberSet(w1)
-			for _, w2 := range g.vUndir[v][i+1:] {
-				if n := overlap(m1, g.vOut[w2]); n > 0 {
+			for _, w2 := range g.vUndir.row(v)[i+1:] {
+				if n := overlap(m1, g.vOut.row(w2)); n > 0 {
 					err = fmt.Errorf("virtual neighbors %d,%d of %d share %d members", w1, w2, v, n)
 					return false
 				}
@@ -162,4 +162,25 @@ func (g *Graph) VerifyDedup2Invariants() error {
 		return err
 	}
 	return g.VerifyNoDuplicates()
+}
+
+// VerifyLayout checks the adjacency storage of every kind (adj.go): one
+// row record per slot, or none for a kind that never held an entry; every
+// row inside its arena and within its capacity; no two rows sharing arena
+// space; the slack equal to the arena's length minus the rows'
+// capacities, and at most half the arena plus a constant.
+func (g *Graph) VerifyLayout() error {
+	names := [...]string{"outVirt", "outReal", "inVirt", "inReal", "vIn", "vInVirt", "vOut", "vOutVirt", "vUndir"}
+	rk, vk := g.realKinds(), g.virtKinds()
+	kinds := append(rk[:], vk[:]...)
+	for i, a := range kinds {
+		slots := len(g.realID)
+		if i >= 4 {
+			slots = len(g.vLayer)
+		}
+		if err := a.verify(slots); err != nil {
+			return fmt.Errorf("%s: %w", names[i], err)
+		}
+	}
+	return nil
 }

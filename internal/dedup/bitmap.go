@@ -61,6 +61,7 @@ func Bitmap1(g *core.Graph) (*core.Graph, Stats, error) {
 		}
 		return true
 	})
+	out.Pack()
 	out.SetMode(core.BITMAP)
 	st.RepEdgesAfter = out.RepEdges()
 	return out, st, nil
@@ -105,6 +106,7 @@ func Bitmap2(g *core.Graph) (*core.Graph, Stats, error) {
 		}
 		return true
 	})
+	out.Pack()
 	out.SetMode(core.BITMAP)
 	st.RepEdgesAfter = out.RepEdges()
 	return out, st, nil

@@ -66,6 +66,7 @@ func dedup1VirtualFirst(g *core.Graph, opts Options, greedy bool) (*core.Graph, 
 			memberIndex[m] = append(memberIndex[m], v)
 		}
 	}
+	out.Pack()
 	out.SetMode(core.DEDUP1)
 	st.RepEdgesAfter = out.RepEdges()
 	return out, st, nil
@@ -250,6 +251,7 @@ func Dedup1NaiveRealFirst(g *core.Graph, opts Options) (*core.Graph, Stats, erro
 			local = append(local, v)
 		}
 	}
+	out.Pack()
 	out.SetMode(core.DEDUP1)
 	st.RepEdgesAfter = out.RepEdges()
 	return out, st, nil
@@ -330,6 +332,7 @@ func Dedup1GreedyRealFirst(g *core.Graph, opts Options) (*core.Graph, Stats, err
 			removeMembershipWithCompensation(out, v, u, &st)
 		}
 	}
+	out.Pack()
 	out.SetMode(core.DEDUP1)
 	st.RepEdgesAfter = out.RepEdges()
 	return out, st, nil

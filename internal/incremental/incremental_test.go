@@ -540,7 +540,10 @@ func TestLiveDuplicateSupport(t *testing.T) {
 // releases it. A released slot must be reused, so the graph never holds
 // more virtual slots than it had live virtual nodes at its peak; a
 // released endpoint code too, so the dictionary never holds more codes
-// than it had live at its peak.
+// than it had live at its peak. The graph's adjacency arenas must keep a
+// valid layout and stay bounded: MemBytes at most 1.5 times its value
+// after the first cycle, so a long-lived session does not grow them with
+// every freed row.
 func TestLiveChurnReusesVirtualSlots(t *testing.T) {
 	db := datagen.IMDBLike(3, 60, 12)
 	cast, err := db.Table("cast_info")
@@ -562,8 +565,17 @@ func TestLiveChurnReusesVirtualSlots(t *testing.T) {
 		defer lv.mu.RUnlock()
 		return lv.g.NumVirtualNodes(), lv.g.NumVirtualSlots(), lv.codes.live(), len(lv.codes.refs)
 	}
+	memBytes := func() int64 {
+		lv.mu.RLock()
+		defer lv.mu.RUnlock()
+		if err := lv.g.VerifyLayout(); err != nil {
+			t.Fatal(err)
+		}
+		return lv.g.MemBytes()
+	}
 	row := []relstore.Value{relstore.IntVal(1), relstore.IntVal(9_000_000)}
 	peak, _, peakCodes, _ := virtual()
+	var firstBytes, maxBytes int64
 	for i := 0; i < 1000; i++ {
 		cast.Insert(row...)
 		live, _, liveCodes, _ := virtual()
@@ -572,7 +584,16 @@ func TestLiveChurnReusesVirtualSlots(t *testing.T) {
 			t.Fatal("delete failed")
 		}
 		virtual() // flushed apart, so the pair does not cancel out pending
+		b := memBytes()
+		if i == 0 {
+			firstBytes = b
+		}
+		maxBytes = max(maxBytes, b)
 	}
+	if 2*maxBytes > 3*firstBytes {
+		t.Fatalf("MemBytes reached %d over 1000 insert/delete cycles, %d after the first: more than 1.5 times", maxBytes, firstBytes)
+	}
+	t.Logf("MemBytes %d after the first cycle, at most %d after", firstBytes, maxBytes)
 	live, slots, liveCodes, codes := virtual()
 	if slots > peak {
 		t.Fatalf("after 1000 insert/delete cycles: %d live virtual nodes in %d slots, peak %d live",

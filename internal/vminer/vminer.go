@@ -58,6 +58,7 @@ func Mine(g *core.Graph, opts Options) (*core.Graph, Stats, error) {
 			break
 		}
 	}
+	exp.Pack()
 	exp.SetMode(core.DEDUP1)
 	exp.SortAdjacency()
 	st.EdgesSaved = st.ExpandedEdges - exp.RepEdges()
